@@ -2,14 +2,16 @@
 
 The paper claims the protocol is lightweight enough to run on shared
 desktops.  Sweep cluster size and update interval; measure the message
-and byte load the GRM absorbs per hour (over real CDR marshalling) and
-the mean staleness of the GRM's view.  Expected shape: load grows
+and byte load the GRM absorbs per hour (requests priced in CDR bytes by
+a WireMeter on the manager's ORB) and the mean staleness of the GRM's
+view.  Expected shape: load grows
 linearly with nodes and inversely with the interval; staleness is about
 half the interval.
 """
 
 from repro import Grid
 from repro.analysis.metrics import Table
+from repro.orb import WireMeter
 from repro.sim.clock import SECONDS_PER_HOUR
 
 from conftest import run_once, save_result
@@ -24,8 +26,8 @@ def measure(nodes, update_interval, seed=1):
     for i in range(nodes):
         grid.add_node("c0", f"n{i:03}", dedicated=True)
     grid.run_for(300)   # settle registrations
-    manager_orb = grid.clusters["c0"].orb
-    before = manager_orb.stats()
+    meter = WireMeter()
+    grid.clusters["c0"].orb.add_server_interceptor(meter)
     before_updates = grid.clusters["c0"].grm.stats.updates_received
     # Probe staleness at uneven offsets so we never sample exactly at an
     # update instant; the expectation is interval/2.
@@ -37,9 +39,8 @@ def measure(nodes, update_interval, seed=1):
         staleness_samples.append(
             sum(now - r.last_seen for r in records) / max(1, len(records))
         )
-    after = manager_orb.stats()
     updates = grid.clusters["c0"].grm.stats.updates_received - before_updates
-    bytes_in = after["bytes_received"] - before["bytes_received"]
+    bytes_in = meter.bytes
     staleness = sum(staleness_samples) / len(staleness_samples)
     return {
         "updates_per_hour": updates,

@@ -11,6 +11,7 @@ designs, plus wide-area placement success for overflow jobs.
 
 from repro import ApplicationSpec, Grid
 from repro.analysis.metrics import Table
+from repro.orb import WireMeter
 from repro.sim.clock import SECONDS_PER_HOUR
 
 from conftest import run_once, save_result
@@ -18,6 +19,17 @@ from conftest import run_once, save_result
 NODES_PER_CLUSTER = 25
 UPDATE_INTERVAL = 60.0
 SUMMARY_INTERVAL = 300.0
+
+
+def _metered_hour(grid, manager_orb):
+    """Requests one manager receives in an hour, priced in CDR bytes."""
+    meter = WireMeter()
+    manager_orb.add_server_interceptor(meter)
+    grid.run_for(SECONDS_PER_HOUR)
+    return {
+        "msgs_per_hour": meter.requests,
+        "kb_per_hour": meter.bytes / 1024,
+    }
 
 
 def run_flat(total_nodes):
@@ -28,14 +40,7 @@ def run_flat(total_nodes):
     for i in range(total_nodes):
         grid.add_node("flat", f"n{i:04}", dedicated=True)
     grid.run_for(300)
-    manager = grid.clusters["flat"].orb
-    before = manager.stats()
-    grid.run_for(SECONDS_PER_HOUR)
-    after = manager.stats()
-    return {
-        "msgs_per_hour": after["requests_received"] - before["requests_received"],
-        "kb_per_hour": (after["bytes_received"] - before["bytes_received"]) / 1024,
-    }
+    return _metered_hour(grid, grid.clusters["flat"].orb)
 
 
 def run_hierarchical(total_nodes):
@@ -48,18 +53,10 @@ def run_hierarchical(total_nodes):
         for i in range(NODES_PER_CLUSTER):
             grid.add_node(f"c{c:02}", f"c{c:02}n{i:03}", dedicated=True)
     parent, uplinks = grid.connect_clusters_to_parent()
-    parent_orb = None
     # connect_clusters_to_parent builds its own orb; find it via domain.
     parent_orb = grid.domain.lookup("parent-orb")
     grid.run_for(300)
-    before = parent_orb.stats()
-    grid.run_for(SECONDS_PER_HOUR)
-    after = parent_orb.stats()
-    return {
-        "clusters": clusters,
-        "msgs_per_hour": after["requests_received"] - before["requests_received"],
-        "kb_per_hour": (after["bytes_received"] - before["bytes_received"]) / 1024,
-    }
+    return {"clusters": clusters, **_metered_hour(grid, parent_orb)}
 
 
 def run_overflow_check():

@@ -45,7 +45,7 @@ import time
 from repro.core.hierarchy import ParentGrm
 from repro.core.protocols import GRM_INTERFACE, PARENT_GRM_INTERFACE
 from repro.core.update_protocol import FULL, DeltaSender
-from repro.orb.core import Orb
+from repro.orb import Orb, WireMeter
 from repro.orb.transport import InProcDomain
 from repro.sim.events import EventLoop
 from repro.analysis.metrics import Table
@@ -184,7 +184,7 @@ def _oracle_order(parent, spec_dict, origin):
     return [r.cluster for r in parent._rank_candidates(spec, origin)]
 
 
-def drive(parent, server_orb, uplink_stub, summaries,
+def drive(parent, meter, uplink_stub, summaries,
           senders, next_due, rounds=ROUNDS):
     """Run the interleaved summary/submit workload; returns the tallies."""
     clusters = len(summaries)
@@ -206,7 +206,7 @@ def drive(parent, server_orb, uplink_stub, summaries,
                 summaries[i]["pending_tasks"] = (i + r) % 3
 
         # -- summary phase: only these bytes count as uplink traffic --
-        bytes_before = server_orb.stats()["bytes_received"]
+        bytes_before = meter.bytes
         if senders is None:
             for summary in summaries:
                 summary["time"] = now
@@ -230,7 +230,7 @@ def drive(parent, server_orb, uplink_stub, summaries,
         # The parent-to-grandparent uplink reads the aggregate once per
         # interval (O(children) in seed mode, O(1) incrementally).
         parent.aggregate_summary()
-        uplink_bytes += server_orb.stats()["bytes_received"] - bytes_before
+        uplink_bytes += meter.bytes - bytes_before
 
         # -- submit phase: wide-area placement cost at the servant --
         start = time.perf_counter()
@@ -270,7 +270,11 @@ def measure_wide_area(clusters, mode, rounds=ROUNDS):
     (server_orb, child_orb, parent, uplink_stub,
      summaries, senders, next_due) = build_plane(clusters, mode)
     try:
-        tallies = drive(parent, server_orb, uplink_stub,
+        # Uplinks are dispatched directly; the meter prices each summary
+        # request in CDR bytes (submits bypass it: they are timed).
+        meter = WireMeter()
+        server_orb.add_server_interceptor(meter)
+        tallies = drive(parent, meter, uplink_stub,
                         summaries, senders, next_due, rounds)
         # Incremental aggregation must still agree with the seed
         # recompute after the whole churned run.

@@ -2,15 +2,13 @@
 
 The seed ORB sends one transport frame per call, copies every octet
 sequence out of the receive buffer, and serialises TCP callers behind a
-per-connection lock.  This benchmark measures what the PR's three
-opt-in mechanisms buy, each against its seed path run in-process:
+per-connection lock.  This benchmark measures the communication plane
+as it stands:
 
 * **Oneway storm** — 10k logical senders fire oneway status reports at
-  one sink per round.  ``per-call`` mode is the seed (one frame per
-  call); ``batched`` queues per peer and flushes once per round, so
-  frames drop from O(calls) to O(flushes).  A server-side interceptor
-  digests every dispatched call, so delivery (content *and* order) is
-  asserted bit-identical between modes.
+  one collocated sink per round: the ORB's direct-dispatch call rate
+  (no frames, no bytes), with a server-side interceptor digesting
+  every dispatched call.
 * **CDR plane** — decode throughput over chunk-shaped records (string +
   ulong + 64 KiB octets): the seed decoder copies every blob out of the
   buffer, ``zero_copy=True`` returns memoryview slices.  Encode
@@ -27,9 +25,9 @@ opt-in mechanisms buy, each against its seed path run in-process:
   built to win.
 
 Rows land in ``BENCH_S6.json`` with ``--bench-json``; the committed
-file is the CI baseline and the headline gates (>= 5x frame reduction
-with identical digests, >= 2x zero-copy decode throughput) re-run in
-``perf_smoke.py``.
+file is the CI baseline and the headline gates (collocated storm call
+rate, >= 5x TCP frame reduction with identical digests, >= 2x zero-copy
+decode throughput) re-run in ``perf_smoke.py``.
 """
 
 import hashlib
@@ -86,17 +84,15 @@ class _Echo:
 
 # -- oneway storm ------------------------------------------------------------
 
-def measure_storm(mode: str, rounds: int = STORM_ROUNDS) -> dict:
-    """Drive the oneway storm in one mode; returns its metric row.
+def measure_storm(rounds: int = STORM_ROUNDS) -> dict:
+    """Drive the collocated oneway storm; returns its metric row.
 
     The digest folds in every dispatched call's key, operation, and
-    argument tuple *in dispatch order*, so two modes with equal digests
-    delivered the same calls in the same order.
+    argument tuple *in dispatch order*.
     """
-    batch = mode == "batched"
     domain = InProcDomain()
-    server_orb = Orb("sink-orb", domain=domain, batch_oneway=batch)
-    client_orb = Orb("storm-orb", domain=domain, batch_oneway=batch)
+    server_orb = Orb("sink-orb", domain=domain)
+    client_orb = Orb("storm-orb", domain=domain)
     digest = hashlib.sha256()
 
     def interceptor(key, operation, args):
@@ -112,19 +108,15 @@ def measure_storm(mode: str, rounds: int = STORM_ROUNDS) -> dict:
             base = float(r)
             for i in range(SENDERS):
                 report(f"n{i:05}", r, base + (i % 10) * 0.01)
-            client_orb.flush()   # the grid's event-boundary flush
         elapsed = time.perf_counter() - start
         calls = rounds * SENDERS
         assert server_orb.requests_handled == calls
+        assert server_orb.stats()["requests_received"] == calls
+        assert server_orb.stats()["bytes_received"] == 0   # all direct
         return {
-            "mode": mode,
+            "mode": "collocated",
             "rounds": rounds,
             "calls": calls,
-            "frames": server_orb.inproc_stats().requests_received,
-            "batch_calls": client_orb.batch_calls,
-            "batch_frames": client_orb.batch_frames,
-            "bytes_saved": client_orb.batch_bytes_saved,
-            "wire_bytes": server_orb.stats()["bytes_received"],
             "calls_per_wall_s": round(calls / elapsed, 1),
             "wall_s": round(elapsed, 4),
             "digest": digest.hexdigest(),
@@ -316,14 +308,13 @@ def measure_tcp_twoway(pipelined: bool) -> dict:
 
 def run_experiment():
     storm_table = Table(
-        ["mode", "calls", "frames", "KB on wire", "calls/s (wall)"],
+        ["mode", "calls", "calls/s (wall)"],
         title=f"S6a: {SENDERS}-sender oneway storm, {STORM_ROUNDS} rounds",
     )
-    storm_rows = [measure_storm(mode) for mode in ("per-call", "batched")]
+    storm_rows = [measure_storm()]
     for row in storm_rows:
         storm_table.add_row(
-            row["mode"], f"{row['calls']:,}", f"{row['frames']:,}",
-            f"{row['wire_bytes'] / 1024.0:,.0f}",
+            row["mode"], f"{row['calls']:,}",
             f"{row['calls_per_wall_s']:,.0f}",
         )
     cdr_row = measure_cdr()
@@ -370,10 +361,6 @@ def run_experiment():
     return tables, storm_rows, cdr_row, tcp_rows, twoway_rows
 
 
-def _storm_row(rows, mode):
-    return next(r for r in rows if r["mode"] == mode)
-
-
 def test_s6_comm_plane(benchmark):
     tables, storm_rows, cdr_row, tcp_rows, twoway_rows = \
         benchmark.pedantic(run_experiment, rounds=1, iterations=1)
@@ -390,19 +377,8 @@ def test_s6_comm_plane(benchmark):
         "tcp_oneway_rows": tcp_rows,
         "tcp_twoway_rows": twoway_rows,
     })
-    seed = _storm_row(storm_rows, "per-call")
-    batched = _storm_row(storm_rows, "batched")
-    # Identical delivery (content and order), proven by the server-side
-    # digest, with every logical call dispatched in both modes...
-    assert seed["digest"] == batched["digest"]
-    assert seed["calls"] == batched["calls"]
-    assert seed["frames"] == seed["calls"]
-    # ...but the batched wire carries one frame per flush, not per call
-    # (each round's queue stays under the early-flush byte cap).
-    assert batched["frames"] == STORM_ROUNDS
-    assert batched["batch_calls"] == batched["calls"]
-    assert seed["frames"] / batched["frames"] >= 5.0
-    assert batched["bytes_saved"] > 0
+    # Every logical call of the collocated storm was dispatched.
+    assert storm_rows[0]["calls"] == SENDERS * STORM_ROUNDS
     # Zero-copy decode is the headline CDR gate; pooled encode must at
     # minimum not regress.
     assert cdr_row["decode_speedup"] >= 2.0

@@ -136,6 +136,7 @@ def cmd_demo() -> int:
     print("Assembling one cluster: 4 office workstations + 1 dedicated "
           "node...")
     grid = Grid(seed=42, policy="pattern_aware")
+    meter = grid.enable_wire_meter()
     grid.add_cluster("demo")
     for i in range(4):
         grid.add_node("demo", f"office{i}",
@@ -154,9 +155,8 @@ def cmd_demo() -> int:
     for task in status["tasks"]:
         print(f"  {task['task_id']}: node={task['node']} "
               f"attempts={task['attempts']}")
-    stats = grid.protocol_stats()
-    print(f"ORB traffic: {stats['requests_handled']} requests, "
-          f"{stats['bytes_sent']} bytes")
+    print(f"ORB traffic: {meter.requests} requests, "
+          f"{meter.bytes} bytes (modelled CDR)")
     return 0
 
 
@@ -166,6 +166,7 @@ def cmd_simulate(args) -> int:
         lupa_enabled=args.policy == "pattern_aware",
         update_interval=120.0, tick_interval=60.0,
     )
+    meter = grid.enable_wire_meter()   # the report prints message sizes
     grid.add_cluster("sim")
     profile = PROFILES[args.profile]
     sharing = VACATE_POLICY if args.vacate else DEFAULT_POLICY
@@ -236,9 +237,8 @@ def cmd_simulate(args) -> int:
     grm = grid.clusters["sim"].grm
     table.add_row("negotiation rounds", grm.stats.negotiation_rounds)
     table.add_row("reservation refusals", grm.stats.reservations_refused)
-    orb = grid.protocol_stats()
-    table.add_row("ORB requests", orb["requests_handled"])
-    table.add_row("ORB KB sent", orb["bytes_sent"] / 1024)
+    table.add_row("ORB requests", meter.requests)
+    table.add_row("ORB KB sent (modelled CDR)", meter.bytes / 1024)
     print(table.render())
     if monitor is not None:
         print("\nUtilisation (darker = more):")

@@ -5,7 +5,10 @@ any number of clusters.  Each cluster gets a Cluster Manager node (GRM +
 GUPA + Trader + Naming on its own ORB); each workstation gets an LRM,
 an NCC, and — unless dedicated — a LUPA, on its own ORB.  All
 component-to-component traffic goes through ORB stubs, so protocol
-message counts and byte volumes are measured, not estimated.
+message counts are measured, not estimated.  The ORBs share one
+domain, so calls are dispatched directly and marshal nothing (unless
+``auth_secret`` envelopes them); :meth:`Grid.enable_wire_meter` prices
+the same traffic in CDR bytes for experiments that report sizes.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +29,7 @@ from repro.core.protocols import (
     LRM_INTERFACE,
 )
 from repro.core.scheduler import POLICIES, SchedulingPolicy
-from repro.orb.core import Orb
+from repro.orb.core import Orb, WireMeter
 from repro.orb.naming import NamingService, NAMING_INTERFACE
 from repro.orb.transport import InProcDomain
 from repro.sim.clock import SECONDS_PER_DAY
@@ -100,8 +103,6 @@ class Grid:
         update_epsilon: float = 0.0,
         max_update_interval: Optional[float] = None,
         batched_ingest: bool = False,
-        fast_local: bool = False,
-        batch_oneway: bool = False,
         zero_copy_cdr: bool = False,
         chunked_checkpoints: bool = False,
         checkpoint_chunk_size: Optional[int] = None,
@@ -129,27 +130,18 @@ class Grid:
         self.lupa_upload_interval = lupa_upload_interval
         self.lupa_relearn_interval = lupa_relearn_interval
         self.holidays = holidays if holidays is not None else set()
-        #: Information-plane scaling knobs (all off by default: the seed
-        #: wire format, event schedule, and trader behaviour are kept
-        #: bit-identical unless explicitly opted in).
+        #: Information-plane knobs: delta-compressed, adaptively
+        #: throttled LRM→GRM updates and batched GRM ingest.  Off by
+        #: default: throttled sends reschedule themselves, so the golden
+        #: event schedule holds only without them.
         self.delta_updates = delta_updates
         self.full_refresh_every = full_refresh_every
         self.update_epsilon = update_epsilon
         self.max_update_interval = max_update_interval
         self.batched_ingest = batched_ingest
-        self.fast_local = fast_local
-        #: Communication-plane scaling knobs (off by default): coalesce
-        #: oneway requests into per-peer batch frames flushed at every
-        #: sim-event boundary, and decode/encode CDR without copies.
-        #: Delivery still happens at the same simulated instant as the
-        #: event that queued it, so component state is unchanged — only
-        #: the frame count drops from O(calls) to O(peer-flushes).
-        self.batch_oneway = batch_oneway
+        #: Decode/encode CDR without copies on whatever still marshals
+        #: (auth-enveloped grids); wire bytes are identical either way.
         self.zero_copy_cdr = zero_copy_cdr
-        #: ORBs with a non-empty oneway queue, flushed after each event.
-        self._dirty_batch_orbs: set = set()
-        if batch_oneway:
-            self.loop.set_post_event_hook(self._flush_batched_orbs)
         #: Execution-plane scaling knobs (also off by default): chunked
         #: content-addressed checkpoint storage per cluster repository
         #: and digest-skip of unchanged per-node checkpoint saves.
@@ -195,10 +187,11 @@ class Grid:
         self._coordinators: dict[str, object] = {}
         self._job_cluster: dict[str, str] = {}
         #: Observability: None until enable_metrics()/enable_tracing()/
-        #: enable_journal().
+        #: enable_journal()/enable_wire_meter().
         self.metrics = None
         self.tracer = None
         self.journal = None
+        self.wire_meter = None
         self._orbs: list[Orb] = []
         #: ParentGrms built by connect_clusters_to_parent/build_hierarchy
         #: (for metrics/journal wiring), keyed by parent name.
@@ -212,29 +205,16 @@ class Grid:
             credentials=self._credentials,
             keyring=self._keyring,
             require_auth=self._keyring is not None,
-            fast_local=self.fast_local,
-            batch_oneway=self.batch_oneway,
             zero_copy_cdr=self.zero_copy_cdr,
         )
         self._orbs.append(orb)
-        if self.batch_oneway:
-            orb.set_batch_notifier(self._dirty_batch_orbs.add)
+        if self.wire_meter is not None:
+            orb.add_client_interceptor(self.wire_meter)
         if self.tracer is not None:
             orb.set_tracer(self.tracer)
         if self.metrics is not None:
             orb.to_metrics(self.metrics)
         return orb
-
-    def _flush_batched_orbs(self) -> None:
-        """Event-boundary flush: drain every ORB that queued oneways.
-
-        Flushing can enqueue more (a dispatched servant may itself make
-        oneway calls), re-dirtying ORBs — the loop runs until quiescent,
-        all within the same simulated instant.
-        """
-        dirty = self._dirty_batch_orbs
-        while dirty:
-            dirty.pop().flush()
 
     def _slowest_healthy_interval(self) -> float:
         """What the GRM should treat as one healthy update interval.
@@ -727,16 +707,6 @@ class Grid:
         self.metrics = registry
         self.loop.to_metrics(registry)
         registry.view("orb.totals", self.protocol_stats)
-        # Oneway-batching counters (all zero unless batch_oneway is on).
-        for view_name, attr in (
-            ("orb.batch.frames", "batch_frames"),
-            ("orb.batch.calls", "batch_calls"),
-            ("orb.batch.bytes_saved", "batch_bytes_saved"),
-        ):
-            registry.view(
-                view_name,
-                lambda a=attr: sum(getattr(o, a) for o in self._orbs),
-            )
         for orb in self._orbs:
             orb.to_metrics(registry)
         for handle in self.clusters.values():
@@ -753,8 +723,7 @@ class Grid:
                            "refused_reservations",
                            "accepted_reservations", "updates_sent",
                            "updates_full", "updates_delta",
-                           "updates_suppressed", "updates_bytes_saved",
-                           "sandbox_violations"):
+                           "updates_suppressed", "sandbox_violations"):
             registry.view(
                 f"lrm.total.{field_name}",
                 lambda f=field_name: sum(
@@ -767,7 +736,6 @@ class Grid:
         for name, field_name in (
             ("lrm.updates.delta", "updates_delta"),
             ("lrm.updates.suppressed", "updates_suppressed"),
-            ("lrm.updates.bytes_saved", "updates_bytes_saved"),
         ):
             registry.view(
                 name,
@@ -800,11 +768,12 @@ class Grid:
         """Turn on span tracing across every ORB and GRM (idempotent).
 
         Returns the grid's :class:`~repro.obs.Tracer`.  While enabled,
-        each traced ORB invocation carries its ``(trace_id, span_id)``
-        in a request-header extension, so a submission's spans connect
-        across the ASCT, GRM, Trader, and LRM hops.  Turn it back off
-        with ``grid.tracer.disable()`` — the wire format reverts to the
-        untraced bytes exactly.
+        each ORB invocation hands its ``(trace_id, span_id)`` to the
+        server (as an argument of the direct dispatch, or in a
+        request-header extension when the request marshals), so a
+        submission's spans connect across the ASCT, GRM, Trader, and
+        LRM hops — on the same code path an untraced run takes.  Turn
+        it back off with ``grid.tracer.disable()``.
         """
         if self.tracer is None:
             from repro.obs.trace import Tracer
@@ -817,6 +786,20 @@ class Grid:
                 self.tracer.to_metrics(self.metrics)
         self.tracer.enable()
         return self.tracer
+
+    def enable_wire_meter(self):
+        """Price every request the grid's ORBs send in CDR bytes (idempotent).
+
+        Returns the grid's :class:`~repro.orb.WireMeter`, attached as a
+        client interceptor to every ORB made so far and from now on.
+        Whoever wants message sizes pays for the encoding; an unmetered
+        grid marshals nothing.
+        """
+        if self.wire_meter is None:
+            self.wire_meter = WireMeter()
+            for orb in self._orbs:
+                orb.add_client_interceptor(self.wire_meter)
+        return self.wire_meter
 
     def enable_journal(self, max_events: int = 200_000):
         """Turn on the structured event journal (idempotent).
@@ -885,7 +868,12 @@ class Grid:
     # -- metrics -----------------------------------------------------------------------
 
     def protocol_stats(self) -> dict:
-        """Aggregated ORB traffic across every node and manager."""
+        """Aggregated ORB traffic across every node and manager.
+
+        ``bytes_*`` count bytes actually marshalled: 0 on a default grid
+        (collocated calls dispatch directly), the enveloped CDR volume
+        with ``auth_secret``.  See :meth:`enable_wire_meter` for modelled
+        message sizes."""
         totals = {
             "requests_sent": 0, "replies_received": 0,
             "requests_received": 0, "bytes_sent": 0, "bytes_received": 0,

@@ -284,9 +284,10 @@ class Grm:
         if self._batched_ingest:
             self._dirty[record.node] = record
         else:
-            # The decoded update dict is never touched again: let the trader
-            # adopt it instead of copying (it also backs last_status, read-only).
-            self.trader.modify(record.offer_id, status, copy=False)
+            # The trader patches its copy in place on later deltas; the
+            # caller's dict (read-only here, as last_status) crossed the
+            # ORB by reference and must stay as it was sent.
+            self.trader.modify(record.offer_id, status)
         self.stats.updates_received += 1
 
     def _ingest_delta(self, node: str, delta: dict) -> None:

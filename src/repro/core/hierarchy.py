@@ -512,12 +512,6 @@ class ParentGrm:
         suppression while idle (the interval stretches up to
         ``max_interval``), and an unconditional full refresh every
         ``full_refresh_every`` sends as the drop-resync bound.
-
-        Summary uplinks are oneway, so on a Grid built with
-        ``batch_oneway=True`` the ORB coalesces the uplinks every
-        cluster fires in the same interval into one frame per parent
-        at the event-boundary flush — the federation wire carries
-        O(parents) frames per interval, not O(clusters).
         """
         self._parent = parent_stub
         summary = self.aggregate_summary()

@@ -17,7 +17,6 @@ from typing import Optional
 
 from repro.checkpoint.store import MemoryCheckpointStore
 from repro.core.ncc import NodeControlCenter
-from repro.core.protocols import NODE_STATUS
 from repro.core.reservation import ReservationLedger
 from repro.core.update_protocol import (
     DEFAULT_FULL_REFRESH_EVERY,
@@ -25,7 +24,6 @@ from repro.core.update_protocol import (
     DeltaSender,
     FULL,
 )
-from repro.orb.cdr import CdrEncoder, VARIANT
 from repro.security.sandbox import Sandbox, SandboxPolicy, SandboxViolation
 from repro.sim.events import EventLoop
 from repro.sim.workstation import Workstation
@@ -106,7 +104,6 @@ class Lrm:
         self.updates_full = 0
         self.updates_delta = 0
         self.updates_suppressed = 0
-        self.updates_bytes_saved = 0
 
         workstation.on_owner_change(self._owner_changed)
         self._tick_task = loop.every(tick_interval, self._tick)
@@ -122,8 +119,17 @@ class Lrm:
             )
             if delta_updates else None
         )
-        self._grm_key = ""
-        self._full_wire_bytes = 0
+        # The NodeStatus fields that never change, in NODE_STATUS order;
+        # status() copies this and fills in the live ones.
+        spec = self._machine.spec
+        self._status_template = {
+            "node": self.node, "time": 0.0,
+            "mips": spec.mips, "ram_mb": spec.ram_mb,
+            "disk_mb": spec.disk_mb, "os": spec.os, "arch": spec.arch,
+            "cpu_free": 0.0, "mem_free_mb": 0.0, "disk_free_mb": 0.0,
+            "net_mbps": spec.net_mbps, "net_free_mbps": 0.0,
+            "owner_active": False, "sharing": False, "grid_tasks": 0,
+        }
 
     # -- wiring ----------------------------------------------------------------
 
@@ -135,8 +141,7 @@ class Lrm:
             "checkpoints_skipped",
             "refused_reservations", "accepted_reservations",
             "updates_sent", "updates_full", "updates_delta",
-            "updates_suppressed", "updates_bytes_saved",
-            "sandbox_violations",
+            "updates_suppressed", "sandbox_violations",
         ))
         registry.view(f"{prefix}.running_tasks", lambda: len(self._running))
 
@@ -157,9 +162,6 @@ class Lrm:
             # one-shot rescheduling (the interval changes per send), so it
             # cannot reuse the fixed-cadence PeriodicTask.
             self._delta.register(status)
-            ref = getattr(grm_stub, "ref", None)
-            self._grm_key = ref.key if ref is not None else ""
-            self._full_wire_bytes = self._wire_size_full(status)
             if self._update_task is None:
                 self._update_task = self._loop.schedule(
                     self._delta.current_interval, self._fire_update
@@ -184,32 +186,31 @@ class Lrm:
     # -- Information Update Protocol -----------------------------------------------
 
     def status(self) -> dict:
-        """The NodeStatus record the GRM stores in its Trader."""
+        """The NodeStatus record the GRM stores in its Trader.
+
+        A fresh dict every call: the record crosses the ORB by reference
+        and the GRM keeps it.
+        """
         machine = self._machine
+        status = self._status_template.copy()
+        status["time"] = self._loop.now
+        status["disk_free_mb"] = max(
+            0.0, status["disk_mb"] - machine.disk_used_mb
+        )
         owner_present = self._workstation.owner_present
-        sharing = self.ncc.sharing_now()
-        cap = self.ncc.cpu_cap(owner_present) if sharing else 0.0
-        spec = machine.spec
-        return {
-            "node": self.node,
-            "time": self._loop.now,
-            "mips": spec.mips,
-            "ram_mb": spec.ram_mb,
-            "disk_mb": spec.disk_mb,
-            "os": spec.os,
-            "arch": spec.arch,
-            "cpu_free": machine.cpu_available_for_grid(cap) if sharing else 0.0,
-            "mem_free_mb": (
-                machine.mem_available_for_grid(self.ncc.mem_cap_mb())
-                if sharing else 0.0
-            ),
-            "disk_free_mb": max(0.0, spec.disk_mb - machine.disk_used_mb),
-            "net_mbps": spec.net_mbps,
-            "net_free_mbps": machine.net_free_mbps() if sharing else 0.0,
-            "owner_active": owner_present,
-            "sharing": sharing,
-            "grid_tasks": len(self._running),
-        }
+        status["owner_active"] = owner_present
+        status["grid_tasks"] = len(self._running)
+        ncc = self.ncc
+        if ncc.sharing_now():
+            status["sharing"] = True
+            status["cpu_free"] = machine.cpu_available_for_grid(
+                ncc.cpu_cap(owner_present)
+            )
+            status["mem_free_mb"] = machine.mem_available_for_grid(
+                ncc.mem_cap_mb()
+            )
+            status["net_free_mbps"] = machine.net_free_mbps()
+        return status
 
     # servant operation
     def get_status(self) -> dict:
@@ -220,26 +221,18 @@ class Lrm:
         return True
 
     def _send_update(self) -> None:
-        # send_update/send_delta are oneway: on a Grid built with
-        # batch_oneway=True the ORB queues them per peer and flushes at
-        # the sim-event boundary, so a cluster's worth of updates firing
-        # in the same interval rides O(LRMs) frames, not O(updates).
         if self._grm is None:
             return
         if self._delta is None:
             self._grm.send_update(self.status())
             self.updates_sent += 1
             return
-        status = self.status()
-        kind, payload = self._delta.encode(status)
+        kind, payload = self._delta.encode(self.status())
         if kind == FULL:
             self._grm.send_update(payload)
             self.updates_full += 1
         else:
             self._grm.send_delta(self.node, payload)
-            saved = self._full_wire_bytes - self._wire_size_delta(payload)
-            if saved > 0:
-                self.updates_bytes_saved += saved
             if kind == DELTA:
                 self.updates_delta += 1
             else:
@@ -253,23 +246,6 @@ class Lrm:
         self._update_task = self._loop.schedule(
             self._delta.current_interval, self._fire_update
         )
-
-    def _wire_size_full(self, status: dict) -> int:
-        """Exact request-payload size of an untraced full send_update."""
-        enc = CdrEncoder()
-        enc.write_string(self._grm_key)
-        enc.write_string("send_update")
-        NODE_STATUS.encode(enc, status)
-        return len(enc.getvalue())
-
-    def _wire_size_delta(self, payload: dict) -> int:
-        """Exact request-payload size of an untraced send_delta."""
-        enc = CdrEncoder()
-        enc.write_string(self._grm_key)
-        enc.write_string("send_delta")
-        enc.write_string(self.node)
-        VARIANT.encode(enc, payload)
-        return len(enc.getvalue())
 
     # -- Reservation and Execution Protocol -------------------------------------------
 

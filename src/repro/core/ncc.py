@@ -109,6 +109,8 @@ class NodeControlCenter:
 
     def in_blackout(self, when: Optional[float] = None) -> bool:
         """True while any blackout window covers ``when`` (default now)."""
+        if not self.policy.blackouts:
+            return False
         day = self._clock.day_of_week(when)
         hour = self._clock.hour_of_day(when)
         return any(w.covers(day, hour) for w in self.policy.blackouts)

@@ -19,11 +19,10 @@ makes both knobs cheap:
 The machine is deliberately free of any ORB or event-loop coupling:
 :class:`~repro.core.lrm.Lrm` drives one instance per node, and the S3
 benchmark drives tens of thousands without building full node stacks.
-The payloads it produces travel as oneway requests, so they compose
-with the ORB's transport-level oneway batching (``batch_oneway=True``):
-deltas shrink each message, throttling sheds messages, and batching
-collapses what remains into one frame per peer per event-boundary
-flush — three independent multipliers on the same wire.
+The payloads it produces travel as oneway requests: deltas shrink each
+message and throttling sheds messages.  Inside one process they are
+dispatched directly; between processes they compose with the ORB's
+oneway batching over TCP (``Orb(batch_oneway=True)``).
 
 The ``"time"`` field is special: it changes every interval by
 definition, so it never *triggers* an update, but every payload carries

@@ -4,9 +4,11 @@ The original InteGrade prototype ran its LRM on UIC-CORBA (a 90 KB
 C++ ORB) and its GRM on JacORB, storing offers in the JacORB Trader.
 This package is the Python substitute: typed interface definitions,
 CDR-flavoured binary marshalling, stringifiable object references,
-an in-process transport (used by the simulator, with exact message and
-byte accounting) and a TCP transport (real sockets, exercised by the
-integration tests), plus Naming and Trading services.
+direct dispatch between collocated ORBs (used by the simulator: exact
+message counts, no marshalling; a :class:`WireMeter` prices requests in
+wire bytes for whoever reports them), an in-process transport for
+auth-enveloped requests and a TCP transport (real sockets, exercised by
+the integration tests), plus Naming and Trading services.
 """
 
 from repro.orb.exceptions import (
@@ -34,7 +36,7 @@ from repro.orb.cdr import (
     Void,
 )
 from repro.orb.ior import ObjectRef
-from repro.orb.core import Orb
+from repro.orb.core import Orb, WireMeter
 from repro.orb.naming import NamingService, NAMING_INTERFACE
 from repro.orb.trading import TradingService, TRADING_INTERFACE, Offer
 
@@ -63,6 +65,7 @@ __all__ = [
     "Variant",
     "ObjectRef",
     "Orb",
+    "WireMeter",
     "NamingService",
     "NAMING_INTERFACE",
     "TradingService",

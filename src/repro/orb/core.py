@@ -1,5 +1,10 @@
 """The ORB: servant registration, stubs, and request dispatch.
 
+A request marshals only when it has to: over TCP, or inside an auth
+envelope.  Two ORBs in the same :class:`InProcDomain` with no envelope
+between them are *collocated* and :meth:`Orb.invoke` dispatches
+directly (arguments and results cross by reference).
+
 Request wire format (after the transport's framing)::
 
     Struct RequestHeader { key: string, operation: string }
@@ -77,8 +82,60 @@ _CALL_OVERHEAD_BYTES = 64
 _BATCH_FLUSH_BYTES = 1 << 20
 
 
+def _encode_request(key: str, operation: Operation, args, header=None,
+                    trace_ctx=None, pooled: bool = False) -> bytes:
+    """The CDR payload of one request.
+
+    ``header`` is a :class:`Stub`'s precomputed ``[key, operation]``
+    encoding, valid only at offset 0 (its alignment padding assumes
+    it): a request carrying ``trace_ctx`` must pass None and have the
+    two strings re-encoded behind the extension.
+    """
+    enc = acquire_encoder() if pooled else CdrEncoder()
+    if trace_ctx is not None:
+        enc.write_string(_TRACE_KEY)
+        enc.write_string(trace_ctx[0])
+        enc.write_string(str(trace_ctx[1]))
+    if header is not None:
+        enc._buf.extend(header)
+    else:
+        enc.write_string(key)
+        enc.write_string(operation.name)
+    for param, arg in zip(operation.params, args):
+        param.idl_type.encode(enc, arg)
+    payload = enc.getvalue()
+    if pooled:
+        release_encoder(enc)
+    return payload
+
+
+class WireMeter:
+    """Interceptor pricing each request in modelled wire bytes.
+
+    Collocated calls marshal nothing, so ``bytes_sent`` / ``bytes_received``
+    are 0 for them; an experiment that reports message sizes attaches a
+    meter and pays for the encoding itself.  The same instance works as
+    a client interceptor (``(ref, operation, args)``) or a server
+    interceptor (``(key, operation, args)``) and sums the length of the
+    untraced, un-enveloped request each call would put on a wire.
+    """
+
+    def __init__(self):
+        self.requests = 0
+        self.bytes = 0
+        self.bytes_by_operation: dict[str, int] = {}
+
+    def __call__(self, target, operation: Operation, args) -> None:
+        key = target if isinstance(target, str) else target.key
+        size = len(_encode_request(key, operation, args, pooled=True))
+        self.requests += 1
+        self.bytes += size
+        by_op = self.bytes_by_operation
+        by_op[operation.name] = by_op.get(operation.name, 0) + size
+
+
 class Stub:
-    """Client-side proxy: marshals calls described by an InterfaceDef."""
+    """Client-side proxy for the calls described by an InterfaceDef."""
 
     def __init__(self, orb: "Orb", interface: InterfaceDef, ref: ObjectRef):
         self._orb = orb
@@ -134,7 +191,6 @@ class Orb:
         credentials=None,
         keyring=None,
         require_auth: bool = False,
-        fast_local: bool = False,
         batch_oneway: bool = False,
         zero_copy_cdr: bool = False,
         tcp_pipelined: bool = False,
@@ -147,13 +203,14 @@ class Orb:
         # (key, operation) -> (bound method, Operation); rebuilt lazily,
         # dropped whenever the servant table changes.
         self._dispatch_cache: dict[tuple, tuple] = {}
-        # endpoints tuple -> (transport, address).  A stale entry after a
-        # peer shutdown still fails with CommunicationError, just from the
-        # transport instead of the routing step.
-        self._route_cache: dict[tuple, tuple] = {}
+        # endpoints tuple -> (collocated peer or None, transport, address),
+        # valid for one domain epoch: any ORB joining or leaving drops
+        # every entry, so a shut-down peer fails in routing.
+        self._routes: dict[tuple, tuple] = {}
         self._interfaces: dict[str, InterfaceDef] = {}
         self._key_counter = itertools.count()
         self.domain.register(self.name, self)
+        self._routes_epoch = self.domain.epoch
         self._inproc = InProcTransport(self.name, self.domain)
         self._tcp = (
             TcpTransport(self, tcp_host, tcp_port, pipelined=tcp_pipelined)
@@ -171,21 +228,14 @@ class Orb:
         self.require_auth = require_auth
         #: Principal of the request currently being dispatched (if any).
         self.current_principal: Optional[str] = None
-        #: Opt-in zero-marshal dispatch between co-located ORBs that have
-        #: *both* enabled it.  Off (the default) leaves every path —
-        #: including the wire bytes — exactly as before.
-        self.fast_local = fast_local
-        #: Requests this ORB dispatched without touching CDR (diagnostic;
-        #: deliberately not part of :meth:`stats`, whose key set is fixed).
-        self.fast_local_calls = 0
-        #: Opt-in transport-level oneway batching: queue oneway requests
-        #: per (transport, address) and coalesce each queue into one
-        #: "\x00batch" frame at :meth:`flush` (the grid flushes at every
-        #: sim-event boundary).  Off (the default) leaves the wire
-        #: byte-identical to the per-call path.
+        #: Opt-in oneway batching over TCP: queue oneway requests per
+        #: peer and coalesce each queue into one "\x00batch" frame at
+        #: :meth:`flush`.  Off (the default) leaves the wire
+        #: byte-identical to the per-call path.  Collocated calls are
+        #: dispatched directly and never queue.
         self.batch_oneway = batch_oneway
-        #: Capability advertised to batching clients: this ORB parses
-        #: batch frames.  Conservative like the fast path — an ORB that
+        #: Capability advertised to batching clients in the pipelined
+        #: negotiation ack: this ORB parses batch frames.  An ORB that
         #: requires authenticated requests never advertises it, so
         #: batches (which are never enveloped) stay off such wires.
         self.accepts_batch = batch_oneway and not require_auth
@@ -194,15 +244,12 @@ class Orb:
         #: slices, and reuse pooled encoders for request marshalling.
         #: Output bytes are bit-identical either way.
         self.zero_copy_cdr = zero_copy_cdr
-        # (transport, address) -> queued oneway payloads / their bytes.
-        self._batch_queues: dict[tuple, list] = {}
-        self._batch_pending_bytes: dict[tuple, int] = {}
-        # Called with this ORB the moment a queue becomes non-empty; the
-        # grid uses it to schedule an end-of-event flush.
-        self._batch_notify = None
-        #: Batch accounting (diagnostic, like ``fast_local_calls``):
-        #: oneway calls that rode a batch, frames actually sent, and the
-        #: modeled per-call overhead those frames avoided.
+        # TCP address -> queued oneway payloads / their bytes.
+        self._batch_queues: dict[str, list] = {}
+        self._batch_pending_bytes: dict[str, int] = {}
+        #: Batch accounting (diagnostic, not part of :meth:`stats`, whose
+        #: key set is fixed): oneway calls that rode a batch, frames
+        #: actually sent, and the modeled per-call overhead they avoided.
         self.batch_calls = 0
         self.batch_frames = 0
         self.batch_bytes_saved = 0
@@ -278,9 +325,10 @@ class Orb:
         """Attach (or detach, with None) a span tracer to this ORB.
 
         With an active tracer, every invocation opens a client span and
-        propagates its trace context in the request-header extension;
-        every dispatched request carrying that extension opens a server
-        span parented to the remote caller's span.
+        hands its trace context to the server — in the request-header
+        extension when the request marshals, as a plain argument when it
+        is dispatched directly — and every dispatched request carrying
+        a context opens a server span parented to the caller's span.
         """
         self._tracer = tracer
 
@@ -291,94 +339,76 @@ class Orb:
         args: tuple,
         _header: Optional[bytes] = None,
     ):
-        """Marshal and send one request; unmarshal the reply.
+        """Send one request and return its result.
+
+        A target registered in this ORB's domain is *collocated*: unless
+        the call needs an auth envelope (``credentials`` on this ORB or
+        ``require_auth`` on the target) it is dispatched directly —
+        arguments and result cross by reference, nothing is marshalled,
+        and the transport counters record the messages with zero bytes.
+        Every other request is CDR-encoded and sent over the in-process
+        or TCP transport.  Tracing never changes which path runs.
 
         ``_header`` is the precomputed request-header encoding a
         :class:`Stub` caches per operation; without it the header is
-        encoded here.
+        encoded when (and if) the request marshals.
         """
+        if len(args) != len(operation.params):
+            raise TypeError(
+                f"{operation.name}() takes {len(operation.params)} "
+                f"arguments ({len(args)} given)"
+            )
         tracer = self._tracer
         if tracer is not None and tracer._active:
-            return self._invoke_traced(ref, operation, args)
-        if len(args) != len(operation.params):
-            raise TypeError(
-                f"{operation.name}() takes {len(operation.params)} "
-                f"arguments ({len(args)} given)"
-            )
-        if self.fast_local:
-            target = self._fast_target(ref)
-            if target is not None:
-                for interceptor in self._client_interceptors:
-                    interceptor(ref, operation, args)
-                return target.handle_request_direct(ref.key, operation, args)
+            with tracer.span(f"{ref.interface}.{operation.name}",
+                             component=self.name, kind="client") as span:
+                return self._send(ref, operation, args, None,
+                                  (span.trace_id, span.span_id))
+        return self._send(ref, operation, args, _header, None)
+
+    def _send(self, ref: ObjectRef, operation: Operation, args: tuple,
+              header: Optional[bytes], trace_ctx: Optional[tuple]):
+        """Route one request: direct dispatch if collocated, else marshal."""
         for interceptor in self._client_interceptors:
             interceptor(ref, operation, args)
-        pooled = self.zero_copy_cdr
-        enc = acquire_encoder() if pooled else CdrEncoder()
-        if _header is not None:
-            enc._buf.extend(_header)
-        else:
-            _REQUEST_HEADER.encode(
-                enc, {"key": ref.key, "operation": operation.name}
+        if self._routes_epoch != self.domain.epoch:
+            self._routes.clear()
+            self._routes_epoch = self.domain.epoch
+        route = self._routes.get(ref.endpoints)
+        if route is None:
+            route = self._routes[ref.endpoints] = self._route(ref)
+        peer, transport, address = route
+        if (peer is not None and self.credentials is None
+                and not peer.require_auth):
+            # A synchronous dispatch always produces its reply (a result
+            # or a RemoteInvocationError), so both are counted up front.
+            stats = self._inproc.stats
+            stats.requests_sent += 1
+            if not operation.oneway:
+                stats.replies_received += 1
+            return peer.handle_request_direct(
+                ref.key, operation, args, trace_ctx
             )
-        for param, arg in zip(operation.params, args):
-            param.idl_type.encode(enc, arg)
-        payload = enc.getvalue()
-        if pooled:
-            release_encoder(enc)
-        return self._transmit(ref, operation, payload)
+        payload = _encode_request(ref.key, operation, args, header,
+                                  trace_ctx, pooled=self.zero_copy_cdr)
+        # Traced calls never batch: the span must cover delivery.
+        return self._transmit(operation, transport, address, payload,
+                              batchable=trace_ctx is None)
 
-    def _invoke_traced(self, ref: ObjectRef, operation: Operation, args: tuple):
-        """Traced invoke: client span + trace-context header extension.
-
-        The stub's cached header cannot be spliced here — its alignment
-        padding assumes offset 0, and the extension shifts it — so the
-        header strings are re-encoded after the context (the server
-        reads plain strings either way).
-        """
-        if len(args) != len(operation.params):
-            raise TypeError(
-                f"{operation.name}() takes {len(operation.params)} "
-                f"arguments ({len(args)} given)"
-            )
-        name = f"{ref.interface}.{operation.name}"
-        with self._tracer.span(name, component=self.name,
-                               kind="client") as span:
-            for interceptor in self._client_interceptors:
-                interceptor(ref, operation, args)
-            enc = CdrEncoder()
-            enc.write_string(_TRACE_KEY)
-            enc.write_string(span.trace_id)
-            enc.write_string(str(span.span_id))
-            enc.write_string(ref.key)
-            enc.write_string(operation.name)
-            for param, arg in zip(operation.params, args):
-                param.idl_type.encode(enc, arg)
-            # Traced calls never batch: the span must cover delivery,
-            # so the request goes out immediately (mirror of the fast
-            # path's "traced calls always marshal" rule).
-            return self._transmit(ref, operation, enc.getvalue(),
-                                  batchable=False)
-
-    def _transmit(self, ref: ObjectRef, operation: Operation, payload: bytes,
-                  batchable: bool = True):
-        """Wrap, route, send one encoded request; unmarshal the reply."""
+    def _transmit(self, operation: Operation, transport, address: str,
+                  payload: bytes, batchable: bool):
+        """Wrap and send one encoded request; unmarshal the reply."""
         if self.credentials is not None:
             payload = self.credentials.wrap(payload)
-        route = self._route_cache.get(ref.endpoints)
-        if route is None:
-            route = self._route(ref)
-            self._route_cache[ref.endpoints] = route
-        transport, address = route
-        if self.batch_oneway:
+        if self.batch_oneway and transport is self._tcp:
             if (batchable and operation.oneway and self.credentials is None
                     and transport.peer_accepts_batch(address)):
-                self._enqueue_oneway(transport, address, payload)
+                self._enqueue_oneway(address, payload)
                 return None
             if self._batch_queues:
                 # Per-peer ordering barrier: anything queued for this
                 # address is delivered before this request.
-                self._flush_peer(transport, address)
+                self._flush_peer(address)
         reply = transport.invoke(address, payload, operation.oneway)
         if operation.oneway:
             return None
@@ -390,45 +420,27 @@ class Orb:
         message = dec.read_string()
         raise RemoteInvocationError(exc_type, message)
 
-    # -- oneway batching --------------------------------------------------------
+    # -- oneway batching (TCP) --------------------------------------------------
 
-    def set_batch_notifier(self, callback) -> None:
-        """Call ``callback(orb)`` whenever a oneway is queued; the grid
-        registers one per ORB to drive event-boundary flushes."""
-        self._batch_notify = callback
-
-    def _enqueue_oneway(self, transport, address, payload: bytes) -> None:
-        peer = (transport, address)
-        queues = self._batch_queues
-        queue = queues.get(peer)
-        if queue is None:
-            queue = queues[peer] = []
-        queue.append(payload)
-        pending = self._batch_pending_bytes.get(peer, 0) + len(payload) + 8
-        self._batch_pending_bytes[peer] = pending
+    def _enqueue_oneway(self, address: str, payload: bytes) -> None:
+        self._batch_queues.setdefault(address, []).append(payload)
+        pending = self._batch_pending_bytes.get(address, 0) + len(payload) + 8
+        self._batch_pending_bytes[address] = pending
         if pending >= _BATCH_FLUSH_BYTES:
-            self._flush_peer(transport, address)
-            return
-        notify = self._batch_notify
-        if notify is not None:
-            notify(self)
+            self._flush_peer(address)
 
-    def _flush_peer(self, transport, address) -> None:
-        peer = (transport, address)
-        queue = self._batch_queues.pop(peer, None)
-        self._batch_pending_bytes.pop(peer, None)
+    def _flush_peer(self, address: str) -> None:
+        queue = self._batch_queues.pop(address, None)
+        self._batch_pending_bytes.pop(address, None)
         if queue:
-            self._send_batch(transport, address, queue)
+            self._send_batch(address, queue)
 
     def flush(self) -> None:
         """Send every queued oneway batch (a no-op when nothing is queued
         or batching is off).
 
-        Queues are detached first, so requests enqueued *while* flushing
-        (e.g. by servants dispatched over the in-process transport) land
-        in fresh queues for the next flush.  If several peers fail, the
-        first :class:`CommunicationError` is raised after every queue has
-        been attempted.
+        If several peers fail, the first :class:`CommunicationError` is
+        raised after every queue has been attempted.
         """
         queues = self._batch_queues
         if not queues:
@@ -436,23 +448,23 @@ class Orb:
         self._batch_queues = {}
         self._batch_pending_bytes = {}
         error = None
-        for (transport, address), payloads in queues.items():
+        for address, payloads in queues.items():
             try:
-                self._send_batch(transport, address, payloads)
+                self._send_batch(address, payloads)
             except CommunicationError as exc:
                 if error is None:
                     error = exc
         if error is not None:
             raise error
 
-    def _send_batch(self, transport, address, payloads: list) -> None:
+    def _send_batch(self, address: str, payloads: list) -> None:
         count = len(payloads)
         self.batch_calls += count
         self.batch_frames += 1
         if count == 1:
             # A lone request needs no envelope; the wire carries exactly
             # what the per-call path would have sent.
-            transport.invoke(address, payloads[0], True)
+            self._tcp.invoke(address, payloads[0], True)
             return
         enc = acquire_encoder()
         enc.write_string(_BATCH_KEY)
@@ -462,36 +474,20 @@ class Orb:
         frame = enc.getvalue()
         release_encoder(enc)
         self.batch_bytes_saved += (count - 1) * _CALL_OVERHEAD_BYTES
-        transport.invoke(address, frame, True)
+        self._tcp.invoke(address, frame, True)
 
-    def _fast_target(self, ref: ObjectRef):
-        """The peer ORB to dispatch to directly, or None to marshal.
-
-        Eligibility is re-checked per call (one dict lookup) rather than
-        cached: a shut-down peer drops out of the domain, so the call
-        falls through to the marshalled path and fails with the same
-        CommunicationError it always did.  Security short-circuits are
-        conservative — any credentials on this side or auth requirement
-        on the target keep the call on the enveloped wire path.
-        """
-        if self.credentials is not None:
-            return None
+    def _route(self, ref: ObjectRef) -> tuple:
+        """``(collocated peer or None, transport, address)`` for a reference:
+        the in-process peer when the servant's ORB shares this domain,
+        else a TCP endpoint both sides have."""
         inproc = ref.endpoint_of_kind(INPROC)
-        if inproc is None:
-            return None
-        target = self._inproc.peer(inproc[1])
-        if target is None or not target.fast_local or target.require_auth:
-            return None
-        return target
-
-    def _route(self, ref: ObjectRef):
-        """Pick a transport shared with the servant (in-proc preferred)."""
-        inproc = ref.endpoint_of_kind(INPROC)
-        if inproc is not None and inproc[1] in self.domain:
-            return self._inproc, inproc[1]
+        if inproc is not None:
+            peer = self.domain.lookup(inproc[1])
+            if peer is not None:
+                return peer, self._inproc, inproc[1]
         tcp = ref.endpoint_of_kind(TCP)
         if tcp is not None and self._tcp is not None:
-            return self._tcp, tcp[1]
+            return None, self._tcp, tcp[1]
         if tcp is not None:
             raise CommunicationError(
                 f"{self.name} has no TCP transport to reach {tcp[1]}"
@@ -553,29 +549,10 @@ class Orb:
                 remote_parent = (trace_id, int(dec.read_string()))
                 key = dec.read_string()
             op_name = dec.read_string()
-            cached = self._dispatch_cache.get((key, op_name))
-            if cached is None:
-                entry = self._servants.get(key)
-                if entry is None:
-                    raise ObjectNotFound(f"no servant with key {key!r}")
-                servant, interface = entry
-                operation = interface.operation(op_name)
-                cached = (getattr(servant, operation.name), operation)
-                self._dispatch_cache[(key, op_name)] = cached
-            method, operation = cached
+            method, operation = self._servant_method(key, op_name)
             args = [p.idl_type.decode(dec) for p in operation.params]
-            tracer = self._tracer
-            if (remote_parent is not None and tracer is not None
-                    and tracer._active):
-                with tracer.span(f"{key}.{op_name}", parent=remote_parent,
-                                 component=self.name, kind="server"):
-                    for interceptor in self._server_interceptors:
-                        interceptor(key, operation, args)
-                    result = method(*args)
-            else:
-                for interceptor in self._server_interceptors:
-                    interceptor(key, operation, args)
-                result = method(*args)
+            result = self._call_servant(key, operation, method, args,
+                                        remote_parent)
             enc.write_octet(_STATUS_OK)
             operation.returns.encode(enc, result)
         except Exception as exc:   # marshalled back to the caller
@@ -585,38 +562,60 @@ class Orb:
             enc.write_string(str(exc))
         return enc.getvalue()
 
-    def handle_request_direct(self, key: str, operation: Operation, args: tuple):
-        """Dispatch one co-located request without touching CDR.
+    def _servant_method(self, key: str, op_name: str) -> tuple:
+        """``(bound method, Operation)`` serving ``op_name`` on ``key``."""
+        cached = self._dispatch_cache.get((key, op_name))
+        if cached is None:
+            entry = self._servants.get(key)
+            if entry is None:
+                raise ObjectNotFound(f"no servant with key {key!r}")
+            servant, interface = entry
+            operation = interface.operation(op_name)
+            cached = (getattr(servant, operation.name), operation)
+            self._dispatch_cache[(key, op_name)] = cached
+        return cached
+
+    def _call_servant(self, key: str, operation: Operation, method, args,
+                      trace_parent: Optional[tuple]):
+        """Run the server interceptors and the servant method, inside a
+        server span when the caller sent a trace context and this ORB
+        traces (a traced client can talk to any server)."""
+        tracer = self._tracer
+        if (trace_parent is not None and tracer is not None
+                and tracer._active):
+            with tracer.span(f"{key}.{operation.name}", parent=trace_parent,
+                             component=self.name, kind="server"):
+                for interceptor in self._server_interceptors:
+                    interceptor(key, operation, args)
+                return method(*args)
+        for interceptor in self._server_interceptors:
+            interceptor(key, operation, args)
+        return method(*args)
+
+    def handle_request_direct(self, key: str, operation: Operation,
+                              args: tuple, trace_parent: Optional[tuple] = None):
+        """Dispatch one collocated request without touching CDR.
 
         Observable behaviour mirrors :meth:`handle_request_bytes` +
         :meth:`_transmit` exactly: server interceptors see the argument
-        list, servant exceptions surface as
+        list, a ``trace_parent`` opens the same server span the header
+        extension would, servant exceptions surface as
         :class:`RemoteInvocationError` carrying the exception's type name
         and message, and oneway operations swallow both result and
         exceptions.  What is *not* replayed is the marshalling itself, so
-        arguments and results cross by reference — callers must follow
-        the same ownership discipline the wire's fresh-decode gave for
-        free (the grid components already do: status dicts are handed
-        over, never retained).
+        arguments and results cross by reference: neither side may
+        mutate an object after it has crossed (the wire's fresh decode
+        used to give each side a private copy for free).
         """
         self.requests_handled += 1
-        self.fast_local_calls += 1
+        self._inproc.stats.requests_received += 1
         try:
             self.current_principal = None
-            cached = self._dispatch_cache.get((key, operation.name))
-            if cached is None:
-                entry = self._servants.get(key)
-                if entry is None:
-                    raise ObjectNotFound(f"no servant with key {key!r}")
-                servant, interface = entry
-                bound_op = interface.operation(operation.name)
-                cached = (getattr(servant, bound_op.name), bound_op)
-                self._dispatch_cache[(key, operation.name)] = cached
-            method, bound_op = cached
-            arg_list = list(args)
-            for interceptor in self._server_interceptors:
-                interceptor(key, bound_op, arg_list)
-            result = method(*arg_list)
+            method, bound_op = self._servant_method(key, operation.name)
+            if self._server_interceptors:
+                args = list(args)   # interceptors see a list, as decoded
+            result = self._call_servant(key, bound_op, method, args,
+                                        trace_parent)
         except Exception as exc:
             # The marshalled path encodes any servant-side exception and
             # the client re-raises it as RemoteInvocationError — or drops

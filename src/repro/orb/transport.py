@@ -3,9 +3,11 @@
 Two transports share one wire format (length-framed CDR payloads):
 
 * **in-process** — delivers requests synchronously between ORBs in the
-  same Python process via a registry ("domain").  This is what the grid
-  simulator uses: calls are instantaneous in simulated time, but every
-  message and byte is counted, so protocol-cost experiments stay honest.
+  same Python process via a registry ("domain").  Collocated calls that
+  need no auth envelope never reach :meth:`InProcTransport.invoke`: the
+  ORB dispatches them directly (see :meth:`repro.orb.core.Orb.invoke`),
+  counting messages but no bytes, because nothing is marshalled.  Only
+  enveloped requests still cross here as CDR payloads.
 * **TCP** — real sockets with a 4-byte big-endian length prefix, used by
   integration tests and the TCP microbenchmarks.
 
@@ -96,14 +98,19 @@ class InProcDomain:
 
     def __init__(self):
         self._orbs: dict[str, object] = {}
+        #: Bumped whenever membership changes; ORBs drop their cached
+        #: routes when it moves, so a departed peer is never dialled.
+        self.epoch = 0
 
     def register(self, name: str, orb) -> None:
         if name in self._orbs:
             raise ValueError(f"an ORB named {name!r} is already registered")
         self._orbs[name] = orb
+        self.epoch += 1
 
     def unregister(self, name: str) -> None:
-        self._orbs.pop(name, None)
+        if self._orbs.pop(name, None) is not None:
+            self.epoch += 1
 
     def lookup(self, name: str):
         return self._orbs.get(name)
@@ -128,27 +135,6 @@ class InProcTransport:
     @property
     def address(self) -> str:
         return self.orb_name
-
-    def peer(self, address: str):
-        """The co-located ORB behind ``address``, or None.
-
-        Routing hook for the ORB's opt-in zero-marshal fast path: the
-        lookup goes through the transport (like :meth:`invoke` routing)
-        but the dispatch bypasses framing and CDR entirely, so nothing
-        is counted here — fast-path calls put no bytes on the wire.
-        """
-        return self.domain.lookup(address)
-
-    def peer_accepts_batch(self, address: str) -> bool:
-        """Does the ORB behind ``address`` accept oneway batch frames?
-
-        Capability check for the ORB's opt-in oneway batching: both sides
-        must opt in, so a non-batching (or auth-requiring) server is
-        never sent a batch frame.  Re-checked per flush, like the fast
-        path's eligibility — a shut-down peer just drops out.
-        """
-        target = self.domain.lookup(address)
-        return target is not None and getattr(target, "accepts_batch", False)
 
     def invoke(self, address: str, payload: bytes, oneway: bool) -> Optional[bytes]:
         target = self.domain.lookup(address)

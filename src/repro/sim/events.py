@@ -55,10 +55,6 @@ class EventLoop:
         self._events_fired = 0
         self._events_cancelled = 0
         self._handler_hist = None   # opt-in wall-time histogram
-        # Opt-in hook fired after every event's callback returns; the
-        # grid uses it to flush queued oneway ORB batches at sim-event
-        # boundaries.  None (the default) costs one comparison per event.
-        self._post_event = None
 
     @property
     def now(self) -> float:
@@ -140,15 +136,6 @@ class EventLoop:
         registry.view(f"{prefix}.raw_heap_size", lambda: len(self._heap))
         registry.view(f"{prefix}.sim_time", lambda: self.clock.now)
 
-    def set_post_event_hook(self, hook: Optional[Callable[[], None]]) -> None:
-        """Run ``hook()`` after every fired event (None to detach).
-
-        The hook fires with the clock already advanced to the event's
-        time, so anything it emits happens "at" the same simulated
-        instant, after the handler — a deterministic event boundary.
-        """
-        self._post_event = hook
-
     def time_handlers(self, histogram) -> None:
         """Opt-in: record each handler's wall time into ``histogram``.
 
@@ -178,9 +165,6 @@ class EventLoop:
                 hist.observe(perf_counter() - started)
             else:
                 callback()
-            post = self._post_event
-            if post is not None:
-                post()
             return True
         return False
 
@@ -197,7 +181,6 @@ class EventLoop:
         cancelled = self._cancelled
         advance = self.clock.advance_to
         pop = heapq.heappop
-        post = self._post_event
         while heap:
             entry = heap[0]
             if entry[0] > when:
@@ -210,8 +193,6 @@ class EventLoop:
             advance(entry[0])
             self._events_fired += 1
             entry[2]()
-            if post is not None:
-                post()
         if when > self.clock.now:
             advance(when)
 
@@ -222,7 +203,6 @@ class EventLoop:
         advance = self.clock.advance_to
         pop = heapq.heappop
         observe = self._handler_hist.observe
-        post = self._post_event
         while heap:
             entry = heap[0]
             if entry[0] > when:
@@ -237,8 +217,6 @@ class EventLoop:
             started = perf_counter()
             entry[2]()
             observe(perf_counter() - started)
-            if post is not None:
-                post()
         if when > self.clock.now:
             advance(when)
 

@@ -73,7 +73,9 @@ def test_tracer_drops_spans_past_the_cap():
 # -- ORB propagation ----------------------------------------------------------
 
 
-def _echo_pair():
+def _echo_pair(tcp=False):
+    """A client/server pair: collocated by default; with ``tcp=True`` in
+    separate domains, so every request marshals over a real socket."""
     from repro.orb.cdr import Double
     from repro.orb.core import Orb
     from repro.orb.idl import InterfaceDef, Operation, Parameter
@@ -88,15 +90,16 @@ def _echo_pair():
             return x * 2
 
     domain = InProcDomain()
-    server = Orb("server", domain=domain)
-    client = Orb("client", domain=domain)
+    server = Orb("server", domain=domain, tcp=tcp)
+    client = Orb("client", domain=InProcDomain() if tcp else domain, tcp=tcp)
     ref = server.activate(Servant(), interface)
     stub = client.stub(ref, interface)
     return server, client, stub, ref
 
 
-def test_trace_context_crosses_the_orb():
-    server, client, stub, ref = _echo_pair()
+@pytest.mark.parametrize("tcp", [False, True], ids=["direct", "wire"])
+def test_trace_context_crosses_the_orb(tcp):
+    server, client, stub, ref = _echo_pair(tcp)
     tracer = Tracer()
     client.set_tracer(tracer)
     server.set_tracer(tracer)
@@ -116,10 +119,12 @@ def test_trace_context_crosses_the_orb():
     client.shutdown()
 
 
-def test_traced_client_talks_to_untraced_server():
-    # The trace header is an optional extension: a server without a
-    # tracer parses and skips it, and the call still works.
-    server, client, stub, ref = _echo_pair()
+@pytest.mark.parametrize("tcp", [False, True], ids=["direct", "wire"])
+def test_traced_client_talks_to_untraced_server(tcp):
+    # The trace context is optional: a server without a tracer ignores
+    # it (parsing and skipping the header extension on the wire), and
+    # the call still works.
+    server, client, stub, ref = _echo_pair(tcp)
     tracer = Tracer()
     client.set_tracer(tracer)   # server gets none
     with tracer.span("root"):
@@ -132,6 +137,8 @@ def test_traced_client_talks_to_untraced_server():
 
 
 def test_wire_bytes_identical_when_tracing_off():
+    # Over TCP every request marshals; a disabled tracer must leave the
+    # payload exactly as an ORB without any tracer would send it.
     from repro.orb.core import Orb
 
     captured = []
@@ -141,7 +148,7 @@ def test_wire_bytes_identical_when_tracing_off():
         captured.append(bytes(data))
         return original(self, data)
 
-    server, client, stub, ref = _echo_pair()
+    server, client, stub, ref = _echo_pair(tcp=True)
     tracer = Tracer()
     tracer.disable()
     client.set_tracer(tracer)
@@ -156,9 +163,9 @@ def test_wire_bytes_identical_when_tracing_off():
         without_tracer = captured[-1]
     finally:
         Orb.handle_request_bytes = original
+        client.shutdown()
+        server.shutdown()
     assert with_disabled_tracer == without_tracer
-    server.shutdown()
-    client.shutdown()
 
 
 # -- end-to-end: the acceptance trace ----------------------------------------

@@ -1,12 +1,13 @@
 """Tests for transport-level oneway batching (Orb(batch_oneway=True)).
 
-Batching is opt-in and must be invisible except in frame counts: the
-same calls arrive at the same servants in the same order, queues drain
-at flush()/shutdown(), and a two-way call to a peer acts as an ordering
-barrier for that peer's queued oneways.
+Batching is an opt-in TCP feature (collocated calls are dispatched
+directly and never queue) and must be invisible except in frame counts:
+the same calls arrive at the same servants in the same order, queues
+drain at flush()/shutdown(), and a two-way call to a peer acts as an
+ordering barrier for that peer's queued oneways.
 """
 
-import pytest
+import time
 
 from repro.orb.core import Orb
 from repro.orb.cdr import Double, String, ULong, Void
@@ -35,10 +36,14 @@ class Sink:
 
 
 def make_pair(batch_server=True, batch_client=True, **server_kwargs):
-    domain = InProcDomain()
-    server = Orb("server", domain=domain, batch_oneway=batch_server,
+    """Two ORBs joined only by a pipelined TCP connection (separate
+    domains, like two processes).  ``stub.poll()`` is two-way, so it
+    returns only after every oneway sent before it was dispatched."""
+    server = Orb("server", domain=InProcDomain(), tcp=True,
+                 tcp_pipelined=True, batch_oneway=batch_server,
                  **server_kwargs)
-    client = Orb("client", domain=domain, batch_oneway=batch_client)
+    client = Orb("client", domain=InProcDomain(), tcp=True,
+                 tcp_pipelined=True, batch_oneway=batch_client)
     sink = Sink()
     ref = server.activate(sink, SINK_INTERFACE, key="test/sink")
     stub = client.stub(ref, SINK_INTERFACE)
@@ -52,16 +57,16 @@ class TestDefaultOff:
         try:
             stub.report("n0", 0, 0.5)
             stub.report("n1", 1, 0.6)
-            # Delivered synchronously, one frame per call, nothing queued.
-            assert len(sink.reports) == 2
-            assert server.inproc_stats().requests_received == 2
+            assert stub.poll() == 2
+            # One frame per call (plus the poll), nothing queued.
+            assert server.stats()["requests_received"] == 3
             assert client.batch_calls == 0
             assert client.batch_frames == 0
             client.flush()   # no-op
-            assert server.inproc_stats().requests_received == 2
+            assert server.stats()["requests_received"] == 3
         finally:
-            server.shutdown()
             client.shutdown()
+            server.shutdown()
 
     def test_default_orb_does_not_advertise_batch(self):
         orb = Orb("plain", domain=InProcDomain())
@@ -69,6 +74,17 @@ class TestDefaultOff:
             assert orb.accepts_batch is False
         finally:
             orb.shutdown()
+
+    def test_collocated_oneways_never_queue(self):
+        domain = InProcDomain()
+        server = Orb("server", domain=domain, batch_oneway=True)
+        client = Orb("client", domain=domain, batch_oneway=True)
+        sink = Sink()
+        stub = client.stub(
+            server.activate(sink, SINK_INTERFACE), SINK_INTERFACE)
+        stub.report("n0", 0, 0.5)
+        assert sink.reports == [("n0", 0, 0.5)]   # delivered, not queued
+        assert client.batch_calls == 0
 
 
 class TestBatchedDelivery:
@@ -79,15 +95,16 @@ class TestBatchedDelivery:
                 stub.report(f"n{i}", i, 0.1 * i)
             assert sink.reports == []   # still queued
             client.flush()
+            assert stub.poll() == 10
             assert [r[1] for r in sink.reports] == list(range(10))
-            # Ten calls rode one frame.
-            assert server.inproc_stats().requests_received == 1
+            # Ten calls rode one frame (the other is the poll).
+            assert server.stats()["requests_received"] == 2
             assert client.batch_calls == 10
             assert client.batch_frames == 1
             assert client.batch_bytes_saved > 0
         finally:
-            server.shutdown()
             client.shutdown()
+            server.shutdown()
 
     def test_single_queued_call_sends_a_plain_frame(self):
         # A lone request needs no envelope: the wire must carry exactly
@@ -99,11 +116,12 @@ class TestBatchedDelivery:
             stub.report("n0", 0, 0.5)
             client.flush()
             plain_stub.report("n0", 0, 0.5)
+            assert stub.poll() == plain_stub.poll() == 1
             assert sink.reports == [("n0", 0, 0.5)]
-            assert (server.inproc_stats().bytes_received
-                    == plain_server.inproc_stats().bytes_received)
+            assert (server.stats()["bytes_received"]
+                    == plain_server.stats()["bytes_received"])
         finally:
-            for orb in (server, client, plain_server, plain_client):
+            for orb in (client, plain_client, server, plain_server):
                 orb.shutdown()
 
     def test_two_way_call_is_an_ordering_barrier(self):
@@ -115,35 +133,20 @@ class TestBatchedDelivery:
             # ORB flushes the peer's queue before the request goes out.
             assert stub.poll() == 2
         finally:
-            server.shutdown()
             client.shutdown()
+            server.shutdown()
 
     def test_shutdown_flushes_queued_oneways(self):
         server, client, sink, stub = make_pair()
         stub.report("n0", 0, 0.5)
         client.shutdown()
         try:
+            deadline = time.monotonic() + 10.0
+            while not sink.reports and time.monotonic() < deadline:
+                time.sleep(0.005)
             assert sink.reports == [("n0", 0, 0.5)]
         finally:
             server.shutdown()
-
-    def test_notifier_fires_on_every_enqueue(self):
-        # The grid registers a notifier to schedule end-of-event flushes;
-        # it must see the queue go non-empty (and repeat notifications
-        # for later enqueues are fine — scheduling is idempotent there).
-        server, client, sink, stub = make_pair()
-        try:
-            notified = []
-            client.set_batch_notifier(notified.append)
-            stub.report("n0", 0, 0.5)
-            assert notified == [client]
-            stub.report("n1", 1, 0.6)
-            assert len(notified) == 2
-            client.flush()
-            assert len(sink.reports) == 2
-        finally:
-            server.shutdown()
-            client.shutdown()
 
 
 class TestCapabilityGating:
@@ -153,11 +156,12 @@ class TestCapabilityGating:
         server, client, sink, stub = make_pair(batch_server=False)
         try:
             stub.report("n0", 0, 0.5)
+            assert stub.poll() == 1
             assert sink.reports == [("n0", 0, 0.5)]
             assert client.batch_calls == 0
         finally:
-            server.shutdown()
             client.shutdown()
+            server.shutdown()
 
     def test_auth_requiring_server_never_advertises_batch(self):
         from repro.security.auth import KeyRing
@@ -188,12 +192,12 @@ class TestEquivalence:
                 for r in range(3):
                     for i in range(50):
                         stub.report(f"n{i:03}", r * 50 + i, 0.01 * i)
-                    if batch:
-                        client.flush()
+                    client.flush()
+                assert stub.poll() == 150
                 return digest.hexdigest(), list(sink.reports)
             finally:
-                server.shutdown()
                 client.shutdown()
+                server.shutdown()
 
         seed_digest, seed_reports = run(batch=False)
         batch_digest, batch_reports = run(batch=True)

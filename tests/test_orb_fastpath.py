@@ -1,15 +1,18 @@
-"""Parity tests for the in-process ORB fast path.
+"""Parity tests for collocated (direct) dispatch.
 
-With ``fast_local=True`` on both ORBs of a co-located pair, invocations
-bypass CDR marshalling entirely.  Every *observable* behaviour of the
-marshalled path must survive the shortcut: interceptor order, exception
-translation, oneway swallowing, trace-context semantics, auth gating,
-and failure modes.  When the flag is off (the default), the wire bytes
-must be identical to the seed.
+Two ORBs in one ``InProcDomain`` with no auth envelope between them
+talk without CDR: the ORB picks the path from what it can observe, not
+from a flag.  Every *observable* behaviour of the marshalled path must
+survive: interceptor order, exception translation, oneway swallowing,
+message counts, trace-context semantics, auth gating, and failure
+modes.  The marshalled path — still taken by enveloped requests and
+over TCP — is the reference each class compares against.
 """
 
 import pytest
 
+from repro.apps.spec import ApplicationSpec
+from repro.core.grid import Grid
 from repro.obs.trace import Tracer
 from repro.orb.cdr import Double, Void
 from repro.orb.core import Orb
@@ -46,47 +49,84 @@ class EchoServant:
         raise RuntimeError("oneway failure")
 
 
-def make_pair(client_fast=True, server_fast=True, **server_kwargs):
+def make_pair(enveloped=False, **server_kwargs):
+    """A collocated client/server pair; ``enveloped=True`` signs every
+    request, which is what keeps a same-domain call on the CDR path."""
     domain = InProcDomain()
-    server = Orb("server", domain=domain, fast_local=server_fast,
-                 **server_kwargs)
-    client = Orb("client", domain=domain, fast_local=client_fast)
+    client_kwargs = {}
+    if enveloped:
+        ring = KeyRing()
+        ring.add("alice", b"alice-key")
+        server_kwargs.setdefault("keyring", ring)
+        client_kwargs["credentials"] = Credentials("alice", b"alice-key")
+    server = Orb("server", domain=domain, **server_kwargs)
+    client = Orb("client", domain=domain, **client_kwargs)
     servant = EchoServant()
     ref = server.activate(servant, ECHO)
     stub = client.stub(ref, ECHO)
     return server, client, stub, servant
 
 
-class TestFastDispatch:
+def marshalled_bytes(server):
+    """Request bytes ``server`` had to unmarshal (0 when all were direct)."""
+    return server.inproc_stats().bytes_received
+
+
+class TestDirectDispatch:
     def test_result_parity_and_no_wire_bytes(self):
         server, client, stub, _ = make_pair()
         assert stub.echo(21.0) == 42.0
-        assert server.fast_local_calls == 1
         assert server.requests_handled == 1
-        # Nothing crossed the transport: no bytes, no messages.
-        assert client.inproc_stats().snapshot()["bytes_sent"] == 0
-        assert server.inproc_stats().snapshot()["requests_received"] == 0
+        sent = client.inproc_stats().snapshot()
+        received = server.inproc_stats().snapshot()
+        # The message is counted on both sides; nothing was marshalled.
+        assert sent["requests_sent"] == 1
+        assert sent["replies_received"] == 1
+        assert received["requests_received"] == 1
+        assert sent["bytes_sent"] == sent["bytes_received"] == 0
+        assert received["bytes_sent"] == received["bytes_received"] == 0
 
-    def test_requires_both_sides_opted_in(self):
-        for client_fast, server_fast in [(True, False), (False, True),
-                                         (False, False)]:
-            server, client, stub, _ = make_pair(client_fast, server_fast)
-            assert stub.echo(1.0) == 2.0
-            assert server.fast_local_calls == 0
-            assert client.inproc_stats().snapshot()["bytes_sent"] > 0
-            server.shutdown()
-            client.shutdown()
+    def test_counts_match_the_marshalled_path(self):
+        direct = make_pair()
+        wire = make_pair(enveloped=True)
+        counts = []
+        for server, client, stub, _ in (direct, wire):
+            stub.echo(1.0)
+            stub.fire(2.0)
+            with pytest.raises(RemoteInvocationError):
+                stub.boom(3.0)
+            snapshot = {**client.stats(), "handled": server.requests_handled,
+                        "received": server.stats()["requests_received"]}
+            counts.append({k: v for k, v in snapshot.items()
+                           if not k.startswith("bytes_")})
+        assert counts[0] == counts[1]
+        assert counts[0]["requests_sent"] == 3
+        assert counts[0]["replies_received"] == 2   # the oneway has none
+        assert marshalled_bytes(direct[0]) == 0
+        assert marshalled_bytes(wire[0]) > 0
 
     def test_oneway_returns_none_and_reaches_servant(self):
         server, client, stub, servant = make_pair()
         assert stub.fire(3.0) is None
         assert servant.fired == [3.0]
-        assert server.fast_local_calls == 1
+        assert client.stats()["replies_received"] == 0
 
     def test_arg_count_still_checked(self):
         server, client, stub, _ = make_pair()
         with pytest.raises(TypeError):
             client.invoke(stub._ref, ECHO.operation("echo"), (1.0, 2.0))
+
+    def test_route_is_cached_until_domain_membership_changes(self):
+        server, client, stub, _ = make_pair()
+        stub.echo(1.0)
+        route = client._routes[stub.ref.endpoints]
+        assert route[0] is server
+        stub.echo(1.0)
+        assert client._routes[stub.ref.endpoints] is route
+        Orb("bystander", domain=client.domain)    # membership changed
+        stub.echo(1.0)
+        assert client._routes[stub.ref.endpoints] is not route
+        assert server.requests_handled == 3
 
 
 class TestExceptionParity:
@@ -97,18 +137,15 @@ class TestExceptionParity:
         # Same type name and message the marshalled reply would carry.
         assert excinfo.value.remote_type == "ValueError"
         assert "bad value 7.0" in str(excinfo.value)
-        assert server.fast_local_calls == 1
+        assert marshalled_bytes(server) == 0
 
     def test_matches_marshalled_path_exactly(self):
-        fast = make_pair(True, True)
-        slow = make_pair(False, False)
         errors = []
-        for server, client, stub, _ in (fast, slow):
+        for server, client, stub, _ in (make_pair(),
+                                        make_pair(enveloped=True)):
             with pytest.raises(RemoteInvocationError) as excinfo:
                 stub.boom(1.5)
             errors.append((excinfo.value.remote_type, str(excinfo.value)))
-            server.shutdown()
-            client.shutdown()
         assert errors[0] == errors[1]
 
     def test_oneway_exception_swallowed(self):
@@ -123,11 +160,14 @@ class TestExceptionParity:
             client.invoke(ghost, ECHO.operation("echo"), (1.0,))
         assert excinfo.value.remote_type == "ObjectNotFound"
 
-    def test_shutdown_peer_fails_like_marshalled_path(self):
+    def test_shutdown_peer_fails_with_communication_error(self):
         server, client, stub, _ = make_pair()
+        assert stub.echo(1.0) == 2.0       # the route is now cached
         server.shutdown()
         with pytest.raises(CommunicationError):
             stub.echo(1.0)
+        with pytest.raises(CommunicationError):
+            stub.fire(1.0)
 
 
 class TestInterceptors:
@@ -143,7 +183,7 @@ class TestInterceptors:
         stub.echo(4.0)
         assert order == [("client", "echo", (4.0,)),
                          ("server", "echo", (4.0,))]
-        assert server.fast_local_calls == 1
+        assert marshalled_bytes(server) == 0
 
     def test_client_interceptor_veto_prevents_dispatch(self):
         server, client, stub, _ = make_pair()
@@ -156,96 +196,176 @@ class TestInterceptors:
             stub.echo(1.0)
         assert server.requests_handled == 0
 
+    def test_wire_meter_prices_direct_calls_like_the_wire(self):
+        from repro.orb import WireMeter
+
+        def metered_calls(client, server):
+            client_meter, server_meter = WireMeter(), WireMeter()
+            client.add_client_interceptor(client_meter)
+            server.add_server_interceptor(server_meter)
+            ref = server.activate(EchoServant(), ECHO, key="echo")
+            stub = client.stub(ref, ECHO)
+            stub.fire(2.0)
+            stub.echo(1.0)    # two-way: the oneway before it has landed
+            return client_meter, server_meter
+
+        domain = InProcDomain()
+        direct_client = Orb("client", domain=domain)
+        direct = metered_calls(direct_client, Orb("server", domain=domain))
+        # The reference: request bytes a real socket carried for the
+        # same two calls.
+        tcp_client = Orb("tcp-client", domain=InProcDomain(), tcp=True)
+        tcp_server = Orb("tcp-server", domain=InProcDomain(), tcp=True)
+        try:
+            wire = metered_calls(tcp_client, tcp_server)
+            on_the_wire = tcp_client._tcp.stats.bytes_sent
+        finally:
+            tcp_client.shutdown()
+            tcp_server.shutdown()
+        assert on_the_wire > 0
+        for meter in (*direct, *wire):
+            assert meter.bytes == on_the_wire
+            assert meter.requests == 2
+            assert set(meter.bytes_by_operation) == {"echo", "fire"}
+        assert direct_client.stats()["bytes_sent"] == 0
+
+
+def span_tree(tracer):
+    """``{(kind, name): (kind, name) of the parent}`` over finished spans."""
+    by_id = {s.span_id: s for s in tracer.finished}
+
+    def label(span):
+        return (span.attrs.get("kind", "local"), span.name)
+
+    return {
+        label(span): label(by_id[span.parent_id])
+        if span.parent_id in by_id else None
+        for span in tracer.finished
+    }
+
 
 class TestTraceContext:
-    def test_traced_calls_take_the_marshalled_path(self):
-        # Trace propagation rides the CDR header extension, so traced
-        # invocations must marshal; parent/child linkage is preserved.
+    def traced_call(self, enveloped):
+        server, client, stub, _ = make_pair(enveloped=enveloped)
+        tracer = Tracer()
+        client.set_tracer(tracer)
+        server.set_tracer(tracer)
+        with tracer.span("root"):
+            assert stub.echo(21.0) == 42.0
+        return server, client, tracer
+
+    def test_traced_calls_stay_on_the_direct_path(self):
+        server, client, tracer = self.traced_call(enveloped=False)
+        assert client.stats()["bytes_sent"] == 0
+        assert marshalled_bytes(server) == 0
+        assert client.stats()["requests_sent"] == 1
+        assert server.requests_handled == 1
+
+    def test_span_tree_matches_the_marshalled_path(self):
+        _, _, direct = self.traced_call(enveloped=False)
+        _, _, wire = self.traced_call(enveloped=True)
+        tree = span_tree(direct)
+        assert tree == span_tree(wire)
+        client_span = ("client", "test/Echo.echo")
+        assert tree[client_span] == ("local", "root")
+        (server_span,) = [k for k in tree if k[0] == "server"]
+        assert tree[server_span] == client_span
+
+    def test_untraced_server_records_no_server_span(self):
+        server, client, stub, _ = make_pair()
+        tracer = Tracer()
+        client.set_tracer(tracer)
+        assert stub.echo(1.0) == 2.0
+        assert [s.attrs["kind"] for s in tracer.finished] == ["client"]
+
+    def test_servant_error_is_recorded_on_both_spans(self):
         server, client, stub, _ = make_pair()
         tracer = Tracer()
         client.set_tracer(tracer)
         server.set_tracer(tracer)
-        with tracer.span("root") as root:
-            assert stub.echo(21.0) == 42.0
-        assert server.fast_local_calls == 0
-        client_span = next(
-            s for s in tracer.finished if s.attrs.get("kind") == "client")
-        server_span = next(
-            s for s in tracer.finished if s.attrs.get("kind") == "server")
-        assert client_span.parent_id == root.span_id
-        assert server_span.parent_id == client_span.span_id
+        with pytest.raises(RemoteInvocationError):
+            stub.boom(1.0)
+        errors = {s.attrs["kind"]: s.attrs.get("error")
+                  for s in tracer.finished}
+        assert errors == {"server": "ValueError",
+                          "client": "RemoteInvocationError"}
 
-    def test_fast_path_resumes_when_tracing_stops(self):
-        server, client, stub, _ = make_pair()
-        tracer = Tracer()
-        client.set_tracer(tracer)
-        stub.echo(1.0)
-        assert server.fast_local_calls == 0
-        client.set_tracer(None)
-        stub.echo(1.0)
-        assert server.fast_local_calls == 1
+
+def submission_trace(trace: bool):
+    """One ASCT submission on a 4-node grid; returns ``(grid, spans)``
+    where ``spans`` are the submission's trace (empty when untraced)."""
+    grid = Grid(seed=7, lupa_enabled=False)
+    grid.add_cluster("c0")
+    for i in range(4):
+        grid.add_node("c0", f"n{i}")
+    asct = grid.make_asct("c0")
+    spans = []
+    if trace:
+        tracer = grid.enable_tracing()
+        with tracer.span("asct.submit", component="asct") as root:
+            job_id = asct.submit(ApplicationSpec(name="e2e", tasks=2))
+    else:
+        job_id = asct.submit(ApplicationSpec(name="e2e", tasks=2))
+    assert grid.wait_for_job(job_id, max_seconds=4 * 3600.0)
+    if trace:
+        spans = tracer.trace(root.trace_id)
+    return grid, spans
+
+
+class TestTracingDoesNotSwitchThePath:
+    def test_traced_and_untraced_grids_execute_the_same_requests(self):
+        untraced, _ = submission_trace(trace=False)
+        traced, spans = submission_trace(trace=True)
+        assert traced.protocol_stats() == untraced.protocol_stats()
+        assert traced.protocol_stats()["bytes_sent"] == 0
+        assert traced.loop.events_fired == untraced.loop.events_fired
+
+        # ... and the traced run still yields the connected tree
+        # asct.submit -> Grm.submit -> schedule -> trader -> Lrm.start_task.
+        by_id = {s.span_id: s for s in spans}
+        root = next(s for s in spans if s.name == "asct.submit")
+
+        def path_to_root(span):
+            names = [span.name]
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                names.append(span.name)
+            return names[::-1]
+
+        for span in spans:
+            assert path_to_root(span)[0] == root.name
+        start = next(s for s in spans
+                     if s.name == "integrade/Lrm.start_task")
+        assert path_to_root(start)[:3] == [
+            "asct.submit", "integrade/Grm.submit", "c0/grm.submit"]
+        assert "grm.schedule_job" in path_to_root(start)
+        names = {s.name for s in spans}
+        assert "trader.query" in names
+        assert "integrade/Lrm.request_reservation" in names
+        assert any(n.endswith("/lrm.start_task") for n in names)  # server
 
 
 class TestAuthGating:
     def test_client_credentials_force_marshalled_path(self):
-        ring = KeyRing()
-        ring.add("alice", b"alice-key")
-        domain = InProcDomain()
-        server = Orb("server", domain=domain, fast_local=True,
-                     keyring=ring)
-        client = Orb("client", domain=domain, fast_local=True,
-                     credentials=Credentials("alice", b"alice-key"))
-        ref = server.activate(EchoServant(), ECHO)
-        stub = client.stub(ref, ECHO)
+        server, client, stub, _ = make_pair(enveloped=True)
         assert stub.echo(1.0) == 2.0
-        assert server.fast_local_calls == 0
+        assert marshalled_bytes(server) > 0
         assert server.current_principal == "alice"
 
     def test_require_auth_target_forces_marshalled_path(self):
         ring = KeyRing()
         ring.add("alice", b"alice-key")
-        server, client, stub, _ = make_pair(
-            keyring=ring, require_auth=True)
+        server, client, stub, _ = make_pair(keyring=ring, require_auth=True)
+        with pytest.raises(RemoteInvocationError) as excinfo:
+            stub.echo(1.0)   # unauthenticated: rejected, not dispatched
+        assert excinfo.value.remote_type == "AuthenticationError"
+        assert marshalled_bytes(server) > 0
+
+    def test_auth_requirement_is_read_per_call_not_cached(self):
+        ring = KeyRing()
+        ring.add("alice", b"alice-key")
+        server, client, stub, _ = make_pair(keyring=ring)
+        assert stub.echo(1.0) == 2.0
+        server.require_auth = True
         with pytest.raises(RemoteInvocationError):
-            stub.echo(1.0)   # unauthenticated: rejected, not fast-pathed
-        assert server.fast_local_calls == 0
-
-
-class TestWireBytesWhenDisabled:
-    def test_disabled_fast_local_is_byte_identical(self):
-        captured = []
-        original = Orb.handle_request_bytes
-
-        def capture(self, data):
-            captured.append(bytes(data))
-            return original(self, data)
-
-        try:
-            Orb.handle_request_bytes = capture
-            server, client, stub, _ = make_pair(False, False)
             stub.echo(1.0)
-            server.shutdown()
-            client.shutdown()
-            flag_off = captured[-1]
-
-            # A seed-shaped pair that never saw the flag at all.
-            domain = InProcDomain()
-            server = Orb("server", domain=domain)
-            client = Orb("client", domain=domain)
-            ref = server.activate(EchoServant(), ECHO)
-            stub = client.stub(ref, ECHO)
-            stub.echo(1.0)
-            server.shutdown()
-            client.shutdown()
-            no_flag = captured[-1]
-        finally:
-            Orb.handle_request_bytes = original
-        assert flag_off == no_flag
-
-    def test_fast_local_not_reported_in_stats(self):
-        # Grid.protocol_stats sums stats() dicts over a fixed key set;
-        # the fast-path counter lives on the attribute instead.
-        server, client, stub, _ = make_pair()
-        stub.echo(1.0)
-        assert "fast_local_calls" not in server.stats()
-        assert server.fast_local_calls == 1
