@@ -17,10 +17,6 @@ what the PR's two opt-in features buy, at 64/256/1024 processes:
   one ORB call per send/put/get (seed); ``combining`` coalesces all
   messages per (sender, destination) pair into one CDR batch flushed at
   the barrier and batches DRMA per pair — O(messages) → O(peers) calls.
-  ``batched`` models the ORB's transport-level oneway batching instead:
-  logical calls stay per-message, but sends and puts queued for one
-  peer share a wire frame flushed at the barrier, so *frames* drop to
-  O(peers) while gets (request/reply) stay one frame each.
 
 Both modes run the identical deterministic workload (no RNG), so the
 delivered messages and the restored checkpoint bytes are asserted
@@ -137,13 +133,10 @@ def measure_checkpoint_plane(nprocs: int, rate: float, mode: str) -> dict:
     return row
 
 
-def drive_comm(nprocs: int, combining: bool,
-               batch_oneway: bool = False) -> dict:
+def drive_comm(nprocs: int, combining: bool) -> dict:
     """Run the comm workload; returns its row plus a delivery checksum."""
-    buffers = MessageBuffers(nprocs, combining=combining,
-                             batch_oneway=batch_oneway)
-    registers = Registers(nprocs, batched=combining,
-                          batch_oneway=batch_oneway)
+    buffers = MessageBuffers(nprocs, combining=combining)
+    registers = Registers(nprocs, batched=combining)
     for pid in range(nprocs):
         registers.register(pid, "acc", 0.0)
     checksum = 0
@@ -164,21 +157,12 @@ def drive_comm(nprocs: int, combining: bool,
             checksum += len(buffers.inbox(pid))
             checksum += int(sum(m[0] for m in buffers.inbox(pid)))
     elapsed = time.perf_counter() - start
-    if combining:
-        mode = "combining"
-    elif batch_oneway:
-        mode = "batched"
-    else:
-        mode = "per-message"
     return {
         "nprocs": nprocs,
-        "mode": mode,
+        "mode": "combining" if combining else "per-message",
         "messages_sent": buffers.messages_sent,
         "orb_calls": buffers.orb_calls,
         "drma_calls": registers.drma_calls,
-        "bsmp_frames": buffers.frames,
-        "drma_frames": registers.frames,
-        "bytes_saved": buffers.bytes_saved,
         "wire_bytes": buffers.wire_bytes,
         "puts_applied": registers.puts_applied,
         "comm_wall_s": round(elapsed, 4),
@@ -205,21 +189,19 @@ def run_experiment():
                 )
     comm_table = Table(
         ["procs", "mode", "messages", "ORB calls", "DRMA calls",
-         "BSMP frames", "KB on wire"],
+         "KB on wire", "wall s"],
         title="S4b: superstep comm calls per 12 supersteps",
     )
     comm_rows = []
     for nprocs in PROCESSES:
-        for combining, batch_oneway in (
-            (False, False), (True, False), (False, True),
-        ):
-            row = drive_comm(nprocs, combining, batch_oneway=batch_oneway)
+        for combining in (False, True):
+            row = drive_comm(nprocs, combining)
             comm_rows.append(row)
             comm_table.add_row(
                 nprocs, row["mode"], row["messages_sent"],
                 f"{row['orb_calls']:,}", f"{row['drma_calls']:,}",
-                f"{row['bsmp_frames']:,}",
                 f"{row['wire_bytes'] / 1024.0:,.0f}",
+                f"{row['comm_wall_s']:.3f}",
             )
     return ckpt_table, comm_table, ckpt_rows, comm_rows
 
@@ -274,13 +256,10 @@ def test_s4_execution_plane(benchmark):
     for nprocs in PROCESSES:
         seed = _comm_row(comm_rows, nprocs, "per-message")
         comb = _comm_row(comm_rows, nprocs, "combining")
-        bat = _comm_row(comm_rows, nprocs, "batched")
-        # Identical delivery in all modes...
-        assert seed["checksum"] == comb["checksum"] == bat["checksum"]
-        assert seed["messages_sent"] == comb["messages_sent"] \
-            == bat["messages_sent"]
-        assert seed["puts_applied"] == comb["puts_applied"] \
-            == bat["puts_applied"]
+        # Identical delivery in both modes...
+        assert seed["checksum"] == comb["checksum"]
+        assert seed["messages_sent"] == comb["messages_sent"]
+        assert seed["puts_applied"] == comb["puts_applied"]
         # ...but combining issues exactly one BSMP call per communicating
         # pair per superstep (O(peers)), and one DRMA call per direction
         # per pair, independent of per-pair message counts.
@@ -290,14 +269,3 @@ def test_s4_execution_plane(benchmark):
         assert seed["drma_calls"] == \
             SUPERSTEPS * nprocs * DEGREE * (PUTS_PER_PEER + GETS_PER_PEER)
         assert comb["wire_bytes"] < seed["wire_bytes"]
-        # Transport oneway batching keeps the seed's logical call counts
-        # but collapses wire frames: one BSMP frame per pair-superstep,
-        # one DRMA frame per put pair plus one per (unbatchable) get.
-        assert seed["bsmp_frames"] == seed["orb_calls"]
-        assert seed["drma_frames"] == seed["drma_calls"]
-        assert bat["orb_calls"] == seed["orb_calls"]
-        assert bat["drma_calls"] == seed["drma_calls"]
-        assert bat["bsmp_frames"] == SUPERSTEPS * nprocs * DEGREE
-        assert bat["drma_frames"] == \
-            SUPERSTEPS * nprocs * DEGREE * (1 + GETS_PER_PEER)
-        assert bat["bytes_saved"] > 0

@@ -1,33 +1,26 @@
-"""S6 — communication-plane scaling (infrastructure benchmark).
+"""S6 — communication-plane throughput (infrastructure benchmark).
 
-The seed ORB sends one transport frame per call, copies every octet
-sequence out of the receive buffer, and serialises TCP callers behind a
-per-connection lock.  This benchmark measures the communication plane
-as it stands:
+The ORB has one way to do each thing — direct dispatch for collocated
+calls, one CDR codec, one TCP framing with ``TCP_NODELAY`` — and this
+benchmark times each on the clock, one row per plane:
 
 * **Oneway storm** — 10k logical senders fire oneway status reports at
   one collocated sink per round: the ORB's direct-dispatch call rate
   (no frames, no bytes), with a server-side interceptor digesting
   every dispatched call.
-* **CDR plane** — decode throughput over chunk-shaped records (string +
-  ulong + 64 KiB octets): the seed decoder copies every blob out of the
-  buffer, ``zero_copy=True`` returns memoryview slices.  Encode
-  throughput with pooled vs per-message encoders rides along.  Output
-  bytes are asserted identical.
-* **Pipelined TCP** — oneway delivery over a real socket: legacy
-  framing pays one frame (and one send syscall) per message, the
-  pipelined connection negotiates batch capability so flushed batches
-  collapse frames by the flush interval.  A threaded two-way run (8
-  client threads sharing one connection, both framings) rides along as
-  a correctness check; its throughput is reported, not gated — with
-  per-connection dispatch serialised on both framings, loopback
-  request/reply is a round-trip-latency race that pipelining is not
-  built to win.
+* **CDR decode / encode** — chunk-shaped records (string + ulong +
+  64 KiB octets) through :class:`CdrDecoder` / :class:`CdrEncoder`.
+* **TCP oneway** — 20k oneway reports over one real loopback
+  connection, timed until the server has dispatched the last one.
+* **TCP two-way** — 8 client threads sharing one connection, each
+  call a full request/reply exchange under the per-peer lock.
 
 Rows land in ``BENCH_S6.json`` with ``--bench-json``; the committed
-file is the CI baseline and the headline gates (collocated storm call
-rate, >= 5x TCP frame reduction with identical digests, >= 2x zero-copy
-decode throughput) re-run in ``perf_smoke.py``.
+file is the CI baseline and ``perf_smoke.py`` re-runs the storm, CDR
+decode and both TCP rows against it.  The opt-in batch frames,
+zero-copy decoder, encoder pool and pipelined framing this file used to
+compare against are gone; their last measured numbers are kept in
+``docs/performance.md`` §9.
 """
 
 import hashlib
@@ -35,16 +28,10 @@ import threading
 import time
 
 from repro.analysis.metrics import Table
-from repro.orb.cdr import (
-    CdrDecoder,
-    CdrEncoder,
-    acquire_encoder,
-    release_encoder,
-)
+from repro.orb.cdr import CdrDecoder, CdrEncoder, Double, String, ULong
 from repro.orb.core import Orb
 from repro.orb.idl import InterfaceDef, Operation, Parameter
 from repro.orb.transport import InProcDomain
-from repro.orb.cdr import Double, String, ULong
 
 from conftest import save_json, save_result
 
@@ -53,9 +40,8 @@ STORM_ROUNDS = 4
 CDR_RECORDS = 512
 CDR_CHUNK_BYTES = 64 * 1024
 TCP_THREADS = 8
-TCP_CALLS_PER_THREAD = 50
+TCP_CALLS_PER_THREAD = 250
 TCP_ONEWAYS = 20_000
-TCP_FLUSH_EVERY = 1_000
 TCP_DRAIN_TIMEOUT_S = 30.0
 BEST_OF = 3
 
@@ -114,7 +100,6 @@ def measure_storm(rounds: int = STORM_ROUNDS) -> dict:
         assert server_orb.stats()["requests_received"] == calls
         assert server_orb.stats()["bytes_received"] == 0   # all direct
         return {
-            "mode": "collocated",
             "rounds": rounds,
             "calls": calls,
             "calls_per_wall_s": round(calls / elapsed, 1),
@@ -141,8 +126,8 @@ def _chunk_buffer() -> bytes:
     return enc.getvalue()
 
 
-def _decode_all(buf: bytes, zero_copy: bool) -> int:
-    dec = CdrDecoder(buf, zero_copy=zero_copy)
+def _decode_all(buf: bytes) -> int:
+    dec = CdrDecoder(buf)
     total = 0
     for _ in range(CDR_RECORDS):
         dec.read_string()
@@ -151,84 +136,52 @@ def _decode_all(buf: bytes, zero_copy: bool) -> int:
     return total
 
 
+def _encode_all() -> None:
+    for i in range(CDR_RECORDS):
+        enc = CdrEncoder()
+        enc.write_string(f"task-{i:04}")
+        enc.write_ulong(i)
+        enc.write_octets(_CHUNK_FILL)
+        enc.getvalue()
+
+
 def measure_cdr() -> dict:
-    """Best-of decode and encode throughput, seed vs zero-copy/pooled."""
+    """Best-of decode and encode throughput, one message per record."""
     buf = _chunk_buffer()
-    # Equivalence: both decoders yield content-identical records.
-    seed_dec = CdrDecoder(buf)
-    zc_dec = CdrDecoder(buf, zero_copy=True)
-    for _ in range(CDR_RECORDS):
-        assert seed_dec.read_string() == zc_dec.read_string()
-        assert seed_dec.read_ulong() == zc_dec.read_ulong()
-        assert seed_dec.read_octets() == bytes(zc_dec.read_octets())
-
-    rates = {"seed": 0.0, "zero_copy": 0.0}
+    decode = encode = 0.0
     for _ in range(BEST_OF):
-        for label, zero_copy in (("seed", False), ("zero_copy", True)):
-            start = time.perf_counter()
-            total = _decode_all(buf, zero_copy)
-            elapsed = time.perf_counter() - start
-            assert total == CDR_RECORDS * CDR_CHUNK_BYTES
-            rates[label] = max(rates[label], CDR_RECORDS / elapsed)
-
-    def encode_round(pooled: bool) -> bytes:
-        last = b""
-        for i in range(CDR_RECORDS):
-            enc = acquire_encoder() if pooled else CdrEncoder()
-            enc.write_string(f"task-{i:04}")
-            enc.write_ulong(i)
-            enc.write_octets(_CHUNK_FILL)
-            last = enc.getvalue()
-            if pooled:
-                release_encoder(enc)
-        return last
-
-    assert encode_round(False) == encode_round(True)
-    enc_rates = {"fresh": 0.0, "pooled": 0.0}
-    for _ in range(BEST_OF):
-        for label, pooled in (("fresh", False), ("pooled", True)):
-            start = time.perf_counter()
-            encode_round(pooled)
-            elapsed = time.perf_counter() - start
-            enc_rates[label] = max(enc_rates[label], CDR_RECORDS / elapsed)
+        start = time.perf_counter()
+        total = _decode_all(buf)
+        decode = max(decode, CDR_RECORDS / (time.perf_counter() - start))
+        assert total == CDR_RECORDS * CDR_CHUNK_BYTES
+        start = time.perf_counter()
+        _encode_all()
+        encode = max(encode, CDR_RECORDS / (time.perf_counter() - start))
     return {
         "records": CDR_RECORDS,
         "chunk_bytes": CDR_CHUNK_BYTES,
-        "decode_seed_records_per_s": round(rates["seed"], 1),
-        "decode_zero_copy_records_per_s": round(rates["zero_copy"], 1),
-        "decode_speedup": round(rates["zero_copy"] / rates["seed"], 2),
-        "encode_fresh_records_per_s": round(enc_rates["fresh"], 1),
-        "encode_pooled_records_per_s": round(enc_rates["pooled"], 1),
+        "decode_records_per_s": round(decode, 1),
+        "encode_records_per_s": round(encode, 1),
     }
 
 
-# -- pipelined TCP -----------------------------------------------------------
+# -- TCP ---------------------------------------------------------------------
 
-def _tcp_pair(pipelined: bool, batch: bool) -> tuple:
+def _tcp_pair() -> tuple:
     """Server + client ORB joined only by a real TCP socket.
 
     Separate in-proc domains force the client's route onto TCP (the
     servant's in-proc endpoint is not resolvable from the client's
     domain, exactly like two separate processes).
     """
-    server_orb = Orb("tcp-server", domain=InProcDomain(), tcp=True,
-                     tcp_pipelined=pipelined, batch_oneway=batch)
-    client_orb = Orb("tcp-client", domain=InProcDomain(), tcp=True,
-                     tcp_pipelined=pipelined, batch_oneway=batch)
+    server_orb = Orb("tcp-server", domain=InProcDomain(), tcp=True)
+    client_orb = Orb("tcp-client", domain=InProcDomain(), tcp=True)
     return server_orb, client_orb
 
 
-def measure_tcp_oneway(mode: str) -> dict:
-    """Oneway delivery over TCP: per-call frames vs negotiated batches."""
-    batch = mode == "pipelined+batched"
-    pipelined = mode != "legacy"
-    server_orb, client_orb = _tcp_pair(pipelined, batch)
-    digest = hashlib.sha256()
-
-    def interceptor(key, operation, args):
-        digest.update(f"{key}|{operation.name}|{args!r}".encode())
-
-    server_orb.add_server_interceptor(interceptor)
+def _oneway_run() -> float:
+    """Seconds to deliver TCP_ONEWAYS oneways over one connection."""
+    server_orb, client_orb = _tcp_pair()
     ref = server_orb.activate(_Sink(), SINK_INTERFACE, key="bench/sink")
     stub = client_orb.stub(ref, SINK_INTERFACE)
     try:
@@ -236,10 +189,6 @@ def measure_tcp_oneway(mode: str) -> dict:
         start = time.perf_counter()
         for i in range(TCP_ONEWAYS):
             report(f"n{i % 100:03}", i, 0.5)
-            if batch and (i + 1) % TCP_FLUSH_EVERY == 0:
-                client_orb.flush()
-        if batch:
-            client_orb.flush()
         # Oneways are asynchronous on the wire: wall time covers actual
         # delivery, polled on the server's dispatch counter.
         deadline = time.monotonic() + TCP_DRAIN_TIMEOUT_S
@@ -248,22 +197,26 @@ def measure_tcp_oneway(mode: str) -> dict:
             time.sleep(0.002)
         elapsed = time.perf_counter() - start
         assert server_orb.requests_handled == TCP_ONEWAYS
-        return {
-            "mode": mode,
-            "calls": TCP_ONEWAYS,
-            "frames": server_orb.stats()["requests_received"],
-            "calls_per_wall_s": round(TCP_ONEWAYS / elapsed, 1),
-            "wall_s": round(elapsed, 4),
-            "digest": digest.hexdigest(),
-        }
+        assert server_orb.stats()["requests_received"] == TCP_ONEWAYS
+        return elapsed
     finally:
         client_orb.shutdown()
         server_orb.shutdown()
 
 
-def measure_tcp_twoway(pipelined: bool) -> dict:
-    """Threaded two-way calls over one real TCP connection."""
-    server_orb, client_orb = _tcp_pair(pipelined, batch=False)
+def measure_tcp_oneway() -> dict:
+    """Best-of oneway delivery rate over one TCP connection."""
+    elapsed = min(_oneway_run() for _ in range(BEST_OF))
+    return {
+        "calls": TCP_ONEWAYS,
+        "calls_per_wall_s": round(TCP_ONEWAYS / elapsed, 1),
+        "wall_s": round(elapsed, 4),
+    }
+
+
+def _twoway_run() -> float:
+    """Seconds for TCP_THREADS threads to finish their echo calls."""
+    server_orb, client_orb = _tcp_pair()
     ref = server_orb.activate(_Echo(), ECHO_INTERFACE, key="bench/echo")
     stub = client_orb.stub(ref, ECHO_INTERFACE)
     errors: list = []
@@ -278,7 +231,7 @@ def measure_tcp_twoway(pipelined: bool) -> dict:
             errors.append(exc)
 
     try:
-        stub.echo("warm-up")   # connection + (maybe) negotiation
+        stub.echo("warm-up")   # open the connection
         threads = [
             threading.Thread(target=worker, args=(tid,))
             for tid in range(TCP_THREADS)
@@ -291,111 +244,77 @@ def measure_tcp_twoway(pipelined: bool) -> dict:
         elapsed = time.perf_counter() - start
         if errors:
             raise errors[0]
-        calls = TCP_THREADS * TCP_CALLS_PER_THREAD
-        return {
-            "mode": "pipelined" if pipelined else "legacy",
-            "threads": TCP_THREADS,
-            "calls": calls,
-            "calls_per_wall_s": round(calls / elapsed, 1),
-            "wall_s": round(elapsed, 4),
-        }
+        return elapsed
     finally:
         client_orb.shutdown()
         server_orb.shutdown()
 
 
+def measure_tcp_twoway() -> dict:
+    """Best-of threaded two-way call rate over one TCP connection."""
+    elapsed = min(_twoway_run() for _ in range(BEST_OF))
+    calls = TCP_THREADS * TCP_CALLS_PER_THREAD
+    return {
+        "threads": TCP_THREADS,
+        "calls": calls,
+        "calls_per_wall_s": round(calls / elapsed, 1),
+        "wall_s": round(elapsed, 4),
+    }
+
+
 # -- harness -----------------------------------------------------------------
 
 def run_experiment():
-    storm_table = Table(
-        ["mode", "calls", "calls/s (wall)"],
-        title=f"S6a: {SENDERS}-sender oneway storm, {STORM_ROUNDS} rounds",
+    storm = measure_storm()
+    cdr = measure_cdr()
+    oneway = measure_tcp_oneway()
+    twoway = measure_tcp_twoway()
+    chunk_kib = CDR_CHUNK_BYTES // 1024
+    table = Table(
+        ["plane", "work", "rate (wall)"],
+        title="S6: communication plane, one row per mechanism",
     )
-    storm_rows = [measure_storm()]
-    for row in storm_rows:
-        storm_table.add_row(
-            row["mode"], f"{row['calls']:,}",
-            f"{row['calls_per_wall_s']:,.0f}",
-        )
-    cdr_row = measure_cdr()
-    cdr_table = Table(
-        ["plane", "seed rec/s", "optimized rec/s", "speedup"],
-        title=f"S6b: CDR {CDR_CHUNK_BYTES // 1024} KiB chunk records",
+    table.add_row(
+        "collocated oneway storm",
+        f"{SENDERS:,} senders x {STORM_ROUNDS} rounds",
+        f"{storm['calls_per_wall_s']:,.0f} calls/s",
     )
-    cdr_table.add_row(
-        "decode", f"{cdr_row['decode_seed_records_per_s']:,.0f}",
-        f"{cdr_row['decode_zero_copy_records_per_s']:,.0f}",
-        f"{cdr_row['decode_speedup']:.1f}x",
+    table.add_row(
+        "CDR decode", f"{CDR_RECORDS} x {chunk_kib} KiB records",
+        f"{cdr['decode_records_per_s']:,.0f} rec/s",
     )
-    enc_speedup = (cdr_row["encode_pooled_records_per_s"]
-                   / cdr_row["encode_fresh_records_per_s"])
-    cdr_table.add_row(
-        "encode", f"{cdr_row['encode_fresh_records_per_s']:,.0f}",
-        f"{cdr_row['encode_pooled_records_per_s']:,.0f}",
-        f"{enc_speedup:.1f}x",
+    table.add_row(
+        "CDR encode", f"{CDR_RECORDS} x {chunk_kib} KiB records",
+        f"{cdr['encode_records_per_s']:,.0f} rec/s",
     )
-    tcp_table = Table(
-        ["mode", "calls", "frames", "msgs/s (wall)"],
-        title="S6c: oneway delivery over one TCP connection",
+    table.add_row(
+        "TCP oneway", f"{oneway['calls']:,} msgs, 1 connection",
+        f"{oneway['calls_per_wall_s']:,.0f} msgs/s",
     )
-    tcp_rows = [
-        measure_tcp_oneway(mode)
-        for mode in ("legacy", "pipelined", "pipelined+batched")
-    ]
-    for row in tcp_rows:
-        tcp_table.add_row(
-            row["mode"], f"{row['calls']:,}", f"{row['frames']:,}",
-            f"{row['calls_per_wall_s']:,.0f}",
-        )
-    twoway_table = Table(
-        ["mode", "threads", "calls", "calls/s (wall)"],
-        title="S6d: threaded two-way calls over one TCP connection",
+    table.add_row(
+        "TCP two-way",
+        f"{twoway['calls']:,} calls, {TCP_THREADS} threads, 1 connection",
+        f"{twoway['calls_per_wall_s']:,.0f} calls/s",
     )
-    twoway_rows = [measure_tcp_twoway(pipelined) for pipelined in (False, True)]
-    for row in twoway_rows:
-        twoway_table.add_row(
-            row["mode"], row["threads"], row["calls"],
-            f"{row['calls_per_wall_s']:,.0f}",
-        )
-    tables = (storm_table, cdr_table, tcp_table, twoway_table)
-    return tables, storm_rows, cdr_row, tcp_rows, twoway_rows
+    return table, storm, cdr, oneway, twoway
 
 
 def test_s6_comm_plane(benchmark):
-    tables, storm_rows, cdr_row, tcp_rows, twoway_rows = \
+    table, storm, cdr, oneway, twoway = \
         benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_result(
-        "s6_comm_plane",
-        "\n\n".join(table.render() for table in tables),
-    )
+    save_result("s6_comm_plane", table.render())
     save_json("S6", {
         "experiment": "s6_comm_plane",
         "senders": SENDERS,
         "storm_rounds": STORM_ROUNDS,
-        "storm_rows": storm_rows,
-        "cdr": cdr_row,
-        "tcp_oneway_rows": tcp_rows,
-        "tcp_twoway_rows": twoway_rows,
+        "storm": storm,
+        "cdr": cdr,
+        "tcp_oneway": oneway,
+        "tcp_twoway": twoway,
     })
-    # Every logical call of the collocated storm was dispatched.
-    assert storm_rows[0]["calls"] == SENDERS * STORM_ROUNDS
-    # Zero-copy decode is the headline CDR gate; pooled encode must at
-    # minimum not regress.
-    assert cdr_row["decode_speedup"] >= 2.0
-    assert (cdr_row["encode_pooled_records_per_s"]
-            >= 0.7 * cdr_row["encode_fresh_records_per_s"])
-    # Over the real socket, every mode delivers the same calls in the
-    # same order (server-side digest), legacy pays one frame per call,
-    # and negotiated batching collapses frames by the flush interval.
-    legacy = next(r for r in tcp_rows if r["mode"] == "legacy")
-    piped = next(r for r in tcp_rows if r["mode"] == "pipelined")
-    piped_batch = next(
-        r for r in tcp_rows if r["mode"] == "pipelined+batched")
-    assert legacy["digest"] == piped["digest"] == piped_batch["digest"]
-    assert legacy["frames"] == TCP_ONEWAYS
-    assert piped_batch["frames"] == TCP_ONEWAYS // TCP_FLUSH_EVERY
-    assert legacy["frames"] / piped_batch["frames"] >= 5.0
-    # Both TCP framings completed every threaded two-way call
-    # (throughput is reported, not gated: loopback timings are noisy).
-    for row in twoway_rows:
-        assert row["calls"] == TCP_THREADS * TCP_CALLS_PER_THREAD
+    # Every call was dispatched (each measure function asserts its own
+    # delivery counts); rates are gated against this file's committed
+    # output in perf_smoke.py, not here.
+    assert storm["calls"] == SENDERS * STORM_ROUNDS
+    assert oneway["calls"] == TCP_ONEWAYS
+    assert twoway["calls"] == TCP_THREADS * TCP_CALLS_PER_THREAD

@@ -22,20 +22,13 @@ class Registers:
     puts a writer issues against one owner ride a single batched ORB
     call, and likewise all gets a reader issues against one owner.
     Semantics are identical — only ``drma_calls`` changes.
-
-    ``batch_oneway=True`` (opt-in) models the ORB's transport-level
-    oneway batching: puts are oneway calls, so a writer's puts to one
-    owner share a single wire frame per superstep (``frames`` drops to
-    O(pairs)); gets are synchronous request/reply and never batch.
     """
 
-    def __init__(self, nprocs: int, batched: bool = False,
-                 batch_oneway: bool = False):
+    def __init__(self, nprocs: int, batched: bool = False):
         if nprocs <= 0:
             raise ValueError("nprocs must be positive")
         self.nprocs = nprocs
         self.batched = batched
-        self.batch_oneway = batch_oneway
         self._values: list[dict] = [{} for _ in range(nprocs)]
         self._snapshot: list[dict] = [{} for _ in range(nprocs)]
         self._pending_puts: list[list] = [[] for _ in range(nprocs)]
@@ -43,12 +36,8 @@ class Registers:
         #: DRMA ORB invocations: one per put/get without batching, one
         #: per (process, owner) pair per superstep with it.
         self.drma_calls = 0
-        #: Wire frames the transport would emit.  Tracks ``drma_calls``
-        #: except when ``batch_oneway`` coalesces a writer's puts.
-        self.frames = 0
         self._put_pairs: set = set()
         self._get_pairs: set = set()
-        self._put_frame_pairs: set = set()
 
     def register(self, pid: int, name: str, value: Any) -> None:
         """Declare a variable on ``pid`` and set its initial value."""
@@ -72,8 +61,7 @@ class Registers:
         """Remote read: the value as of the last synchronisation."""
         if not 0 <= owner < self.nprocs:
             raise ValueError(f"owner pid {owner} out of range")
-        if self._count_call(self._get_pairs, reader, owner):
-            self.frames += 1   # request/reply: oneway batching can't help
+        self._count_call(self._get_pairs, reader, owner)
         try:
             return copy.deepcopy(self._snapshot[owner][name])
         except KeyError:
@@ -85,26 +73,15 @@ class Registers:
         """Remote write: queued, applied at the next synchronisation."""
         if not 0 <= owner < self.nprocs:
             raise ValueError(f"owner pid {owner} out of range")
-        counted = self._count_call(self._put_pairs, writer, owner)
-        if self.batch_oneway and writer is not None:
-            # Puts are oneway: all of a writer's puts to one owner ride
-            # a single batched frame flushed at the barrier.
-            if (writer, owner) not in self._put_frame_pairs:
-                self._put_frame_pairs.add((writer, owner))
-                self.frames += 1
-        elif counted:
-            self.frames += 1
+        self._count_call(self._put_pairs, writer, owner)
         self._pending_puts[writer].append((owner, name, copy.deepcopy(value)))
 
-    def _count_call(self, pairs: set, source, owner: int) -> bool:
+    def _count_call(self, pairs: set, source, owner: int) -> None:
         if not self.batched or source is None:
             self.drma_calls += 1
-            return True
-        if (source, owner) not in pairs:
+        elif (source, owner) not in pairs:
             pairs.add((source, owner))
             self.drma_calls += 1
-            return True
-        return False
 
     def synchronize(self) -> None:
         """Apply pending puts (writer order) and refresh get-snapshots."""
@@ -119,7 +96,6 @@ class Registers:
             self._pending_puts[writer] = []
         self._put_pairs.clear()
         self._get_pairs.clear()
-        self._put_frame_pairs.clear()
         self._snapshot = [
             {name: copy.deepcopy(value) for name, value in proc.items()}
             for proc in self._values

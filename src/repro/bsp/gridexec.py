@@ -67,10 +67,6 @@ class BspGridCoordinator:
         )
         #: Run the functional program with batched superstep comms.
         self.combining = bool(spec.metadata.get("bsp_combining", False))
-        #: Model transport-level oneway batching in the functional run.
-        self.batch_oneway = bool(
-            spec.metadata.get("bsp_batch_oneway", False)
-        )
         self.work_per_superstep = spec.work_mips / self.supersteps
         self.store = checkpoint_store
         self.recovery = RecoveryManager(
@@ -204,8 +200,7 @@ class BspGridCoordinator:
         args = tuple(self.job.spec.metadata.get("program_args", default_args))
         try:
             run = run_bsp(
-                len(self.job.tasks), fn, *args, combining=self.combining,
-                batch_oneway=self.batch_oneway,
+                len(self.job.tasks), fn, *args, combining=self.combining
             )
         except BspError as exc:
             self.executed_results = None

@@ -11,13 +11,6 @@ into a single CDR-encoded payload flushed at the barrier — ORB calls
 per superstep drop from O(messages) to O(communicating peer pairs).
 Delivery contents and order are identical in both modes; only the
 call/wire accounting changes.
-
-``batch_oneway=True`` (opt-in, independent of combining) models the
-ORB's transport-level oneway batching instead: every message is still
-a distinct logical call (``orb_calls`` stays O(messages)), but calls
-queued for the same peer share one wire frame flushed at the barrier,
-so ``frames`` drops to O(communicating peer pairs) and ``bytes_saved``
-accounts the amortised per-call framing overhead.
 """
 
 from typing import Any
@@ -30,13 +23,11 @@ CALL_OVERHEAD_BYTES = 64
 class MessageBuffers:
     """Per-run double-buffered mailboxes for ``nprocs`` processes."""
 
-    def __init__(self, nprocs: int, combining: bool = False,
-                 batch_oneway: bool = False):
+    def __init__(self, nprocs: int, combining: bool = False):
         if nprocs <= 0:
             raise ValueError("nprocs must be positive")
         self.nprocs = nprocs
         self.combining = combining
-        self.batch_oneway = batch_oneway
         # outgoing[sender][dest] = [payload, ...]
         self._outgoing = [
             [[] for _ in range(nprocs)] for _ in range(nprocs)
@@ -52,14 +43,8 @@ class MessageBuffers:
         #: combining mode this is the exact CDR size of each coalesced
         #: batch; without it, one framed call per message.
         self.wire_bytes = 0
-        #: Per-pair batches flushed at barriers (combining or transport
-        #: oneway batching).
+        #: Per-pair batches flushed at barriers (combining only).
         self.flushes = 0
-        #: Wire frames the transport would emit.  Tracks ``orb_calls``
-        #: unless ``batch_oneway`` coalesces a pair's calls per superstep.
-        self.frames = 0
-        #: Per-call framing overhead amortised away by oneway batching.
-        self.bytes_saved = 0
 
     def send(self, sender: int, dest: int, payload: Any) -> None:
         """Queue a message for delivery at the next superstep."""
@@ -71,8 +56,6 @@ class MessageBuffers:
         if not self.combining:
             self.orb_calls += 1
             self.wire_bytes += CALL_OVERHEAD_BYTES + _payload_size(payload)
-            if not self.batch_oneway:
-                self.frames += 1   # batched frames count at the barrier
 
     def inbox(self, pid: int) -> list:
         """Messages delivered to ``pid`` at the last synchronisation."""
@@ -89,17 +72,8 @@ class MessageBuffers:
                     if self.combining:
                         self.orb_calls += 1
                         self.flushes += 1
-                        self.frames += 1
                         self.wire_bytes += \
                             CALL_OVERHEAD_BYTES + _batch_size(queued)
-                    elif self.batch_oneway:
-                        # One multi-request frame carries the pair's
-                        # queued oneways; the saved overhead is the
-                        # per-call framing the batch envelope amortises.
-                        self.flushes += 1
-                        self.frames += 1
-                        self.bytes_saved += \
-                            (len(queued) - 1) * CALL_OVERHEAD_BYTES
                     self._outgoing[sender][dest] = []
         self._inbox = new_inbox
 

@@ -44,13 +44,6 @@ class BspRun:
     drma_calls: int = 0
     #: Modelled wire bytes including per-call framing overhead.
     wire_bytes: int = 0
-    #: Wire frames the BSMP plane would emit (== its ``orb_calls``
-    #: unless transport oneway batching coalesces per-pair sends).
-    bsmp_frames: int = 0
-    #: Wire frames the DRMA plane would emit (puts batch; gets do not).
-    drma_frames: int = 0
-    #: Per-call framing overhead amortised away by oneway batching.
-    bytes_saved: int = 0
 
 
 @dataclass
@@ -71,7 +64,6 @@ def run_bsp(
     sync_timeout: float = DEFAULT_SYNC_TIMEOUT,
     metrics=None,
     combining: bool = False,
-    batch_oneway: bool = False,
 ) -> BspRun:
     """Execute ``fn(bsp, *args)`` on ``nprocs`` BSP processes.
 
@@ -90,12 +82,6 @@ def run_bsp(
     :mod:`repro.bsp.messages` / :mod:`repro.bsp.drma`).  Results and
     delivery order are identical; only the ORB call / wire accounting
     in the returned :class:`BspRun` changes.
-
-    ``batch_oneway=True`` models the ORB's transport-level oneway
-    batching instead: logical call counts stay put, but per-pair sends
-    and puts share wire frames flushed at the barrier, so the
-    ``bsmp_frames`` / ``drma_frames`` counters drop from O(messages)
-    to O(communicating pairs).  Results are identical.
     """
     if nprocs <= 0:
         raise ValueError(f"nprocs must be positive, got {nprocs}")
@@ -104,10 +90,8 @@ def run_bsp(
         from repro.obs.metrics import LATENCY_BOUNDS_S
         barrier_hist = metrics.histogram("bsp.barrier_wait_s",
                                          LATENCY_BOUNDS_S)
-    buffers = MessageBuffers(nprocs, combining=combining,
-                             batch_oneway=batch_oneway)
-    registers = Registers(nprocs, batched=combining,
-                          batch_oneway=batch_oneway)
+    buffers = MessageBuffers(nprocs, combining=combining)
+    registers = Registers(nprocs, batched=combining)
     state = _SharedState(nprocs, buffers, registers)
 
     def on_barrier():
@@ -198,7 +182,4 @@ def run_bsp(
         orb_calls=buffers.orb_calls,
         drma_calls=registers.drma_calls,
         wire_bytes=buffers.wire_bytes,
-        bsmp_frames=buffers.frames,
-        drma_frames=registers.frames,
-        bytes_saved=buffers.bytes_saved,
     )

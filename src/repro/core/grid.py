@@ -103,7 +103,6 @@ class Grid:
         update_epsilon: float = 0.0,
         max_update_interval: Optional[float] = None,
         batched_ingest: bool = False,
-        zero_copy_cdr: bool = False,
         chunked_checkpoints: bool = False,
         checkpoint_chunk_size: Optional[int] = None,
         checkpoint_rebase_every: Optional[int] = None,
@@ -139,9 +138,6 @@ class Grid:
         self.update_epsilon = update_epsilon
         self.max_update_interval = max_update_interval
         self.batched_ingest = batched_ingest
-        #: Decode/encode CDR without copies on whatever still marshals
-        #: (auth-enveloped grids); wire bytes are identical either way.
-        self.zero_copy_cdr = zero_copy_cdr
         #: Execution-plane scaling knobs (also off by default): chunked
         #: content-addressed checkpoint storage per cluster repository
         #: and digest-skip of unchanged per-node checkpoint saves.
@@ -205,7 +201,6 @@ class Grid:
             credentials=self._credentials,
             keyring=self._keyring,
             require_auth=self._keyring is not None,
-            zero_copy_cdr=self.zero_copy_cdr,
         )
         self._orbs.append(orb)
         if self.wire_meter is not None:

@@ -21,8 +21,7 @@ The machine is deliberately free of any ORB or event-loop coupling:
 benchmark drives tens of thousands without building full node stacks.
 The payloads it produces travel as oneway requests: deltas shrink each
 message and throttling sheds messages.  Inside one process they are
-dispatched directly; between processes they compose with the ORB's
-oneway batching over TCP (``Orb(batch_oneway=True)``).
+dispatched directly; between processes each is one TCP frame.
 
 The ``"time"`` field is special: it changes every interval by
 definition, so it never *triggers* an update, but every payload carries

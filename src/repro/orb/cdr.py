@@ -18,12 +18,10 @@ padding baked into the format string as ``x`` bytes.  Plans are shared
 across message types through a cache keyed by the run's field signature.
 The wire format is bit-identical to the naive field-at-a-time encoder.
 
-Zero-copy decode: :class:`CdrDecoder` reads from ``bytes``/``bytearray``
-/``memoryview`` buffers alike; ``zero_copy=True`` additionally makes
-``read_octets`` return copy-free ``memoryview`` slices.  On the encode
-side, :func:`acquire_encoder`/:func:`release_encoder` pool encoders so
-hot paths reuse one bytearray allocation per message.  Neither changes
-a single wire byte.
+One decoder: :class:`CdrDecoder` reads ``bytes`` / ``bytearray`` /
+``memoryview`` buffers in place with ``unpack_from``, and octet
+sequences always come out as fresh ``bytes`` — the same type a
+collocated (unmarshalled) call hands the servant.
 """
 
 import struct as _struct
@@ -49,11 +47,6 @@ class CdrEncoder:
 
     def __init__(self):
         self._buf = bytearray()
-
-    def reset(self) -> None:
-        """Empty the buffer so the encoder (and its allocation) can be
-        reused for another message; see :func:`acquire_encoder`."""
-        del self._buf[:]
 
     def align(self, boundary: int) -> None:
         remainder = len(self._buf) % boundary
@@ -129,50 +122,16 @@ class CdrEncoder:
         return len(self._buf)
 
 
-# A small free-list of encoders so hot paths can reuse the underlying
-# bytearray allocation instead of building a fresh one per message.
-# list.append/list.pop are atomic under the GIL, so no lock is needed.
-# ``getvalue()`` copies, so a released encoder never aliases a payload.
-_ENCODER_POOL: list = []
-_ENCODER_POOL_MAX = 16
-
-
-def acquire_encoder() -> CdrEncoder:
-    """A cleared :class:`CdrEncoder`, reusing a pooled one when available."""
-    try:
-        enc = _ENCODER_POOL.pop()
-    except IndexError:
-        return CdrEncoder()
-    enc.reset()
-    return enc
-
-
-def release_encoder(enc: CdrEncoder) -> None:
-    """Return an encoder to the pool (dropped when the pool is full)."""
-    if len(_ENCODER_POOL) < _ENCODER_POOL_MAX:
-        _ENCODER_POOL.append(enc)
-
-
 class CdrDecoder:
     """Aligned binary reader matching :class:`CdrEncoder`.
 
     Accepts ``bytes``, ``bytearray``, or ``memoryview`` buffers; every
     primitive reads straight out of the buffer with ``unpack_from``.
-    With ``zero_copy=True`` the buffer is wrapped in a ``memoryview``
-    once and :meth:`read_octets` returns copy-free slices of it (the
-    caller must not outlive or mutate the backing buffer); string
-    decoding also goes through the view, so the slice before UTF-8
-    decoding never materialises an intermediate ``bytes``.  Decoded
-    *values* are identical either way except for the octet slices'
-    type (``memoryview`` instead of ``bytes``, equal by content).
     """
 
-    def __init__(self, data, zero_copy: bool = False):
-        if zero_copy and not isinstance(data, memoryview):
-            data = memoryview(data)
+    def __init__(self, data):
         self._data = data
         self._pos = 0
-        self._zero_copy = zero_copy
 
     def align(self, boundary: int) -> None:
         remainder = self._pos % boundary
@@ -239,8 +198,7 @@ class CdrDecoder:
         if data[end - 1] != 0:
             raise MarshalError("string is not NUL-terminated")
         self._pos = end
-        # str(buf, "utf-8") decodes bytes and memoryview slices alike;
-        # on a memoryview the slice itself is copy-free.
+        # str(buf, "utf-8") decodes bytes and memoryview slices alike.
         return str(data[pos:end - 1], "utf-8")
 
     def read_octets(self) -> bytes:
@@ -250,8 +208,6 @@ class CdrDecoder:
             raise MarshalError("buffer underrun reading octet sequence")
         raw = self._data[self._pos:end]
         self._pos = end
-        if self._zero_copy:
-            return raw
         return bytes(raw)
 
     @property

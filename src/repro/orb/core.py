@@ -28,8 +28,6 @@ from repro.orb.cdr import (
     CdrEncoder,
     String,
     Struct,
-    acquire_encoder,
-    release_encoder,
 )
 from repro.orb.exceptions import (
     BadOperation,
@@ -61,29 +59,9 @@ _STATUS_EXCEPTION = 1
 #: format and any ORB can parse (and skip) the extension.
 _TRACE_KEY = "\x00trace-ctx"
 
-#: Reserved object key heading a oneway *batch* frame (same NUL-prefix
-#: extension convention as :data:`_TRACE_KEY`).  The frame body is
-#: ``ulong count`` followed by ``count`` length-prefixed sub-requests,
-#: each a complete ordinary request payload; the receiver dispatches
-#: them in order and discards the (oneway) replies.  Batch frames are
-#: only ever sent to peers that advertised the capability, so
-#: non-batching servers never see one and the wire is byte-identical
-#: with batching off.
-_BATCH_KEY = "\x00batch"
-
-#: Modeled fixed cost of one transport invocation (framing + syscalls),
-#: the same constant the BSP comm model charges per ORB call; batching
-#: saves this once per coalesced call.  Feeds the ``orb.batch.bytes_saved``
-#: metric — a model, not a wire-byte measurement.
-_CALL_OVERHEAD_BYTES = 64
-
-#: Flush a peer's queue early once its sub-payloads exceed this many
-#: bytes, so one batch frame can never approach the transport frame cap.
-_BATCH_FLUSH_BYTES = 1 << 20
-
 
 def _encode_request(key: str, operation: Operation, args, header=None,
-                    trace_ctx=None, pooled: bool = False) -> bytes:
+                    trace_ctx=None) -> bytes:
     """The CDR payload of one request.
 
     ``header`` is a :class:`Stub`'s precomputed ``[key, operation]``
@@ -91,7 +69,7 @@ def _encode_request(key: str, operation: Operation, args, header=None,
     it): a request carrying ``trace_ctx`` must pass None and have the
     two strings re-encoded behind the extension.
     """
-    enc = acquire_encoder() if pooled else CdrEncoder()
+    enc = CdrEncoder()
     if trace_ctx is not None:
         enc.write_string(_TRACE_KEY)
         enc.write_string(trace_ctx[0])
@@ -103,10 +81,7 @@ def _encode_request(key: str, operation: Operation, args, header=None,
         enc.write_string(operation.name)
     for param, arg in zip(operation.params, args):
         param.idl_type.encode(enc, arg)
-    payload = enc.getvalue()
-    if pooled:
-        release_encoder(enc)
-    return payload
+    return enc.getvalue()
 
 
 class WireMeter:
@@ -127,7 +102,7 @@ class WireMeter:
 
     def __call__(self, target, operation: Operation, args) -> None:
         key = target if isinstance(target, str) else target.key
-        size = len(_encode_request(key, operation, args, pooled=True))
+        size = len(_encode_request(key, operation, args))
         self.requests += 1
         self.bytes += size
         by_op = self.bytes_by_operation
@@ -191,9 +166,6 @@ class Orb:
         credentials=None,
         keyring=None,
         require_auth: bool = False,
-        batch_oneway: bool = False,
-        zero_copy_cdr: bool = False,
-        tcp_pipelined: bool = False,
     ):
         if require_auth and keyring is None:
             raise ValueError("require_auth needs a keyring to verify against")
@@ -212,10 +184,7 @@ class Orb:
         self.domain.register(self.name, self)
         self._routes_epoch = self.domain.epoch
         self._inproc = InProcTransport(self.name, self.domain)
-        self._tcp = (
-            TcpTransport(self, tcp_host, tcp_port, pipelined=tcp_pipelined)
-            if tcp else None
-        )
+        self._tcp = TcpTransport(self, tcp_host, tcp_port) if tcp else None
         self.requests_handled = 0
         self._client_interceptors: list = []
         self._server_interceptors: list = []
@@ -228,31 +197,6 @@ class Orb:
         self.require_auth = require_auth
         #: Principal of the request currently being dispatched (if any).
         self.current_principal: Optional[str] = None
-        #: Opt-in oneway batching over TCP: queue oneway requests per
-        #: peer and coalesce each queue into one "\x00batch" frame at
-        #: :meth:`flush`.  Off (the default) leaves the wire
-        #: byte-identical to the per-call path.  Collocated calls are
-        #: dispatched directly and never queue.
-        self.batch_oneway = batch_oneway
-        #: Capability advertised to batching clients in the pipelined
-        #: negotiation ack: this ORB parses batch frames.  An ORB that
-        #: requires authenticated requests never advertises it, so
-        #: batches (which are never enveloped) stay off such wires.
-        self.accepts_batch = batch_oneway and not require_auth
-        #: Opt-in zero-copy CDR on the dispatch path: decode requests
-        #: through a memoryview, so octet args arrive as copy-free
-        #: slices, and reuse pooled encoders for request marshalling.
-        #: Output bytes are bit-identical either way.
-        self.zero_copy_cdr = zero_copy_cdr
-        # TCP address -> queued oneway payloads / their bytes.
-        self._batch_queues: dict[str, list] = {}
-        self._batch_pending_bytes: dict[str, int] = {}
-        #: Batch accounting (diagnostic, not part of :meth:`stats`, whose
-        #: key set is fixed): oneway calls that rode a batch, frames
-        #: actually sent, and the modeled per-call overhead they avoided.
-        self.batch_calls = 0
-        self.batch_frames = 0
-        self.batch_bytes_saved = 0
 
     # -- servant side ---------------------------------------------------------
 
@@ -389,26 +333,14 @@ class Orb:
             return peer.handle_request_direct(
                 ref.key, operation, args, trace_ctx
             )
-        payload = _encode_request(ref.key, operation, args, header,
-                                  trace_ctx, pooled=self.zero_copy_cdr)
-        # Traced calls never batch: the span must cover delivery.
-        return self._transmit(operation, transport, address, payload,
-                              batchable=trace_ctx is None)
+        payload = _encode_request(ref.key, operation, args, header, trace_ctx)
+        return self._transmit(operation, transport, address, payload)
 
     def _transmit(self, operation: Operation, transport, address: str,
-                  payload: bytes, batchable: bool):
+                  payload: bytes):
         """Wrap and send one encoded request; unmarshal the reply."""
         if self.credentials is not None:
             payload = self.credentials.wrap(payload)
-        if self.batch_oneway and transport is self._tcp:
-            if (batchable and operation.oneway and self.credentials is None
-                    and transport.peer_accepts_batch(address)):
-                self._enqueue_oneway(address, payload)
-                return None
-            if self._batch_queues:
-                # Per-peer ordering barrier: anything queued for this
-                # address is delivered before this request.
-                self._flush_peer(address)
         reply = transport.invoke(address, payload, operation.oneway)
         if operation.oneway:
             return None
@@ -419,62 +351,6 @@ class Orb:
         exc_type = dec.read_string()
         message = dec.read_string()
         raise RemoteInvocationError(exc_type, message)
-
-    # -- oneway batching (TCP) --------------------------------------------------
-
-    def _enqueue_oneway(self, address: str, payload: bytes) -> None:
-        self._batch_queues.setdefault(address, []).append(payload)
-        pending = self._batch_pending_bytes.get(address, 0) + len(payload) + 8
-        self._batch_pending_bytes[address] = pending
-        if pending >= _BATCH_FLUSH_BYTES:
-            self._flush_peer(address)
-
-    def _flush_peer(self, address: str) -> None:
-        queue = self._batch_queues.pop(address, None)
-        self._batch_pending_bytes.pop(address, None)
-        if queue:
-            self._send_batch(address, queue)
-
-    def flush(self) -> None:
-        """Send every queued oneway batch (a no-op when nothing is queued
-        or batching is off).
-
-        If several peers fail, the first :class:`CommunicationError` is
-        raised after every queue has been attempted.
-        """
-        queues = self._batch_queues
-        if not queues:
-            return
-        self._batch_queues = {}
-        self._batch_pending_bytes = {}
-        error = None
-        for address, payloads in queues.items():
-            try:
-                self._send_batch(address, payloads)
-            except CommunicationError as exc:
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-
-    def _send_batch(self, address: str, payloads: list) -> None:
-        count = len(payloads)
-        self.batch_calls += count
-        self.batch_frames += 1
-        if count == 1:
-            # A lone request needs no envelope; the wire carries exactly
-            # what the per-call path would have sent.
-            self._tcp.invoke(address, payloads[0], True)
-            return
-        enc = acquire_encoder()
-        enc.write_string(_BATCH_KEY)
-        enc.write_ulong(count)
-        for sub in payloads:
-            enc.write_octets(sub)
-        frame = enc.getvalue()
-        release_encoder(enc)
-        self.batch_bytes_saved += (count - 1) * _CALL_OVERHEAD_BYTES
-        self._tcp.invoke(address, frame, True)
 
     def _route(self, ref: ObjectRef) -> tuple:
         """``(collocated peer or None, transport, address)`` for a reference:
@@ -510,10 +386,6 @@ class Orb:
         try:
             self.current_principal = None
             if self.keyring is not None:
-                # Auth envelopes are inspected as bytes; zero-copy batch
-                # sub-payloads arrive as memoryviews, so materialise.
-                if not isinstance(payload, (bytes, bytearray)):
-                    payload = bytes(payload)
                 if is_authenticated(payload):
                     principal, payload = self.keyring.unwrap(payload)
                     self.current_principal = principal
@@ -525,22 +397,10 @@ class Orb:
                 raise AuthenticationError(
                     "this ORB only accepts authenticated requests"
                 )
-            dec = CdrDecoder(payload, zero_copy=self.zero_copy_cdr)
+            dec = CdrDecoder(payload)
             # The header is Struct{key: string, operation: string}; read the
             # two strings directly rather than through the Struct plan.
             key = dec.read_string()
-            if key == _BATCH_KEY:
-                # Oneway batch frame: dispatch each sub-request in order.
-                # Every sub goes back through this method, so per-request
-                # accounting, auth, and exception isolation behave as if
-                # the requests had arrived one frame each; the envelope
-                # itself is framing, not a request, hence the decrement.
-                self.requests_handled -= 1
-                count = dec.read_ulong()
-                for _ in range(count):
-                    self.handle_request_bytes(dec.read_octets())
-                enc.write_octet(_STATUS_OK)
-                return enc.getvalue()
             remote_parent = None
             if key == _TRACE_KEY:
                 # Trace-context extension: consume it whether or not this
@@ -649,16 +509,7 @@ class Orb:
         registry.view(prefix if prefix else f"orb.{self.name}", self.stats)
 
     def shutdown(self) -> None:
-        """Close transports and unregister from the domain.
-
-        Queued oneway batches are flushed first; a peer that is already
-        gone loses its queue (exactly what the per-call path would have
-        hit, one CommunicationError at a time)."""
-        if self._batch_queues:
-            try:
-                self.flush()
-            except CommunicationError:
-                pass
+        """Close transports and unregister from the domain."""
         self._inproc.close()
         if self._tcp is not None:
             self._tcp.close()

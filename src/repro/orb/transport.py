@@ -11,66 +11,23 @@ Two transports share one wire format (length-framed CDR payloads):
 * **TCP** — real sockets with a 4-byte big-endian length prefix, used by
   integration tests and the TCP microbenchmarks.
 
-TCP framing comes in two flavours.  The legacy (default) framing carries
-one flag byte (1 = reply expected) and serializes one request/reply
-exchange per connection at a time.  A transport created with
-``pipelined=True`` additionally *negotiates* correlation-id framing per
-connection: the first request on a connection is a probe whose payload
-is a request for the reserved ``"\x00pipe"`` object key.  A pipelined
-server intercepts the probe and answers with an ack frame (carrying
-capability flags, e.g. whether its ORB accepts oneway batch frames),
-after which both sides switch that connection to correlation-id frames
-and a per-connection reader thread demultiplexes replies — concurrent
-invokes no longer serialize a full round-trip under ``_conn_locks``.  A
-legacy server just dispatches the probe like any request and answers
-with an ``ObjectNotFound`` error reply, which the client takes as
-"speak legacy framing to this peer" — so mixed deployments work and
-non-pipelined wires are byte-identical to before.
+There is exactly one TCP framing: each frame carries one flag byte
+(1 = reply expected) before the CDR payload, and a per-peer lock keeps
+one request/reply exchange on a connection at a time.  ``TCP_NODELAY``
+is set on every socket the transport connects or accepts: a oneway
+followed by a two-way call on the same connection otherwise waits out
+Nagle's algorithm against the peer's delayed ACK (~44 ms on Linux).
 """
 
-import itertools
 import socket
 import struct
 import threading
 from typing import Optional
 
-from repro.orb.cdr import CdrEncoder
 from repro.orb.exceptions import CommunicationError
 
 _FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-# -- pipelined-framing constants --------------------------------------------
-
-#: Reserved object key requested by the negotiation probe.  Servant keys
-#: never start with NUL (same convention as the ORB's "\x00trace-ctx"
-#: and "\x00batch" header extensions), so the probe can never collide
-#: with a real object and a legacy server simply fails it with
-#: ObjectNotFound.
-PIPE_KEY = "\x00pipe"
-
-#: Frame types used after a successful negotiation (legacy frames use
-#: flag bytes 0x00/0x01 in the same position).
-_FT_ONEWAY = 0x10    # [type][payload]            no reply
-_FT_REQUEST = 0x11   # [type][corr-id:4][payload] reply expected
-_FT_REPLY = 0x12     # [type][corr-id:4][payload]
-
-_PIPE_ACK_MAGIC = b"\x00pipe-ack"
-_ACK_PIPELINED = 0x01
-_ACK_BATCH_OK = 0x02
-
-#: How long a pipelined caller waits for its demultiplexed reply.
-_REPLY_TIMEOUT_S = 30.0
-
-
-def _build_probe() -> bytes:
-    enc = CdrEncoder()
-    enc.write_string(PIPE_KEY)
-    enc.write_string("negotiate")
-    return enc.getvalue()
-
-
-_PIPE_PROBE = _build_probe()
 
 
 class TransportStats:
@@ -187,62 +144,26 @@ def _recv_frame(sock: socket.socket) -> bytes:
 
 
 def _set_nodelay(sock: socket.socket) -> None:
-    """Disable Nagle on a pipelined connection.
-
-    Pipelined framing streams many small frames without intervening
-    round-trips, exactly the pattern Nagle's algorithm stalls behind
-    delayed ACKs.  The legacy request/reply path is left untouched — it
-    self-clocks on replies, and the seed's socket setup stays as-is.
-    """
+    """Disable Nagle: frames are small and a caller is waiting on each."""
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
-        pass   # non-TCP or platform without the option; purely advisory
-
-
-class _PipelinedConn:
-    """Client side of one correlation-id framed connection.
-
-    ``pending`` maps correlation id -> ``[event, reply]``; the reader
-    thread fills the reply slot and sets the event.  A reply slot left
-    ``None`` after the event fires means the connection died.
-    """
-
-    __slots__ = ("sock", "send_lock", "pending", "pending_lock",
-                 "batch_ok", "closed", "reader", "_ids")
-
-    def __init__(self, sock: socket.socket, batch_ok: bool):
-        self.sock = sock
-        self.send_lock = threading.Lock()
-        self.pending: dict[int, list] = {}
-        self.pending_lock = threading.Lock()
-        self.batch_ok = batch_ok
-        self.closed = False
-        self.reader: Optional[threading.Thread] = None
-        self._ids = itertools.count(1)
-
-    def next_corr(self) -> int:
-        return next(self._ids) & 0xFFFFFFFF
+        pass   # platform without the option; purely advisory
 
 
 class TcpTransport:
     """A real-socket transport: server thread plus cached client connections.
 
-    Legacy frames carry one flag byte (1 = reply expected) before the
-    CDR payload so oneway requests do not generate replies.  With
-    ``pipelined=True`` each connection is upgraded — when the peer
-    agrees — to correlation-id framing (see the module docstring); peers
-    that do not agree keep the legacy framing, unchanged.
+    Frames carry one flag byte (1 = reply expected) before the CDR
+    payload so oneway requests do not generate replies.
     """
 
     kind = "tcp"
 
-    def __init__(self, orb, host: str = "127.0.0.1", port: int = 0,
-                 pipelined: bool = False):
+    def __init__(self, orb, host: str = "127.0.0.1", port: int = 0):
         self._orb = orb
         self.stats = TransportStats()
-        self._pipelined = pipelined
-        #: Malformed frames dropped by the serving loops (diagnostic;
+        #: Malformed frames dropped by the serving loop (diagnostic;
         #: not part of TransportStats, whose key set is fixed).
         self.frames_rejected = 0
         self._server = socket.create_server((host, port))
@@ -250,15 +171,11 @@ class TcpTransport:
         self._closing = False
         self._client_socks: dict[str, socket.socket] = {}
         self._client_lock = threading.Lock()
-        # One lock per destination: a request/reply exchange must not
-        # interleave with another thread's frames on the same connection.
-        # (On a pipelined connection the lock only guards negotiation;
-        # after that, sends interleave freely under the conn's send_lock.)
+        # One lock per destination, kept for the transport's lifetime: it
+        # is the only thing stopping two threads' frames (and replies)
+        # interleaving on a connection, so it must outlive any one socket
+        # to that peer.  The table is bounded by peers, not by calls.
         self._conn_locks: dict[str, threading.Lock] = {}
-        self._pipelined_conns: dict[str, _PipelinedConn] = {}
-        # Peers that answered the probe with an error reply speak legacy
-        # framing; remembered so the probe is sent once per peer.
-        self._legacy_addrs: set[str] = set()
         self._server_conns: list[socket.socket] = []
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"orb-tcp-{self.port}", daemon=True
@@ -277,6 +194,7 @@ class TcpTransport:
                 conn, _addr = self._server.accept()
             except OSError:
                 return   # server socket closed
+            _set_nodelay(conn)
             self._server_conns.append(conn)
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
@@ -299,17 +217,6 @@ class TcpTransport:
                         continue
                     expects_reply = frame[0] == 1
                     payload = frame[1:]
-                    if (self._pipelined and expects_reply
-                            and payload == _PIPE_PROBE):
-                        # Framing negotiation: ack (with capability
-                        # flags) and upgrade this connection.  Control
-                        # traffic stays out of the request counters.
-                        try:
-                            _send_frame(conn, self._ack_payload())
-                        except OSError:
-                            return
-                        self._serve_pipelined(conn)
-                        return
                     self.stats.requests_received += 1
                     self.stats.bytes_received += len(payload)
                     reply = self._orb.handle_request_bytes(payload)
@@ -327,49 +234,6 @@ class TcpTransport:
             except ValueError:
                 pass
 
-    def _ack_payload(self) -> bytes:
-        flags = _ACK_PIPELINED
-        if getattr(self._orb, "accepts_batch", False):
-            flags |= _ACK_BATCH_OK
-        return _PIPE_ACK_MAGIC + bytes((flags,))
-
-    def _serve_pipelined(self, conn: socket.socket) -> None:
-        """Serve correlation-id frames: requests are dispatched in arrival
-        order, but the client never waits a round-trip between sends."""
-        _set_nodelay(conn)
-        send_lock = threading.Lock()
-        handle = self._orb.handle_request_bytes
-        while not self._closing:
-            try:
-                frame = _recv_frame(conn)
-            except (CommunicationError, OSError):
-                return
-            if not frame:
-                self.frames_rejected += 1
-                continue
-            ftype = frame[0]
-            if ftype == _FT_ONEWAY:
-                payload = memoryview(frame)[1:]
-                self.stats.requests_received += 1
-                self.stats.bytes_received += len(payload)
-                handle(payload)
-            elif ftype == _FT_REQUEST and len(frame) >= 5:
-                corr = frame[1:5]
-                payload = memoryview(frame)[5:]
-                self.stats.requests_received += 1
-                self.stats.bytes_received += len(payload)
-                reply = handle(payload)
-                try:
-                    with send_lock:
-                        _send_frame(
-                            conn, bytes((_FT_REPLY,)) + corr + reply
-                        )
-                    self.stats.bytes_sent += len(reply)
-                except (OSError, CommunicationError):
-                    return
-            else:
-                self.frames_rejected += 1
-
     # -- client side ---------------------------------------------------------
 
     def _connection_to(self, address: str) -> socket.socket:
@@ -383,175 +247,20 @@ class TcpTransport:
                     raise CommunicationError(
                         f"cannot connect to {address}: {exc}"
                     ) from exc
+                _set_nodelay(sock)
                 self._client_socks[address] = sock
             return sock
 
     def _drop_connection(self, address: str) -> None:
         with self._client_lock:
             sock = self._client_socks.pop(address, None)
-            # Drop the per-address lock with the socket: otherwise the
-            # lock table grows by one entry per address ever contacted.
-            self._conn_locks.pop(address, None)
         if sock is not None:
             try:
                 sock.close()
             except OSError:
                 pass
 
-    # -- pipelined client path -----------------------------------------------
-
-    def _negotiate(self, address: str) -> Optional[_PipelinedConn]:
-        """Probe ``address`` for pipelined framing (caller holds the
-        per-address lock).  Returns the upgraded connection, or None when
-        the peer answered like a legacy server."""
-        sock = self._connection_to(address)
-        try:
-            _send_frame(sock, b"\x01" + _PIPE_PROBE)
-            reply = _recv_frame(sock)
-        except (OSError, CommunicationError) as exc:
-            self._drop_connection(address)
-            raise CommunicationError(
-                f"invoke on {address} failed: {exc}"
-            ) from exc
-        if not reply.startswith(_PIPE_ACK_MAGIC):
-            # A legacy server dispatched the probe and sent back an
-            # ObjectNotFound error reply: speak legacy framing to it.
-            self._legacy_addrs.add(address)
-            return None
-        flags = reply[len(_PIPE_ACK_MAGIC)] if len(reply) > len(_PIPE_ACK_MAGIC) else 0
-        # The pipelined conn owns the socket from here on; the reader
-        # blocks indefinitely (reply timeouts are enforced per waiter).
-        with self._client_lock:
-            self._client_socks.pop(address, None)
-        sock.settimeout(None)
-        _set_nodelay(sock)
-        conn = _PipelinedConn(sock, batch_ok=bool(flags & _ACK_BATCH_OK))
-        conn.reader = threading.Thread(
-            target=self._reader_loop, args=(conn,),
-            name=f"orb-tcp-reader-{address}", daemon=True,
-        )
-        conn.reader.start()
-        self._pipelined_conns[address] = conn
-        return conn
-
-    def _reader_loop(self, conn: _PipelinedConn) -> None:
-        """Demultiplex reply frames to their waiting callers."""
-        try:
-            while True:
-                frame = _recv_frame(conn.sock)
-                if len(frame) >= 5 and frame[0] == _FT_REPLY:
-                    corr = int.from_bytes(frame[1:5], "big")
-                    with conn.pending_lock:
-                        waiter = conn.pending.pop(corr, None)
-                    if waiter is not None:
-                        waiter[1] = frame[5:]
-                        waiter[0].set()
-        except (OSError, CommunicationError):
-            pass
-        finally:
-            conn.closed = True
-            with conn.pending_lock:
-                waiters = list(conn.pending.values())
-                conn.pending.clear()
-            for waiter in waiters:
-                waiter[0].set()   # reply slot stays None -> error
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-
-    def _pipelined_conn(self, address: str) -> Optional[_PipelinedConn]:
-        """The live upgraded connection for ``address``, negotiating on
-        first use; None when the peer speaks legacy framing."""
-        conn = self._pipelined_conns.get(address)
-        if conn is not None and not conn.closed:
-            return conn
-        with self._client_lock:
-            lock = self._conn_locks.setdefault(address, threading.Lock())
-        with lock:
-            conn = self._pipelined_conns.get(address)
-            if conn is not None:
-                if not conn.closed:
-                    return conn
-                self._pipelined_conns.pop(address, None)
-            if address in self._legacy_addrs:
-                return None
-            return self._negotiate(address)
-
-    def _drop_pipelined(self, address: str, conn: _PipelinedConn) -> None:
-        conn.closed = True
-        try:
-            conn.sock.close()   # wakes the reader, which fails waiters
-        except OSError:
-            pass
-        if self._pipelined_conns.get(address) is conn:
-            self._pipelined_conns.pop(address, None)
-
-    def _invoke_pipelined(
-        self, conn: _PipelinedConn, address: str, payload: bytes, oneway: bool
-    ) -> Optional[bytes]:
-        if oneway:
-            try:
-                with conn.send_lock:
-                    _send_frame(conn.sock, bytes((_FT_ONEWAY,)) + payload)
-            except (OSError, CommunicationError) as exc:
-                self._drop_pipelined(address, conn)
-                raise CommunicationError(
-                    f"invoke on {address} failed: {exc}"
-                ) from exc
-            self.stats.requests_sent += 1
-            self.stats.bytes_sent += len(payload)
-            return None
-        corr = conn.next_corr()
-        waiter = [threading.Event(), None]
-        with conn.pending_lock:
-            conn.pending[corr] = waiter
-        header = bytes((_FT_REQUEST,)) + corr.to_bytes(4, "big")
-        try:
-            with conn.send_lock:
-                _send_frame(conn.sock, header + payload)
-        except (OSError, CommunicationError) as exc:
-            with conn.pending_lock:
-                conn.pending.pop(corr, None)
-            self._drop_pipelined(address, conn)
-            raise CommunicationError(
-                f"invoke on {address} failed: {exc}"
-            ) from exc
-        self.stats.requests_sent += 1
-        self.stats.bytes_sent += len(payload)
-        if not waiter[0].wait(_REPLY_TIMEOUT_S):
-            with conn.pending_lock:
-                conn.pending.pop(corr, None)
-            self._drop_pipelined(address, conn)
-            raise CommunicationError(f"invoke on {address} timed out")
-        reply = waiter[1]
-        if reply is None:
-            raise CommunicationError(
-                f"invoke on {address} failed: connection lost"
-            )
-        self.stats.replies_received += 1
-        self.stats.bytes_received += len(reply)
-        return reply
-
-    def peer_accepts_batch(self, address: str) -> bool:
-        """Does the ORB behind ``address`` accept oneway batch frames?
-
-        Only knowable — and only true — on a pipelined connection, whose
-        negotiation ack carries the server's capability flags.
-        """
-        if not self._pipelined or self._closing:
-            return False
-        try:
-            conn = self._pipelined_conn(address)
-        except CommunicationError:
-            return False
-        return conn is not None and conn.batch_ok
-
     def invoke(self, address: str, payload: bytes, oneway: bool) -> Optional[bytes]:
-        if self._pipelined and address not in self._legacy_addrs:
-            conn = self._pipelined_conn(address)
-            if conn is not None:
-                return self._invoke_pipelined(conn, address, payload, oneway)
         with self._client_lock:
             lock = self._conn_locks.setdefault(address, threading.Lock())
         flag = b"\x00" if oneway else b"\x01"
@@ -575,10 +284,19 @@ class TcpTransport:
 
     def close(self) -> None:
         self._closing = True
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down does.  Joining the thread
+        # releases its references to this transport, the ORB and every
+        # servant, and means no connection is accepted after this point.
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass   # platforms where close() alone wakes accept()
         try:
             self._server.close()
         except OSError:
             pass
+        self._accept_thread.join(timeout=5)
         for conn in list(self._server_conns):
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -589,8 +307,6 @@ class TcpTransport:
             except OSError:
                 pass
         self._server_conns.clear()
-        for address, conn in list(self._pipelined_conns.items()):
-            self._drop_pipelined(address, conn)
         with self._client_lock:
             for sock in self._client_socks.values():
                 try:

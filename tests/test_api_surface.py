@@ -1,0 +1,39 @@
+"""The knob budget: how many options each public entry point takes.
+
+Every number is an *upper* bound and may only ever be lowered (ROADMAP
+exit: ``Grid`` <= 14).  A PR that adds an option turns this red and has
+to argue for raising a bound.
+"""
+
+import inspect
+
+import pytest
+
+from repro.bsp.drma import Registers
+from repro.bsp.messages import MessageBuffers
+from repro.bsp.runtime import run_bsp
+from repro.core.grid import Grid
+from repro.orb.cdr import CdrDecoder
+from repro.orb.core import Orb
+from repro.orb.transport import TcpTransport
+
+BUDGET = [
+    (Orb.__init__, 8),
+    (Grid.__init__, 28),
+    (TcpTransport.__init__, 3),
+    (CdrDecoder.__init__, 1),
+    (MessageBuffers.__init__, 2),
+    (Registers.__init__, 2),
+    (run_bsp, 5),            # ``*args`` belongs to the program, not to us
+]
+
+
+@pytest.mark.parametrize(
+    "func, limit", BUDGET, ids=[func.__qualname__ for func, _ in BUDGET])
+def test_parameter_count_within_budget(func, limit):
+    params = [p for p in inspect.signature(func).parameters.values()
+              if p.name != "self"]
+    # ``**kwargs`` would let options in uncounted.
+    assert not any(p.kind is p.VAR_KEYWORD for p in params)
+    named = [p.name for p in params if p.kind is not p.VAR_POSITIONAL]
+    assert len(named) <= limit, named

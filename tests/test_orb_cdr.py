@@ -203,93 +203,39 @@ class TestDecoderRobustness:
         dec.read_ulong()
         assert dec.remaining == 0
 
+    BLOB = b"\x00\x01\xff" * 100
 
-class TestZeroCopyDecoder:
     def _payload(self):
         enc = CdrEncoder()
         enc.write_string("chunk-0")
         enc.write_ulong(7)
-        enc.write_octets(b"\x00\x01\xff" * 100)
+        enc.write_octets(self.BLOB)
         enc.write_double(2.5)
         return enc.getvalue()
 
-    def test_zero_copy_roundtrip_matches_seed(self):
-        buf = self._payload()
-        seed = CdrDecoder(buf)
-        zc = CdrDecoder(buf, zero_copy=True)
-        assert seed.read_string() == zc.read_string()
-        assert seed.read_ulong() == zc.read_ulong()
-        assert seed.read_octets() == bytes(zc.read_octets())
-        assert seed.read_double() == zc.read_double()
-        assert zc.remaining == 0
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_any_buffer_type_decodes_in_place(self, wrap):
+        dec = CdrDecoder(wrap(self._payload()))
+        assert dec.read_string() == "chunk-0"
+        assert dec.read_ulong() == 7
+        assert dec.read_octets() == self.BLOB
+        assert dec.read_double() == 2.5
+        assert dec.remaining == 0
 
-    def test_zero_copy_octets_are_views_into_the_buffer(self):
-        buf = self._payload()
-        zc = CdrDecoder(buf, zero_copy=True)
-        zc.read_string()
-        zc.read_ulong()
-        blob = zc.read_octets()
-        assert isinstance(blob, memoryview)
-        assert bytes(blob) == b"\x00\x01\xff" * 100
-
-    def test_seed_octets_stay_bytes(self):
-        # The default decoder must keep returning owning bytes: callers
-        # in the seed path stash them past the buffer's lifetime.
-        buf = self._payload()
-        dec = CdrDecoder(buf)
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_octets_are_owning_bytes(self, wrap):
+        # Whatever the buffer, octets come out as ``bytes`` — the type a
+        # collocated call hands the servant — and own their storage:
+        # callers stash them past the buffer's lifetime.
+        backing = bytearray(self._payload())
+        dec = CdrDecoder(wrap(backing))
         dec.read_string()
         dec.read_ulong()
-        assert isinstance(dec.read_octets(), bytes)
+        blob = dec.read_octets()
+        backing[:] = bytes(len(backing))
+        assert type(blob) is bytes
+        assert blob == self.BLOB
 
-    def test_zero_copy_accepts_memoryview_input(self):
-        buf = self._payload()
-        zc = CdrDecoder(memoryview(buf), zero_copy=True)
-        assert zc.read_string() == "chunk-0"
-        assert zc.read_ulong() == 7
-
-    def test_zero_copy_underrun_still_raises(self):
+    def test_memoryview_underrun_still_raises(self):
         with pytest.raises(MarshalError):
-            CdrDecoder(b"\x01", zero_copy=True).read_double()
-
-
-class TestEncoderPool:
-    def test_acquire_release_reuses_instances(self):
-        from repro.orb.cdr import acquire_encoder, release_encoder
-
-        enc = acquire_encoder()
-        enc.write_string("x")
-        release_encoder(enc)
-        again = acquire_encoder()
-        try:
-            # Pooled encoders come back reset: no residue from the
-            # previous user may leak into the next payload.
-            assert again.getvalue() == b""
-        finally:
-            release_encoder(again)
-
-    def test_pooled_output_matches_fresh(self):
-        from repro.orb.cdr import acquire_encoder, release_encoder
-
-        fresh = CdrEncoder()
-        fresh.write_string("task")
-        fresh.write_double(1.25)
-        pooled = acquire_encoder()
-        try:
-            pooled.write_string("task")
-            pooled.write_double(1.25)
-            assert pooled.getvalue() == fresh.getvalue()
-        finally:
-            release_encoder(pooled)
-
-    def test_pool_is_bounded(self):
-        from repro.orb.cdr import (
-            _ENCODER_POOL,
-            _ENCODER_POOL_MAX,
-            acquire_encoder,
-            release_encoder,
-        )
-
-        encoders = [acquire_encoder() for _ in range(_ENCODER_POOL_MAX + 8)]
-        for enc in encoders:
-            release_encoder(enc)
-        assert len(_ENCODER_POOL) <= _ENCODER_POOL_MAX
+            CdrDecoder(memoryview(b"\x01")).read_double()

@@ -272,6 +272,26 @@ class TestTcpTransport:
             server.shutdown()
             client.shutdown()
 
+    def test_oneways_send_immediately_one_frame_per_call(self):
+        server = Orb("s5", domain=InProcDomain(), tcp=True)
+        client = Orb("c5", domain=InProcDomain(), tcp=True)
+        try:
+            servant = Calculator()
+            ref = server.activate(servant, CALC_INTERFACE)
+            stub = client.stub(ref, CALC_INTERFACE)
+            stub.notify("n0")
+            stub.notify("n1")
+            # The two-way call returns only after both oneways before it
+            # on the connection were dispatched, in order.
+            assert stub.add(1.0, 1.0) == 2.0
+            assert servant.notifications == ["n0", "n1"]
+            # One frame per call, nothing held back on the client.
+            assert client.stats()["requests_sent"] == 3
+            assert server.stats()["requests_received"] == 3
+        finally:
+            server.shutdown()
+            client.shutdown()
+
     def test_connection_refused(self):
         client = Orb("c3", domain=InProcDomain(), tcp=True)
         try:

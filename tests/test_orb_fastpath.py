@@ -111,6 +111,14 @@ class TestDirectDispatch:
         assert servant.fired == [3.0]
         assert client.stats()["replies_received"] == 0
 
+    def test_collocated_oneways_never_queue(self):
+        server, client, stub, servant = make_pair()
+        for x in (1.0, 2.0, 3.0):
+            stub.fire(x)
+            assert servant.fired[-1] == x   # delivered before fire() returns
+        assert servant.fired == [1.0, 2.0, 3.0]
+        assert server.requests_handled == 3
+
     def test_arg_count_still_checked(self):
         server, client, stub, _ = make_pair()
         with pytest.raises(TypeError):
