@@ -26,7 +26,7 @@ JOBS = 20
 def run_variant(update_interval, optimistic, seed=3):
     grid = Grid(
         seed=seed, policy="first_fit", lupa_enabled=False,
-        update_interval=update_interval, tick_interval=60.0,
+        update_interval=update_interval,
         schedule_interval=60.0,
     )
     handle = grid.add_cluster("c0")

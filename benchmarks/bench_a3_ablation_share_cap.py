@@ -34,6 +34,9 @@ class _SinkGrm:
     def send_update(self, status):
         pass
 
+    def heartbeat(self, node):
+        pass
+
     def task_completed(self, node, task_id, result=None):
         self.completed += 1
 
@@ -52,7 +55,7 @@ def run_cap(active_cap, seed=21):
     )
     policy = SharingPolicy(cpu_cap_idle=1.0, cpu_cap_active=active_cap)
     ncc = NodeControlCenter(loop.clock, policy)
-    lrm = Lrm(loop, workstation, ncc, tick_interval=30.0)
+    lrm = Lrm(loop, workstation, ncc)
     grm = _SinkGrm()
     lrm.attach_grm(grm, "IOR:sink")
 

@@ -43,7 +43,7 @@ def build_network(intra_mbps, inter_mbps):
 def build_grid(intra_mbps=100.0, inter_mbps=10.0, spare=5):
     network = build_network(intra_mbps, inter_mbps)
     grid = Grid(seed=5, policy="first_fit", lupa_enabled=False,
-                update_interval=600.0, tick_interval=120.0)
+                update_interval=600.0)
     grid.add_cluster("campus", network=network)
     spec = MachineSpec(mips=800.0, ram_mb=64.0)
     for i in range(GROUP + spare):

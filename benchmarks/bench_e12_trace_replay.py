@@ -74,7 +74,7 @@ def run_workload(grid):
 def live_grid(policy, seed=55):
     grid = Grid(seed=seed, policy=policy, lupa_enabled=True,
                 lupa_min_history_days=7,
-                update_interval=300.0, tick_interval=300.0)
+                update_interval=300.0)
     grid.add_cluster("c0")
     for i, profile in enumerate(PROFILES):
         grid.add_node("c0", f"n{i:02}", profile=profile,
@@ -86,7 +86,7 @@ def live_grid(policy, seed=55):
 def replay_grid(policy, traces):
     grid = Grid(seed=1, policy=policy, lupa_enabled=True,
                 lupa_min_history_days=7,
-                update_interval=300.0, tick_interval=300.0)
+                update_interval=300.0)
     grid.add_cluster("c0")
     for name, events in traces.items():
         grid.add_trace_node("c0", name, events, sharing=VACATE_POLICY,

@@ -6,7 +6,9 @@ and byte load the GRM absorbs per hour (requests priced in CDR bytes by
 a WireMeter on the manager's ORB) and the mean staleness of the GRM's
 view.  Expected shape: load grows
 linearly with nodes and inversely with the interval; staleness is about
-half the interval.
+half the interval.  The nodes are idle and dedicated, so nothing
+changes: nine sends in ten are ~36-byte heartbeats and the tenth is the
+144-byte full refresh, which is what "bytes/update" averages.
 """
 
 from repro import Grid
@@ -20,7 +22,7 @@ from conftest import run_once, save_result
 def measure(nodes, update_interval, seed=1):
     grid = Grid(
         seed=seed, policy="first_fit", lupa_enabled=False,
-        update_interval=update_interval, tick_interval=300.0,
+        update_interval=update_interval,
     )
     grid.add_cluster("c0")
     for i in range(nodes):

@@ -25,7 +25,7 @@ JOBS = 30
 def measure(update_interval, seed=3):
     grid = Grid(
         seed=seed, policy="first_fit", lupa_enabled=False,
-        update_interval=update_interval, tick_interval=60.0,
+        update_interval=update_interval,
         schedule_interval=60.0,
     )
     grid.add_cluster("c0")

@@ -26,7 +26,7 @@ SEEDS = (31, 32, 33)
 def run_policy(policy, seed=31):
     grid = Grid(
         seed=seed, policy=policy, lupa_enabled=True,
-        lupa_min_history_days=7, update_interval=120.0, tick_interval=60.0,
+        lupa_min_history_days=7, update_interval=120.0,
     )
     grid.add_cluster("c0")
     profiles = [OFFICE_WORKER] * 6 + [STUDENT_LAB] * 3 + [NIGHT_OWL] * 3

@@ -4,8 +4,8 @@ The paper claims "support for a broad range of parallel applications"
 on shared machines, using BSP.  Fix the total work, split it over 1-16
 processes, and measure the speedup curve on dedicated nodes.  Expected
 shape: near-linear at small scale, flattening as fixed superstep costs
-(tick-quantised barriers + communication over the LAN) start to
-dominate the shrinking per-process compute.
+(the barrier and communication over the LAN, which grows with the
+gang) start to weigh on the shrinking per-process compute.
 """
 
 from repro import ApplicationSpec, Grid
@@ -20,7 +20,7 @@ SUPERSTEPS = 16
 
 def run_scale(nprocs, seed=2, straggler_mips=None):
     grid = Grid(seed=seed, policy="first_fit", lupa_enabled=False,
-                update_interval=300.0, tick_interval=10.0)
+                update_interval=300.0)
     grid.add_cluster("c0")
     for i in range(nprocs):
         spec = None
@@ -76,7 +76,11 @@ def test_e5_bsp_speedup(benchmark):
     # Monotone speedup, near-linear at small scale, sub-linear at 16.
     assert speedups[2] > 1.7
     assert speedups[4] > 3.0
-    assert speedups[16] / 16 < 0.95   # fixed superstep costs bite at scale
+    # Fixed superstep costs bite at scale.  At 16 processes each of the
+    # 15 barriers costs 16 x 2 MB x 0.8 x 8 / 100 Mb/s + 0.05 s = 2.10 s
+    # on 45 s of compute: efficiency 0.958, falling with every doubling.
+    assert speedups[16] / 16 < 0.97
+    assert speedups[16] / 16 < speedups[8] / 8 < speedups[4] / 4
     assert speedups[8] > speedups[4]
     assert speedups[16] > speedups[8]
     assert speedups[16] < 16.0

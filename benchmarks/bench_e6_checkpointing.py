@@ -24,7 +24,7 @@ WORK_MIPS = 2.16e7      # 6 idle hours/process: crosses the blackout
 
 def run_cadence(checkpoint_every, seed=8):
     grid = Grid(seed=seed, policy="first_fit", lupa_enabled=False,
-                update_interval=300.0, tick_interval=30.0)
+                update_interval=300.0)
     grid.add_cluster("c0")
     for i in range(PROCESSES - 1):
         grid.add_node("c0", f"d{i}", dedicated=True)

@@ -48,6 +48,9 @@ class _SinkGrm:
     def send_update(self, status):
         pass
 
+    def heartbeat(self, node):
+        pass
+
     def task_completed(self, node, task_id, result=None):
         self.completed += 1
 
@@ -66,7 +69,7 @@ def run_regime(label, policy, scheduling, seed=21):
         scheduling=scheduling,
     )
     ncc = NodeControlCenter(loop.clock, policy)
-    lrm = Lrm(loop, workstation, ncc, tick_interval=30.0)
+    lrm = Lrm(loop, workstation, ncc)
     grm = _SinkGrm()
     lrm.attach_grm(grm, "IOR:sink")
 

@@ -56,7 +56,7 @@ def bsp_spec(j):
 
 def run_integrade():
     grid = Grid(seed=SEED, policy="pattern_aware", lupa_enabled=True,
-                update_interval=120.0, tick_interval=60.0)
+                update_interval=120.0)
     grid.add_cluster("c0")
     for i, profile in enumerate(POOL_PROFILES):
         grid.add_node("c0", f"ws{i:02}", profile=profile,

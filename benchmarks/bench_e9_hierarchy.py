@@ -35,7 +35,7 @@ def _metered_hour(grid, manager_orb):
 def run_flat(total_nodes):
     """Every node reports to one GRM — the flat strawman."""
     grid = Grid(seed=4, policy="first_fit", lupa_enabled=False,
-                update_interval=UPDATE_INTERVAL, tick_interval=300.0)
+                update_interval=UPDATE_INTERVAL)
     grid.add_cluster("flat")
     for i in range(total_nodes):
         grid.add_node("flat", f"n{i:04}", dedicated=True)
@@ -47,7 +47,7 @@ def run_hierarchical(total_nodes):
     """Clusters of NODES_PER_CLUSTER, summaries to a parent GRM."""
     clusters = max(1, total_nodes // NODES_PER_CLUSTER)
     grid = Grid(seed=4, policy="first_fit", lupa_enabled=False,
-                update_interval=UPDATE_INTERVAL, tick_interval=300.0)
+                update_interval=UPDATE_INTERVAL)
     for c in range(clusters):
         grid.add_cluster(f"c{c:02}")
         for i in range(NODES_PER_CLUSTER):
@@ -62,7 +62,7 @@ def run_hierarchical(total_nodes):
 def run_overflow_check():
     """Wide-area placement still works while summaries stay aggregated."""
     grid = Grid(seed=4, policy="first_fit", lupa_enabled=False,
-                update_interval=UPDATE_INTERVAL, tick_interval=60.0)
+                update_interval=UPDATE_INTERVAL)
     grid.add_cluster("small")
     for i in range(2):
         grid.add_node("small", f"s{i}", dedicated=True)

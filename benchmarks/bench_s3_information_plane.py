@@ -9,7 +9,8 @@ scaling features buy:
 * ``full``  — the seed protocol: full snapshot, every node, every
   interval, re-indexed per update (the paper's baseline).
 * ``delta`` — delta encoding + adaptive throttling on the sender,
-  batched ingestion on the GRM.
+  batched ingestion on the GRM; an unchanged interval travels as the
+  protocol's ``heartbeat(node)``, which writes nothing to the Trader.
 
 Sender and GRM share one ORB domain, so — as in a ``Grid`` — every
 update is dispatched directly and the plane cost is the protocol's own
@@ -41,7 +42,7 @@ import time
 
 from repro.core.grm import Grm
 from repro.core.protocols import GRM_INTERFACE, LRM_INTERFACE
-from repro.core.update_protocol import FULL, DeltaSender
+from repro.core.update_protocol import DELTA, FULL, DeltaSender
 from repro.orb import Orb, WireMeter
 from repro.orb.transport import InProcDomain
 from repro.sim.events import EventLoop
@@ -132,8 +133,10 @@ def drive(grm, stub, statuses, senders, next_due, rounds=ROUNDS):
                 kind, payload = sender.encode(status)
                 if kind == FULL:
                     stub.send_update(dict(payload))
-                else:
+                elif kind == DELTA:
                     stub.send_delta(status["node"], dict(payload))
+                else:   # as the LRM delivers it: the one heartbeat
+                    stub.heartbeat(status["node"])
                 next_due[i] = now + sender.current_interval
                 sent += 1
         if r % QUERY_EVERY == 0:

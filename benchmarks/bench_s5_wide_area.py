@@ -95,6 +95,9 @@ class SummaryOnlyChildGrm:
     def send_delta(self, node, delta):
         pass
 
+    def heartbeat(self, node):
+        pass
+
     def register_asct(self, job_id, asct_ior):
         pass
 

@@ -1,12 +1,13 @@
 """CI perf smoke: remeasure the committed baselines, fail on a cliff.
 
-Remeasures the 32-node S1 simulator throughput, the 1000-offer indexed
-trader query rate, the 1024-node S2 pattern-aware ranking rate, the
-10k-node S3 information-plane run, the 1024-process S4
-execution-plane run, the 256-cluster S5 wide-area run, and the S6
-oneway-storm / CDR / TCP communication-plane run (reusing the benchmark
-modules' own builders, so the measured workload cannot drift from what
-produced the baseline), then compares against the committed
+Remeasures the 32-node S1 simulator throughput (simulated hours per
+wall second), the 1000-offer indexed trader query rate, the 1024-node
+S2 pattern-aware ranking rate, the 10k-node S3 information-plane run,
+the 1024-process S4 execution-plane run, the 256-cluster S5 wide-area
+run, and the S6 oneway-storm / CDR / TCP communication-plane run
+(reusing the benchmark modules' own builders, so the measured workload
+cannot drift from what produced the baseline), then compares against
+the committed
 ``BENCH_S1.json`` / ``BENCH_E11.json`` / ``BENCH_S2.json`` /
 ``BENCH_S3.json`` / ``BENCH_S4.json`` / ``BENCH_S5.json`` /
 ``BENCH_S6.json``.  A drop of more than ``TOLERANCE`` fails the
@@ -39,7 +40,11 @@ from bench_e11_orb import (          # noqa: E402
     _best_rate,
     build_trader,
 )
-from bench_s1_simulator_throughput import build, measure_hour  # noqa: E402
+from bench_s1_simulator_throughput import (  # noqa: E402
+    build,
+    measure_hour,
+    timed_hour,
+)
 from bench_s3_information_plane import measure_mode  # noqa: E402
 from bench_s4_execution_plane import (  # noqa: E402
     DEGREE,
@@ -66,10 +71,10 @@ from conftest import load_json       # noqa: E402
 
 TOLERANCE = 0.30
 #: Always-on metrics must cost no more than this fraction of S1
-#: throughput.  The registry is views-only on the S1 path (evaluated at
-#: snapshot time, never per event), so the real cost is ~0; the gate
-#: catches someone accidentally putting allocation or formatting onto
-#: the hot path.
+#: throughput (simulated hours per wall second).  The registry is
+#: views-only on the S1 path (evaluated at snapshot time, never per
+#: event), so the real cost is ~0; the gate catches someone
+#: accidentally putting allocation or formatting onto the hot path.
 METRICS_TOLERANCE = 0.05
 #: The event journal with all emitters live must also cost no more than
 #: this fraction of S1 throughput.  Journal records are a handful of
@@ -78,69 +83,55 @@ METRICS_TOLERANCE = 0.05
 JOURNAL_TOLERANCE = 0.05
 
 
-def measure_metrics_overhead(nodes=32, best_of=3):
-    """Best events/s for one simulated hour: plain vs metrics enabled.
+def measure_overhead(instrument, nodes=32, best_of=9):
+    """Best simulated hours per wall second: plain vs instrumented.
 
-    The two grids are measured interleaved, round by round, so machine
-    drift during the run biases both configurations equally; best-of
-    rides out transient noise the same way ``measure_hour`` does.
+    ``instrument(grid)`` switches the instrument on.  The two grids are
+    measured interleaved, round by round, so machine drift during the
+    run biases both configurations equally; best-of rides out transient
+    noise the same way ``measure_hour`` does (a 32-node hour is ~8 ms
+    of wall clock, so nine rounds cost what three used to).
     """
-    import time
-
-    from repro.sim.clock import SECONDS_PER_HOUR
-
     plain = build(nodes)
-    metered = build(nodes)
-    registry = metered.enable_metrics()
-    assert metered.tracer is None, "tracing must stay opt-in"
-    best = {"plain": 0.0, "metered": 0.0}
+    instrumented = build(nodes)
+    instrument(instrumented)
+    fastest = [float("inf"), float("inf")]
     for _ in range(best_of):
-        for label, grid in (("plain", plain), ("metered", metered)):
-            before = grid.loop.events_fired
-            start = time.perf_counter()
-            grid.run_for(SECONDS_PER_HOUR)
-            elapsed = time.perf_counter() - start
-            rate = (grid.loop.events_fired - before) / elapsed
-            best[label] = max(best[label], rate)
+        for i, grid in enumerate((plain, instrumented)):
+            _events, elapsed = timed_hour(grid)
+            fastest[i] = min(fastest[i], elapsed)
+    return 1.0 / fastest[0], 1.0 / fastest[1], instrumented
+
+
+def measure_metrics_overhead():
+    def instrument(grid):
+        grid.enable_metrics()
+        assert grid.tracer is None, "tracing must stay opt-in"
+
+    plain, metered, grid = measure_overhead(instrument)
     # The registry really was live the whole time.
-    assert registry.snapshot()["metrics"]["eventloop.events_fired"] > 0
-    return best["plain"], best["metered"]
+    assert grid.metrics.snapshot()["metrics"]["eventloop.events_fired"] > 0
+    return plain, metered
 
 
-def measure_journal_overhead(nodes=32, best_of=3):
-    """Best events/s for one simulated hour: plain vs journal enabled.
+def measure_journal_overhead():
+    def instrument(grid):
+        grid.enable_journal()
+        assert grid.metrics is None, "metrics must stay opt-in"
 
-    Interleaved rounds, same protocol as :func:`measure_metrics_overhead`
-    — machine drift biases both configurations equally.
-    """
-    import time
-
-    from repro.sim.clock import SECONDS_PER_HOUR
-
-    plain = build(nodes)
-    journalled = build(nodes)
-    journal = journalled.enable_journal()
-    assert journalled.metrics is None, "metrics must stay opt-in"
-    best = {"plain": 0.0, "journalled": 0.0}
-    for _ in range(best_of):
-        for label, grid in (("plain", plain), ("journalled", journalled)):
-            before = grid.loop.events_fired
-            start = time.perf_counter()
-            grid.run_for(SECONDS_PER_HOUR)
-            elapsed = time.perf_counter() - start
-            rate = (grid.loop.events_fired - before) / elapsed
-            best[label] = max(best[label], rate)
+    plain, journalled, grid = measure_overhead(instrument)
     # The journal really was live (node registrations at minimum).
-    assert journal.recorded > 0
-    return best["plain"], best["journalled"]
+    assert grid.journal.recorded > 0
+    return plain, journalled
 
 
-def check(name, measured, baseline):
+def check(name, measured, baseline, unit="/s"):
     floor = baseline * (1.0 - TOLERANCE)
     ok = measured >= floor
     verdict = "ok" if ok else "REGRESSION"
-    print(f"{name}: measured {measured:,.0f}/s, baseline {baseline:,.0f}/s, "
-          f"floor {floor:,.0f}/s -> {verdict}")
+    print(f"{name}: measured {measured:,.0f}{unit}, "
+          f"baseline {baseline:,.0f}{unit}, "
+          f"floor {floor:,.0f}{unit} -> {verdict}")
     return ok
 
 
@@ -152,11 +143,14 @@ def main():
         print("no BENCH_S1.json baseline committed; skipping S1 smoke")
     else:
         baseline = next(
-            row["events_per_wall_s"] for row in s1["rows"]
+            row["sim_hours_per_wall_s"] for row in s1["rows"]
             if row["nodes"] == 32
         )
-        _, rate = measure_hour(32, best_of=3)
-        failures += not check("S1 events (32 nodes)", rate, baseline)
+        _, rate = measure_hour(32)
+        failures += not check(
+            "S1 simulated hours (32 nodes)", rate, baseline,
+            unit=" sim-h/s",
+        )
 
     e11 = load_json("E11")
     if e11 is None:
@@ -317,8 +311,8 @@ def main():
     ratio = metered_rate / plain_rate if plain_rate else 0.0
     ok = ratio >= 1.0 - METRICS_TOLERANCE
     verdict = "ok" if ok else "REGRESSION"
-    print(f"S1 metrics overhead (32 nodes): plain {plain_rate:,.0f}/s, "
-          f"metrics-on {metered_rate:,.0f}/s, ratio {ratio:.3f} "
+    print(f"S1 metrics overhead (32 nodes): plain {plain_rate:,.1f} sim-h/s, "
+          f"metrics-on {metered_rate:,.1f} sim-h/s, ratio {ratio:.3f} "
           f"(floor {1.0 - METRICS_TOLERANCE:.2f}) -> {verdict}")
     failures += not ok
 
@@ -326,8 +320,8 @@ def main():
     ratio = journal_rate / plain_rate if plain_rate else 0.0
     ok = ratio >= 1.0 - JOURNAL_TOLERANCE
     verdict = "ok" if ok else "REGRESSION"
-    print(f"S1 journal overhead (32 nodes): plain {plain_rate:,.0f}/s, "
-          f"journal-on {journal_rate:,.0f}/s, ratio {ratio:.3f} "
+    print(f"S1 journal overhead (32 nodes): plain {plain_rate:,.1f} sim-h/s, "
+          f"journal-on {journal_rate:,.1f} sim-h/s, ratio {ratio:.3f} "
           f"(floor {1.0 - JOURNAL_TOLERANCE:.2f}) -> {verdict}")
     failures += not ok
 

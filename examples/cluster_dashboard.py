@@ -22,7 +22,7 @@ DAYS = 7
 
 def main():
     grid = Grid(seed=23, policy="fastest_first", lupa_enabled=False,
-                update_interval=300.0, tick_interval=120.0)
+                update_interval=300.0)
     grid.add_cluster("dept")
     profiles = [OFFICE_WORKER] * 7 + [STUDENT_LAB] * 3 + [NIGHT_OWL] * 2
     for i, profile in enumerate(profiles):

@@ -33,7 +33,6 @@ def build_grid(policy):
         lupa_enabled=True,
         lupa_min_history_days=7,
         update_interval=120.0,
-        tick_interval=60.0,
     )
     grid.add_cluster("studio")
     profiles = [OFFICE_WORKER] * 10 + [STUDENT_LAB] * 4 + [NIGHT_OWL] * 2

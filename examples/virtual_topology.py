@@ -35,7 +35,7 @@ def main():
     network.connect("west-lab", "east-lab", bandwidth_mbps=10.0)
 
     grid = Grid(seed=5, policy="first_fit", lupa_enabled=False,
-                update_interval=300.0, tick_interval=120.0)
+                update_interval=300.0)
     grid.add_cluster("campus", network=network)
     # 55 nodes per lab (a little slack), meeting the hardware minima.
     spec = MachineSpec(mips=800.0, ram_mb=64.0)

@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
     grid = Grid(
         seed=args.seed, policy=args.policy,
         lupa_enabled=args.policy == "pattern_aware",
-        update_interval=120.0, tick_interval=60.0,
+        update_interval=120.0,
     )
     meter = grid.enable_wire_meter()   # the report prints message sizes
     grid.add_cluster("sim")

@@ -89,7 +89,6 @@ class Grid:
         seed: int = 0,
         policy: str = "pattern_aware",
         update_interval: float = 60.0,
-        tick_interval: float = 30.0,
         schedule_interval: float = 30.0,
         lupa_enabled: bool = True,
         lupa_min_history_days: int = 7,
@@ -122,7 +121,6 @@ class Grid:
         self.ascts: list[Asct] = []
         self.policy_name = policy
         self.update_interval = update_interval
-        self.tick_interval = tick_interval
         self.schedule_interval = schedule_interval
         self.lupa_enabled = lupa_enabled
         self.lupa_min_history_days = lupa_min_history_days
@@ -324,7 +322,6 @@ class Grid:
             ncc,
             checkpoint_store=handle.checkpoint_store,
             update_interval=self.update_interval,
-            tick_interval=self.tick_interval,
             delta_updates=self.delta_updates,
             full_refresh_every=self.full_refresh_every,
             update_epsilon=self.update_epsilon,
@@ -403,7 +400,6 @@ class Grid:
             ncc,
             checkpoint_store=handle.checkpoint_store,
             update_interval=self.update_interval,
-            tick_interval=self.tick_interval,
             delta_updates=self.delta_updates,
             full_refresh_every=self.full_refresh_every,
             update_epsilon=self.update_epsilon,
@@ -475,6 +471,23 @@ class Grid:
         handle.grm.unregister_node(name)
         handle.gupa.forget(name)
         node.orb.shutdown()
+
+    def crash_node(self, cluster: str, name: str) -> NodeHandle:
+        """A node dies without notice: the node-crash fault.
+
+        Its LRM stops computing and reporting (:meth:`Lrm.crash`) and
+        its owner model stops; nobody is told.  The node stays on the
+        roster, so the GRM learns of the death the way the paper says it
+        must — the status going stale — and requeues the node's tasks
+        from the cluster checkpoint repository.  This is the fault
+        ROADMAP item 4's deterministic fault plan will inject; until
+        then it is what the failure tests call instead of reaching into
+        the LRM's timers.
+        """
+        node = self._cluster(cluster).nodes[name]
+        node.lrm.crash()
+        node.workstation.stop()
+        return node
 
     def _parent_stale_after(self) -> Optional[float]:
         """Summary-staleness window for parents, or None (seed: no sweep).
@@ -718,7 +731,7 @@ class Grid:
                            "refused_reservations",
                            "accepted_reservations", "updates_sent",
                            "updates_full", "updates_delta",
-                           "updates_suppressed", "sandbox_violations"):
+                           "heartbeats_sent", "sandbox_violations"):
             registry.view(
                 f"lrm.total.{field_name}",
                 lambda f=field_name: sum(
@@ -730,7 +743,7 @@ class Grid:
         # Information-plane counters under their protocol-level names.
         for name, field_name in (
             ("lrm.updates.delta", "updates_delta"),
-            ("lrm.updates.suppressed", "updates_suppressed"),
+            ("lrm.updates.heartbeats", "heartbeats_sent"),
         ):
             registry.view(
                 name,

@@ -62,8 +62,10 @@ class GrmStats:
     and the attribute API read the same numbers from one place.
     """
 
+    #: Every Information Update Protocol message, heartbeats included.
     updates_received: int = 0
     deltas_received: int = 0
+    heartbeats_received: int = 0
     ingest_flushes: int = 0
     negotiation_rounds: int = 0
     reservations_refused: int = 0
@@ -266,17 +268,34 @@ class Grm:
         finally:
             hist.observe(perf_counter() - started)
 
+    def heartbeat(self, node: str) -> None:
+        """The node is alive and its status is what it last sent.
+
+        Freshness only: the stored status, the Trader's offer and the
+        summary epoch are not touched, so ``NodeStatus.time`` stays the
+        instant the values were last sent in full.
+        """
+        record = self._nodes.get(node)
+        if record is None:
+            return self._drop_update(node)
+        record.last_seen = self._loop.now
+        record.alive = True
+        self.stats.updates_received += 1
+        self.stats.heartbeats_received += 1
+
+    def _drop_update(self, node: str) -> None:
+        """A message from an unregistered node: it must re-register."""
+        journal = self.journal
+        if journal is not None and journal.active:
+            journal.record(
+                "update_dropped", node=node,
+                cluster=self.cluster, reason="unregistered",
+            )
+
     def _ingest_full(self, status: dict) -> None:
         record = self._nodes.get(status["node"])
         if record is None:
-            # Update from an unregistered node: drop, it must re-register.
-            journal = self.journal
-            if journal is not None and journal.active:
-                journal.record(
-                    "update_dropped", node=status["node"],
-                    cluster=self.cluster, reason="unregistered",
-                )
-            return
+            return self._drop_update(status["node"])
         record.last_status = status
         record.last_seen = self._loop.now
         record.alive = True
@@ -293,14 +312,7 @@ class Grm:
     def _ingest_delta(self, node: str, delta: dict) -> None:
         record = self._nodes.get(node)
         if record is None:
-            # Delta for an unregistered node: drop, it must re-register.
-            journal = self.journal
-            if journal is not None and journal.active:
-                journal.record(
-                    "update_dropped", node=node,
-                    cluster=self.cluster, reason="unregistered",
-                )
-            return
+            return self._drop_update(node)
         record.last_status = apply_delta(record.last_status, delta)
         record.last_seen = self._loop.now
         record.alive = True

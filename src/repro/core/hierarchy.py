@@ -440,6 +440,9 @@ class ParentGrm:
     def send_delta(self, node, delta) -> None:
         pass
 
+    def heartbeat(self, node) -> None:
+        pass
+
     def register_asct(self, job_id, asct_ior) -> None:
         pass
 

@@ -10,9 +10,26 @@ Runs on every grid node.  Responsibilities, per Section 4 of the paper:
   them when the owner's policy demands it;
 * take periodic portable checkpoints so evicted work can resume
   elsewhere.
+
+Execution is event-driven, not ticked.  Between two changes a task runs
+at a constant rate, so its progress is a closed form: every
+:class:`RunningTask` carries the rate in force since the LRM last
+*settled*, and anything that can change a rate — the owner's load, a
+reservation made or released on the machine, the owner arriving or
+leaving, a task started, stopped, paced or rolled back, a blackout
+edge — first settles ``progress += rate * (now - settled_at)`` at the
+*old* rates and then re-plans **one** wake-up for the next instant at
+which something has to be done: the earliest completion, work limit,
+checkpoint or blackout edge.  An LRM with nothing running has no event
+in the heap, and a completion, eviction or checkpoint happens at the
+instant it falls due rather than at the next multiple of a tick.
+
+The same change notifications mark the node's status dirty; an update
+interval that finds it clean sends a ``heartbeat`` instead of a status.
 """
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from repro.checkpoint.store import MemoryCheckpointStore
@@ -29,7 +46,6 @@ from repro.sim.events import EventLoop
 from repro.sim.workstation import Workstation
 
 DEFAULT_UPDATE_INTERVAL = 60.0
-DEFAULT_TICK_INTERVAL = 30.0
 
 
 @dataclass
@@ -46,6 +62,8 @@ class RunningTask:
     checkpoint_progress: float           # progress at the last checkpoint
     payload: str = ""                    # sandboxed code run at completion
     limit_notified: bool = False
+    rate_mips: float = 0.0               # in force since the last settling
+    due_at: float = inf                  # when it reaches min(work, limit)
 
     @property
     def complete(self) -> bool:
@@ -59,6 +77,37 @@ class RunningTask:
         )
 
 
+class _Settled:
+    """``with lrm._settled:`` — brackets every entry that can change a rate.
+
+    On the way in, the outermost entry settles progress at the old
+    rates; on the way out it re-plans the wake-up.  Entries nest:
+    collocated oneways are direct calls, so a notification sent from
+    inside a wake-up can come straight back into the same LRM (a BSP
+    coordinator raising a limit from inside ``task_reached_limit``, the
+    ledger's release firing ``Machine.on_change`` mid-completion).  No
+    simulated time passes inside an event, so the inner entries find
+    everything settled already and leave the single re-plan to the
+    outermost one.
+    """
+
+    __slots__ = ("_lrm", "_depth")
+
+    def __init__(self, lrm: "Lrm"):
+        self._lrm = lrm
+        self._depth = 0
+
+    def __enter__(self) -> None:
+        if self._depth == 0:
+            self._lrm._settle()
+        self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        self._depth -= 1
+        if self._depth == 0:
+            self._lrm._replan()
+
+
 class Lrm:
     """The servant implementing ``integrade/Lrm`` for one node."""
 
@@ -69,7 +118,6 @@ class Lrm:
         ncc: NodeControlCenter,
         checkpoint_store: Optional[MemoryCheckpointStore] = None,
         update_interval: float = DEFAULT_UPDATE_INTERVAL,
-        tick_interval: float = DEFAULT_TICK_INTERVAL,
         sandbox_policy: Optional[SandboxPolicy] = None,
         delta_updates: bool = False,
         full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
@@ -77,6 +125,10 @@ class Lrm:
         max_update_interval: Optional[float] = None,
         skip_unchanged_checkpoints: bool = False,
     ):
+        if full_refresh_every < 1:
+            raise ValueError(
+                f"full_refresh_every must be >= 1, got {full_refresh_every}"
+            )
         self._loop = loop
         self._workstation = workstation
         self._machine = workstation.machine
@@ -100,15 +152,29 @@ class Lrm:
         self.checkpoints_skipped = 0
         self.refused_reservations = 0
         self.accepted_reservations = 0
+        #: Every Information Update Protocol message, whatever its form;
+        #: the three below split it.
         self.updates_sent = 0
         self.updates_full = 0
         self.updates_delta = 0
-        self.updates_suppressed = 0
+        self.heartbeats_sent = 0
 
+        # Execution state: when progress was last settled, the one
+        # wake-up planned from it, and the next blackout edge (cached
+        # until it passes).
+        self._settled = _Settled(self)
+        self._settled_at = loop.now
+        self._wake = None
+        self._sharing_change_at = -inf
+        self._crashed = False
         workstation.on_owner_change(self._owner_changed)
-        self._tick_task = loop.every(tick_interval, self._tick)
+        self._machine.on_change = self._machine_changed
+
         self._update_interval = update_interval
         self._update_task = None
+        self._full_refresh_every = full_refresh_every
+        self._status_dirty = False
+        self._sends_since_full = 0
         self.delta_updates = delta_updates
         self._delta = (
             DeltaSender(
@@ -141,7 +207,7 @@ class Lrm:
             "checkpoints_skipped",
             "refused_reservations", "accepted_reservations",
             "updates_sent", "updates_full", "updates_delta",
-            "updates_suppressed", "sandbox_violations",
+            "heartbeats_sent", "sandbox_violations",
         ))
         registry.view(f"{prefix}.running_tasks", lambda: len(self._running))
 
@@ -156,11 +222,15 @@ class Lrm:
         self.ior = own_ior
         status = self.status()
         grm_stub.register_node(status, own_ior)
+        # The registration snapshot is the GRM's baseline.
+        self._next_sharing_change()
+        self._status_dirty = False
+        self._sends_since_full = 0
         if self._delta is not None:
-            # The registration snapshot is the receiver's baseline; later
-            # sends encode against it.  Delta mode drives its own adaptive
-            # one-shot rescheduling (the interval changes per send), so it
-            # cannot reuse the fixed-cadence PeriodicTask.
+            # Later sends encode against the snapshot.  Delta mode drives
+            # its own adaptive one-shot rescheduling (the interval
+            # changes per send), so it cannot reuse the fixed-cadence
+            # PeriodicTask.
             self._delta.register(status)
             if self._update_task is None:
                 self._update_task = self._loop.schedule(
@@ -173,15 +243,34 @@ class Lrm:
 
     def detach(self) -> None:
         """Leave the grid: stop timers and evict everything."""
-        self._tick_task.stop()
+        self._stop_updates()
+        with self._settled:
+            for task_id in list(self._running):
+                self._evict(task_id, reason="node leaving the grid")
+
+    def crash(self) -> None:
+        """Die without a word: the node-crash fault (the one ROADMAP
+        item 4's fault plan will inject).
+
+        Progress freezes where it stands, the wake-up and the update
+        timer are cancelled and the GRM is told nothing — not now and
+        not by anything that fires later — so it finds out the way the
+        paper says it must, from the node's status going stale.
+        """
+        with self._settled:   # work done up to the crash, then no plan
+            self._crashed = True
+            for record in self._running.values():
+                record.rate_mips = 0.0
+        self._stop_updates()
+        self._grm = None
+
+    def _stop_updates(self) -> None:
         if self._update_task is not None:
             if self._delta is not None:
                 self._update_task.cancel()
             else:
                 self._update_task.stop()
             self._update_task = None
-        for task_id in list(self._running):
-            self._evict(task_id, reason="node leaving the grid")
 
     # -- Information Update Protocol -----------------------------------------------
 
@@ -220,24 +309,47 @@ class Lrm:
     def ping(self) -> bool:
         return True
 
+    def _next_sharing_change(self) -> float:
+        """The next blackout edge; crossing one dirties the status."""
+        if self._loop.now >= self._sharing_change_at:
+            self._sharing_change_at = self.ncc.next_sharing_change(
+                self._loop.now
+            )
+            self._status_dirty = True
+        return self._sharing_change_at
+
     def _send_update(self) -> None:
-        if self._grm is None:
+        """One interval of the protocol: a status if it changed since
+        the last one sent (or every ``full_refresh_every``-th send
+        regardless, which bounds how long a lost update can leave the
+        GRM wrong), a heartbeat otherwise."""
+        grm = self._grm
+        if grm is None:
             return
-        if self._delta is None:
-            self._grm.send_update(self.status())
-            self.updates_sent += 1
-            return
-        kind, payload = self._delta.encode(self.status())
-        if kind == FULL:
-            self._grm.send_update(payload)
-            self.updates_full += 1
-        else:
-            self._grm.send_delta(self.node, payload)
-            if kind == DELTA:
+        self.updates_sent += 1
+        if self._delta is not None:
+            kind, payload = self._delta.encode(self.status())
+            if kind == FULL:
+                grm.send_update(payload)
+                self.updates_full += 1
+            elif kind == DELTA:
+                grm.send_delta(self.node, payload)
                 self.updates_delta += 1
             else:
-                self.updates_suppressed += 1
-        self.updates_sent += 1
+                grm.heartbeat(self.node)
+                self.heartbeats_sent += 1
+            return
+        self._next_sharing_change()
+        self._sends_since_full += 1
+        if self._status_dirty \
+                or self._sends_since_full >= self._full_refresh_every:
+            self._status_dirty = False
+            self._sends_since_full = 0
+            grm.send_update(self.status())
+            self.updates_full += 1
+        else:
+            grm.heartbeat(self.node)
+            self.heartbeats_sent += 1
 
     def _fire_update(self) -> None:
         """Adaptive-cadence send: one shot, rescheduled at the (possibly
@@ -303,50 +415,56 @@ class Lrm:
             return False
         if task_id in self._running:
             return False
-        self.ledger.confirm(task_id)
-        interval = launch["checkpoint_interval_s"]
-        self._running[task_id] = RunningTask(
-            task_id=task_id,
-            job_id=launch["job_id"],
-            work_mips=launch["work_mips"],
-            progress_mips=launch["initial_progress_mips"],
-            work_limit_mips=float("inf"),
-            checkpoint_interval_s=interval,
-            next_checkpoint_at=(
-                self._loop.now + interval if interval > 0 else float("inf")
-            ),
-            checkpoint_progress=launch["initial_progress_mips"],
-            payload=launch.get("payload", ""),
-        )
+        with self._settled:
+            self.ledger.confirm(task_id)
+            interval = launch["checkpoint_interval_s"]
+            self._running[task_id] = RunningTask(
+                task_id=task_id,
+                job_id=launch["job_id"],
+                work_mips=launch["work_mips"],
+                progress_mips=launch["initial_progress_mips"],
+                work_limit_mips=inf,
+                checkpoint_interval_s=interval,
+                next_checkpoint_at=(
+                    self._loop.now + interval if interval > 0 else inf
+                ),
+                checkpoint_progress=launch["initial_progress_mips"],
+                payload=launch.get("payload", ""),
+            )
+            self._status_dirty = True   # grid_tasks moved
         return True
 
     # servant operation
     def stop_task(self, task_id: str) -> float:
         """Stop silently (migration); returns the progress at stop."""
-        record = self._running.pop(task_id, None)
-        if record is None:
-            return -1.0
-        self.ledger.release(task_id)
-        return record.progress_mips
+        with self._settled:
+            record = self._running.pop(task_id, None)
+            if record is None:
+                return -1.0
+            self.ledger.release(task_id)
+            return record.progress_mips
 
     # servant operation
     def set_work_limit(self, task_id: str, limit_mips: float) -> None:
-        record = self._require(task_id)
-        record.work_limit_mips = limit_mips
-        record.limit_notified = False
+        with self._settled:
+            record = self._require(task_id)
+            record.work_limit_mips = limit_mips
+            record.limit_notified = False
 
     # servant operation
     def get_progress(self, task_id: str) -> float:
+        self._settle()   # reading changes no rate: the plan stands
         return self._require(task_id).progress_mips
 
     # servant operation
     def rollback_task(self, task_id: str, to_progress: float) -> None:
-        record = self._require(task_id)
-        record.progress_mips = min(record.progress_mips, to_progress)
-        record.checkpoint_progress = min(
-            record.checkpoint_progress, to_progress
-        )
-        record.limit_notified = False
+        with self._settled:
+            record = self._require(task_id)
+            record.progress_mips = min(record.progress_mips, to_progress)
+            record.checkpoint_progress = min(
+                record.checkpoint_progress, to_progress
+            )
+            record.limit_notified = False
 
     def _require(self, task_id: str) -> RunningTask:
         record = self._running.get(task_id)
@@ -379,33 +497,90 @@ class Lrm:
         scale = min(1.0, available / grid_total, cap / grid_total)
         return self._machine.spec.mips * reservation.cpu_fraction * scale
 
-    def _tick(self) -> None:
-        if not self._running:
-            return   # nothing to advance, checkpoint, or evict
+    def _settle(self) -> None:
+        """Credit every task the work it did since the last settling, at
+        the rate it has had since then.  A task whose own planned
+        instant has come is put on its target exactly: re-deriving it
+        as ``progress + rate * dt`` can land an ulp short, and a
+        wake-up that re-plans itself for ever a nanosecond before the
+        end is the failure to avoid."""
         now = self._loop.now
-        if not self.ncc.sharing_now():
+        dt = now - self._settled_at
+        self._settled_at = now
+        for record in self._running.values():
+            if record.rate_mips > 0.0:
+                target = min(record.work_mips, record.work_limit_mips)
+                if now >= record.due_at:
+                    record.progress_mips = target
+                elif dt > 0.0:
+                    record.progress_mips = min(
+                        target, record.progress_mips + record.rate_mips * dt
+                    )
+
+    def _replan(self) -> None:
+        """Fix every task's rate as of now and arm the one wake-up, at
+        the earliest instant something has to be done."""
+        wake, self._wake = self._wake, None
+        when = inf
+        if self._running and not self._crashed:
+            now = self._loop.now
+            # A task started into a blackout is evicted at once.
+            when = self._next_sharing_change() if self.ncc.sharing_now() \
+                else now
+            for task_id, record in self._running.items():
+                target = min(record.work_mips, record.work_limit_mips)
+                if record.progress_mips >= target - 1e-9:
+                    # Done, or waiting at its barrier: nothing to credit,
+                    # and a wake-up only if nobody has been told yet.
+                    record.rate_mips = 0.0
+                    record.due_at = now if (
+                        record.complete or not record.limit_notified
+                    ) else inf
+                else:
+                    rate = record.rate_mips = self.task_rate_mips(task_id)
+                    record.due_at = (
+                        now + (target - record.progress_mips) / rate
+                        if rate > 0.0 else inf
+                    )
+                when = min(when, record.due_at, record.next_checkpoint_at)
+        if wake is not None:
+            if wake.when == when:
+                self._wake = wake   # still the right instant
+                return
+            wake.cancel()
+        if when < inf:
+            self._wake = self._loop.schedule_at(when, self._wake_up)
+
+    def _wake_up(self) -> None:
+        """The planned instant: a completion, a work limit, a checkpoint
+        or a blackout edge has fallen due (the caller settled first)."""
+        self._wake = None
+        with self._settled:
+            if not self.ncc.sharing_now():
+                for task_id in list(self._running):
+                    self._evict(task_id, reason="blackout window")
+                return
+            now = self._loop.now
             for task_id in list(self._running):
-                self._evict(task_id, reason="blackout window")
-            return
-        interval = self._tick_task.interval
-        for task_id in list(self._running):
-            record = self._running.get(task_id)
-            if record is None:
-                continue
-            rate = self.task_rate_mips(task_id)
-            if rate > 0 and not record.at_limit:
-                headroom = min(record.work_mips, record.work_limit_mips)
-                record.progress_mips = min(
-                    headroom, record.progress_mips + rate * interval
-                )
-            if record.checkpoint_interval_s > 0 and now >= record.next_checkpoint_at:
-                self._checkpoint(record, now)
-            if record.complete:
-                self._complete(task_id)
-            elif record.at_limit and not record.limit_notified:
-                record.limit_notified = True
-                if self._grm is not None:
-                    self._grm.task_reached_limit(self.node, task_id)
+                record = self._running.get(task_id)
+                if record is None:
+                    continue   # a notification below came back and removed it
+                # Completion is decided first: a finished task's state is
+                # about to be discarded, so it saves nothing.
+                if record.complete:
+                    self._complete(task_id)
+                    continue
+                if now >= record.next_checkpoint_at:
+                    self._checkpoint(record, now)
+                if record.at_limit and not record.limit_notified:
+                    record.limit_notified = True
+                    if self._grm is not None:
+                        self._grm.task_reached_limit(self.node, task_id)
+
+    def _machine_changed(self) -> None:
+        """``Machine.on_change``: the owner's load or the allocations moved."""
+        with self._settled:
+            self._status_dirty = True
 
     def _checkpoint(self, record: RunningTask, now: float) -> None:
         if self.skip_unchanged_checkpoints \
@@ -476,19 +651,22 @@ class Lrm:
             )
 
     def _owner_changed(self, present: bool) -> None:
-        if not (present and self.ncc.should_vacate(owner_present=True)):
-            return
-        grace = self.ncc.policy.vacate_grace_s
-        if grace <= 0:
-            for task_id in list(self._running):
-                self._evict(task_id, reason="owner returned")
-            return
-        # Suspend (the zero active-cap already stalls the tasks); only
-        # evict if the owner is still there when the grace expires.
-        self._loop.schedule(grace, self._grace_expired)
+        with self._settled:
+            self._status_dirty = True   # owner_active and the cap moved
+            if not (present and self.ncc.should_vacate(owner_present=True)):
+                return
+            grace = self.ncc.policy.vacate_grace_s
+            if grace <= 0:
+                for task_id in list(self._running):
+                    self._evict(task_id, reason="owner returned")
+                return
+            # Suspend (the zero active-cap already stalls the tasks); only
+            # evict if the owner is still there when the grace expires.
+            self._loop.schedule(grace, self._grace_expired)
 
     def _grace_expired(self) -> None:
         if not self._workstation.owner_present:
             return   # short visit: the tasks just resume
-        for task_id in list(self._running):
-            self._evict(task_id, reason="owner stayed past grace")
+        with self._settled:
+            for task_id in list(self._running):
+                self._evict(task_id, reason="owner stayed past grace")

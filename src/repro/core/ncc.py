@@ -9,10 +9,11 @@ since "the vast majority of resource providers will not be knowledgeable
 users".
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.sim.clock import SimClock
+from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimClock
 from repro.sim.machine import ResourceSample
 
 
@@ -100,6 +101,12 @@ def thirty_percent_policy(ram_mb: float) -> SharingPolicy:
     )
 
 
+#: ``midnight + hour * 3600`` rounds, and so does ``hour_of_day``: a
+#: window edge computed in seconds can sit this many float ulps away
+#: from where :meth:`NodeControlCenter.in_blackout` flips.
+_EDGE_ULPS = 8
+
+
 class NodeControlCenter:
     """Evaluates the owner's :class:`SharingPolicy` for the LRM."""
 
@@ -118,6 +125,48 @@ class NodeControlCenter:
     def sharing_now(self, when: Optional[float] = None) -> bool:
         """May the grid use this node at all right now?"""
         return self.policy.enabled and not self.in_blackout(when)
+
+    def next_sharing_change(self, now: float) -> float:
+        """The first instant after ``now`` at which :meth:`sharing_now`
+        differs from what it says at ``now``; ``inf`` if it never will.
+
+        Pure — it reads the policy and nothing else — so the LRM can
+        plan a wake-up for a blackout edge instead of polling for it.
+        Every window edge of the coming week is a candidate; whether
+        sharing really flips there (an adjoining window may keep the
+        blackout going, a day filter may skip the day) is decided by
+        :meth:`in_blackout` itself, and the candidate is moved by a few
+        float ulps onto the first instant the predicate flips at, so an
+        event scheduled for the returned time always sees the new state.
+        """
+        policy = self.policy
+        if not policy.enabled or not policy.blackouts:
+            return math.inf
+        current = self.in_blackout(now)
+        offsets = sorted({
+            hour * SECONDS_PER_HOUR
+            for window in policy.blackouts
+            for hour in (window.start_hour, window.end_hour)
+        })
+        midnight = now - self._clock.second_of_day(now)
+        for day in range(8):   # a day-filtered window recurs within a week
+            for offset in offsets:
+                when = midnight + day * SECONDS_PER_DAY + offset
+                if when <= now:
+                    continue
+                for _ in range(_EDGE_ULPS):
+                    if self.in_blackout(when) != current:
+                        break
+                    when = math.nextafter(when, math.inf)
+                else:
+                    continue   # not an edge: sharing stays as it is here
+                for _ in range(_EDGE_ULPS):
+                    before = math.nextafter(when, -math.inf)
+                    if before <= now or self.in_blackout(before) == current:
+                        break
+                    when = before
+                return when
+        return math.inf   # the blackouts cover the whole week
 
     def cpu_cap(self, owner_present: bool) -> float:
         """The grid's CPU share ceiling in the current owner state."""

@@ -2,7 +2,8 @@
 
 Three protocols from the paper live here as IDL interfaces:
 
-* the **Information Update Protocol** (LRM → GRM, periodic, oneway),
+* the **Information Update Protocol** (LRM → GRM, periodic, oneway: a
+  status when it changed, a heartbeat when it did not),
 * the **Resource Reservation and Execution Protocol** (GRM ↔ LRM
   negotiation: request_reservation / start_task / stop_task),
 * the **inter-cluster protocol** (child GRM → parent GRM aggregated
@@ -154,6 +155,12 @@ GRM_INTERFACE = InterfaceDef(
             (Parameter("node", String), Parameter("delta", VARIANT)),
             Void,
             oneway=True,
+        ),
+        # An interval in which nothing changed: the node is alive and its
+        # status is what it last sent.  The GRM refreshes ``last_seen``
+        # and writes nothing to its Trader.
+        Operation(
+            "heartbeat", (Parameter("node", String),), Void, oneway=True,
         ),
         Operation("submit", (Parameter("spec", VARIANT),), String),
         Operation(

@@ -13,8 +13,9 @@ makes both knobs cheap:
 * **Adaptive throttling** — while nothing changes (within ``epsilon``
   on float fields) the send interval stretches geometrically up to
   ``max_interval`` and snaps back to the base interval on the first
-  change.  Unchanged intervals still emit a tiny heartbeat (just the
-  timestamp) so GRM staleness detection keeps working.
+  change.  Unchanged intervals still produce a :data:`HEARTBEAT` (the
+  LRM delivers it as the protocol's ``heartbeat(node)``) so GRM
+  staleness detection keeps working.
 
 The machine is deliberately free of any ORB or event-loop coupling:
 :class:`~repro.core.lrm.Lrm` drives one instance per node, and the S3

@@ -7,7 +7,7 @@ only; sharing *policy* lives in the Node Control Center.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,11 @@ class Machine:
         self._keyboard_active = False
         self._disk_used_mb = 0.0
         self._allocations: dict[str, _GridAllocation] = {}
+        #: Called with no arguments after the owner's load or the grid's
+        #: allocations actually change — the LRM's cue that task rates
+        #: and the node's status may have moved.  One listener: a
+        #: machine has one LRM.
+        self.on_change: Optional[Callable[[], None]] = None
 
     # -- owner side --------------------------------------------------------
 
@@ -124,10 +129,20 @@ class Machine:
             raise ValueError(f"owner memory out of range: {mem_mb}")
         if net_mbps < 0:
             raise ValueError(f"owner network traffic out of range: {net_mbps}")
+        net_mbps = min(net_mbps, self.spec.net_mbps)
+        if (
+            cpu_fraction == self._owner_cpu
+            and mem_mb == self._owner_mem_mb
+            and keyboard_active == self._keyboard_active
+            and net_mbps == self._owner_net_mbps
+        ):
+            return   # the activity model re-applies an unchanged load
         self._owner_cpu = cpu_fraction
         self._owner_mem_mb = mem_mb
         self._keyboard_active = keyboard_active
-        self._owner_net_mbps = min(net_mbps, self.spec.net_mbps)
+        self._owner_net_mbps = net_mbps
+        if self.on_change is not None:
+            self.on_change()
 
     @property
     def owner_cpu(self) -> float:
@@ -217,6 +232,8 @@ class Machine:
             )
         self._allocations[task_id] = _GridAllocation(cpu_fraction, mem_mb, disk_mb)
         self._disk_used_mb += disk_mb
+        if self.on_change is not None:
+            self.on_change()
 
     def release(self, task_id: str) -> None:
         """Release the resources held by a grid task."""
@@ -224,6 +241,8 @@ class Machine:
         if alloc is None:
             raise KeyError(f"no allocation for task {task_id!r} on {self.name}")
         self._disk_used_mb -= alloc.disk_mb
+        if self.on_change is not None:
+            self.on_change()
 
     def _contention(self) -> tuple:
         """(owner_scale, grid_scale) under the current scheduling mode."""

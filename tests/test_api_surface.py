@@ -13,13 +13,15 @@ from repro.bsp.drma import Registers
 from repro.bsp.messages import MessageBuffers
 from repro.bsp.runtime import run_bsp
 from repro.core.grid import Grid
+from repro.core.lrm import Lrm
 from repro.orb.cdr import CdrDecoder
 from repro.orb.core import Orb
 from repro.orb.transport import TcpTransport
 
 BUDGET = [
     (Orb.__init__, 8),
-    (Grid.__init__, 28),
+    (Grid.__init__, 27),
+    (Lrm.__init__, 11),
     (TcpTransport.__init__, 3),
     (CdrDecoder.__init__, 1),
     (MessageBuffers.__init__, 2),
@@ -37,3 +39,11 @@ def test_parameter_count_within_budget(func, limit):
     assert not any(p.kind is p.VAR_KEYWORD for p in params)
     named = [p.name for p in params if p.kind is not p.VAR_POSITIONAL]
     assert len(named) <= limit, named
+
+
+@pytest.mark.parametrize("func", [Grid.__init__, Lrm.__init__],
+                         ids=["Grid.__init__", "Lrm.__init__"])
+def test_execution_has_no_tick_to_tune(func):
+    """Task progress is analytic: there is no interval to pick."""
+    names = inspect.signature(func).parameters
+    assert not [name for name in names if "tick" in name]

@@ -212,10 +212,7 @@ class TestEvictionAndRecovery:
         crashed_node = job.tasks[0].node
         assert crashed_node is not None
         # Crash: the node's LRM stops reporting (and computing) entirely.
-        handle = grid.clusters["c0"].nodes[crashed_node]
-        handle.lrm._tick_task.stop()
-        handle.lrm._update_task.stop()
-        handle.workstation.stop()
+        grid.crash_node("c0", crashed_node)
         grid.run_for(2 * SECONDS_PER_HOUR)
         job = grid.job(job_id)
         grm = grid.clusters["c0"].grm
@@ -348,14 +345,18 @@ class TestProtocolAccounting:
         # from a grid whose auth envelope forces real marshalling.
         assert metered.protocol_stats()["bytes_sent"] == 0
         assert meter.bytes > 10_000
-        assert meter.bytes_by_operation["send_update"] > 10_000
+        # Nothing changes on four idle dedicated nodes, so of each node's
+        # 60 sends in the hour every 10th is a full status and the rest
+        # are heartbeats: 4 x 6 x 144 B and 4 x 54 x ~35 B.
+        assert meter.bytes_by_operation["send_update"] == 24 * 144
+        assert 216 * 32 < meter.bytes_by_operation["heartbeat"] < 216 * 40
         assert "register_node" in meter.bytes_by_operation
         wire = enveloped.protocol_stats()
-        assert wire["requests_sent"] == \
-            metered.protocol_stats()["requests_sent"]
-        # Enveloped requests + replies outweigh the bare requests, but
-        # by less than 2x (the envelope is ~50 bytes on ~150).
-        assert meter.bytes < wire["bytes_sent"] < 2 * meter.bytes
+        requests = wire["requests_sent"]
+        assert requests == metered.protocol_stats()["requests_sent"]
+        # Enveloped requests + replies outweigh the bare requests by the
+        # envelope: ~50 bytes a request, whatever the request carries.
+        assert 40 * requests < wire["bytes_sent"] - meter.bytes < 60 * requests
 
     def test_update_interval_scales_traffic(self):
         def traffic(interval):
@@ -400,7 +401,7 @@ class TestScaledInformationPlane:
         registry = grid.enable_metrics()
         grid.run_for(SECONDS_PER_HOUR)
         metrics = registry.snapshot()["metrics"]
-        assert metrics["lrm.updates.suppressed"] > 0
+        assert metrics["lrm.updates.heartbeats"] > 0
         assert metrics["lrm.updates.delta"] >= 0
         ingest = metrics["grm.c0.ingest_latency_s"]
         assert ingest["count"] > 0

@@ -343,6 +343,36 @@ class TestLiveness:
             grm.send_update(servant.status(time=loop.now))
         assert grm.stats.nodes_declared_dead == 0
 
+    def test_heartbeats_keep_node_alive_and_write_nothing(self, env):
+        loop, grm, add_lrm, lrms = env
+        add_lrm("steady")
+        record = grm._nodes["steady"]
+        status, epoch = record.last_status, grm._summary_epoch
+        modifies = []
+        grm.trader.modify = lambda *a, **k: modifies.append(a)
+        grm.trader.patch = lambda *a, **k: modifies.append(a)
+        for _ in range(20):
+            loop.run_for(60.0)
+            grm.heartbeat("steady")
+        assert grm.stats.nodes_declared_dead == 0
+        assert record.last_seen == loop.now and record.alive
+        assert record.last_status is status and status["time"] == 0.0
+        assert grm._summary_epoch == epoch and modifies == []
+        assert grm.stats.updates_received == 20
+        assert grm.stats.heartbeats_received == 20
+
+    def test_heartbeat_from_unregistered_node_is_dropped(self, env):
+        from repro.obs.journal import EventJournal
+
+        loop, grm, add_lrm, lrms = env
+        journal = EventJournal(clock=loop.clock)
+        grm.set_journal(journal)
+        grm.heartbeat("ghost")
+        drops = journal.select(type="update_dropped", node="ghost")
+        assert [e.attrs["reason"] for e in drops] == ["unregistered"]
+        assert grm.stats.updates_received == 0
+        assert grm.stats.heartbeats_received == 0
+
 
 class TestJobManagement:
     def test_cancel_stops_remote_tasks(self, env):

@@ -1,6 +1,9 @@
 """Unit tests for the Node Control Center."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ncc import (
     BlackoutWindow,
@@ -10,7 +13,12 @@ from repro.core.ncc import (
     VACATE_POLICY,
     thirty_percent_policy,
 )
-from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimClock
+from repro.sim.clock import (
+    SECONDS_PER_DAY,
+    SECONDS_PER_HOUR,
+    SECONDS_PER_WEEK,
+    SimClock,
+)
 from repro.sim.machine import ResourceSample
 
 
@@ -148,3 +156,90 @@ class TestNodeControlCenter:
         )
         assert ncc.mem_cap_mb() == 64.0
         assert NodeControlCenter(SimClock()).mem_cap_mb() is None
+
+
+MINUTES_PER_DAY = 24 * 60
+
+
+@st.composite
+def blackout_windows(draw):
+    """A window on whole minutes, any hour of the day incl. 24:00."""
+    start = draw(st.integers(0, MINUTES_PER_DAY - 1))
+    end = draw(st.integers(start + 1, MINUTES_PER_DAY))
+    days = draw(st.one_of(
+        st.just(()), st.sets(st.integers(0, 6), min_size=1).map(
+            lambda chosen: tuple(sorted(chosen)))))
+    return BlackoutWindow(start / 60.0, end / 60.0, days=days)
+
+
+class TestNextSharingChange:
+    def ncc(self, *windows, enabled=True):
+        return NodeControlCenter(
+            SimClock(), SharingPolicy(enabled=enabled, blackouts=windows))
+
+    def test_never_without_blackouts_or_when_disabled(self):
+        assert self.ncc().next_sharing_change(123.0) == math.inf
+        window = BlackoutWindow(9.0, 17.0)
+        assert self.ncc(window, enabled=False) \
+            .next_sharing_change(0.0) == math.inf
+
+    def test_never_when_the_week_is_blacked_out(self):
+        assert self.ncc(BlackoutWindow(0.0, 24.0)) \
+            .next_sharing_change(5000.0) == math.inf
+
+    def test_start_then_end_then_tomorrow(self):
+        ncc = self.ncc(BlackoutWindow(9.0, 17.0))
+        assert ncc.next_sharing_change(0.0) == 9 * SECONDS_PER_HOUR
+        assert ncc.next_sharing_change(9 * SECONDS_PER_HOUR) \
+            == 17 * SECONDS_PER_HOUR
+        assert ncc.next_sharing_change(17 * SECONDS_PER_HOUR) \
+            == SECONDS_PER_DAY + 9 * SECONDS_PER_HOUR
+
+    def test_adjoining_windows_are_one_blackout(self):
+        # 22:00-24:00 Monday runs straight into 00:00-06:00 Tuesday.
+        ncc = self.ncc(BlackoutWindow(22.0, 24.0, days=(0,)),
+                       BlackoutWindow(0.0, 6.0, days=(1,)))
+        assert ncc.next_sharing_change(0.0) == 22 * SECONDS_PER_HOUR
+        assert ncc.next_sharing_change(23 * SECONDS_PER_HOUR) \
+            == SECONDS_PER_DAY + 6 * SECONDS_PER_HOUR
+
+    def test_week_wrap(self):
+        # Sunday evening, next blackout Monday morning of the next week.
+        ncc = self.ncc(BlackoutWindow(8.0, 9.0, days=(0,)))
+        sunday_evening = 6 * SECONDS_PER_DAY + 20 * SECONDS_PER_HOUR
+        assert ncc.next_sharing_change(sunday_evening) \
+            == SECONDS_PER_WEEK + 8 * SECONDS_PER_HOUR
+        # ... and from just after it, a whole week ahead.
+        assert ncc.next_sharing_change(9 * SECONDS_PER_HOUR) \
+            == SECONDS_PER_WEEK + 8 * SECONDS_PER_HOUR
+
+    def test_is_pure(self):
+        ncc = self.ncc(BlackoutWindow(9.0, 17.0))
+        assert ncc.next_sharing_change(100.0) == ncc.next_sharing_change(100.0)
+        assert ncc._clock.now == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        windows=st.lists(blackout_windows(), min_size=1, max_size=3),
+        now=st.one_of(
+            st.integers(0, 3 * 7 * MINUTES_PER_DAY).map(lambda m: m * 60.0),
+            st.floats(0.0, 3.0 * SECONDS_PER_WEEK),
+        ),
+    )
+    def test_agrees_with_a_minute_scan_of_in_blackout(self, windows, now):
+        ncc = self.ncc(*windows)
+        current = ncc.sharing_now(now)
+        expected = math.inf
+        minute = int(now // 60) + 1
+        for m in range(minute, minute + 8 * MINUTES_PER_DAY + 1):
+            if ncc.sharing_now(m * 60.0) != current:
+                expected = m * 60.0
+                break
+        edge = ncc.next_sharing_change(now)
+        assert edge == pytest.approx(expected, abs=1e-6)
+        if edge < math.inf:
+            # The first instant of the new state, by the predicate itself.
+            assert edge > now
+            assert ncc.sharing_now(edge) != current
+            before = math.nextafter(edge, 0.0)
+            assert before <= now or ncc.sharing_now(before) == current

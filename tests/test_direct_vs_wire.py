@@ -164,7 +164,8 @@ def test_nothing_that_crossed_the_orb_is_mutated_later(crossings,
     grid, _jobs = run_scenario(**grid_kwargs)
     assert len(crossings) > 10_000
     seen = {label.split(".", 1)[1] for label, _, _ in crossings}
-    assert {"send_update args", "request_reservation result",
+    assert {"send_update args", "heartbeat args",
+            "request_reservation result",
             "submit_remote args", "upload_pattern args",
             "register_cluster args"} <= seen
     if grid_kwargs:

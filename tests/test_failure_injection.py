@@ -23,13 +23,8 @@ def dedicated_grid(nodes=3, seed=1, **kwargs):
 
 
 def crash_node(grid, name):
-    """Stop every timer on a node: it neither computes nor reports."""
-    handle = grid.clusters["c0"].nodes[name]
-    handle.lrm._tick_task.stop()
-    if handle.lrm._update_task is not None:
-        handle.lrm._update_task.stop()
-    handle.workstation.stop()
-    return handle
+    """The node neither computes nor reports from now on."""
+    return grid.crash_node("c0", name)
 
 
 class TestNodeCrashes:
@@ -148,6 +143,9 @@ class _NullGrm:
         pass
 
     def send_delta(self, node, delta):
+        pass
+
+    def heartbeat(self, node):
         pass
 
     def submit(self, spec):

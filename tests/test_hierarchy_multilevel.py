@@ -33,7 +33,7 @@ def build_campus(grid, campus, clusters, nodes_each):
 def three_tier():
     """root -> {campus_a: 2x2 nodes, campus_b: 2x4 nodes}."""
     grid = Grid(seed=7, policy="first_fit", lupa_enabled=False,
-                update_interval=60.0, tick_interval=60.0)
+                update_interval=60.0)
     campus_a, a_ior, a_facade, a_orb = build_campus(
         grid, "campus_a", ["a1", "a2"], nodes_each=2
     )

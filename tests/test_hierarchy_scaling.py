@@ -47,6 +47,9 @@ class FakeChildGrm:
     def send_delta(self, node, delta):
         pass
 
+    def heartbeat(self, node):
+        pass
+
     def submit(self, spec):
         self.submitted.append(spec)
         return f"{self.name}-job-{len(self.submitted)}"
@@ -322,7 +325,7 @@ class TestCycleRejection:
 
 def build_scaled_three_tier(**flags):
     grid = Grid(seed=7, policy="first_fit", lupa_enabled=False,
-                update_interval=60.0, tick_interval=60.0,
+                update_interval=60.0,
                 summary_interval=120.0, **flags)
     for cluster, n in (("a1", 2), ("a2", 2), ("b1", 4), ("b2", 4)):
         grid.add_cluster(cluster)
@@ -412,7 +415,7 @@ class TestScaledHierarchy:
 class TestDeltaUplinks:
     def build(self, **extra):
         grid = Grid(seed=5, policy="first_fit", lupa_enabled=False,
-                    update_interval=60.0, tick_interval=60.0,
+                    update_interval=60.0,
                     summary_interval=120.0, delta_uplinks=True,
                     incremental_summaries=True, indexed_placement=True,
                     max_summary_interval=480.0, **extra)
@@ -526,7 +529,7 @@ class TestGrmSummaryCache:
 
     def test_cached_sums_track_updates(self):
         grid = Grid(seed=1, policy="first_fit", lupa_enabled=False,
-                    update_interval=60.0, tick_interval=60.0)
+                    update_interval=60.0)
         grid.add_cluster("alpha")
         for i in range(3):
             grid.add_node("alpha", f"a{i}", dedicated=True)

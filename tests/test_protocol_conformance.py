@@ -20,12 +20,13 @@ from repro.core.lrm import Lrm
 from repro.core.ncc import NodeControlCenter
 from repro.core.protocols import (
     CLUSTER_SUMMARY,
+    GRM_INTERFACE,
     NODE_STATUS,
     RESERVATION_REPLY,
     RESERVATION_REQUEST,
     TASK_LAUNCH,
 )
-from repro.orb.cdr import CdrDecoder, CdrEncoder
+from repro.orb.cdr import CdrDecoder, CdrEncoder, String
 from repro.sim.events import EventLoop
 from repro.sim.machine import MachineSpec
 from repro.sim.workstation import Workstation
@@ -57,6 +58,42 @@ class TestNodeStatusConformance:
         # on the wire; flag it.
         status = self.make_lrm().status()
         assert set(status) == struct_fields(NODE_STATUS)
+
+
+class TestHeartbeatConformance:
+    def test_heartbeat_is_a_oneway_that_names_the_node(self):
+        operation = GRM_INTERFACE.operation("heartbeat")
+        assert operation.oneway
+        assert [(p.name, p.idl_type) for p in operation.params] \
+            == [("node", String)]
+
+    def test_every_grm_servant_answers_it(self):
+        from repro.core.grm import Grm
+        from repro.core.hierarchy import ParentGrm
+
+        for servant in (Grm, ParentGrm):   # the facade ignores it
+            assert callable(getattr(servant, "heartbeat"))
+
+    def test_heartbeat_marshals_over_cdr(self):
+        # auth_secret envelopes every request, so the heartbeat really
+        # crosses as bytes — and means to the GRM what the direct call does.
+        from repro import Grid
+
+        seen = {}
+        for label, kwargs in (("direct", {}), ("wire", {"auth_secret": b"k"})):
+            grid = Grid(seed=1, lupa_enabled=False, **kwargs)
+            grid.add_cluster("c0")
+            grid.add_node("c0", "d0", dedicated=True)
+            grid.run_for(3600)
+            grm = grid.clusters["c0"].grm
+            seen[label] = (
+                grm.stats.updates_received, grm.stats.heartbeats_received,
+                grm._nodes["d0"].last_seen, grm._nodes["d0"].last_status,
+            )
+            marshalled = grid.protocol_stats()["bytes_sent"]
+            assert (marshalled > 0) == (label == "wire")
+        assert seen["direct"] == seen["wire"]
+        assert seen["wire"][:3] == (60, 54, 3600.0)
 
 
 class TestClusterSummaryConformance:

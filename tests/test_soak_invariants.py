@@ -66,7 +66,7 @@ def check_invariants(grid):
 @pytest.mark.slow
 def test_week_long_soak():
     grid = Grid(seed=99, policy="pattern_aware", lupa_enabled=True,
-                update_interval=300.0, tick_interval=120.0,
+                update_interval=300.0,
                 schedule_interval=120.0)
     grid.add_cluster("c0")
     profiles = (

@@ -105,7 +105,7 @@ class TestLupaToGupaOverTheWire:
         from repro.sim.usage import OFFICE_WORKER
         grid = Grid(seed=6, policy="pattern_aware", lupa_enabled=True,
                     lupa_min_history_days=3,
-                    update_interval=600.0, tick_interval=600.0)
+                    update_interval=600.0)
         grid.add_cluster("c0")
         for i in range(2):
             grid.add_node("c0", f"ws{i}", profile=OFFICE_WORKER)
