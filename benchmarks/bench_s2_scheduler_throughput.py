@@ -3,9 +3,11 @@
 The paper's pattern-aware scheduler must rank every candidate node each
 pass; at grid scale that ranking is the hot path (see PAPERS.md on
 resource-broker matchmaking throughput).  This benchmark measures one
-schedule-pass ranking — policy ``order()`` over N offers against a GUPA
-holding learned weekly patterns — for the vectorized path and for the
-retained seed implementation (``order_scalar``), at 64/256/1024 nodes.
+schedule-pass ranking — ``PatternAwarePolicy.order()`` over N offers
+against a GUPA holding learned weekly patterns — for the vectorized path
+and for the retained seed implementation (``order_scalar``), at
+64/256/1024 nodes.  (Fastest-first is a five-line ``sorted()`` with no
+second implementation to compare.)
 
 Reported per size: pass latency (ms), offers ranked per second, and the
 vectorized-over-scalar speedup.  The committed ``BENCH_S2.json`` is the
@@ -20,11 +22,7 @@ import numpy as np
 from repro.analysis.metrics import Table
 from repro.apps.spec import ApplicationSpec
 from repro.core.gupa import Gupa
-from repro.core.scheduler import (
-    FastestFirstPolicy,
-    PatternAwarePolicy,
-    ScheduleContext,
-)
+from repro.core.scheduler import PatternAwarePolicy, ScheduleContext
 
 from conftest import run_once, save_json, save_result
 
@@ -79,34 +77,32 @@ def _best_pass_s(fn, rounds=5, calls=3):
 
 
 def measure(n_nodes):
-    """One row per policy: vectorized vs scalar ranking at ``n_nodes``."""
+    """Vectorized vs scalar pattern-aware ranking at ``n_nodes``."""
     gupa, offers = build_workload(n_nodes)
-    rows = []
-    for policy in (PatternAwarePolicy(), FastestFirstPolicy()):
-        # Equivalence first: same GUPA, same offers, identical order.
-        ctx = make_ctx(gupa)
-        vec_order = [o["node"] for o in policy.order(offers, ctx)]
-        scalar_order = [o["node"] for o in policy.order_scalar(offers, ctx)]
-        assert vec_order == scalar_order, (
-            f"{policy.name}: vectorized order diverged at {n_nodes} nodes"
-        )
-        # Fresh context per pass, as the GRM does per job.
-        vec_s = _best_pass_s(
-            lambda: policy.order(offers, make_ctx(gupa))
-        )
-        scalar_s = _best_pass_s(
-            lambda: policy.order_scalar(offers, make_ctx(gupa)),
-            calls=1,
-        )
-        rows.append({
-            "nodes": n_nodes,
-            "policy": policy.name,
-            "vector_pass_ms": vec_s * 1e3,
-            "scalar_pass_ms": scalar_s * 1e3,
-            "offers_ranked_per_s": n_nodes / vec_s,
-            "speedup": scalar_s / vec_s,
-        })
-    return rows
+    policy = PatternAwarePolicy()
+    # Equivalence first: same GUPA, same offers, identical order.
+    ctx = make_ctx(gupa)
+    vec_order = [o["node"] for o in policy.order(offers, ctx)]
+    scalar_order = [o["node"] for o in policy.order_scalar(offers, ctx)]
+    assert vec_order == scalar_order, (
+        f"{policy.name}: vectorized order diverged at {n_nodes} nodes"
+    )
+    # Fresh context per pass, as the GRM does per job.
+    vec_s = _best_pass_s(
+        lambda: policy.order(offers, make_ctx(gupa))
+    )
+    scalar_s = _best_pass_s(
+        lambda: policy.order_scalar(offers, make_ctx(gupa)),
+        calls=1,
+    )
+    return {
+        "nodes": n_nodes,
+        "policy": policy.name,
+        "vector_pass_ms": vec_s * 1e3,
+        "scalar_pass_ms": scalar_s * 1e3,
+        "offers_ranked_per_s": n_nodes / vec_s,
+        "speedup": scalar_s / vec_s,
+    }
 
 
 def run_experiment():
@@ -117,13 +113,13 @@ def run_experiment():
     )
     all_rows = []
     for n_nodes in SIZES:
-        for row in measure(n_nodes):
-            all_rows.append(row)
-            table.add_row(
-                row["nodes"], row["policy"], row["vector_pass_ms"],
-                row["scalar_pass_ms"], row["offers_ranked_per_s"],
-                row["speedup"],
-            )
+        row = measure(n_nodes)
+        all_rows.append(row)
+        table.add_row(
+            row["nodes"], row["policy"], row["vector_pass_ms"],
+            row["scalar_pass_ms"], row["offers_ranked_per_s"],
+            row["speedup"],
+        )
     return table, all_rows
 
 

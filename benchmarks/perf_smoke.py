@@ -3,22 +3,21 @@
 Remeasures the 32-node S1 simulator throughput (simulated hours per
 wall second), the 1000-offer indexed trader query rate, the 1024-node
 S2 pattern-aware ranking rate, the 10k-node S3 information-plane run,
-the 1024-process S4 execution-plane run, the 256-cluster S5 wide-area
-run, and the S6 oneway-storm / CDR / TCP communication-plane run
-(reusing the benchmark modules' own builders, so the measured workload
-cannot drift from what produced the baseline), then compares against
-the committed
+the 256-cluster S5 wide-area run, and the S6 oneway-storm / CDR / TCP
+communication-plane run (reusing the benchmark modules' own builders,
+so the measured workload cannot drift from what produced the
+baseline), then compares against the committed
 ``BENCH_S1.json`` / ``BENCH_E11.json`` / ``BENCH_S2.json`` /
-``BENCH_S3.json`` / ``BENCH_S4.json`` / ``BENCH_S5.json`` /
-``BENCH_S6.json``.  A drop of more than ``TOLERANCE`` fails the
-build; S3 and S4 additionally enforce absolute headline ratios (>= 3x
-metered bytes for S3 ``delta`` vs ``full`` without its plane cost going
-up; >= 3x checkpoint bytes down and exactly O(peers) ORB calls for
-S4), S5 enforces >= 5x submit-path cost down, >= 3x uplink bytes down,
-and bit-identical placements between the seed scan and the indexed
-fast path.  S6 is wall-clock only: the collocated storm, CDR decode
-and the two TCP rows (oneway msgs/s, threaded two-way calls/s), each
-best of three.
+``BENCH_S3.json`` / ``BENCH_S5.json`` / ``BENCH_S6.json``.  A drop of
+more than ``TOLERANCE`` fails the build; S3 additionally enforces
+absolute headline ratios (>= 3x metered bytes for ``delta`` vs ``full``
+without its plane cost going up), S5 enforces >= 5x submit-path cost
+down, >= 3x uplink bytes down, and bit-identical placements between
+the seed scan and the indexed fast path.  S6 is wall-clock only: the
+collocated storm, CDR decode and the two TCP rows (oneway msgs/s,
+threaded two-way calls/s), each best of three.  The execution plane
+(checkpoint store, BSP comms) has no row here: S0 ``bsp_checkpoint``
+measures it.
 
 The 30 % margin absorbs runner-to-runner noise; the regressions this
 guards against — losing an index, falling off a compiled path, an
@@ -46,13 +45,6 @@ from bench_s1_simulator_throughput import (  # noqa: E402
     timed_hour,
 )
 from bench_s3_information_plane import measure_mode  # noqa: E402
-from bench_s4_execution_plane import (  # noqa: E402
-    DEGREE,
-    MSGS_PER_PEER,
-    SUPERSTEPS,
-    drive_comm,
-    measure_checkpoint_plane,
-)
 from bench_s5_wide_area import measure_wide_area  # noqa: E402
 from bench_s6_comm_plane import (  # noqa: E402
     measure_cdr,
@@ -207,39 +199,6 @@ def main():
         verdict = "ok" if ok else "REGRESSION"
         print(f"S3 plane-cost reduction (10k nodes): "
               f"{cost_ratio:.2f}x (floor 1.0x) -> {verdict}")
-        failures += not ok
-
-    s4 = load_json("S4")
-    if s4 is None:
-        print("no BENCH_S4.json baseline committed; skipping S4 smoke")
-    else:
-        full = measure_checkpoint_plane(1024, 0.10, "full")
-        chunked = measure_checkpoint_plane(1024, 0.10, "chunked")
-        baseline = next(
-            row["saves_per_wall_s"] for row in s4["checkpoint_rows"]
-            if row["nprocs"] == 1024 and row["mutation_rate"] == 0.10
-            and row["mode"] == "chunked"
-        )
-        failures += not check(
-            "S4 chunked checkpoint saves (1024 procs, 10% mutation)",
-            chunked["saves_per_wall_s"], baseline,
-        )
-        # Absolute headline gates: incremental checkpointing must keep
-        # cutting bytes >= 3x at 1024 processes / 10% mutation, and
-        # combining must hold ORB calls at exactly O(peers).
-        bytes_ratio = full["bytes_written"] / chunked["bytes_written"]
-        ok = bytes_ratio >= 3.0
-        verdict = "ok" if ok else "REGRESSION"
-        print(f"S4 checkpoint-bytes reduction (1024 procs, 10% mutation): "
-              f"{bytes_ratio:.1f}x (floor 3.0x) -> {verdict}")
-        failures += not ok
-        comb = drive_comm(1024, combining=True)
-        expected_calls = SUPERSTEPS * 1024 * DEGREE
-        ok = comb["orb_calls"] == expected_calls
-        verdict = "ok" if ok else "REGRESSION"
-        print(f"S4 combining ORB calls (1024 procs): "
-              f"{comb['orb_calls']:,} (expected exactly {expected_calls:,}, "
-              f"= {MSGS_PER_PEER}x fewer than per-message) -> {verdict}")
         failures += not ok
 
     s5 = load_json("S5")

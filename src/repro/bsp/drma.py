@@ -3,7 +3,8 @@
 ``put`` requests issued during superstep *s* are applied at the
 synchronisation, in (writer pid, issue order); ``get`` reads the value a
 variable had at the *start* of the current superstep, matching BSPlib
-semantics where communication only takes effect at the barrier.
+semantics where communication only takes effect at the barrier.  Each
+put or get counts as one ORB call (``drma_calls``).
 """
 
 import copy
@@ -15,29 +16,18 @@ class UnregisteredVariable(Exception):
 
 
 class Registers:
-    """Registered memory for ``nprocs`` processes.
+    """Registered memory for ``nprocs`` processes."""
 
-    With ``batched=True`` (opt-in) DRMA traffic is accounted per
-    (process, owner) pair per superstep instead of per request: all
-    puts a writer issues against one owner ride a single batched ORB
-    call, and likewise all gets a reader issues against one owner.
-    Semantics are identical — only ``drma_calls`` changes.
-    """
-
-    def __init__(self, nprocs: int, batched: bool = False):
+    def __init__(self, nprocs: int):
         if nprocs <= 0:
             raise ValueError("nprocs must be positive")
         self.nprocs = nprocs
-        self.batched = batched
         self._values: list[dict] = [{} for _ in range(nprocs)]
         self._snapshot: list[dict] = [{} for _ in range(nprocs)]
         self._pending_puts: list[list] = [[] for _ in range(nprocs)]
         self.puts_applied = 0
-        #: DRMA ORB invocations: one per put/get without batching, one
-        #: per (process, owner) pair per superstep with it.
+        #: DRMA ORB invocations: one per put/get.
         self.drma_calls = 0
-        self._put_pairs: set = set()
-        self._get_pairs: set = set()
 
     def register(self, pid: int, name: str, value: Any) -> None:
         """Declare a variable on ``pid`` and set its initial value."""
@@ -58,10 +48,14 @@ class Registers:
         self._values[pid][name] = value
 
     def get(self, owner: int, name: str, reader: int = None) -> Any:
-        """Remote read: the value as of the last synchronisation."""
+        """Remote read: the value as of the last synchronisation.
+
+        ``reader`` names the calling process, as ``put``'s ``writer``
+        does; the value read does not depend on it.
+        """
         if not 0 <= owner < self.nprocs:
             raise ValueError(f"owner pid {owner} out of range")
-        self._count_call(self._get_pairs, reader, owner)
+        self.drma_calls += 1
         try:
             return copy.deepcopy(self._snapshot[owner][name])
         except KeyError:
@@ -73,15 +67,8 @@ class Registers:
         """Remote write: queued, applied at the next synchronisation."""
         if not 0 <= owner < self.nprocs:
             raise ValueError(f"owner pid {owner} out of range")
-        self._count_call(self._put_pairs, writer, owner)
+        self.drma_calls += 1
         self._pending_puts[writer].append((owner, name, copy.deepcopy(value)))
-
-    def _count_call(self, pairs: set, source, owner: int) -> None:
-        if not self.batched or source is None:
-            self.drma_calls += 1
-        elif (source, owner) not in pairs:
-            pairs.add((source, owner))
-            self.drma_calls += 1
 
     def synchronize(self) -> None:
         """Apply pending puts (writer order) and refresh get-snapshots."""
@@ -94,8 +81,6 @@ class Registers:
                 self._values[owner][name] = value
                 self.puts_applied += 1
             self._pending_puts[writer] = []
-        self._put_pairs.clear()
-        self._get_pairs.clear()
         self._snapshot = [
             {name: copy.deepcopy(value) for name, value in proc.items()}
             for proc in self._values

@@ -52,21 +52,18 @@ class BspGridCoordinator:
             spec.metadata.get("superstep_comm_bytes", DEFAULT_COMM_BYTES)
         )
         self.checkpoint_every = spec.checkpoint_every_supersteps
-        #: Modelled seconds to materialize a checkpoint batch (chunk
-        #: serialization + store write).  0 keeps the seed's
+        #: Modelled seconds to materialize a checkpoint batch
+        #: (serialization + store write).  0 keeps the seed's
         #: instantaneous-save path byte-for-byte.
         self.checkpoint_write_s = float(
             spec.metadata.get("checkpoint_write_s", 0.0)
         )
         #: With a nonzero write time: overlap the write with the next
-        #: superstep (only the dirty-chunk scan sits on the barrier
-        #: critical path) instead of stalling the release until the
-        #: write commits.
+        #: superstep instead of stalling the release until the write
+        #: commits.
         self.pipelined_checkpoints = bool(
             spec.metadata.get("pipelined_checkpoints", False)
         )
-        #: Run the functional program with batched superstep comms.
-        self.combining = bool(spec.metadata.get("bsp_combining", False))
         self.work_per_superstep = spec.work_mips / self.supersteps
         self.store = checkpoint_store
         self.recovery = RecoveryManager(
@@ -199,9 +196,7 @@ class BspGridCoordinator:
         fn, default_args = self.registry.get(name)
         args = tuple(self.job.spec.metadata.get("program_args", default_args))
         try:
-            run = run_bsp(
-                len(self.job.tasks), fn, *args, combining=self.combining
-            )
+            run = run_bsp(len(self.job.tasks), fn, *args)
         except BspError as exc:
             self.executed_results = None
             for task in self.job.tasks:
@@ -380,9 +375,8 @@ class BspGridCoordinator:
         self._advancing = False
         if due:
             if self.checkpoint_write_s > 0:
-                # Pipelined: the dirty-chunk scan is the only cost on
-                # the critical path; the materializing write overlaps
-                # the next superstep and commits when its event fires.
+                # Pipelined: the materializing write overlaps the next
+                # superstep and commits when its event fires.
                 self.checkpoint_overlap_s += self.checkpoint_write_s
                 self._schedule_checkpoint(finished, self._checkpoint)
             else:

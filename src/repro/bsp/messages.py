@@ -4,30 +4,25 @@ Messages sent during superstep *s* become visible to their destination
 at superstep *s + 1*, after the global synchronisation.  Delivery order
 is deterministic: sorted by sender pid, then send order.
 
-With ``combining=True`` (opt-in) the buffers model InteGrade's batched
-comm plane: instead of one ORB call per message, every message queued
-for the same (sender, destination) pair during a superstep coalesces
-into a single CDR-encoded payload flushed at the barrier — ORB calls
-per superstep drop from O(messages) to O(communicating peer pairs).
-Delivery contents and order are identical in both modes; only the
-call/wire accounting changes.
+One message is one ORB call, always: ``orb_calls`` and ``wire_bytes``
+model what the comm plane would put on the wire, one framed call per
+``send``.
 """
 
 from typing import Any
 
 #: Modelled fixed cost of one ORB invocation (request header, GIOP-style
-#: framing, dispatch) — what message combining amortises away.
+#: framing, dispatch).
 CALL_OVERHEAD_BYTES = 64
 
 
 class MessageBuffers:
     """Per-run double-buffered mailboxes for ``nprocs`` processes."""
 
-    def __init__(self, nprocs: int, combining: bool = False):
+    def __init__(self, nprocs: int):
         if nprocs <= 0:
             raise ValueError("nprocs must be positive")
         self.nprocs = nprocs
-        self.combining = combining
         # outgoing[sender][dest] = [payload, ...]
         self._outgoing = [
             [[] for _ in range(nprocs)] for _ in range(nprocs)
@@ -35,27 +30,21 @@ class MessageBuffers:
         self._inbox: list[list] = [[] for _ in range(nprocs)]
         self.messages_sent = 0
         self.bytes_estimate = 0
-        #: ORB invocations the comm plane would issue: one per message
-        #: without combining, one per communicating pair per superstep
-        #: with it.
+        #: ORB invocations the comm plane would issue: one per message.
         self.orb_calls = 0
-        #: Modelled bytes on the wire including per-call overhead.  In
-        #: combining mode this is the exact CDR size of each coalesced
-        #: batch; without it, one framed call per message.
+        #: Modelled bytes on the wire including per-call overhead.
         self.wire_bytes = 0
-        #: Per-pair batches flushed at barriers (combining only).
-        self.flushes = 0
 
     def send(self, sender: int, dest: int, payload: Any) -> None:
         """Queue a message for delivery at the next superstep."""
         if not 0 <= dest < self.nprocs:
             raise ValueError(f"destination pid {dest} out of range")
         self._outgoing[sender][dest].append(payload)
+        size = _payload_size(payload)
         self.messages_sent += 1
-        self.bytes_estimate += _payload_size(payload)
-        if not self.combining:
-            self.orb_calls += 1
-            self.wire_bytes += CALL_OVERHEAD_BYTES + _payload_size(payload)
+        self.bytes_estimate += size
+        self.orb_calls += 1
+        self.wire_bytes += CALL_OVERHEAD_BYTES + size
 
     def inbox(self, pid: int) -> list:
         """Messages delivered to ``pid`` at the last synchronisation."""
@@ -69,30 +58,8 @@ class MessageBuffers:
                 queued = self._outgoing[sender][dest]
                 if queued:
                     new_inbox[dest].extend(queued)
-                    if self.combining:
-                        self.orb_calls += 1
-                        self.flushes += 1
-                        self.wire_bytes += \
-                            CALL_OVERHEAD_BYTES + _batch_size(queued)
                     self._outgoing[sender][dest] = []
         self._inbox = new_inbox
-
-
-def _batch_size(payloads: list) -> int:
-    """Exact CDR size of one combined batch, when encodable.
-
-    The coalesced flush ships the whole per-pair message list as a
-    single VARIANT payload; payload types outside the VARIANT repertoire
-    fall back to the heuristic estimate.
-    """
-    from repro.orb.cdr import CdrEncoder, VARIANT
-    from repro.orb.exceptions import MarshalError
-    enc = CdrEncoder()
-    try:
-        VARIANT.encode(enc, list(payloads))
-    except MarshalError:
-        return 4 + sum(_payload_size(p) for p in payloads)
-    return len(enc.getvalue())
 
 
 def _payload_size(payload: Any) -> int:

@@ -37,10 +37,9 @@ class BspRun:
     messages_sent: int
     comm_bytes: int
     puts_applied: int
-    #: ORB invocations the BSMP plane issued (one per message without
-    #: combining; one per communicating pair per superstep with it).
+    #: ORB invocations the BSMP plane issued (one per message).
     orb_calls: int = 0
-    #: DRMA ORB invocations (one per put/get, or per pair when batched).
+    #: DRMA ORB invocations (one per put/get).
     drma_calls: int = 0
     #: Modelled wire bytes including per-call framing overhead.
     wire_bytes: int = 0
@@ -63,7 +62,6 @@ def run_bsp(
     *args,
     sync_timeout: float = DEFAULT_SYNC_TIMEOUT,
     metrics=None,
-    combining: bool = False,
 ) -> BspRun:
     """Execute ``fn(bsp, *args)`` on ``nprocs`` BSP processes.
 
@@ -76,12 +74,6 @@ def run_bsp(
     recorded into a ``bsp.barrier_wait_s`` histogram (the BSP cost
     model's ``l`` term, measured).  Observations are GIL-serialised
     plain attribute bumps, so concurrent waits are safe to record.
-
-    ``combining=True`` turns on batched superstep communication:
-    per-peer BSMP message combining and per-pair DRMA batching (see
-    :mod:`repro.bsp.messages` / :mod:`repro.bsp.drma`).  Results and
-    delivery order are identical; only the ORB call / wire accounting
-    in the returned :class:`BspRun` changes.
     """
     if nprocs <= 0:
         raise ValueError(f"nprocs must be positive, got {nprocs}")
@@ -90,8 +82,8 @@ def run_bsp(
         from repro.obs.metrics import LATENCY_BOUNDS_S
         barrier_hist = metrics.histogram("bsp.barrier_wait_s",
                                          LATENCY_BOUNDS_S)
-    buffers = MessageBuffers(nprocs, combining=combining)
-    registers = Registers(nprocs, batched=combining)
+    buffers = MessageBuffers(nprocs)
+    registers = Registers(nprocs)
     state = _SharedState(nprocs, buffers, registers)
 
     def on_barrier():

@@ -9,18 +9,9 @@ consistent rollback points for parallel applications.
 """
 
 from repro.checkpoint.serializer import (
-    DEFAULT_CHUNK_SIZE,
     CheckpointCorrupted,
-    chunk_digest,
     deserialize,
     serialize,
-    split_chunks,
-)
-from repro.checkpoint.chunking import (
-    DEFAULT_REBASE_EVERY,
-    ChunkedChainError,
-    ChunkedRepository,
-    ChunkPool,
 )
 from repro.checkpoint.store import (
     CheckpointRecord,
@@ -33,13 +24,6 @@ __all__ = [
     "CheckpointCorrupted",
     "serialize",
     "deserialize",
-    "chunk_digest",
-    "split_chunks",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_REBASE_EVERY",
-    "ChunkPool",
-    "ChunkedRepository",
-    "ChunkedChainError",
     "CheckpointRecord",
     "MemoryCheckpointStore",
     "FileCheckpointStore",

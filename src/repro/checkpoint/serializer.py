@@ -13,7 +13,6 @@ any state expressible as nested dicts/lists/numbers/strings/bytes moves
 between nodes byte-identically regardless of host platform.
 """
 
-import hashlib
 import struct
 import zlib
 
@@ -25,13 +24,6 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sHxxI")   # magic, version, pad, payload length
 _CRC = struct.Struct("<I")
-
-#: Chunking layer defaults (see :mod:`repro.checkpoint.chunking`).  A
-#: serialized checkpoint is split into fixed-size chunks, each keyed by
-#: its content digest, so unchanged regions of a large state are never
-#: re-stored or re-shipped.
-DEFAULT_CHUNK_SIZE = 4096
-DIGEST_SIZE = 16
 
 
 class CheckpointCorrupted(Exception):
@@ -92,25 +84,3 @@ def deserialize(data: bytes) -> dict:
     if not isinstance(state, dict):
         raise CheckpointCorrupted("checkpoint payload is not a state dict")
     return state
-
-
-# ---------------------------------------------------------------------------
-# Chunking layer
-# ---------------------------------------------------------------------------
-
-def chunk_digest(chunk: bytes) -> bytes:
-    """Content address of one chunk (keyed blake2b, 16 bytes)."""
-    return hashlib.blake2b(chunk, digest_size=DIGEST_SIZE).digest()
-
-
-def split_chunks(data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list:
-    """Split serialized checkpoint bytes into fixed-size chunks.
-
-    Every chunk is exactly ``chunk_size`` bytes except the last, which
-    holds the remainder.  Joining the chunks reproduces ``data``
-    byte-identically, so a restore built from chunks passes the same
-    CRC/length validation as the original full snapshot.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return [data[i:i + chunk_size] for i in range(0, len(data), chunk_size)]

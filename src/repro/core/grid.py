@@ -102,10 +102,6 @@ class Grid:
         update_epsilon: float = 0.0,
         max_update_interval: Optional[float] = None,
         batched_ingest: bool = False,
-        chunked_checkpoints: bool = False,
-        checkpoint_chunk_size: Optional[int] = None,
-        checkpoint_rebase_every: Optional[int] = None,
-        skip_unchanged_checkpoints: bool = False,
         incremental_summaries: bool = False,
         indexed_placement: bool = False,
         delta_uplinks: bool = False,
@@ -136,21 +132,6 @@ class Grid:
         self.update_epsilon = update_epsilon
         self.max_update_interval = max_update_interval
         self.batched_ingest = batched_ingest
-        #: Execution-plane scaling knobs (also off by default): chunked
-        #: content-addressed checkpoint storage per cluster repository
-        #: and digest-skip of unchanged per-node checkpoint saves.
-        from repro.checkpoint.chunking import DEFAULT_REBASE_EVERY
-        from repro.checkpoint.serializer import DEFAULT_CHUNK_SIZE
-        self.chunked_checkpoints = chunked_checkpoints
-        self.checkpoint_chunk_size = (
-            checkpoint_chunk_size if checkpoint_chunk_size is not None
-            else DEFAULT_CHUNK_SIZE
-        )
-        self.checkpoint_rebase_every = (
-            checkpoint_rebase_every if checkpoint_rebase_every is not None
-            else DEFAULT_REBASE_EVERY
-        )
-        self.skip_unchanged_checkpoints = skip_unchanged_checkpoints
         #: Wide-area-plane scaling knobs (off by default: parents keep
         #: the seed O(children) aggregation, scan-and-sort placement,
         #: and fixed-interval full-summary uplinks).
@@ -251,12 +232,7 @@ class Grid:
             network.add_segment(f"{name}-lan", bandwidth_mbps=100.0)
         orb = self._make_orb(f"{name}-manager")
         gupa = Gupa()
-        store = MemoryCheckpointStore(
-            chunked=self.chunked_checkpoints,
-            chunk_size=self.checkpoint_chunk_size,
-            rebase_every=self.checkpoint_rebase_every,
-            skip_unchanged=self.skip_unchanged_checkpoints,
-        )
+        store = MemoryCheckpointStore()
         grm = Grm(
             self.loop,
             orb,
@@ -326,7 +302,6 @@ class Grid:
             full_refresh_every=self.full_refresh_every,
             update_epsilon=self.update_epsilon,
             max_update_interval=self.max_update_interval,
-            skip_unchanged_checkpoints=self.skip_unchanged_checkpoints,
         )
         lrm_ref = orb.activate(lrm, LRM_INTERFACE, key=f"{name}/lrm")
         grm_stub = orb.stub(handle.grm_ior, GRM_INTERFACE)
@@ -404,7 +379,6 @@ class Grid:
             full_refresh_every=self.full_refresh_every,
             update_epsilon=self.update_epsilon,
             max_update_interval=self.max_update_interval,
-            skip_unchanged_checkpoints=self.skip_unchanged_checkpoints,
         )
         lrm_ref = orb.activate(lrm, LRM_INTERFACE, key=f"{name}/lrm")
         grm_stub = orb.stub(handle.grm_ior, GRM_INTERFACE)

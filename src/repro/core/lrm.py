@@ -123,7 +123,6 @@ class Lrm:
         full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
         update_epsilon: float = 0.0,
         max_update_interval: Optional[float] = None,
-        skip_unchanged_checkpoints: bool = False,
     ):
         if full_refresh_every < 1:
             raise ValueError(
@@ -145,7 +144,6 @@ class Lrm:
         self._grm = None           # stub once attached
         self.ior: Optional[str] = None
 
-        self.skip_unchanged_checkpoints = skip_unchanged_checkpoints
         self.completed_count = 0
         self.evicted_count = 0
         self.checkpoints_taken = 0
@@ -583,12 +581,11 @@ class Lrm:
             self._status_dirty = True
 
     def _checkpoint(self, record: RunningTask, now: float) -> None:
-        if self.skip_unchanged_checkpoints \
-                and record.progress_mips == record.checkpoint_progress:
-            # The task made no progress since the last save (suspended
-            # while the owner uses the machine): the stored checkpoint
-            # is already current, so skip the serialize-and-store cycle
-            # but keep the cadence armed.
+        if record.progress_mips == record.checkpoint_progress:
+            # No progress since the last save (suspended while the owner
+            # uses the machine, or held at a work limit): the stored
+            # checkpoint is already current, so skip the
+            # serialize-and-store cycle but keep the cadence armed.
             record.next_checkpoint_at = now + record.checkpoint_interval_s
             self.checkpoints_skipped += 1
             return

@@ -6,13 +6,14 @@ profile predicts a long idle span (Section 3: "the scheduler can place
 parallel applications on idle nodes with lower probability of becoming
 busy before the computation is completed").
 
-Ranking is array-native: a policy extracts per-offer numeric columns
-once (cached on the :class:`ScheduleContext`), scores every candidate
-in one numpy pass — pattern-aware scoring goes through
-:meth:`Gupa.idle_probabilities` — and orders with a stable argsort on
+Pattern-aware ranking is array-native: the policy extracts per-offer
+numeric columns once (cached on the :class:`ScheduleContext`), scores
+every candidate in one numpy pass through
+:meth:`Gupa.idle_probabilities`, and orders with a stable argsort on
 the negated scores, which reproduces ``sorted(..., reverse=True)``
-exactly, ties included.  The seed implementations are retained as
-``order_scalar`` reference oracles for the equivalence suite.
+exactly, ties included; its seed implementation is retained as the
+``order_scalar`` reference oracle for the equivalence suite.
+Fastest-first is a one-key sort and needs no arrays.
 """
 
 import random
@@ -133,27 +134,6 @@ class FastestFirstPolicy(SchedulingPolicy):
     name = "fastest_first"
 
     def order(self, offers: list, ctx: ScheduleContext) -> list:
-        if len(offers) <= 1:
-            return list(offers)
-        cached = ctx._arrays_cache.get(id(offers))
-        if cached is not None and cached[0] is offers:
-            speed = cached[1]["speed"]
-        else:
-            # Needs only the speed column — score directly instead of
-            # paying for the full per-offer array extraction.
-            try:
-                speed = np.array(
-                    [o["mips"] * o["cpu_free"] for o in offers]
-                )
-            except KeyError:
-                speed = np.array([
-                    o.get("mips", 0.0) * o.get("cpu_free", 0.0)
-                    for o in offers
-                ])
-        return _order_by_scores(offers, speed)
-
-    def order_scalar(self, offers: list, ctx: ScheduleContext) -> list:
-        """Seed implementation (oracle for the equivalence suite)."""
         return sorted(
             offers,
             key=lambda o: o.get("mips", 0.0) * o.get("cpu_free", 0.0),

@@ -12,6 +12,7 @@ import pytest
 from repro.bsp.drma import Registers
 from repro.bsp.messages import MessageBuffers
 from repro.bsp.runtime import run_bsp
+from repro.checkpoint.store import FileCheckpointStore, MemoryCheckpointStore
 from repro.core.grid import Grid
 from repro.core.lrm import Lrm
 from repro.orb.cdr import CdrDecoder
@@ -20,13 +21,15 @@ from repro.orb.transport import TcpTransport
 
 BUDGET = [
     (Orb.__init__, 8),
-    (Grid.__init__, 27),
-    (Lrm.__init__, 11),
+    (Grid.__init__, 23),
+    (Lrm.__init__, 10),
     (TcpTransport.__init__, 3),
     (CdrDecoder.__init__, 1),
-    (MessageBuffers.__init__, 2),
-    (Registers.__init__, 2),
-    (run_bsp, 5),            # ``*args`` belongs to the program, not to us
+    (MessageBuffers.__init__, 1),
+    (Registers.__init__, 1),
+    (run_bsp, 4),            # ``*args`` belongs to the program, not to us
+    (MemoryCheckpointStore.__init__, 1),
+    (FileCheckpointStore.__init__, 1),
 ]
 
 

@@ -215,8 +215,8 @@ class TestRunBsp:
             run_bsp(0, lambda bsp: None)
 
 
-class TestCombining:
-    """Batched superstep comms: same results, O(peers) ORB calls."""
+class TestCallAccounting:
+    """One BSMP message or DRMA access is one ORB call, always."""
 
     @staticmethod
     def _program(bsp):
@@ -233,64 +233,11 @@ class TestCombining:
             total += sum(bsp.get(p, "acc") for p in peers)
         return total
 
-    def test_results_identical_to_seed_mode(self):
-        seed = run_bsp(6, self._program)
-        combined = run_bsp(6, self._program, combining=True)
-        assert combined.results == seed.results
-        assert combined.messages_sent == seed.messages_sent
-        assert combined.puts_applied == seed.puts_applied
-        assert combined.supersteps == seed.supersteps
-
-    def test_seed_mode_counts_one_call_per_message(self):
+    def test_one_call_per_message_and_per_drma_access(self):
         run = run_bsp(6, self._program)
         # 6 pids x 2 peers x 2 msgs x 3 steps
-        assert run.orb_calls == 6 * 2 * 2 * 3
+        assert run.orb_calls == run.messages_sent == 6 * 2 * 2 * 3
         # puts: 6 x 2 x 3; gets: 6 x 2 x 3
         assert run.drma_calls == 6 * 2 * 3 + 6 * 2 * 3
-        assert run.wire_bytes > 0
-
-    def test_combining_counts_one_call_per_pair(self):
-        run = run_bsp(6, self._program, combining=True)
-        # One BSMP flush per (sender, dest) pair per superstep: the two
-        # messages per peer coalesce.
-        assert run.orb_calls == 6 * 2 * 3
-        # One DRMA call per (writer, owner) pair and per (reader, owner)
-        # pair per superstep.
-        assert run.drma_calls == 6 * 2 * 3 + 6 * 2 * 3
-        seed = run_bsp(6, self._program)
-        assert run.orb_calls < seed.orb_calls
-        assert run.wire_bytes < seed.wire_bytes
-
-    def test_multiple_puts_per_pair_batch_into_one_call(self):
-        def program(bsp):
-            bsp.register("x", 0.0)
-            peer = (bsp.pid + 1) % bsp.nprocs
-            for i in range(5):
-                bsp.put(peer, "x", float(i))
-            bsp.sync()
-            return bsp.read("x")
-
-        seed = run_bsp(4, program)
-        combined = run_bsp(4, program, combining=True)
-        assert combined.results == seed.results      # last writer wins
-        assert seed.drma_calls == 4 * 5
-        assert combined.drma_calls == 4              # one pair per writer
-
-    def test_unencodable_payload_still_combines(self):
-        class Opaque:
-            pass
-
-        def program(bsp):
-            if bsp.pid == 0:
-                bsp.send(1, Opaque())
-                bsp.send(1, Opaque())
-            bsp.sync()
-            if bsp.pid == 1:
-                return len(bsp.messages())
-            return 0
-
-        run = run_bsp(2, program, combining=True)
-        # Falls back to the heuristic size estimate, delivery unchanged.
-        assert run.results[1] == 2
-        assert run.orb_calls == 1
-        assert run.wire_bytes > 0
+        # Two floats in a list: 4 + 2 x 8 payload bytes + 64 of framing.
+        assert run.wire_bytes == run.orb_calls * (64 + 20)

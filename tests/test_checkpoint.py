@@ -1,9 +1,11 @@
 """Unit tests for portable checkpointing and rollback recovery."""
 
-import os
+import shutil
 
 import pytest
 
+from repro.apps.job import JobState
+from repro.apps.spec import ApplicationSpec
 from repro.checkpoint.recovery import RecoveryManager
 from repro.checkpoint.serializer import (
     CheckpointCorrupted,
@@ -11,6 +13,9 @@ from repro.checkpoint.serializer import (
     serialize,
 )
 from repro.checkpoint.store import FileCheckpointStore, MemoryCheckpointStore
+from repro.core.grid import Grid
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.clock import SECONDS_PER_DAY
 
 
 class TestSerializer:
@@ -152,6 +157,17 @@ class TestMemoryStore:
         assert store.bytes_written > 0
         assert store.task_ids == ["t1", "t2"]
 
+    def test_metrics_views(self):
+        store = MemoryCheckpointStore()
+        registry = MetricsRegistry()
+        store.to_metrics(registry, prefix="checkpoint.c0")
+        store.save("t", {"blob": bytes(100)}, 1.0)
+        snap = registry.snapshot()["metrics"]
+        assert snap["checkpoint.c0.saves"] == store.saves == 1
+        assert snap["checkpoint.c0.bytes_written"] == store.bytes_written
+        # A restore here is a dict lookup: nothing to time.
+        assert "checkpoint.c0.restore_latency_s" not in snap
+
 
 class TestFileStore:
     def test_save_and_load(self, tmp_path):
@@ -204,36 +220,76 @@ class TestFileStore:
         assert not [p for p in tmp_path.iterdir()
                     if p.name.endswith(".tmp")]
 
-    def test_skip_unchanged_write(self, tmp_path):
+    def test_ids_differing_only_in_unsafe_characters_do_not_collide(
+            self, tmp_path):
         store = FileCheckpointStore(str(tmp_path))
-        first = store.save("t1", {"p": 1}, 1.0)
-        mtime = os.path.getmtime(store._path("t1"))
-        again = store.save("t1", {"p": 1}, 2.0)
-        # Identical state digest: no new file write, previous record back.
-        assert store.skipped_saves == 1
-        assert store.saves == 1
-        assert again.sequence == first.sequence
-        assert os.path.getmtime(store._path("t1")) == mtime
-        changed = store.save("t1", {"p": 2}, 3.0)
-        assert changed.sequence == first.sequence + 1
-        assert store.load_latest("t1").state()["p"] == 2
+        store.save("job/1", {"p": 1}, 1.0)
+        store.save("job_1", {"p": 2}, 2.0)
+        assert store.load_latest("job/1").state() == {"p": 1}
+        assert store.load_latest("job_1").state() == {"p": 2}
+        assert store.task_ids == ["job/1", "job_1"]
+        store.discard("job_1")
+        assert store.load_latest("job/1").state() == {"p": 1}
+        store.save("job_1", {"p": 3}, 3.0)
+        store.discard("job/1")
+        assert store.load_latest("job_1").state() == {"p": 3}
+        assert store.task_ids == ["job_1"]
 
-    def test_skip_unchanged_can_be_disabled(self, tmp_path):
-        store = FileCheckpointStore(str(tmp_path), skip_unchanged=False)
+    def test_task_ids_are_the_real_ids(self, tmp_path):
+        store = FileCheckpointStore(str(tmp_path))
+        for task_id in ("../evil/path", "50%", "job0.1"):
+            store.save(task_id, {}, 0.0)
+        assert store.task_ids == sorted(["../evil/path", "50%", "job0.1"])
+        assert all(p.parent == tmp_path for p in tmp_path.iterdir())
+
+    def test_id_with_a_slash_survives_a_fresh_instance(self, tmp_path):
+        saved = FileCheckpointStore(str(tmp_path)).save(
+            "job/1", {"blob": bytes(range(256)), "step": 3}, 4.0
+        )
+        restored = FileCheckpointStore(str(tmp_path)).load_latest("job/1")
+        assert restored == saved
+
+    def test_checkpoint_filed_under_another_tasks_name_is_refused(
+            self, tmp_path):
+        store = FileCheckpointStore(str(tmp_path))
         store.save("t1", {"p": 1}, 1.0)
-        repeat = store.save("t1", {"p": 1}, 2.0)
-        assert store.skipped_saves == 0
-        assert repeat.sequence == 2
+        shutil.copy(store._path("t1"), store._path("t2"))
+        with pytest.raises(CheckpointCorrupted):
+            store.load_latest("t2")
+        assert store.load_latest("t1").state() == {"p": 1}
 
-    def test_skip_digest_cache_is_per_instance(self, tmp_path):
-        # A fresh store has no digest cache: its first save of the same
-        # state must still be written, not spuriously "skipped".
-        FileCheckpointStore(str(tmp_path)).save("t1", {"p": 1}, 1.0)
-        fresh = FileCheckpointStore(str(tmp_path))
-        record = fresh.save("t1", {"p": 1}, 2.0)
-        assert fresh.skipped_saves == 0
-        assert record.time == 2.0
-        assert fresh.load_latest("t1").state()["p"] == 1
+    def test_metrics_views(self, tmp_path):
+        store = FileCheckpointStore(str(tmp_path))
+        registry = MetricsRegistry()
+        store.to_metrics(registry, prefix="checkpoint.c0")
+        store.save("t", {"p": 1}, 1.0)
+        store.load_latest("t")
+        snap = registry.snapshot()["metrics"]
+        assert snap["checkpoint.c0.saves"] == store.saves == 1
+        assert snap["checkpoint.c0.bytes_written"] == store.bytes_written
+        assert snap["checkpoint.c0.restore_latency_s"]["count"] == 1
+
+
+def test_grid_checkpoints_land_in_the_cluster_store():
+    """A checkpointing BSP job completes, and what the cluster's
+    repository counted is what the metrics snapshot reports."""
+    grid = Grid(policy="first_fit", lupa_enabled=False)
+    grid.enable_metrics()
+    grid.add_cluster("c0")
+    for i in range(4):
+        grid.add_node("c0", f"n{i}", dedicated=True)
+    grid.run_for(120)
+    job_id = grid.submit(ApplicationSpec(
+        name="bsp", kind="bsp", tasks=4, program="kernel",
+        work_mips=4e7, checkpoint_every_supersteps=2,
+        metadata={"supersteps": 8},
+    ))
+    assert grid.wait_for_job(job_id, max_seconds=SECONDS_PER_DAY)
+    assert grid.job(job_id).state is JobState.COMPLETED
+    store = grid.clusters["c0"].checkpoint_store
+    snap = grid.metrics.snapshot()["metrics"]
+    assert snap["checkpoint.c0.saves"] == store.saves > 0
+    assert "lrm.total.checkpoints_skipped" in snap
 
 
 class TestRecoveryManager:

@@ -348,6 +348,33 @@ class TestCheckpointing:
         assert lrm.checkpoints_taken == 1
         assert lrm.store.saves == 1
 
+    def test_no_progress_since_the_last_save_saves_nothing(self):
+        # Held at a work limit it reaches at 100 s, the task saves once
+        # (120 s); at 240 s nothing has moved, so the stored checkpoint
+        # is already current and the writer says so — no store call.
+        loop, ws, lrm, grm = make_lrm()
+        reserve(lrm, cpu=1.0)
+        launch(lrm, work=1e9, ckpt=120.0)
+        lrm.set_work_limit("t1", 100_000.0)
+        loop.run_until(130.0)
+        assert lrm.checkpoints_taken == 1
+        assert lrm.store.load_latest("t1").sequence == 1
+        loop.run_until(250.0)
+        assert lrm.checkpoints_taken == 1
+        assert lrm.checkpoints_skipped == 1
+        assert lrm.store.saves == 1
+        record = lrm.store.load_latest("t1")
+        assert (record.sequence, record.time) == (1, 120.0)
+        # The cadence stayed armed: progress resumes, the next instant
+        # (360 s) saves again.
+        lrm.set_work_limit("t1", 300_000.0)
+        loop.run_until(370.0)
+        assert lrm.checkpoints_taken == 2
+        assert lrm.checkpoints_skipped == 1
+        record = lrm.store.load_latest("t1")
+        assert (record.sequence, record.time) == (2, 360.0)
+        assert record.state()["progress_mips"] == 210_000.0
+
 
 class TestEviction:
     def test_vacate_on_owner_return(self):

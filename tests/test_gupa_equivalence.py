@@ -13,11 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.spec import ApplicationSpec
 from repro.core.gupa import Gupa, UNKNOWN
-from repro.core.scheduler import (
-    FastestFirstPolicy,
-    PatternAwarePolicy,
-    ScheduleContext,
-)
+from repro.core.scheduler import PatternAwarePolicy, ScheduleContext
 from repro.sim.clock import SECONDS_PER_DAY
 
 #: Bin widths worth exercising: 1 bin/day up to 5-minute bins, all
@@ -192,15 +188,6 @@ class TestPolicyOrderEquivalence:
         now = data.draw(starts, label="now")
         policy = PatternAwarePolicy()
         ctx = self.make_ctx(gupa, now=now)
-        vectorized = [o["node"] for o in policy.order(offers, ctx)]
-        oracle = [o["node"] for o in policy.order_scalar(offers, ctx)]
-        assert vectorized == oracle
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(offers=offer_lists())
-    def test_fastest_first_identical_order(self, offers):
-        policy = FastestFirstPolicy()
-        ctx = self.make_ctx(gupa=None)
         vectorized = [o["node"] for o in policy.order(offers, ctx)]
         oracle = [o["node"] for o in policy.order_scalar(offers, ctx)]
         assert vectorized == oracle
