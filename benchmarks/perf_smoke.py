@@ -9,15 +9,13 @@ so the measured workload cannot drift from what produced the
 baseline), then compares against the committed
 ``BENCH_S1.json`` / ``BENCH_E11.json`` / ``BENCH_S2.json`` /
 ``BENCH_S3.json`` / ``BENCH_S5.json`` / ``BENCH_S6.json``.  A drop of
-more than ``TOLERANCE`` fails the build; S3 additionally enforces
-absolute headline ratios (>= 3x metered bytes for ``delta`` vs ``full``
-without its plane cost going up), S5 enforces >= 5x submit-path cost
-down, >= 3x uplink bytes down, and bit-identical placements between
-the seed scan and the indexed fast path.  S6 is wall-clock only: the
-collocated storm, CDR decode and the two TCP rows (oneway msgs/s,
-threaded two-way calls/s), each best of three.  The execution plane
-(checkpoint store, BSP comms) has no row here: S0 ``bsp_checkpoint``
-measures it.
+more than ``TOLERANCE`` fails the build.  Every row is wall-clock
+against its own baseline: S3 is the GRM's updates/s taking in
+statuses and heartbeats from 10k nodes, S5 the parent's wide-area
+submits/s over 256 clusters, S6 the collocated storm, CDR decode and
+the two TCP rows (oneway msgs/s, threaded two-way calls/s), each best
+of three.  The execution plane (checkpoint store, BSP comms) has no
+row here: S0 ``bsp_checkpoint`` measures it.
 
 The 30 % margin absorbs runner-to-runner noise; the regressions this
 guards against — losing an index, falling off a compiled path, an
@@ -44,7 +42,9 @@ from bench_s1_simulator_throughput import (  # noqa: E402
     measure_hour,
     timed_hour,
 )
-from bench_s3_information_plane import measure_mode  # noqa: E402
+from bench_s3_information_plane import (  # noqa: E402
+    measure_information_plane,
+)
 from bench_s5_wide_area import measure_wide_area  # noqa: E402
 from bench_s6_comm_plane import (  # noqa: E402
     measure_cdr,
@@ -174,71 +174,27 @@ def main():
     if s3 is None:
         print("no BENCH_S3.json baseline committed; skipping S3 smoke")
     else:
-        full = measure_mode(10_000, "full")
-        delta = measure_mode(10_000, "delta")
         baseline = next(
             row["updates_per_wall_s"] for row in s3["rows"]
-            if row["nodes"] == 10_000 and row["mode"] == "delta"
+            if row["nodes"] == 10_000
         )
         failures += not check(
-            "S3 delta ingest (10k nodes)",
-            delta["updates_per_wall_s"], baseline,
+            "S3 update ingest (10k nodes)",
+            measure_information_plane(10_000)["updates_per_wall_s"], baseline,
         )
-        # Absolute headline gates, not baseline-relative, bytes next to
-        # the CPU they cost: the delta wire format must stay >= 3x
-        # smaller than full snapshots (metered, modelled bytes), and the
-        # plane must not spend more wall-clock getting there.
-        bytes_ratio = full["wire_bytes"] / delta["wire_bytes"]
-        ok = bytes_ratio >= 3.0
-        verdict = "ok" if ok else "REGRESSION"
-        print(f"S3 metered-bytes reduction (10k nodes): "
-              f"{bytes_ratio:.1f}x (floor 3.0x) -> {verdict}")
-        failures += not ok
-        cost_ratio = full["plane_cost_s"] / delta["plane_cost_s"]
-        ok = cost_ratio >= 1.0
-        verdict = "ok" if ok else "REGRESSION"
-        print(f"S3 plane-cost reduction (10k nodes): "
-              f"{cost_ratio:.2f}x (floor 1.0x) -> {verdict}")
-        failures += not ok
 
     s5 = load_json("S5")
     if s5 is None:
         print("no BENCH_S5.json baseline committed; skipping S5 smoke")
     else:
-        seed = measure_wide_area(256, "seed")
-        indexed = measure_wide_area(256, "indexed")
-        delta = measure_wide_area(256, "indexed+delta")
         baseline = next(
             row["submits_per_wall_s"] for row in s5["rows"]
-            if row["clusters"] == 256 and row["mode"] == "indexed"
+            if row["clusters"] == 256
         )
         failures += not check(
-            "S5 indexed wide-area submits (256 clusters)",
-            indexed["submits_per_wall_s"], baseline,
+            "S5 wide-area submits (256 clusters)",
+            measure_wide_area(256)["submits_per_wall_s"], baseline,
         )
-        # Absolute headline gates: the indexed placement path must stay
-        # >= 5x cheaper than the seed scan+sort, delta uplinks must keep
-        # >= 3x bytes off the federation wire, and the index must place
-        # jobs exactly where the seed ranking would.
-        cost_ratio = seed["submit_cost_s"] / indexed["submit_cost_s"]
-        ok = cost_ratio >= 5.0
-        verdict = "ok" if ok else "REGRESSION"
-        print(f"S5 submit-cost reduction (256 clusters): "
-              f"{cost_ratio:.1f}x (floor 5.0x) -> {verdict}")
-        failures += not ok
-        bytes_ratio = seed["uplink_bytes"] / delta["uplink_bytes"]
-        ok = bytes_ratio >= 3.0
-        verdict = "ok" if ok else "REGRESSION"
-        print(f"S5 uplink-bytes reduction (256 clusters): "
-              f"{bytes_ratio:.1f}x (floor 3.0x) -> {verdict}")
-        failures += not ok
-        ok = (seed["placements_digest"] == indexed["placements_digest"]
-              and indexed["oracle_mismatches"] == 0
-              and delta["oracle_mismatches"] == 0)
-        verdict = "ok" if ok else "REGRESSION"
-        print(f"S5 placement equivalence (256 clusters): "
-              f"seed==indexed digest and 0 oracle mismatches -> {verdict}")
-        failures += not ok
 
     s6 = load_json("S6")
     if s6 is None:

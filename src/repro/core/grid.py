@@ -19,6 +19,12 @@ from repro.checkpoint.store import MemoryCheckpointStore
 from repro.core.asct import Asct
 from repro.core.grm import Grm
 from repro.core.gupa import Gupa
+from repro.core.hierarchy import (
+    DEFAULT_SUMMARY_INTERVAL,
+    DEFAULT_SUMMARY_STALE_FACTOR,
+    ClusterUplink,
+    ParentGrm,
+)
 from repro.core.lrm import Lrm
 from repro.core.lupa import Lupa
 from repro.core.ncc import DEFAULT_POLICY, NodeControlCenter, SharingPolicy
@@ -27,6 +33,7 @@ from repro.core.protocols import (
     GRM_INTERFACE,
     GUPA_INTERFACE,
     LRM_INTERFACE,
+    PARENT_GRM_INTERFACE,
 )
 from repro.core.scheduler import POLICIES, SchedulingPolicy
 from repro.orb.core import Orb, WireMeter
@@ -97,18 +104,8 @@ class Grid:
         holidays: Optional[set] = None,
         programs=None,
         auth_secret: Optional[bytes] = None,
-        delta_updates: bool = False,
         full_refresh_every: int = 10,
-        update_epsilon: float = 0.0,
-        max_update_interval: Optional[float] = None,
-        batched_ingest: bool = False,
-        incremental_summaries: bool = False,
-        indexed_placement: bool = False,
-        delta_uplinks: bool = False,
-        summary_interval: Optional[float] = None,
-        summary_refresh_every: int = 10,
-        summary_epsilon: float = 0.0,
-        max_summary_interval: Optional[float] = None,
+        summary_interval: float = DEFAULT_SUMMARY_INTERVAL,
     ):
         self.loop = EventLoop()
         self.streams = SeededStreams(seed)
@@ -123,29 +120,12 @@ class Grid:
         self.lupa_upload_interval = lupa_upload_interval
         self.lupa_relearn_interval = lupa_relearn_interval
         self.holidays = holidays if holidays is not None else set()
-        #: Information-plane knobs: delta-compressed, adaptively
-        #: throttled LRM→GRM updates and batched GRM ingest.  Off by
-        #: default: throttled sends reschedule themselves, so the golden
-        #: event schedule holds only without them.
-        self.delta_updates = delta_updates
+        #: The Information Update Protocol's two bounds: a status that
+        #: did not change still travels every ``full_refresh_every``-th
+        #: node update, and every cluster sends its parent one summary
+        #: per ``summary_interval``.
         self.full_refresh_every = full_refresh_every
-        self.update_epsilon = update_epsilon
-        self.max_update_interval = max_update_interval
-        self.batched_ingest = batched_ingest
-        #: Wide-area-plane scaling knobs (off by default: parents keep
-        #: the seed O(children) aggregation, scan-and-sort placement,
-        #: and fixed-interval full-summary uplinks).
-        from repro.core.hierarchy import DEFAULT_SUMMARY_INTERVAL
-        self.incremental_summaries = incremental_summaries
-        self.indexed_placement = indexed_placement
-        self.delta_uplinks = delta_uplinks
-        self.summary_interval = (
-            summary_interval if summary_interval is not None
-            else DEFAULT_SUMMARY_INTERVAL
-        )
-        self.summary_refresh_every = summary_refresh_every
-        self.summary_epsilon = summary_epsilon
-        self.max_summary_interval = max_summary_interval
+        self.summary_interval = summary_interval
         from repro.apps.registry import DEFAULT_REGISTRY
         self.programs = programs if programs is not None else DEFAULT_REGISTRY
         # Optional cluster-membership authentication: with a secret set,
@@ -190,20 +170,6 @@ class Grid:
             orb.to_metrics(self.metrics)
         return orb
 
-    def _slowest_healthy_interval(self) -> float:
-        """What the GRM should treat as one healthy update interval.
-
-        With adaptive throttling a quiet node legitimately stretches its
-        cadence up to ``max_update_interval``; sizing the staleness
-        window off the base interval would declare every throttled node
-        dead.  Liveness detection therefore keys off the slowest cadence
-        a healthy node may adopt — the price of throttling is slower
-        crash detection, never false deaths.
-        """
-        if self.delta_updates and self.max_update_interval is not None:
-            return max(self.update_interval, self.max_update_interval)
-        return self.update_interval
-
     # -- assembly -------------------------------------------------------------------
 
     def _make_policy(self) -> SchedulingPolicy:
@@ -242,8 +208,7 @@ class Grid:
             network=network,
             checkpoint_store=store,
             schedule_interval=self.schedule_interval,
-            update_interval_hint=self._slowest_healthy_interval(),
-            batched_ingest=self.batched_ingest,
+            update_interval_hint=self.update_interval,
         )
         naming = NamingService()
         grm_ior = orb.activate(grm, GRM_INTERFACE, key=f"{name}/grm").to_string()
@@ -275,9 +240,7 @@ class Grid:
         scheduling: str = "owner_first",
     ) -> NodeHandle:
         """Add a resource-provider (or dedicated) node to a cluster."""
-        handle = self._cluster(cluster)
-        if name in handle.nodes:
-            raise ValueError(f"node {name!r} already exists in {cluster!r}")
+        handle = self._new_node_cluster(cluster, name)
         if dedicated:
             profile = ALWAYS_IDLE
             sharing = DEDICATED_POLICY
@@ -290,57 +253,8 @@ class Grid:
             holidays=self.holidays,
             scheduling=scheduling,
         )
-        ncc = NodeControlCenter(self.loop.clock, sharing)
-        orb = self._make_orb(f"{name}-orb")
-        lrm = Lrm(
-            self.loop,
-            workstation,
-            ncc,
-            checkpoint_store=handle.checkpoint_store,
-            update_interval=self.update_interval,
-            delta_updates=self.delta_updates,
-            full_refresh_every=self.full_refresh_every,
-            update_epsilon=self.update_epsilon,
-            max_update_interval=self.max_update_interval,
-        )
-        lrm_ref = orb.activate(lrm, LRM_INTERFACE, key=f"{name}/lrm")
-        grm_stub = orb.stub(handle.grm_ior, GRM_INTERFACE)
-        lrm.attach_grm(grm_stub, lrm_ref.to_string())
-
-        lupa = None
-        if self.lupa_enabled and not dedicated:
-            machine = workstation.machine
-            lupa = Lupa(
-                self.loop,
-                name,
-                probe=lambda m=machine: 1.0 if (
-                    m.keyboard_active or m.owner_cpu >= 0.1
-                ) else 0.0,
-                min_history_days=self.lupa_min_history_days,
-                seed=self.streams.master_seed,
-                relearn_interval=self.lupa_relearn_interval,
-            )
-            gupa_stub = orb.stub(handle.gupa_ior, GUPA_INTERFACE)
-            self.loop.every(
-                self.lupa_upload_interval,
-                lambda l=lupa, g=gupa_stub, n=name: g.upload_pattern(
-                    n, l.pattern()
-                ) if l.pattern() is not None else None,
-            )
-
-        segment_name = segment if segment is not None else f"{cluster}-lan"
-        if segment_name not in handle.network.segments:
-            handle.network.add_segment(segment_name)
-        handle.network.place(name, segment_name)
-
-        node = NodeHandle(
-            name, cluster, workstation, lrm, ncc, orb,
-            lrm_ref.to_string(), lupa, dedicated,
-        )
-        handle.nodes[name] = node
-        self._bind_node_metrics(node)
-        self._bind_node_journal(node)
-        return node
+        return self._wire_node(handle, workstation, sharing, segment,
+                               dedicated)
 
     def add_trace_node(
         self,
@@ -361,12 +275,33 @@ class Grid:
         """
         from repro.sim.trace import TraceWorkstation
 
-        handle = self._cluster(cluster)
-        if name in handle.nodes:
-            raise ValueError(f"node {name!r} already exists in {cluster!r}")
+        handle = self._new_node_cluster(cluster, name)
         workstation = TraceWorkstation(
             self.loop, name, events, spec=spec, loop_trace=loop_trace
         )
+        return self._wire_node(handle, workstation, sharing, segment,
+                               dedicated=False)
+
+    def _new_node_cluster(self, cluster: str, name: str) -> ClusterHandle:
+        """The cluster a new node joins, checked before anything is built
+        for it (an owner model schedules events as it is created)."""
+        handle = self._cluster(cluster)
+        if name in handle.nodes:
+            raise ValueError(f"node {name!r} already exists in {cluster!r}")
+        return handle
+
+    def _wire_node(
+        self,
+        handle: ClusterHandle,
+        workstation: Workstation,
+        sharing: SharingPolicy,
+        segment: Optional[str],
+        dedicated: bool,
+    ) -> NodeHandle:
+        """Everything a node has besides its owner model: NCC, ORB, LRM
+        (registered with the cluster's GRM), LUPA unless dedicated, a
+        network segment."""
+        name = workstation.name
         ncc = NodeControlCenter(self.loop.clock, sharing)
         orb = self._make_orb(f"{name}-orb")
         lrm = Lrm(
@@ -375,43 +310,43 @@ class Grid:
             ncc,
             checkpoint_store=handle.checkpoint_store,
             update_interval=self.update_interval,
-            delta_updates=self.delta_updates,
             full_refresh_every=self.full_refresh_every,
-            update_epsilon=self.update_epsilon,
-            max_update_interval=self.max_update_interval,
         )
         lrm_ref = orb.activate(lrm, LRM_INTERFACE, key=f"{name}/lrm")
         grm_stub = orb.stub(handle.grm_ior, GRM_INTERFACE)
         lrm.attach_grm(grm_stub, lrm_ref.to_string())
 
         lupa = None
-        if self.lupa_enabled:
+        if self.lupa_enabled and not dedicated:
             machine = workstation.machine
             lupa = Lupa(
                 self.loop,
                 name,
-                probe=lambda m=machine: 1.0 if (
-                    m.keyboard_active or m.owner_cpu >= 0.1
+                probe=lambda: 1.0 if (
+                    machine.keyboard_active or machine.owner_cpu >= 0.1
                 ) else 0.0,
                 min_history_days=self.lupa_min_history_days,
                 seed=self.streams.master_seed,
                 relearn_interval=self.lupa_relearn_interval,
             )
             gupa_stub = orb.stub(handle.gupa_ior, GUPA_INTERFACE)
-            self.loop.every(
-                self.lupa_upload_interval,
-                lambda l=lupa, g=gupa_stub, n=name: g.upload_pattern(
-                    n, l.pattern()
-                ) if l.pattern() is not None else None,
-            )
 
-        segment_name = segment if segment is not None else f"{cluster}-lan"
+            def upload_pattern():
+                pattern = lupa.pattern()
+                if pattern is not None:
+                    gupa_stub.upload_pattern(name, pattern)
+
+            self.loop.every(self.lupa_upload_interval, upload_pattern)
+
+        segment_name = segment if segment is not None \
+            else f"{handle.name}-lan"
         if segment_name not in handle.network.segments:
             handle.network.add_segment(segment_name)
         handle.network.place(name, segment_name)
+
         node = NodeHandle(
-            name, cluster, workstation, lrm, ncc, orb,
-            lrm_ref.to_string(), lupa, False,
+            name, handle.name, workstation, lrm, ncc, orb,
+            lrm_ref.to_string(), lupa, dedicated,
         )
         handle.nodes[name] = node
         self._bind_node_metrics(node)
@@ -463,34 +398,14 @@ class Grid:
         node.workstation.stop()
         return node
 
-    def _parent_stale_after(self) -> Optional[float]:
-        """Summary-staleness window for parents, or None (seed: no sweep).
-
-        Only armed in delta-uplink mode, where heartbeat suppression makes
-        "no summary for a while" meaningful: a healthy throttled child
-        still heartbeats at ``max_summary_interval`` at the slowest, so
-        the window keys off that cadence (same reasoning as the GRM's
-        node staleness in :meth:`_slowest_healthy_interval`).
-        """
-        if not self.delta_uplinks:
-            return None
-        from repro.core.hierarchy import DEFAULT_SUMMARY_STALE_FACTOR
-        slowest = self.summary_interval
-        if self.max_summary_interval is not None:
-            slowest = max(slowest, self.max_summary_interval)
-        return slowest * DEFAULT_SUMMARY_STALE_FACTOR
-
     def _make_parent(self, parent_name: str):
-        """Create a ParentGrm on its own ORB, wired to the grid's flags.
+        """Create a ParentGrm on its own ORB.
 
         The servant is activated under both the ParentGrm interface (for
         children) and the GRM facade interface (so a higher-level parent
         can treat it as a cluster).  Returns ``(parent, parent_ior,
         facade_ior)``.
         """
-        from repro.core.hierarchy import ParentGrm
-        from repro.core.protocols import PARENT_GRM_INTERFACE
-
         if parent_name in self._parents:
             raise ValueError(f"parent {parent_name!r} already exists")
         if parent_name in self.clusters:
@@ -500,9 +415,7 @@ class Grid:
         orb = self._make_orb(f"{parent_name}-orb")
         parent = ParentGrm(
             self.loop, orb, name=parent_name,
-            incremental_aggregation=self.incremental_summaries,
-            indexed_placement=self.indexed_placement,
-            stale_after=self._parent_stale_after(),
+            stale_after=self.summary_interval * DEFAULT_SUMMARY_STALE_FACTOR,
         )
         parent_ior = orb.activate(
             parent, PARENT_GRM_INTERFACE, key=f"{parent_name}/grm"
@@ -518,18 +431,11 @@ class Grid:
         return parent, parent_ior, facade_ior
 
     def _make_uplink(self, handle: ClusterHandle, parent_ior: str):
-        """Connect one cluster's GRM to a parent, honouring the flags."""
-        from repro.core.hierarchy import ClusterUplink
-        from repro.core.protocols import PARENT_GRM_INTERFACE
-
+        """Connect one cluster's GRM to a parent."""
         stub = handle.orb.stub(parent_ior, PARENT_GRM_INTERFACE)
         return ClusterUplink(
             self.loop, handle.grm, stub, handle.grm_ior,
             interval=self.summary_interval,
-            delta=self.delta_uplinks,
-            full_refresh_every=self.summary_refresh_every,
-            epsilon=self.summary_epsilon,
-            max_interval=self.max_summary_interval,
         )
 
     def connect_clusters_to_parent(self, parent_name: str = "parent"):
@@ -552,14 +458,11 @@ class Grid:
                 {"root": ["hq", {"campus": ["lab-a", "lab-b"]}]}
             )
 
-        Every parent honours the grid's wide-area flags.  Sub-parents
-        join their parent through the GRM facade (they look like one big
-        cluster from above), streaming delta summaries when
-        ``delta_uplinks`` is on.  Returns ``(parents, uplinks)`` where
-        ``parents`` maps each parent name to its :class:`ParentGrm`.
+        Sub-parents join their parent through the GRM facade (they look
+        like one big cluster from above).  Returns ``(parents, uplinks)``
+        where ``parents`` maps each parent name to its
+        :class:`ParentGrm`.
         """
-        from repro.core.protocols import PARENT_GRM_INTERFACE
-
         if len(tree) != 1:
             raise ValueError(
                 f"tree must have exactly one root, got {sorted(tree)}"
@@ -581,12 +484,7 @@ class Grid:
                     sub, sub_facade_ior = build(sub_name, sub_children)
                     stub = sub._orb.stub(parent_ior, PARENT_GRM_INTERFACE)
                     sub.attach_parent(
-                        stub, sub_facade_ior,
-                        interval=self.summary_interval,
-                        delta=self.delta_uplinks,
-                        full_refresh_every=self.summary_refresh_every,
-                        epsilon=self.summary_epsilon,
-                        max_interval=self.max_summary_interval,
+                        stub, sub_facade_ior, interval=self.summary_interval
                     )
                 else:
                     uplinks.append(
@@ -704,23 +602,10 @@ class Grid:
                            "checkpoints_taken", "checkpoints_skipped",
                            "refused_reservations",
                            "accepted_reservations", "updates_sent",
-                           "updates_full", "updates_delta",
-                           "heartbeats_sent", "sandbox_violations"):
+                           "updates_full", "heartbeats_sent",
+                           "sandbox_violations"):
             registry.view(
                 f"lrm.total.{field_name}",
-                lambda f=field_name: sum(
-                    getattr(n.lrm, f)
-                    for h in self.clusters.values()
-                    for n in h.nodes.values()
-                ),
-            )
-        # Information-plane counters under their protocol-level names.
-        for name, field_name in (
-            ("lrm.updates.delta", "updates_delta"),
-            ("lrm.updates.heartbeats", "heartbeats_sent"),
-        ):
-            registry.view(
-                name,
                 lambda f=field_name: sum(
                     getattr(n.lrm, f)
                     for h in self.clusters.values()

@@ -26,10 +26,9 @@ from repro.core.scheduler import (
     SchedulingPolicy,
     plan_virtual_topology,
 )
-from repro.core.update_protocol import apply_delta
 from repro.orb.core import Orb
 from repro.orb.exceptions import OrbError
-from repro.orb.trading import TradingService
+from repro.orb.trading import TradingService, UnknownOffer
 from repro.sim.events import EventLoop
 from repro.sim.network import NetworkTopology
 
@@ -64,9 +63,7 @@ class GrmStats:
 
     #: Every Information Update Protocol message, heartbeats included.
     updates_received: int = 0
-    deltas_received: int = 0
     heartbeats_received: int = 0
-    ingest_flushes: int = 0
     negotiation_rounds: int = 0
     reservations_refused: int = 0
     placements: int = 0
@@ -99,7 +96,6 @@ class Grm:
         reservation_lease: float = DEFAULT_RESERVATION_LEASE,
         max_negotiations: int = DEFAULT_MAX_NEGOTIATIONS,
         update_interval_hint: float = 60.0,
-        batched_ingest: bool = False,
     ):
         self._loop = loop
         self._orb = orb
@@ -125,10 +121,6 @@ class Grm:
         #: the roster or a stored status bumps the epoch and invalidates.
         self._summary_epoch = 0
         self._summary_cache: Optional[tuple] = None
-        #: Batched ingestion: updates mark their node dirty here and the
-        #: Trader is brought up to date in one pass before the next query.
-        self._batched_ingest = batched_ingest
-        self._dirty: dict[str, NodeRecord] = {}
         #: Staleness sweep state: (expiry, seq, record) entries, one live
         #: entry per record, re-armed lazily as sweeps find fresh nodes.
         #: The seq breaks expiry ties (records are not comparable).
@@ -171,7 +163,6 @@ class Grm:
         self._ingest_hist = registry.histogram(
             f"{prefix}.ingest_latency_s", LATENCY_BOUNDS_S
         )
-        registry.view(f"{prefix}.dirty_nodes", lambda: len(self._dirty))
 
     def set_tracer(self, tracer) -> None:
         """Attach the grid's span tracer (schedule/trader/placement spans)."""
@@ -242,29 +233,18 @@ class Grm:
         if record is None:
             return
         self._summary_epoch += 1
-        self._dirty.pop(node, None)
         try:
             self.trader.withdraw(record.offer_id)
-        except Exception:
+        except UnknownOffer:
             pass
 
     def send_update(self, status: dict) -> None:
         hist = self._ingest_hist
         if hist is None:
-            return self._ingest_full(status)
+            return self._ingest(status)
         started = perf_counter()
         try:
-            self._ingest_full(status)
-        finally:
-            hist.observe(perf_counter() - started)
-
-    def send_delta(self, node: str, delta: dict) -> None:
-        hist = self._ingest_hist
-        if hist is None:
-            return self._ingest_delta(node, delta)
-        started = perf_counter()
-        try:
-            self._ingest_delta(node, delta)
+            self._ingest(status)
         finally:
             hist.observe(perf_counter() - started)
 
@@ -292,56 +272,18 @@ class Grm:
                 cluster=self.cluster, reason="unregistered",
             )
 
-    def _ingest_full(self, status: dict) -> None:
+    def _ingest(self, status: dict) -> None:
         record = self._nodes.get(status["node"])
         if record is None:
             return self._drop_update(status["node"])
+        # The status crossed the ORB by reference: it is kept read-only
+        # as last_status, and the Trader stores its own copy.
         record.last_status = status
         record.last_seen = self._loop.now
         record.alive = True
         self._summary_epoch += 1
-        if self._batched_ingest:
-            self._dirty[record.node] = record
-        else:
-            # The trader patches its copy in place on later deltas; the
-            # caller's dict (read-only here, as last_status) crossed the
-            # ORB by reference and must stay as it was sent.
-            self.trader.modify(record.offer_id, status)
+        self.trader.modify(record.offer_id, status)
         self.stats.updates_received += 1
-
-    def _ingest_delta(self, node: str, delta: dict) -> None:
-        record = self._nodes.get(node)
-        if record is None:
-            return self._drop_update(node)
-        record.last_status = apply_delta(record.last_status, delta)
-        record.last_seen = self._loop.now
-        record.alive = True
-        self._summary_epoch += 1
-        if self._batched_ingest:
-            self._dirty[node] = record
-        else:
-            # Only the changed fields touch the Trader's indexes.
-            self.trader.patch(record.offer_id, delta)
-        self.stats.updates_received += 1
-        self.stats.deltas_received += 1
-
-    def flush_updates(self) -> None:
-        """Bring the Trader up to date with every dirty node (batched mode).
-
-        Coalesces however many updates arrived since the last query into
-        one ``modify`` per node; the flushed state is each record's
-        current ``last_status``, which already folds in any deltas.
-        """
-        dirty = self._dirty
-        if not dirty:
-            return
-        self.trader.modify_many(
-            ((record.offer_id, record.last_status)
-             for record in dirty.values()),
-            copy=False,
-        )
-        dirty.clear()
-        self.stats.ingest_flushes += 1
 
     def _check_liveness(self) -> None:
         """Scheduled staleness sweep over the expiry heap.
@@ -374,11 +316,10 @@ class Grm:
     def _declare_dead(self, record: NodeRecord) -> None:
         record.alive = False
         self._summary_epoch += 1
-        self._dirty.pop(record.node, None)
         self.stats.nodes_declared_dead += 1
         try:
             self.trader.withdraw(record.offer_id)
-        except Exception:
+        except UnknownOffer:
             pass
         journal = self.journal
         down = None
@@ -621,8 +562,6 @@ class Grm:
         return self._schedule_independent(job)
 
     def _offers_for(self, spec: ApplicationSpec) -> list:
-        if self._dirty:
-            self.flush_updates()
         reqs = spec.requirements
         parts = [
             "sharing == true",

@@ -7,30 +7,16 @@ grid to encompass millions of machines" (Section 4).  A
 cluster could not, implementing the wide-area extension of the resource
 management protocols (Marques & Kon 2002).
 
-Scaling the wide-area plane (all opt-in, seed behaviour is the default):
-
-* **Incremental aggregation** — with ``incremental_aggregation=True``
-  the parent maintains running totals (and a sorted multiset for the
-  max) updated in O(1)/O(log C) per summary, so :meth:`aggregate_summary`
-  stops recomputing O(children) sums on every uplink heartbeat.
-  :meth:`aggregate_oracle` keeps the seed recompute as the equivalence
-  oracle.
-* **Indexed placement** — with ``indexed_placement=True`` candidate
-  selection walks a free-CPU-ordered index maintained on summary
-  arrival instead of scanning and sorting every child per submit; the
-  walk stops at the first child that provably cannot host the job
-  (the index is ordered by the one monotone criterion), so submit cost
-  is O(answers + log C), and clusters whose aggregate cannot host the
-  job are skipped before any remote round-trip.  Candidate order is
-  bit-identical to the seed :meth:`_rank_candidates` sort (stable on
-  registration order within free-CPU ties).
-* **Delta uplinks** — :class:`ClusterUplink` and
-  :meth:`ParentGrm.attach_parent` can stream changed-field deltas with
-  adaptive throttling (reusing
-  :class:`~repro.core.update_protocol.DeltaSender`), and a parent given
-  ``stale_after`` sweeps a ``(expiry, seq)`` min-heap to demote children
-  whose summaries stopped arriving — stale clusters leave the placement
-  index instead of being ranked (and dialled) as live candidates.
+One rule per direction.  Upward, every child — a cluster through its
+:class:`ClusterUplink`, a sub-parent through :meth:`ParentGrm.attach_parent`
+— sends one full summary per ``summary_interval``; a parent demotes a
+child it has not heard from for ``stale_after`` (3.5 intervals) and
+revives it on its next summary, so placement never ranks, or dials, a
+dead cluster.  Downward, candidate selection walks an index of the live
+children ordered by spare CPU, maintained as summaries arrive: the walk
+stops at the first child that provably cannot host the job, so a submit
+costs O(answers + log C) and most-spare-CPU goes first, registration
+order breaking ties.
 """
 
 import itertools
@@ -40,32 +26,17 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import Optional
 
-from repro.apps.spec import ApplicationSpec
 from repro.core.grm import Grm
 from repro.core.protocols import GRM_INTERFACE
-from repro.core.update_protocol import (
-    DEFAULT_FULL_REFRESH_EVERY,
-    DELTA,
-    FULL,
-    DeltaSender,
-    apply_delta,
-)
 from repro.orb.core import Orb
 from repro.orb.exceptions import OrbError
 from repro.sim.events import EventLoop
 
 DEFAULT_SUMMARY_INTERVAL = 300.0
 
-#: A child whose summaries stop arriving for this many healthy intervals
-#: is demoted from placement (mirrors the GRM's node staleness factor).
+#: A child whose summaries stop arriving for this many intervals is
+#: demoted from placement (mirrors the GRM's node staleness factor).
 DEFAULT_SUMMARY_STALE_FACTOR = 3.5
-
-#: Totals maintained incrementally (every CLUSTER_SUMMARY field that is
-#: a plain sum over children; ``max_node_mips`` needs the multiset).
-_SUM_FIELDS = (
-    "nodes", "sharing_nodes", "free_cpu_total", "free_mem_total_mb",
-    "pending_tasks",
-)
 
 
 @dataclass
@@ -77,14 +48,13 @@ class ClusterRecord:
     grm_stub: object
     summary: dict
     last_seen: float
-    #: Registration order; breaks free-CPU ties exactly the way the seed
-    #: stable sort does (dict insertion order).
+    #: Registration order; breaks free-CPU ties.
     seq: int = 0
     #: False once the staleness sweep demoted this child; revived by the
     #: next summary that arrives.
     alive: bool = True
     #: The (-free_cpu_total, seq) key this record currently occupies in
-    #: the placement index (None when unindexed or demoted).
+    #: the placement index (None while demoted).
     index_key: Optional[tuple] = field(default=None, repr=False)
 
 
@@ -125,9 +95,9 @@ class ParentGrm:
         loop: EventLoop,
         orb: Orb,
         name: str = "parent",
-        incremental_aggregation: bool = False,
-        indexed_placement: bool = False,
-        stale_after: Optional[float] = None,
+        stale_after: float = (
+            DEFAULT_SUMMARY_STALE_FACTOR * DEFAULT_SUMMARY_INTERVAL
+        ),
     ):
         self._loop = loop
         self._orb = orb
@@ -136,52 +106,32 @@ class ParentGrm:
         self._parent = None
         self._delegated_jobs: dict[str, ClusterRecord] = {}
         self.summaries_received = 0
-        self.summaries_full = 0
-        self.summaries_delta = 0
-        self.summaries_suppressed = 0
         self.summaries_dropped = 0
         self.remote_submissions = 0
         self.remote_rejections = 0
         self.upward_forwards = 0
         self.clusters_declared_stale = 0
-        #: Placement accounting (indexed mode): children admitted to the
-        #: candidate list, children pruned before any remote round-trip,
-        #: and submissions escalated to our own parent.
+        #: Placement accounting: children admitted to the candidate
+        #: list, children pruned before any remote round-trip, and
+        #: submissions escalated to our own parent.
         self.placements_admitted = 0
         self.placements_skipped_by_index = 0
         self.placements_escalated = 0
-        #: Parent-as-child uplink accounting (delta-mode attach_parent).
-        self.uplink_full = 0
-        self.uplink_delta = 0
-        self.uplink_suppressed = 0
-        #: Optional observability hooks; None keeps the seed hot paths.
+        #: Optional observability hooks; None keeps the hot paths bare.
         self.journal = None
         self._submit_hist = None
-        #: Wide-area scaling switches (defaults preserve seed behaviour).
-        self._incremental = incremental_aggregation
-        self._indexed = indexed_placement
-        self._stale_after = stale_after
-        #: Incremental aggregation state: running totals plus a sorted
-        #: multiset of each live child's max_node_mips.
-        self._totals = {key: 0 for key in _SUM_FIELDS}
-        self._mips: list = []
         #: Placement index: (-free_cpu_total, seq, record) ascending, so
-        #: a front-to-back walk visits most-spare-CPU first with seed tie
-        #: order, and stops at the first child below the CPU threshold.
+        #: a front-to-back walk visits most-spare-CPU first, registration
+        #: order within ties, and stops at the first child below the CPU
+        #: threshold.
         self._index: list = []
         self._cluster_seq = itertools.count()
         #: Staleness sweep state, same shape as the GRM's node sweep:
         #: (expiry, seq, record) entries re-armed lazily on fresh children.
+        self._stale_after = stale_after
         self._expiry_heap: list = []
         self._expiry_seq = itertools.count()
-        self._sweep_task = None
-        if stale_after is not None:
-            if stale_after <= 0:
-                raise ValueError(
-                    f"stale_after must be positive, got {stale_after}"
-                )
-            self._sweep_task = loop.every(stale_after, self._check_staleness)
-        self._uplink_sender = None
+        self._sweep_task = loop.every(stale_after, self._check_staleness)
         self._uplink_task = None
 
     # -- wiring -----------------------------------------------------------------
@@ -193,18 +143,13 @@ class ParentGrm:
     def bind_metrics(self, registry, prefix: Optional[str] = None) -> None:
         """Publish this parent's wide-area counters on a metrics registry.
 
-        Registers the ``parent.<name>.*`` views (summary kinds, placement
+        Registers the ``parent.<name>.*`` views (summaries, placement
         admission accounting, cluster roster) and starts the
         ``submit_latency_s`` histogram over the wide-area submit path.
         """
         prefix = prefix if prefix is not None else f"parent.{self.name}"
         registry.view(f"{prefix}.summaries.received",
                       lambda: self.summaries_received)
-        registry.view(f"{prefix}.summaries.full", lambda: self.summaries_full)
-        registry.view(f"{prefix}.summaries.delta",
-                      lambda: self.summaries_delta)
-        registry.view(f"{prefix}.summaries.suppressed",
-                      lambda: self.summaries_suppressed)
         registry.view(f"{prefix}.summaries.dropped",
                       lambda: self.summaries_dropped)
         registry.view(f"{prefix}.placement.admitted",
@@ -233,12 +178,10 @@ class ParentGrm:
         )
 
     def stop(self) -> None:
-        """Stop the staleness sweep and any delta uplink timer."""
-        if self._sweep_task is not None:
-            self._sweep_task.stop()
+        """Stop the staleness sweep and the uplink to our own parent."""
+        self._sweep_task.stop()
         if self._uplink_task is not None:
-            self._uplink_task.cancel()
-            self._uplink_task = None
+            self._uplink_task.stop()
 
     # -- servant operations -----------------------------------------------------
 
@@ -247,23 +190,17 @@ class ParentGrm:
         stub = self._orb.stub(grm_ior, GRM_INTERFACE)
         existing = self._children.get(cluster)
         if existing is not None:
-            # Re-registration keeps the child's dict position (and thus
-            # its tie-break rank); retire the stale aggregate state.
+            # Re-registration keeps the child's tie-break rank.
             seq = existing.seq
-            self._retire(existing)
+            self._index_remove(existing)
         else:
             seq = next(self._cluster_seq)
         record = ClusterRecord(
             cluster, grm_ior, stub, summary, self._loop.now, seq=seq
         )
         self._children[cluster] = record
-        self._admit(record)
-        if self._stale_after is not None:
-            heappush(
-                self._expiry_heap,
-                (record.last_seen + self._stale_after,
-                 next(self._expiry_seq), record),
-            )
+        self._reindex(record)
+        self._arm_expiry(record)
         journal = self.journal
         if journal is not None and journal.active:
             journal.record(
@@ -276,7 +213,7 @@ class ParentGrm:
         record = self._children.pop(cluster, None)
         if record is None:
             return
-        self._retire(record)
+        self._index_remove(record)
         journal = self.journal
         if journal is not None and journal.active:
             journal.record(
@@ -286,42 +223,31 @@ class ParentGrm:
 
     def send_summary(self, summary: dict) -> None:
         record = self._children.get(summary["cluster"])
+        journal = self.journal
         if record is None:
             # A summary from a cluster that never registered (or was
             # dropped): count it and leave a forensic trail — the child
             # must re-register, exactly like a node-level update_dropped.
             self.summaries_dropped += 1
-            journal = self.journal
             if journal is not None and journal.active:
                 journal.record(
                     "update_dropped", cluster=summary["cluster"],
                     parent=self.name, reason="unregistered",
                 )
             return
-        self._apply_summary(record, summary)
+        record.summary = summary
+        record.last_seen = self._loop.now
         self.summaries_received += 1
-        self.summaries_full += 1
-
-    def send_summary_delta(self, cluster: str, delta: dict) -> None:
-        """Delta-compressed summary: only changed fields (plus time)."""
-        record = self._children.get(cluster)
-        if record is None:
-            self.summaries_dropped += 1
-            journal = self.journal
+        if not record.alive:
+            # The child came back: placement may offer it again.
+            record.alive = True
+            self._arm_expiry(record)
             if journal is not None and journal.active:
                 journal.record(
-                    "update_dropped", cluster=cluster,
-                    parent=self.name, reason="unregistered",
+                    "cluster_up", cluster=record.cluster, parent=self.name,
+                    reason="summaries resumed",
                 )
-            return
-        merged = apply_delta(record.summary, delta)
-        heartbeat = all(key == "time" for key in delta)
-        self._apply_summary(record, merged)
-        self.summaries_received += 1
-        if heartbeat:
-            self.summaries_suppressed += 1
-        else:
-            self.summaries_delta += 1
+        self._reindex(record)
 
     def submit_remote(self, spec: dict, origin_cluster: str) -> str:
         """Place a job some other child cluster can run, or return ''.
@@ -437,9 +363,6 @@ class ParentGrm:
     def send_update(self, status) -> None:
         pass
 
-    def send_delta(self, node, delta) -> None:
-        pass
-
     def heartbeat(self, node) -> None:
         pass
 
@@ -457,8 +380,8 @@ class ParentGrm:
 
     # -- aggregation --------------------------------------------------------------
 
-    def aggregate_oracle(self) -> dict:
-        """The seed O(children) recompute, kept as the equivalence oracle."""
+    def aggregate_summary(self) -> dict:
+        """This subtree, summarised as if it were one big cluster."""
         children = [r for r in self._children.values() if r.alive]
         return {
             "cluster": self.name,
@@ -481,140 +404,40 @@ class ParentGrm:
             ),
         }
 
-    def aggregate_summary(self) -> dict:
-        """This subtree, summarised as if it were one big cluster."""
-        if not self._incremental:
-            return self.aggregate_oracle()
-        totals = self._totals
-        return {
-            "cluster": self.name,
-            "time": self._loop.now,
-            "nodes": totals["nodes"],
-            "sharing_nodes": totals["sharing_nodes"],
-            "free_cpu_total": totals["free_cpu_total"],
-            "free_mem_total_mb": totals["free_mem_total_mb"],
-            "max_node_mips": self._mips[-1] if self._mips else 0.0,
-            "pending_tasks": totals["pending_tasks"],
-        }
-
     def attach_parent(
         self,
         parent_stub,
         own_grm_facade_ior: str,
-        loop: Optional[EventLoop] = None,
         interval: float = DEFAULT_SUMMARY_INTERVAL,
-        delta: bool = False,
-        full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
-        epsilon: float = 0.0,
-        max_interval: Optional[float] = None,
     ) -> None:
-        """Join a higher-level ParentGrm as one of its 'clusters'.
-
-        With ``delta=True`` the upward stream reuses the information
-        plane's :class:`DeltaSender`: changed-fields deltas, heartbeat
-        suppression while idle (the interval stretches up to
-        ``max_interval``), and an unconditional full refresh every
-        ``full_refresh_every`` sends as the drop-resync bound.
-        """
+        """Join a higher-level ParentGrm as one of its 'clusters'."""
         self._parent = parent_stub
-        summary = self.aggregate_summary()
-        parent_stub.register_cluster(summary, own_grm_facade_ior)
-        driver = loop if loop is not None else self._loop
-        if not delta:
-            driver.every(
-                interval,
-                lambda: parent_stub.send_summary(self.aggregate_summary()),
-            )
-            return
-        sender = DeltaSender(
-            interval,
-            full_refresh_every=full_refresh_every,
-            epsilon=epsilon,
-            max_interval=max_interval,
+        parent_stub.register_cluster(
+            self.aggregate_summary(), own_grm_facade_ior
         )
-        sender.register(summary)
-        self._uplink_sender = sender
+        self._uplink_task = self._loop.every(
+            interval,
+            lambda: parent_stub.send_summary(self.aggregate_summary()),
+        )
 
-        def fire():
-            kind, payload = sender.encode(self.aggregate_summary())
-            if kind == FULL:
-                parent_stub.send_summary(payload)
-                self.uplink_full += 1
-            else:
-                parent_stub.send_summary_delta(self.name, payload)
-                if kind == DELTA:
-                    self.uplink_delta += 1
-                else:
-                    self.uplink_suppressed += 1
-            self._uplink_task = driver.schedule(sender.current_interval, fire)
+    # -- liveness and the placement index ------------------------------------------
 
-        self._uplink_task = driver.schedule(sender.current_interval, fire)
+    def _arm_expiry(self, record: ClusterRecord) -> None:
+        """A (re)registered or revived child gets its one heap entry."""
+        heappush(
+            self._expiry_heap,
+            (record.last_seen + self._stale_after,
+             next(self._expiry_seq), record),
+        )
 
-    # -- summary bookkeeping -----------------------------------------------------
-
-    def _apply_summary(self, record: ClusterRecord, summary: dict) -> None:
-        """Store a child's new summary and maintain the derived structures."""
-        old = record.summary
-        record.summary = summary
-        record.last_seen = self._loop.now
-        if not record.alive:
-            # The child came back: re-admit it to totals and placement.
-            record.alive = True
-            self._admit(record)
-            if self._stale_after is not None:
-                heappush(
-                    self._expiry_heap,
-                    (record.last_seen + self._stale_after,
-                     next(self._expiry_seq), record),
-                )
-            journal = self.journal
-            if journal is not None and journal.active:
-                journal.record(
-                    "cluster_up", cluster=record.cluster, parent=self.name,
-                    reason="summaries resumed",
-                )
-            return
-        if self._incremental:
-            totals = self._totals
-            for key in _SUM_FIELDS:
-                delta = summary[key] - old[key]
-                if delta:
-                    totals[key] += delta
-            old_mips = old["max_node_mips"]
-            new_mips = summary["max_node_mips"]
-            if new_mips != old_mips:
-                del self._mips[bisect_left(self._mips, old_mips)]
-                insort(self._mips, new_mips)
-        if self._indexed:
-            key = (-summary["free_cpu_total"], record.seq)
-            if key != record.index_key:
-                self._index_remove(record)
-                record.index_key = key
-                insort(self._index, key + (record,))
-
-    def _admit(self, record: ClusterRecord) -> None:
-        """Fold a (re)registered child into totals and the index."""
-        summary = record.summary
-        if self._incremental:
-            totals = self._totals
-            for key in _SUM_FIELDS:
-                totals[key] += summary[key]
-            insort(self._mips, summary["max_node_mips"])
-        if self._indexed:
-            record.index_key = (-summary["free_cpu_total"], record.seq)
-            insort(self._index, record.index_key + (record,))
-
-    def _retire(self, record: ClusterRecord) -> None:
-        """Remove a child's contribution from totals and the index."""
-        if not record.alive:
-            return
-        summary = record.summary
-        if self._incremental:
-            totals = self._totals
-            for key in _SUM_FIELDS:
-                totals[key] -= summary[key]
-            del self._mips[bisect_left(self._mips, summary["max_node_mips"])]
-        self._index_remove(record)
+    def _reindex(self, record: ClusterRecord) -> None:
+        """File a live child under its summary's spare CPU, if it is not
+        there already."""
+        key = (-record.summary["free_cpu_total"], record.seq)
+        if key != record.index_key:
+            self._index_remove(record)
+            record.index_key = key
+            insort(self._index, key + (record,))
 
     def _index_remove(self, record: ClusterRecord) -> None:
         key = record.index_key
@@ -633,7 +456,7 @@ class ParentGrm:
         entries whose armed expiry passed, re-arm children that kept
         reporting at their real expiry.  A demoted child stays
         registered (its stub may still answer for delegated jobs) but
-        leaves the totals and the placement index, so placement never
+        leaves the aggregate and the placement index, so placement never
         ranks — or dials — a dead cluster.
         """
         now = self._loop.now
@@ -646,7 +469,7 @@ class ParentGrm:
                 continue   # unregistered, replaced, or already demoted
             expiry = record.last_seen + stale_after
             if expiry < now:
-                self._retire(record)
+                self._index_remove(record)
                 record.alive = False
                 self.clusters_declared_stale += 1
                 journal = self.journal
@@ -662,32 +485,18 @@ class ParentGrm:
     # -- selection -----------------------------------------------------------------
 
     def _candidates(self, spec_dict: dict, origin: str) -> list:
-        """Eligible children, best-first, via the index or the seed scan."""
-        if self._indexed:
-            reqs = spec_dict.get("requirements") or {}
-            tasks = spec_dict.get("tasks", 1)
-            needed_cpu = tasks * reqs.get("cpu_fraction", 1.0)
-            return self._indexed_candidates(
-                needed_cpu, tasks, reqs.get("min_mips", 0.0), origin
-            )
-        parsed = ApplicationSpec.from_dict(spec_dict)
-        return self._rank_candidates(parsed, origin)
+        """Eligible live children, most spare CPU first.
 
-    def _indexed_candidates(
-        self,
-        needed_cpu: float,
-        tasks: int,
-        min_mips: float,
-        origin: str,
-    ) -> list:
-        """Walk the free-CPU index; stop at the first provably-unfit child.
-
-        The index is ordered by spare CPU (descending walk), the one
-        eligibility criterion that is monotone in the ordering — every
-        child past the first one below ``needed_cpu`` fails too, so the
-        walk prunes them without even looking.  The secondary filters
-        (sharing node count, fastest node) reject within the prefix.
+        The index is ordered by spare CPU, the one eligibility criterion
+        that is monotone in the ordering — every child past the first
+        one below the CPU the job needs fails too, so the walk stops
+        there without looking at them.  The secondary filters (sharing
+        node count, fastest node) reject within the prefix.
         """
+        reqs = spec_dict.get("requirements") or {}
+        tasks = spec_dict.get("tasks", 1)
+        needed_cpu = tasks * reqs.get("cpu_fraction", 1.0)
+        min_mips = reqs.get("min_mips", 0.0)
         eligible = []
         for entry in self._index:
             if -entry[0] < needed_cpu:
@@ -705,30 +514,6 @@ class ParentGrm:
         self.placements_skipped_by_index += len(self._index) - len(eligible)
         return eligible
 
-    def _rank_candidates(self, spec: ApplicationSpec, origin: str) -> list:
-        """The seed full scan + sort, kept as the placement-order oracle."""
-        reqs = spec.requirements
-        needed_cpu = spec.tasks * reqs.cpu_fraction
-        eligible = []
-        for record in self._children.values():
-            if record.cluster == origin:
-                continue
-            if not record.alive:
-                continue
-            summary = record.summary
-            if summary["sharing_nodes"] < spec.tasks:
-                continue
-            if summary["free_cpu_total"] < needed_cpu:
-                continue
-            if reqs.min_mips > 0 and summary["max_node_mips"] < reqs.min_mips:
-                continue
-            eligible.append(record)
-        # Least-loaded first: most spare CPU relative to what we need.
-        eligible.sort(
-            key=lambda r: r.summary["free_cpu_total"], reverse=True
-        )
-        return eligible
-
     @property
     def clusters(self) -> list:
         return sorted(self._children)
@@ -739,14 +524,8 @@ class ParentGrm:
 
 
 class ClusterUplink:
-    """The child side: registers with the parent and streams summaries.
-
-    ``delta=True`` switches the stream to the information plane's update
-    protocol: a full snapshot at registration, changed-fields deltas
-    after, time-only heartbeats while nothing changes (at a geometrically
-    stretched cadence, up to ``max_interval``), and an unconditional full
-    refresh every ``full_refresh_every`` sends as the resync bound.
-    """
+    """The child side: registers its cluster with the parent, then sends
+    one full summary per ``interval``."""
 
     def __init__(
         self,
@@ -755,60 +534,17 @@ class ClusterUplink:
         parent_stub,
         grm_ior: str,
         interval: float = DEFAULT_SUMMARY_INTERVAL,
-        delta: bool = False,
-        full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
-        epsilon: float = 0.0,
-        max_interval: Optional[float] = None,
     ):
-        self._loop = loop
         self._grm = grm
         self._parent = parent_stub
-        summary = grm.cluster_summary()
-        parent_stub.register_cluster(summary, grm_ior)
+        parent_stub.register_cluster(grm.cluster_summary(), grm_ior)
         grm.set_parent(parent_stub)
         self.summaries_sent = 0
-        self.summaries_full = 0
-        self.summaries_delta = 0
-        self.summaries_suppressed = 0
-        if delta:
-            self._delta = DeltaSender(
-                interval,
-                full_refresh_every=full_refresh_every,
-                epsilon=epsilon,
-                max_interval=max_interval,
-            )
-            self._delta.register(summary)
-            # Adaptive cadence: one-shot rescheduling at whatever interval
-            # the encoder chose (stretched while idle, snapped back on
-            # change) — the same drive the LRM uses for node updates.
-            self._task = loop.schedule(self._delta.current_interval,
-                                       self._fire)
-        else:
-            self._delta = None
-            self._task = loop.every(interval, self._send)
+        self._task = loop.every(interval, self._send)
 
     def _send(self) -> None:
         self._parent.send_summary(self._grm.cluster_summary())
         self.summaries_sent += 1
 
-    def _fire(self) -> None:
-        summary = self._grm.cluster_summary()
-        kind, payload = self._delta.encode(summary)
-        if kind == FULL:
-            self._parent.send_summary(payload)
-            self.summaries_full += 1
-        else:
-            self._parent.send_summary_delta(self._grm.cluster, payload)
-            if kind == DELTA:
-                self.summaries_delta += 1
-            else:
-                self.summaries_suppressed += 1
-        self.summaries_sent += 1
-        self._task = self._loop.schedule(self._delta.current_interval,
-                                         self._fire)
-
     def stop(self) -> None:
-        if self._delta is not None:
-            self._task.cancel()
-        else:
-            self._task.stop()
+        self._task.stop()

@@ -35,17 +35,15 @@ from typing import Optional
 from repro.checkpoint.store import MemoryCheckpointStore
 from repro.core.ncc import NodeControlCenter
 from repro.core.reservation import ReservationLedger
-from repro.core.update_protocol import (
-    DEFAULT_FULL_REFRESH_EVERY,
-    DELTA,
-    DeltaSender,
-    FULL,
-)
 from repro.security.sandbox import Sandbox, SandboxPolicy, SandboxViolation
 from repro.sim.events import EventLoop
 from repro.sim.workstation import Workstation
 
 DEFAULT_UPDATE_INTERVAL = 60.0
+
+#: Every this-many sends is a status whether or not anything changed:
+#: the bound on how long a lost update can leave the GRM wrong.
+DEFAULT_FULL_REFRESH_EVERY = 10
 
 
 @dataclass
@@ -119,10 +117,7 @@ class Lrm:
         checkpoint_store: Optional[MemoryCheckpointStore] = None,
         update_interval: float = DEFAULT_UPDATE_INTERVAL,
         sandbox_policy: Optional[SandboxPolicy] = None,
-        delta_updates: bool = False,
         full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
-        update_epsilon: float = 0.0,
-        max_update_interval: Optional[float] = None,
     ):
         if full_refresh_every < 1:
             raise ValueError(
@@ -150,11 +145,10 @@ class Lrm:
         self.checkpoints_skipped = 0
         self.refused_reservations = 0
         self.accepted_reservations = 0
-        #: Every Information Update Protocol message, whatever its form;
-        #: the three below split it.
+        #: Every Information Update Protocol message; the two below
+        #: split it.
         self.updates_sent = 0
         self.updates_full = 0
-        self.updates_delta = 0
         self.heartbeats_sent = 0
 
         # Execution state: when progress was last settled, the one
@@ -173,16 +167,6 @@ class Lrm:
         self._full_refresh_every = full_refresh_every
         self._status_dirty = False
         self._sends_since_full = 0
-        self.delta_updates = delta_updates
-        self._delta = (
-            DeltaSender(
-                update_interval,
-                full_refresh_every=full_refresh_every,
-                epsilon=update_epsilon,
-                max_interval=max_update_interval,
-            )
-            if delta_updates else None
-        )
         # The NodeStatus fields that never change, in NODE_STATUS order;
         # status() copies this and fills in the live ones.
         spec = self._machine.spec
@@ -204,8 +188,8 @@ class Lrm:
             "completed_count", "evicted_count", "checkpoints_taken",
             "checkpoints_skipped",
             "refused_reservations", "accepted_reservations",
-            "updates_sent", "updates_full", "updates_delta",
-            "heartbeats_sent", "sandbox_violations",
+            "updates_sent", "updates_full", "heartbeats_sent",
+            "sandbox_violations",
         ))
         registry.view(f"{prefix}.running_tasks", lambda: len(self._running))
 
@@ -218,23 +202,12 @@ class Lrm:
         """Register with the cluster's GRM and begin periodic updates."""
         self._grm = grm_stub
         self.ior = own_ior
-        status = self.status()
-        grm_stub.register_node(status, own_ior)
+        grm_stub.register_node(self.status(), own_ior)
         # The registration snapshot is the GRM's baseline.
         self._next_sharing_change()
         self._status_dirty = False
         self._sends_since_full = 0
-        if self._delta is not None:
-            # Later sends encode against the snapshot.  Delta mode drives
-            # its own adaptive one-shot rescheduling (the interval
-            # changes per send), so it cannot reuse the fixed-cadence
-            # PeriodicTask.
-            self._delta.register(status)
-            if self._update_task is None:
-                self._update_task = self._loop.schedule(
-                    self._delta.current_interval, self._fire_update
-                )
-        elif self._update_task is None:
+        if self._update_task is None:
             self._update_task = self._loop.every(
                 self._update_interval, self._send_update
             )
@@ -264,10 +237,7 @@ class Lrm:
 
     def _stop_updates(self) -> None:
         if self._update_task is not None:
-            if self._delta is not None:
-                self._update_task.cancel()
-            else:
-                self._update_task.stop()
+            self._update_task.stop()
             self._update_task = None
 
     # -- Information Update Protocol -----------------------------------------------
@@ -325,18 +295,6 @@ class Lrm:
         if grm is None:
             return
         self.updates_sent += 1
-        if self._delta is not None:
-            kind, payload = self._delta.encode(self.status())
-            if kind == FULL:
-                grm.send_update(payload)
-                self.updates_full += 1
-            elif kind == DELTA:
-                grm.send_delta(self.node, payload)
-                self.updates_delta += 1
-            else:
-                grm.heartbeat(self.node)
-                self.heartbeats_sent += 1
-            return
         self._next_sharing_change()
         self._sends_since_full += 1
         if self._status_dirty \
@@ -348,14 +306,6 @@ class Lrm:
         else:
             grm.heartbeat(self.node)
             self.heartbeats_sent += 1
-
-    def _fire_update(self) -> None:
-        """Adaptive-cadence send: one shot, rescheduled at the (possibly
-        stretched or snapped-back) interval the encoder just chose."""
-        self._send_update()
-        self._update_task = self._loop.schedule(
-            self._delta.current_interval, self._fire_update
-        )
 
     # -- Reservation and Execution Protocol -------------------------------------------
 

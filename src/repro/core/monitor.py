@@ -138,10 +138,9 @@ class ClusterMonitor:
         ):
             registry.view(f"{prefix}.{name}", field_view(name))
         registry.view(f"{prefix}.samples", lambda: len(self._snapshots))
-        # Freshness of the GRM's information-plane view.  With adaptive
-        # update throttling enabled this is the staleness actually paid
-        # for the bytes saved; with fixed-cadence updates it hovers at
-        # about half the update interval.
+        # Freshness of the GRM's information-plane view: every node says
+        # something every interval, so it hovers at about half the
+        # update interval.
         registry.view(f"{prefix}.status_age_mean_s", self.status_age_mean)
 
     def status_age_mean(self) -> float:

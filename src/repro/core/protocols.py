@@ -6,8 +6,9 @@ Three protocols from the paper live here as IDL interfaces:
   status when it changed, a heartbeat when it did not),
 * the **Resource Reservation and Execution Protocol** (GRM ↔ LRM
   negotiation: request_reservation / start_task / stop_task),
-* the **inter-cluster protocol** (child GRM → parent GRM aggregated
-  summaries and wide-area submission, after Marques & Kon 2002).
+* the **inter-cluster protocol** (child GRM → parent GRM, one
+  aggregated summary per interval, oneway; and wide-area submission,
+  after Marques & Kon 2002).
 """
 
 from repro.orb.cdr import (
@@ -146,16 +147,6 @@ GRM_INTERFACE = InterfaceDef(
             "send_update", (Parameter("status", NODE_STATUS),), Void,
             oneway=True,
         ),
-        # Delta-compressed form of the Information Update Protocol: only
-        # the fields that changed since the node's last accepted update
-        # (plus "time") travel.  The delta's keys vary per message, so it
-        # rides as a VARIANT rather than a fixed NODE_STATUS struct.
-        Operation(
-            "send_delta",
-            (Parameter("node", String), Parameter("delta", VARIANT)),
-            Void,
-            oneway=True,
-        ),
         # An interval in which nothing changed: the node is alive and its
         # status is what it last sent.  The GRM refreshes ``last_seen``
         # and writes nothing to its Trader.
@@ -256,16 +247,6 @@ PARENT_GRM_INTERFACE = InterfaceDef(
         Operation(
             "send_summary",
             (Parameter("summary", CLUSTER_SUMMARY),),
-            Void,
-            oneway=True,
-        ),
-        # Delta-compressed summary stream: only the fields that changed
-        # since the cluster's last accepted summary (plus "time") travel.
-        # Same shape as the node-level send_delta — the keys vary per
-        # message, so the payload rides as a VARIANT.
-        Operation(
-            "send_summary_delta",
-            (Parameter("cluster", String), Parameter("delta", VARIANT)),
             Void,
             oneway=True,
         ),

@@ -192,17 +192,11 @@ class TradingService:
             self._index_insert(index, attr, offer)
         return offer_id
 
-    def modify(
-        self,
-        offer_id: str,
-        properties: Mapping[str, Any],
-        copy: bool = True,
-    ) -> None:
+    def modify(self, offer_id: str, properties: Mapping[str, Any]) -> None:
         """Replace an offer's property list (the LRM's periodic update).
 
-        ``copy=False`` adopts the mapping without copying — the caller
-        must hand over ownership (the GRM does this with freshly-decoded
-        update dicts it never touches again).
+        The trader stores its own copy: the caller's mapping may have
+        crossed the ORB by reference and stays the caller's.
         """
         offer = self._offers.get(offer_id)
         if offer is None:
@@ -211,60 +205,10 @@ class TradingService:
         if indexes:
             for attr, index in indexes.items():
                 self._index_remove(index, attr, offer)
-        offer.properties = dict(properties) if copy else properties
+        offer.properties = dict(properties)
         if indexes:
             for attr, index in indexes.items():
                 self._index_insert(index, attr, offer)
-
-    def patch(self, offer_id: str, changes: Mapping[str, Any]) -> None:
-        """Update a subset of an offer's properties in place.
-
-        Unlike :meth:`modify`, which re-files the offer in *every* built
-        index, only indexes over attributes present in ``changes`` are
-        touched — a small patch (a delta update's changed fields) costs
-        O(len(changes)) no matter how many attributes are indexed.
-        Mutates the existing property dict rather than replacing it, so
-        aliases obtained with ``copy_properties=False`` observe the new
-        values.
-        """
-        offer = self._offers.get(offer_id)
-        if offer is None:
-            raise UnknownOffer(offer_id)
-        indexes = self._indexes.get(offer.service_type)
-        if not indexes:
-            offer.properties.update(changes)
-            return
-        touched = [attr for attr in changes if attr in indexes]
-        for attr in touched:
-            self._index_remove(indexes[attr], attr, offer)
-        offer.properties.update(changes)
-        for attr in touched:
-            self._index_insert(indexes[attr], attr, offer)
-
-    def modify_many(self, updates, copy: bool = True) -> int:
-        """Apply many property replacements in one pass (batched ingest).
-
-        ``updates`` yields ``(offer_id, properties)`` pairs.  Offers that
-        vanished since the update was queued (a flush racing a withdraw)
-        are skipped rather than raising.  Returns the number applied.
-        """
-        offers = self._offers
-        all_indexes = self._indexes
-        applied = 0
-        for offer_id, properties in updates:
-            offer = offers.get(offer_id)
-            if offer is None:
-                continue
-            indexes = all_indexes.get(offer.service_type)
-            if indexes:
-                for attr, index in indexes.items():
-                    self._index_remove(index, attr, offer)
-            offer.properties = dict(properties) if copy else properties
-            if indexes:
-                for attr, index in indexes.items():
-                    self._index_insert(index, attr, offer)
-            applied += 1
-        return applied
 
     def withdraw(self, offer_id: str) -> None:
         """Remove an offer."""

@@ -14,15 +14,23 @@ from repro.bsp.messages import MessageBuffers
 from repro.bsp.runtime import run_bsp
 from repro.checkpoint.store import FileCheckpointStore, MemoryCheckpointStore
 from repro.core.grid import Grid
+from repro.core.grm import Grm
+from repro.core.hierarchy import ClusterUplink, ParentGrm
 from repro.core.lrm import Lrm
 from repro.orb.cdr import CdrDecoder
 from repro.orb.core import Orb
+from repro.orb.trading import TradingService
 from repro.orb.transport import TcpTransport
 
 BUDGET = [
     (Orb.__init__, 8),
-    (Grid.__init__, 23),
-    (Lrm.__init__, 10),
+    (Grid.__init__, 13),
+    (Lrm.__init__, 7),
+    (Grm.__init__, 11),
+    (ParentGrm.__init__, 4),
+    (ParentGrm.attach_parent, 3),
+    (ClusterUplink.__init__, 5),
+    (TradingService.modify, 2),
     (TcpTransport.__init__, 3),
     (CdrDecoder.__init__, 1),
     (MessageBuffers.__init__, 1),

@@ -367,56 +367,16 @@ class TestProtocolAccounting:
 
         assert traffic(30.0) > 1.5 * traffic(120.0)
 
-
-class TestScaledInformationPlane:
-    """The scaling flags (deltas, throttling, batched ingest) are opt-in
-    and must leave a working grid behind when enabled together."""
-
-    def scaled_grid(self, nodes=3, **kwargs):
-        return dedicated_grid(
-            nodes=nodes, delta_updates=True, full_refresh_every=5,
-            max_update_interval=480.0, batched_ingest=True, **kwargs,
-        )
-
-    def test_jobs_complete_with_everything_enabled(self):
-        grid = self.scaled_grid()
-        job_id = grid.submit(ApplicationSpec(name="t", work_mips=1e6))
-        assert grid.wait_for_job(job_id, max_seconds=SECONDS_PER_HOUR)
-        assert grid.job(job_id).state == JobState.COMPLETED
-
-    def test_grm_view_tracks_node_status(self):
-        grid = self.scaled_grid()
-        grid.run_for(SECONDS_PER_HOUR)
-        grm = grid.clusters["c0"].grm
-        for node, handle in grid.clusters["c0"].nodes.items():
-            stored = dict(grm._nodes[node].last_status)
-            expected = handle.lrm.status()
-            # The LRM clock moved on since the last (possibly throttled)
-            # send; every non-volatile field must match exactly.
-            stored.pop("time"), expected.pop("time")
-            assert stored == expected
-
     def test_information_plane_counters_exposed(self):
-        grid = self.scaled_grid()
+        grid = dedicated_grid(nodes=3)
         registry = grid.enable_metrics()
         grid.run_for(SECONDS_PER_HOUR)
         metrics = registry.snapshot()["metrics"]
-        assert metrics["lrm.updates.heartbeats"] > 0
-        assert metrics["lrm.updates.delta"] >= 0
-        ingest = metrics["grm.c0.ingest_latency_s"]
-        assert ingest["count"] > 0
-
-    def test_deltas_shrink_the_metered_update_bytes(self):
-        def update_bytes(**kwargs):
-            grid = dedicated_grid(nodes=3, **kwargs)
-            meter = grid.enable_wire_meter()
-            grid.run_for(SECONDS_PER_HOUR)
-            by_op = meter.bytes_by_operation
-            return by_op.get("send_update", 0) + by_op.get("send_delta", 0)
-
-        full = update_bytes()
-        delta = update_bytes(
-            delta_updates=True, full_refresh_every=5,
-            max_update_interval=480.0, batched_ingest=True,
-        )
-        assert 0 < delta < full / 3
+        # Idle dedicated nodes, 62 sends each: every tenth is a status.
+        assert metrics["lrm.total.updates_sent"] == 3 * 62
+        assert metrics["lrm.total.updates_full"] == 3 * 6
+        assert metrics["lrm.total.heartbeats_sent"] == 3 * 56
+        assert metrics["grm.c0.updates_received"] == 3 * 62
+        assert metrics["grm.c0.heartbeats_received"] == 3 * 56
+        # Only a status is ingested; a heartbeat writes nothing.
+        assert metrics["grm.c0.ingest_latency_s"]["count"] == 3 * 6

@@ -42,10 +42,6 @@ class FakeGrm:
     def send_update(self, status):
         self.updates.append(status)
 
-    def send_delta(self, node, delta):
-        self.deltas = getattr(self, "deltas", [])
-        self.deltas.append((node, delta))
-
     def heartbeat(self, node):
         self.heartbeats.append(node)
 
@@ -122,6 +118,27 @@ class TestInformationProtocol:
         assert [s["time"] for s in grm.updates] == [600.0]
         assert lrm.updates_sent == 10
         assert lrm.heartbeats_sent == 9 and lrm.updates_full == 1
+
+    def test_every_nth_send_is_a_status_whatever_changed(self):
+        loop, ws, lrm, grm = make_lrm(
+            update_interval=60.0, full_refresh_every=4,
+        )
+        loop.run_until(60.0 * 12)
+        assert [s["time"] for s in grm.updates] == [240.0, 480.0, 720.0]
+        assert lrm.updates_full == 3 and lrm.heartbeats_sent == 9
+        for status in grm.updates:
+            assert set(status) == set(lrm.status())
+
+    def test_full_refresh_every_must_be_positive(self):
+        with pytest.raises(ValueError):
+            make_lrm(full_refresh_every=0)
+
+    def test_detach_stops_updates(self):
+        loop, ws, lrm, grm = make_lrm(update_interval=60.0)
+        loop.run_until(120.0)
+        lrm.detach()
+        loop.run_until(600.0)
+        assert lrm.updates_sent == 2
 
     def test_a_change_travels_as_a_status_at_the_next_interval(self):
         loop, ws, lrm, grm = make_lrm(update_interval=60.0)
@@ -516,108 +533,6 @@ class TestEviction:
         lrm.detach()
         assert grm.evicted
         assert lrm.running_tasks == []
-
-
-class TestDeltaUpdates:
-    """LRM-side behaviour of the delta-compressed update protocol."""
-
-    def test_default_protocol_sends_no_deltas(self):
-        loop, ws, lrm, grm = make_lrm(update_interval=60.0)
-        loop.run_until(180.0)
-        assert len(grm.heartbeats) == 3
-        assert not getattr(grm, "deltas", [])
-        assert lrm.updates_delta == 0
-
-    def test_idle_node_sends_heartbeats_not_snapshots(self):
-        loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True, full_refresh_every=50,
-        )
-        loop.run_until(300.0)
-        assert grm.updates == []           # registration aside, no fulls
-        # The encoder's HEARTBEAT kind travels as the protocol's one
-        # heartbeat, not as a time-only delta.
-        assert not getattr(grm, "deltas", [])
-        assert grm.heartbeats == ["n0"] * 5
-        assert lrm.heartbeats_sent == 5
-        assert lrm.updates_sent == 5
-
-    def test_change_travels_as_a_delta(self):
-        loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True, full_refresh_every=50,
-        )
-        loop.run_until(60.0)
-        reserve(lrm, cpu=0.5)
-        launch(lrm)
-        loop.run_until(120.0)
-        node, payload = grm.deltas[-1]
-        assert node == "n0"
-        assert "time" in payload
-        assert "cpu_free" in payload or "grid_tasks" in payload
-        assert len(payload) < 10           # far from a full 15-field status
-        assert lrm.updates_delta >= 1
-
-    def test_throttle_stretches_idle_cadence(self):
-        base, capped = 60.0, 480.0
-        loop, ws, lrm, grm = make_lrm(
-            update_interval=base, delta_updates=True, full_refresh_every=500,
-            max_update_interval=capped,
-        )
-        loop.run_until(3600.0)
-        # Fixed cadence would be 60 sends; stretched 60,120,240,480,...
-        # converges on one send per 480s.
-        assert lrm.updates_sent < 3600.0 / base / 3
-        assert lrm.updates_sent >= 3600.0 / capped
-
-    def test_periodic_full_refresh(self):
-        loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True, full_refresh_every=4,
-        )
-        loop.run_until(60.0 * 12)
-        assert len(grm.updates) == 3       # every 4th send is a snapshot
-        assert lrm.updates_full == 3
-        for status in grm.updates:
-            assert set(status) == set(lrm.status())
-
-    def test_receiver_state_matches_status_after_each_send(self):
-        from repro.core.update_protocol import apply_delta
-
-        loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True, full_refresh_every=5,
-            profile=OFFICE_WORKER, seed=7,
-        )
-        state = grm.registrations[0][0]
-        sent = {"count": 0}
-
-        original_update, original_delta = grm.send_update, grm.send_delta
-
-        def on_update(status):
-            original_update(status)
-            sent["state"] = dict(status)
-
-        def on_delta(node, delta):
-            original_delta(node, delta)
-            sent["state"] = apply_delta(sent.get("state", state), delta)
-
-        grm.send_update, grm.send_delta = on_update, on_delta
-        for _ in range(20):
-            loop.run_until(loop.now + 60.0)
-            if "state" in sent:
-                expected = lrm.status()
-                got = dict(sent["state"])
-                # The sender's clock advanced since the send fired; every
-                # other field must reconstruct exactly.
-                got.pop("time"), expected.pop("time")
-                assert got == expected
-
-    def test_detach_stops_delta_updates(self):
-        loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True,
-        )
-        loop.run_until(120.0)
-        sent = lrm.updates_sent
-        lrm.detach()
-        loop.run_until(600.0)
-        assert lrm.updates_sent == sent
 
 
 class TestExactExecution:

@@ -152,24 +152,16 @@ def crossings(monkeypatch):
     return crossed
 
 
-@pytest.mark.parametrize("grid_kwargs", [
-    {},
-    {"delta_updates": True, "full_refresh_every": 4},
-    {"delta_updates": True, "batched_ingest": True, "delta_uplinks": True},
-], ids=["default", "delta", "delta+batched+uplinks"])
-def test_nothing_that_crossed_the_orb_is_mutated_later(crossings,
-                                                       grid_kwargs):
+def test_nothing_that_crossed_the_orb_is_mutated_later(crossings):
     """Callers (LRM, GRM, uplinks, ASCT, BSP coordinator) and servants
     alike: once an argument or result has crossed, it stays as it was."""
-    grid, _jobs = run_scenario(**grid_kwargs)
+    grid, _jobs = run_scenario()
     assert len(crossings) > 10_000
     seen = {label.split(".", 1)[1] for label, _, _ in crossings}
     assert {"send_update args", "heartbeat args",
-            "request_reservation result",
+            "request_reservation result", "send_summary args",
             "submit_remote args", "upload_pattern args",
             "register_cluster args"} <= seen
-    if grid_kwargs:
-        assert "send_delta args" in seen
     for label, live, snapshot in crossings:
         assert live == snapshot, f"{label} was mutated after crossing"
 
@@ -243,10 +235,6 @@ WELL_FORMED = {
         st.integers(1, 5),
         st.dictionaries(TEXT, VARIANTS, max_size=2),
     ),
-    "delta": st.fixed_dictionaries({"time": FLOATS}, optional={
-        "cpu_free": FLOATS, "mem_free_mb": FLOATS,
-        "sharing": st.booleans(), "grid_tasks": st.integers(0, 4),
-    }),
     "pattern": st.fixed_dictionaries({
         "node": TEXT, "bins_per_day": st.just(2), "history_days": st.just(7),
         "weekly": st.lists(
@@ -296,11 +284,11 @@ def test_servants_never_mutate_what_they_are_handed(interface_name, op_name,
     assert client.stats()["bytes_sent"] == 0      # it was a direct call
     result_snapshot = copy.deepcopy(result)
 
-    # Keep the servants busy: updates, deltas for every node (the path
-    # that patches the Trader in place), scheduling, summaries.
+    # Keep the servants busy: a fresh status for every node (rewriting
+    # the Trader's offers), then updates, scheduling and summaries.
     alpha = grid.clusters["alpha"]
-    for node in list(alpha.grm._nodes):
-        alpha.grm.send_delta(node, {"time": grid.loop.now, "cpu_free": 0.25})
+    for node in alpha.nodes.values():
+        alpha.grm.send_update(dict(node.lrm.status(), cpu_free=0.25))
     grid.run_for(360)
     assert args == snapshot, "mutated after the call, through an alias"
     assert result == result_snapshot, "result mutated after it was returned"

@@ -142,9 +142,6 @@ class _NullGrm:
     def send_update(self, status):
         pass
 
-    def send_delta(self, node, delta):
-        pass
-
     def heartbeat(self, node):
         pass
 

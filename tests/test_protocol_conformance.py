@@ -22,6 +22,7 @@ from repro.core.protocols import (
     CLUSTER_SUMMARY,
     GRM_INTERFACE,
     NODE_STATUS,
+    PARENT_GRM_INTERFACE,
     RESERVATION_REPLY,
     RESERVATION_REQUEST,
     TASK_LAUNCH,
@@ -94,6 +95,32 @@ class TestHeartbeatConformance:
             assert (marshalled > 0) == (label == "wire")
         assert seen["direct"] == seen["wire"]
         assert seen["wire"][:3] == (60, 54, 3600.0)
+
+
+class TestOneOperationPerMessageKind:
+    def test_the_update_protocol_has_exactly_these_receiver_operations(self):
+        def updates(interface):
+            return [name for name in interface.operations
+                    if name.startswith(("send_", "heartbeat"))]
+
+        assert updates(GRM_INTERFACE) == ["send_update", "heartbeat"]
+        assert updates(PARENT_GRM_INTERFACE) == ["send_summary"]
+
+    def test_a_frame_naming_an_undeclared_update_form_is_refused(self):
+        from repro import Grid
+
+        grid = Grid(seed=1, lupa_enabled=False)
+        handle = grid.add_cluster("c0")
+        grid.add_node("c0", "d0", dedicated=True)
+        received = handle.grm.stats.updates_received
+        frame = CdrEncoder()
+        frame.write_string("c0/grm")
+        frame.write_string("send_patch")
+        frame.write_string("d0")
+        reply = CdrDecoder(handle.orb.handle_request_bytes(frame.getvalue()))
+        assert reply.read_octet() != 0           # an exception reply
+        assert reply.read_string() == "BadOperation"
+        assert handle.grm.stats.updates_received == received
 
 
 class TestClusterSummaryConformance:

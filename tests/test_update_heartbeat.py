@@ -4,8 +4,9 @@ Every interval still sends something, so liveness is what it always
 was; what travels is a status only when the node's status changed since
 the last one sent (or on every ``full_refresh_every``-th send).  Two
 things make that safe and both are tested here over a real LRM, ORB and
-GRM: a heartbeat never rides over a change, and a lost status leaves the
-GRM wrong for a bounded number of intervals.
+GRM, by example and over generated interleavings: a heartbeat never
+rides over a change, and a lost status leaves the GRM wrong for a
+bounded number of intervals.
 """
 
 import math
@@ -59,6 +60,45 @@ MUTATION = st.one_of(
 )
 
 
+class Script:
+    """Applies generated mutations to a one-node grid whose owner the
+    test scripts: the owner's presence and the leases not yet started."""
+
+    def __init__(self, grid, node):
+        self.grid, self.node = grid, node
+        self.present, self.leases = False, []
+
+    def apply(self, kind, x):
+        grid, node, lrm, leases = self.grid, self.node, self.node.lrm, \
+            self.leases
+        if kind == "load":
+            node.workstation.machine.set_owner_load(x, 10.0, self.present)
+        elif kind == "flip":
+            self.present = not self.present
+            owner_flips(node.workstation, self.present, x)
+        elif kind == "submit":
+            grid.submit(ApplicationSpec(
+                name="j", work_mips=x,
+                metadata={"checkpoint_interval_s": 45.0}))
+        elif kind == "reserve":
+            name = f"lease{len(leases)}"
+            if lrm.request_reservation({
+                "task_id": name, "cpu_fraction": x, "mem_mb": 8.0,
+                "disk_mb": 1.0, "lease_seconds": 500.0,
+            })["accepted"]:
+                leases.append(name)
+        elif kind == "start" and leases:
+            # A lease confirmed later moves grid_tasks and nothing on
+            # the machine.
+            lrm.start_task({
+                "task_id": leases.pop(), "job_id": "direct",
+                "work_mips": x, "initial_progress_mips": 0.0,
+                "checkpoint_interval_s": 0.0,
+            })
+        elif kind == "cancel" and leases:
+            lrm.cancel_reservation(leases.pop())
+
+
 class TestHeartbeatNeverRidesOverAChange:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -86,35 +126,10 @@ class TestHeartbeatNeverRidesOverAChange:
                 wrong.append((grid.loop.now, operation.name, held))
 
         grid.clusters["c0"].orb.add_server_interceptor(check)
-        present, leases = False, []
+        script = Script(grid, node)
         for gap, (kind, x) in steps:
             grid.run_for(gap)
-            if kind == "load":
-                node.workstation.machine.set_owner_load(x, 10.0, present)
-            elif kind == "flip":
-                present = not present
-                owner_flips(node.workstation, present, x)
-            elif kind == "submit":
-                grid.submit(ApplicationSpec(
-                    name="j", work_mips=x,
-                    metadata={"checkpoint_interval_s": 45.0}))
-            elif kind == "reserve":
-                name = f"lease{len(leases)}"
-                if lrm.request_reservation({
-                    "task_id": name, "cpu_fraction": x, "mem_mb": 8.0,
-                    "disk_mb": 1.0, "lease_seconds": 500.0,
-                })["accepted"]:
-                    leases.append(name)
-            elif kind == "start" and leases:
-                # A lease confirmed later moves grid_tasks and nothing on
-                # the machine.
-                lrm.start_task({
-                    "task_id": leases.pop(), "job_id": "direct",
-                    "work_mips": x, "initial_progress_mips": 0.0,
-                    "checkpoint_interval_s": 0.0,
-                })
-            elif kind == "cancel" and leases:
-                lrm.cancel_reservation(leases.pop())
+            script.apply(kind, x)
         grid.run_for(2 * INTERVAL)
         assert wrong == []
         sends = math.floor(grid.loop.now / INTERVAL)
@@ -147,6 +162,58 @@ class TestHeartbeatNeverRidesOverAChange:
 
 
 class TestLostUpdate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        policy=st.sampled_from(sorted(POLICIES)),
+        refresh=st.integers(1, 6),
+        intervals=st.lists(
+            st.tuples(st.lists(MUTATION, max_size=2), st.booleans()),
+            max_size=25),
+    )
+    def test_grm_view_is_right_once_a_refresh_period_passes_without_loss(
+            self, policy, refresh, intervals):
+        """Whatever happens on the node and whichever messages are lost,
+        after ``full_refresh_every`` intervals in a row without a loss
+        the GRM holds the node's status, and the Trader's offer is what
+        the GRM holds at every instant."""
+        grid, node = one_node_grid(POLICIES[policy],
+                                   full_refresh_every=refresh)
+        grm, lrm = grid.clusters["c0"].grm, node.lrm
+        delivered, wrong = [], []
+        lose = False
+
+        def lossy(key, operation, args):
+            if operation.name not in ("send_update", "heartbeat"):
+                return
+            delivered.append(not lose)
+            if lose:
+                raise ConnectionError("lost on the wire")
+            # Runs before the servant: what the GRM will hold after it.
+            held = args[0] if operation.name == "send_update" \
+                else grm._nodes["n0"].last_status
+            if all(delivered[-refresh:]) \
+                    and sans_time(held) != sans_time(lrm.status()):
+                wrong.append((grid.loop.now, operation.name, held))
+
+        grid.clusters["c0"].orb.add_server_interceptor(lossy)
+        script = Script(grid, node)
+        for k, (mutations, drop) in enumerate(intervals):
+            for kind, x in mutations:
+                grid.run_for(INTERVAL / 3)
+                script.apply(kind, x)
+            # Never two losses in a row: three silent intervals and the
+            # GRM would, rightly, declare the node dead.
+            lose = drop and delivered[-1:] != [False]
+            grid.run_until((k + 1) * INTERVAL)
+            assert len(delivered) == k + 1
+            record = grm._nodes["n0"]
+            assert grm.trader.offer(record.offer_id).properties \
+                == record.last_status
+        assert wrong == []
+        assert grm.stats.nodes_declared_dead == 0
+        assert lrm.updates_sent == len(intervals)
+        assert grm.stats.updates_received == sum(delivered)
+
     def test_grm_is_wrong_for_at_most_full_refresh_every_intervals(self):
         refresh = 5
         grid, node = one_node_grid(full_refresh_every=refresh)
