@@ -26,6 +26,7 @@ from repro.orb.trading import TradingService
 from repro.orb.transport import InProcDomain
 
 from conftest import save_json, save_result
+from tests.oracles.trading import query_linear
 
 SAMPLE_STATUS = {
     "node": "node042", "time": 123456.789, "mips": 1000.0,
@@ -174,10 +175,11 @@ def test_e11_authenticated_roundtrip(benchmark):
 
 
 def build_trader(offers=1000):
-    """A trader loaded with a realistic mixed-node offer population."""
+    """A trader loaded with a realistic mixed-node offer population, and
+    its offers in export order (what the linear oracle scans)."""
     svc = TradingService()
-    for i in range(offers):
-        svc.export("node", f"ior:n{i:04}", {
+    exported = [
+        svc.offer(svc.export("node", f"ior:n{i:04}", {
             "node": f"n{i:04}",
             "mips": 500.0 + (i % 7) * 250.0,
             "cpu_free": (i % 10) / 10.0,
@@ -185,8 +187,10 @@ def build_trader(offers=1000):
             "os": "linux" if i % 3 else "solaris",
             "sharing": i % 4 != 0,
             "owner_active": i % 5 == 0,
-        })
-    return svc
+        }))
+        for i in range(offers)
+    ]
+    return svc, exported
 
 
 TRADER_CONSTRAINT = (
@@ -208,7 +212,7 @@ def _best_rate(fn, rounds=5, calls=20):
 
 
 def test_e11_trader_query_indexed(benchmark):
-    svc = build_trader()
+    svc, _ = build_trader()
     result = benchmark(
         svc.query, "node", TRADER_CONSTRAINT, TRADER_PREFERENCE, 10
     )
@@ -216,9 +220,9 @@ def test_e11_trader_query_indexed(benchmark):
 
 
 def test_e11_trader_query_linear_oracle(benchmark):
-    svc = build_trader()
+    _, offers = build_trader()
     result = benchmark(
-        svc.query_linear, "node", TRADER_CONSTRAINT, TRADER_PREFERENCE, 10
+        query_linear, offers, "node", TRADER_CONSTRAINT, TRADER_PREFERENCE, 10
     )
     assert len(result) == 10
 
@@ -242,11 +246,11 @@ def test_e11_metrics_json(benchmark):
         msg_bytes = len(encode_status())
         encodes_per_s = _best_rate(encode_status, rounds=5, calls=2000)
 
-        svc = build_trader()
+        svc, offers = build_trader()
         args = ("node", TRADER_CONSTRAINT, TRADER_PREFERENCE, 10)
-        assert svc.query(*args) == svc.query_linear(*args)
+        assert svc.query(*args) == query_linear(offers, *args)
         indexed_qps = _best_rate(lambda: svc.query(*args))
-        linear_qps = _best_rate(lambda: svc.query_linear(*args))
+        linear_qps = _best_rate(lambda: query_linear(offers, *args))
         return sizes, msg_bytes, encodes_per_s, indexed_qps, linear_qps
 
     sizes, msg_bytes, enc_per_s, indexed_qps, linear_qps = benchmark.pedantic(

@@ -15,10 +15,8 @@ Expected shape: error falls with training weeks for structured owners
 (office, lab, night-owl) and stays at chance for the erratic one.
 
 The JSON payload (``--bench-json``) additionally records the learning
-cost per run — cumulative learn-pass wall time and full-vs-incremental
-relearn counts — plus a paired run with ``relearn_interval=7`` showing
-that the incremental path skips most clustering passes without moving
-prediction quality.
+cost per run: cumulative learn-pass wall time and the number of
+clustering passes (one per finished day once a week of history exists).
 """
 
 import random
@@ -36,7 +34,7 @@ from conftest import run_once, save_json, save_result
 PROBE_SPAN_S = 2 * SECONDS_PER_HOUR
 
 
-def train(profile, weeks, seed, relearn_interval=1):
+def train(profile, weeks, seed):
     loop = EventLoop()
     workstation = Workstation(
         loop, profile.name, spec=MachineSpec(), profile=profile,
@@ -49,16 +47,13 @@ def train(profile, weeks, seed, relearn_interval=1):
             machine.keyboard_active or machine.owner_cpu >= 0.1
         ) else 0.0,
         min_history_days=7,
-        relearn_interval=relearn_interval,
     )
     loop.run_until(weeks * SECONDS_PER_WEEK)
     return loop, workstation, lupa
 
 
-def evaluate(profile, weeks, seed=13, relearn_interval=1):
-    loop, workstation, lupa = train(
-        profile, weeks, seed, relearn_interval=relearn_interval
-    )
+def evaluate(profile, weeks, seed=13):
+    loop, workstation, lupa = train(profile, weeks, seed)
     if not lupa.learned:
         return None
     # Held-out week: walk span by span; score against the *realized*
@@ -90,7 +85,6 @@ def evaluate(profile, weeks, seed=13, relearn_interval=1):
         "idle_forecast_fraction": idle_forecasts / span_total,
         "learn_wall_s": lupa.learn_wall_s,
         "full_relearns": lupa.full_relearns,
-        "incremental_updates": lupa.incremental_updates,
     }
 
 
@@ -114,18 +108,8 @@ def run_experiment():
             json_rows.append({
                 "profile": profile.name,
                 "weeks": weeks,
-                "relearn_interval": 1,
                 **scores,
             })
-    # Paired incremental-learning run: weekly re-clustering instead of
-    # daily should cut full relearns without moving prediction quality.
-    incremental = evaluate(OFFICE_WORKER, 4, relearn_interval=7)
-    json_rows.append({
-        "profile": OFFICE_WORKER.name,
-        "weeks": 4,
-        "relearn_interval": 7,
-        **incremental,
-    })
     return table, json_rows
 
 
@@ -133,21 +117,6 @@ def test_e3_lupa_prediction(benchmark):
     table, json_rows = run_once(benchmark, run_experiment)
     save_result("e3_lupa_prediction", table.render(), table=table)
     save_json("E3", {"experiment": "e3_lupa_prediction", "rows": json_rows})
-    daily = next(
-        r for r in json_rows
-        if r["profile"] == "office_worker" and r["weeks"] == 4
-        and r["relearn_interval"] == 1
-    )
-    weekly = next(
-        r for r in json_rows
-        if r["profile"] == "office_worker" and r["weeks"] == 4
-        and r["relearn_interval"] == 7
-    )
-    # Incremental learning replaces most clustering passes...
-    assert weekly["full_relearns"] < daily["full_relearns"]
-    assert weekly["incremental_updates"] > 0
-    # ...without hurting prediction quality.
-    assert abs(weekly["mae"] - daily["mae"]) < 0.10
     rows = {(r[0], r[1]): r for r in table.rows}
     # Structured owners are predictable after 4 weeks...
     for name in ("office_worker", "night_owl"):

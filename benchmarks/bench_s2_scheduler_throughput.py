@@ -5,8 +5,9 @@ pass; at grid scale that ranking is the hot path (see PAPERS.md on
 resource-broker matchmaking throughput).  This benchmark measures one
 schedule-pass ranking — ``PatternAwarePolicy.order()`` over N offers
 against a GUPA holding learned weekly patterns — for the vectorized path
-and for the retained seed implementation (``order_scalar``), at
-64/256/1024 nodes.  (Fastest-first is a five-line ``sorted()`` with no
+and for the seed implementation (``tests/oracles/scheduler.py``, which
+scores each offer from its uploaded pattern dict), at 64/256/1024
+nodes.  (Fastest-first is a five-line ``sorted()`` with no
 second implementation to compare.)
 
 Reported per size: pass latency (ms), offers ranked per second, and the
@@ -25,6 +26,7 @@ from repro.core.gupa import Gupa
 from repro.core.scheduler import PatternAwarePolicy, ScheduleContext
 
 from conftest import run_once, save_json, save_result
+from tests.oracles import scheduler as scheduler_oracle
 
 SIZES = (64, 256, 1024)
 BINS_PER_DAY = 48                 # the LUPA default
@@ -33,18 +35,20 @@ SPEEDUP_TARGET = 5.0
 
 
 def build_workload(n_nodes, seed=42):
-    """A GUPA with learned patterns plus one offer per node."""
+    """A GUPA with learned patterns, one offer per node, and the pattern
+    dict uploaded for each node that has one."""
     rng = np.random.default_rng(seed)
     gupa = Gupa()
     offers = []
+    uploaded = {}
     for i in range(n_nodes):
         node = f"n{i:04d}"
         if rng.random() >= PATTERNLESS_FRACTION:
             weekly = rng.random((7, BINS_PER_DAY))
-            gupa.upload_pattern(
-                node,
-                {"bins_per_day": BINS_PER_DAY, "weekly": weekly.tolist()},
-            )
+            uploaded[node] = {
+                "bins_per_day": BINS_PER_DAY, "weekly": weekly.tolist(),
+            }
+            gupa.upload_pattern(node, uploaded[node])
         offers.append({
             "node": node,
             "mips": float(rng.choice([500.0, 1000.0, 2000.0, 4000.0])),
@@ -52,7 +56,7 @@ def build_workload(n_nodes, seed=42):
             "mem_free_mb": 512.0,
             "sharing": True,
         })
-    return gupa, offers
+    return gupa, offers, uploaded
 
 
 def make_ctx(gupa, now=10 * 3600.0, work=3.6e6):
@@ -78,12 +82,16 @@ def _best_pass_s(fn, rounds=5, calls=3):
 
 def measure(n_nodes):
     """Vectorized vs scalar pattern-aware ranking at ``n_nodes``."""
-    gupa, offers = build_workload(n_nodes)
+    gupa, offers, uploaded = build_workload(n_nodes)
     policy = PatternAwarePolicy()
+
+    def oracle_order(ctx):
+        return scheduler_oracle.order(policy, offers, ctx, uploaded)
+
     # Equivalence first: same GUPA, same offers, identical order.
     ctx = make_ctx(gupa)
     vec_order = [o["node"] for o in policy.order(offers, ctx)]
-    scalar_order = [o["node"] for o in policy.order_scalar(offers, ctx)]
+    scalar_order = [o["node"] for o in oracle_order(ctx)]
     assert vec_order == scalar_order, (
         f"{policy.name}: vectorized order diverged at {n_nodes} nodes"
     )
@@ -91,10 +99,7 @@ def measure(n_nodes):
     vec_s = _best_pass_s(
         lambda: policy.order(offers, make_ctx(gupa))
     )
-    scalar_s = _best_pass_s(
-        lambda: policy.order_scalar(offers, make_ctx(gupa)),
-        calls=1,
-    )
+    scalar_s = _best_pass_s(lambda: oracle_order(make_ctx(gupa)), calls=1)
     return {
         "nodes": n_nodes,
         "policy": policy.name,

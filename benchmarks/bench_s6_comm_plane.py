@@ -19,8 +19,8 @@ Rows land in ``BENCH_S6.json`` with ``--bench-json``; the committed
 file is the CI baseline and ``perf_smoke.py`` re-runs the storm, CDR
 decode and both TCP rows against it.  The opt-in batch frames,
 zero-copy decoder, encoder pool and pipelined framing this file used to
-compare against are gone; their last measured numbers are kept in
-``docs/performance.md`` §9.
+compare against are gone; the ledger in ``docs/performance.md`` §11
+keeps why.
 """
 
 import hashlib

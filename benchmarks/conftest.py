@@ -11,14 +11,24 @@ runs never dirty the committed baselines) and is enabled with either
 ``--bench-json`` on the pytest command line or ``BENCH_JSON=1`` in the
 environment.  Files land in ``benchmarks/results/BENCH_<TAG>.json`` and
 are the baselines the CI perf smoke compares against.
+
+Importing this module also puts the repository root on ``sys.path``, so
+a bench can import its oracle from ``tests.oracles``.
 """
 
 import json
 import os
+import sys
 
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+# The seed implementations the benches measure against live in the test
+# tree (``tests/oracles/``); make them importable however the benches run.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 _JSON_ENABLED = bool(os.environ.get("BENCH_JSON"))
 

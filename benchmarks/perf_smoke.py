@@ -148,7 +148,7 @@ def main():
     if e11 is None:
         print("no BENCH_E11.json baseline committed; skipping E11 smoke")
     else:
-        svc = build_trader(e11["trader_offers"])
+        svc, _ = build_trader(e11["trader_offers"])
         args = ("node", TRADER_CONSTRAINT, TRADER_PREFERENCE, 10)
         qps = _best_rate(lambda: svc.query(*args))
         failures += not check(
@@ -163,7 +163,7 @@ def main():
             row["offers_ranked_per_s"] for row in s2["rows"]
             if row["nodes"] == 1024 and row["policy"] == "pattern_aware"
         )
-        gupa, offers = build_workload(1024)
+        gupa, offers, _ = build_workload(1024)
         policy = PatternAwarePolicy()
         pass_s = _best_pass_s(lambda: policy.order(offers, make_ctx(gupa)))
         failures += not check(

@@ -25,6 +25,9 @@ import numpy as np
 #: Rows per block in chunked distance computations.
 _CHUNK_ROWS = 2048
 
+#: Iteration stops once the centroids move less than this in total.
+_TOLERANCE = 1e-6
+
 
 @dataclass
 class ClusteringResult:
@@ -91,16 +94,12 @@ def kmeans(
     k: int,
     seed: int = 0,
     max_iter: int = 100,
-    tol: float = 1e-6,
-    init: Optional[np.ndarray] = None,
 ) -> ClusteringResult:
     """Cluster ``data`` (n_samples x dims) into ``k`` groups.
 
-    Deterministic for a given seed.  Raises ValueError when there are
-    fewer samples than clusters.  ``init`` warm-starts the iteration
-    from given (k, dims) centroids instead of k-means++ seeding — used
-    by incremental LUPA relearning, where yesterday's centroids are
-    already near the fixed point.
+    Deterministic for a given seed (k-means++ seeding, then Lloyd
+    iterations until the centroids stop moving).  Raises ValueError
+    when there are fewer samples than clusters.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -113,16 +112,7 @@ def kmeans(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    rng = np.random.default_rng(seed)
-    if init is not None:
-        centroids = np.array(init, dtype=float)
-        if centroids.shape != (k, data.shape[1]):
-            raise ValueError(
-                f"init must have shape {(k, data.shape[1])}, "
-                f"got {centroids.shape}"
-            )
-    else:
-        centroids = _seed_centroids(data, k, rng)
+    centroids = _seed_centroids(data, k, np.random.default_rng(seed))
     labels = np.zeros(n, dtype=int)
     for iteration in range(1, max_iter + 1):
         distances = _distances_to(data, centroids)
@@ -134,7 +124,7 @@ def kmeans(
                 new_centroids[i] = members.mean(axis=0)
         shift = float(np.linalg.norm(new_centroids - centroids))
         centroids = new_centroids
-        if shift < tol:
+        if shift < _TOLERANCE:
             break
     inertia = float(
         np.sum((data - centroids[labels]) ** 2)
@@ -150,7 +140,8 @@ def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
     ``x**2 + y**2 - 2xy`` form and aggregated per cluster with
     ``np.bincount``, so memory stays O(chunk x n) instead of the full
     O(n**2 x dims) broadcast.  Numerically equivalent (not bit-equal) to
-    :func:`silhouette_score_reference`.
+    that broadcast, the seed implementation the test tree keeps as its
+    oracle.
     """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels)
@@ -192,38 +183,6 @@ def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
             s = np.where(denom == 0, 0.0, (bvals - a) / denom)
         s = np.where(own_counts <= 1, 0.0, s)
         scores[rows_arange[start:stop]] = s
-    return float(np.mean(scores))
-
-
-def silhouette_score_reference(data: np.ndarray, labels: np.ndarray) -> float:
-    """The seed implementation: full O(n**2 x dims) pairwise broadcast.
-
-    Kept as the semantic oracle for :func:`silhouette_score`; the
-    equivalence tests check the chunked path against it.
-    """
-    data = np.asarray(data, dtype=float)
-    labels = np.asarray(labels)
-    unique = np.unique(labels)
-    if len(unique) < 2:
-        return 0.0
-    n = data.shape[0]
-    distances = np.linalg.norm(data[:, None, :] - data[None, :, :], axis=2)
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels[i]
-        own_mask = labels == own
-        own_count = int(np.sum(own_mask))
-        if own_count <= 1:
-            scores[i] = 0.0
-            continue
-        a = float(np.sum(distances[i][own_mask])) / (own_count - 1)
-        b = min(
-            float(np.mean(distances[i][labels == other]))
-            for other in unique
-            if other != own
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(np.mean(scores))
 
 

@@ -27,7 +27,7 @@ Grammar::
 """
 
 import re
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional
 
 
 class ConstraintError(Exception):
@@ -194,22 +194,24 @@ class _Parser:
         raise ConstraintError(f"unexpected token {value!r}")
 
 
-def _truthy(value: Any) -> bool:
-    if value is UNDEFINED:
-        return False
-    return bool(value)
+def parse(text: str) -> tuple:
+    """The nested-tuple AST of an expression; empty text is TRUE."""
+    stripped = text.strip()
+    if not stripped:
+        return ("bool", True)
+    return _Parser(_tokenize(stripped)).parse()
 
 
 class _CodeGen:
     """Translate an AST into the body of a real Python function.
 
-    The generated function has the exact semantics of :func:`_eval` (which
-    remains the reference implementation, cross-checked by the equivalence
-    tests) but evaluates a whole expression in one call frame — constants
-    are inlined, short-circuits become ``if`` statements, and the hot
-    ``ident <op> literal`` comparison collapses to two or three bytecode
-    tests.  This is what makes a cached Constraint ~10x cheaper per offer
-    than interpreting the AST.
+    The generated function evaluates a whole expression in one call
+    frame — constants are inlined, short-circuits become ``if``
+    statements, and the hot ``ident <op> literal`` comparison collapses
+    to two or three bytecode tests.  This is what makes a cached
+    Constraint ~10x cheaper per offer than walking the AST; the seed
+    AST-walking evaluator lives on in the test tree as the oracle the
+    property suites hold this code to.
     """
 
     def __init__(self):
@@ -329,10 +331,11 @@ class _CodeGen:
 
 
 def _compile(node) -> tuple:
-    """Compile an AST to ``(value_fn, match_fn)`` with :func:`_eval` semantics.
+    """Compile an AST to ``(value_fn, match_fn, score_fn)``.
 
-    ``match_fn(props)`` is ``_truthy(value_fn(props))`` fused into the same
-    generated function, so the Trader's per-offer matching is one call.
+    ``match_fn(props)`` is "``value_fn(props)`` is defined and truthy"
+    fused into the same generated function, so the Trader's per-offer
+    matching is one call; ``score_fn`` is the ranking score likewise.
     """
     gen = _CodeGen()
     result = gen.gen(node, 1)
@@ -461,10 +464,7 @@ _COMPILED_CACHE_MAX = 4096
 def _compiled_entry(stripped: str) -> tuple:
     entry = _COMPILED_CACHE.get(stripped)
     if entry is None:
-        if not stripped:
-            ast = ("bool", True)
-        else:
-            ast = _Parser(_tokenize(stripped)).parse()
+        ast = parse(stripped)
         fn, match_fn, score_fn = _compile(ast)
         entry = (ast, fn, match_fn, score_fn, _equality_conjuncts(ast))
         if len(_COMPILED_CACHE) >= _COMPILED_CACHE_MAX:
@@ -473,112 +473,34 @@ def _compiled_entry(stripped: str) -> tuple:
     return entry
 
 
-def _eval(node, props: Mapping[str, Any]) -> Any:
-    kind = node[0]
-    if kind in ("num", "str", "bool"):
-        return node[1]
-    if kind == "ident":
-        return props.get(node[1], UNDEFINED)
-    if kind == "neg":
-        value = _eval(node[1], props)
-        if value is UNDEFINED or isinstance(value, str):
-            return UNDEFINED
-        return -value
-    if kind == "not":
-        return not _truthy(_eval(node[1], props))
-    if kind == "and":
-        return _truthy(_eval(node[1], props)) and _truthy(_eval(node[2], props))
-    if kind == "or":
-        return _truthy(_eval(node[1], props)) or _truthy(_eval(node[2], props))
-    if kind == "arith":
-        op, lhs, rhs = node[1], _eval(node[2], props), _eval(node[3], props)
-        if lhs is UNDEFINED or rhs is UNDEFINED:
-            return UNDEFINED
-        # ClassAd semantics: arithmetic on non-numbers is UNDEFINED,
-        # never an error at matchmaking time.
-        if isinstance(lhs, str) or isinstance(rhs, str):
-            return UNDEFINED
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if rhs == 0:
-            return UNDEFINED
-        return lhs / rhs
-    if kind == "cmp":
-        op, lhs, rhs = node[1], _eval(node[2], props), _eval(node[3], props)
-        if lhs is UNDEFINED or rhs is UNDEFINED:
-            return False
-        mixed_types = isinstance(lhs, str) != isinstance(rhs, str)
-        if mixed_types:
-            return op == "!="
-        if op == "==":
-            return lhs == rhs
-        if op == "!=":
-            return lhs != rhs
-        if op == "<":
-            return lhs < rhs
-        if op == ">":
-            return lhs > rhs
-        if op == "<=":
-            return lhs <= rhs
-        return lhs >= rhs
-    raise ConstraintError(f"unknown AST node {kind!r}")
-
-
 class Constraint:
     """A parsed boolean constraint, reusable across many property sets.
 
     Parsing and closure-compilation happen once per distinct expression
     string (module-level cache); constructing a Constraint for a text seen
-    before is a dict lookup.  ``compiled=False`` bypasses both the cache
-    and the compiler and evaluates through the reference interpreter —
-    the Trader's linear-scan oracle uses this so equivalence tests compare
-    genuinely independent implementations.
+    before is a dict lookup.
     """
 
-    __slots__ = (
-        "text", "_ast", "_fn", "_match_fn", "_score_fn", "equality_conjuncts"
-    )
+    __slots__ = ("text", "_fn", "_match_fn", "_score_fn", "equality_conjuncts")
 
-    def __init__(self, text: str, compiled: bool = True):
+    def __init__(self, text: str):
         self.text = text
-        stripped = text.strip()
-        if compiled:
-            ast, fn, match_fn, score_fn, conjuncts = _compiled_entry(stripped)
-        else:
-            if not stripped:
-                ast = ("bool", True)
-            else:
-                ast = _Parser(_tokenize(stripped)).parse()
-            fn = None
-            match_fn = None
-            score_fn = None
-            conjuncts = _equality_conjuncts(ast)
-        self._ast = ast
+        _, fn, match_fn, score_fn, conjuncts = _compiled_entry(text.strip())
         self._fn = fn
-        #: Single-call ``props -> bool`` matcher (None when uncompiled).
+        #: Single-call ``props -> bool`` matcher.
         self._match_fn = match_fn
-        #: Single-call ``props -> float`` ranking score (None when uncompiled).
+        #: Single-call ``props -> float`` ranking score.
         self._score_fn = score_fn
         #: ``(attr, literal)`` pairs every match must satisfy (top-level ANDs).
         self.equality_conjuncts = conjuncts
 
     def matches(self, props: Mapping[str, Any]) -> bool:
         """True iff the expression is truthy over ``props``."""
-        fn = self._match_fn
-        if fn is not None:
-            return fn(props)
-        return _truthy(_eval(self._ast, props))
+        return self._match_fn(props)
 
     def value(self, props: Mapping[str, Any]) -> Any:
         """Raw expression value (may be a number or UNDEFINED)."""
-        fn = self._fn
-        if fn is not None:
-            return fn(props)
-        return _eval(self._ast, props)
+        return self._fn(props)
 
     def __repr__(self):
         return f"Constraint({self.text!r})"
@@ -589,28 +511,17 @@ class Preference:
 
     Mirrors the paper's "preferences, like rather executing on a faster
     CPU than on a slower one" — e.g. ``Preference("mips")``.  Offers for
-    which the expression is undefined rank below all defined ones.
+    which the expression is undefined, or a string, rank below all
+    defined ones; a boolean scores 1.0 or 0.0.
     """
 
-    def __init__(self, text: str, compiled: bool = True):
+    def __init__(self, text: str):
         self.text = text
-        self._constraint = Constraint(
-            text if text.strip() else "0", compiled=compiled
-        )
+        self._constraint = Constraint(text if text.strip() else "0")
 
     def score(self, props: Mapping[str, Any]) -> float:
         """Numeric score for ranking; -inf when undefined."""
-        fn = self._constraint._score_fn
-        if fn is not None:
-            return fn(props)
-        value = self._constraint.value(props)
-        if value is UNDEFINED:
-            return float("-inf")
-        if isinstance(value, bool):
-            return 1.0 if value else 0.0
-        if isinstance(value, str):
-            return float("-inf")
-        return float(value)
+        return self._constraint._score_fn(props)
 
     def __repr__(self):
         return f"Preference({self.text!r})"

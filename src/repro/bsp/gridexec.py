@@ -52,18 +52,6 @@ class BspGridCoordinator:
             spec.metadata.get("superstep_comm_bytes", DEFAULT_COMM_BYTES)
         )
         self.checkpoint_every = spec.checkpoint_every_supersteps
-        #: Modelled seconds to materialize a checkpoint batch
-        #: (serialization + store write).  0 keeps the seed's
-        #: instantaneous-save path byte-for-byte.
-        self.checkpoint_write_s = float(
-            spec.metadata.get("checkpoint_write_s", 0.0)
-        )
-        #: With a nonzero write time: overlap the write with the next
-        #: superstep instead of stalling the release until the write
-        #: commits.
-        self.pipelined_checkpoints = bool(
-            spec.metadata.get("pipelined_checkpoints", False)
-        )
         self.work_per_superstep = spec.work_mips / self.supersteps
         self.store = checkpoint_store
         self.recovery = RecoveryManager(
@@ -79,9 +67,6 @@ class BspGridCoordinator:
         self.checkpoints_saved = 0
         self.rollbacks = 0
         self.comm_seconds_total = 0.0
-        self.checkpoint_stall_s = 0.0      # blocking writes on the barrier
-        self.checkpoint_overlap_s = 0.0    # pipelined writes off it
-        self._pending_ckpts: list = []     # in-flight checkpoint events
         self.executed_results: Optional[list] = None
         self.executed_run = None
         #: Optional event journal (wired by Grid.enable_journal).
@@ -116,12 +101,6 @@ class BspGridCoordinator:
         if self._advance_event is not None:
             self._advance_event.cancel()
             self._advance_event = None
-        # Likewise any checkpoint write still in flight: its records were
-        # never committed to the recovery manager, so the rollback point
-        # ignores it and re-checkpointing the superstep stays legal.
-        for handle in self._pending_ckpts:
-            handle.cancel()
-        self._pending_ckpts.clear()
         self._advancing = False
         rollback_superstep = self.recovery.rollback_point() \
             if self.checkpoint_every > 0 else 0
@@ -175,9 +154,6 @@ class BspGridCoordinator:
         self._completed.add(task_id)
         self._nodes.pop(task_id, None)
         if len(self._completed) == len(self.job.tasks):
-            for handle in self._pending_ckpts:
-                handle.cancel()   # nothing left to restore from them
-            self._pending_ckpts.clear()
             self._execute_program()
 
     def _execute_program(self) -> None:
@@ -356,49 +332,16 @@ class BspGridCoordinator:
                 superstep=finished, supersteps=self.supersteps,
                 members=len(self._nodes),
             )
-        due = (
+        self._advancing = False
+        if (
             self.checkpoint_every > 0
             and finished % self.checkpoint_every == 0
             and finished < self.supersteps
-        )
-        if due and self.checkpoint_write_s > 0 \
-                and not self.pipelined_checkpoints:
-            # Blocking write: the next superstep is not released until
-            # the checkpoint commits — the whole write sits on the
-            # barrier critical path (``_advancing`` stays True so a
-            # straggler notification cannot re-trigger the advance).
-            self.checkpoint_stall_s += self.checkpoint_write_s
-            self._schedule_checkpoint(
-                finished, self._finish_blocking_checkpoint
-            )
-            return
-        self._advancing = False
-        if due:
-            if self.checkpoint_write_s > 0:
-                # Pipelined: the materializing write overlaps the next
-                # superstep and commits when its event fires.
-                self.checkpoint_overlap_s += self.checkpoint_write_s
-                self._schedule_checkpoint(finished, self._checkpoint)
-            else:
-                self._checkpoint(finished)
-        self._release_superstep(finished)
-
-    def _release_superstep(self, finished: int) -> None:
+        ):
+            self._checkpoint(finished)
         self._reached.clear()
         for task_id in list(self._nodes):
             self._set_limit(task_id, finished + 1)
-
-    def _schedule_checkpoint(self, superstep: int, commit) -> None:
-        def fire():
-            self._pending_ckpts.remove(handle)
-            commit(superstep)
-        handle = self._loop.schedule(self.checkpoint_write_s, fire)
-        self._pending_ckpts.append(handle)
-
-    def _finish_blocking_checkpoint(self, superstep: int) -> None:
-        self._checkpoint(superstep)
-        self._advancing = False
-        self._release_superstep(superstep)
 
     def _checkpoint(self, superstep: int) -> None:
         progress = superstep * self.work_per_superstep
@@ -439,7 +382,4 @@ class BspGridCoordinator:
             "members_completed": len(self._completed),
             "rollbacks": self.rollbacks,
             "checkpoints_saved": self.checkpoints_saved,
-            "checkpoint_stall_s": self.checkpoint_stall_s,
-            "checkpoint_overlap_s": self.checkpoint_overlap_s,
-            "checkpoints_pending": len(self._pending_ckpts),
         }

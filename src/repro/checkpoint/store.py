@@ -44,11 +44,8 @@ class CheckpointRecord:
 class MemoryCheckpointStore:
     """In-memory repository keeping the latest checkpoint per task."""
 
-    def __init__(self, keep_history: int = 1):
-        if keep_history < 1:
-            raise ValueError("must keep at least one checkpoint")
-        self.keep_history = keep_history
-        self._records: dict[str, list[CheckpointRecord]] = {}
+    def __init__(self):
+        self._records: dict[str, CheckpointRecord] = {}
         self._sequences: dict[str, int] = {}
         self.bytes_written = 0
         self.saves = 0
@@ -58,17 +55,14 @@ class MemoryCheckpointStore:
         sequence = self._sequences.get(task_id, 0) + 1
         self._sequences[task_id] = sequence
         record = CheckpointRecord(task_id, sequence, now, serialize(state))
-        history = self._records.setdefault(task_id, [])
-        history.append(record)
-        del history[:-self.keep_history]
+        self._records[task_id] = record
         self.bytes_written += len(record.data)
         self.saves += 1
         return record
 
     def load_latest(self, task_id: str) -> Optional[CheckpointRecord]:
         """Most recent checkpoint for the task, or None."""
-        history = self._records.get(task_id)
-        return history[-1] if history else None
+        return self._records.get(task_id)
 
     def discard(self, task_id: str) -> None:
         """Forget all checkpoints for a finished task."""

@@ -100,7 +100,6 @@ class Grid:
         lupa_enabled: bool = True,
         lupa_min_history_days: int = 7,
         lupa_upload_interval: float = DEFAULT_LUPA_UPLOAD_INTERVAL,
-        lupa_relearn_interval: int = 1,
         holidays: Optional[set] = None,
         programs=None,
         auth_secret: Optional[bytes] = None,
@@ -118,7 +117,6 @@ class Grid:
         self.lupa_enabled = lupa_enabled
         self.lupa_min_history_days = lupa_min_history_days
         self.lupa_upload_interval = lupa_upload_interval
-        self.lupa_relearn_interval = lupa_relearn_interval
         self.holidays = holidays if holidays is not None else set()
         #: The Information Update Protocol's two bounds: a status that
         #: did not change still travels every ``full_refresh_every``-th
@@ -327,7 +325,6 @@ class Grid:
                 ) else 0.0,
                 min_history_days=self.lupa_min_history_days,
                 seed=self.streams.master_seed,
-                relearn_interval=self.lupa_relearn_interval,
             )
             gupa_stub = orb.stub(handle.gupa_ior, GUPA_INTERFACE)
 

@@ -6,16 +6,16 @@ this task?"  (Paper, Section 4: "This information is made available to
 the GRM, which can make better scheduling decisions due to the
 possibility of predicting a node's idle periods.")
 
-Profiles are normalized at upload into (7, bins_per_day) float64 grids
-with the per-bin ``1 - busy`` idle factor precomputed, so a scheduling
-pass can score every candidate node in one vectorized call
+Profiles are validated and normalized at upload into (7, bins_per_day)
+float64 grids with the per-bin ``1 - busy`` idle factor precomputed, so
+a scheduling pass can score every candidate node in one vectorized call
 (:meth:`Gupa.idle_probabilities`).  The vectorized path multiplies the
-*exact same factor sequence* the scalar loop multiplies — whole bins as
-plain grid factors (``pow(x, 1.0) == x`` bit-exactly), fractional edge
-bins raised to their coverage weight scalar-side — left to right, so
-results are bit-identical to the seed implementation, which is retained
-as :meth:`idle_probability_scalar` / :meth:`busy_probability_scalar`
-and used as the equivalence-test oracle.
+*exact same factor sequence* the per-node loop of
+:meth:`Gupa.idle_probability` multiplies — whole bins as plain grid
+factors (``pow(x, 1.0) == x`` bit-exactly), fractional edge bins raised
+to their coverage weight scalar-side — left to right, so results are
+bit-identical to the seed implementation, which the test tree keeps as
+its oracle over the uploaded pattern dicts.
 """
 
 import math
@@ -38,18 +38,17 @@ class _PatternGrid:
 
     __slots__ = ("bins_per_day", "bin_seconds", "busy", "idle")
 
-    def __init__(self, bins_per_day: int, weekly) -> None:
+    def __init__(self, bins_per_day: int, busy: np.ndarray) -> None:
         self.bins_per_day = bins_per_day
         self.bin_seconds = SECONDS_PER_DAY / bins_per_day
-        self.busy = np.asarray(weekly, dtype=float)
-        self.idle = 1.0 - self.busy
+        self.busy = busy
+        self.idle = 1.0 - busy
 
 
 class Gupa:
     """Cluster-wide store of per-node usage patterns."""
 
     def __init__(self):
-        self._patterns: dict[str, dict] = {}
         self._grids: dict[str, _PatternGrid] = {}
         # Per-bins_per_day stacked grids for batch scoring, rebuilt
         # lazily after upload/forget churn.  ``_width_counts`` tracks how
@@ -68,7 +67,14 @@ class Gupa:
             self._width_counts.pop(bins_per_day, None)
 
     def upload_pattern(self, node: str, pattern: Optional[dict]) -> None:
-        """Store (or refresh) a node's weekly profile."""
+        """Store (or refresh) a node's weekly profile.
+
+        Reachable over the ORB, so everything is checked before anything
+        is stored: shape, bin width, and every busy value a probability
+        (finite, in [0, 1]) — one out-of-range value would turn the
+        node's idle probabilities into UNKNOWN, NaN or a domain error
+        inside the GRM's schedule pass.
+        """
         if pattern is None:
             return
         if "weekly" not in pattern or "bins_per_day" not in pattern:
@@ -94,21 +100,26 @@ class Gupa:
                 f"every weekly row must have bins_per_day={bins_per_day} "
                 "entries"
             )
+        busy = np.asarray(weekly, dtype=float)
+        # NaN fails both comparisons, so this also rejects non-finite values.
+        if not ((busy >= 0.0) & (busy <= 1.0)).all():
+            raise ValueError(
+                f"busy values for node {node!r} must be finite "
+                "probabilities in [0, 1]"
+            )
         previous = self._grids.get(node)
         if previous is not None:
             self._count_width(previous.bins_per_day, -1)
-        self._patterns[node] = dict(pattern)
-        self._grids[node] = _PatternGrid(bins_per_day, weekly)
+        self._grids[node] = _PatternGrid(bins_per_day, busy)
         self._count_width(bins_per_day, +1)
         self._stacks_dirty = True
         self.uploads += 1
 
     def has_pattern(self, node: str) -> bool:
-        return node in self._patterns
+        return node in self._grids
 
     def forget(self, node: str) -> None:
         """Drop a node's pattern (node left the cluster)."""
-        self._patterns.pop(node, None)
         dropped = self._grids.pop(node, None)
         if dropped is not None:
             self._count_width(dropped.bins_per_day, -1)
@@ -116,7 +127,7 @@ class Gupa:
 
     @property
     def known_nodes(self) -> list:
-        return sorted(self._patterns)
+        return sorted(self._grids)
 
     # -- scalar queries ----------------------------------------------------------
 
@@ -157,43 +168,6 @@ class Gupa:
             t = min(bin_end, end)
         return probability
 
-    # -- reference oracles (the seed implementation, unoptimized) ----------------
-
-    def busy_probability_scalar(self, node: str, when: float) -> float:
-        """Seed implementation of :meth:`busy_probability` (oracle)."""
-        pattern = self._patterns.get(node)
-        if pattern is None:
-            return UNKNOWN
-        bins_per_day = pattern["bins_per_day"]
-        bin_seconds = SECONDS_PER_DAY / bins_per_day
-        dow = int(when // SECONDS_PER_DAY) % 7
-        bin_index = int((when % SECONDS_PER_DAY) // bin_seconds)
-        return float(pattern["weekly"][dow][bin_index])
-
-    def idle_probability_scalar(
-        self, node: str, start: float, duration: float
-    ) -> float:
-        """Seed implementation of :meth:`idle_probability` (oracle)."""
-        pattern = self._patterns.get(node)
-        if pattern is None:
-            return UNKNOWN
-        bins_per_day = pattern["bins_per_day"]
-        bin_seconds = SECONDS_PER_DAY / bins_per_day
-        if duration <= 0:
-            return 1.0 - self.busy_probability_scalar(node, start)
-        probability = 1.0
-        t = start
-        end = start + duration
-        while t < end:
-            bin_end = (t // bin_seconds + 1) * bin_seconds
-            chunk = min(bin_end, end) - t
-            weight = chunk / bin_seconds
-            probability *= (
-                1.0 - self.busy_probability_scalar(node, t)
-            ) ** weight
-            t = min(bin_end, end)
-        return probability
-
     # -- batch scoring -----------------------------------------------------------
 
     def idle_probabilities(self, nodes, start: float, duration) -> np.ndarray:
@@ -201,8 +175,8 @@ class Gupa:
 
         ``duration`` is a scalar or a per-node array.  Returns a float64
         array aligned with ``nodes``; entries for nodes without an
-        uploaded pattern are ``UNKNOWN``.  Bit-identical to calling the
-        scalar method per node.
+        uploaded pattern are ``UNKNOWN``.  Bit-identical to calling
+        :meth:`idle_probability` per node.
         """
         nodes = list(nodes)
         n = len(nodes)

@@ -7,14 +7,8 @@ behavioral categories."  Here a *period* is one day, binned into
 ``bins_per_day`` mean-activity values; k-means over the accumulated
 periods yields the behavioural categories, and each weekday is mapped to
 its most frequent category, giving a weekly busy-probability profile.
-
-Learning is incremental when ``relearn_interval > 1``: a full k-means
-pass runs every ``relearn_interval`` finished days (warm-started from
-the previous centroids), and the days in between only classify the new
-period against the existing centroids and refresh the weekly profile.
-The default (``relearn_interval=1``) re-clusters from scratch daily,
-exactly as the seed implementation did, so deterministic replays are
-unaffected unless a caller opts in.
+Every finished day re-clusters the whole history from scratch, so the
+profile is a pure function of the periods seen and the seed.
 """
 
 import time
@@ -46,14 +40,11 @@ class Lupa:
         min_history_days: int = 7,
         categories: int = 3,
         seed: int = 0,
-        relearn_interval: int = 1,
     ):
         if bins_per_day <= 0 or SECONDS_PER_DAY % bins_per_day:
             raise ValueError("bins_per_day must divide the day evenly")
         if categories < 1:
             raise ValueError("need at least one category")
-        if relearn_interval < 1:
-            raise ValueError("relearn_interval must be >= 1")
         self._loop = loop
         self.node = node
         self._probe = probe
@@ -62,7 +53,6 @@ class Lupa:
         self.min_history_days = min_history_days
         self.categories = categories
         self._seed = seed
-        self.relearn_interval = relearn_interval
 
         self._bin_seconds = SECONDS_PER_DAY / bins_per_day
         self._day_sums = np.zeros(bins_per_day)
@@ -72,11 +62,7 @@ class Lupa:
         self._period_dows: list[int] = []
         self._weekly: Optional[np.ndarray] = None  # shape (7, bins_per_day)
         self.samples_taken = 0
-        self._last_result = None                   # last full ClusteringResult
-        self._labels: list[int] = []               # per-period category labels
-        self._days_since_full = 0
         self.full_relearns = 0
-        self.incremental_updates = 0
         self.learn_wall_s = 0.0
         self._task = loop.every(sample_interval, self._sample)
 
@@ -84,8 +70,7 @@ class Lupa:
         """Publish the analyzer's counters as registry views (pull-only)."""
         prefix = prefix if prefix is not None else f"lupa.{self.node}"
         registry.bind(prefix, self, (
-            "samples_taken", "history_days", "full_relearns",
-            "incremental_updates", "learn_wall_s",
+            "samples_taken", "history_days", "full_relearns", "learn_wall_s",
         ))
 
     # -- data collection -----------------------------------------------------
@@ -122,34 +107,9 @@ class Lupa:
         started = time.perf_counter()
         data = np.array(self._periods)
         k = min(self.categories, len(self._periods))
-        previous = self._last_result
-        reusable = previous is not None and previous.k == k
-        if (
-            self.relearn_interval > 1
-            and reusable
-            and self._days_since_full < self.relearn_interval
-            and len(self._labels) == len(self._periods) - 1
-        ):
-            # Incremental day: classify the new period against the
-            # existing centroids; no clustering pass.
-            self._labels.append(previous.predict(self._periods[-1]))
-            self._days_since_full += 1
-            self.incremental_updates += 1
-            centroids = previous.centroids
-            labels = np.asarray(self._labels)
-        else:
-            init = None
-            if self.relearn_interval > 1 and reusable:
-                # Warm start: yesterday's centroids are already near the
-                # fixed point, so the pass converges in a few iterations.
-                init = previous.centroids
-            result = kmeans(data, k, seed=self._seed, init=init)
-            self._last_result = result
-            self._labels = [int(label) for label in result.labels]
-            self._days_since_full = 0
-            self.full_relearns += 1
-            centroids = result.centroids
-            labels = result.labels
+        result = kmeans(data, k, seed=self._seed)
+        labels = result.labels
+        self.full_relearns += 1
         # Map each weekday to the category its days most often fall into.
         weekly = np.zeros((7, self.bins_per_day))
         global_mean = data.mean(axis=0)
@@ -163,7 +123,7 @@ class Lupa:
                 weekly[dow] = global_mean
                 continue
             counts = np.bincount(dow_labels, minlength=k)
-            weekly[dow] = centroids[int(np.argmax(counts))]
+            weekly[dow] = result.centroids[int(np.argmax(counts))]
         self._weekly = np.clip(weekly, 0.0, 1.0)
         self.learn_wall_s += time.perf_counter() - started
 

@@ -11,8 +11,8 @@ numeric columns once (cached on the :class:`ScheduleContext`), scores
 every candidate in one numpy pass through
 :meth:`Gupa.idle_probabilities`, and orders with a stable argsort on
 the negated scores, which reproduces ``sorted(..., reverse=True)``
-exactly, ties included; its seed implementation is retained as the
-``order_scalar`` reference oracle for the equivalence suite.
+exactly, ties included (the seed per-offer ranking is the test tree's
+oracle for it).
 Fastest-first is a one-key sort and needs no arrays.
 """
 
@@ -186,28 +186,6 @@ class PatternAwarePolicy(SchedulingPolicy):
             )
             scores[indices] = speed[indices] * p_idle
         return _order_by_scores(offers, scores)
-
-    # -- seed implementation (oracle for the equivalence suite) --------------
-
-    def _score_scalar(self, offer: dict, ctx: ScheduleContext) -> float:
-        speed = offer.get("mips", 0.0) * offer.get("cpu_free", 0.0)
-        if ctx.gupa is None:
-            return speed * self.unknown_probability
-        duration = ctx.estimated_duration(offer)
-        if duration == float("inf"):
-            return 0.0
-        idle_probability = getattr(
-            ctx.gupa, "idle_probability_scalar", ctx.gupa.idle_probability
-        )
-        p_idle = idle_probability(offer["node"], ctx.now, duration)
-        if p_idle == UNKNOWN:
-            p_idle = self.unknown_probability
-        return speed * p_idle
-
-    def order_scalar(self, offers: list, ctx: ScheduleContext) -> list:
-        return sorted(
-            offers, key=lambda o: self._score_scalar(o, ctx), reverse=True
-        )
 
 
 POLICIES = {

@@ -110,8 +110,8 @@ class TradingService:
     the scan to an incrementally-maintained bucket before the full matcher
     runs.  Buckets are built lazily the first time a query needs an
     attribute, so exports and modifies on never-queried attributes cost
-    nothing extra.  :meth:`query_linear` keeps the original unindexed scan
-    as a reference oracle for equivalence tests and benchmarks.
+    nothing extra.  The original unindexed scan is the test tree's
+    oracle for this method.
     """
 
     def __init__(self):
@@ -311,36 +311,6 @@ class TradingService:
         if max_offers >= 0:
             matched = matched[:max_offers]
         return [offer.as_dict(copy_properties) for offer in matched]
-
-    def query_linear(
-        self,
-        service_type: str,
-        constraint: str = "",
-        preference: str = "",
-        max_offers: int = -1,
-    ) -> list:
-        """Reference oracle: full scan with the interpreted evaluator.
-
-        This is the original, pre-index implementation — no parse cache,
-        no compiled closures, no buckets.  The equivalence tests assert
-        :meth:`query` returns identical offers in identical order; the
-        benchmarks use it as the speedup baseline.
-        """
-        matcher = Constraint(constraint, compiled=False)
-        candidates = [
-            offer
-            for offer in self._offers.values()
-            if offer.service_type == service_type
-            and matcher.matches(offer.properties)
-        ]
-        if preference.strip():
-            rank = Preference(preference, compiled=False)
-            candidates.sort(
-                key=lambda o: rank.score(o.properties), reverse=True
-            )
-        if max_offers >= 0:
-            candidates = candidates[:max_offers]
-        return [offer.as_dict() for offer in candidates]
 
     @property
     def offer_count(self) -> int:

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.clustering import (
-    best_k,
-    kmeans,
-    silhouette_score,
-    silhouette_score_reference,
-)
+from repro.analysis.clustering import best_k, kmeans, silhouette_score
 from repro.analysis.metrics import Table, describe, percentile
+
+from tests.oracles import clustering as clustering_oracle
 
 
 def three_blobs(n_per=20, seed=0):
@@ -80,20 +77,6 @@ class TestKmeans:
         with pytest.raises(ValueError, match="max_iter"):
             kmeans(three_blobs(), 3, max_iter=-5)
 
-    def test_warm_start_from_converged_centroids(self):
-        data = three_blobs()
-        cold = kmeans(data, 3, seed=1)
-        warm = kmeans(data, 3, seed=1, init=cold.centroids)
-        # Already at the fixed point: one assignment pass, same answer.
-        assert warm.iterations == 1
-        assert np.array_equal(warm.labels, cold.labels)
-        assert np.array_equal(warm.centroids, cold.centroids)
-
-    def test_warm_start_shape_validated(self):
-        data = three_blobs()
-        with pytest.raises(ValueError, match="init"):
-            kmeans(data, 3, init=np.zeros((2, 2)))
-
 
 class TestSilhouette:
     def test_well_separated_scores_high(self):
@@ -128,14 +111,14 @@ class TestSilhouette:
             data = rng.random((60, 8))
             labels = kmeans(data, k, seed=2).labels
             assert silhouette_score(data, labels) == pytest.approx(
-                silhouette_score_reference(data, labels), abs=1e-6
+                clustering_oracle.silhouette_score(data, labels), abs=1e-6
             )
 
     def test_chunked_matches_reference_with_singletons(self):
         data = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [50.0, 50.0]])
         labels = np.array([0, 0, 1, 2])   # two singleton clusters
         assert silhouette_score(data, labels) == pytest.approx(
-            silhouette_score_reference(data, labels), abs=1e-9
+            clustering_oracle.silhouette_score(data, labels), abs=1e-9
         )
 
 

@@ -9,6 +9,8 @@ import inspect
 
 import pytest
 
+from repro.analysis.clustering import kmeans
+from repro.apps.constraints import Constraint, Preference
 from repro.bsp.drma import Registers
 from repro.bsp.messages import MessageBuffers
 from repro.bsp.runtime import run_bsp
@@ -17,6 +19,7 @@ from repro.core.grid import Grid
 from repro.core.grm import Grm
 from repro.core.hierarchy import ClusterUplink, ParentGrm
 from repro.core.lrm import Lrm
+from repro.core.lupa import Lupa
 from repro.orb.cdr import CdrDecoder
 from repro.orb.core import Orb
 from repro.orb.trading import TradingService
@@ -24,8 +27,9 @@ from repro.orb.transport import TcpTransport
 
 BUDGET = [
     (Orb.__init__, 8),
-    (Grid.__init__, 13),
+    (Grid.__init__, 12),
     (Lrm.__init__, 7),
+    (Lupa.__init__, 8),
     (Grm.__init__, 11),
     (ParentGrm.__init__, 4),
     (ParentGrm.attach_parent, 3),
@@ -36,8 +40,11 @@ BUDGET = [
     (MessageBuffers.__init__, 1),
     (Registers.__init__, 1),
     (run_bsp, 4),            # ``*args`` belongs to the program, not to us
-    (MemoryCheckpointStore.__init__, 1),
+    (MemoryCheckpointStore.__init__, 0),
     (FileCheckpointStore.__init__, 1),
+    (Constraint.__init__, 1),
+    (Preference.__init__, 1),
+    (kmeans, 4),
 ]
 
 

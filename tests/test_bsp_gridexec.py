@@ -41,17 +41,14 @@ class FakeGrm:
 
 
 def make_coordinator(tasks=3, supersteps=4, checkpoint_every=0,
-                     work=1200.0, network=None, comm_bytes=0,
-                     metadata=None):
+                     work=1200.0, network=None, comm_bytes=0):
     loop = EventLoop()
     grm = FakeGrm(network)
-    meta = {"supersteps": supersteps, "superstep_comm_bytes": comm_bytes}
-    if metadata:
-        meta.update(metadata)
     spec = ApplicationSpec(
         name="bsp", kind="bsp", tasks=tasks, program="p", work_mips=work,
         checkpoint_every_supersteps=checkpoint_every,
-        metadata=meta,
+        metadata={"supersteps": supersteps,
+                  "superstep_comm_bytes": comm_bytes},
     )
     job = Job("j0", spec, submitted_at=0.0)
     store = MemoryCheckpointStore()
@@ -286,101 +283,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             BspGridCoordinator(loop, FakeGrm(), job)
 
-
-class TestCheckpointWrites:
-    """Modelled checkpoint write time: blocking vs pipelined."""
-
-    def arm(self, write_s, pipelined, supersteps=6, work=600.0):
-        loop, grm, job, coordinator, store = make_coordinator(
-            tasks=2, supersteps=supersteps, checkpoint_every=2, work=work,
-            metadata={"checkpoint_write_s": write_s,
-                      "pipelined_checkpoints": pipelined},
-        )
-        assignments = start_all(job, coordinator, grm)
-        return loop, grm, job, coordinator, store, assignments
-
-    def hit_barrier(self, loop, grm, coordinator, assignments):
-        for task_id, node in assignments.items():
-            grm.lrms[node].progress[task_id] = grm.lrms[node].limits[task_id]
-            coordinator.member_reached_limit(task_id, node)
-
-    def test_zero_write_time_is_the_seed_path(self):
-        loop, grm, job, coordinator, store, assignments = self.arm(0.0, False)
-        for _ in range(2):
-            self.hit_barrier(loop, grm, coordinator, assignments)
-            loop.run()
-        assert coordinator.checkpoints_saved == 1
-        assert coordinator.checkpoint_stall_s == 0.0
-        assert coordinator.checkpoint_overlap_s == 0.0
-        assert not coordinator._pending_ckpts
-
-    def test_blocking_write_stalls_the_next_superstep(self):
-        loop, grm, job, coordinator, store, assignments = self.arm(5.0, False)
-        self.hit_barrier(loop, grm, coordinator, assignments)
-        loop.run_for(0.06)   # past the comm delay, inside the write
-        assert coordinator.current_superstep == 1   # no checkpoint due: free
-        self.hit_barrier(loop, grm, coordinator, assignments)
-        loop.run_for(0.06)
-        assert coordinator.current_superstep == 2   # checkpoint due here
-        # Mid-write: nothing saved yet, and the next superstep's limits
-        # are still the old ones — the barrier is held.
-        assert coordinator.checkpoints_saved == 0
-        node = assignments[job.tasks[0].task_id]
-        held = grm.lrms[node].limits[job.tasks[0].task_id]
-        loop.run_for(5.0)    # the write commits
-        assert coordinator.checkpoints_saved == 1
-        assert store.load_latest(job.tasks[0].task_id) is not None
-        assert grm.lrms[node].limits[job.tasks[0].task_id] > held
-        assert coordinator.checkpoint_stall_s == 5.0
-        assert not coordinator._pending_ckpts
-
-    def test_pipelined_write_releases_immediately(self):
-        loop, grm, job, coordinator, store, assignments = self.arm(5.0, True)
-        self.hit_barrier(loop, grm, coordinator, assignments)
-        loop.run_for(0.06)
-        self.hit_barrier(loop, grm, coordinator, assignments)
-        loop.run_for(0.06)
-        assert coordinator.current_superstep == 2
-        # The write is still in flight, but the next superstep already
-        # got its limits: the write overlaps computation.
-        assert coordinator.checkpoints_saved == 0
-        assert len(coordinator._pending_ckpts) == 1
-        node = assignments[job.tasks[0].task_id]
-        assert grm.lrms[node].limits[job.tasks[0].task_id] == \
-            pytest.approx(300.0)
-        loop.run_for(5.0)
-        assert coordinator.checkpoints_saved == 1
-        assert coordinator.checkpoint_overlap_s == 5.0
-        assert coordinator.checkpoint_stall_s == 0.0
-        assert coordinator.recovery.consistent_superstep() == 2
-
-    def test_eviction_cancels_in_flight_checkpoint(self):
-        loop, grm, job, coordinator, store, assignments = self.arm(5.0, True)
-        for _ in range(2):
-            self.hit_barrier(loop, grm, coordinator, assignments)
-            loop.run_for(0.06)
-        assert len(coordinator._pending_ckpts) == 1
-        victim = job.tasks[0]
-        node = assignments[victim.task_id]
-        victim.transition(TaskState.EVICTED, loop.now)
-        victim.rollback()
-        victim.node = None
-        coordinator.member_evicted(victim.task_id, node)
-        assert not coordinator._pending_ckpts
-        loop.run_for(10.0)   # the cancelled write must never commit
-        assert coordinator.checkpoints_saved == 0
-        # The uncommitted checkpoint is invisible to recovery: the job
-        # rolled back to scratch, and re-checkpointing superstep 2 later
-        # is legal.
-        assert coordinator.recovery.consistent_superstep() is None
-        coordinator.recovery.record_checkpoint(victim.task_id, 2)
-
-    def test_status_reports_write_accounting(self):
-        loop, grm, job, coordinator, store, assignments = self.arm(1.0, True)
-        for _ in range(2):
-            self.hit_barrier(loop, grm, coordinator, assignments)
-            loop.run_for(0.06)
-        status = coordinator.status()
-        assert status["checkpoints_pending"] == 1
-        assert status["checkpoint_overlap_s"] == 1.0
-        assert status["checkpoint_stall_s"] == 0.0

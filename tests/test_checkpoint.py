@@ -133,12 +133,6 @@ class TestMemoryStore:
         assert store.load_latest("t1").state()["p"] == 2
         assert store.load_latest("t1").sequence == 2
 
-    def test_history_limit(self):
-        store = MemoryCheckpointStore(keep_history=2)
-        for i in range(5):
-            store.save("t1", {"p": i}, float(i))
-        assert len(store._records["t1"]) == 2
-
     def test_missing_task(self):
         assert MemoryCheckpointStore().load_latest("ghost") is None
 

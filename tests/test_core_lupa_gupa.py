@@ -57,11 +57,9 @@ class TestLupaCollection:
             Lupa(loop, "n0", probe=lambda: 0.0, bins_per_day=7)
         with pytest.raises(ValueError):
             Lupa(loop, "n0", probe=lambda: 0.0, categories=0)
-        with pytest.raises(ValueError):
-            Lupa(loop, "n0", probe=lambda: 0.0, relearn_interval=0)
 
 
-def weekday_lupa(days, relearn_interval=1, min_history_days=3):
+def weekday_lupa(days, min_history_days=3):
     """A LUPA fed a deterministic weekday-busy / weekend-idle owner."""
     loop = EventLoop()
     lupa = Lupa(
@@ -72,43 +70,22 @@ def weekday_lupa(days, relearn_interval=1, min_history_days=3):
             < 17 * SECONDS_PER_HOUR
         ) else 0.0,
         min_history_days=min_history_days,
-        relearn_interval=relearn_interval,
     )
     loop.run_until(days * SECONDS_PER_DAY + SECONDS_PER_HOUR)
     return lupa
 
 
-class TestLupaIncrementalLearning:
-    def test_default_relearns_daily(self):
+class TestLupaLearning:
+    def test_relearns_daily(self):
         lupa = weekday_lupa(days=10)
-        assert lupa.incremental_updates == 0
-        # One full clustering pass per finished day once history suffices.
+        # One clustering pass per finished day once history suffices.
         assert lupa.full_relearns == 10 - 3 + 1
-
-    def test_interval_skips_clustering_passes(self):
-        daily = weekday_lupa(days=10)
-        sparse = weekday_lupa(days=10, relearn_interval=7)
-        assert sparse.full_relearns < daily.full_relearns
-        assert sparse.incremental_updates > 0
-        # Every finished day still refreshes the profile one way or the other.
-        assert sparse.full_relearns + sparse.incremental_updates \
-            == daily.full_relearns
-
-    def test_incremental_profile_still_predicts(self):
-        lupa = weekday_lupa(days=14, relearn_interval=7)
-        assert lupa.learned
-        tuesday_noon = (7 + 1) * SECONDS_PER_DAY + 12 * SECONDS_PER_HOUR
-        saturday_noon = (7 + 5) * SECONDS_PER_DAY + 12 * SECONDS_PER_HOUR
-        assert lupa.predict_busy(tuesday_noon) > 0.8
-        assert lupa.predict_busy(saturday_noon) < 0.2
 
     def test_learn_wall_time_accumulates(self):
         lupa = weekday_lupa(days=5)
         assert lupa.full_relearns > 0
         assert lupa.learn_wall_s > 0.0
 
-
-class TestLupaLearning:
     def test_office_pattern_recovered(self):
         _, lupa = office_lupa(weeks=3)
         assert lupa.learned
@@ -219,6 +196,23 @@ class TestGupa:
                 gupa.upload_pattern(
                     "n0", {"bins_per_day": bad, "weekly": [[0.0]] * 7}
                 )
+
+    @pytest.mark.parametrize(
+        "bad", [2.0, -0.5, float("nan"), float("inf")],
+        ids=["above_one", "negative", "nan", "inf"],
+    )
+    def test_busy_values_must_be_probabilities(self, bad):
+        gupa = Gupa()
+        gupa.upload_pattern("n0", self.make_pattern())
+        weekly = self.make_pattern()["weekly"]
+        weekly[2][7] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            gupa.upload_pattern("n0", {"bins_per_day": 24, "weekly": weekly})
+        # The refused upload left the node's previous pattern in force.
+        assert gupa.uploads == 1
+        monday_noon = 12 * SECONDS_PER_HOUR
+        assert gupa.busy_probability("n0", monday_noon) == 1.0
+        assert 0.0 <= gupa.idle_probability("n0", 0.0, 90000.5) <= 1.0
 
     def test_row_length_mismatch_rejected(self):
         gupa = Gupa()

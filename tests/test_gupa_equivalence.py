@@ -1,11 +1,12 @@
-"""Equivalence suite: vectorized GUPA/policy paths vs the scalar oracles.
+"""Equivalence suite: vectorized GUPA/policy paths vs the seed oracles.
 
 The vectorized prediction pipeline claims *bit-identical* results — the
 optimized `idle_probability`, the batch `idle_probabilities`, and the
 argsort-based policy orderings must reproduce the seed implementations
-exactly (kept callable as ``*_scalar`` oracles).  These tests drive
-randomized patterns, spans (sub-bin, bin-aligned, multi-day, negative),
-and node churn through both paths and assert exact ``==`` equality.
+in ``tests/oracles/gupa.py`` and ``tests/oracles/scheduler.py``, which
+read the uploaded pattern dicts.  These tests drive randomized patterns,
+spans (sub-bin, bin-aligned, multi-day, negative), and node churn
+through both paths and assert exact ``==`` equality.
 """
 
 import numpy as np
@@ -15,6 +16,9 @@ from repro.apps.spec import ApplicationSpec
 from repro.core.gupa import Gupa, UNKNOWN
 from repro.core.scheduler import PatternAwarePolicy, ScheduleContext
 from repro.sim.clock import SECONDS_PER_DAY
+
+from tests.oracles import gupa as gupa_oracle
+from tests.oracles import scheduler as scheduler_oracle
 
 #: Bin widths worth exercising: 1 bin/day up to 5-minute bins, all
 #: dividing the 86400-second day evenly.
@@ -58,11 +62,14 @@ def patterns(draw):
 
 @st.composite
 def gupas(draw, min_nodes=1, max_nodes=6):
+    """A GUPA and the pattern dict uploaded for each of its nodes."""
     gupa = Gupa()
+    uploaded = {}
     count = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     for i in range(count):
-        gupa.upload_pattern(f"n{i}", draw(patterns()))
-    return gupa
+        uploaded[f"n{i}"] = draw(patterns())
+        gupa.upload_pattern(f"n{i}", uploaded[f"n{i}"])
+    return gupa, uploaded
 
 
 class TestScalarEquivalence:
@@ -72,7 +79,7 @@ class TestScalarEquivalence:
         gupa = Gupa()
         gupa.upload_pattern("n0", pattern)
         assert gupa.busy_probability("n0", when) \
-            == gupa.busy_probability_scalar("n0", when)
+            == gupa_oracle.busy_probability(pattern, when)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(pattern=patterns(), start=starts, duration=durations)
@@ -80,7 +87,7 @@ class TestScalarEquivalence:
         gupa = Gupa()
         gupa.upload_pattern("n0", pattern)
         fast = gupa.idle_probability("n0", start, duration)
-        oracle = gupa.idle_probability_scalar("n0", start, duration)
+        oracle = gupa_oracle.idle_probability(pattern, start, duration)
         assert fast == oracle   # exact: same factors, same order
 
 
@@ -88,10 +95,13 @@ class TestBatchEquivalence:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(gupa=gupas(), start=starts, duration=durations)
     def test_scalar_duration_batch(self, gupa, start, duration):
+        gupa, uploaded = gupa
         nodes = gupa.known_nodes + ["ghost"]
         batch = gupa.idle_probabilities(nodes, start, duration)
         for node, value in zip(nodes, batch):
-            assert value == gupa.idle_probability_scalar(node, start, duration)
+            assert value == gupa_oracle.idle_probability(
+                uploaded.get(node), start, duration
+            )
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -100,6 +110,7 @@ class TestBatchEquivalence:
         data=st.data(),
     )
     def test_per_node_duration_batch(self, gupa, start, data):
+        gupa, uploaded = gupa
         nodes = gupa.known_nodes
         per_node = np.array(
             [data.draw(durations, label=f"duration[{i}]")
@@ -107,8 +118,8 @@ class TestBatchEquivalence:
         )
         batch = gupa.idle_probabilities(nodes, start, per_node)
         for node, duration, value in zip(nodes, per_node, batch):
-            assert value == gupa.idle_probability_scalar(
-                node, start, float(duration)
+            assert value == gupa_oracle.idle_probability(
+                uploaded[node], start, float(duration)
             )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -121,14 +132,19 @@ class TestBatchEquivalence:
     def test_churn_keeps_equivalence(self, gupa, replacement, start, duration):
         # Forget one node, re-upload another with a fresh pattern: the
         # lazily rebuilt stacks must still match the oracle per node.
+        gupa, uploaded = gupa
         nodes = gupa.known_nodes
         gupa.forget(nodes[0])
+        del uploaded[nodes[0]]
         gupa.upload_pattern(nodes[1], replacement)
+        uploaded[nodes[1]] = replacement
         queried = nodes   # includes the forgotten node -> UNKNOWN
         batch = gupa.idle_probabilities(queried, start, duration)
         assert batch[0] == UNKNOWN
         for node, value in zip(queried, batch):
-            assert value == gupa.idle_probability_scalar(node, start, duration)
+            assert value == gupa_oracle.idle_probability(
+                uploaded.get(node), start, duration
+            )
 
     def test_duration_shape_rejected(self):
         gupa = Gupa()
@@ -180,16 +196,18 @@ class TestPolicyOrderEquivalence:
         # Give a pattern to some offers only, so UNKNOWN fallbacks and
         # ties (equal speeds) are exercised alongside scored nodes.
         gupa = Gupa()
+        uploaded = {}
         for offer in offers:
-            if data.draw(st.booleans(), label=f"pattern for {offer['node']}"):
-                gupa.upload_pattern(
-                    offer["node"], data.draw(patterns(), label="pattern")
-                )
+            node = offer["node"]
+            if data.draw(st.booleans(), label=f"pattern for {node}"):
+                uploaded[node] = data.draw(patterns(), label="pattern")
+                gupa.upload_pattern(node, uploaded[node])
         now = data.draw(starts, label="now")
         policy = PatternAwarePolicy()
         ctx = self.make_ctx(gupa, now=now)
         vectorized = [o["node"] for o in policy.order(offers, ctx)]
-        oracle = [o["node"] for o in policy.order_scalar(offers, ctx)]
+        oracle = [o["node"] for o in
+                  scheduler_oracle.order(policy, offers, ctx, uploaded)]
         assert vectorized == oracle
 
     def test_no_gupa_matches_oracle(self):
@@ -197,4 +215,5 @@ class TestPolicyOrderEquivalence:
         policy = PatternAwarePolicy()
         ctx = self.make_ctx(gupa=None)
         assert [o["node"] for o in policy.order(offers, ctx)] \
-            == [o["node"] for o in policy.order_scalar(offers, ctx)]
+            == [o["node"] for o in
+                scheduler_oracle.order(policy, offers, ctx, {})]

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.metrics import percentile
-from repro.apps.constraints import Constraint, UNDEFINED, evaluate
+from repro.apps.constraints import (
+    Constraint,
+    ConstraintError,
+    Preference,
+    UNDEFINED,
+    evaluate,
+)
 from repro.checkpoint.serializer import (
     CheckpointCorrupted,
     deserialize,
@@ -26,6 +32,8 @@ from repro.orb.cdr import (
 from repro.orb.ior import ObjectRef
 from repro.sim.events import EventLoop
 from repro.sim.machine import InsufficientResources, Machine, MachineSpec
+
+from tests.oracles import constraints as constraint_oracle
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -138,7 +146,62 @@ class TestCheckpointProperties:
 # Constraint language
 # ---------------------------------------------------------------------------
 
+#: Operands of every type the language has: numbers, a string, booleans,
+#: and identifiers that are defined (as any of those) or missing.
+CONSTRAINT_LEAVES = ["a", "b", "s", "missing", "0", "1", "2.5", "'linux'",
+                     "true", "false"]
+CONSTRAINT_BINARY_OPS = ["+", "-", "*", "/", "==", "!=", "<", "<=", ">",
+                         ">=", "&&", "||"]
+CONSTRAINT_PROPS = [
+    {},
+    {"a": 1.5, "b": 0.0, "s": "linux"},
+    {"a": True, "b": -2.5, "s": 1.0},
+    {"a": -0.0, "b": 1e308, "s": "x"},
+]
+
+constraint_texts = st.recursive(
+    st.sampled_from(CONSTRAINT_LEAVES),
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from(CONSTRAINT_BINARY_OPS), e)
+        .map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        e.map(lambda t: f"!({t})"),
+        e.map(lambda t: f"-({t})"),
+    ),
+    max_leaves=6,
+)
+constraint_props = st.fixed_dictionaries({}, optional={
+    "a": st.one_of(finite_floats, st.booleans()),
+    "b": st.sampled_from([0.0, 1.0, -2.5, 1e308]),
+    "s": st.sampled_from(["linux", "x", 1.0]),
+})
+
+
+def assert_agrees_with_oracle(text, props):
+    """Value, match and score of the compiled expression are exactly the
+    seed interpreter's (``repr`` so NaN, -0.0 and UNDEFINED compare)."""
+    constraint = Constraint(text)
+    assert repr(constraint.value(props)) \
+        == repr(constraint_oracle.value(text, props)), (text, props)
+    assert constraint.matches(props) \
+        == constraint_oracle.matches(text, props), (text, props)
+    assert repr(Preference(text).score(props)) \
+        == repr(constraint_oracle.score(text, props)), (text, props)
+
+
 class TestConstraintProperties:
+    def test_every_operator_on_every_operand_pair_agrees_with_oracle(self):
+        texts = [f"{x} {op} {y}" for x in CONSTRAINT_LEAVES
+                 for op in CONSTRAINT_BINARY_OPS for y in CONSTRAINT_LEAVES]
+        texts += [f"{op}{x}" for op in "!-" for x in CONSTRAINT_LEAVES]
+        for text in texts:
+            for props in CONSTRAINT_PROPS:
+                assert_agrees_with_oracle(text, props)
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_texts, constraint_props)
+    def test_nested_expressions_agree_with_oracle(self, text, props):
+        assert_agrees_with_oracle(text, props)
+
     @given(finite_floats, finite_floats)
     def test_comparisons_match_python(self, a, b):
         props = {"a": a, "b": b}
@@ -302,15 +365,15 @@ class TestConstraintFuzz:
     @given(token_soup)
     @settings(max_examples=300)
     def test_parse_raises_only_constraint_error(self, text):
-        from repro.apps.constraints import Constraint, ConstraintError
-
         try:
             constraint = Constraint(text)
         except ConstraintError:
             return
-        # Parsed OK: evaluating over any property set must not raise.
-        assert constraint.matches({"a": 1.0, "b": "x"}) in (True, False)
-        assert constraint.matches({}) in (True, False)
+        # Parsed OK: evaluating over any property set must not raise,
+        # and must agree with the seed interpreter.
+        for props in ({"a": 1.0, "b": "x"}, {}):
+            assert constraint.matches(props) \
+                == constraint_oracle.matches(text, props)
 
     @given(st.dictionaries(
         st.sampled_from(["mips", "ram_mb", "cpu_free", "os"]),

@@ -2,10 +2,10 @@
 
 :meth:`TradingService.query` answers through per-type pools, lazily built
 equality-bucket indexes, compiled constraint matchers, and a heap-based
-top-k.  :meth:`TradingService.query_linear` is the seed implementation —
-interpreted evaluator, full scan, stable sort.  The two must return
-*identical offers in identical rank order* for every constraint,
-preference, and ``max_offers``; hypothesis drives randomized offer
+top-k.  ``tests/oracles/trading.py::query_linear`` is the seed
+implementation — interpreted evaluator, full scan, stable sort.  The two
+must return *identical offers in identical rank order* for every
+constraint, preference, and ``max_offers``; hypothesis drives randomized offer
 populations (including missing, oddly-typed, and unhashable property
 values) and randomized expression trees through both paths, interleaved
 with modify/withdraw churn so index maintenance is exercised too.
@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.orb.trading import TradingService
+
+from tests.oracles.trading import query_linear
 
 # Finite value pools force hash-bucket collisions and the True/1/1.0
 # equality unification the index must mirror.  ``tags`` is sometimes
@@ -93,7 +95,7 @@ def test_query_matches_linear_oracle(
     def check():
         args = ("node", constraint, preference, max_offers)
         try:
-            expected = svc.query_linear(*args)
+            expected = query_linear([svc.offer(i) for i in ids], *args)
         except TypeError:
             # Unorderable operands (list >= float) raise in the
             # interpreter; the compiled path must raise identically.
@@ -126,11 +128,29 @@ def test_max_offers_zero_is_explicit_empty():
 
 def test_rank_order_ties_keep_export_order():
     svc = TradingService()
-    for i in range(6):
-        svc.export("node", f"ior:{i}", {"mips": 100.0, "n": i})
+    offers = [
+        svc.offer(svc.export("node", f"ior:{i}", {"mips": 100.0, "n": i}))
+        for i in range(6)
+    ]
     result = svc.query("node", "mips == 100", "mips", max_offers=4)
     assert [o["properties"]["n"] for o in result] == [0, 1, 2, 3]
-    assert result == svc.query_linear("node", "mips == 100", "mips", 4)
+    assert result == query_linear(offers, "node", "mips == 100", "mips", 4)
+
+
+def test_refiled_offers_keep_export_order():
+    """A modify re-files an offer at the end of its equality bucket; an
+    unranked query must still answer in export order."""
+    svc = TradingService()
+    offers = [
+        svc.offer(svc.export("node", f"ior:{i}", {"sharing": True, "n": i}))
+        for i in range(4)
+    ]
+    svc.query("node", "sharing == true")        # builds the bucket
+    for offer in offers[:2]:
+        svc.modify(offer.offer_id, dict(offer.properties))
+    result = svc.query("node", "sharing == true")
+    assert [o["properties"]["n"] for o in result] == [0, 1, 2, 3]
+    assert result == query_linear(offers, "node", "sharing == true")
 
 
 def test_index_survives_unhashable_and_missing_values():

@@ -1,9 +1,12 @@
 """Wire-level tests: GUPA over the ORB, naming-based bootstrap, and the
 full Figure 1 control path crossing real marshalling end to end."""
 
+import dataclasses
+
 import pytest
 
 from repro import ApplicationSpec, Grid
+from repro.apps.job import JobState
 from repro.core.gupa import Gupa
 from repro.core.protocols import (
     ASCT_INTERFACE,
@@ -12,6 +15,8 @@ from repro.core.protocols import (
     LRM_INTERFACE,
 )
 from repro.orb.core import Orb
+from repro.orb.exceptions import RemoteInvocationError
+from repro.orb.idl import InterfaceDef
 from repro.orb.naming import NAMING_INTERFACE
 from repro.orb.transport import InProcDomain
 from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -56,6 +61,48 @@ class TestGupaOverTheWire:
             assert stub.idle_probability("ghost", 0.0, 1.0) == -1.0
         finally:
             server.shutdown()
+            client.shutdown()
+
+
+class TestOutOfRangePatternOverTheOrb:
+    """A pattern whose busy values are not probabilities is refused at
+    the GUPA, so it can never reach the GRM's schedule pass (where a
+    busy value of 2.0 raised a math domain error)."""
+
+    @pytest.mark.parametrize(
+        "busy", [2.0, -0.5, float("nan"), float("inf")],
+        ids=["above_one", "negative", "nan", "inf"],
+    )
+    def test_refused_and_the_grid_keeps_placing(self, busy):
+        grid = Grid(policy="pattern_aware", lupa_enabled=False)
+        grid.add_cluster("c0")
+        for i in range(3):
+            grid.add_node("c0", f"n{i}")
+        gupa_ior = grid.clusters["c0"].gupa_ior
+        client = Orb("uploader", domain=grid.domain)
+        bad = {"bins_per_day": 24, "weekly": [[busy] * 24] * 7}
+        try:
+            # upload_pattern is oneway, so a LUPA never hears the
+            # refusal; the same request declared two-way returns it.
+            upload = GUPA_INTERFACE.operation("upload_pattern")
+            twoway = InterfaceDef(
+                GUPA_INTERFACE.name,
+                [dataclasses.replace(upload, oneway=False)],
+            )
+            with pytest.raises(RemoteInvocationError) as refused:
+                client.stub(gupa_ior, twoway).upload_pattern("n0", bad)
+            assert refused.value.remote_type == "ValueError"
+            stub = client.stub(gupa_ior, GUPA_INTERFACE)
+            stub.upload_pattern("n0", bad)
+            assert stub.has_pattern("n0") is False
+            job_ids = [
+                grid.submit(ApplicationSpec(name=f"j{i}", work_mips=1e5))
+                for i in range(3)
+            ]
+            grid.run_until(3600)
+            assert [grid.job(j).state for j in job_ids] \
+                == [JobState.COMPLETED] * 3
+        finally:
             client.shutdown()
 
 
