@@ -2,10 +2,12 @@
 
 :class:`OptimisticGrm` answers the A1 ablation: what if the GRM treated
 its (possibly stale) Trader contents as the truth instead of a *hint*?
-It asks only the single best-ranked node per scheduling pass; a refusal
+It asks only the single best-ranked node per task and pass; a refusal
 (stale offer) costs a full scheduling interval instead of moving down
-the candidate list.  The paper's negotiate-then-reserve protocol is the
-default GRM behaviour; E2/A1 quantify the difference.
+the candidate list.  It ranks and accounts exactly as the GRM does —
+the same per-job view, the same debits and refusal payloads — so the
+fallback is the only thing ablated.  The paper's negotiate-then-reserve
+protocol is the default GRM behaviour; E2/A1 quantify the difference.
 """
 
 from repro.core.grm import Grm
@@ -14,29 +16,8 @@ from repro.core.grm import Grm
 class OptimisticGrm(Grm):
     """A GRM that trusts the hint: one candidate, no fallback."""
 
-    def _place_task(self, job, task, exclude=(), ctx=None):
-        from repro.core.scheduler import ScheduleContext
-
-        if ctx is None:
-            ctx = ScheduleContext(
-                spec=job.spec,
-                remaining_mips=task.remaining_mips,
-                now=self._loop.now,
-                gupa=self.gupa,
-            )
-        else:
-            ctx.remaining_mips = task.remaining_mips
-        offers = [
-            o for o in self._offers_for(job.spec)
-            if o["node"] not in exclude
-        ]
-        ordered = self.policy.order(offers, ctx)
-        if not ordered:
-            return False
+    def _place_task(self, job, task, view, exclude=()):
         # Exactly one attempt: stale information means a lost pass.
-        node = ordered[0]["node"]
-        if self._reserve_on(node, job, task):
-            if self._launch_on(node, job, task):
-                return True
-            self._cancel_reservation(node, task.task_id)
+        for record in self._candidates(job, task, view, exclude):
+            return self._negotiate(record, job, task)
         return False

@@ -40,7 +40,15 @@ DEFAULT_STALE_FACTOR = 3.5
 
 @dataclass
 class NodeRecord:
-    """Everything the GRM tracks about one registered node."""
+    """Everything the GRM tracks about one registered node.
+
+    ``last_status`` is the GRM's view of the node, and its Trader offer
+    holds the same: ``baseline`` — the last status received, lowered by
+    any refusal since — minus the ``debits``, the CPU share and memory
+    of each task the GRM launched there since.  The next status replaces
+    all of it; a task leaving the node takes its own debit with it.  The
+    view is therefore never more optimistic than the node's last word.
+    """
 
     node: str
     lrm_ior: str
@@ -49,6 +57,30 @@ class NodeRecord:
     last_status: dict
     last_seen: float
     alive: bool = True
+    baseline: dict = None
+    #: task_id -> (cpu_fraction, mem_mb), in launch order.
+    debits: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.baseline is None:
+            self.baseline = self.last_status
+
+    def fits(self, reqs) -> bool:
+        """Does the view still have room for one task of ``reqs``?"""
+        view = self.last_status
+        return view["cpu_free"] >= reqs.cpu_fraction \
+            and view["mem_free_mb"] >= reqs.mem_mb
+
+
+@dataclass
+class CandidateView:
+    """One job's candidates in one scheduling pass: a single Trader
+    query, ranked once per distinct ``remaining_mips`` its tasks need
+    (tasks of one job usually need the same, so usually once)."""
+
+    offers: list
+    ctx: ScheduleContext
+    order: Optional[list] = None
 
 
 @dataclass
@@ -277,8 +309,11 @@ class Grm:
         if record is None:
             return self._drop_update(status["node"])
         # The status crossed the ORB by reference: it is kept read-only
-        # as last_status, and the Trader stores its own copy.
-        record.last_status = status
+        # as last_status, and the Trader stores its own copy.  It is the
+        # node's word on every task launched before it was sent.
+        record.last_status = record.baseline = status
+        if record.debits:
+            record.debits.clear()
         record.last_seen = self._loop.now
         record.alive = True
         self._summary_epoch += 1
@@ -421,6 +456,7 @@ class Grm:
                         stub.stop_task(task.task_id)
                     except OrbError:
                         pass
+                    self._credit(task.node, task.task_id)
             if not task.done:
                 task.transition(TaskState.CANCELLED, self._loop.now, "cancel_job")
         job.set_state(JobState.CANCELLED, self._loop.now)
@@ -450,6 +486,7 @@ class Grm:
         job, task = entry
         if task.state is not TaskState.RUNNING:
             return
+        self._credit(node, task_id)
         task.result = result
         if isinstance(result, dict) and "__error__" in result:
             # The task's payload violated the provider's sandbox: the
@@ -492,6 +529,7 @@ class Grm:
         job, task = entry
         if task.state is not TaskState.RUNNING:
             return
+        self._credit(node, task_id)
         self.stats.evictions_handled += 1
         journal = self.journal
         if journal is not None and journal.active:
@@ -593,27 +631,32 @@ class Grm:
             and self._nodes[o["properties"]["node"]].alive
         ]
 
+    def _view(self, job: Job) -> CandidateView:
+        """Query the Trader for ``job``; ranked on first use."""
+        return CandidateView(
+            self._offers_for(job.spec),
+            ScheduleContext(
+                spec=job.spec, remaining_mips=0.0, now=self._loop.now,
+                gupa=self.gupa,
+            ),
+        )
+
     def _schedule_independent(self, job: Job) -> bool:
         all_placed = True
-        # One context for the whole job: the per-offer array cache
-        # survives across tasks, only remaining_mips changes per task.
-        ctx = ScheduleContext(
-            spec=job.spec,
-            remaining_mips=0.0,
-            now=self._loop.now,
-            gupa=self.gupa,
-        )
+        view = None   # queried when the first pending task needs it
         for task in job.tasks:
             if task.state is not TaskState.PENDING:
                 continue
+            if view is None:
+                view = self._view(job)
             # Do not bounce an evicted task straight back onto the node
             # whose owner just reclaimed it (unless it is the only one).
             exclude = ()
             last_node = self._last_node_of(task)
             if task.evictions > 0 and last_node is not None:
                 exclude = (last_node,)
-            if not self._place_task(job, task, exclude=exclude, ctx=ctx):
-                if exclude and self._place_task(job, task, ctx=ctx):
+            if not self._place_task(job, task, view, exclude):
+                if exclude and self._place_task(job, task, view):
                     continue   # fall back: the old node is all there is
                 all_placed = False
         job.refresh_state(self._loop.now)
@@ -655,39 +698,52 @@ class Grm:
         finally:
             hist.observe(perf_counter() - started)
 
-    def _place_task(
-        self,
-        job: Job,
-        task: Task,
-        exclude: tuple = (),
-        ctx: Optional[ScheduleContext] = None,
-    ) -> bool:
-        if ctx is None:
-            ctx = ScheduleContext(
-                spec=job.spec,
-                remaining_mips=task.remaining_mips,
-                now=self._loop.now,
-                gupa=self.gupa,
-            )
-        else:
-            ctx.remaining_mips = task.remaining_mips
-        offers = [
-            o for o in self._offers_for(job.spec)
-            if o["node"] not in exclude
-        ]
-        ordered = self._rank(offers, ctx, job.spec)
-        for offer in ordered[: self._max_negotiations]:
-            node = offer["node"]
-            if self._reserve_on(node, job, task):
-                if self._launch_on(node, job, task):
-                    return True
-                self._cancel_reservation(node, task.task_id)
+    def _candidates(self, job: Job, task: Task, view: CandidateView,
+                    exclude: tuple = ()):
+        """The view's nodes for ``task``, best first, skipping excluded
+        nodes and nodes whose view no longer fits the job."""
+        if view.order is None or view.ctx.remaining_mips != task.remaining_mips:
+            view.ctx.remaining_mips = task.remaining_mips
+            view.order = self._rank(view.offers, view.ctx, job.spec)
+        return self._fitting(view.order, job.spec.requirements, exclude)
+
+    def _fitting(self, ordered: list, reqs, exclude: tuple = ()):
+        """Live records behind ``ordered`` offers that still fit ``reqs``.
+
+        Lazy: each record is checked when it is reached, so a debit or a
+        refusal taken meanwhile — by an earlier task of the same job, or
+        an earlier attempt of this one — already counts.
+        """
+        nodes = self._nodes
+        for offer in ordered:
+            record = nodes.get(offer["node"])
+            if record is None or not record.alive \
+                    or record.node in exclude or not record.fits(reqs):
+                continue
+            yield record
+
+    def _place_task(self, job: Job, task: Task, view: CandidateView,
+                    exclude: tuple = ()) -> bool:
+        """Negotiate down the view, at most ``max_negotiations`` times."""
+        attempts = 0
+        for record in self._candidates(job, task, view, exclude):
+            if self._negotiate(record, job, task):
+                return True
+            attempts += 1
+            if attempts == self._max_negotiations:
+                break
         return False
 
-    def _reserve_on(self, node: str, job: Job, task: Task) -> bool:
-        record = self._nodes.get(node)
-        if record is None or not record.alive:
-            return False
+    def _negotiate(self, record: NodeRecord, job: Job, task: Task) -> bool:
+        """Reserve on one node, then start there; False leaves no
+        reservation behind."""
+        if self._reserve_on(record, job, task):
+            if self._launch_on(record, job, task):
+                return True
+            self._cancel_reservation(record.node, task.task_id)
+        return False
+
+    def _reserve_on(self, record: NodeRecord, job: Job, task: Task) -> bool:
         self.stats.negotiation_rounds += 1
         reqs = job.spec.requirements
         try:
@@ -702,13 +758,12 @@ class Grm:
             return False
         if not reply["accepted"]:
             self.stats.reservations_refused += 1
+            self._apply_refusal(record, reply)
             return False
         return True
 
-    def _launch_on(self, node: str, job: Job, task: Task) -> bool:
-        record = self._nodes.get(node)
-        if record is None:
-            return False
+    def _launch_on(self, record: NodeRecord, job: Job, task: Task) -> bool:
+        node = record.node
         checkpoint_interval = job.spec.metadata.get("checkpoint_interval_s", 0.0)
         try:
             started = record.lrm_stub.start_task({
@@ -723,6 +778,9 @@ class Grm:
             return False
         if not started:
             return False
+        reqs = job.spec.requirements
+        record.debits[task.task_id] = (reqs.cpu_fraction, reqs.mem_mb)
+        self._restate(record)
         task.node = node
         task.transition(TaskState.RESERVED, self._loop.now, node)
         task.transition(TaskState.RUNNING, self._loop.now, node)
@@ -745,6 +803,40 @@ class Grm:
                 )
         job.refresh_state(self._loop.now)
         return True
+
+    # -- the view's accounting: debits, credits, refusals -------------------------------
+
+    def _restate(self, record: NodeRecord) -> None:
+        """Rebuild the view from the baseline and the debits, and offer it."""
+        view = dict(record.baseline)
+        for cpu, mem in record.debits.values():
+            view["cpu_free"] -= cpu
+            view["mem_free_mb"] -= mem
+        view["grid_tasks"] += len(record.debits)
+        record.last_status = view
+        self._summary_epoch += 1
+        self.trader.modify(record.offer_id, view)
+
+    def _credit(self, node: str, task_id: str) -> None:
+        """A task left ``node``: hand back its debit, if still outstanding
+        (a status sent after its launch already accounts for it)."""
+        record = self._nodes.get(node)
+        if record is not None and record.alive \
+                and record.debits.pop(task_id, None) is not None:
+            self._restate(record)
+
+    def _apply_refusal(self, record: NodeRecord, reply: dict) -> None:
+        """The refusal's capacity is the node's word now: lower the view
+        to it.  It already accounts for every task running there, so it
+        becomes the baseline and no debit is outstanding any more."""
+        view = record.last_status
+        record.baseline = dict(
+            view,
+            cpu_free=min(view["cpu_free"], reply["cpu_free"]),
+            mem_free_mb=min(view["mem_free_mb"], reply["mem_free_mb"]),
+        )
+        record.debits.clear()
+        self._restate(record)
 
     def _cancel_reservation(self, node: str, task_id: str) -> None:
         record = self._nodes.get(node)
@@ -788,34 +880,35 @@ class Grm:
             return False
 
         reserved: list[tuple] = []
-        offer_iter = iter(ordered)
+        candidates = self._fitting(ordered, job.spec.requirements)
         for task in pending:
-            placed_node = None
-            for offer in offer_iter:
-                if self._reserve_on(offer["node"], job, task):
-                    placed_node = offer["node"]
-                    break
-            if placed_node is None:
-                for node, earlier in reserved:
-                    self._cancel_reservation(node, earlier.task_id)
+            placed = next(
+                (r for r in candidates if self._reserve_on(r, job, task)),
+                None,
+            )
+            if placed is None:
+                for record, earlier in reserved:
+                    self._cancel_reservation(record.node, earlier.task_id)
                 self.stats.gang_failures += 1
                 return False
-            reserved.append((placed_node, task))
+            reserved.append((placed, task))
 
-        for node, task in reserved:
-            if not self._launch_on(node, job, task):
+        for record, task in reserved:
+            if not self._launch_on(record, job, task):
                 # A start failing after reservation is pathological; give
                 # the remaining members back and requeue.
-                for other_node, other in reserved:
+                for other_record, other in reserved:
                     if other.state is TaskState.PENDING:
-                        self._cancel_reservation(other_node, other.task_id)
+                        self._cancel_reservation(
+                            other_record.node, other.task_id
+                        )
                 self.stats.gang_failures += 1
                 return False
         self.stats.gang_placements += 1
         coordinator = self._coordinators.get(job.job_id)
         if coordinator is not None:
             coordinator.members_started(
-                {task.task_id: node for node, task in reserved}
+                {task.task_id: record.node for record, task in reserved}
             )
         return True
 
@@ -844,6 +937,7 @@ class Grm:
             progress = stub.stop_task(task_id)
         except OrbError:
             return False
+        self._credit(old_node, task_id)
         if progress >= 0:
             if progress > task.progress_mips:
                 task.advance(progress - task.progress_mips)
@@ -854,7 +948,7 @@ class Grm:
         task.node = None
         task.transition(TaskState.PENDING, self._loop.now, "migration")
         exclude = (old_node,) if exclude_current else ()
-        placed = self._place_task(job, task, exclude=exclude)
+        placed = self._place_task(job, task, self._view(job), exclude)
         if not placed and job.job_id not in self._pending:
             self._pending.append(job.job_id)
         self._emit(job.job_id, "migrated" if placed else "migration_pending",

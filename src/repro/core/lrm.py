@@ -317,16 +317,13 @@ class Lrm:
             owner_present, request["cpu_fraction"]
         )
         if not ok:
-            self.refused_reservations += 1
-            return {"accepted": False, "reason": reason}
+            return self._refuse(reason)
         cap = self.ncc.cpu_cap(owner_present)
         if request["cpu_fraction"] > self._machine.cpu_available_for_grid(cap) + 1e-9:
-            self.refused_reservations += 1
-            return {"accepted": False, "reason": "cpu no longer available"}
+            return self._refuse("cpu no longer available")
         mem_avail = self._machine.mem_available_for_grid(self.ncc.mem_cap_mb())
         if request["mem_mb"] > mem_avail + 1e-9:
-            self.refused_reservations += 1
-            return {"accepted": False, "reason": "memory no longer available"}
+            return self._refuse("memory no longer available")
         try:
             self.ledger.reserve(
                 request["task_id"],
@@ -336,8 +333,7 @@ class Lrm:
                 request["lease_seconds"],
             )
         except Exception as exc:
-            self.refused_reservations += 1
-            return {"accepted": False, "reason": str(exc)}
+            return self._refuse(str(exc))
         self.accepted_reservations += 1
         journal = self.journal
         if journal is not None and journal.active:
@@ -349,6 +345,17 @@ class Lrm:
                 lease_seconds=request["lease_seconds"],
             )
         return {"accepted": True, "reason": "ok"}
+
+    def _refuse(self, reason: str) -> dict:
+        """A refusal carries the free capacity a status sent now would,
+        so the GRM's next candidate choice does not repeat the mistake."""
+        self.refused_reservations += 1
+        status = self.status()
+        return {
+            "accepted": False, "reason": reason,
+            "cpu_free": status["cpu_free"],
+            "mem_free_mb": status["mem_free_mb"],
+        }
 
     # servant operation
     def cancel_reservation(self, task_id: str) -> None:

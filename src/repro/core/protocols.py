@@ -17,6 +17,7 @@ from repro.orb.cdr import (
     Long,
     String,
     Struct,
+    Union,
     VARIANT,
     Void,
 )
@@ -58,12 +59,20 @@ RESERVATION_REQUEST = Struct(
     ],
 )
 
-RESERVATION_REPLY = Struct(
+#: A grant is ``accepted`` and a ``reason``; a refusal also carries the
+#: node's free capacity right now (what a status sent now would say),
+#: which the GRM applies to its offer for the node.
+RESERVATION_REPLY = Union(
     "ReservationReply",
-    [
-        ("accepted", Boolean),
-        ("reason", String),
-    ],
+    ("accepted", Boolean),
+    {
+        True: [("reason", String)],
+        False: [
+            ("reason", String),
+            ("cpu_free", Double),
+            ("mem_free_mb", Double),
+        ],
+    },
 )
 
 TASK_LAUNCH = Struct(

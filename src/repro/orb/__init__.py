@@ -32,6 +32,7 @@ from repro.orb.cdr import (
     String,
     Struct,
     ULong,
+    Union,
     Variant,
     Void,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "Sequence",
     "Struct",
     "Enum",
+    "Union",
     "Variant",
     "ObjectRef",
     "Orb",

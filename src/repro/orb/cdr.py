@@ -588,6 +588,47 @@ class Struct(IdlType):
         return result
 
 
+class Union(IdlType):
+    """A discriminated union; Python-side values are flat dicts.
+
+    The CORBA ``union ... switch``: a leading discriminator field picks
+    which struct of fields follows it, and the dict holds the
+    discriminator and that arm's fields side by side.  An arm's wire
+    encoding is the one a struct of the discriminator and the arm's
+    fields would have, so a union can grow an arm without changing the
+    bytes of the others.
+    """
+
+    def __init__(self, name: str, discriminator: tuple, arms: dict):
+        self.name = name
+        self.discriminator = discriminator
+        self.arms = {
+            label: Struct(f"{name}[{label!r}]", fields)
+            for label, fields in arms.items()
+        }
+
+    def encode(self, enc, value):
+        dname, dtype = self.discriminator
+        if not isinstance(value, dict) or dname not in value:
+            raise MarshalError(f"union {self.name} needs field {dname!r}")
+        label = value[dname]
+        arm = self.arms.get(label)
+        if arm is None:
+            raise MarshalError(f"union {self.name} has no arm {label!r}")
+        dtype.encode(enc, label)
+        arm.encode(enc, value)
+
+    def decode(self, dec):
+        dname, dtype = self.discriminator
+        label = dtype.decode(dec)
+        arm = self.arms.get(label)
+        if arm is None:
+            raise MarshalError(f"union {self.name} has no arm {label!r}")
+        result = {dname: label}
+        result.update(arm.decode(dec))
+        return result
+
+
 class Enum(IdlType):
     """A named enum; Python-side values are the member strings."""
 

@@ -56,7 +56,12 @@ class ScriptedLrm:
         self.reservation_requests.append(request["task_id"])
         if self.accept:
             return {"accepted": True, "reason": "ok"}
-        return {"accepted": False, "reason": "scripted refusal"}
+        # Refused for a reason other than capacity: the node says it
+        # still has what its status offers.
+        status = self.status()
+        return {"accepted": False, "reason": "scripted refusal",
+                "cpu_free": status["cpu_free"],
+                "mem_free_mb": status["mem_free_mb"]}
 
     def cancel_reservation(self, task_id):
         self.cancelled.append(task_id)

@@ -31,7 +31,10 @@ procedure:
 
 History: captured from the unoptimised seed; re-baselined once, when
 analytic task progress replaced the LRM's tick (events 68,283 ->
-38,049, the three jobs' outcomes unchanged).
+38,049, the three jobs' outcomes unchanged); and once when the GRM
+began debiting its own offers on launch (negotiation rounds 6 -> 3:
+the three refusals were nodes it had just filled; clock sequence,
+events and every job's placements and completion unchanged).
 """
 
 import hashlib

@@ -27,7 +27,7 @@ from repro.core.protocols import (
     RESERVATION_REQUEST,
     TASK_LAUNCH,
 )
-from repro.orb.cdr import CdrDecoder, CdrEncoder, String
+from repro.orb.cdr import Boolean, CdrDecoder, CdrEncoder, String, Struct
 from repro.sim.events import EventLoop
 from repro.sim.machine import MachineSpec
 from repro.sim.workstation import Workstation
@@ -159,17 +159,43 @@ class TestRequestShapes:
         assert set(request) == struct_fields(RESERVATION_REQUEST)
         assert roundtrip(RESERVATION_REQUEST, request) == request
 
+    @staticmethod
+    def reply_fields(accepted):
+        """The discriminator plus the fields of the arm it selects."""
+        name, _ = RESERVATION_REPLY.discriminator
+        return {name} | struct_fields(RESERVATION_REPLY.arms[accepted])
+
     def test_lrm_reply_matches_struct(self):
         loop = EventLoop()
         ws = Workstation(loop, "n0", spec=MachineSpec(),
                          rng=random.Random(1))
         lrm = Lrm(loop, ws, NodeControlCenter(loop.clock))
-        reply = lrm.request_reservation({
+        request = {
             "task_id": "t", "cpu_fraction": 0.5, "mem_mb": 8.0,
             "disk_mb": 0.0, "lease_seconds": 60.0,
-        })
-        assert set(reply) == struct_fields(RESERVATION_REPLY)
-        assert roundtrip(RESERVATION_REPLY, reply) == reply
+        }
+        granted = lrm.request_reservation(request)
+        assert set(granted) == self.reply_fields(True)
+        assert roundtrip(RESERVATION_REPLY, granted) == granted
+        # The same request again: the first holds half the CPU, and a
+        # second half plus a little is more than the node has left.
+        refused = lrm.request_reservation(
+            dict(request, task_id="u", cpu_fraction=0.75))
+        assert set(refused) == self.reply_fields(False)
+        assert refused["cpu_free"] == pytest.approx(0.5)
+        assert refused["mem_free_mb"] == lrm.status()["mem_free_mb"]
+        assert roundtrip(RESERVATION_REPLY, refused) == refused
+
+    def test_a_grant_encodes_as_it_did_before_refusals_carried_capacity(self):
+        # Only the refusal arm grew: a grant's bytes are the two-field
+        # struct's, so peers and recorded traffic see no change.
+        two_fields = Struct("ReservationReply",
+                            [("accepted", Boolean), ("reason", String)])
+        grant = {"accepted": True, "reason": "ok"}
+        old, new = CdrEncoder(), CdrEncoder()
+        two_fields.encode(old, grant)
+        RESERVATION_REPLY.encode(new, grant)
+        assert new.getvalue() == old.getvalue()
 
     def test_grm_launch_matches_struct(self):
         launch = {
