@@ -26,15 +26,23 @@ procedure:
    evictions, completions — and check every difference is the one the
    issue named.  ``sequence_sha256`` / ``advance_calls`` /
    ``events_fired`` are expected to move; a job outcome that moves
-   needs its own explanation.
+   needs its own explanation.  A change to *how often* the clock is
+   advanced for the same instants moves the first two only: compare
+   the sequence of distinct instants (consecutive repeats collapsed)
+   on both sides.
 4. Record old-vs-new in ``CHANGES.md`` with the commit.
 
 History: captured from the unoptimised seed; re-baselined once, when
 analytic task progress replaced the LRM's tick (events 68,283 ->
-38,049, the three jobs' outcomes unchanged); and once when the GRM
+38,049, the three jobs' outcomes unchanged); once when the GRM
 began debiting its own offers on launch (negotiation rounds 6 -> 3:
 the three refusals were nodes it had just filled; clock sequence,
-events and every job's placements and completion unchanged).
+events and every job's placements and completion unchanged); and once
+when same-instant periodic occurrences began sharing one heap entry
+(a run advances the clock once for all its members: advance calls
+38,049 -> 14,362 and a new ``sequence_sha256``; the 10,081 distinct
+instants, their digest, events fired, every job and the GRM stats
+unchanged).
 """
 
 import hashlib

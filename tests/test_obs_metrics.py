@@ -8,7 +8,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    LATENCY_BOUNDS_S,
     MetricsRegistry,
 )
 from repro.sim.clock import SimClock
@@ -138,22 +137,6 @@ def test_event_loop_metrics_views():
     assert metrics["eventloop.events_cancelled"] == 1
     assert metrics["eventloop.pending"] == 0
     assert metrics["eventloop.sim_time"] == 10.0
-
-
-def test_event_loop_handler_timing_is_opt_in():
-    from repro.sim.events import EventLoop
-
-    loop = EventLoop()
-    hist = Histogram("eventloop.handler_wall_s", LATENCY_BOUNDS_S)
-    loop.time_handlers(hist)
-    loop.schedule(1.0, lambda: None)
-    loop.schedule(2.0, lambda: None)
-    loop.run_until(5.0)
-    assert hist.count == 2
-    loop.time_handlers(None)   # revert to the untimed fast path
-    loop.schedule(1.0, lambda: None)
-    loop.run_until(10.0)
-    assert hist.count == 2
 
 
 def test_trader_metrics_count_query_paths():
