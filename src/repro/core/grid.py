@@ -40,7 +40,7 @@ from repro.orb.core import Orb, WireMeter
 from repro.orb.naming import NamingService, NAMING_INTERFACE
 from repro.orb.transport import InProcDomain
 from repro.sim.clock import SECONDS_PER_DAY
-from repro.sim.events import EventLoop
+from repro.sim.events import EventLoop, PeriodicTask
 from repro.sim.machine import MachineSpec
 from repro.sim.network import NetworkTopology
 from repro.sim.rng import SeededStreams
@@ -68,6 +68,7 @@ class NodeHandle:
     lrm_ior: str
     lupa: Optional[Lupa] = None
     dedicated: bool = False
+    lupa_upload: Optional[PeriodicTask] = None   # the daily pattern upload
 
 
 @dataclass
@@ -314,7 +315,7 @@ class Grid:
         grm_stub = orb.stub(handle.grm_ior, GRM_INTERFACE)
         lrm.attach_grm(grm_stub, lrm_ref.to_string())
 
-        lupa = None
+        lupa = lupa_upload = None
         if self.lupa_enabled and not dedicated:
             machine = workstation.machine
             lupa = Lupa(
@@ -333,7 +334,9 @@ class Grid:
                 if pattern is not None:
                     gupa_stub.upload_pattern(name, pattern)
 
-            self.loop.every(self.lupa_upload_interval, upload_pattern)
+            lupa_upload = self.loop.every(
+                self.lupa_upload_interval, upload_pattern
+            )
 
         segment_name = segment if segment is not None \
             else f"{handle.name}-lan"
@@ -343,7 +346,7 @@ class Grid:
 
         node = NodeHandle(
             name, handle.name, workstation, lrm, ncc, orb,
-            lrm_ref.to_string(), lupa, dedicated,
+            lrm_ref.to_string(), lupa, dedicated, lupa_upload,
         )
         handle.nodes[name] = node
         self._bind_node_metrics(node)
@@ -355,7 +358,9 @@ class Grid:
 
         The paper's environment is dynamic — machines come and go.  Any
         running tasks are evicted (and requeued by the GRM); the
-        workstation's owner model and all LRM timers stop.
+        workstation's owner model, the LUPA (sampling and the daily
+        pattern upload) and all LRM timers stop, and the GUPA forgets
+        the node's pattern.
         """
         handle = self._cluster(cluster)
         node = handle.nodes.pop(name, None)
@@ -371,8 +376,7 @@ class Grid:
             node.lrm.detach()
         finally:
             handle.grm._evict_cause = None
-        if node.lupa is not None:
-            node.lupa.stop()
+        self._stop_lupa(node)
         node.workstation.stop()
         handle.grm.unregister_node(name)
         handle.gupa.forget(name)
@@ -381,9 +385,10 @@ class Grid:
     def crash_node(self, cluster: str, name: str) -> NodeHandle:
         """A node dies without notice: the node-crash fault.
 
-        Its LRM stops computing and reporting (:meth:`Lrm.crash`) and
-        its owner model stops; nobody is told.  The node stays on the
-        roster, so the GRM learns of the death the way the paper says it
+        Its LRM stops computing and reporting (:meth:`Lrm.crash`), its
+        owner model stops and so does its LUPA (sampling and the daily
+        pattern upload); nobody is told.  The node stays on the roster,
+        so the GRM learns of the death the way the paper says it
         must — the status going stale — and requeues the node's tasks
         from the cluster checkpoint repository.  This is the fault
         ROADMAP item 4's deterministic fault plan will inject; until
@@ -392,8 +397,15 @@ class Grid:
         """
         node = self._cluster(cluster).nodes[name]
         node.lrm.crash()
+        self._stop_lupa(node)
         node.workstation.stop()
         return node
+
+    @staticmethod
+    def _stop_lupa(node: NodeHandle) -> None:
+        if node.lupa is not None:
+            node.lupa.stop()
+            node.lupa_upload.stop()
 
     def _make_parent(self, parent_name: str):
         """Create a ParentGrm on its own ORB.

@@ -98,6 +98,33 @@ class TestDrive:
         assert all(grid.job(j).state is JobState.COMPLETED for j in job_ids)
 
 
+class TestLupaStopsWithItsNode:
+    """A departed or crashed node's LUPA neither samples nor uploads."""
+
+    def make_grid(self):
+        grid = Grid(seed=3, policy="first_fit", lupa_min_history_days=1)
+        grid.add_cluster("c0")
+        for i in range(3):
+            grid.add_node("c0", f"n{i}")
+        grid.run_for(2 * SECONDS_PER_DAY)   # every node has uploaded
+        assert grid.clusters["c0"].gupa.known_nodes == ["n0", "n1", "n2"]
+        return grid
+
+    def test_a_removed_node_stays_forgotten(self):
+        grid = self.make_grid()
+        grid.remove_node("c0", "n1")
+        grid.run_for(2 * SECONDS_PER_DAY)
+        assert grid.clusters["c0"].gupa.known_nodes == ["n0", "n2"]
+
+    def test_a_crashed_node_stops_sampling_and_uploading(self):
+        grid = self.make_grid()
+        node = grid.crash_node("c0", "n1")
+        samples = node.lupa.samples_taken
+        grid.run_for(2 * SECONDS_PER_DAY)
+        assert node.lupa.samples_taken == samples
+        assert node.lupa_upload.stopped
+
+
 class TestNodeDeparture:
     def make_grid(self):
         grid = Grid(seed=4, policy="first_fit", lupa_enabled=False)
