@@ -8,6 +8,7 @@ in-process and over real TCP sockets, and the wire size of each
 protocol message — the costs every other experiment builds on.
 """
 
+import functools
 import time
 
 import pytest
@@ -211,6 +212,28 @@ def _best_rate(fn, rounds=5, calls=20):
     return best
 
 
+def measure_collocated(rounds=5, calls=20_000):
+    """Best-of-``rounds`` calls/s through a plain collocated stub — no
+    interceptor, tracer or envelope, so every call after the first is
+    bound to the servant method: two-way ``ping`` and oneway
+    ``cancel_reservation``."""
+    domain = InProcDomain()
+    server = Orb("colloc-server", domain=domain)
+    client = Orb("colloc-client", domain=domain)
+    try:
+        ref = server.activate(EchoLrm(), LRM_INTERFACE)
+        stub = client.stub(ref, LRM_INTERFACE)
+        twoway = _best_rate(stub.ping, rounds=rounds, calls=calls)
+        oneway = _best_rate(functools.partial(stub.cancel_reservation, "t1"),
+                            rounds=rounds, calls=calls)
+        assert server.requests_handled == 2 * rounds * calls
+    finally:
+        server.shutdown()
+        client.shutdown()
+    return {"collocated_twoway_calls_per_s": round(twoway, 1),
+            "collocated_oneway_calls_per_s": round(oneway, 1)}
+
+
 def test_e11_trader_query_indexed(benchmark):
     svc, _ = build_trader()
     result = benchmark(
@@ -229,8 +252,8 @@ def test_e11_trader_query_linear_oracle(benchmark):
 
 def test_e11_metrics_json(benchmark):
     """One self-contained pass producing every BENCH_E11.json metric:
-    wire sizes, marshalling bytes/s, and indexed-vs-linear trader query
-    rates at 1000 offers."""
+    wire sizes, marshalling bytes/s, plain collocated call rates, and
+    indexed-vs-linear trader query rates at 1000 offers."""
     def measure():
         sizes = {}
         for name, idl_type, sample in (
@@ -245,22 +268,24 @@ def test_e11_metrics_json(benchmark):
 
         msg_bytes = len(encode_status())
         encodes_per_s = _best_rate(encode_status, rounds=5, calls=2000)
+        collocated = measure_collocated()
 
         svc, offers = build_trader()
         args = ("node", TRADER_CONSTRAINT, TRADER_PREFERENCE, 10)
         assert svc.query(*args) == query_linear(offers, *args)
         indexed_qps = _best_rate(lambda: svc.query(*args))
         linear_qps = _best_rate(lambda: query_linear(offers, *args))
-        return sizes, msg_bytes, encodes_per_s, indexed_qps, linear_qps
+        return (sizes, msg_bytes, encodes_per_s, collocated, indexed_qps,
+                linear_qps)
 
-    sizes, msg_bytes, enc_per_s, indexed_qps, linear_qps = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+    (sizes, msg_bytes, enc_per_s, collocated, indexed_qps,
+     linear_qps) = benchmark.pedantic(measure, rounds=1, iterations=1)
     save_json("E11", {
         "experiment": "e11_orb",
         "message_bytes": sizes,
         "marshal_node_status_per_s": round(enc_per_s, 1),
         "marshal_bytes_per_s": round(enc_per_s * msg_bytes, 1),
+        **collocated,
         "trader_offers": 1000,
         "trader_indexed_queries_per_s": round(indexed_qps, 1),
         "trader_linear_queries_per_s": round(linear_qps, 1),

@@ -1,7 +1,8 @@
 """CI perf smoke: remeasure the committed baselines, fail on a cliff.
 
 Remeasures the 32-node S1 simulator throughput (simulated hours per
-wall second), the 1000-offer indexed trader query rate, the 1024-node
+wall second), the 1000-offer indexed trader query rate, the plain
+collocated two-way and oneway call rates (E11's bound stub), the 1024-node
 S2 pattern-aware ranking rate, the 10k-node S3 information-plane run,
 the 256-cluster S5 wide-area run, and the S6 oneway-storm / CDR / TCP
 communication-plane run (reusing the benchmark modules' own builders,
@@ -36,6 +37,7 @@ from bench_e11_orb import (          # noqa: E402
     TRADER_PREFERENCE,
     _best_rate,
     build_trader,
+    measure_collocated,
 )
 from bench_s1_simulator_throughput import (  # noqa: E402
     build,
@@ -154,6 +156,12 @@ def main():
         failures += not check(
             "E11 trader queries", qps, e11["trader_indexed_queries_per_s"]
         )
+        collocated = measure_collocated()
+        for kind in ("twoway", "oneway"):
+            row = f"collocated_{kind}_calls_per_s"
+            failures += not check(
+                f"E11 plain collocated {kind} calls", collocated[row], e11[row]
+            )
 
     s2 = load_json("S2")
     if s2 is None:

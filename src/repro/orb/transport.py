@@ -5,7 +5,8 @@ Two transports share one wire format (length-framed CDR payloads):
 * **in-process** — delivers requests synchronously between ORBs in the
   same Python process via a registry ("domain").  Collocated calls that
   need no auth envelope never reach :meth:`InProcTransport.invoke`: the
-  ORB dispatches them directly (see :meth:`repro.orb.core.Orb.invoke`),
+  ORB dispatches them directly (see :meth:`repro.orb.core.Orb.invoke`;
+  plain ones straight from a bound :class:`~repro.orb.core.Stub`),
   counting messages but no bytes, because nothing is marshalled.  Only
   enveloped requests still cross here as CDR payloads.
 * **TCP** — real sockets with a 4-byte big-endian length prefix, used by
@@ -55,19 +56,28 @@ class InProcDomain:
 
     def __init__(self):
         self._orbs: dict[str, object] = {}
-        #: Bumped whenever membership changes; ORBs drop their cached
-        #: routes when it moves, so a departed peer is never dialled.
+        #: The one invalidation rule for everything cached against this
+        #: domain: ORBs drop their routes and stubs their bindings when
+        #: it moves.  Membership changes move it, and so does every
+        #: member ORB change a binding depends on (servants,
+        #: interceptors, tracer, credentials, ``require_auth``,
+        #: shutdown), so a departed peer is never dialled and a stale
+        #: binding is never used.
         self.epoch = 0
+
+    def invalidate(self) -> None:
+        """Move the epoch; call it *after* the change it announces."""
+        self.epoch += 1
 
     def register(self, name: str, orb) -> None:
         if name in self._orbs:
             raise ValueError(f"an ORB named {name!r} is already registered")
         self._orbs[name] = orb
-        self.epoch += 1
+        self.invalidate()
 
     def unregister(self, name: str) -> None:
         if self._orbs.pop(name, None) is not None:
-            self.epoch += 1
+            self.invalidate()
 
     def lookup(self, name: str):
         return self._orbs.get(name)

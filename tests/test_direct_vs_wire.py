@@ -137,18 +137,27 @@ class TestDirectEqualsWire:
 @pytest.fixture
 def crossings(monkeypatch):
     """Every object that crosses a direct dispatch, with a deep copy
-    taken at the moment it crossed: ``[(label, live, snapshot)]``."""
+    taken at the moment it crossed: ``[(label, live, snapshot)]``.
+
+    Recorded around the servant method ``Orb._servant_method`` hands
+    out, the seam every dispatch passes: a bound stub call looks the
+    method up once and keeps it, an unbound one looks it up per call."""
     crossed = []
-    dispatch = Orb.handle_request_direct
+    lookup = Orb._servant_method
 
-    def recording(self, key, operation, args, trace_parent=None):
-        label = f"{key}.{operation.name}"
-        crossed.append((f"{label} args", args, copy.deepcopy(args)))
-        result = dispatch(self, key, operation, args, trace_parent)
-        crossed.append((f"{label} result", result, copy.deepcopy(result)))
-        return result
+    def recording_lookup(self, key, op_name):
+        method, operation = lookup(self, key, op_name)
+        label = f"{key}.{op_name}"
 
-    monkeypatch.setattr(Orb, "handle_request_direct", recording)
+        def recording(*args):
+            crossed.append((f"{label} args", args, copy.deepcopy(args)))
+            result = method(*args)
+            crossed.append((f"{label} result", result, copy.deepcopy(result)))
+            return result
+
+        return recording, operation
+
+    monkeypatch.setattr(Orb, "_servant_method", recording_lookup)
     return crossed
 
 

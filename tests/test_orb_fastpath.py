@@ -9,14 +9,24 @@ modes.  The marshalled path — still taken by enveloped requests and
 over TCP — is the reference each class compares against.
 """
 
+import copy
+import dataclasses
+import sys
+import threading
+
 import pytest
 
 from repro.apps.spec import ApplicationSpec
 from repro.core.grid import Grid
 from repro.obs.trace import Tracer
-from repro.orb.cdr import Double, Void
-from repro.orb.core import Orb
-from repro.orb.exceptions import CommunicationError, RemoteInvocationError
+from repro.orb.cdr import CdrDecoder, Double, Void
+from repro.orb.core import Orb, _encode_request
+from repro.orb.exceptions import (
+    BadOperation,
+    CommunicationError,
+    ObjectNotFound,
+    RemoteInvocationError,
+)
 from repro.orb.idl import InterfaceDef, Operation, Parameter
 from repro.orb.transport import InProcDomain
 from repro.security.auth import Credentials, KeyRing
@@ -377,3 +387,257 @@ class TestAuthGating:
         server.require_auth = True
         with pytest.raises(RemoteInvocationError):
             stub.echo(1.0)
+
+
+@pytest.fixture
+def unbound_calls(monkeypatch):
+    """Names of the operations that went through ``Orb.invoke``: a
+    bound stub call never does."""
+    calls = []
+    invoke = Orb.invoke
+
+    def counting(self, ref, operation, args, _header=None):
+        calls.append(operation.name)
+        return invoke(self, ref, operation, args, _header)
+
+    monkeypatch.setattr(Orb, "invoke", counting)
+    return calls
+
+
+def bound_pair(**server_kwargs):
+    """:func:`make_pair` after one bound call of each kind."""
+    server, client, stub, servant = make_pair(**server_kwargs)
+    assert stub.echo(1.0) == 2.0
+    assert stub.fire(1.0) is None
+    return server, client, stub, servant
+
+
+class TripleServant(EchoServant):
+    def echo(self, x):
+        return x * 3
+
+
+class TestBoundCalls:
+    """A plain collocated stub call binds to the servant method; every
+    change that could alter what a call does re-derives the binding on
+    the very next call."""
+
+    def test_plain_calls_bind_and_skip_invoke(self, unbound_calls):
+        server, client, stub, servant = bound_pair()
+        for x in (2.0, 3.0):
+            assert stub.echo(x) == 2 * x
+            stub.fire(x)
+        assert unbound_calls == []
+        assert servant.fired == [1.0, 2.0, 3.0]
+        assert server.requests_handled == 6
+
+    def test_arg_count_still_checked_on_a_bound_stub(self):
+        server, client, stub, _ = bound_pair()
+        with pytest.raises(TypeError):
+            stub.echo(1.0, 2.0)
+        with pytest.raises(TypeError):
+            stub.fire()
+        assert server.requests_handled == 2
+
+    def test_counter_parity_with_the_marshalled_path(self, unbound_calls):
+        direct = make_pair()
+        wire = make_pair(enveloped=True)
+        counts = []
+        for server, client, stub, _ in (direct, wire):
+            for i in range(25):
+                stub.echo(float(i))
+                stub.fire(float(i))
+                with pytest.raises(RemoteInvocationError):
+                    stub.boom(float(i))
+                stub.misfire(float(i))
+            snapshot = {**client.stats(), "handled": server.requests_handled,
+                        "received": server.stats()["requests_received"]}
+            counts.append({k: v for k, v in snapshot.items()
+                           if not k.startswith("bytes_")})
+        assert counts[0] == counts[1]
+        assert counts[0]["requests_sent"] == 100
+        assert counts[0]["replies_received"] == 50
+        # Every direct call was bound; every enveloped one went through
+        # invoke.
+        assert len(unbound_calls) == 100
+
+    def test_client_interceptor_added(self):
+        server, client, stub, _ = bound_pair()
+        seen = []
+        client.add_client_interceptor(
+            lambda ref, op, args: seen.append(op.name))
+        stub.echo(1.0)
+        assert seen == ["echo"]
+
+    def test_server_interceptor_added(self):
+        server, client, stub, _ = bound_pair()
+        seen = []
+        server.add_server_interceptor(
+            lambda key, op, args: seen.append((op.name, type(args))))
+        stub.fire(1.0)
+        assert seen == [("fire", list)]
+
+    def test_client_tracer_set(self):
+        server, client, stub, _ = bound_pair()
+        tracer = Tracer()
+        client.set_tracer(tracer)
+        stub.echo(1.0)
+        assert [s.attrs["kind"] for s in tracer.finished] == ["client"]
+
+    def test_server_tracer_set(self):
+        server, client, stub, _ = bound_pair()
+        tracer = Tracer()
+        epoch = server.domain.epoch
+        server.set_tracer(tracer)
+        assert server.domain.epoch != epoch
+        # An untraced caller sends no context: still no span ...
+        assert stub.echo(1.0) == 2.0
+        assert tracer.finished == []
+        # ... until the caller traces too.
+        client.set_tracer(tracer)
+        stub.echo(1.0)
+        assert sorted(s.attrs["kind"] for s in tracer.finished) \
+            == ["client", "server"]
+
+    def test_client_credentials_set(self):
+        ring = KeyRing()
+        ring.add("alice", b"alice-key")
+        server, client, stub, _ = bound_pair(keyring=ring)
+        assert marshalled_bytes(server) == 0
+        client.credentials = Credentials("alice", b"alice-key")
+        assert stub.echo(1.0) == 2.0
+        assert marshalled_bytes(server) > 0
+        assert server.current_principal == "alice"
+
+    def test_server_require_auth_set(self):
+        ring = KeyRing()
+        ring.add("alice", b"alice-key")
+        server, client, stub, _ = bound_pair(keyring=ring)
+        server.require_auth = True
+        with pytest.raises(RemoteInvocationError) as excinfo:
+            stub.echo(1.0)
+        assert excinfo.value.remote_type == "AuthenticationError"
+
+    def test_deactivate(self):
+        server, client, stub, servant = bound_pair()
+        server.deactivate(stub.ref.key)
+        with pytest.raises(RemoteInvocationError) as excinfo:
+            stub.echo(1.0)
+        assert excinfo.value.remote_type == "ObjectNotFound"
+        assert stub.fire(2.0) is None           # swallowed, as on the wire
+        assert servant.fired == [1.0]
+
+    def test_deactivate_then_activate_at_the_same_key(self):
+        server, client, stub, _ = bound_pair()
+        server.deactivate(stub.ref.key)
+        server.activate(TripleServant(), ECHO, key=stub.ref.key)
+        assert stub.echo(1.0) == 3.0
+
+    def test_peer_shut_down(self):
+        server, client, stub, _ = bound_pair()
+        server.shutdown()
+        with pytest.raises(CommunicationError):
+            stub.echo(1.0)
+        with pytest.raises(CommunicationError):
+            stub.fire(1.0)
+
+    def test_another_orb_joins_the_domain(self, monkeypatch):
+        server, client, stub, _ = bound_pair()
+        binds = []
+        bind = Orb._bind
+
+        def counting(self, ref, operation):
+            binds.append(operation.name)
+            return bind(self, ref, operation)
+
+        monkeypatch.setattr(Orb, "_bind", counting)
+        assert stub.echo(1.0) == 2.0
+        assert binds == []
+        Orb("bystander", domain=client.domain)
+        assert stub.echo(1.0) == 2.0
+        assert stub.echo(1.0) == 2.0
+        assert binds == ["echo"]
+
+    def test_unbindable_until_the_servant_exists(self, unbound_calls):
+        server, client, stub, _ = make_pair()
+        late = client.stub(dataclasses.replace(stub.ref, key="late/echo"),
+                           ECHO)
+        with pytest.raises(RemoteInvocationError):
+            late.echo(1.0)
+        assert unbound_calls == ["echo"]
+        server.activate(EchoServant(), ECHO, key="late/echo")
+        assert late.echo(1.0) == 2.0
+        assert unbound_calls == ["echo"]        # now bound
+
+    def test_threads_calling_through_one_stub(self):
+        server, client, stub, servant = make_pair()
+        calls, threads_n = 2000, 4      # more threads than cores
+        errors = []
+
+        def worker(base):
+            try:
+                for i in range(calls):
+                    assert stub.echo(float(i)) == 2.0 * i
+                    stub.fire(base + i)
+            except Exception as exc:    # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t * calls,))
+                   for t in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        total = 2 * calls * threads_n
+        assert sorted(servant.fired) == list(range(calls * threads_n))
+        assert server.requests_handled == total
+        assert server.stats()["requests_received"] == total
+        assert client.stats()["requests_sent"] == total
+        assert client.stats()["replies_received"] == total // 2
+
+
+class TestShutdown:
+    def test_a_shut_down_orb_dispatches_nothing(self):
+        server, client, stub, servant = bound_pair()
+        key, echo = stub.ref.key, ECHO.operation("echo")
+        server.shutdown()
+        reply = CdrDecoder(server.handle_request_bytes(
+            _encode_request(key, echo, (1.0,))))
+        assert reply.read_octet() == 1                  # exception status
+        assert reply.read_string() == "ObjectNotFound"
+        with pytest.raises(ObjectNotFound):
+            server.handle_request_direct(key, echo, (1.0,))
+        assert servant.fired == [1.0]
+
+
+class TestStubAttributes:
+    def test_undeclared_operation_is_both_errors(self):
+        _, _, stub, _ = make_pair()
+        with pytest.raises(BadOperation):
+            stub.no_such_operation
+        with pytest.raises(AttributeError):
+            stub.no_such_operation
+        assert not hasattr(stub, "no_such_operation")
+        assert getattr(stub, "no_such_operation", None) is None
+
+    def test_private_names_never_consult_the_interface(self):
+        _, _, stub, _ = make_pair()
+        with pytest.raises(AttributeError) as excinfo:
+            stub._no_such_attribute
+        assert not isinstance(excinfo.value, BadOperation)
+
+    def test_copy_of_a_bound_stub_calls_the_same_servant(self):
+        server, _, stub, servant = bound_pair()
+        twin = copy.copy(stub)
+        assert twin.ref == stub.ref
+        assert twin.echo(5.0) == 10.0
+        twin.fire(6.0)
+        assert servant.fired == [1.0, 6.0]
+        assert server.requests_handled == 4
