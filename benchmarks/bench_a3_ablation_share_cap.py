@@ -54,7 +54,7 @@ def run_cap(active_cap, seed=21):
         profile=OFFICE_WORKER, rng=random.Random(seed),
     )
     policy = SharingPolicy(cpu_cap_idle=1.0, cpu_cap_active=active_cap)
-    ncc = NodeControlCenter(loop.clock, policy)
+    ncc = NodeControlCenter(loop, policy)
     lrm = Lrm(loop, workstation, ncc)
     grm = _SinkGrm()
     lrm.attach_grm(grm, "IOR:sink")

@@ -68,7 +68,7 @@ def run_regime(label, policy, scheduling, seed=21):
         profile=OFFICE_WORKER, rng=random.Random(seed),
         scheduling=scheduling,
     )
-    ncc = NodeControlCenter(loop.clock, policy)
+    ncc = NodeControlCenter(loop, policy)
     lrm = Lrm(loop, workstation, ncc)
     grm = _SinkGrm()
     lrm.attach_grm(grm, "IOR:sink")

@@ -301,7 +301,7 @@ class Grid:
         (registered with the cluster's GRM), LUPA unless dedicated, a
         network segment."""
         name = workstation.name
-        ncc = NodeControlCenter(self.loop.clock, sharing)
+        ncc = NodeControlCenter(self.loop, sharing)
         orb = self._make_orb(f"{name}-orb")
         lrm = Lrm(
             self.loop,
@@ -592,7 +592,7 @@ class Grid:
         if self.metrics is not None:
             return self.metrics
         from repro.obs.metrics import MetricsRegistry
-        registry = MetricsRegistry(clock=self.loop.clock)
+        registry = MetricsRegistry(clock=self.loop)
         self.metrics = registry
         self.loop.to_metrics(registry)
         registry.view("orb.totals", self.protocol_stats)
@@ -653,7 +653,7 @@ class Grid:
         """
         if self.tracer is None:
             from repro.obs.trace import Tracer
-            self.tracer = Tracer(clock=self.loop.clock)
+            self.tracer = Tracer(clock=self.loop)
             for orb in self._orbs:
                 orb.set_tracer(self.tracer)
             for handle in self.clusters.values():
@@ -696,7 +696,7 @@ class Grid:
             self.journal.enable()
             return self.journal
         from repro.obs.journal import EventJournal
-        journal = EventJournal(clock=self.loop.clock, max_events=max_events)
+        journal = EventJournal(clock=self.loop, max_events=max_events)
         self.journal = journal
         for handle in self.clusters.values():
             handle.grm.set_journal(journal)

@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimClock
+from repro.sim.clock import (
+    SECONDS_PER_DAY, SECONDS_PER_HOUR, day_of_week, hour_of_day, second_of_day,
+)
+from repro.sim.events import EventLoop
 from repro.sim.machine import ResourceSample
 
 
@@ -110,16 +113,16 @@ _EDGE_ULPS = 8
 class NodeControlCenter:
     """Evaluates the owner's :class:`SharingPolicy` for the LRM."""
 
-    def __init__(self, clock: SimClock, policy: SharingPolicy = DEFAULT_POLICY):
-        self._clock = clock
+    def __init__(self, loop: EventLoop, policy: SharingPolicy = DEFAULT_POLICY):
+        self._loop = loop
         self.policy = policy
 
     def in_blackout(self, when: Optional[float] = None) -> bool:
         """True while any blackout window covers ``when`` (default now)."""
         if not self.policy.blackouts:
             return False
-        day = self._clock.day_of_week(when)
-        hour = self._clock.hour_of_day(when)
+        t = self._loop.now if when is None else when
+        day, hour = day_of_week(t), hour_of_day(t)
         return any(w.covers(day, hour) for w in self.policy.blackouts)
 
     def sharing_now(self, when: Optional[float] = None) -> bool:
@@ -148,7 +151,7 @@ class NodeControlCenter:
             for window in policy.blackouts
             for hour in (window.start_hour, window.end_hour)
         })
-        midnight = now - self._clock.second_of_day(now)
+        midnight = now - second_of_day(now)
         for day in range(8):   # a day-filtered window recurs within a week
             for offset in offsets:
                 when = midnight + day * SECONDS_PER_DAY + offset

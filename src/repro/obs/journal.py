@@ -10,8 +10,8 @@ whole failure chains after the fact from the journal alone.
 
 Design rules, identical to the metrics/tracer layers:
 
-* **Simulated time.**  Events are stamped with the experiment's
-  :class:`~repro.sim.clock.SimClock`, so they line up with metric
+* **Simulated time.**  Events are stamped from the experiment's
+  :class:`~repro.sim.events.EventLoop`, so they line up with metric
   snapshots and spans.
 * **Deterministic.**  Recording draws no randomness and schedules no
   events; sequence numbers come from a plain counter.  Enabling the
@@ -95,7 +95,7 @@ class EventJournal:
     """Bounded, sim-time-stamped journal of typed grid events.
 
     ``clock`` is anything with a ``now`` attribute (normally the
-    experiment's :class:`~repro.sim.clock.SimClock`); without one,
+    experiment's :class:`~repro.sim.events.EventLoop`); without one,
     events carry ``time: 0.0``.
     """
 

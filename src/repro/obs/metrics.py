@@ -14,7 +14,7 @@ usage styles coexist:
   path stays exactly as it was.
 
 Snapshots are timestamped in **simulated time** when the registry is
-built with the :class:`~repro.sim.clock.SimClock` driving the
+built with the :class:`~repro.sim.events.EventLoop` driving the
 experiment, so metric dumps line up with traces and event logs.
 
 Nothing in this module touches the event loop, RNG streams, or wire
@@ -168,7 +168,7 @@ class MetricsRegistry:
     """Named metrics plus pull-views, snapshotted in simulated time.
 
     ``clock`` is anything with a ``now`` attribute (normally the
-    experiment's :class:`~repro.sim.clock.SimClock`); without one,
+    experiment's :class:`~repro.sim.events.EventLoop`); without one,
     snapshots carry ``time: 0.0``.
     """
 

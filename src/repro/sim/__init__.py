@@ -8,7 +8,6 @@ patterns, and the network that connects them.  The middleware components in
 same signal real nodes would produce (periodic resource-usage samples).
 """
 
-from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop, EventHandle, PeriodicTask
 from repro.sim.machine import MachineSpec, Machine, ResourceSample
 from repro.sim.network import NetworkTopology, Link, LanSegment
@@ -24,7 +23,6 @@ from repro.sim.usage import (
 from repro.sim.workstation import Workstation
 
 __all__ = [
-    "SimClock",
     "EventLoop",
     "EventHandle",
     "PeriodicTask",

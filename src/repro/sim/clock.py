@@ -1,9 +1,9 @@
-"""Simulated wall-clock time.
+"""Simulated wall-clock time: constants and calendar helpers.
 
-All middleware components take a clock object so that the same code runs on
-simulated time during experiments and could run on real time in deployment.
-Times are seconds since the simulation epoch, which is defined to be
-midnight on a Monday so that calendar helpers are trivial.
+Simulated time is owned by :class:`repro.sim.events.EventLoop` (its
+``now``); everything else reads it.  Times are seconds since the
+simulation epoch, which is defined to be midnight on a Monday so that
+the calendar helpers below are trivial.
 """
 
 SECONDS_PER_MINUTE = 60
@@ -22,62 +22,16 @@ DAY_NAMES = (
 )
 
 
-class SimClock:
-    """A monotonically advancing simulated clock.
+def day_of_week(t: float) -> int:
+    """Day index 0..6 (0 = Monday) of time ``t``."""
+    return int(t // SECONDS_PER_DAY) % 7
 
-    The epoch (time 0.0) is midnight at the start of a Monday.  Only the
-    event loop should advance the clock; everything else reads it.
-    """
 
-    def __init__(self, start: float = 0.0):
-        if start < 0:
-            raise ValueError("clock cannot start before the epoch")
-        self._now = float(start)
+def second_of_day(t: float) -> float:
+    """Seconds elapsed between the most recent midnight and ``t``."""
+    return t % SECONDS_PER_DAY
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds since the epoch."""
-        return self._now
 
-    def advance_to(self, when: float) -> None:
-        """Move the clock forward to ``when``.  Never moves backwards."""
-        if when < self._now:
-            raise ValueError(
-                f"cannot move clock backwards: {when} < {self._now}"
-            )
-        self._now = float(when)
-
-    # -- calendar helpers -------------------------------------------------
-
-    def day_of_week(self, when: float = None) -> int:
-        """Day index 0..6 (0 = Monday) for ``when`` (default: now)."""
-        t = self._now if when is None else when
-        return int(t // SECONDS_PER_DAY) % 7
-
-    def day_name(self, when: float = None) -> str:
-        """Lower-case English day name for ``when`` (default: now)."""
-        return DAY_NAMES[self.day_of_week(when)]
-
-    def second_of_day(self, when: float = None) -> float:
-        """Seconds elapsed since the most recent midnight."""
-        t = self._now if when is None else when
-        return t % SECONDS_PER_DAY
-
-    def hour_of_day(self, when: float = None) -> float:
-        """Fractional hour of day in [0, 24)."""
-        return self.second_of_day(when) / SECONDS_PER_HOUR
-
-    def week_index(self, when: float = None) -> int:
-        """How many whole weeks have elapsed since the epoch."""
-        t = self._now if when is None else when
-        return int(t // SECONDS_PER_WEEK)
-
-    def is_weekend(self, when: float = None) -> bool:
-        """True on Saturday or Sunday."""
-        return self.day_of_week(when) >= 5
-
-    def __repr__(self) -> str:
-        return (
-            f"SimClock(t={self._now:.1f}, week={self.week_index()}, "
-            f"{self.day_name()} {self.hour_of_day():05.2f}h)"
-        )
+def hour_of_day(t: float) -> float:
+    """Fractional hour of day of ``t``, in [0, 24)."""
+    return second_of_day(t) / SECONDS_PER_HOUR

@@ -15,6 +15,10 @@ in list order is exactly the order separate entries would give, and a
 grid of N nodes ticking together costs one heap push and pop per
 instant, not N.
 
+The loop owns simulated time: ``now`` is a plain float attribute that
+only the firing loop writes — once per fired one-shot, once per run
+with a live member, and at the end of :meth:`EventLoop.run_until`.
+
 One-shot cancellation is a tombstone set keyed by sequence number,
 compacted away whenever tombstones would outnumber half of the heap; a
 stopped periodic task is flagged and skipped when its run fires.
@@ -23,9 +27,8 @@ materialized for callers that asked for one.
 """
 
 import heapq
+import math
 from typing import Callable, Optional
-
-from repro.sim.clock import SimClock
 
 
 class EventHandle:
@@ -54,10 +57,15 @@ class EventHandle:
 
 
 class EventLoop:
-    """A heap-based discrete-event scheduler driving a :class:`SimClock`."""
+    """A heap-based discrete-event scheduler that owns simulated time.
 
-    def __init__(self, clock: Optional[SimClock] = None):
-        self.clock = clock if clock is not None else SimClock()
+    ``now`` is the current simulated time in seconds since the epoch
+    (midnight on a Monday; see :mod:`repro.sim.clock`).  It is always a
+    float and never moves backwards.
+    """
+
+    def __init__(self):
+        self.now = 0.0
         self._heap: list[tuple] = []       # (when, seq, callback or run)
         self._cancelled: set[int] = set()  # seqs of tombstoned heap entries
         self._seq = 0
@@ -69,9 +77,8 @@ class EventLoop:
         self._tail: list = []
 
     @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self.clock.now
+    def clock(self) -> "EventLoop":
+        return self   # benchmarks/s0/workloads/tcp_rpc.py reads loop.clock
 
     @property
     def events_fired(self) -> int:
@@ -140,17 +147,16 @@ class EventLoop:
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to fire at absolute time ``when``."""
-        if when < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: {when} < {self.clock.now}"
-            )
+        when = float(when)
+        if when < self.now:
+            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
         return EventHandle(self, when, self._push(when, callback))
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        when = self.clock.now + delay
+        when = self.now + delay
         return EventHandle(self, when, self._push(when, callback))
 
     # -- observability ---------------------------------------------------------
@@ -166,56 +172,20 @@ class EventLoop:
                       lambda: self._events_cancelled)
         registry.view(f"{prefix}.pending", lambda: self.pending)
         registry.view(f"{prefix}.raw_heap_size", lambda: len(self._heap))
-        registry.view(f"{prefix}.sim_time", lambda: self.clock.now)
+        registry.view(f"{prefix}.sim_time", lambda: self.now)
 
     # -- running --------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the next pending callback.  Returns False if none remain.
+    def _fire(self, when: float, limit: float) -> None:
+        """Fire every entry due at or before ``when``, in order.
 
-        A run fires one member per step and keeps its heap position
-        until its last member has fired.
+        The one firing loop: each iteration pops one heap entry — a
+        one-shot callback or a whole run — and writes ``now`` once for
+        it.  Raises RuntimeError if an entry is due once ``limit``
+        callbacks have fired in total.
         """
         heap = self._heap
         cancelled = self._cancelled
-        while heap:
-            when, seq, item = heap[0]
-            if item.__class__ is list:
-                task = item.pop(0)
-                if not item:
-                    heapq.heappop(heap)
-                    if item is self._tail:
-                        self._tail_when = None
-                if task._stopped:
-                    continue
-                self.clock.advance_to(when)
-                self._events_fired += 1
-                task._queued = False
-                task._callback()
-                if not task._stopped:
-                    self._push_task(when + task.interval, task)
-                return True
-            heapq.heappop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self.clock.advance_to(when)
-            self._events_fired += 1
-            item()
-            return True
-        return False
-
-    def run_until(self, when: float) -> None:
-        """Run all events with time <= ``when``, then advance the clock.
-
-        This is the batched fast path every experiment drives: the heap,
-        tombstone set, and clock method are bound once, and each iteration
-        pops one heap entry — a one-shot callback or a whole run — without
-        re-entering :meth:`step`.  The clock advances once per entry.
-        """
-        heap = self._heap
-        cancelled = self._cancelled
-        advance = self.clock.advance_to
         pop = heapq.heappop
         push_task = self._push_task
         while heap:
@@ -223,6 +193,11 @@ class EventLoop:
             at = entry[0]
             if at > when:
                 break
+            if self._events_fired >= limit:
+                raise RuntimeError(
+                    f"event loop still busy after {self._events_fired} "
+                    "events; likely an unbounded periodic task"
+                )
             pop(heap)
             item = entry[2]
             if item.__class__ is list:
@@ -234,7 +209,7 @@ class EventLoop:
                         if task._stopped:
                             continue
                         if idle:
-                            advance(at)
+                            self.now = at
                             idle = False
                         self._events_fired += 1
                         task._queued = False
@@ -254,26 +229,27 @@ class EventLoop:
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
-            advance(at)
+            self.now = at
             self._events_fired += 1
             item()
-        if when > self.clock.now:
-            advance(when)
+
+    def run_until(self, when: float) -> None:
+        """Run all events with time <= ``when``, then move the clock to
+        ``when``.  This is what every experiment drives."""
+        when = float(when)
+        self._fire(when, math.inf)
+        if when > self.now:
+            self.now = when
 
     def run_for(self, duration: float) -> None:
         """Run the simulation for ``duration`` seconds of simulated time."""
-        self.run_until(self.clock.now + duration)
+        self.run_until(self.now + duration)
 
     def run(self, max_events: int = 1_000_000) -> None:
-        """Drain the event queue, with a runaway guard."""
-        fired = 0
-        while self.step():
-            fired += 1
-            if fired >= max_events:
-                raise RuntimeError(
-                    f"event loop exceeded {max_events} events; "
-                    "likely an unbounded periodic task"
-                )
+        """Drain the event queue, with a runaway guard: raises
+        RuntimeError if events are still due after ``max_events`` have
+        fired.  The clock stays at the last instant an event fired."""
+        self._fire(math.inf, self._events_fired + max_events)
 
     def every(
         self,
@@ -310,7 +286,7 @@ class PeriodicTask:
         self.interval = interval
         self._callback = callback
         self._stopped = False
-        loop._push_task(loop.clock.now + first, self)
+        loop._push_task(loop.now + first, self)
 
     @property
     def stopped(self) -> bool:

@@ -8,7 +8,9 @@ arrives or leaves.  Everything is deterministic given the seed streams.
 import random
 from typing import Callable, Optional
 
-from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_WEEK
+from repro.sim.clock import (
+    SECONDS_PER_DAY, SECONDS_PER_WEEK, day_of_week, hour_of_day,
+)
 from repro.sim.events import EventLoop
 from repro.sim.machine import Machine, MachineSpec
 from repro.sim.usage import UsageProfile, ALWAYS_IDLE, transition_pairs
@@ -78,9 +80,8 @@ class Workstation:
         Used only by experiment harnesses to score LUPA's predictions; the
         middleware itself never sees this.
         """
-        clock = self.loop.clock
         return self.profile.mean_presence(
-            clock.day_of_week(when), clock.hour_of_day(when),
+            day_of_week(when), hour_of_day(when),
             holiday=self.is_holiday(when),
         )
 

@@ -13,8 +13,6 @@ next compaction).
 import heapq
 from typing import Callable, Optional
 
-from repro.sim.clock import SimClock
-
 
 class EventHandle:
     """A cancellable reference to a scheduled event."""
@@ -35,19 +33,15 @@ class EventHandle:
 
 
 class EventLoop:
-    """A heap-based discrete-event scheduler driving a :class:`SimClock`."""
+    """A heap-based discrete-event scheduler that owns simulated time."""
 
-    def __init__(self, clock: Optional[SimClock] = None):
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self):
+        self.now = 0.0
         self._heap: list[tuple] = []       # (when, seq, callback)
         self._cancelled: set[int] = set()  # seqs of tombstoned heap entries
         self._seq = 0
         self._events_fired = 0
         self._events_cancelled = 0
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
 
     @property
     def events_fired(self) -> int:
@@ -80,36 +74,21 @@ class EventLoop:
         heapq.heapify(self._heap)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
-        if when < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: {when} < {self.clock.now}"
-            )
+        when = float(when)
+        if when < self.now:
+            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
         return EventHandle(self, when, self._push(when, callback))
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        when = self.clock.now + delay
+        when = self.now + delay
         return EventHandle(self, when, self._push(when, callback))
 
-    def step(self) -> bool:
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap:
-            when, seq, callback = heapq.heappop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self.clock.advance_to(when)
-            self._events_fired += 1
-            callback()
-            return True
-        return False
-
     def run_until(self, when: float) -> None:
+        when = float(when)
         heap = self._heap
         cancelled = self._cancelled
-        advance = self.clock.advance_to
         pop = heapq.heappop
         while heap:
             entry = heap[0]
@@ -120,11 +99,11 @@ class EventLoop:
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
-            advance(entry[0])
+            self.now = entry[0]
             self._events_fired += 1
             entry[2]()
-        if when > self.clock.now:
-            advance(when)
+        if when > self.now:
+            self.now = when
 
     def every(
         self,
@@ -156,7 +135,7 @@ class PeriodicTask:
         self.interval = interval
         self._callback = callback
         self._stopped = False
-        self._pending_seq = loop._push(loop.clock.now + first, self._fire)
+        self._pending_seq = loop._push(loop.now + first, self._fire)
 
     @property
     def stopped(self) -> bool:
@@ -170,7 +149,7 @@ class PeriodicTask:
         if not self._stopped:
             loop = self._loop
             self._pending_seq = loop._push(
-                loop.clock.now + self.interval, self._fire
+                loop.now + self.interval, self._fire
             )
 
     def stop(self) -> None:

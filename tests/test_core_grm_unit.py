@@ -370,7 +370,7 @@ class TestLiveness:
         from repro.obs.journal import EventJournal
 
         loop, grm, add_lrm, lrms = env
-        journal = EventJournal(clock=loop.clock)
+        journal = EventJournal(clock=loop)
         grm.set_journal(journal)
         grm.heartbeat("ghost")
         drops = journal.select(type="update_dropped", node="ghost")

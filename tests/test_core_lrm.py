@@ -67,7 +67,7 @@ def make_lrm(policy=DEFAULT_POLICY, profile=ALWAYS_IDLE, seed=1,
         loop, "n0", spec=MachineSpec(mips=mips, ram_mb=256),
         profile=profile, rng=random.Random(seed),
     )
-    ncc = NodeControlCenter(loop.clock, policy)
+    ncc = NodeControlCenter(loop, policy)
     lrm = Lrm(loop, ws, ncc, **kwargs)
     grm = grm_type()
     grm.loop = loop

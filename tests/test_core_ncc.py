@@ -13,12 +13,8 @@ from repro.core.ncc import (
     VACATE_POLICY,
     thirty_percent_policy,
 )
-from repro.sim.clock import (
-    SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
-    SECONDS_PER_WEEK,
-    SimClock,
-)
+from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
+from repro.sim.events import EventLoop
 from repro.sim.machine import ResourceSample
 
 
@@ -80,20 +76,21 @@ class TestSharingPolicy:
 
 class TestNodeControlCenter:
     def test_sharing_now_default(self):
-        ncc = NodeControlCenter(SimClock())
+        ncc = NodeControlCenter(EventLoop())
         assert ncc.sharing_now()
 
     def test_disabled_policy(self):
-        ncc = NodeControlCenter(SimClock(), SharingPolicy(enabled=False))
+        ncc = NodeControlCenter(EventLoop(), SharingPolicy(enabled=False))
         assert not ncc.sharing_now()
         ok, reason = ncc.admission_check(False, 0.1)
         assert not ok
         assert "disabled" in reason
 
     def test_blackout_blocks_sharing(self):
-        clock = SimClock(10 * SECONDS_PER_HOUR)   # Monday 10:00
+        loop = EventLoop()
+        loop.run_until(10 * SECONDS_PER_HOUR)   # Monday 10:00
         policy = SharingPolicy(blackouts=(BlackoutWindow(9.0, 17.0),))
-        ncc = NodeControlCenter(clock, policy)
+        ncc = NodeControlCenter(loop, policy)
         assert ncc.in_blackout()
         assert not ncc.sharing_now()
         ok, reason = ncc.admission_check(False, 0.1)
@@ -101,23 +98,24 @@ class TestNodeControlCenter:
 
     def test_blackout_respects_day(self):
         saturday_10am = 5 * SECONDS_PER_DAY + 10 * SECONDS_PER_HOUR
-        clock = SimClock(saturday_10am)
+        loop = EventLoop()
+        loop.run_until(saturday_10am)
         policy = SharingPolicy(
             blackouts=(BlackoutWindow(9.0, 17.0, days=(0, 1, 2, 3, 4)),)
         )
-        ncc = NodeControlCenter(clock, policy)
+        ncc = NodeControlCenter(loop, policy)
         assert ncc.sharing_now()
 
     def test_cpu_cap_by_owner_state(self):
         ncc = NodeControlCenter(
-            SimClock(), SharingPolicy(cpu_cap_idle=0.9, cpu_cap_active=0.2)
+            EventLoop(), SharingPolicy(cpu_cap_idle=0.9, cpu_cap_active=0.2)
         )
         assert ncc.cpu_cap(owner_present=False) == 0.9
         assert ncc.cpu_cap(owner_present=True) == 0.2
 
     def test_admission_respects_cap(self):
         ncc = NodeControlCenter(
-            SimClock(), SharingPolicy(cpu_cap_idle=0.5)
+            EventLoop(), SharingPolicy(cpu_cap_idle=0.5)
         )
         ok, _ = ncc.admission_check(False, 0.5)
         assert ok
@@ -125,26 +123,26 @@ class TestNodeControlCenter:
         assert not ok and "exceeds cap" in reason
 
     def test_admission_zero_active_cap(self):
-        ncc = NodeControlCenter(SimClock(), VACATE_POLICY)
+        ncc = NodeControlCenter(EventLoop(), VACATE_POLICY)
         ok, reason = ncc.admission_check(True, 0.1)
         assert not ok and "owner present" in reason
 
     def test_should_vacate(self):
-        vacate = NodeControlCenter(SimClock(), VACATE_POLICY)
-        share = NodeControlCenter(SimClock(), DEFAULT_POLICY)
+        vacate = NodeControlCenter(EventLoop(), VACATE_POLICY)
+        share = NodeControlCenter(EventLoop(), DEFAULT_POLICY)
         assert vacate.should_vacate(owner_present=True)
         assert not vacate.should_vacate(owner_present=False)
         assert not share.should_vacate(owner_present=True)
 
     def test_idleness_definition(self):
-        ncc = NodeControlCenter(SimClock())
+        ncc = NodeControlCenter(EventLoop())
         assert ncc.considered_idle(sample(cpu_owner=0.05, keyboard=False))
         assert not ncc.considered_idle(sample(cpu_owner=0.05, keyboard=True))
         assert not ncc.considered_idle(sample(cpu_owner=0.5, keyboard=False))
 
     def test_custom_idleness_threshold(self):
         ncc = NodeControlCenter(
-            SimClock(),
+            EventLoop(),
             SharingPolicy(idle_owner_cpu_below=0.5,
                           idle_requires_no_keyboard=False),
         )
@@ -152,10 +150,10 @@ class TestNodeControlCenter:
 
     def test_mem_cap(self):
         ncc = NodeControlCenter(
-            SimClock(), SharingPolicy(mem_cap_mb=64.0)
+            EventLoop(), SharingPolicy(mem_cap_mb=64.0)
         )
         assert ncc.mem_cap_mb() == 64.0
-        assert NodeControlCenter(SimClock()).mem_cap_mb() is None
+        assert NodeControlCenter(EventLoop()).mem_cap_mb() is None
 
 
 MINUTES_PER_DAY = 24 * 60
@@ -175,7 +173,7 @@ def blackout_windows(draw):
 class TestNextSharingChange:
     def ncc(self, *windows, enabled=True):
         return NodeControlCenter(
-            SimClock(), SharingPolicy(enabled=enabled, blackouts=windows))
+            EventLoop(), SharingPolicy(enabled=enabled, blackouts=windows))
 
     def test_never_without_blackouts_or_when_disabled(self):
         assert self.ncc().next_sharing_change(123.0) == math.inf
@@ -216,7 +214,7 @@ class TestNextSharingChange:
     def test_is_pure(self):
         ncc = self.ncc(BlackoutWindow(9.0, 17.0))
         assert ncc.next_sharing_change(100.0) == ncc.next_sharing_change(100.0)
-        assert ncc._clock.now == 0.0
+        assert ncc._loop.now == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -2,7 +2,7 @@
 
 Replays a mixed-profile scenario (three office workers, a student lab,
 two night owls; three checkpointed jobs) and compares a sha256 over
-every clock advance, plus job outcomes and GRM protocol counters,
+every write of ``EventLoop.now``, plus job outcomes and GRM protocol counters,
 against ``tests/data/golden_determinism.json``.  Any reordering, extra
 event or dropped event changes the digest, so an optimisation that
 claims to preserve behaviour (the event core, the indexed trader,
@@ -11,7 +11,7 @@ leave this file alone.
 
 Re-baselining
 -------------
-The file hashes every clock advance, so a change to *when things
+The file hashes every write of ``EventLoop.now``, so a change to *when things
 happen* cannot keep it — and must not pretend to.  Regenerating it is
 legitimate only when the issue being implemented names the semantic
 change beforehand (what moves, in which direction, by how much); "the
@@ -42,7 +42,8 @@ when same-instant periodic occurrences began sharing one heap entry
 (a run advances the clock once for all its members: advance calls
 38,049 -> 14,362 and a new ``sequence_sha256``; the 10,081 distinct
 instants, their digest, events fired, every job and the GRM stats
-unchanged).
+unchanged).  ``advance_calls`` counts the writes of ``EventLoop.now``,
+recorded through a ``now`` property swapped onto ``grid.loop``.
 """
 
 import hashlib
@@ -64,13 +65,18 @@ def run_golden_scenario():
     grid = Grid(seed=1234, policy="pattern_aware", lupa_enabled=True,
                 lupa_min_history_days=2, update_interval=120.0)
     times = []
-    real_advance = grid.loop.clock.advance_to
 
-    def recording_advance(when):
-        times.append(when)
-        real_advance(when)
+    class RecordingLoop(type(grid.loop)):
+        @property
+        def now(self):
+            return self.__dict__["now"]
 
-    grid.loop.clock.advance_to = recording_advance
+        @now.setter
+        def now(self, when):
+            times.append(when)
+            self.__dict__["now"] = when
+
+    grid.loop.__class__ = RecordingLoop
     grid.add_cluster("c0")
     profiles = [OFFICE_WORKER] * 3 + [STUDENT_LAB, NIGHT_OWL, NIGHT_OWL]
     for i, profile in enumerate(profiles):

@@ -190,7 +190,7 @@ class TestTraceWorkstation:
         loop = EventLoop()
         ws = TraceWorkstation(loop, "replayed", self.simple_trace())
         from repro.core.ncc import VACATE_POLICY
-        ncc = NodeControlCenter(loop.clock, VACATE_POLICY)
+        ncc = NodeControlCenter(loop, VACATE_POLICY)
         lrm = Lrm(loop, ws, ncc)
         reply = lrm.request_reservation({
             "task_id": "t1", "cpu_fraction": 1.0, "mem_mb": 16.0,

@@ -15,20 +15,21 @@ from repro.obs.health import (
     render_health_report,
 )
 from repro.obs.journal import EventJournal
-from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimClock
+from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.sim.events import EventLoop
 
 
 def synthetic_crash_events():
     """A hand-built journal: one crash, one restored + one restarted task."""
-    clock = SimClock()
-    journal = EventJournal(clock=clock)
+    loop = EventLoop()
+    journal = EventJournal(clock=loop)
     journal.record("node_up", node="n0", mips=1000.0)
     journal.record("node_up", node="n1", mips=1000.0)
     journal.record("task_scheduled", node="n0", job_id="j0", task_id="t0",
                    initial_progress_mips=0.0, attempt=1)
     journal.record("task_scheduled", node="n0", job_id="j1", task_id="t1",
                    initial_progress_mips=0.0, attempt=1)
-    clock.advance_to(100.0)
+    loop.run_until(100.0)
     down = journal.record("node_down", node="n0", reason="status stale")
     journal.record("checkpoint_restored", node="n0", job_id="j0",
                    task_id="t0", cause=down.seq, progress_mips=400.0)
@@ -38,15 +39,15 @@ def synthetic_crash_events():
     journal.record("task_evicted", node="n0", job_id="j1", task_id="t1",
                    cause=down.seq, progress_mips=250.0,
                    resume_progress_mips=0.0)
-    clock.advance_to(130.0)
+    loop.run_until(130.0)
     journal.record("task_scheduled", node="n1", job_id="j0", task_id="t0",
                    initial_progress_mips=400.0, attempt=2)
     journal.record("task_restored", node="n1", job_id="j0", task_id="t0",
                    progress_mips=400.0)
-    clock.advance_to(160.0)
+    loop.run_until(160.0)
     journal.record("task_scheduled", node="n1", job_id="j1", task_id="t1",
                    initial_progress_mips=0.0, attempt=2)
-    clock.advance_to(500.0)
+    loop.run_until(500.0)
     journal.record("task_completed", node="n1", job_id="j0", task_id="t0",
                    attempts=2)
     return journal.events

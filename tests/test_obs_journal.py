@@ -13,15 +13,15 @@ from repro.obs.journal import (
     validate_journal,
     validate_journal_file,
 )
-from repro.sim.clock import SimClock
+from repro.sim.events import EventLoop
 
 
 class TestEventJournal:
     def test_records_are_stamped_in_sim_time(self):
-        clock = SimClock()
-        journal = EventJournal(clock=clock)
+        loop = EventLoop()
+        journal = EventJournal(clock=loop)
         journal.record("node_up", node="n0")
-        clock.advance_to(42.0)
+        loop.run_until(42.0)
         event = journal.record("node_down", node="n0", reason="test")
         assert event.time == 42.0
         assert journal.events[0].time == 0.0
@@ -94,10 +94,10 @@ class TestEventJournal:
 
 class TestExportAndValidation:
     def _journal(self):
-        clock = SimClock()
-        journal = EventJournal(clock=clock)
+        loop = EventLoop()
+        journal = EventJournal(clock=loop)
         journal.record("node_up", node="n0", mips=1000.0)
-        clock.advance_to(10.0)
+        loop.run_until(10.0)
         down = journal.record("node_down", node="n0", reason="test")
         journal.record("task_evicted", node="n0", job_id="j0",
                        task_id="t0", cause=down.seq)

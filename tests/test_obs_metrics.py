@@ -10,7 +10,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.sim.clock import SimClock
+from repro.sim.events import EventLoop
 
 
 # -- primitives ---------------------------------------------------------------
@@ -96,10 +96,10 @@ def test_registry_view_and_metric_names_collide():
 
 
 def test_snapshot_stamped_in_sim_time():
-    clock = SimClock()
-    registry = MetricsRegistry(clock=clock)
+    loop = EventLoop()
+    registry = MetricsRegistry(clock=loop)
     registry.counter("c").inc(3)
-    clock.advance_to(42.5)
+    loop.run_until(42.5)
     snap = registry.snapshot()
     assert snap["time"] == 42.5
     assert snap["metrics"]["c"] == 3
@@ -123,10 +123,8 @@ def test_bind_publishes_object_attributes_as_views():
 
 
 def test_event_loop_metrics_views():
-    from repro.sim.events import EventLoop
-
     loop = EventLoop()
-    registry = MetricsRegistry(clock=loop.clock)
+    registry = MetricsRegistry(clock=loop)
     loop.to_metrics(registry)
     handle = loop.schedule(5.0, lambda: None)
     loop.schedule(1.0, lambda: None)
@@ -220,11 +218,10 @@ def test_cluster_monitor_to_metrics():
 
 def test_lupa_to_metrics():
     from repro.core.lupa import Lupa
-    from repro.sim.events import EventLoop
 
     loop = EventLoop()
     lupa = Lupa(loop, "n0", probe=lambda: 0.0, min_history_days=1)
-    registry = MetricsRegistry(clock=loop.clock)
+    registry = MetricsRegistry(clock=loop)
     lupa.to_metrics(registry)
     loop.run_until(2 * 86400.0)
     metrics = registry.snapshot()["metrics"]

@@ -5,20 +5,20 @@ import json
 import pytest
 
 from repro.obs.trace import NULL_SPAN, Span, Tracer
-from repro.sim.clock import SimClock
+from repro.sim.events import EventLoop
 
 
 # -- tracer mechanics ---------------------------------------------------------
 
 
 def test_spans_nest_through_the_current_stack():
-    clock = SimClock()
-    tracer = Tracer(clock=clock)
+    loop = EventLoop()
+    tracer = Tracer(clock=loop)
     with tracer.span("outer") as outer:
-        clock.advance_to(1.0)
+        loop.run_until(1.0)
         with tracer.span("inner") as inner:
-            clock.advance_to(2.0)
-        clock.advance_to(3.0)
+            loop.run_until(2.0)
+        loop.run_until(3.0)
     assert inner.trace_id == outer.trace_id
     assert inner.parent_id == outer.span_id
     assert outer.parent_id is None
@@ -297,14 +297,14 @@ def test_tracing_does_not_perturb_determinism():
 def test_chrome_exporter_groups_by_trace_and_component():
     from repro.obs.exporters import chrome_trace_events, validate_chrome_trace
 
-    clock = SimClock()
-    tracer = Tracer(clock=clock)
+    loop = EventLoop()
+    tracer = Tracer(clock=loop)
     with tracer.span("grm.schedule", component="c0"):
-        clock.advance_to(2.0)
+        loop.run_until(2.0)
         with tracer.span("trader.query", component="c0"):
-            clock.advance_to(3.0)
+            loop.run_until(3.0)
     with tracer.span("lrm.tick", component="n1"):
-        clock.advance_to(5.0)
+        loop.run_until(5.0)
     events = chrome_trace_events(tracer.finished)
     assert validate_chrome_trace(events) == 3
     by_name = {e["name"]: e for e in events}
@@ -397,18 +397,18 @@ class TestAdversarialTraceExport:
         return events
 
     def test_span_with_missing_parent_id_round_trips(self):
-        clock = SimClock()
-        tracer = Tracer(clock=clock)
+        loop = EventLoop()
+        tracer = Tracer(clock=loop)
         with tracer.span("orphan"):
-            clock.advance_to(1.0)
+            loop.run_until(1.0)
         span = tracer.finished[0]
         span.parent_id = 9999   # points at a span that was never exported
         (event,) = self._export([span])
         assert event["args"]["parent_id"] == 9999
 
     def test_unfinished_span_exports_with_zero_duration(self):
-        clock = SimClock()
-        tracer = Tracer(clock=clock)
+        loop = EventLoop()
+        tracer = Tracer(clock=loop)
         context = tracer.span("open")
         span = context.span
         assert span.end is None   # never closed
@@ -417,19 +417,19 @@ class TestAdversarialTraceExport:
         assert event["args"]["sim_end_s"] == event["args"]["sim_start_s"]
 
     def test_zero_duration_span_is_valid(self):
-        clock = SimClock()
-        tracer = Tracer(clock=clock)
+        loop = EventLoop()
+        tracer = Tracer(clock=loop)
         with tracer.span("instant"):
             pass   # no clock advance
         (event,) = self._export(tracer.finished)
         assert event["dur"] == 0.0
 
     def test_out_of_order_start_times_still_validate(self):
-        clock = SimClock()
-        tracer = Tracer(clock=clock)
-        clock.advance_to(10.0)
+        loop = EventLoop()
+        tracer = Tracer(clock=loop)
+        loop.run_until(10.0)
         with tracer.span("late-first"):
-            clock.advance_to(11.0)
+            loop.run_until(11.0)
         later = tracer.finished[0]
         earlier = Span("t9", 99, None, "early-second", 2.0, {})
         earlier.end = 3.0
@@ -442,10 +442,10 @@ class TestAdversarialTraceExport:
             validate_chrome_trace_file,
         )
 
-        clock = SimClock()
-        tracer = Tracer(clock=clock)
+        loop = EventLoop()
+        tracer = Tracer(clock=loop)
         with tracer.span("parent", component="c0"):
-            clock.advance_to(5.0)
+            loop.run_until(5.0)
         orphan = Span("tX", 7, 424242, "orphan", 9.0, {})   # missing parent
         orphan.end = 9.0                                     # zero duration
         stuck = Span("tY", 8, None, "stuck", 4.0, {})        # never finished

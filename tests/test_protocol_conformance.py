@@ -48,7 +48,7 @@ class TestNodeStatusConformance:
         loop = EventLoop()
         ws = Workstation(loop, "n0", spec=MachineSpec(),
                          rng=random.Random(1))
-        return Lrm(loop, ws, NodeControlCenter(loop.clock))
+        return Lrm(loop, ws, NodeControlCenter(loop))
 
     def test_lrm_status_marshals_exactly(self):
         status = self.make_lrm().status()
@@ -169,7 +169,7 @@ class TestRequestShapes:
         loop = EventLoop()
         ws = Workstation(loop, "n0", spec=MachineSpec(),
                          rng=random.Random(1))
-        lrm = Lrm(loop, ws, NodeControlCenter(loop.clock))
+        lrm = Lrm(loop, ws, NodeControlCenter(loop))
         request = {
             "task_id": "t", "cpu_fraction": 0.5, "mem_mb": 8.0,
             "disk_mb": 0.0, "lease_seconds": 60.0,

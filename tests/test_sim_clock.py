@@ -1,4 +1,4 @@
-"""Unit tests for the simulated clock and its calendar helpers."""
+"""Unit tests for simulated time: the loop's clock and the calendar helpers."""
 
 import pytest
 
@@ -6,84 +6,89 @@ from repro.sim.clock import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     SECONDS_PER_WEEK,
-    SimClock,
+    day_of_week,
+    hour_of_day,
+    second_of_day,
 )
+from repro.sim.events import EventLoop
 
 
 def test_starts_at_epoch_by_default():
-    assert SimClock().now == 0.0
+    assert EventLoop().now == 0.0
 
 
 def test_custom_start():
-    assert SimClock(100.0).now == 100.0
+    loop = EventLoop()
+    loop.run_until(100.0)
+    assert loop.now == 100.0
 
 
 def test_negative_start_rejected():
     with pytest.raises(ValueError):
-        SimClock(-1.0)
+        EventLoop().schedule_at(-1.0, lambda: None)
 
 
 def test_advance_to_moves_forward():
-    clock = SimClock()
-    clock.advance_to(42.0)
-    assert clock.now == 42.0
+    loop = EventLoop()
+    loop.run_until(42.0)
+    assert loop.now == 42.0
 
 
 def test_advance_backwards_rejected():
-    clock = SimClock(10.0)
+    loop = EventLoop()
+    loop.run_until(10.0)
     with pytest.raises(ValueError):
-        clock.advance_to(5.0)
+        loop.schedule_at(5.0, lambda: None)
+    loop.run_until(5.0)
+    assert loop.now == 10.0
 
 
 def test_advance_to_same_time_is_ok():
-    clock = SimClock(10.0)
-    clock.advance_to(10.0)
-    assert clock.now == 10.0
+    loop = EventLoop()
+    loop.run_until(10.0)
+    loop.schedule_at(10.0, lambda: None)
+    loop.run_until(10.0)
+    assert loop.now == 10.0
+    assert loop.events_fired == 1
 
 
 def test_epoch_is_monday_midnight():
-    clock = SimClock()
-    assert clock.day_of_week() == 0
-    assert clock.day_name() == "monday"
-    assert clock.hour_of_day() == 0.0
+    assert day_of_week(0.0) == 0
+    assert hour_of_day(0.0) == 0.0
+    assert second_of_day(0.0) == 0.0
 
 
 def test_day_of_week_cycles():
-    clock = SimClock()
-    clock.advance_to(5 * SECONDS_PER_DAY)
-    assert clock.day_name() == "saturday"
-    clock.advance_to(7 * SECONDS_PER_DAY)
-    assert clock.day_name() == "monday"
+    assert day_of_week(5 * SECONDS_PER_DAY) == 5    # saturday
+    assert day_of_week(7 * SECONDS_PER_DAY) == 0    # monday again
 
 
 def test_hour_of_day():
-    clock = SimClock(13.5 * SECONDS_PER_HOUR)
-    assert clock.hour_of_day() == pytest.approx(13.5)
+    assert hour_of_day(13.5 * SECONDS_PER_HOUR) == pytest.approx(13.5)
 
 
 def test_second_of_day_wraps():
-    clock = SimClock(SECONDS_PER_DAY + 61.0)
-    assert clock.second_of_day() == pytest.approx(61.0)
+    assert second_of_day(SECONDS_PER_DAY + 61.0) == pytest.approx(61.0)
 
 
 def test_week_index():
-    clock = SimClock()
-    assert clock.week_index() == 0
-    clock.advance_to(3 * SECONDS_PER_WEEK + 5)
-    assert clock.week_index() == 3
+    # The calendar repeats every week: week 3 starts on a Monday midnight.
+    t = 3 * SECONDS_PER_WEEK + 5
+    assert day_of_week(t) == 0
+    assert second_of_day(t) == pytest.approx(5.0)
 
 
 def test_is_weekend():
-    clock = SimClock()
-    assert not clock.is_weekend()
-    assert clock.is_weekend(5 * SECONDS_PER_DAY)
-    assert clock.is_weekend(6 * SECONDS_PER_DAY)
-    assert not clock.is_weekend(7 * SECONDS_PER_DAY)
+    assert day_of_week(0.0) < 5
+    assert day_of_week(5 * SECONDS_PER_DAY) >= 5
+    assert day_of_week(6 * SECONDS_PER_DAY) >= 5
+    assert day_of_week(7 * SECONDS_PER_DAY) < 5
 
 
 def test_helpers_accept_explicit_when():
-    clock = SimClock()
-    assert clock.day_of_week(2 * SECONDS_PER_DAY) == 2
-    assert clock.hour_of_day(6 * SECONDS_PER_HOUR) == pytest.approx(6.0)
-    # the clock itself did not move
-    assert clock.now == 0.0
+    loop = EventLoop()
+    assert day_of_week(2 * SECONDS_PER_DAY) == 2
+    assert hour_of_day(6 * SECONDS_PER_HOUR) == pytest.approx(6.0)
+    assert hour_of_day(loop.now) == 0.0
+    # reading the calendar does not move the clock
+    assert loop.now == 0.0

@@ -5,17 +5,32 @@ import pytest
 from repro.sim.events import EventLoop
 
 
-def test_schedule_and_step():
+def test_schedule_and_run():
     loop = EventLoop()
     fired = []
     loop.schedule(5.0, lambda: fired.append(loop.now))
-    assert loop.step()
+    loop.run()
     assert fired == [5.0]
     assert loop.now == 5.0
+    assert loop.events_fired == 1
 
 
-def test_step_returns_false_when_empty():
-    assert not EventLoop().step()
+def test_run_on_an_empty_loop_fires_nothing():
+    loop = EventLoop()
+    loop.run()
+    assert loop.events_fired == 0
+    assert loop.now == 0.0
+
+
+def test_now_stays_a_float():
+    loop = EventLoop()
+    seen = []
+    loop.schedule_at(3, lambda: seen.append(type(loop.now)))
+    loop.run_until(5)
+    assert seen == [float]
+    assert type(loop.now) is float
+    loop.run_for(2)
+    assert type(loop.now) is float
 
 
 def test_events_fire_in_time_order():
@@ -115,6 +130,8 @@ def test_runaway_guard():
     loop.schedule(1.0, rearm)
     with pytest.raises(RuntimeError):
         loop.run(max_events=100)
+    assert loop.events_fired == 100
+    assert loop.now == 100.0
 
 
 def test_periodic_task_fires_repeatedly():

@@ -62,8 +62,8 @@ def test_presence_drives_machine_load():
     loop, ws = make_ws(profile=ERRATIC)
     saw_loaded = False
     saw_unloaded = False
-    for _ in range(500):
-        loop.step()
+    for tick in range(500):
+        loop.run_until(tick * ws.tick_seconds)   # one owner tick per pass
         if ws.owner_present:
             saw_loaded = saw_loaded or ws.machine.owner_cpu > 0
             assert ws.machine.keyboard_active
