@@ -11,6 +11,15 @@ import copy
 from typing import Any
 
 
+#: Exact types shared uncopied; subclasses and tuples are deep-copied.
+_IMMUTABLE = frozenset({int, float, bool, str, bytes, type(None)})
+
+
+def _private(value: Any) -> Any:
+    """A copy of ``value`` no caller can mutate through."""
+    return value if type(value) in _IMMUTABLE else copy.deepcopy(value)
+
+
 class UnregisteredVariable(Exception):
     """A put/get referenced a name the owner never registered."""
 
@@ -31,8 +40,10 @@ class Registers:
 
     def register(self, pid: int, name: str, value: Any) -> None:
         """Declare a variable on ``pid`` and set its initial value."""
+        if not 0 <= pid < self.nprocs:
+            raise ValueError(f"pid {pid} out of range")
         self._values[pid][name] = value
-        self._snapshot[pid][name] = copy.deepcopy(value)
+        self._snapshot[pid][name] = _private(value)
 
     def local_read(self, pid: int, name: str) -> Any:
         """Read a process's own live variable."""
@@ -57,7 +68,7 @@ class Registers:
             raise ValueError(f"owner pid {owner} out of range")
         self.drma_calls += 1
         try:
-            return copy.deepcopy(self._snapshot[owner][name])
+            return _private(self._snapshot[owner][name])
         except KeyError:
             raise UnregisteredVariable(
                 f"pid {owner} has no variable {name!r}"
@@ -65,10 +76,12 @@ class Registers:
 
     def put(self, writer: int, owner: int, name: str, value: Any) -> None:
         """Remote write: queued, applied at the next synchronisation."""
+        if not 0 <= writer < self.nprocs:
+            raise ValueError(f"writer pid {writer} out of range")
         if not 0 <= owner < self.nprocs:
             raise ValueError(f"owner pid {owner} out of range")
         self.drma_calls += 1
-        self._pending_puts[writer].append((owner, name, copy.deepcopy(value)))
+        self._pending_puts[writer].append((owner, name, _private(value)))
 
     def synchronize(self) -> None:
         """Apply pending puts (writer order) and refresh get-snapshots."""
@@ -82,6 +95,6 @@ class Registers:
                 self.puts_applied += 1
             self._pending_puts[writer] = []
         self._snapshot = [
-            {name: copy.deepcopy(value) for name, value in proc.items()}
+            {name: _private(value) for name, value in proc.items()}
             for proc in self._values
         ]

@@ -1,5 +1,7 @@
 """Unit tests for the executable BSP runtime (real computation)."""
 
+import sys
+
 import pytest
 
 from repro.bsp.drma import Registers, UnregisteredVariable
@@ -41,6 +43,18 @@ class TestMessageBuffers:
         buffers.send(0, 1, 3.14)
         assert buffers.bytes_estimate == 108
         assert buffers.messages_sent == 2
+        assert buffers.orb_calls == 2
+        assert buffers.wire_bytes == 108 + 2 * 64
+
+    @pytest.mark.parametrize("sender", [-1, -4, 4, 7])
+    def test_bad_sender(self, sender):
+        # A negative pid must not index from the end: -1 is not pid 3.
+        buffers = MessageBuffers(4)
+        with pytest.raises(ValueError, match="sender pid"):
+            buffers.send(sender, 0, "x")
+        buffers.exchange()
+        assert buffers.inbox(0) == []
+        assert buffers.messages_sent == 0
 
 
 class TestRegisters:
@@ -80,6 +94,68 @@ class TestRegisters:
         regs.put(0, 1, "ghost", 1)
         with pytest.raises(UnregisteredVariable):
             regs.synchronize()
+
+    @pytest.mark.parametrize("pid", [-1, -3, 3])
+    def test_bad_writer_and_register_pid(self, pid):
+        regs = Registers(3)
+        regs.register(0, "x", 0)
+        with pytest.raises(ValueError, match="writer pid"):
+            regs.put(pid, 0, "x", 1)
+        with pytest.raises(ValueError, match="pid"):
+            regs.register(pid, "y", 0)
+        regs.synchronize()
+        assert regs.drma_calls == 0
+        assert regs.local_read(0, "x") == 0
+        with pytest.raises(UnregisteredVariable):
+            regs.local_read(2, "y")
+
+    def test_put_and_get_never_alias_mutable_values(self):
+        regs = Registers(2)
+        regs.register(0, "xs", [0])
+        regs.register(0, "d", {})
+        xs, d = [1, 2], {"k": [1]}
+        regs.put(1, 0, "xs", xs)
+        regs.put(1, 0, "d", d)
+        xs.append(3)
+        d["k"].append(2)
+        d["new"] = 1
+        regs.synchronize()
+        assert regs.local_read(0, "xs") == [1, 2]
+        assert regs.local_read(0, "d") == {"k": [1]}
+        got = regs.get(0, "d")
+        got["k"].append(99)
+        got["other"] = 0
+        regs.get(0, "xs").clear()
+        assert regs.get(0, "d") == {"k": [1]}
+        assert regs.get(0, "xs") == [1, 2]
+        assert regs.local_read(0, "d") == {"k": [1]}
+
+    def test_subclasses_and_tuples_are_still_copied(self):
+        class Tagged(list):
+            pass
+
+        regs = Registers(2)
+        regs.register(0, "t", None)
+        regs.register(0, "nested", None)
+        tagged, nested = Tagged([1]), (1, [2])
+        regs.put(1, 0, "t", tagged)
+        regs.put(1, 0, "nested", nested)
+        tagged.append(2)
+        nested[1].append(3)
+        regs.synchronize()
+        assert regs.local_read(0, "t") == [1]
+        assert type(regs.local_read(0, "t")) is Tagged
+        assert regs.local_read(0, "nested") == (1, [2])
+        regs.get(0, "nested")[1].append(4)
+        assert regs.get(0, "nested") == (1, [2])
+
+    def test_immutable_scalars_pass_uncopied(self):
+        regs = Registers(2)
+        text = "état " * 10
+        regs.register(0, "s", text)
+        regs.put(1, 0, "s", text)
+        regs.synchronize()
+        assert regs.get(0, "s") is text
 
     def test_puts_applied_in_writer_order(self):
         regs = Registers(3)
@@ -241,3 +317,32 @@ class TestCallAccounting:
         assert run.drma_calls == 6 * 2 * 3 + 6 * 2 * 3
         # Two floats in a list: 4 + 2 x 8 payload bytes + 64 of framing.
         assert run.wire_bytes == run.orb_calls * (64 + 20)
+
+    def test_counters_exact_under_frequent_thread_switches(self):
+        # Every process thread bumps the shared counters; a counter read
+        # before a call and written after it loses the other threads'
+        # bumps once the interpreter switches threads inside the call.
+        nprocs, sends, steps = 16, 3000, 3
+
+        def program(bsp):
+            bsp.register("acc", 0.0)
+            bsp.sync()
+            for step in range(steps):
+                for i in range(sends // steps):
+                    bsp.send((bsp.pid + i) % nprocs, [float(i), float(step)])
+                    if i % 10 == 0:
+                        bsp.put((bsp.pid + 1) % nprocs, "acc", float(i))
+                        bsp.get((bsp.pid + 2) % nprocs, "acc")
+                bsp.sync()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = run_bsp(nprocs, program)
+        finally:
+            sys.setswitchinterval(interval)
+        messages = nprocs * sends
+        assert run.messages_sent == run.orb_calls == messages
+        assert run.comm_bytes == messages * 20
+        assert run.wire_bytes == messages * (64 + 20)
+        assert run.drma_calls == nprocs * 2 * steps * (sends // steps // 10)
