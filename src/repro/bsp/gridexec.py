@@ -69,12 +69,9 @@ class BspGridCoordinator:
         self.comm_seconds_total = 0.0
         self.executed_results: Optional[list] = None
         self.executed_run = None
-        #: Optional event journal (wired by Grid.enable_journal).
+        #: Optional event journal (superstep/rollback events), set by
+        #: the Grid.
         self.journal = None
-
-    def set_journal(self, journal) -> None:
-        """Attach the grid's event journal (superstep/rollback events)."""
-        self.journal = journal
 
     # -- GRM callbacks ------------------------------------------------------------
 

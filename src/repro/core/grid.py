@@ -161,12 +161,7 @@ class Grid:
             require_auth=self._keyring is not None,
         )
         self._orbs.append(orb)
-        if self.wire_meter is not None:
-            orb.add_client_interceptor(self.wire_meter)
-        if self.tracer is not None:
-            orb.set_tracer(self.tracer)
-        if self.metrics is not None:
-            orb.to_metrics(self.metrics)
+        self._attach_orb(orb)
         return orb
 
     # -- assembly -------------------------------------------------------------------
@@ -220,11 +215,7 @@ class Grid:
             checkpoint_store=store,
         )
         self.clusters[name] = handle
-        if self.metrics is not None:
-            grm.bind_metrics(self.metrics)
-            store.to_metrics(self.metrics, prefix=f"checkpoint.{name}")
-        if self.tracer is not None:
-            grm.set_tracer(self.tracer)
+        self._attach_cluster(handle)
         return handle
 
     def add_node(
@@ -349,8 +340,7 @@ class Grid:
             lrm_ref.to_string(), lupa, dedicated, lupa_upload,
         )
         handle.nodes[name] = node
-        self._bind_node_metrics(node)
-        self._bind_node_journal(node)
+        self._attach_node(node)
         return node
 
     def remove_node(self, cluster: str, name: str) -> None:
@@ -433,10 +423,7 @@ class Grid:
             parent, GRM_INTERFACE, key=f"{parent_name}/grm-facade"
         ).to_string()
         self._parents[parent_name] = parent
-        if self.metrics is not None:
-            parent.bind_metrics(self.metrics)
-        if self.journal is not None:
-            parent.set_journal(self.journal)
+        self._attach_parent(parent)
         return parent, parent_ior, facade_ior
 
     def _make_uplink(self, handle: ClusterHandle, parent_ior: str):
@@ -535,13 +522,7 @@ class Grid:
             )
             handle.grm.register_coordinator(job_id, coordinator)
             self._coordinators[job_id] = coordinator
-            if self.journal is not None:
-                coordinator.set_journal(self.journal)
-            if self.metrics is not None:
-                self.metrics.view(
-                    f"bsp.{job_id}.stragglers",
-                    lambda c=coordinator: len(c.recovery.stragglers()),
-                )
+            self._attach_coordinator(job_id, coordinator)
         return job_id
 
     def coordinator(self, job_id: str):
@@ -589,56 +570,11 @@ class Grid:
         the :class:`~repro.obs.MetricsRegistry`; components added later
         are wired automatically.
         """
-        if self.metrics is not None:
-            return self.metrics
-        from repro.obs.metrics import MetricsRegistry
-        registry = MetricsRegistry(clock=self.loop)
-        self.metrics = registry
-        self.loop.to_metrics(registry)
-        registry.view("orb.totals", self.protocol_stats)
-        for orb in self._orbs:
-            orb.to_metrics(registry)
-        for handle in self.clusters.values():
-            handle.grm.bind_metrics(registry)
-            handle.checkpoint_store.to_metrics(
-                registry, prefix=f"checkpoint.{handle.name}"
-            )
-            for node in handle.nodes.values():
-                self._bind_node_metrics(node)
-        for parent in self._parents.values():
-            parent.bind_metrics(registry)
-        for field_name in ("completed_count", "evicted_count",
-                           "checkpoints_taken", "checkpoints_skipped",
-                           "refused_reservations",
-                           "accepted_reservations", "updates_sent",
-                           "updates_full", "heartbeats_sent",
-                           "sandbox_violations"):
-            registry.view(
-                f"lrm.total.{field_name}",
-                lambda f=field_name: sum(
-                    getattr(n.lrm, f)
-                    for h in self.clusters.values()
-                    for n in h.nodes.values()
-                ),
-            )
-        # Late-binding observability layers publish their own health views.
-        if self.journal is not None:
-            self.journal.to_metrics(registry)
-        if self.tracer is not None:
-            self.tracer.to_metrics(registry)
-        for job_id, coordinator in self._coordinators.items():
-            registry.view(
-                f"bsp.{job_id}.stragglers",
-                lambda c=coordinator: len(c.recovery.stragglers()),
-            )
-        return registry
-
-    def _bind_node_metrics(self, node: NodeHandle) -> None:
         if self.metrics is None:
-            return
-        node.lrm.to_metrics(self.metrics)
-        if node.lupa is not None:
-            node.lupa.to_metrics(self.metrics)
+            from repro.obs.metrics import MetricsRegistry
+            self.metrics = MetricsRegistry(clock=self.loop)
+            self._attach_all()
+        return self.metrics
 
     def enable_tracing(self):
         """Turn on span tracing across every ORB and GRM (idempotent).
@@ -654,12 +590,7 @@ class Grid:
         if self.tracer is None:
             from repro.obs.trace import Tracer
             self.tracer = Tracer(clock=self.loop)
-            for orb in self._orbs:
-                orb.set_tracer(self.tracer)
-            for handle in self.clusters.values():
-                handle.grm.set_tracer(self.tracer)
-            if self.metrics is not None:
-                self.tracer.to_metrics(self.metrics)
+            self._attach_all()
         self.tracer.enable()
         return self.tracer
 
@@ -673,48 +604,117 @@ class Grid:
         """
         if self.wire_meter is None:
             self.wire_meter = WireMeter()
-            for orb in self._orbs:
-                orb.add_client_interceptor(self.wire_meter)
+            self._attach_all()
         return self.wire_meter
 
-    def enable_journal(self, max_events: int = 200_000):
+    def enable_journal(self):
         """Turn on the structured event journal (idempotent).
 
-        Every GRM, LRM, reservation ledger, and BSP coordinator gets the
-        same :class:`~repro.obs.EventJournal`; from then on node
-        arrivals/deaths, task placements/evictions/completions,
-        checkpoint saves/restores, reservation grants/violations, BSP
-        supersteps, and dropped status updates are recorded with causal
-        links, stamped in simulated time.  Like metrics and tracing, the
-        journal records — it never schedules events or draws randomness,
-        so an instrumented run replays the uninstrumented one exactly.
-        Nodes already registered are journalled retroactively as
-        ``node_up`` at the current sim time so forensics always has a
-        roster.  Turn it back off with ``grid.journal.disable()``.
+        Every GRM, LRM, reservation ledger, parent GRM and BSP
+        coordinator gets the same :class:`~repro.obs.EventJournal`; from
+        then on node arrivals/deaths, task placements/evictions/
+        completions, checkpoint saves/restores, reservation grants/
+        violations, BSP supersteps, and dropped status updates are
+        recorded with causal links, stamped in simulated time.  Like
+        metrics and tracing, the journal records — it never schedules
+        events or draws randomness, so an instrumented run replays the
+        uninstrumented one exactly.  Nodes (and child clusters) already
+        registered are journalled retroactively as ``node_up``
+        (``cluster_up``) at the current sim time so forensics always has
+        a roster.  Turn it back off with ``grid.journal.disable()``.
         """
-        if self.journal is not None:
-            self.journal.enable()
-            return self.journal
-        from repro.obs.journal import EventJournal
-        journal = EventJournal(clock=self.loop, max_events=max_events)
-        self.journal = journal
+        if self.journal is None:
+            from repro.obs.journal import EventJournal
+            self.journal = EventJournal(clock=self.loop)
+            self._attach_all()
+        self.journal.enable()
+        return self.journal
+
+    # Each kind of component meets the instruments in exactly one
+    # _attach_* method.  Every creation site calls it for the component
+    # it just built and every enable_* calls all of them, so enabling an
+    # instrument before or after building wires the same.  Each one is
+    # idempotent.
+
+    def _attach_all(self) -> None:
+        """Attach every enabled instrument to every existing component."""
+        self._attach_grid()
+        for orb in self._orbs:
+            self._attach_orb(orb)
         for handle in self.clusters.values():
-            handle.grm.set_journal(journal)
+            self._attach_cluster(handle)
             for node in handle.nodes.values():
-                node.lrm.set_journal(journal)
+                self._attach_node(node)
+        for parent in self._parents.values():
+            self._attach_parent(parent)
+        for job_id, coordinator in self._coordinators.items():
+            self._attach_coordinator(job_id, coordinator)
+
+    def _attach_grid(self) -> None:
+        """Grid-wide views, including the instruments' own health."""
+        registry = self.metrics
+        if registry is None:
+            return
+        self.loop.to_metrics(registry)
+        registry.view("orb.totals", self.protocol_stats)
+        for field_name in Lrm.COUNTERS:
+            registry.view(
+                f"lrm.total.{field_name}",
+                lambda f=field_name: sum(
+                    getattr(n.lrm, f)
+                    for h in self.clusters.values()
+                    for n in h.nodes.values()
+                ),
+            )
+        for instrument in (self.journal, self.tracer):
+            if instrument is not None:
+                instrument.to_metrics(registry)
+
+    def _attach_orb(self, orb: Orb) -> None:
+        meter = self.wire_meter
+        if meter is not None and meter not in orb._client_interceptors:
+            orb.add_client_interceptor(meter)
+        if self.tracer is not None:
+            orb.set_tracer(self.tracer)
+        if self.metrics is not None:
+            orb.to_metrics(self.metrics)
+
+    def _attach_cluster(self, handle: ClusterHandle) -> None:
+        grm = handle.grm
+        if self.metrics is not None:
+            grm.bind_metrics(self.metrics)
+            handle.checkpoint_store.to_metrics(
+                self.metrics, prefix=f"checkpoint.{handle.name}"
+            )
+        if self.tracer is not None:
+            grm.tracer = self.tracer
+        journal = self.journal
+        if journal is not None and grm.journal is not journal:
+            grm.journal = journal
             # Roster catch-up: nodes that registered before the journal
             # existed still appear, so chains can name them.
-            for name, record in sorted(handle.grm._nodes.items()):
+            for name, record in sorted(grm._nodes.items()):
                 if record.alive:
                     journal.record(
                         "node_up", node=name, cluster=handle.name,
                         mips=record.last_status.get("mips"),
                         retroactive=True,
                     )
-        for coordinator in self._coordinators.values():
-            coordinator.set_journal(journal)
-        for parent in self._parents.values():
-            parent.set_journal(journal)
+
+    def _attach_node(self, node: NodeHandle) -> None:
+        if self.metrics is not None:
+            node.lrm.to_metrics(self.metrics)
+            if node.lupa is not None:
+                node.lupa.to_metrics(self.metrics)
+        if self.journal is not None:
+            node.lrm.set_journal(self.journal)
+
+    def _attach_parent(self, parent: ParentGrm) -> None:
+        if self.metrics is not None:
+            parent.bind_metrics(self.metrics)
+        journal = self.journal
+        if journal is not None and parent.journal is not journal:
+            parent.journal = journal
             # Roster catch-up for clusters, mirroring the node roster.
             for cluster in parent.clusters:
                 record = parent._children[cluster]
@@ -724,13 +724,15 @@ class Grid:
                         nodes=record.summary.get("nodes"),
                         retroactive=True,
                     )
-        if self.metrics is not None:
-            journal.to_metrics(self.metrics)
-        return journal
 
-    def _bind_node_journal(self, node: NodeHandle) -> None:
+    def _attach_coordinator(self, job_id: str, coordinator) -> None:
+        if self.metrics is not None:
+            self.metrics.view(
+                f"bsp.{job_id}.stragglers",
+                lambda: len(coordinator.recovery.stragglers()),
+            )
         if self.journal is not None:
-            node.lrm.set_journal(self.journal)
+            coordinator.journal = self.journal
 
     def health_report(self, rules=None, top: int = 5) -> dict:
         """Forensics + alert postmortem from the live journal/registry."""

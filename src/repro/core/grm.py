@@ -12,7 +12,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Callable, Optional
 
 from repro.apps.job import Job, JobState, Task, TaskState
@@ -125,8 +124,6 @@ class Grm:
         network: Optional[NetworkTopology] = None,
         checkpoint_store: Optional[MemoryCheckpointStore] = None,
         schedule_interval: float = DEFAULT_SCHEDULE_INTERVAL,
-        reservation_lease: float = DEFAULT_RESERVATION_LEASE,
-        max_negotiations: int = DEFAULT_MAX_NEGOTIATIONS,
         update_interval_hint: float = 60.0,
     ):
         self._loop = loop
@@ -141,8 +138,9 @@ class Grm:
         #: Optional observability hooks; None keeps the seed hot paths.
         self.tracer = None
         self.journal = None
-        self._rank_hist = None
-        self._ingest_hist = None
+        #: Status ingest and policy ranking; bind_metrics times them.
+        self._timed_ingest = self._ingest
+        self._timed_rank = self._rank
         self._job_trace_ctx: dict[str, tuple] = {}
         #: Seq of the in-flight node_down event while its evictions run,
         #: so they journal with a causal link back to the death.
@@ -166,8 +164,6 @@ class Grm:
         self._job_listeners: list[Callable] = []
         self._parent = None
         self._job_ids = itertools.count()
-        self._reservation_lease = reservation_lease
-        self._max_negotiations = max_negotiations
         self._stale_after = update_interval_hint * DEFAULT_STALE_FACTOR
         self._schedule_task = loop.every(schedule_interval, self._schedule_pass)
         self._liveness_task = loop.every(
@@ -180,29 +176,22 @@ class Grm:
         """Publish this GRM's stats and trader on a metrics registry.
 
         Registers :class:`GrmStats` fields as views, binds the trader's
-        query accounting, and starts the per-pass ranking latency
-        histogram (two ``perf_counter`` calls per policy ranking).
+        query accounting, and starts the status-ingest and policy-ranking
+        latency histograms (each call goes through
+        :func:`~repro.obs.metrics.timed`).
         """
         prefix = prefix if prefix is not None else f"grm.{self.cluster}"
         self.stats.to_metrics(registry, prefix)
         registry.view(f"{prefix}.registered_nodes", lambda: len(self._nodes))
         registry.view(f"{prefix}.pending_jobs", lambda: len(self._pending))
         self.trader.bind_metrics(registry, prefix=f"trader.{self.cluster}")
-        from repro.obs.metrics import LATENCY_BOUNDS_S
-        self._rank_hist = registry.histogram(
+        from repro.obs.metrics import LATENCY_BOUNDS_S, timed
+        self._timed_rank = timed(registry.histogram(
             f"{prefix}.rank_latency_s", LATENCY_BOUNDS_S
-        )
-        self._ingest_hist = registry.histogram(
+        ), self._rank)
+        self._timed_ingest = timed(registry.histogram(
             f"{prefix}.ingest_latency_s", LATENCY_BOUNDS_S
-        )
-
-    def set_tracer(self, tracer) -> None:
-        """Attach the grid's span tracer (schedule/trader/placement spans)."""
-        self.tracer = tracer
-
-    def set_journal(self, journal) -> None:
-        """Attach the grid's event journal (node/task lifecycle events)."""
-        self.journal = journal
+        ), self._ingest)
 
     def set_parent(self, parent_stub) -> None:
         """Attach the parent GRM for wide-area forwarding."""
@@ -271,14 +260,7 @@ class Grm:
             pass
 
     def send_update(self, status: dict) -> None:
-        hist = self._ingest_hist
-        if hist is None:
-            return self._ingest(status)
-        started = perf_counter()
-        try:
-            self._ingest(status)
-        finally:
-            hist.observe(perf_counter() - started)
+        self._timed_ingest(status)
 
     def heartbeat(self, node: str) -> None:
         """The node is alive and its status is what it last sent.
@@ -669,34 +651,20 @@ class Grm:
                 return event.detail[len("from "):]
         return None
 
-    def _apply_user_preference(self, offers: list, spec: ApplicationSpec) -> list:
-        """The user's preference expression outranks the cluster policy.
+    def _rank(self, offers: list, ctx: ScheduleContext,
+              spec: ApplicationSpec) -> list:
+        """The policy's order, outranked by the user's preference expression.
 
         Paper, Section 4: users state "preferences, like rather executing
         on a faster CPU than on a slower one".  A stable sort on the
         preference score keeps the policy's order among equally-preferred
         offers.
         """
+        ordered = self.policy.order(offers, ctx)
         if not spec.preference:
-            return offers
+            return ordered
         rank = spec.preference_rank()
-        return sorted(offers, key=rank.score, reverse=True)
-
-    def _rank(self, offers: list, ctx: ScheduleContext,
-              spec: ApplicationSpec) -> list:
-        """Policy ranking + user preference, timed when metrics are bound."""
-        hist = self._rank_hist
-        if hist is None:
-            return self._apply_user_preference(
-                self.policy.order(offers, ctx), spec
-            )
-        started = perf_counter()
-        try:
-            return self._apply_user_preference(
-                self.policy.order(offers, ctx), spec
-            )
-        finally:
-            hist.observe(perf_counter() - started)
+        return sorted(ordered, key=rank.score, reverse=True)
 
     def _candidates(self, job: Job, task: Task, view: CandidateView,
                     exclude: tuple = ()):
@@ -704,7 +672,7 @@ class Grm:
         nodes and nodes whose view no longer fits the job."""
         if view.order is None or view.ctx.remaining_mips != task.remaining_mips:
             view.ctx.remaining_mips = task.remaining_mips
-            view.order = self._rank(view.offers, view.ctx, job.spec)
+            view.order = self._timed_rank(view.offers, view.ctx, job.spec)
         return self._fitting(view.order, job.spec.requirements, exclude)
 
     def _fitting(self, ordered: list, reqs, exclude: tuple = ()):
@@ -724,13 +692,14 @@ class Grm:
 
     def _place_task(self, job: Job, task: Task, view: CandidateView,
                     exclude: tuple = ()) -> bool:
-        """Negotiate down the view, at most ``max_negotiations`` times."""
+        """Negotiate down the view, at most ``DEFAULT_MAX_NEGOTIATIONS``
+        times."""
         attempts = 0
         for record in self._candidates(job, task, view, exclude):
             if self._negotiate(record, job, task):
                 return True
             attempts += 1
-            if attempts == self._max_negotiations:
+            if attempts == DEFAULT_MAX_NEGOTIATIONS:
                 break
         return False
 
@@ -752,7 +721,7 @@ class Grm:
                 "cpu_fraction": reqs.cpu_fraction,
                 "mem_mb": reqs.mem_mb,
                 "disk_mb": reqs.disk_mb,
-                "lease_seconds": self._reservation_lease,
+                "lease_seconds": DEFAULT_RESERVATION_LEASE,
             })
         except OrbError:
             return False
@@ -874,7 +843,7 @@ class Grm:
                 return False
             ordered = [offer for group in plan for offer in group]
         else:
-            ordered = self._rank(offers, ctx, job.spec)
+            ordered = self._timed_rank(offers, ctx, job.spec)
         if len(ordered) < len(pending):
             self.stats.gang_failures += 1
             return False

@@ -23,7 +23,6 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Optional
 
 from repro.core.grm import Grm
@@ -119,7 +118,9 @@ class ParentGrm:
         self.placements_escalated = 0
         #: Optional observability hooks; None keeps the hot paths bare.
         self.journal = None
-        self._submit_hist = None
+        #: Both submit paths; bind_metrics times them.
+        self._timed_submit = self._submit_impl
+        self._timed_submit_remote = self._submit_remote_impl
         #: Placement index: (-free_cpu_total, seq, record) ascending, so
         #: a front-to-back walk visits most-spare-CPU first, registration
         #: order within ties, and stops at the first child below the CPU
@@ -135,10 +136,6 @@ class ParentGrm:
         self._uplink_task = None
 
     # -- wiring -----------------------------------------------------------------
-
-    def set_journal(self, journal) -> None:
-        """Attach the grid's event journal (cluster lifecycle events)."""
-        self.journal = journal
 
     def bind_metrics(self, registry, prefix: Optional[str] = None) -> None:
         """Publish this parent's wide-area counters on a metrics registry.
@@ -172,10 +169,12 @@ class ParentGrm:
             f"{prefix}.live_clusters",
             lambda: sum(1 for r in self._children.values() if r.alive),
         )
-        from repro.obs.metrics import LATENCY_BOUNDS_S
-        self._submit_hist = registry.histogram(
+        from repro.obs.metrics import LATENCY_BOUNDS_S, timed
+        hist = registry.histogram(
             f"{prefix}.submit_latency_s", LATENCY_BOUNDS_S
         )
+        self._timed_submit = timed(hist, self._submit_impl)
+        self._timed_submit_remote = timed(hist, self._submit_remote_impl)
 
     def stop(self) -> None:
         """Stop the staleness sweep and the uplink to our own parent."""
@@ -256,14 +255,7 @@ class ParentGrm:
         escalates one level up; ``metadata["visited"]`` carries the
         hierarchy path to rule out cycles.
         """
-        hist = self._submit_hist
-        if hist is None:
-            return self._submit_remote_impl(spec, origin_cluster)
-        started = perf_counter()
-        try:
-            return self._submit_remote_impl(spec, origin_cluster)
-        finally:
-            hist.observe(perf_counter() - started)
+        return self._timed_submit_remote(spec, origin_cluster)
 
     def _submit_remote_impl(self, spec: dict, origin_cluster: str) -> str:
         visited = list(dict(spec.get("metadata", {})).get("visited", []))
@@ -304,18 +296,8 @@ class ParentGrm:
 
     def submit(self, spec) -> str:
         """Place the job in the best child cluster, or raise NoCapacity."""
-        if isinstance(spec, dict):
-            spec_dict = spec
-        else:
-            spec_dict = spec.to_dict()
-        hist = self._submit_hist
-        if hist is None:
-            return self._submit_impl(spec_dict)
-        started = perf_counter()
-        try:
-            return self._submit_impl(spec_dict)
-        finally:
-            hist.observe(perf_counter() - started)
+        spec_dict = spec if isinstance(spec, dict) else spec.to_dict()
+        return self._timed_submit(spec_dict)
 
     def _submit_impl(self, spec_dict: dict) -> str:
         for record in self._candidates(spec_dict, origin=""):

@@ -109,6 +109,16 @@ class _Settled:
 class Lrm:
     """The servant implementing ``integrade/Lrm`` for one node."""
 
+    #: The integer counters published as metrics, per node and summed
+    #: across the grid.
+    COUNTERS = (
+        "completed_count", "evicted_count", "checkpoints_taken",
+        "checkpoints_skipped",
+        "refused_reservations", "accepted_reservations",
+        "updates_sent", "updates_full", "heartbeats_sent",
+        "sandbox_violations",
+    )
+
     def __init__(
         self,
         loop: EventLoop,
@@ -184,13 +194,7 @@ class Lrm:
     def to_metrics(self, registry, prefix: Optional[str] = None) -> None:
         """Publish this node's counters as registry views (pull-only)."""
         prefix = prefix if prefix is not None else f"lrm.{self.node}"
-        registry.bind(prefix, self, (
-            "completed_count", "evicted_count", "checkpoints_taken",
-            "checkpoints_skipped",
-            "refused_reservations", "accepted_reservations",
-            "updates_sent", "updates_full", "heartbeats_sent",
-            "sandbox_violations",
-        ))
+        registry.bind(prefix, self, self.COUNTERS)
         registry.view(f"{prefix}.running_tasks", lambda: len(self._running))
 
     def set_journal(self, journal) -> None:

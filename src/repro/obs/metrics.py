@@ -23,6 +23,7 @@ format: enabling metrics can never perturb a deterministic run.
 
 import math
 from bisect import bisect_right
+from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 #: Default histogram bounds for wall-clock latencies, in seconds
@@ -38,6 +39,27 @@ LATENCY_BOUNDS_S = (
 SIM_SECONDS_BOUNDS = (
     1.0, 5.0, 15.0, 60.0, 300.0, 900.0, 3600.0, 4 * 3600.0, 86400.0,
 )
+
+
+def timed(hist: Optional["Histogram"], fn: Callable) -> Callable:
+    """``fn``, with each call's wall time observed into ``hist``.
+
+    A component keeps the result and calls it on its hot path.  With
+    ``hist`` None (metrics not bound) the result is ``fn`` itself, so
+    the call goes straight through; otherwise every call is timed, also
+    one that raises.
+    """
+    if hist is None:
+        return fn
+
+    def call(*args):
+        started = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            hist.observe(perf_counter() - started)
+
+    return call
 
 
 class Counter:

@@ -12,7 +12,6 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Mapping, Optional
 
 from repro.apps.constraints import (
@@ -129,17 +128,17 @@ class TradingService:
         self.queries = 0
         self.indexed_queries = 0
         self.linear_queries = 0
-        self._query_hist = None   # wall-latency histogram once bound
+        self._timed_query = self._query   # timed once metrics are bound
 
     def bind_metrics(self, registry, prefix: str = "trader") -> None:
         """Publish counters as registry views; time queries from now on."""
         registry.bind(prefix, self,
                       ("queries", "indexed_queries", "linear_queries",
                        "offer_count"))
-        from repro.obs.metrics import LATENCY_BOUNDS_S
-        self._query_hist = registry.histogram(
+        from repro.obs.metrics import LATENCY_BOUNDS_S, timed
+        self._timed_query = timed(registry.histogram(
             f"{prefix}.query_latency_s", LATENCY_BOUNDS_S
-        )
+        ), self._query)
 
     # -- index maintenance ----------------------------------------------------
 
@@ -239,20 +238,10 @@ class TradingService:
         only.
         """
         self.queries += 1
-        hist = self._query_hist
-        if hist is None:
-            return self._query(
-                service_type, constraint, preference, max_offers,
-                copy_properties,
-            )
-        started = perf_counter()
-        try:
-            return self._query(
-                service_type, constraint, preference, max_offers,
-                copy_properties,
-            )
-        finally:
-            hist.observe(perf_counter() - started)
+        return self._timed_query(
+            service_type, constraint, preference, max_offers,
+            copy_properties,
+        )
 
     def _query(
         self,

@@ -30,7 +30,7 @@ BUDGET = [
     (Grid.__init__, 12),
     (Lrm.__init__, 7),
     (Lupa.__init__, 8),
-    (Grm.__init__, 11),
+    (Grm.__init__, 9),
     (ParentGrm.__init__, 4),
     (ParentGrm.attach_parent, 3),
     (ClusterUplink.__init__, 5),

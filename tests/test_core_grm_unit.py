@@ -11,7 +11,7 @@ import pytest
 from repro.apps.job import JobState, TaskState
 from repro.apps.spec import ApplicationSpec, ResourceRequirements
 from repro.checkpoint.store import MemoryCheckpointStore
-from repro.core.grm import Grm
+from repro.core.grm import DEFAULT_MAX_NEGOTIATIONS, Grm
 from repro.core.protocols import LRM_INTERFACE
 from repro.orb.core import Orb
 from repro.orb.exceptions import CommunicationError
@@ -186,7 +186,7 @@ class TestNegotiationFallback:
         grm.submit(ApplicationSpec(name="t", work_mips=1e6))
         loop.run_for(1.0)   # exactly one scheduling pass
         total = sum(len(s.reservation_requests) for s in lrms.values())
-        assert total == grm._max_negotiations
+        assert total == DEFAULT_MAX_NEGOTIATIONS
 
 
 class TestOfferFiltering:
@@ -371,7 +371,7 @@ class TestLiveness:
 
         loop, grm, add_lrm, lrms = env
         journal = EventJournal(clock=loop)
-        grm.set_journal(journal)
+        grm.journal = journal
         grm.heartbeat("ghost")
         drops = journal.select(type="update_dropped", node="ghost")
         assert [e.attrs["reason"] for e in drops] == ["unregistered"]

@@ -273,7 +273,7 @@ class TestSatelliteFixes:
         from repro.obs.journal import EventJournal
         _, _, parent, _ = make_parent()
         journal = EventJournal()
-        parent.set_journal(journal)
+        parent.journal = journal
         parent.send_summary({"cluster": "ghost", "time": 0.0, "nodes": 1,
                              "sharing_nodes": 1, "free_cpu_total": 1.0,
                              "free_mem_total_mb": 1.0,
