@@ -694,12 +694,11 @@ class Grid:
             # Roster catch-up: nodes that registered before the journal
             # existed still appear, so chains can name them.
             for name, record in sorted(grm._nodes.items()):
-                if record.alive:
-                    journal.record(
-                        "node_up", node=name, cluster=handle.name,
-                        mips=record.last_status.get("mips"),
-                        retroactive=True,
-                    )
+                journal.record(
+                    "node_up", node=name, cluster=handle.name,
+                    mips=record.last_status.get("mips"),
+                    retroactive=True,
+                )
 
     def _attach_node(self, node: NodeHandle) -> None:
         if self.metrics is not None:

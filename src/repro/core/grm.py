@@ -11,8 +11,7 @@ negotiation with the selected nodes" (Section 4).
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, fields
-from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.apps.job import Job, JobState, Task, TaskState
 from repro.apps.spec import ApplicationSpec, BSP
@@ -55,7 +54,6 @@ class NodeRecord:
     offer_id: str
     last_status: dict
     last_seen: float
-    alive: bool = True
     baseline: dict = None
     #: task_id -> (cpu_fraction, mem_mb), in launch order.
     debits: dict = field(default_factory=dict)
@@ -146,22 +144,14 @@ class Grm:
         #: so they journal with a causal link back to the death.
         self._evict_cause = None
 
+        #: The live roster, in registration order; a node leaves it when
+        #: it unregisters or is declared dead.
         self._nodes: dict[str, NodeRecord] = {}
-        #: Node-derived summary sums are cached per epoch; any change to
-        #: the roster or a stored status bumps the epoch and invalidates.
-        self._summary_epoch = 0
-        self._summary_cache: Optional[tuple] = None
-        #: Staleness sweep state: (expiry, seq, record) entries, one live
-        #: entry per record, re-armed lazily as sweeps find fresh nodes.
-        #: The seq breaks expiry ties (records are not comparable).
-        self._expiry_heap: list[tuple] = []
-        self._expiry_seq = itertools.count()
         self._jobs: dict[str, Job] = {}
         self._tasks: dict[str, tuple] = {}     # task_id -> (job, task)
         self._pending: deque = deque()
         self._coordinators: dict[str, object] = {}   # job_id -> BSP coordinator
         self._asct_stubs: dict[str, object] = {}     # job_id -> callback stub
-        self._job_listeners: list[Callable] = []
         self._parent = None
         self._job_ids = itertools.count()
         self._stale_after = update_interval_hint * DEFAULT_STALE_FACTOR
@@ -201,18 +191,10 @@ class Grm:
         """Attach a gang/BSP coordinator for a job's pacing callbacks."""
         self._coordinators[job_id] = coordinator
 
-    def register_asct_stub(self, job_id: str, asct_stub) -> None:
-        """Attach an already-built ASCT stub (local wiring and tests)."""
-        self._asct_stubs[job_id] = asct_stub
-
     # servant operation
     def register_asct(self, job_id: str, asct_ior: str) -> None:
         """Attach the submitting ASCT for progress notifications."""
         self._asct_stubs[job_id] = self._orb.stub(asct_ior, ASCT_INTERFACE)
-
-    def on_job_event(self, listener: Callable) -> None:
-        """Subscribe a local listener to (job_id, event, detail) triples."""
-        self._job_listeners.append(listener)
 
     def lrm_stub(self, node: str):
         """The LRM stub for a registered node (for coordinators)."""
@@ -231,15 +213,8 @@ class Grm:
             self.unregister_node(node)
         stub = self._orb.stub(lrm_ior, LRM_INTERFACE)
         offer_id = self.trader.export("node", lrm_ior, status)
-        record = NodeRecord(
+        self._nodes[node] = NodeRecord(
             node, lrm_ior, stub, offer_id, status, self._loop.now
-        )
-        self._nodes[node] = record
-        self._summary_epoch += 1
-        heappush(
-            self._expiry_heap,
-            (record.last_seen + self._stale_after,
-             next(self._expiry_seq), record),
         )
         journal = self.journal
         if journal is not None and journal.active:
@@ -253,7 +228,6 @@ class Grm:
         record = self._nodes.pop(node, None)
         if record is None:
             return
-        self._summary_epoch += 1
         try:
             self.trader.withdraw(record.offer_id)
         except UnknownOffer:
@@ -265,15 +239,14 @@ class Grm:
     def heartbeat(self, node: str) -> None:
         """The node is alive and its status is what it last sent.
 
-        Freshness only: the stored status, the Trader's offer and the
-        summary epoch are not touched, so ``NodeStatus.time`` stays the
-        instant the values were last sent in full.
+        Freshness only: the stored status and the Trader's offer are not
+        touched, so ``NodeStatus.time`` stays the instant the values were
+        last sent in full.
         """
         record = self._nodes.get(node)
         if record is None:
             return self._drop_update(node)
         record.last_seen = self._loop.now
-        record.alive = True
         self.stats.updates_received += 1
         self.stats.heartbeats_received += 1
 
@@ -297,42 +270,22 @@ class Grm:
         if record.debits:
             record.debits.clear()
         record.last_seen = self._loop.now
-        record.alive = True
-        self._summary_epoch += 1
         self.trader.modify(record.offer_id, status)
         self.stats.updates_received += 1
 
     def _check_liveness(self) -> None:
-        """Scheduled staleness sweep over the expiry heap.
-
-        Pops only entries whose armed expiry has passed; nodes that kept
-        updating are re-armed at their real expiry.  The liveness verdict
-        (``now - last_seen > stale_after``) and the order deaths are
-        declared in (registration order, via ``_nodes``) are bit-identical
-        to the previous full-scan implementation.
-        """
-        now = self._loop.now
-        heap = self._expiry_heap
-        stale_after = self._stale_after
-        nodes = self._nodes
-        dead: set = set()
-        while heap and heap[0][0] < now:
-            _expiry, _seq, record = heappop(heap)
-            node = record.node
-            if nodes.get(node) is not record or not record.alive:
-                continue   # withdrawn, replaced, or already declared dead
-            expiry = record.last_seen + stale_after
-            if expiry < now:
-                dead.add(node)
-            else:
-                heappush(heap, (expiry, next(self._expiry_seq), record))
-        if dead:
-            for record in [r for r in list(nodes.values()) if r.node in dead]:
-                self._declare_dead(record)
+        """Scheduled staleness sweep: a node is dead when
+        ``last_seen + stale_after < now``; deaths are declared in
+        registration order."""
+        now, stale_after = self._loop.now, self._stale_after
+        for record in [r for r in self._nodes.values()
+                       if r.last_seen + stale_after < now]:
+            self._declare_dead(record)
 
     def _declare_dead(self, record: NodeRecord) -> None:
-        record.alive = False
-        self._summary_epoch += 1
+        # Off the roster first: everything the evictions below touch sees
+        # a node that is gone.
+        del self._nodes[record.node]
         self.stats.nodes_declared_dead += 1
         try:
             self.trader.withdraw(record.offer_id)
@@ -375,7 +328,6 @@ class Grm:
                     self.task_evicted(record.node, task_id, resume, resume)
         finally:
             self._evict_cause = None
-        del self._nodes[record.node]
 
     # -- submission (servant operations) ----------------------------------------------
 
@@ -609,8 +561,7 @@ class Grm:
         return [
             o["properties"] for o in offers
             if reqs.satisfied_by(o["properties"])
-            and self._nodes.get(o["properties"]["node"]) is not None
-            and self._nodes[o["properties"]["node"]].alive
+            and o["properties"]["node"] in self._nodes
         ]
 
     def _view(self, job: Job) -> CandidateView:
@@ -685,8 +636,8 @@ class Grm:
         nodes = self._nodes
         for offer in ordered:
             record = nodes.get(offer["node"])
-            if record is None or not record.alive \
-                    or record.node in exclude or not record.fits(reqs):
+            if record is None or record.node in exclude \
+                    or not record.fits(reqs):
                 continue
             yield record
 
@@ -783,14 +734,13 @@ class Grm:
             view["mem_free_mb"] -= mem
         view["grid_tasks"] += len(record.debits)
         record.last_status = view
-        self._summary_epoch += 1
         self.trader.modify(record.offer_id, view)
 
     def _credit(self, node: str, task_id: str) -> None:
         """A task left ``node``: hand back its debit, if still outstanding
         (a status sent after its launch already accounts for it)."""
         record = self._nodes.get(node)
-        if record is not None and record.alive \
+        if record is not None \
                 and record.debits.pop(task_id, None) is not None:
             self._restate(record)
 
@@ -952,8 +902,6 @@ class Grm:
     # -- notifications ---------------------------------------------------------------------
 
     def _emit(self, job_id: str, event: str, detail: str) -> None:
-        for listener in self._job_listeners:
-            listener(job_id, event, detail)
         stub = self._asct_stubs.get(job_id)
         if stub is not None:
             try:
@@ -964,36 +912,23 @@ class Grm:
     # -- summaries (for the hierarchy) ---------------------------------------------------------
 
     def cluster_summary(self) -> dict:
-        cache = self._summary_cache
-        if cache is not None and cache[0] == self._summary_epoch:
-            node_sums = cache[1]
-        else:
-            statuses = [
-                r.last_status for r in self._nodes.values() if r.alive
-            ]
-            node_sums = {
-                "nodes": len(statuses),
-                "sharing_nodes": sum(1 for s in statuses if s["sharing"]),
-                "free_cpu_total": sum(s["cpu_free"] for s in statuses),
-                "free_mem_total_mb": sum(
-                    s["mem_free_mb"] for s in statuses
-                ),
-                "max_node_mips": max(
-                    (s["mips"] for s in statuses), default=0.0
-                ),
-            }
-            self._summary_cache = (self._summary_epoch, node_sums)
-        # Time and the pending-task count are always computed fresh: the
-        # queue changes on schedule passes, not node updates.  A job id
-        # can linger in _pending after the job is gone — skip it.
-        pending_tasks = sum(
-            1
-            for job_id in self._pending
-            if (job := self._jobs.get(job_id)) is not None
-            for t in job.tasks
-            if t.state is TaskState.PENDING
-        )
-        summary = {"cluster": self.cluster, "time": self._loop.now}
-        summary.update(node_sums)
-        summary["pending_tasks"] = pending_tasks
-        return summary
+        """Sums over the live roster, computed afresh on every call (once
+        per summary interval).  A job id can linger in ``_pending`` after
+        the job is gone — skip it."""
+        statuses = [r.last_status for r in self._nodes.values()]
+        return {
+            "cluster": self.cluster,
+            "time": self._loop.now,
+            "nodes": len(statuses),
+            "sharing_nodes": sum(1 for s in statuses if s["sharing"]),
+            "free_cpu_total": sum(s["cpu_free"] for s in statuses),
+            "free_mem_total_mb": sum(s["mem_free_mb"] for s in statuses),
+            "max_node_mips": max((s["mips"] for s in statuses), default=0.0),
+            "pending_tasks": sum(
+                1
+                for job_id in self._pending
+                if (job := self._jobs.get(job_id)) is not None
+                for t in job.tasks
+                if t.state is TaskState.PENDING
+            ),
+        }

@@ -22,7 +22,6 @@ order breaking ties.
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Optional
 
 from repro.core.grm import Grm
@@ -127,11 +126,7 @@ class ParentGrm:
         #: threshold.
         self._index: list = []
         self._cluster_seq = itertools.count()
-        #: Staleness sweep state, same shape as the GRM's node sweep:
-        #: (expiry, seq, record) entries re-armed lazily on fresh children.
         self._stale_after = stale_after
-        self._expiry_heap: list = []
-        self._expiry_seq = itertools.count()
         self._sweep_task = loop.every(stale_after, self._check_staleness)
         self._uplink_task = None
 
@@ -199,7 +194,6 @@ class ParentGrm:
         )
         self._children[cluster] = record
         self._reindex(record)
-        self._arm_expiry(record)
         journal = self.journal
         if journal is not None and journal.active:
             journal.record(
@@ -240,7 +234,6 @@ class ParentGrm:
         if not record.alive:
             # The child came back: placement may offer it again.
             record.alive = True
-            self._arm_expiry(record)
             if journal is not None and journal.active:
                 journal.record(
                     "cluster_up", cluster=record.cluster, parent=self.name,
@@ -404,14 +397,6 @@ class ParentGrm:
 
     # -- liveness and the placement index ------------------------------------------
 
-    def _arm_expiry(self, record: ClusterRecord) -> None:
-        """A (re)registered or revived child gets its one heap entry."""
-        heappush(
-            self._expiry_heap,
-            (record.last_seen + self._stale_after,
-             next(self._expiry_seq), record),
-        )
-
     def _reindex(self, record: ClusterRecord) -> None:
         """File a live child under its summary's spare CPU, if it is not
         there already."""
@@ -434,35 +419,26 @@ class ParentGrm:
     def _check_staleness(self) -> None:
         """Demote children whose summaries stopped arriving.
 
-        Same sweep shape as the GRM's node liveness heap: pop only
-        entries whose armed expiry passed, re-arm children that kept
-        reporting at their real expiry.  A demoted child stays
-        registered (its stub may still answer for delegated jobs) but
-        leaves the aggregate and the placement index, so placement never
-        ranks — or dials — a dead cluster.
+        The GRM's node rule, one level up: a live child is stale when
+        ``last_seen + stale_after < now``, and stale children are demoted
+        in registration order.  A demoted child stays registered (its
+        stub may still answer for delegated jobs) but leaves the
+        aggregate and the placement index, so placement never ranks — or
+        dials — a dead cluster.
         """
-        now = self._loop.now
-        heap = self._expiry_heap
-        stale_after = self._stale_after
-        children = self._children
-        while heap and heap[0][0] < now:
-            _expiry, _seq, record = heappop(heap)
-            if children.get(record.cluster) is not record or not record.alive:
-                continue   # unregistered, replaced, or already demoted
-            expiry = record.last_seen + stale_after
-            if expiry < now:
+        now, stale_after = self._loop.now, self._stale_after
+        journal = self.journal
+        for record in self._children.values():
+            if record.alive and record.last_seen + stale_after < now:
                 self._index_remove(record)
                 record.alive = False
                 self.clusters_declared_stale += 1
-                journal = self.journal
                 if journal is not None and journal.active:
                     journal.record(
                         "cluster_down", cluster=record.cluster,
                         parent=self.name, reason="summaries stale",
                         last_seen=record.last_seen,
                     )
-            else:
-                heappush(heap, (expiry, next(self._expiry_seq), record))
 
     # -- selection -----------------------------------------------------------------
 

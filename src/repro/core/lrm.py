@@ -438,23 +438,13 @@ class Lrm:
         return sorted(self._running)
 
     def task_rate_mips(self, task_id: str) -> float:
-        """Effective rate for one task: machine contention plus NCC cap."""
-        record = self._running.get(task_id)
-        if record is None:
+        """Effective rate for one task: the machine's, under the NCC cap."""
+        if task_id not in self._running or not self.ledger.holds(task_id) \
+                or not self.ncc.sharing_now():
             return 0.0
-        reservation = self.ledger.get(task_id)
-        if reservation is None:
-            return 0.0
-        owner_present = self._workstation.owner_present
-        if not self.ncc.sharing_now():
-            return 0.0
-        cap = self.ncc.cpu_cap(owner_present)
-        grid_total = self._machine.grid_cpu
-        if grid_total <= 0:
-            return 0.0
-        available = max(0.0, 1.0 - self._machine.owner_cpu)
-        scale = min(1.0, available / grid_total, cap / grid_total)
-        return self._machine.spec.mips * reservation.cpu_fraction * scale
+        return self._machine.grid_task_rate_mips(
+            task_id, self.ncc.cpu_cap(self._workstation.owner_present)
+        )
 
     def _settle(self) -> None:
         """Credit every task the work it did since the last settling, at

@@ -71,9 +71,7 @@ class ClusterMonitor:
     def sample(self) -> ClusterSnapshot:
         """Take one snapshot now (also called by the periodic task)."""
         statuses = [
-            record.last_status
-            for record in self._grm._nodes.values()
-            if record.alive
+            record.last_status for record in self._grm._nodes.values()
         ]
         summary = self._grm.cluster_summary()
         snapshot = ClusterSnapshot(
@@ -147,9 +145,7 @@ class ClusterMonitor:
         """Mean seconds since each live node's last accepted update."""
         now = self._loop.now
         ages = [
-            now - record.last_seen
-            for record in self._grm._nodes.values()
-            if record.alive
+            now - record.last_seen for record in self._grm._nodes.values()
         ]
         return sum(ages) / len(ages) if ages else 0.0
 

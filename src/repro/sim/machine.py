@@ -263,20 +263,24 @@ class Machine:
         owner_scale, _ = self._contention()
         return self._owner_cpu * owner_scale
 
-    def grid_task_rate_mips(self, task_id: str) -> float:
+    def grid_task_rate_mips(self, task_id: str, cap: float = 1.0) -> float:
         """Effective MIPS the named grid task receives right now.
 
         Under ``owner_first`` the owner takes absolute priority and the
         grid shares the remainder; under ``fair_share`` an oversubscribed
-        CPU shrinks everyone proportionally.
+        CPU shrinks everyone proportionally.  The grid as a whole never
+        runs above the policy ``cap`` (the NCC's share limit, as in
+        :meth:`cpu_available_for_grid`).
         """
         alloc = self._allocations.get(task_id)
         if alloc is None:
             raise KeyError(f"no allocation for task {task_id!r} on {self.name}")
-        if self.grid_cpu <= 0:
+        grid_total = self.grid_cpu
+        if grid_total <= 0:
             return 0.0
         _, grid_scale = self._contention()
-        return self.spec.mips * alloc.cpu_fraction * grid_scale
+        return self.spec.mips * alloc.cpu_fraction \
+            * min(grid_scale, cap / grid_total)
 
     # -- measurement ---------------------------------------------------------
 

@@ -838,3 +838,35 @@ class TestCrash:
         owner_flips(ws, True)
         assert grm.evicted == []
         assert loop.pending == 0
+
+
+class TestRateFollowsTheMachine:
+    """The LRM advances a task at the rate the machine model gives it,
+    whatever the machine's scheduling regime."""
+
+    @pytest.mark.parametrize("scheduling, owner_cpu, task_mips", [
+        ("owner_first", 0.6, 400.0),
+        # Owner and grid shrink alike, to 0.6 / 1.6 and 1.0 / 1.6 of the
+        # CPU: all of it is used.
+        ("fair_share", 0.375, 625.0),
+    ])
+    def test_owner_at_sixty_percent_beside_one_full_cpu_task(
+            self, scheduling, owner_cpu, task_mips):
+        loop = EventLoop()
+        ws = Workstation(
+            loop, "n0", spec=MachineSpec(mips=1000.0, ram_mb=256),
+            profile=ALWAYS_IDLE, rng=random.Random(1), scheduling=scheduling,
+        )
+        ws.stop()
+        ncc = NodeControlCenter(
+            loop, SharingPolicy(cpu_cap_idle=1.0, cpu_cap_active=1.0)
+        )
+        lrm = Lrm(loop, ws, ncc)
+        machine = ws.machine
+        reserve(lrm, cpu=1.0)
+        launch(lrm, work=1e6)
+        machine.set_owner_load(0.6, 10.0, True)
+        assert machine.owner_received_cpu() == pytest.approx(owner_cpu)
+        assert lrm.task_rate_mips("t1") == pytest.approx(task_mips)
+        loop.run_until(100.0)
+        assert lrm.get_progress("t1") == pytest.approx(100.0 * task_mips)

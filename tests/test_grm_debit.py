@@ -126,7 +126,7 @@ class World:
         running = self.running()
         for node in self.nodes:
             record = self.grm._nodes.get(node.name)
-            if record is not None and record.alive:
+            if record is not None:
                 offer = self.grm.trader.offer(record.offer_id).properties
                 assert offer == record.last_status
                 cpu = self.sent[node.name]["cpu_free"]

@@ -474,7 +474,7 @@ class TestMetricsWiring:
         assert "parent.parent.placement.admitted" in snapshot
 
 
-class TestGrmSummaryCache:
+class TestGrmClusterSummary:
     def test_stale_pending_job_id_does_not_crash(self):
         grid = Grid(seed=1, policy="first_fit", lupa_enabled=False)
         grid.add_cluster("alpha")
@@ -484,7 +484,7 @@ class TestGrmSummaryCache:
         summary = grm.cluster_summary()   # seed raised KeyError here
         assert summary["pending_tasks"] == 0
 
-    def test_cached_sums_track_updates(self):
+    def test_sums_track_updates(self):
         grid = Grid(seed=1, policy="first_fit", lupa_enabled=False,
                     update_interval=60.0)
         grid.add_cluster("alpha")
@@ -498,6 +498,6 @@ class TestGrmSummaryCache:
         grid.run_for(SECONDS_PER_HOUR)
         fresh = grm.cluster_summary()
         assert fresh["nodes"] == 3
-        # Cache invalidation on roster change.
+        # A roster change shows in the next summary.
         grm.unregister_node("a0")
         assert grm.cluster_summary()["nodes"] == 2

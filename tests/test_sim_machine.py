@@ -169,6 +169,18 @@ class TestSchedulingModes:
         assert m.owner_received_cpu() == pytest.approx(0.4)
         assert m.grid_task_rate_mips("t1") == pytest.approx(300.0)
 
+    @pytest.mark.parametrize("scheduling, uncapped, capped", [
+        ("owner_first", 400.0, 400.0),    # the owner left only 0.4
+        ("fair_share", 625.0, 500.0),     # 1 / 1.6, then the 0.5 cap
+    ])
+    def test_cap_bounds_the_grid_in_either_mode(self, scheduling,
+                                                uncapped, capped):
+        m = Machine("n0", MachineSpec(mips=1000.0), scheduling=scheduling)
+        m.allocate("t1", 1.0, 1.0)
+        m.set_owner_load(0.6, 0.0, True)
+        assert m.grid_task_rate_mips("t1") == pytest.approx(uncapped)
+        assert m.grid_task_rate_mips("t1", cap=0.5) == pytest.approx(capped)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             Machine("n0", scheduling="strict_priority")
