@@ -3,10 +3,11 @@
 A request marshals only when it has to: over TCP, or inside an auth
 envelope.  Two ORBs in the same :class:`InProcDomain` with no envelope
 between them are *collocated* and their calls are dispatched directly
-(arguments and results cross by reference).  A plain collocated call —
-no tracer, interceptor or envelope on either side — goes further: the
-:class:`Stub` binds it to the servant's method once per domain epoch
-and each call is one epoch compare, four counter bumps and the method.
+(arguments and results cross by reference) over the binding a
+:class:`Stub` makes once per domain epoch: the servant's method with the
+instruments of both ORBs (tracer, interceptors, a :class:`WireMeter`)
+composed around :func:`_dispatch_direct`.  A plain call is one epoch
+compare, four counter bumps and the method.
 
 Request wire format (after the transport's framing)::
 
@@ -21,7 +22,7 @@ Reply wire format::
 """
 
 import itertools
-import traceback
+from functools import partial
 from typing import Optional, Union
 
 from repro.security.auth import AuthenticationError, is_authenticated
@@ -112,29 +113,24 @@ class WireMeter:
         by_op[operation.name] = by_op.get(operation.name, 0) + size
 
 
-#: A binding is ``(generation, peer, method, client stats, server
-#: stats)``: valid while the domain epoch equals ``generation``, and
-#: unbindable (take :meth:`Orb.invoke`) when ``peer`` is None.
-_UNBOUND = (-1, None, None, None, None)
+#: A binding is ``(generation, dispatch, peer, method, client stats,
+#: server stats)``, valid while the domain epoch equals ``generation``;
+#: a call runs ``dispatch(binding, oneway, args)`` (see :meth:`Orb._bind`).
+#: An unbindable one is ``(generation, None)``: take :meth:`Orb.invoke`.
+_UNBOUND = (-1, None)
 
 
-def _dispatch_direct(binding: tuple, oneway: bool, args: tuple,
-                     key: Optional[str] = None,
-                     operation: Optional[Operation] = None,
-                     trace_ctx: Optional[tuple] = None):
+def _dispatch_direct(binding: tuple, oneway: bool, args: tuple):
     """Run one collocated request: the only place that counts it and
-    maps what the servant side raised, for bound and unbound calls alike.
+    maps what the servant side raised.
 
     Counts the request (and, two-way, its reply) on both sides up front
     — a synchronous dispatch always produces its reply — resets the
-    peer's principal, and calls the binding's method; an unbound call
-    has none (``method`` is None) and is served by the peer's
-    :meth:`Orb.handle_request_direct` with ``key``, ``operation`` and
-    ``trace_ctx``.  As on the wire, an exception becomes
-    :class:`RemoteInvocationError` carrying its type name and message,
-    and a oneway call drops result and exception.
+    peer's principal, and calls the binding's method.  As on the wire,
+    an exception becomes :class:`RemoteInvocationError` carrying its
+    type name and message, and a oneway call drops result and exception.
     """
-    _generation, peer, method, sent, received = binding
+    _generation, _dispatch, peer, method, sent, received = binding
     sent.requests_sent += 1
     if not oneway:
         sent.replies_received += 1
@@ -142,18 +138,20 @@ def _dispatch_direct(binding: tuple, oneway: bool, args: tuple,
     received.requests_received += 1
     peer.current_principal = None
     try:
-        if method is None:
-            # Arguments spelled out: on CPython 3.11 a star-call costs
-            # about 0.1 µs more, a tenth of an unbound call.
-            result = peer.handle_request_direct(key, operation, args,
-                                                trace_ctx)
-        else:
-            result = method(*args)
+        result = method(*args)
     except Exception as exc:
         if oneway:
             return None
         raise RemoteInvocationError(type(exc).__name__, str(exc)) from exc
     return None if oneway else result
+
+
+def _raiser(exc: Exception):
+    """A servant method for a servant or operation the peer lacks."""
+    def missing(*args):
+        raise exc
+
+    return missing
 
 
 class UndeclaredOperation(BadOperation, AttributeError):
@@ -207,7 +205,7 @@ class Stub:
             if bound[0] != domain.epoch:
                 bound = binding = orb._bind(ref, operation)
             if bound[1] is not None and len(args) == arity:
-                return _dispatch_direct(bound, oneway, args)
+                return bound[1](bound, oneway, args)
             return orb.invoke(ref, operation, args, header)
 
         call.__name__ = name
@@ -248,20 +246,17 @@ class Orb:
         # (key, operation) -> (bound method, Operation); rebuilt lazily,
         # dropped whenever the servant table changes.
         self._dispatch_cache: dict[tuple, tuple] = {}
-        # endpoints tuple -> _route's (peer, transport, address, unbound),
-        # valid for one domain epoch, like every Stub binding: any change
-        # that could alter a route or a binding (an ORB joining or
-        # leaving, a servant, interceptor, tracer or auth setting on any
-        # member) moves the epoch, so a shut-down peer fails in routing.
+        # endpoints tuple -> _route's (peer, transport, address), valid
+        # for one domain epoch like every Stub binding: any change that
+        # could alter either (an ORB joining or leaving, a servant,
+        # instrument or auth setting on any member) moves the epoch.
         self._routes: dict[tuple, tuple] = {}
         self._interfaces: dict[str, InterfaceDef] = {}
         self._key_counter = itertools.count()
         self.requests_handled = 0
         self._client_interceptors: list = []
         self._server_interceptors: list = []
-        #: Optional span tracer (see :mod:`repro.obs.trace`).  None by
-        #: default: the invoke/dispatch hot paths then pay one attribute
-        #: check and allocate nothing.
+        #: Optional span tracer (see :mod:`repro.obs.trace`).
         self._tracer = None
         self._credentials = credentials
         self.keyring = keyring
@@ -292,6 +287,8 @@ class Orb:
 
     @require_auth.setter
     def require_auth(self, required: bool) -> None:
+        if required and self.keyring is None:
+            raise ValueError("require_auth needs a keyring to verify against")
         self._require_auth = required
         self.domain.invalidate()
 
@@ -371,7 +368,7 @@ class Orb:
 
         With an active tracer, every invocation opens a client span and
         hands its trace context to the server — in the request-header
-        extension when the request marshals, as a plain argument when it
+        extension when the request marshals, through the binding when it
         is dispatched directly — and every dispatched request carrying
         a context opens a server span parented to the caller's span.
         """
@@ -395,12 +392,8 @@ class Orb:
         Every other request is CDR-encoded and sent over the in-process
         or TCP transport.  Tracing never changes which path runs.
 
-        A :class:`Stub` reaches this method only for calls it could not
-        bind (see :meth:`_bind`): marshalled ones, and collocated ones
-        that a tracer or an interceptor must see.  Those run client
-        interceptors and the client span here, then the same direct
-        dispatch a bound call makes, with :meth:`handle_request_direct`
-        adding the server interceptors and the server span.
+        A :class:`Stub` reaches this method only for the calls it could
+        not bind (:meth:`_bind`): marshalled ones, and missing servants.
 
         ``_header`` is the precomputed request-header encoding a
         :class:`Stub` caches per operation; without it the header is
@@ -411,71 +404,47 @@ class Orb:
                 f"{operation.name}() takes {len(operation.params)} "
                 f"arguments ({len(args)} given)"
             )
+        return self._client_side(ref, operation, args, _header, self._send)
+
+    def _client_side(self, ref: ObjectRef, operation: Operation, args: tuple,
+                     header: Optional[bytes], send):
+        """The caller's side of every request, on either path: the client
+        span, whose context ``send`` carries to the server (re-encoding
+        the header behind it), and the client interceptors around
+        ``send(ref, operation, args, header, trace_ctx)``."""
         tracer = self._tracer
         if tracer is not None and tracer._active:
             with tracer.span(f"{ref.interface}.{operation.name}",
                              component=self.name, kind="client") as span:
-                return self._send(ref, operation, args, None,
-                                  (span.trace_id, span.span_id))
-        return self._send(ref, operation, args, _header, None)
+                for interceptor in self._client_interceptors:
+                    interceptor(ref, operation, args)
+                return send(ref, operation, args, None,
+                            (span.trace_id, span.span_id))
+        for interceptor in self._client_interceptors:
+            interceptor(ref, operation, args)
+        return send(ref, operation, args, header, None)
 
     def _send(self, ref: ObjectRef, operation: Operation, args: tuple,
               header: Optional[bytes], trace_ctx: Optional[tuple]):
-        """Route one request: direct dispatch if collocated, else marshal."""
-        for interceptor in self._client_interceptors:
-            interceptor(ref, operation, args)
+        """Route one request the caller could not bind: direct dispatch
+        if collocated, else marshal, transmit and unmarshal the reply."""
         route = self._routes.get(ref.endpoints)
         if route is None or self._routes_epoch != self.domain.epoch:
             route = self._cached_route(ref)
-        peer, transport, address, unbound = route
+        peer, transport, address = route
         if (peer is not None and self._credentials is None
                 and not peer._require_auth):
-            return _dispatch_direct(unbound, operation.oneway, args, ref.key,
-                                    operation, trace_ctx)
+            try:
+                method, served = peer._servant_method(ref.key, operation.name)
+            except OrbError as exc:
+                method = _raiser(exc)
+            else:
+                method = partial(peer._serve(ref.key, served, method),
+                                 trace_ctx)
+            return _dispatch_direct(
+                (None, _dispatch_direct, peer, method, self._inproc.stats,
+                 peer._inproc.stats), operation.oneway, args)
         payload = _encode_request(ref.key, operation, args, header, trace_ctx)
-        return self._transmit(operation, transport, address, payload)
-
-    def _bind(self, ref: ObjectRef, operation: Operation) -> tuple:
-        """A :class:`Stub`'s binding for one operation at the current
-        domain epoch (see :data:`_UNBOUND` for its shape).
-
-        A call binds when nothing between the stub and the servant
-        method has work to do: the route is collocated, this ORB has no
-        tracer, no client interceptor and no credentials, the peer has
-        no ``require_auth`` and no server interceptor, and the servant
-        serves the operation.  Anything else yields an unbindable
-        binding, and the stub takes :meth:`invoke` until the epoch moves.
-        """
-        generation = self.domain.epoch
-        unbindable = (generation, None, None, None, None)
-        if (self._tracer is not None or self._client_interceptors
-                or self._credentials is not None):
-            return unbindable
-        try:
-            peer = self._cached_route(ref)[0]
-            if (peer is None or peer._require_auth
-                    or peer._server_interceptors):
-                return unbindable
-            method = peer._servant_method(ref.key, operation.name)[0]
-        except OrbError:
-            return unbindable    # invoke raises it, as an unbound call
-        return (generation, peer, method, self._inproc.stats,
-                peer._inproc.stats)
-
-    def _cached_route(self, ref: ObjectRef) -> tuple:
-        """:meth:`_route`, cached for the current domain epoch."""
-        epoch = self.domain.epoch
-        if self._routes_epoch != epoch:
-            self._routes.clear()
-            self._routes_epoch = epoch
-        route = self._routes.get(ref.endpoints)
-        if route is None:
-            route = self._routes[ref.endpoints] = self._route(ref)
-        return route
-
-    def _transmit(self, operation: Operation, transport, address: str,
-                  payload: bytes):
-        """Wrap and send one encoded request; unmarshal the reply."""
         if self._credentials is not None:
             payload = self._credentials.wrap(payload)
         reply = transport.invoke(address, payload, operation.oneway)
@@ -489,23 +458,72 @@ class Orb:
         message = dec.read_string()
         raise RemoteInvocationError(exc_type, message)
 
+    def _bind(self, ref: ObjectRef, operation: Operation) -> tuple:
+        """A :class:`Stub`'s binding for one operation at the current
+        domain epoch (see :data:`_UNBOUND`).
+
+        A call binds when the route is collocated, no envelope is needed
+        and the servant serves the operation; else the stub takes
+        :meth:`invoke` until the epoch moves.  The peer's server span and
+        interceptors wrap the method (:meth:`_serve`); this ORB's client
+        span and interceptors wrap :func:`_dispatch_direct`, outside its
+        counting and exception mapping.  Whether a tracer records is read
+        per call: ``enable()`` / ``disable()`` do not move the epoch.
+        """
+        generation = self.domain.epoch
+        unbindable = (generation, None)
+        try:
+            peer = self._cached_route(ref)[0]
+            if (peer is None or peer._require_auth
+                    or self._credentials is not None):
+                return unbindable
+            method, served = peer._servant_method(ref.key, operation.name)
+        except OrbError:
+            return unbindable    # invoke raises it, as an unbound call
+        serve = peer._serve(ref.key, served, method)
+        stats = (self._inproc.stats, peer._inproc.stats)
+        untraced = partial(serve, None) if peer._server_interceptors \
+            else method
+        bound = (generation, _dispatch_direct, peer, untraced) + stats
+        if self._tracer is None and not self._client_interceptors:
+            return bound
+        traced = (generation, _dispatch_direct, peer, serve) + stats
+        server_traces = peer._tracer is not None
+
+        def send(ref, operation, args, header, trace_ctx):
+            if trace_ctx is None or not server_traces:
+                return _dispatch_direct(bound, operation.oneway, args)
+            return _dispatch_direct(traced, operation.oneway,
+                                    (trace_ctx, *args))
+
+        def dispatch(_binding, _oneway, args):
+            return self._client_side(ref, operation, args, None, send)
+
+        return (generation, dispatch) + bound[2:]
+
+    def _cached_route(self, ref: ObjectRef) -> tuple:
+        """:meth:`_route`, cached for the current domain epoch."""
+        epoch = self.domain.epoch
+        if self._routes_epoch != epoch:
+            self._routes.clear()
+            self._routes_epoch = epoch
+        route = self._routes.get(ref.endpoints)
+        if route is None:
+            route = self._routes[ref.endpoints] = self._route(ref)
+        return route
+
     def _route(self, ref: ObjectRef) -> tuple:
-        """``(collocated peer or None, transport, address, unbound)`` for
-        a reference: the in-process peer when the servant's ORB shares
-        this domain, else a TCP endpoint both sides have.  ``unbound`` is
-        the binding a collocated call that could not be bound dispatches
-        through — no method, so :func:`_dispatch_direct` serves it by
-        :meth:`handle_request_direct` — and None for TCP."""
+        """``(collocated peer or None, transport, address)`` for a
+        reference: the in-process peer when the servant's ORB shares
+        this domain, else a TCP endpoint both sides have."""
         inproc = ref.endpoint_of_kind(INPROC)
         if inproc is not None:
             peer = self.domain.lookup(inproc[1])
             if peer is not None:
-                unbound = (None, peer, None, self._inproc.stats,
-                           peer._inproc.stats)
-                return peer, self._inproc, inproc[1], unbound
+                return peer, self._inproc, inproc[1]
         tcp = ref.endpoint_of_kind(TCP)
         if tcp is not None and self._tcp is not None:
-            return None, self._tcp, tcp[1], None
+            return None, self._tcp, tcp[1]
         if tcp is not None:
             raise CommunicationError(
                 f"{self.name} has no TCP transport to reach {tcp[1]}"
@@ -527,14 +545,9 @@ class Orb:
         enc = CdrEncoder()
         try:
             self.current_principal = None
-            if self.keyring is not None:
-                if is_authenticated(payload):
-                    principal, payload = self.keyring.unwrap(payload)
-                    self.current_principal = principal
-                elif self._require_auth:
-                    raise AuthenticationError(
-                        "this ORB only accepts authenticated requests"
-                    )
+            if self.keyring is not None and is_authenticated(payload):
+                principal, payload = self.keyring.unwrap(payload)
+                self.current_principal = principal
             elif self._require_auth:
                 raise AuthenticationError(
                     "this ORB only accepts authenticated requests"
@@ -553,8 +566,10 @@ class Orb:
             op_name = dec.read_string()
             method, operation = self._servant_method(key, op_name)
             args = [p.idl_type.decode(dec) for p in operation.params]
-            result = self._call_servant(key, operation, method, args,
-                                        remote_parent)
+            if self._server_interceptors or remote_parent is not None:
+                method = partial(self._serve(key, operation, method),
+                                 remote_parent)
+            result = method(*args)
             enc.write_octet(_STATUS_OK)
             operation.returns.encode(enc, result)
         except Exception as exc:   # marshalled back to the caller
@@ -577,43 +592,28 @@ class Orb:
             self._dispatch_cache[(key, op_name)] = cached
         return cached
 
-    def _call_servant(self, key: str, operation: Operation, method, args,
-                      trace_parent: Optional[tuple]):
-        """Run the server interceptors and the servant method, inside a
-        server span when the caller sent a trace context and this ORB
-        traces (a traced client can talk to any server)."""
-        tracer = self._tracer
-        if (trace_parent is not None and tracer is not None
-                and tracer._active):
-            with tracer.span(f"{key}.{operation.name}", parent=trace_parent,
-                             component=self.name, kind="server"):
-                for interceptor in self._server_interceptors:
-                    interceptor(key, operation, args)
-                return method(*args)
-        for interceptor in self._server_interceptors:
-            interceptor(key, operation, args)
-        return method(*args)
+    def _serve(self, key: str, operation: Operation, method):
+        """``serve(trace_parent, *args)``: ``method(*args)`` inside this
+        ORB's server interceptors, which see the argument list a decode
+        yields, and — for a request carrying ``trace_parent`` while this
+        ORB traces — a server span parented to the caller's span."""
+        interceptors, tracer = self._server_interceptors, self._tracer
 
-    def handle_request_direct(self, key: str, operation: Operation,
-                              args: tuple, trace_parent: Optional[tuple] = None):
-        """Serve one collocated request that could not be bound: what a
-        :class:`Stub` binding cannot carry, without touching CDR.
-
-        The servant is looked up per call, server interceptors see the
-        argument list (as decoded), and a ``trace_parent`` opens the
-        same server span the header extension would.  The caller runs
-        this inside :func:`_dispatch_direct`, which counts the request
-        and maps what it raises exactly as :meth:`handle_request_bytes`
-        + :meth:`_transmit` would (:class:`ObjectNotFound` included).
-        What is *not* replayed is the marshalling itself, so arguments
-        and results cross by reference: neither side may mutate an
-        object after it has crossed (the wire's fresh decode used to
-        give each side a private copy for free).
-        """
-        method, bound_op = self._servant_method(key, operation.name)
-        if self._server_interceptors:
+        def serve(trace_parent, *args):
             args = list(args)
-        return self._call_servant(key, bound_op, method, args, trace_parent)
+            if (trace_parent is not None and tracer is not None
+                    and tracer._active):
+                with tracer.span(f"{key}.{operation.name}",
+                                 parent=trace_parent, component=self.name,
+                                 kind="server"):
+                    for interceptor in interceptors:
+                        interceptor(key, operation, args)
+                    return method(*args)
+            for interceptor in interceptors:
+                interceptor(key, operation, args)
+            return method(*args)
+
+        return serve
 
     # -- lifecycle / metrics ------------------------------------------------------
 

@@ -4,11 +4,9 @@ Two transports share one wire format (length-framed CDR payloads):
 
 * **in-process** — delivers requests synchronously between ORBs in the
   same Python process via a registry ("domain").  Collocated calls that
-  need no auth envelope never reach :meth:`InProcTransport.invoke`: the
-  ORB dispatches them directly (see :meth:`repro.orb.core.Orb.invoke`;
-  plain ones straight from a bound :class:`~repro.orb.core.Stub`),
-  counting messages but no bytes, because nothing is marshalled.  Only
-  enveloped requests still cross here as CDR payloads.
+  need no auth envelope never reach :meth:`InProcTransport.invoke`: a
+  bound :class:`~repro.orb.core.Stub` dispatches them directly, counting
+  messages but no bytes.  Only enveloped requests cross here as CDR.
 * **TCP** — real sockets with a 4-byte big-endian length prefix, used by
   integration tests and the TCP microbenchmarks.
 

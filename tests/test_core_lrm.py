@@ -61,8 +61,11 @@ class FakeGrm:
 
 
 def make_lrm(policy=DEFAULT_POLICY, profile=ALWAYS_IDLE, seed=1,
-             mips=1000.0, attach=True, grm_type=FakeGrm, **kwargs):
+             mips=1000.0, attach=True, grm_type=FakeGrm, start=0.0,
+             **kwargs):
+    """An LRM on one workstation, built at simulated time ``start``."""
     loop = EventLoop()
+    loop.now = start
     ws = Workstation(
         loop, "n0", spec=MachineSpec(mips=mips, ram_mb=256),
         profile=profile, rng=random.Random(seed),
@@ -594,10 +597,13 @@ class TestExactExecution:
 
     def test_a_wakeup_an_ulp_short_still_completes(self):
         # now + remaining / rate == now: the planned instant is *now*, no
-        # simulated time can pass, and the task must still finish.
-        loop, ws, lrm, grm = make_lrm()
+        # simulated time can pass, and the task must still finish.  The
+        # stack is built at t = 1e9, where the ulp (~1.2e-7 s) exceeds
+        # the 1e-8 s the last 1e-5 MI take at 1000 MIPS.
+        loop, ws, lrm, grm = make_lrm(start=1e9)
         ws.stop()
         loop.run_until(1e9)
+        assert loop.now + 1e-5 / 1000.0 == loop.now == 1e9
         reserve(lrm, cpu=1.0, lease=1e9)
         launch(lrm, work=1e6, initial=1e6 - 1e-5)
         fired = loop.events_fired

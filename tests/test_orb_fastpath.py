@@ -24,7 +24,6 @@ from repro.orb.core import Orb, _encode_request
 from repro.orb.exceptions import (
     BadOperation,
     CommunicationError,
-    ObjectNotFound,
     RemoteInvocationError,
 )
 from repro.orb.idl import InterfaceDef, Operation, Parameter
@@ -189,7 +188,8 @@ class TestExceptionParity:
 
 
 class TestInterceptors:
-    def test_client_and_server_interceptors_fire_in_order(self):
+    def test_client_and_server_interceptors_fire_in_order(self,
+                                                          unbound_calls):
         server, client, stub, _ = make_pair()
         order = []
         client.add_client_interceptor(
@@ -202,6 +202,7 @@ class TestInterceptors:
         assert order == [("client", "echo", (4.0,)),
                          ("server", "echo", (4.0,))]
         assert marshalled_bytes(server) == 0
+        assert unbound_calls == []
 
     def test_client_interceptor_veto_prevents_dispatch(self):
         server, client, stub, _ = make_pair()
@@ -214,7 +215,8 @@ class TestInterceptors:
             stub.echo(1.0)
         assert server.requests_handled == 0
 
-    def test_wire_meter_prices_direct_calls_like_the_wire(self):
+    def test_wire_meter_prices_direct_calls_like_the_wire(self,
+                                                           unbound_calls):
         from repro.orb import WireMeter
 
         def metered_calls(client, server):
@@ -230,6 +232,7 @@ class TestInterceptors:
         domain = InProcDomain()
         direct_client = Orb("client", domain=domain)
         direct = metered_calls(direct_client, Orb("server", domain=domain))
+        assert unbound_calls == []
         # The reference: request bytes a real socket carried for the
         # same two calls.
         tcp_client = Orb("tcp-client", domain=InProcDomain(), tcp=True)
@@ -279,8 +282,9 @@ class TestTraceContext:
         assert client.stats()["requests_sent"] == 1
         assert server.requests_handled == 1
 
-    def test_span_tree_matches_the_marshalled_path(self):
+    def test_span_tree_matches_the_marshalled_path(self, unbound_calls):
         _, _, direct = self.traced_call(enveloped=False)
+        assert unbound_calls == []
         _, _, wire = self.traced_call(enveloped=True)
         tree = span_tree(direct)
         assert tree == span_tree(wire)
@@ -311,7 +315,8 @@ class TestTraceContext:
 
 def submission_trace(trace: bool):
     """One ASCT submission on a 4-node grid; returns ``(grid, spans)``
-    where ``spans`` are the submission's trace (empty when untraced)."""
+    where ``spans`` are the submission's trace (empty when untraced).
+    A traced grid also prices every request with the wire meter."""
     grid = Grid(seed=7, lupa_enabled=False)
     grid.add_cluster("c0")
     for i in range(4):
@@ -320,6 +325,7 @@ def submission_trace(trace: bool):
     spans = []
     if trace:
         tracer = grid.enable_tracing()
+        grid.enable_wire_meter()
         with tracer.span("asct.submit", component="asct") as root:
             job_id = asct.submit(ApplicationSpec(name="e2e", tasks=2))
     else:
@@ -331,9 +337,12 @@ def submission_trace(trace: bool):
 
 
 class TestTracingDoesNotSwitchThePath:
-    def test_traced_and_untraced_grids_execute_the_same_requests(self):
+    def test_traced_and_untraced_grids_execute_the_same_requests(
+            self, unbound_calls):
         untraced, _ = submission_trace(trace=False)
         traced, spans = submission_trace(trace=True)
+        assert unbound_calls == []      # every call was bound, both runs
+        assert traced.wire_meter.requests > 0
         assert traced.protocol_stats() == untraced.protocol_stats()
         assert traced.protocol_stats()["bytes_sent"] == 0
         assert traced.loop.events_fired == untraced.loop.events_fired
@@ -612,8 +621,8 @@ class TestShutdown:
             _encode_request(key, echo, (1.0,))))
         assert reply.read_octet() == 1                  # exception status
         assert reply.read_string() == "ObjectNotFound"
-        with pytest.raises(ObjectNotFound):
-            server.handle_request_direct(key, echo, (1.0,))
+        with pytest.raises(CommunicationError):
+            stub.fire(2.0)          # bound before the shutdown
         assert servant.fired == [1.0]
 
 

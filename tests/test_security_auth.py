@@ -155,6 +155,15 @@ class TestAuthenticatedOrb:
         with pytest.raises(ValueError):
             Orb("bad", domain=InProcDomain(), require_auth=True)
 
+    def test_require_auth_setter_needs_keyring(self):
+        orb = Orb("open", domain=InProcDomain())
+        epoch = orb.domain.epoch
+        with pytest.raises(ValueError, match="needs a keyring"):
+            orb.require_auth = True
+        assert orb.require_auth is False
+        assert orb.domain.epoch == epoch
+        orb.require_auth = False            # turning it off needs nothing
+
     def test_authenticated_grid_rejects_rogue_orb(self):
         from repro import ApplicationSpec, Grid
         from repro.core.protocols import GRM_INTERFACE
