@@ -24,6 +24,9 @@ Grammar::
     term   := factor (("*"|"/") factor)*
     factor := NUMBER | STRING | IDENT | "true" | "false"
             | "(" expr ")" | "-" factor
+
+A NUMBER may carry an exponent (``1e-05``), so the ``repr`` of any
+finite non-negative float reads back as exactly that float.
 """
 
 import re
@@ -55,7 +58,7 @@ UNDEFINED = _Undefined()
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<number>\d+\.\d*|\.\d+|\d+)
+    (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
   | (?P<string>"[^"]*"|'[^']*')
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
   | (?P<op><=|>=|==|!=|&&|\|\||[-+*/()<>!])

@@ -6,7 +6,9 @@ requirements (minima), the preferences (ranking), and — for parallel
 applications — the virtual network topology the processes need.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Optional
 
 from repro.apps.constraints import Constraint, Preference
@@ -17,6 +19,14 @@ PARAMETRIC = "parametric"
 
 APPLICATION_KINDS = (SEQUENTIAL, BSP, PARAMETRIC)
 
+#: Each admission minimum and the node property it bounds from below.
+_MINIMA = (
+    ("min_mips", "mips"),
+    ("min_ram_mb", "ram_mb"),
+    ("min_disk_mb", "disk_mb"),
+    ("min_net_mbps", "net_mbps"),
+)
+
 
 @dataclass(frozen=True)
 class ResourceRequirements:
@@ -25,7 +35,9 @@ class ResourceRequirements:
     ``cpu_fraction`` is the CPU share a task wants on its host node and
     ``mem_mb``/``disk_mb`` its working set; the ``min_*`` fields are node
     admission minima.  ``extra`` is a free-form constraint over node
-    properties for anything the fixed fields do not cover.
+    properties for anything the fixed fields do not cover.  Admission is
+    one rule, :attr:`constraint`: the GRM hands it to the Trader and
+    :meth:`satisfied_by` evaluates it.
     """
 
     min_mips: float = 0.0
@@ -44,30 +56,48 @@ class ResourceRequirements:
             raise ValueError(
                 f"cpu_fraction must be in (0, 1], got {self.cpu_fraction}"
             )
-        if self.mem_mb < 0 or self.disk_mb < 0:
-            raise ValueError("memory and disk requirements must be >= 0")
+        for name in (*(n for n, _ in _MINIMA), "mem_mb", "disk_mb"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value!r}")
+        for name in ("os", "arch"):
+            value = getattr(self, name)
+            if value is not None and \
+                    (not isinstance(value, str) or '"' in value):
+                raise ValueError(f"{name} must be None or a string "
+                                 f"without '\"', got {value!r}")
         # Parse eagerly so syntax errors surface at submission time.
+        # ``extra`` must parse on its own, so the parentheses it gets in
+        # :attr:`constraint` cannot change what the other terms mean.
         if self.extra:
             Constraint(self.extra)
 
+    @cached_property
+    def constraint(self) -> str:
+        """Every admission requirement as one constraint over node
+        properties.
+
+        A zero minimum, an unset ``os`` / ``arch`` and a blank ``extra``
+        add no term, so the default requirements read ``""`` (every node
+        matches).  Minima are written with ``repr`` and read back exactly.
+        """
+        terms = [
+            f"{prop} >= {float(getattr(self, name))!r}"
+            for name, prop in _MINIMA if getattr(self, name) > 0
+        ]
+        terms.extend(
+            f'{prop} == "{value}"'
+            for prop, value in (("os", self.os), ("arch", self.arch))
+            if value is not None
+        )
+        if self.extra.strip():
+            terms.append(f"({self.extra})")
+        return " && ".join(terms)
+
     def satisfied_by(self, props: Mapping[str, Any]) -> bool:
-        """Check a node's property dict against all requirements."""
-        if props.get("mips", 0.0) < self.min_mips:
-            return False
-        if props.get("ram_mb", 0.0) < self.min_ram_mb:
-            return False
-        if props.get("disk_mb", 0.0) < self.min_disk_mb:
-            return False
-        if self.min_net_mbps > 0.0 and \
-                props.get("net_mbps", 0.0) < self.min_net_mbps:
-            return False
-        if self.os is not None and props.get("os") != self.os:
-            return False
-        if self.arch is not None and props.get("arch") != self.arch:
-            return False
-        if self.extra and not Constraint(self.extra).matches(props):
-            return False
-        return True
+        """Does a node's property dict meet :attr:`constraint`?"""
+        return Constraint(self.constraint).matches(props)
 
     def to_dict(self) -> dict:
         """Plain-dict form, marshallable as an ORB variant."""
@@ -162,8 +192,9 @@ class ApplicationSpec:
             )
         if self.tasks <= 0:
             raise ValueError(f"tasks must be positive, got {self.tasks}")
-        if self.work_mips <= 0:
-            raise ValueError("work_mips must be positive")
+        if not (math.isfinite(self.work_mips) and self.work_mips > 0):
+            raise ValueError("work_mips must be finite and positive, "
+                             f"got {self.work_mips!r}")
         if self.checkpoint_every_supersteps < 0:
             raise ValueError("checkpoint interval must be >= 0")
         if self.kind == BSP and self.program is None:

@@ -534,18 +534,18 @@ class Grm:
         return self._schedule_independent(job)
 
     def _offers_for(self, spec: ApplicationSpec) -> list:
+        """The Trader's answer for ``spec``: room for one task, plus
+        ``requirements.constraint``, in one query."""
         reqs = spec.requirements
         parts = [
             "sharing == true",
             f"cpu_free >= {reqs.cpu_fraction}",
             f"mem_free_mb >= {reqs.mem_mb}",
         ]
-        if reqs.min_mips > 0:
-            parts.append(f"mips >= {reqs.min_mips}")
-        if reqs.min_ram_mb > 0:
-            parts.append(f"ram_mb >= {reqs.min_ram_mb}")
         if reqs.disk_mb > 0:
             parts.append(f"disk_free_mb >= {reqs.disk_mb}")
+        if reqs.constraint:
+            parts.append(reqs.constraint)
         constraint = " && ".join(parts)
         tracer = self.tracer
         if tracer is not None and tracer.active:
@@ -558,11 +558,7 @@ class Grm:
             offers = self.trader.query(
                 "node", constraint=constraint, copy_properties=False
             )
-        return [
-            o["properties"] for o in offers
-            if reqs.satisfied_by(o["properties"])
-            and o["properties"]["node"] in self._nodes
-        ]
+        return [o["properties"] for o in offers]
 
     def _view(self, job: Job) -> CandidateView:
         """Query the Trader for ``job``; ranked on first use."""

@@ -9,13 +9,14 @@ possibility of predicting a node's idle periods.")
 Profiles are validated and normalized at upload into (7, bins_per_day)
 float64 grids with the per-bin ``1 - busy`` idle factor precomputed, so
 a scheduling pass can score every candidate node in one vectorized call
-(:meth:`Gupa.idle_probabilities`).  The vectorized path multiplies the
-*exact same factor sequence* the per-node loop of
-:meth:`Gupa.idle_probability` multiplies — whole bins as plain grid
-factors (``pow(x, 1.0) == x`` bit-exactly), fractional edge bins raised
-to their coverage weight scalar-side — left to right, so results are
-bit-identical to the seed implementation, which the test tree keeps as
-its oracle over the uploaded pattern dicts.
+(:meth:`Gupa.idle_probabilities`); a one-node query
+(:meth:`Gupa.idle_probability`) is the same call with one node.  The
+batch multiplies the *exact same factor sequence* the seed's per-node,
+bin-by-bin loop multiplies — whole bins as plain grid factors
+(``pow(x, 1.0) == x`` bit-exactly), fractional edge bins raised to their
+coverage weight scalar-side — left to right, so results are
+bit-identical to that loop, which the test tree keeps as its oracle
+over the uploaded pattern dicts.
 """
 
 import math
@@ -145,38 +146,18 @@ class Gupa:
 
         Same independent-bins model as the LUPA side, computed from the
         uploaded profile so the GRM never needs to call back to nodes.
+        One node's entry of :meth:`idle_probabilities`.
         """
-        grid = self._grids.get(node)
-        if grid is None:
-            return UNKNOWN
-        bin_seconds = grid.bin_seconds
-        busy = grid.busy
-        if duration <= 0:
-            dow = int(start // SECONDS_PER_DAY) % 7
-            bin_index = int((start % SECONDS_PER_DAY) // bin_seconds)
-            return 1.0 - float(busy[dow, bin_index])
-        probability = 1.0
-        t = start
-        end = start + duration
-        while t < end:
-            bin_end = (t // bin_seconds + 1) * bin_seconds
-            chunk = min(bin_end, end) - t
-            weight = chunk / bin_seconds
-            dow = int(t // SECONDS_PER_DAY) % 7
-            bin_index = int((t % SECONDS_PER_DAY) // bin_seconds)
-            probability *= (1.0 - float(busy[dow, bin_index])) ** weight
-            t = min(bin_end, end)
-        return probability
+        return float(self.idle_probabilities((node,), start, duration)[0])
 
     # -- batch scoring -----------------------------------------------------------
 
     def idle_probabilities(self, nodes, start: float, duration) -> np.ndarray:
-        """Vectorized :meth:`idle_probability` over many nodes at once.
+        """P(node stays idle through the span) for many nodes at once.
 
         ``duration`` is a scalar or a per-node array.  Returns a float64
         array aligned with ``nodes``; entries for nodes without an
-        uploaded pattern are ``UNKNOWN``.  Bit-identical to calling
-        :meth:`idle_probability` per node.
+        uploaded pattern are ``UNKNOWN``.
         """
         nodes = list(nodes)
         n = len(nodes)
@@ -277,7 +258,7 @@ class Gupa:
 
         # Shared chunk grid: chunk 0 starts at ``start``; chunk j >= 1
         # starts at boundary B_j = (start // bin_seconds + j) * bin_seconds,
-        # exactly the values the scalar loop steps through.  A node's
+        # exactly the values the seed loop steps through.  A node's
         # span has 1 + #{B_j < end} chunks (strict, matching ``t < end``).
         q = start // bin_seconds
         first_boundary = (q + 1.0) * bin_seconds
@@ -301,7 +282,7 @@ class Gupa:
 
         # Fractional edge weights (first and last chunk); interior
         # chunks have weight exactly 1.0 because bin_seconds is an
-        # integer-valued float, so the scalar path's ``x ** 1.0`` is the
+        # integer-valued float, so the seed loop's ``x ** 1.0`` is the
         # identity and the grid factor is used as-is.
         first_weight = (np.minimum(first_boundary, ends) - start) / bin_seconds
         last_chunk = n_chunks - 1
@@ -320,7 +301,7 @@ class Gupa:
             factors[columns[None, j0:j1] >= n_chunks[:, None]] = 1.0
             # Fractional edge factors use ``math.pow`` (libm pow, the
             # same routine Python's ``float ** float`` calls in the
-            # scalar loop) — np.power would be 1 ulp off on SIMD builds.
+            # seed loop) — np.power would be 1 ulp off on SIMD builds.
             if j0 == 0:
                 fractional = np.nonzero(first_weight != 1.0)[0]
                 if fractional.size:

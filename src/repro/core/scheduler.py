@@ -7,17 +7,16 @@ parallel applications on idle nodes with lower probability of becoming
 busy before the computation is completed").
 
 Pattern-aware ranking is array-native: the policy extracts per-offer
-numeric columns once (cached on the :class:`ScheduleContext`), scores
-every candidate in one numpy pass through
-:meth:`Gupa.idle_probabilities`, and orders with a stable argsort on
-the negated scores, which reproduces ``sorted(..., reverse=True)``
-exactly, ties included (the seed per-offer ranking is the test tree's
-oracle for it).
+numeric columns once per ordering, scores every candidate in one numpy
+pass through :meth:`Gupa.idle_probabilities`, and orders with a stable
+argsort on the negated scores, which reproduces
+``sorted(..., reverse=True)`` exactly, ties included (the seed per-offer
+ranking is the test tree's oracle for it).
 Fastest-first is a one-key sort and needs no arrays.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +34,6 @@ class ScheduleContext:
     remaining_mips: float
     now: float
     gupa: Optional[Gupa] = None
-    _arrays_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def estimated_duration(self, offer: dict) -> float:
         """Rough runtime of the task on the offered node, in seconds."""
@@ -49,17 +47,7 @@ class ScheduleContext:
         return self.remaining_mips / rate
 
     def arrays(self, offers: list) -> dict:
-        """Per-offer numeric columns for vectorized scoring.
-
-        Cached per offers-list identity so repeated orderings of the
-        same candidate set (policy ranking, preference re-ranking, gang
-        passes) extract the dict fields once.  The cached entry keeps a
-        reference to the list, so ``id`` reuse cannot alias a stale hit.
-        """
-        key = id(offers)
-        hit = self._arrays_cache.get(key)
-        if hit is not None and hit[0] is offers:
-            return hit[1]
+        """Per-offer numeric columns for vectorized scoring."""
         try:
             # Direct subscripts: every GRM status offer carries these
             # keys; the fallback keeps the seed's .get(..., 0.0) default
@@ -73,17 +61,13 @@ class ScheduleContext:
         mips = np.array(mips_list, dtype=float)
         cpu_free = np.array(cpu_list, dtype=float)
         share = np.minimum(self.spec.requirements.cpu_fraction, cpu_free)
-        arrays = {
+        return {
             "mips": mips,
             "cpu_free": cpu_free,
             "speed": mips * cpu_free,
             "rate": mips * share,
             "nodes": node_list,
         }
-        if len(self._arrays_cache) >= 8:
-            self._arrays_cache.clear()
-        self._arrays_cache[key] = (offers, arrays)
-        return arrays
 
 
 def _order_by_scores(offers: list, scores: np.ndarray) -> list:

@@ -27,9 +27,9 @@ Design rules, identical to the metrics/tracer layers:
 """
 
 import json
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Optional
 
-PathOrFile = Union[str, IO]
+from repro.obs.exporters import PathOrFile, _open_for_write
 
 #: The closed set of event types components may record.  Holding the
 #: vocabulary closed is what lets the forensics engine and the schema
@@ -195,12 +195,6 @@ class EventJournal:
 
 
 # -- export / import ----------------------------------------------------------
-
-
-def _open_for_write(target: PathOrFile):
-    if isinstance(target, str):
-        return open(target, "w"), True
-    return target, False
 
 
 def export_journal_jsonl(events: Iterable, target: PathOrFile) -> int:

@@ -142,8 +142,7 @@ class TradingService:
 
     # -- index maintenance ----------------------------------------------------
 
-    def _index_insert(self, index: dict, attr: str, offer: Offer) -> None:
-        value = offer.properties.get(attr, _MISSING)
+    def _index_insert(self, index: dict, value, offer: Offer) -> None:
         if value is _MISSING:
             return
         try:
@@ -152,8 +151,7 @@ class TradingService:
             return
         bucket[offer.offer_id] = offer
 
-    def _index_remove(self, index: dict, attr: str, offer: Offer) -> None:
-        value = offer.properties.get(attr, _MISSING)
+    def _index_remove(self, index: dict, value, offer: Offer) -> None:
         if value is _MISSING:
             return
         try:
@@ -172,7 +170,9 @@ class TradingService:
         if index is None:
             index = per_type[attr] = {}
             for offer in self._by_type.get(service_type, {}).values():
-                self._index_insert(index, attr, offer)
+                self._index_insert(
+                    index, offer.properties.get(attr, _MISSING), offer
+                )
         return index
 
     # -- offer lifecycle ------------------------------------------------------
@@ -188,7 +188,7 @@ class TradingService:
         self._offers[offer_id] = offer
         self._by_type.setdefault(service_type, {})[offer_id] = offer
         for attr, index in self._indexes.get(service_type, {}).items():
-            self._index_insert(index, attr, offer)
+            self._index_insert(index, properties.get(attr, _MISSING), offer)
         return offer_id
 
     def modify(self, offer_id: str, properties: Mapping[str, Any]) -> None:
@@ -200,14 +200,14 @@ class TradingService:
         offer = self._offers.get(offer_id)
         if offer is None:
             raise UnknownOffer(offer_id)
-        indexes = self._indexes.get(offer.service_type)
-        if indexes:
-            for attr, index in indexes.items():
-                self._index_remove(index, attr, offer)
+        old = offer.properties
         offer.properties = dict(properties)
-        if indexes:
-            for attr, index in indexes.items():
-                self._index_insert(index, attr, offer)
+        for attr, index in self._indexes.get(offer.service_type, {}).items():
+            before = old.get(attr, _MISSING)
+            after = properties.get(attr, _MISSING)
+            if before != after:     # an unchanged value keeps its bucket
+                self._index_remove(index, before, offer)
+                self._index_insert(index, after, offer)
 
     def withdraw(self, offer_id: str) -> None:
         """Remove an offer."""
@@ -216,7 +216,8 @@ class TradingService:
             raise UnknownOffer(offer_id)
         self._by_type[offer.service_type].pop(offer_id, None)
         for attr, index in self._indexes.get(offer.service_type, {}).items():
-            self._index_remove(index, attr, offer)
+            self._index_remove(index, offer.properties.get(attr, _MISSING),
+                               offer)
 
     # -- queries --------------------------------------------------------------
 

@@ -28,6 +28,11 @@ class TestBasics:
     def test_all_comparison_operators(self, expr, expected):
         assert evaluate(expr, {}) is expected
 
+    @pytest.mark.parametrize("number", [1e-05, 1.5e+16, 2.5e-300, 1e+22])
+    def test_repr_of_a_float_reads_back_exactly(self, number):
+        assert evaluate(f"x == {number!r}", {"x": number})
+        assert not evaluate(f"x > {number!r}", {"x": number})
+
     def test_string_equality(self):
         assert evaluate("os == 'linux'", {"os": "linux"})
         assert not evaluate('os == "windows"', {"os": "linux"})

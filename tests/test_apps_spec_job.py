@@ -1,7 +1,11 @@
 """Unit tests for application descriptors and job/task lifecycle."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.apps.constraints import ConstraintError
 from repro.apps.job import InvalidTransition, Job, JobState, Task, TaskState
 from repro.apps.spec import (
     ApplicationSpec,
@@ -51,6 +55,71 @@ class TestResourceRequirements:
 
     def test_missing_properties_fail_requirements(self):
         assert not ResourceRequirements(min_mips=1).satisfied_by({})
+
+    @pytest.mark.parametrize("field, value", [
+        ("min_mips", math.nan),
+        ("min_ram_mb", math.inf),
+        ("min_disk_mb", -1.0),
+        ("min_net_mbps", math.nan),
+        ("mem_mb", math.nan),
+        ("disk_mb", math.inf),
+    ])
+    def test_non_finite_or_negative_amount_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ResourceRequirements(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("os", 'linux" || "x'),
+        ("arch", 86),
+    ])
+    def test_platform_must_be_a_string_without_a_double_quote(
+            self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ResourceRequirements(**{field: value})
+
+    def test_malformed_requirements_rejected_from_the_wire_form(self):
+        # Grm.submit(dict) builds the spec with from_dict.
+        spec = ApplicationSpec(name="x").to_dict()
+        spec["requirements"]["mem_mb"] = math.nan
+        with pytest.raises(ValueError, match="mem_mb"):
+            ApplicationSpec.from_dict(spec)
+
+
+class TestRequirementsConstraint:
+    def test_default_requirements_add_no_term(self):
+        assert ResourceRequirements().constraint == ""
+
+    def test_every_field_is_one_term(self):
+        reqs = ResourceRequirements(
+            min_mips=500, min_ram_mb=16.0, min_disk_mb=100.0,
+            min_net_mbps=10.0, os="linux", arch="x86",
+            extra="cpu_free >= 0.5 || grid_tasks == 0",
+        )
+        assert reqs.constraint == (
+            'mips >= 500.0 && ram_mb >= 16.0 && disk_mb >= 100.0 && '
+            'net_mbps >= 10.0 && os == "linux" && arch == "x86" && '
+            '(cpu_free >= 0.5 || grid_tasks == 0)'
+        )
+
+    def test_minima_round_trip_exactly(self):
+        reqs = ResourceRequirements(min_ram_mb=1e-05, min_mips=0.1 + 0.2)
+        assert reqs.constraint == "mips >= 0.30000000000000004 && " \
+                                  "ram_mb >= 1e-05"
+        assert reqs.satisfied_by({"mips": 0.1 + 0.2, "ram_mb": 1e-05})
+        assert not reqs.satisfied_by({"mips": 0.3, "ram_mb": 1e-05})
+        assert not reqs.satisfied_by({"mips": 1.0, "ram_mb": 9.99e-06})
+
+    def test_extra_cannot_widen_the_other_terms(self):
+        reqs = ResourceRequirements(min_mips=500, extra="ram_mb > 1 || true")
+        assert not reqs.satisfied_by({"mips": 100.0, "ram_mb": 512.0})
+        with pytest.raises(ConstraintError):
+            ResourceRequirements(min_mips=500, extra="true) || (true")
+
+    def test_constraint_is_read_only(self):
+        reqs = ResourceRequirements(min_mips=500)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reqs.constraint = "true"
+        assert reqs.constraint == "mips >= 500.0"
 
 
 class TestVirtualTopology:
@@ -106,6 +175,11 @@ class TestApplicationSpec:
     def test_preference_rank(self):
         spec = ApplicationSpec(name="x", preference="mips")
         assert spec.preference_rank().score({"mips": 5}) == 5.0
+
+    @pytest.mark.parametrize("work_mips", [math.nan, math.inf])
+    def test_non_finite_work_rejected(self, work_mips):
+        with pytest.raises(ValueError, match="work_mips"):
+            ApplicationSpec(name="x", work_mips=work_mips)
 
 
 class TestTaskLifecycle:

@@ -203,6 +203,30 @@ class TestOfferFiltering:
         assert job.tasks[0].node == "fast"
         assert slow.reservation_requests == []
 
+    def test_extra_is_part_of_the_one_trader_query(self, env, monkeypatch):
+        loop, grm, add_lrm, lrms = env
+        for name in ("a", "b", "c", "d"):
+            add_lrm(name)
+        grm.send_update(lrms["c"].status(net_free_mbps=900.0))
+        queries = []
+        query = grm.trader.query
+
+        def recording_query(service_type, constraint="", **kwargs):
+            queries.append(constraint)
+            return query(service_type, constraint=constraint, **kwargs)
+
+        monkeypatch.setattr(grm.trader, "query", recording_query)
+        extra = "net_free_mbps > 500"
+        spec = ApplicationSpec(
+            name="t", work_mips=1e6,
+            requirements=ResourceRequirements(extra=extra),
+        )
+        job = submit_and_run(loop, grm, spec)
+        assert len(queries) == 1
+        assert f"({extra})" in queries[0]
+        assert job.tasks[0].node == "c"
+        assert [n for n, s in lrms.items() if s.reservation_requests] == ["c"]
+
     def test_non_sharing_nodes_excluded(self, env):
         loop, grm, add_lrm, lrms = env
         dark = add_lrm("dark")

@@ -13,6 +13,7 @@ from repro.apps.constraints import (
     UNDEFINED,
     evaluate,
 )
+from repro.apps.spec import ResourceRequirements
 from repro.checkpoint.serializer import (
     CheckpointCorrupted,
     deserialize,
@@ -34,6 +35,7 @@ from repro.sim.events import EventLoop
 from repro.sim.machine import InsufficientResources, Machine, MachineSpec
 
 from tests.oracles import constraints as constraint_oracle
+from tests.oracles import requirements as requirements_oracle
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -390,6 +392,74 @@ class TestConstraintFuzz:
         matcher = Constraint(constraint)
         for offer in trader.query("node", constraint=constraint):
             assert matcher.matches(offer["properties"])
+
+
+# ---------------------------------------------------------------------------
+# Admission rule: ResourceRequirements.constraint
+# ---------------------------------------------------------------------------
+
+#: Shared by minima and node properties, so boundaries (equal values)
+#: come up often; 1e-05 and 1e+20 are written with an exponent.
+ADMISSION_NUMBERS = [0.0, 1e-05, 0.5, 16.0, 500.0, 1000.0, 1500.5, 1e20]
+ADMISSION_PLATFORMS = ["linux", "windows", "", "x86", "sparc", "it's"]
+ADMISSION_EXTRAS = [
+    "", "   ", "cpu_free >= 0.5", "mips > 1000 || ram_mb >= 512",
+    '!(os == "windows")', "net_free_mbps > 10 && owner_active == false",
+    "grid_tasks < 2", "mips * cpu_free >= 500", "missing > 0",
+]
+
+admission_numbers = st.one_of(
+    st.sampled_from(ADMISSION_NUMBERS),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+admission_platforms = st.one_of(
+    st.sampled_from(ADMISSION_PLATFORMS),
+    st.text(max_size=8).filter(lambda text: '"' not in text),
+)
+admission_requirements = st.builds(
+    ResourceRequirements,
+    min_mips=admission_numbers,
+    min_ram_mb=admission_numbers,
+    min_disk_mb=admission_numbers,
+    min_net_mbps=admission_numbers,
+    os=st.none() | admission_platforms,
+    arch=st.none() | admission_platforms,
+    extra=st.sampled_from(ADMISSION_EXTRAS),
+)
+def node_statuses(reqs: ResourceRequirements):
+    """Every field of a NodeStatus, as the GRM's Trader stores it; the
+    fields a requirement bounds often sit exactly on its value."""
+    def near(value, pool):
+        return pool if value is None else st.one_of(st.just(value), pool)
+
+    return st.fixed_dictionaries({
+        "node": st.sampled_from(["n0", "n1"]),
+        "time": admission_numbers,
+        "mips": near(reqs.min_mips, admission_numbers),
+        "ram_mb": near(reqs.min_ram_mb, admission_numbers),
+        "disk_mb": near(reqs.min_disk_mb, admission_numbers),
+        "os": near(reqs.os, admission_platforms),
+        "arch": near(reqs.arch, admission_platforms),
+        "cpu_free": st.floats(min_value=0.0, max_value=1.0),
+        "mem_free_mb": admission_numbers,
+        "disk_free_mb": admission_numbers,
+        "net_mbps": near(reqs.min_net_mbps, admission_numbers),
+        "net_free_mbps": admission_numbers,
+        "owner_active": st.booleans(),
+        "sharing": st.booleans(),
+        "grid_tasks": st.integers(min_value=0, max_value=4),
+    })
+
+
+class TestAdmissionRule:
+    @settings(max_examples=500, deadline=None)
+    @given(admission_requirements.flatmap(
+        lambda reqs: st.tuples(st.just(reqs), node_statuses(reqs))))
+    def test_constraint_match_is_the_field_by_field_check(self, case):
+        reqs, props = case
+        assert reqs.satisfied_by(props) \
+            == requirements_oracle.satisfied_by(reqs, props), \
+            (reqs.constraint, props)
 
 
 class TestNetworkProperties:
