@@ -81,9 +81,6 @@ def build_plane(nodes):
     statuses = [node_status(i) for i in range(nodes)]
     for status in statuses:
         grm.register_node(dict(status), lrm_ior)
-    # A GRM that has scheduled once carries the Trader's ``sharing``
-    # index, and every status re-files its offer in it.
-    grm.trader.query("node", constraint="sharing == true", max_offers=1)
     return server_orb, client_orb, grm, stub, statuses
 
 

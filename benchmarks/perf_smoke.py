@@ -1,7 +1,7 @@
 """CI perf smoke: remeasure the committed baselines, fail on a cliff.
 
 Remeasures the 32-node S1 simulator throughput (simulated hours per
-wall second), the 1000-offer indexed trader query rate, the plain
+wall second), the 1000-offer trader query rate, the plain
 collocated two-way and oneway call rates (E11's bound stub), the 1024-node
 S2 pattern-aware ranking rate, the 10k-node S3 information-plane run,
 the 256-cluster S5 wide-area run, and the S6 oneway-storm / CDR / TCP

@@ -30,7 +30,7 @@ finite non-negative float reads back as exactly that float.
 """
 
 import re
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 
 class ConstraintError(Exception):
@@ -370,95 +370,8 @@ def _compile(node) -> tuple:
     )
 
 
-def _equality_conjuncts(node) -> tuple:
-    """``(attr, literal)`` pairs required true by the top-level AND chain.
-
-    Only ``ident == literal`` (either side) conjuncts are extracted; they
-    are necessary conditions for the whole expression, which is what lets
-    the Trader narrow a query to an equality bucket before running the
-    full matcher.
-    """
-    out = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n[0] == "and":
-            stack.append(n[1])
-            stack.append(n[2])
-        elif n[0] == "cmp" and n[1] == "==":
-            lhs, rhs = n[2], n[3]
-            if lhs[0] == "ident" and rhs[0] in ("num", "str", "bool"):
-                out.append((lhs[1], rhs[1]))
-            elif rhs[0] == "ident" and lhs[0] in ("num", "str", "bool"):
-                out.append((rhs[1], lhs[1]))
-    return tuple(out)
-
-
-def _strip_conjunct(node, attr: str, literal):
-    """Replace one top-level ``attr == literal`` conjunct with TRUE.
-
-    Returns the original node unchanged if no such conjunct exists.
-    """
-    if node[0] == "and":
-        lhs = _strip_conjunct(node[1], attr, literal)
-        if lhs is not node[1]:
-            return ("and", lhs, node[2])
-        rhs = _strip_conjunct(node[2], attr, literal)
-        if rhs is not node[2]:
-            return ("and", node[1], rhs)
-        return node
-    if node[0] == "cmp" and node[1] == "==":
-        lhs, rhs = node[2], node[3]
-        if (
-            lhs[0] == "ident" and lhs[1] == attr
-            and rhs[0] in ("num", "str", "bool") and rhs[1] == literal
-        ) or (
-            rhs[0] == "ident" and rhs[1] == attr
-            and lhs[0] in ("num", "str", "bool") and lhs[1] == literal
-        ):
-            return ("bool", True)
-    return node
-
-
-def _simplify_true(node):
-    """Collapse ``TRUE && x`` to ``x`` (match-truthiness preserving)."""
-    if node[0] == "and":
-        a = _simplify_true(node[1])
-        b = _simplify_true(node[2])
-        if a == ("bool", True):
-            return b
-        if b == ("bool", True):
-            return a
-        return ("and", a, b)
-    return node
-
-
-_REDUCED_CACHE: dict = {}
-
-
-def compiled_match_without(text: str, attr: str, literal) -> Callable:
-    """A match function for ``text`` minus one ``attr == literal`` conjunct.
-
-    The Trader calls this after narrowing a query to an equality bucket:
-    every bucket member satisfies the conjunct by construction, so it need
-    not be re-evaluated per offer.  Only *truthiness* is preserved by the
-    simplification (``TRUE && x`` collapses to ``x``), which is all a
-    match function observes.
-    """
-    key = (text.strip(), attr, literal)
-    fn = _REDUCED_CACHE.get(key)
-    if fn is None:
-        ast = _compiled_entry(key[0])[0]
-        reduced = _simplify_true(_strip_conjunct(ast, attr, literal))
-        fn = _compile(reduced)[1]
-        if len(_REDUCED_CACHE) >= _COMPILED_CACHE_MAX:
-            _REDUCED_CACHE.clear()
-        _REDUCED_CACHE[key] = fn
-    return fn
-
-
-# text -> (ast, compiled fn, equality conjuncts).  Cleared wholesale if it
-# ever grows past the cap (constraint strings interpolate numbers, so the
+# text -> (value fn, match fn, score fn).  Cleared wholesale if it ever
+# grows past the cap (constraint strings interpolate numbers, so the
 # population is bounded in practice but not in principle).
 _COMPILED_CACHE: dict = {}
 _COMPILED_CACHE_MAX = 4096
@@ -467,9 +380,7 @@ _COMPILED_CACHE_MAX = 4096
 def _compiled_entry(stripped: str) -> tuple:
     entry = _COMPILED_CACHE.get(stripped)
     if entry is None:
-        ast = parse(stripped)
-        fn, match_fn, score_fn = _compile(ast)
-        entry = (ast, fn, match_fn, score_fn, _equality_conjuncts(ast))
+        entry = _compile(parse(stripped))
         if len(_COMPILED_CACHE) >= _COMPILED_CACHE_MAX:
             _COMPILED_CACHE.clear()
         _COMPILED_CACHE[stripped] = entry
@@ -484,18 +395,16 @@ class Constraint:
     before is a dict lookup.
     """
 
-    __slots__ = ("text", "_fn", "_match_fn", "_score_fn", "equality_conjuncts")
+    __slots__ = ("text", "_fn", "_match_fn", "_score_fn")
 
     def __init__(self, text: str):
         self.text = text
-        _, fn, match_fn, score_fn, conjuncts = _compiled_entry(text.strip())
+        fn, match_fn, score_fn = _compiled_entry(text.strip())
         self._fn = fn
         #: Single-call ``props -> bool`` matcher.
         self._match_fn = match_fn
         #: Single-call ``props -> float`` ranking score.
         self._score_fn = score_fn
-        #: ``(attr, literal)`` pairs every match must satisfy (top-level ANDs).
-        self.equality_conjuncts = conjuncts
 
     def matches(self, props: Mapping[str, Any]) -> bool:
         """True iff the expression is truthy over ``props``."""

@@ -251,12 +251,11 @@ class ParentGrm:
         return self._timed_submit_remote(spec, origin_cluster)
 
     def _submit_remote_impl(self, spec: dict, origin_cluster: str) -> str:
-        visited = list(dict(spec.get("metadata", {})).get("visited", []))
-        if self.name in visited:
+        if self.name in dict(spec.get("metadata", {})).get("visited", ()):
             self.remote_rejections += 1
             return ""
         for record in self._candidates(spec, origin_cluster):
-            forwarded = self._tag(spec, origin_cluster, visited)
+            forwarded = self._tag(spec, origin_cluster)
             try:
                 job_id = record.grm_stub.submit(forwarded)
             except OrbError:
@@ -264,7 +263,7 @@ class ParentGrm:
             self.remote_submissions += 1
             return job_id
         if self._parent is not None:
-            escalated = self._tag(spec, origin_cluster, visited)
+            escalated = self._tag(spec, origin_cluster)
             try:
                 job_id = self._parent.submit_remote(escalated, self.name)
             except OrbError:
@@ -276,12 +275,15 @@ class ParentGrm:
         self.remote_rejections += 1
         return ""
 
-    def _tag(self, spec: dict, origin_cluster: str, visited: list) -> dict:
+    def _tag(self, spec: dict, origin_cluster: str) -> dict:
+        """The spec as this node hands it on: placed by the hierarchy, so
+        the receiving GRM never forwards it again, and this node joins
+        its ``visited`` path."""
         forwarded = dict(spec)
         metadata = dict(forwarded.get("metadata", {}))
         metadata["no_forward"] = True
         metadata["origin_cluster"] = origin_cluster
-        metadata["visited"] = visited + [self.name]
+        metadata["visited"] = list(metadata.get("visited", [])) + [self.name]
         forwarded["metadata"] = metadata
         return forwarded
 
@@ -293,9 +295,10 @@ class ParentGrm:
         return self._timed_submit(spec_dict)
 
     def _submit_impl(self, spec_dict: dict) -> str:
+        placed = self._tag(spec_dict, "")
         for record in self._candidates(spec_dict, origin=""):
             try:
-                job_id = record.grm_stub.submit(spec_dict)
+                job_id = record.grm_stub.submit(placed)
             except OrbError:
                 continue
             self._delegated_jobs[job_id] = record

@@ -10,15 +10,10 @@ language).
 
 import heapq
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
-from repro.apps.constraints import (
-    Constraint,
-    Preference,
-    compiled_match_without,
-)
+from repro.apps.constraints import Constraint, Preference
 from repro.orb.cdr import (
     Long,
     Sequence,
@@ -75,10 +70,6 @@ class UnknownOffer(Exception):
     """The offer id does not exist (already withdrawn?)."""
 
 
-_MISSING = object()
-_by_seq = operator.attrgetter("seq")
-
-
 @dataclass
 class Offer:
     """One service offer held by the trader."""
@@ -87,8 +78,6 @@ class Offer:
     service_type: str
     ior: str
     properties: dict
-    #: Export sequence number; query ties keep ascending ``seq`` order.
-    seq: int = 0
 
     def as_dict(self, copy_properties: bool = True) -> dict:
         return {
@@ -104,76 +93,33 @@ class Offer:
 class TradingService:
     """An in-memory trader with constraint queries and preference ranking.
 
-    Query evaluation is indexed: offers are partitioned by service type,
-    and equality conjuncts of the constraint (``sharing == true``) narrow
-    the scan to an incrementally-maintained bucket before the full matcher
-    runs.  Buckets are built lazily the first time a query needs an
-    attribute, so exports and modifies on never-queried attributes cost
-    nothing extra.  The original unindexed scan is the test tree's
-    oracle for this method.
+    Offers are kept per service type in export order.  A query is one
+    pass of the constraint's compiled matcher over that type's offers,
+    then an optional preference ranking; the seed interpreter and sort
+    are the test tree's oracle for this method.
     """
+
+    #: Always 0: no query is narrowed by an index.  Kept only because
+    #: benchmarks/s0/workloads/grid_common.py reads it; ROADMAP item 1
+    #: removes it.
+    indexed_queries = 0
 
     def __init__(self):
         self._offers: dict[str, Offer] = {}
         # service type -> {offer_id: Offer}, in export order.
         self._by_type: dict[str, dict[str, Offer]] = {}
-        # service type -> attr -> property value -> {offer_id: Offer}.
-        # Offers whose value is missing or unhashable are simply absent:
-        # under ClassAd semantics they can never satisfy ``attr == literal``.
-        self._indexes: dict[str, dict[str, dict[Any, dict[str, Offer]]]] = {}
         self._ids = itertools.count()
-        self._seq = itertools.count()
-        #: Accounting: total queries, and how many took the equality-
-        #: bucket-indexed path vs the full linear scan.  Plain int bumps.
+        #: Accounting: total queries.  A plain int bump.
         self.queries = 0
-        self.indexed_queries = 0
-        self.linear_queries = 0
         self._timed_query = self._query   # timed once metrics are bound
 
     def bind_metrics(self, registry, prefix: str = "trader") -> None:
         """Publish counters as registry views; time queries from now on."""
-        registry.bind(prefix, self,
-                      ("queries", "indexed_queries", "linear_queries",
-                       "offer_count"))
+        registry.bind(prefix, self, ("queries", "offer_count"))
         from repro.obs.metrics import LATENCY_BOUNDS_S, timed
         self._timed_query = timed(registry.histogram(
             f"{prefix}.query_latency_s", LATENCY_BOUNDS_S
         ), self._query)
-
-    # -- index maintenance ----------------------------------------------------
-
-    def _index_insert(self, index: dict, value, offer: Offer) -> None:
-        if value is _MISSING:
-            return
-        try:
-            bucket = index.setdefault(value, {})
-        except TypeError:       # unhashable value: cannot match a literal
-            return
-        bucket[offer.offer_id] = offer
-
-    def _index_remove(self, index: dict, value, offer: Offer) -> None:
-        if value is _MISSING:
-            return
-        try:
-            bucket = index.get(value)
-        except TypeError:
-            return
-        if bucket is not None:
-            bucket.pop(offer.offer_id, None)
-            if not bucket:
-                del index[value]
-
-    def _index_for(self, service_type: str, attr: str) -> dict:
-        """The value->bucket map for one attribute, built on first use."""
-        per_type = self._indexes.setdefault(service_type, {})
-        index = per_type.get(attr)
-        if index is None:
-            index = per_type[attr] = {}
-            for offer in self._by_type.get(service_type, {}).values():
-                self._index_insert(
-                    index, offer.properties.get(attr, _MISSING), offer
-                )
-        return index
 
     # -- offer lifecycle ------------------------------------------------------
 
@@ -182,13 +128,9 @@ class TradingService:
         if not service_type:
             raise ValueError("service_type must be non-empty")
         offer_id = f"offer{next(self._ids)}"
-        offer = Offer(
-            offer_id, service_type, ior, dict(properties), seq=next(self._seq)
-        )
+        offer = Offer(offer_id, service_type, ior, dict(properties))
         self._offers[offer_id] = offer
         self._by_type.setdefault(service_type, {})[offer_id] = offer
-        for attr, index in self._indexes.get(service_type, {}).items():
-            self._index_insert(index, properties.get(attr, _MISSING), offer)
         return offer_id
 
     def modify(self, offer_id: str, properties: Mapping[str, Any]) -> None:
@@ -200,14 +142,7 @@ class TradingService:
         offer = self._offers.get(offer_id)
         if offer is None:
             raise UnknownOffer(offer_id)
-        old = offer.properties
         offer.properties = dict(properties)
-        for attr, index in self._indexes.get(offer.service_type, {}).items():
-            before = old.get(attr, _MISSING)
-            after = properties.get(attr, _MISSING)
-            if before != after:     # an unchanged value keeps its bucket
-                self._index_remove(index, before, offer)
-                self._index_insert(index, after, offer)
 
     def withdraw(self, offer_id: str) -> None:
         """Remove an offer."""
@@ -215,9 +150,6 @@ class TradingService:
         if offer is None:
             raise UnknownOffer(offer_id)
         self._by_type[offer.service_type].pop(offer_id, None)
-        for attr, index in self._indexes.get(offer.service_type, {}).items():
-            self._index_remove(index, offer.properties.get(attr, _MISSING),
-                               offer)
 
     # -- queries --------------------------------------------------------------
 
@@ -236,7 +168,8 @@ class TradingService:
         probing whether a match *exists* should pass 1).  Ties keep export
         order so results are deterministic.  ``copy_properties=False``
         returns property dicts aliasing the live offers — read-only use
-        only.
+        only.  Malformed constraint or preference text raises
+        :class:`~repro.apps.constraints.ConstraintError` on every call.
         """
         self.queries += 1
         return self._timed_query(
@@ -252,41 +185,15 @@ class TradingService:
         max_offers: int,
         copy_properties: bool,
     ) -> list:
+        # Parse both texts first: malformed input is refused even when
+        # there is nothing to scan.
+        matches = Constraint(constraint)._match_fn
+        score = Preference(preference)._constraint._score_fn
         if max_offers == 0:
             return []
-        pool = self._by_type.get(service_type)
-        if not pool:
-            return []
-        matcher = Constraint(constraint)
-
-        # Narrow to the smallest equality bucket before the full matcher.
-        bucket = None
-        bucket_conjunct = None
-        for attr, literal in matcher.equality_conjuncts:
-            index = self._index_for(service_type, attr)
-            found = index.get(literal)
-            if not found:        # a necessary conjunct no offer satisfies
-                self.indexed_queries += 1
-                return []
-            if bucket is None or len(found) < len(bucket):
-                bucket = found
-                bucket_conjunct = (attr, literal)
-        if bucket is None:
-            self.linear_queries += 1
-            matches_fn = matcher._match_fn
-            matched = [o for o in pool.values() if matches_fn(o.properties)]
-        else:
-            self.indexed_queries += 1
-            # Bucket members satisfy the equality conjunct by construction,
-            # so match against the constraint with that conjunct removed.
-            matches_fn = compiled_match_without(constraint, *bucket_conjunct)
-            matched = [o for o in bucket.values() if matches_fn(o.properties)]
-            # Bucket order drifts as modifies re-file offers; sort the
-            # (smaller) match set back to export order for determinism.
-            matched.sort(key=_by_seq)
-
+        pool = self._by_type.get(service_type, {})
+        matched = [o for o in pool.values() if matches(o.properties)]
         if preference.strip():
-            score = Preference(preference)._constraint._score_fn
             if 0 <= max_offers < len(matched):
                 # Equivalent to the stable descending sort + slice below,
                 # in O(n log k) instead of O(n log n).  The index tiebreak

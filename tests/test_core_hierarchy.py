@@ -115,6 +115,24 @@ class TestWideAreaPlacement:
         remote_job = grid.clusters["beta"].grm.job(local_job.forwarded_to)
         assert remote_job.state is JobState.COMPLETED
 
+    def test_facade_placed_job_is_never_forwarded_again(self):
+        # The parent's GRM facade tags the spec the way submit_remote
+        # does, so a full child keeps the job instead of forwarding it
+        # out of the parent's sight.
+        grid, parent, _ = two_cluster_grid(nodes_a=4, nodes_b=1)
+        for i in range(4):
+            grid.submit(ApplicationSpec(name=f"local{i}", work_mips=1e7),
+                        cluster="alpha")
+        grid.run_for(120)
+        job_id = parent.submit(ApplicationSpec(name="wide", work_mips=1e5))
+        assert job_id.startswith("alpha-")
+        grid.run_for(2 * SECONDS_PER_HOUR)
+        assert grid.job(job_id).forwarded_to is None
+        assert parent.job_status(job_id)["state"] == "pending"
+        grid.run_for(8 * SECONDS_PER_HOUR)
+        assert parent.job_status(job_id)["state"] == "completed"
+        assert parent.remote_submissions == 0
+
 
 class TestSummaryContents:
     def test_pending_tasks_reported(self):

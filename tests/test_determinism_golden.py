@@ -5,7 +5,7 @@ two night owls; three checkpointed jobs) and compares a sha256 over
 every write of ``EventLoop.now``, plus job outcomes and GRM protocol counters,
 against ``tests/data/golden_determinism.json``.  Any reordering, extra
 event or dropped event changes the digest, so an optimisation that
-claims to preserve behaviour (the event core, the indexed trader,
+claims to preserve behaviour (the event core, the Trader's scan,
 compiled constraints, vectorised usage grids, direct dispatch) must
 leave this file alone.
 

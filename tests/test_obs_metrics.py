@@ -137,22 +137,23 @@ def test_event_loop_metrics_views():
     assert metrics["eventloop.sim_time"] == 10.0
 
 
-def test_trader_metrics_count_query_paths():
+def test_trader_metrics_count_queries_and_offers():
     from repro.orb.trading import TradingService
 
     trader = TradingService()
     registry = MetricsRegistry()
     trader.bind_metrics(registry)
     trader.export("node", "ior0", {"sharing": True, "cpu": 1.0})
-    trader.export("node", "ior1", {"sharing": False, "cpu": 2.0})
-    trader.query("node", constraint="sharing == true")   # indexed
-    trader.query("node", constraint="cpu > 0.5")         # linear
+    offer_id = trader.export("node", "ior1", {"sharing": False, "cpu": 2.0})
+    trader.query("node", constraint="sharing == true")
+    trader.query("node", constraint="cpu > 0.5")
+    trader.withdraw(offer_id)
     metrics = registry.snapshot()["metrics"]
     assert metrics["trader.queries"] == 2
-    assert metrics["trader.indexed_queries"] == 1
-    assert metrics["trader.linear_queries"] == 1
-    assert metrics["trader.offer_count"] == 2
+    assert metrics["trader.offer_count"] == 1
     assert metrics["trader.query_latency_s"]["count"] == 2
+    assert not any("indexed" in name or "linear" in name
+                   for name in metrics)
 
 
 def test_grid_enable_metrics_unifies_component_counters():

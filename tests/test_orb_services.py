@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.constraints import ConstraintError
 from repro.orb.core import Orb
 from repro.orb.naming import (
     NameAlreadyBound,
@@ -160,6 +161,22 @@ class TestTradingLocal:
     def test_empty_service_type_rejected(self):
         with pytest.raises(ValueError):
             TradingService().export("", "IOR:1", {})
+
+    @pytest.mark.parametrize("exported", [False, True])
+    @pytest.mark.parametrize("max_offers", [-1, 0, 1])
+    def test_malformed_query_text_refused_whatever_the_contents(
+        self, exported, max_offers
+    ):
+        # Bad text is refused the same way on an empty trader, an
+        # unknown service type and ``max_offers == 0`` as on a full scan.
+        trader = TradingService()
+        if exported:
+            trader.export("node", "IOR:1", offer_props())
+        for constraint, preference in (("mips >=", ""), ("", "mips *")):
+            with pytest.raises(ConstraintError):
+                trader.query("node", constraint, preference, max_offers)
+            with pytest.raises(ConstraintError):
+                trader.query("ghost", constraint, preference, max_offers)
 
 
 class TestTradingRemote:

@@ -9,7 +9,12 @@
   and the workload's counters (all but :data:`UNPINNED`);
 * ``simulate_stdout_sha256`` — the sha256 of the stdout of
   ``repro simulate --nodes 24 --policy pattern_aware --seed 5
-  --train-days 3 --vacate``.
+  --train-days 3 --vacate``;
+* ``obs_smoke_sha256`` — the sha256 of the ``journal.jsonl`` and
+  ``trace.jsonl`` written by the CI ``obs-smoke`` job's ``repro simulate
+  --nodes 6 --jobs 2 --train-days 0 --horizon-days 0.5 --vacate ...``
+  line (:data:`OBS_SMOKE_ARGS`), run with every instrument on, as CI
+  runs it.
 
 The test recomputes all of them in subprocesses, so the S0 modules
 (``workloads``, ``support``, ...) never land on this process's
@@ -27,6 +32,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +42,15 @@ MANIFEST_PATH = ROOT / "tests" / "data" / "outputs.json"
 SEEDS = (1, 7)
 SIMULATE_ARGS = ("simulate", "--nodes", "24", "--policy", "pattern_aware",
                  "--seed", "5", "--train-days", "3", "--vacate")
+#: ``.github/workflows/ci.yml``'s obs-smoke simulate line, verbatim.
+OBS_SMOKE_ARGS = ("simulate", "--nodes", "6", "--jobs", "2",
+                  "--train-days", "0", "--horizon-days", "0.5", "--vacate",
+                  "--trace", "trace.json", "--trace-jsonl", "trace.jsonl",
+                  "--journal", "journal.jsonl",
+                  "--health-report", "health.json",
+                  "--metrics-json", "metrics.json")
+#: The exports of that line whose bytes are pinned.
+OBS_SMOKE_PINNED = ("journal.jsonl", "trace.jsonl")
 #: Counters that are not a function of the seed: the bytes ``tcp_rpc``'s
 #: two client threads send vary between runs of one seed (493,254 or
 #: 492,402 on seed 7).  Every other counter repeats exactly.
@@ -73,8 +88,21 @@ def _environment() -> dict:
     return env
 
 
+def obs_smoke_outputs(env: dict) -> dict:
+    """Run the obs-smoke line in a scratch directory; hash its pins."""
+    with tempfile.TemporaryDirectory() as scratch:
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", *OBS_SMOKE_ARGS],
+            cwd=scratch, env=env, capture_output=True, check=True,
+        )
+        return {
+            name: hashlib.sha256(Path(scratch, name).read_bytes()).hexdigest()
+            for name in OBS_SMOKE_PINNED
+        }
+
+
 def compute_manifest() -> dict:
-    """Both halves, each in its own interpreter, side by side."""
+    """Every part, each in its own interpreter, S0 alongside the rest."""
     env = _environment()
     s0 = subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--s0"],
@@ -84,12 +112,14 @@ def compute_manifest() -> dict:
         [sys.executable, "-m", "repro.cli", *SIMULATE_ARGS],
         cwd=ROOT, env=env, capture_output=True, check=True,
     )
+    obs_smoke = obs_smoke_outputs(env)
     s0_stdout, _ = s0.communicate()
     assert s0.returncode == 0, f"S0 outputs exited {s0.returncode}"
     return {
         "s0": json.loads(s0_stdout),
         "simulate_stdout_sha256":
             hashlib.sha256(simulate.stdout).hexdigest(),
+        "obs_smoke_sha256": obs_smoke,
     }
 
 
@@ -98,6 +128,7 @@ def test_every_deterministic_output_matches_the_manifest():
     actual = compute_manifest()
     assert actual["simulate_stdout_sha256"] \
         == expected["simulate_stdout_sha256"]
+    assert actual["obs_smoke_sha256"] == expected["obs_smoke_sha256"]
     for workload, seeds in expected["s0"].items():
         for seed, outputs in seeds.items():
             assert actual["s0"][workload][seed] == outputs, (workload, seed)

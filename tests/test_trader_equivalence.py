@@ -1,14 +1,15 @@
-"""Equivalence suite: indexed Trader query vs the linear reference oracle.
+"""Equivalence suite: the Trader's compiled scan vs the linear oracle.
 
-:meth:`TradingService.query` answers through per-type pools, lazily built
-equality-bucket indexes, compiled constraint matchers, and a heap-based
-top-k.  ``tests/oracles/trading.py::query_linear`` is the seed
-implementation — interpreted evaluator, full scan, stable sort.  The two
-must return *identical offers in identical rank order* for every
-constraint, preference, and ``max_offers``; hypothesis drives randomized offer
-populations (including missing, oddly-typed, and unhashable property
-values) and randomized expression trees through both paths, interleaved
-with modify/withdraw churn so index maintenance is exercised too.
+:meth:`TradingService.query` answers with one pass of a compiled
+constraint matcher over the service type's offers in export order, and
+a heap-based top-k.  ``tests/oracles/trading.py::query_linear`` is the
+seed implementation — interpreted evaluator, full scan, stable sort.
+The two must return *identical offers in identical rank order* for
+every constraint, preference, and ``max_offers``; hypothesis drives
+randomized offer populations (including missing, oddly-typed, and
+unhashable property values) and randomized expression trees through
+both paths, interleaved with modify/withdraw churn so export order must
+survive it.
 """
 
 import pytest
@@ -18,10 +19,10 @@ from repro.orb.trading import TradingService
 
 from tests.oracles.trading import query_linear
 
-# Finite value pools force hash-bucket collisions and the True/1/1.0
-# equality unification the index must mirror.  ``tags`` is sometimes
-# unhashable (a list) — such offers can never satisfy ``attr == literal``
-# and must be skipped by the index, not crash it.
+# Finite value pools force the True/1/1.0 equality unification the
+# compiled matcher must mirror.  ``tags`` is sometimes unhashable (a
+# list) — such offers can never satisfy ``attr == literal`` and must be
+# skipped, not crash the scan.
 ATTR_VALUES = {
     "mips": [250, 500.0, 750.0, 1000.0, True],
     "os": ["linux", "solaris", "irix", 5],
@@ -104,7 +105,7 @@ def test_query_matches_linear_oracle(
             return
         assert svc.query(*args) == expected
 
-    check()   # first query builds any equality-bucket indexes lazily
+    check()
     for slot, props in churn:
         if not ids:
             break
@@ -114,7 +115,7 @@ def test_query_matches_linear_oracle(
             ids.remove(offer_id)
         else:
             svc.modify(offer_id, props)
-    check()   # second query exercises index maintenance after churn
+    check()   # modify/withdraw churn must keep export order
 
 
 def test_max_offers_zero_is_explicit_empty():
@@ -138,14 +139,14 @@ def test_rank_order_ties_keep_export_order():
 
 
 def test_refiled_offers_keep_export_order():
-    """A modify re-files an offer at the end of its equality bucket; an
-    unranked query must still answer in export order."""
+    """A modify keeps an offer's place: an unranked query still answers
+    in export order."""
     svc = TradingService()
     offers = [
         svc.offer(svc.export("node", f"ior:{i}", {"sharing": True, "n": i}))
         for i in range(4)
     ]
-    svc.query("node", "sharing == true")        # builds the bucket
+    svc.query("node", "sharing == true")
     for offer in offers[:2]:
         svc.modify(offer.offer_id, dict(offer.properties))
     result = svc.query("node", "sharing == true")
