@@ -165,7 +165,8 @@ class Grm:
     def bind_metrics(self, registry, prefix: Optional[str] = None) -> None:
         """Publish this GRM's stats and trader on a metrics registry.
 
-        Registers :class:`GrmStats` fields as views, binds the trader's
+        Registers :class:`GrmStats` fields, the roster size, backlog and
+        :meth:`status_age_mean` as views, binds the trader's
         query accounting, and starts the status-ingest and policy-ranking
         latency histograms (each call goes through
         :func:`~repro.obs.metrics.timed`).
@@ -174,6 +175,7 @@ class Grm:
         self.stats.to_metrics(registry, prefix)
         registry.view(f"{prefix}.registered_nodes", lambda: len(self._nodes))
         registry.view(f"{prefix}.pending_jobs", lambda: len(self._pending))
+        registry.view(f"{prefix}.status_age_mean_s", self.status_age_mean)
         self.trader.bind_metrics(registry, prefix=f"trader.{self.cluster}")
         from repro.obs.metrics import LATENCY_BOUNDS_S, timed
         self._timed_rank = timed(registry.histogram(
@@ -182,6 +184,14 @@ class Grm:
         self._timed_ingest = timed(registry.histogram(
             f"{prefix}.ingest_latency_s", LATENCY_BOUNDS_S
         ), self._ingest)
+
+    def status_age_mean(self) -> float:
+        """Mean seconds since each rostered node's last accepted update:
+        the freshness of this GRM's view.  Every node says something
+        every interval, so it hovers at about half the update interval."""
+        now = self._loop.now
+        ages = [now - record.last_seen for record in self._nodes.values()]
+        return sum(ages) / len(ages) if ages else 0.0
 
     def set_parent(self, parent_stub) -> None:
         """Attach the parent GRM for wide-area forwarding."""

@@ -136,18 +136,8 @@ class ClusterMonitor:
         ):
             registry.view(f"{prefix}.{name}", field_view(name))
         registry.view(f"{prefix}.samples", lambda: len(self._snapshots))
-        # Freshness of the GRM's information-plane view: every node says
-        # something every interval, so it hovers at about half the
-        # update interval.
-        registry.view(f"{prefix}.status_age_mean_s", self.status_age_mean)
-
-    def status_age_mean(self) -> float:
-        """Mean seconds since each live node's last accepted update."""
-        now = self._loop.now
-        ages = [
-            now - record.last_seen for record in self._grm._nodes.values()
-        ]
-        return sum(ages) / len(ages) if ages else 0.0
+        registry.view(f"{prefix}.status_age_mean_s",
+                      self._grm.status_age_mean)
 
     # -- queries ---------------------------------------------------------------
 

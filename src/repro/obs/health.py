@@ -374,7 +374,7 @@ def default_rules(
         ))
         rules.append(AlertRule(
             name=f"status-staleness.{cluster}", kind="threshold",
-            metric=f"monitor.{cluster}.status_age_mean_s",
+            metric=f"grm.{cluster}.status_age_mean_s",
             op=">", value=3.0 * update_interval, severity="warning",
             description="GRM's node-status view is going stale",
         ))

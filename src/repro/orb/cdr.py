@@ -7,16 +7,9 @@ CORBA ``any``) used by the Trading service's property lists.
 
 Types are objects with ``encode``/``decode`` methods, so an operation
 signature is simply a list of type objects and marshalling is table-driven.
-
-Hot-path layout: every primitive uses a module-level precompiled
-:class:`struct.Struct`, and each message :class:`Struct` compiles — once,
-on first use — a *plan* that fuses consecutive fixed-size primitive
-fields into a single pack/unpack call.  Because CDR alignment is relative
-to the start of the whole buffer, each fused run is compiled into eight
-variants, one per possible starting offset mod 8, with the inter-field
-padding baked into the format string as ``x`` bytes.  Plans are shared
-across message types through a cache keyed by the run's field signature.
-The wire format is bit-identical to the naive field-at-a-time encoder.
+There is one codec per type: each primitive packs through a module-level
+precompiled :class:`struct.Struct`, and structs and sequences marshal
+their members one at a time.
 
 One decoder: :class:`CdrDecoder` reads ``bytes`` / ``bytearray`` /
 ``memoryview`` buffers in place with ``unpack_from``, and octet
@@ -357,106 +350,12 @@ Double = _Double()
 String = _String()
 Octets = _Octets()
 
-# Fixed-size primitives that can be fused into a single (un)pack call.
-# type class -> (format char, size, needs 0/1 bool normalization)
-_FIXED_PRIMS = {
-    _Boolean: ("B", 1, True),
-    _Octet: ("B", 1, False),
-    _Short: ("h", 2, False),
-    _UShort: ("H", 2, False),
-    _Long: ("i", 4, False),
-    _ULong: ("I", 4, False),
-    _LongLong: ("q", 8, False),
-    _Double: ("d", 8, False),
-}
-
-
-class _Run:
-    """A maximal run of fixed-size primitive fields, compiled per alignment.
-
-    ``variants[a]`` holds ``(packer, total_bytes)`` for a run starting at
-    buffer offset ``a`` (mod 8); inter-field CDR padding is baked into the
-    format string as ``x`` bytes, so one pack/unpack handles the whole run
-    at that alignment.
-    """
-
-    __slots__ = ("names", "bool_indices", "variants", "field_types")
-
-    def __init__(self, names, specs, field_types):
-        self.names = names
-        self.field_types = field_types   # for the slow error-reporting path
-        self.bool_indices = tuple(
-            i for i, (_c, _s, is_bool) in enumerate(specs) if is_bool
-        )
-        self.variants = []
-        for start in range(8):
-            fmt = ["<"]
-            pos = start
-            for char, size, _is_bool in specs:
-                pad = (-pos) % size
-                if pad:
-                    fmt.append("x" * pad)
-                fmt.append(char)
-                pos += pad + size
-            packer = _struct.Struct("".join(fmt))
-            self.variants.append((packer, pos - start))
-
-
-# Shared across message types: run signature -> compiled _Run variants.
-_RUN_CACHE: dict = {}
-
-
-def _compile_plan(fields):
-    """Split a struct's fields into fused runs and residual fields.
-
-    Returns a list of segments: ``("run", _Run)`` or ``("field", name,
-    idl_type)``.  Runs are shared through :data:`_RUN_CACHE` keyed by the
-    (name, format) signature.
-    """
-    plan = []
-    pending = []   # (name, spec, idl_type) of the run under construction
-
-    def flush():
-        if not pending:
-            return
-        if len(pending) == 1:
-            name, _spec, ftype = pending[0]
-            plan.append(("field", name, ftype))
-        else:
-            key = tuple((name, spec[0], spec[2]) for name, spec, _t in pending)
-            run = _RUN_CACHE.get(key)
-            if run is None:
-                run = _Run(
-                    tuple(name for name, _s, _t in pending),
-                    tuple(spec for _n, spec, _t in pending),
-                    tuple(ftype for _n, _s, ftype in pending),
-                )
-                _RUN_CACHE[key] = run
-            plan.append(("run", run))
-        pending.clear()
-
-    for fname, ftype in fields:
-        spec = _FIXED_PRIMS.get(type(ftype))
-        if spec is not None:
-            pending.append((fname, spec, ftype))
-        else:
-            flush()
-            plan.append(("field", fname, ftype))
-    flush()
-    return plan
-
-
 class Sequence(IdlType):
-    """A length-prefixed homogeneous sequence.
-
-    Sequences of fixed-size primitives marshal the whole payload with a
-    single pack/unpack call.
-    """
+    """A length-prefixed homogeneous sequence."""
 
     def __init__(self, element: IdlType):
         self.element = element
         self.name = f"sequence<{element.name}>"
-        self._prim = _FIXED_PRIMS.get(type(element))
 
     def encode(self, enc, value):
         if not isinstance(value, (list, tuple)):
@@ -464,51 +363,17 @@ class Sequence(IdlType):
                 f"expected list/tuple for {self.name}, got {type(value).__name__}"
             )
         enc.write_ulong(len(value))
-        if self._prim is not None and value:
-            char, size, is_bool = self._prim
-            buf = enc._buf
-            pad = (-len(buf)) % size
-            if pad:
-                buf.extend(_PAD[pad])
-            if is_bool:
-                value = [1 if v else 0 for v in value]
-            try:
-                buf.extend(_struct.pack(f"<{len(value)}{char}", *value))
-            except _struct.error:
-                pass   # fall through to per-element for the exact error
-            else:
-                return
         for item in value:
             self.element.encode(enc, item)
 
     def decode(self, dec):
         count = dec.read_ulong()
-        if self._prim is not None and count:
-            char, size, is_bool = self._prim
-            pos = dec._pos
-            pos += (-pos) % size
-            total = count * size
-            if pos + total > len(dec._data):
-                raise MarshalError(
-                    f"buffer underrun: need {total} bytes at {pos}, "
-                    f"have {len(dec._data) - pos}"
-                )
-            values = _struct.unpack_from(f"<{count}{char}", dec._data, pos)
-            dec._pos = pos + total
-            if is_bool:
-                return [bool(v) for v in values]
-            return list(values)
         return [self.element.decode(dec) for _ in range(count)]
 
 
 class Struct(IdlType):
-    """A named struct; Python-side values are plain dicts.
-
-    Marshalling is driven by a compiled plan (see :func:`_compile_plan`)
-    that fuses consecutive fixed-size primitive fields into single
-    pack/unpack calls; the wire format is identical to encoding each
-    field on its own.
-    """
+    """A named struct; Python-side values are plain dicts, marshalled
+    field by field in declaration order."""
 
     def __init__(self, name: str, fields: _SequenceT):
         self.name = name
@@ -516,76 +381,21 @@ class Struct(IdlType):
         field_names = [fname for fname, _ in self.fields]
         if len(set(field_names)) != len(field_names):
             raise ValueError(f"duplicate field in struct {name!r}")
-        self._plan = None
-
-    def _encode_run_slow(self, enc, run: "_Run", value) -> None:
-        """Field-at-a-time re-run after a fused pack failed, for the
-        exact per-field MarshalError the naive encoder raises."""
-        for fname, ftype in zip(run.names, run.field_types):
-            ftype.encode(enc, value[fname])
-        raise MarshalError(
-            f"fused pack failed for struct {self.name} but the per-field "
-            "encoding succeeded"
-        )
 
     def encode(self, enc, value):
         if not isinstance(value, dict):
             raise MarshalError(
                 f"expected dict for struct {self.name}, got {type(value).__name__}"
             )
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = _compile_plan(self.fields)
-        buf = enc._buf
-        for segment in plan:
-            if segment[0] == "run":
-                run = segment[1]
-                try:
-                    values = [value[n] for n in run.names]
-                except KeyError as exc:
-                    raise MarshalError(
-                        f"struct {self.name} missing field {exc.args[0]!r}"
-                    ) from None
-                for i in run.bool_indices:
-                    values[i] = 1 if values[i] else 0
-                packer, _total = run.variants[len(buf) % 8]
-                try:
-                    buf.extend(packer.pack(*values))
-                except _struct.error:
-                    self._encode_run_slow(enc, run, value)
-            else:
-                _tag, fname, ftype = segment
-                if fname not in value:
-                    raise MarshalError(
-                        f"struct {self.name} missing field {fname!r}"
-                    )
-                ftype.encode(enc, value[fname])
+        for fname, ftype in self.fields:
+            if fname not in value:
+                raise MarshalError(
+                    f"struct {self.name} missing field {fname!r}"
+                )
+            ftype.encode(enc, value[fname])
 
     def decode(self, dec):
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = _compile_plan(self.fields)
-        result = {}
-        for segment in plan:
-            if segment[0] == "run":
-                run = segment[1]
-                pos = dec._pos
-                packer, total = run.variants[pos % 8]
-                if pos + total > len(dec._data):
-                    raise MarshalError(
-                        f"buffer underrun: need {total} bytes at {pos}, "
-                        f"have {len(dec._data) - pos}"
-                    )
-                values = packer.unpack_from(dec._data, pos)
-                dec._pos = pos + total
-                names = run.names
-                for i, name in enumerate(names):
-                    result[name] = values[i]
-                for i in run.bool_indices:
-                    result[names[i]] = bool(result[names[i]])
-            else:
-                result[segment[1]] = segment[2].decode(dec)
-        return result
+        return {fname: ftype.decode(dec) for fname, ftype in self.fields}
 
 
 class Union(IdlType):

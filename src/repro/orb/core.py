@@ -1,17 +1,18 @@
 """The ORB: servant registration, stubs, and request dispatch.
 
-A request marshals only when it has to: over TCP, or inside an auth
+A stub call marshals only when it has to: over TCP, or inside an auth
 envelope.  Two ORBs in the same :class:`InProcDomain` with no envelope
 between them are *collocated* and their calls are dispatched directly
 (arguments and results cross by reference) over the binding a
 :class:`Stub` makes once per domain epoch: the servant's method with the
 instruments of both ORBs (tracer, interceptors, a :class:`WireMeter`)
 composed around :func:`_dispatch_direct`.  A plain call is one epoch
-compare, four counter bumps and the method.
+compare, four counter bumps and the method.  Every other call goes
+through :meth:`Orb.invoke`, which always marshals.
 
 Request wire format (after the transport's framing)::
 
-    Struct RequestHeader { key: string, operation: string }
+    string key; string operation
     <arguments, encoded per the operation signature>
 
 Reply wire format::
@@ -19,6 +20,9 @@ Reply wire format::
     octet status   # 0 = ok, 1 = exception
     <result per signature>            (status 0)
     string exc_type; string message   (status 1)
+
+A request or reply with bytes after its last value is refused with a
+:class:`MarshalError`.
 """
 
 import itertools
@@ -27,15 +31,11 @@ from typing import Optional, Union
 
 from repro.security.auth import AuthenticationError, is_authenticated
 
-from repro.orb.cdr import (
-    CdrDecoder,
-    CdrEncoder,
-    String,
-    Struct,
-)
+from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.orb.exceptions import (
     BadOperation,
     CommunicationError,
+    MarshalError,
     ObjectNotFound,
     OrbError,
     RemoteInvocationError,
@@ -49,10 +49,6 @@ from repro.orb.transport import (
     TcpTransport,
 )
 
-_REQUEST_HEADER = Struct(
-    "RequestHeader", [("key", String), ("operation", String)]
-)
-
 _STATUS_OK = 0
 _STATUS_EXCEPTION = 1
 
@@ -64,28 +60,28 @@ _STATUS_EXCEPTION = 1
 _TRACE_KEY = "\x00trace-ctx"
 
 
-def _encode_request(key: str, operation: Operation, args, header=None,
+def _encode_request(key: str, operation: Operation, args,
                     trace_ctx=None) -> bytes:
-    """The CDR payload of one request.
-
-    ``header`` is a :class:`Stub`'s precomputed ``[key, operation]``
-    encoding, valid only at offset 0 (its alignment padding assumes
-    it): a request carrying ``trace_ctx`` must pass None and have the
-    two strings re-encoded behind the extension.
-    """
+    """The CDR payload of one request, behind the trace-context
+    extension when ``trace_ctx`` is given."""
     enc = CdrEncoder()
     if trace_ctx is not None:
         enc.write_string(_TRACE_KEY)
         enc.write_string(trace_ctx[0])
         enc.write_string(str(trace_ctx[1]))
-    if header is not None:
-        enc._buf.extend(header)
-    else:
-        enc.write_string(key)
-        enc.write_string(operation.name)
+    enc.write_string(key)
+    enc.write_string(operation.name)
     for param, arg in zip(operation.params, args):
         param.idl_type.encode(enc, arg)
     return enc.getvalue()
+
+
+def _expect_end(dec: CdrDecoder, what: str) -> None:
+    """Refuse a message with bytes after its last value."""
+    if dec.remaining:
+        raise MarshalError(
+            f"{dec.remaining} trailing bytes after the {what}'s last value"
+        )
 
 
 class WireMeter:
@@ -116,7 +112,8 @@ class WireMeter:
 #: A binding is ``(generation, dispatch, peer, method, client stats,
 #: server stats)``, valid while the domain epoch equals ``generation``;
 #: a call runs ``dispatch(binding, oneway, args)`` (see :meth:`Orb._bind`).
-#: An unbindable one is ``(generation, None)``: take :meth:`Orb.invoke`.
+#: An unbindable one is ``(generation, None)``: the call marshals
+#: through :meth:`Orb.invoke`.
 _UNBOUND = (-1, None)
 
 
@@ -147,7 +144,8 @@ def _dispatch_direct(binding: tuple, oneway: bool, args: tuple):
 
 
 def _raiser(exc: Exception):
-    """A servant method for a servant or operation the peer lacks."""
+    """The method a call to a servant or operation the peer lacks is
+    bound to: it raises what the wire path's lookup would."""
     def missing(*args):
         raise exc
 
@@ -181,14 +179,6 @@ class Stub:
             operation = self._interface.operation(name)
         except BadOperation as exc:
             raise UndeclaredOperation(str(exc)) from None
-        # The request header is constant per (ref, operation) and always
-        # sits at offset 0, so its encoding can be computed once here and
-        # spliced into every request.
-        enc = CdrEncoder()
-        _REQUEST_HEADER.encode(
-            enc, {"key": self._ref.key, "operation": operation.name}
-        )
-        header = enc.getvalue()
         orb = self._orb
         ref = self._ref
         domain = orb.domain
@@ -206,7 +196,7 @@ class Stub:
                 bound = binding = orb._bind(ref, operation)
             if bound[1] is not None and len(args) == arity:
                 return bound[1](bound, oneway, args)
-            return orb.invoke(ref, operation, args, header)
+            return orb.invoke(ref, operation, args)
 
         call.__name__ = name
         # Cache on the instance so later lookups skip __getattr__.
@@ -243,14 +233,6 @@ class Orb:
         self.name = name if name is not None else f"orb{next(self._names)}"
         self.domain = domain if domain is not None else DEFAULT_DOMAIN
         self._servants: dict[str, tuple] = {}
-        # (key, operation) -> (bound method, Operation); rebuilt lazily,
-        # dropped whenever the servant table changes.
-        self._dispatch_cache: dict[tuple, tuple] = {}
-        # endpoints tuple -> _route's (peer, transport, address), valid
-        # for one domain epoch like every Stub binding: any change that
-        # could alter either (an ORB joining or leaving, a servant,
-        # instrument or auth setting on any member) moves the epoch.
-        self._routes: dict[tuple, tuple] = {}
         self._interfaces: dict[str, InterfaceDef] = {}
         self._key_counter = itertools.count()
         self.requests_handled = 0
@@ -267,7 +249,6 @@ class Orb:
         # Registered once built (but for TCP): a peer that finds this ORB
         # in the domain may bind to it at once.
         self.domain.register(self.name, self)
-        self._routes_epoch = self.domain.epoch
         self._tcp = TcpTransport(self, tcp_host, tcp_port) if tcp else None
 
     @property
@@ -318,7 +299,6 @@ class Orb:
         if key not in self._servants:
             raise ObjectNotFound(f"no servant with key {key!r} on {self.name}")
         del self._servants[key]
-        self._dispatch_cache.clear()
         self.domain.invalidate()
 
     def register_interface(self, interface: InterfaceDef) -> None:
@@ -375,142 +355,107 @@ class Orb:
         self._tracer = tracer
         self.domain.invalidate()
 
-    def invoke(
-        self,
-        ref: ObjectRef,
-        operation: Operation,
-        args: tuple,
-        _header: Optional[bytes] = None,
-    ):
-        """Send one request and return its result.
+    def invoke(self, ref: ObjectRef, operation: Operation, args: tuple):
+        """Marshal one request, send it and unmarshal its reply.
 
-        A target registered in this ORB's domain is *collocated*: unless
-        the call needs an auth envelope (``credentials`` on this ORB or
-        ``require_auth`` on the target) it is dispatched directly —
-        arguments and result cross by reference, nothing is marshalled,
-        and the transport counters record the messages with zero bytes.
-        Every other request is CDR-encoded and sent over the in-process
-        or TCP transport.  Tracing never changes which path runs.
-
-        A :class:`Stub` reaches this method only for the calls it could
-        not bind (:meth:`_bind`): marshalled ones, and missing servants.
-
-        ``_header`` is the precomputed request-header encoding a
-        :class:`Stub` caches per operation; without it the header is
-        encoded when (and if) the request marshals.
+        This is the path of every call a :class:`Stub` cannot bind
+        (:meth:`_bind`): a target outside this ORB's domain (TCP), or a
+        collocated one behind an auth envelope (``credentials`` on this
+        ORB or ``require_auth`` on the target).  Called directly, it
+        marshals even a collocated request, over the in-process
+        transport.
         """
         if len(args) != len(operation.params):
             raise TypeError(
                 f"{operation.name}() takes {len(operation.params)} "
                 f"arguments ({len(args)} given)"
             )
-        return self._client_side(ref, operation, args, _header, self._send)
+        return self._client_side(ref, operation, args, self._send)
 
     def _client_side(self, ref: ObjectRef, operation: Operation, args: tuple,
-                     header: Optional[bytes], send):
+                     send):
         """The caller's side of every request, on either path: the client
-        span, whose context ``send`` carries to the server (re-encoding
-        the header behind it), and the client interceptors around
-        ``send(ref, operation, args, header, trace_ctx)``."""
+        span, whose context ``send`` carries to the server, and the
+        client interceptors around ``send(ref, operation, args,
+        trace_ctx)``."""
         tracer = self._tracer
         if tracer is not None and tracer._active:
             with tracer.span(f"{ref.interface}.{operation.name}",
                              component=self.name, kind="client") as span:
                 for interceptor in self._client_interceptors:
                     interceptor(ref, operation, args)
-                return send(ref, operation, args, None,
+                return send(ref, operation, args,
                             (span.trace_id, span.span_id))
         for interceptor in self._client_interceptors:
             interceptor(ref, operation, args)
-        return send(ref, operation, args, header, None)
+        return send(ref, operation, args, None)
 
     def _send(self, ref: ObjectRef, operation: Operation, args: tuple,
-              header: Optional[bytes], trace_ctx: Optional[tuple]):
-        """Route one request the caller could not bind: direct dispatch
-        if collocated, else marshal, transmit and unmarshal the reply."""
-        route = self._routes.get(ref.endpoints)
-        if route is None or self._routes_epoch != self.domain.epoch:
-            route = self._cached_route(ref)
-        peer, transport, address = route
-        if (peer is not None and self._credentials is None
-                and not peer._require_auth):
-            try:
-                method, served = peer._servant_method(ref.key, operation.name)
-            except OrbError as exc:
-                method = _raiser(exc)
-            else:
-                method = partial(peer._serve(ref.key, served, method),
-                                 trace_ctx)
-            return _dispatch_direct(
-                (None, _dispatch_direct, peer, method, self._inproc.stats,
-                 peer._inproc.stats), operation.oneway, args)
-        payload = _encode_request(ref.key, operation, args, header, trace_ctx)
+              trace_ctx: Optional[tuple]):
+        """Marshal, transmit and unmarshal the reply."""
+        _peer, transport, address = self._route(ref)
+        payload = _encode_request(ref.key, operation, args, trace_ctx)
         if self._credentials is not None:
             payload = self._credentials.wrap(payload)
         reply = transport.invoke(address, payload, operation.oneway)
         if operation.oneway:
             return None
         dec = CdrDecoder(reply)
-        status = dec.read_octet()
-        if status == _STATUS_OK:
-            return operation.returns.decode(dec)
+        if dec.read_octet() == _STATUS_OK:
+            result = operation.returns.decode(dec)
+            _expect_end(dec, "reply")
+            return result
         exc_type = dec.read_string()
         message = dec.read_string()
+        _expect_end(dec, "exception reply")
         raise RemoteInvocationError(exc_type, message)
 
     def _bind(self, ref: ObjectRef, operation: Operation) -> tuple:
         """A :class:`Stub`'s binding for one operation at the current
         domain epoch (see :data:`_UNBOUND`).
 
-        A call binds when the route is collocated, no envelope is needed
-        and the servant serves the operation; else the stub takes
-        :meth:`invoke` until the epoch moves.  The peer's server span and
+        A call binds when the route is collocated and no envelope is
+        needed; else the stub takes :meth:`invoke` until the epoch moves.
+        A servant or operation the peer lacks binds :func:`_raiser`,
+        outside the peer's server instruments, which never see a request
+        the wire path's lookup refuses.  The peer's server span and
         interceptors wrap the method (:meth:`_serve`); this ORB's client
         span and interceptors wrap :func:`_dispatch_direct`, outside its
         counting and exception mapping.  Whether a tracer records is read
         per call: ``enable()`` / ``disable()`` do not move the epoch.
         """
         generation = self.domain.epoch
-        unbindable = (generation, None)
         try:
-            peer = self._cached_route(ref)[0]
-            if (peer is None or peer._require_auth
-                    or self._credentials is not None):
-                return unbindable
-            method, served = peer._servant_method(ref.key, operation.name)
+            peer = self._route(ref)[0]
         except OrbError:
-            return unbindable    # invoke raises it, as an unbound call
-        serve = peer._serve(ref.key, served, method)
+            return (generation, None)   # invoke raises it, as unbound
+        if peer is None or peer._require_auth or self._credentials is not None:
+            return (generation, None)
         stats = (self._inproc.stats, peer._inproc.stats)
-        untraced = partial(serve, None) if peer._server_interceptors \
-            else method
+        try:
+            method, served = peer._servant_method(ref.key, operation.name)
+        except OrbError as exc:
+            serve, untraced = None, _raiser(exc)
+        else:
+            serve = peer._serve(ref.key, served, method)
+            untraced = partial(serve, None) if peer._server_interceptors \
+                else method
         bound = (generation, _dispatch_direct, peer, untraced) + stats
         if self._tracer is None and not self._client_interceptors:
             return bound
         traced = (generation, _dispatch_direct, peer, serve) + stats
-        server_traces = peer._tracer is not None
+        server_traces = serve is not None and peer._tracer is not None
 
-        def send(ref, operation, args, header, trace_ctx):
+        def send(ref, operation, args, trace_ctx):
             if trace_ctx is None or not server_traces:
                 return _dispatch_direct(bound, operation.oneway, args)
             return _dispatch_direct(traced, operation.oneway,
                                     (trace_ctx, *args))
 
         def dispatch(_binding, _oneway, args):
-            return self._client_side(ref, operation, args, None, send)
+            return self._client_side(ref, operation, args, send)
 
         return (generation, dispatch) + bound[2:]
-
-    def _cached_route(self, ref: ObjectRef) -> tuple:
-        """:meth:`_route`, cached for the current domain epoch."""
-        epoch = self.domain.epoch
-        if self._routes_epoch != epoch:
-            self._routes.clear()
-            self._routes_epoch = epoch
-        route = self._routes.get(ref.endpoints)
-        if route is None:
-            route = self._routes[ref.endpoints] = self._route(ref)
-        return route
 
     def _route(self, ref: ObjectRef) -> tuple:
         """``(collocated peer or None, transport, address)`` for a
@@ -553,8 +498,6 @@ class Orb:
                     "this ORB only accepts authenticated requests"
                 )
             dec = CdrDecoder(payload)
-            # The header is Struct{key: string, operation: string}; read the
-            # two strings directly rather than through the Struct plan.
             key = dec.read_string()
             remote_parent = None
             if key == _TRACE_KEY:
@@ -566,6 +509,7 @@ class Orb:
             op_name = dec.read_string()
             method, operation = self._servant_method(key, op_name)
             args = [p.idl_type.decode(dec) for p in operation.params]
+            _expect_end(dec, "request")
             if self._server_interceptors or remote_parent is not None:
                 method = partial(self._serve(key, operation, method),
                                  remote_parent)
@@ -581,16 +525,12 @@ class Orb:
 
     def _servant_method(self, key: str, op_name: str) -> tuple:
         """``(bound method, Operation)`` serving ``op_name`` on ``key``."""
-        cached = self._dispatch_cache.get((key, op_name))
-        if cached is None:
-            entry = self._servants.get(key)
-            if entry is None:
-                raise ObjectNotFound(f"no servant with key {key!r}")
-            servant, interface = entry
-            operation = interface.operation(op_name)
-            cached = (getattr(servant, operation.name), operation)
-            self._dispatch_cache[(key, op_name)] = cached
-        return cached
+        entry = self._servants.get(key)
+        if entry is None:
+            raise ObjectNotFound(f"no servant with key {key!r}")
+        servant, interface = entry
+        operation = interface.operation(op_name)
+        return getattr(servant, operation.name), operation
 
     def _serve(self, key: str, operation: Operation, method):
         """``serve(trace_parent, *args)``: ``method(*args)`` inside this
@@ -645,7 +585,6 @@ class Orb:
         if self._tcp is not None:
             self._tcp.close()
         self._servants.clear()
-        self._dispatch_cache.clear()
         self.domain.invalidate()
 
     def __repr__(self):

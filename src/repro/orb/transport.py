@@ -6,12 +6,14 @@ Two transports share one wire format (length-framed CDR payloads):
   same Python process via a registry ("domain").  Collocated calls that
   need no auth envelope never reach :meth:`InProcTransport.invoke`: a
   bound :class:`~repro.orb.core.Stub` dispatches them directly, counting
-  messages but no bytes.  Only enveloped requests cross here as CDR.
+  messages but no bytes.  Only enveloped requests (and direct
+  :meth:`~repro.orb.core.Orb.invoke` calls) cross here as CDR.
 * **TCP** — real sockets with a 4-byte big-endian length prefix, used by
   integration tests and the TCP microbenchmarks.
 
 There is exactly one TCP framing: each frame carries one flag byte
-(1 = reply expected) before the CDR payload, and a per-peer lock keeps
+(1 = reply expected, 0 = oneway; any other frame is dropped undispatched)
+before the CDR payload, and a per-peer lock keeps
 one request/reply exchange on a connection at a time.  ``TCP_NODELAY``
 is set on every socket the transport connects or accepts: a oneway
 followed by a two-way call on the same connection otherwise waits out
@@ -217,10 +219,10 @@ class TcpTransport:
                         frame = _recv_frame(conn)
                     except (CommunicationError, OSError):
                         return
-                    if not frame:
-                        # A zero-length frame has no flag byte; drop it
-                        # and keep serving instead of letting IndexError
-                        # silently kill this thread.
+                    if not frame or frame[0] > 1:
+                        # No flag byte, or one that is neither oneway (0)
+                        # nor two-way (1): drop the frame undispatched
+                        # and keep serving.
                         self.frames_rejected += 1
                         continue
                     expects_reply = frame[0] == 1

@@ -331,6 +331,29 @@ class TestEndToEndCrashForensics:
         severities = {a["rule"]: a["severity"] for a in report["alerts"]}
         assert severities["dead-nodes.c0"] == "critical"
 
+    def test_live_health_report_fires_staleness_alert(self):
+        from repro import Grid
+
+        grid = Grid(seed=1, lupa_enabled=False)
+        grid.add_cluster("c0")
+        for name in ("n0", "n1"):
+            grid.add_node("c0", name, dedicated=True)
+        grid.enable_journal()
+        grid.enable_metrics()
+        grid.run_until(600.0)
+        for name in ("n0", "n1"):
+            grid.crash_node("c0", name)
+        grid.run_until(792.0)
+        # Both nodes are still on the roster, last heard 192 s ago:
+        # past the rule's 3 x 60 s, short of the GRM's death sweep.
+        assert sorted(grid.clusters["c0"].grm._nodes) == ["n0", "n1"]
+        report = grid.health_report()
+        assert report["dead_nodes"] == []
+        (alert,) = [a for a in report["alerts"]
+                    if a["rule"] == "status-staleness.c0"]
+        assert alert["metric"] == "grm.c0.status_age_mean_s"
+        assert alert["observed"] == pytest.approx(192.0)
+
     def test_health_report_requires_journal(self):
         from repro import Grid
 

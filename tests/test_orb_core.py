@@ -2,17 +2,19 @@
 
 import pytest
 
-from repro.orb.cdr import Double, Long, Sequence, String, Void
-from repro.orb.core import Orb
+from repro.orb.cdr import CdrDecoder, Double, Long, Sequence, String, Void
+from repro.orb.core import Orb, _encode_request
 from repro.orb.exceptions import (
     BadOperation,
     CommunicationError,
+    MarshalError,
     ObjectNotFound,
     RemoteInvocationError,
 )
 from repro.orb.idl import InterfaceDef, Operation, Parameter
 from repro.orb.ior import ObjectRef
 from repro.orb.transport import InProcDomain
+from repro.security.auth import Credentials, KeyRing
 
 CALC_INTERFACE = InterfaceDef(
     "test/Calculator",
@@ -142,6 +144,57 @@ class TestInProcInvocation:
         finally:
             client.shutdown()
             server.shutdown()
+
+
+JUNK = b"\x00" * 8
+
+
+class TestTrailingBytes:
+    """A message with bytes after its last value is refused, on the
+    server (requests) and on the client (replies) alike."""
+
+    def test_request_with_trailing_bytes_is_refused(self, pair):
+        server, _client = pair
+        calculator = Calculator()
+        ref = server.activate(calculator, CALC_INTERFACE)
+        add = CALC_INTERFACE.operation("add")
+        reply = CdrDecoder(server.handle_request_bytes(
+            _encode_request(ref.key, add, (1.5, 1.5)) + JUNK))
+        assert reply.read_octet() == 1                  # exception status
+        assert reply.read_string() == "MarshalError"
+        # The same request without the junk is served.
+        reply = CdrDecoder(server.handle_request_bytes(
+            _encode_request(ref.key, add, (1.5, 1.5))))
+        assert reply.read_octet() == 0
+        assert reply.read_double() == 3.0
+
+    def test_oneway_with_trailing_bytes_is_not_dispatched(self, pair):
+        server, _client = pair
+        calculator = Calculator()
+        ref = server.activate(calculator, CALC_INTERFACE)
+        notify = CALC_INTERFACE.operation("notify")
+        server.handle_request_bytes(
+            _encode_request(ref.key, notify, ("hi",)) + JUNK)
+        assert calculator.notifications == []
+
+    @pytest.mark.parametrize("operation, args", [
+        ("add", (1.5, 1.5)),     # a result
+        ("boom", ()),            # an exception's two strings
+    ])
+    def test_reply_with_trailing_bytes_is_refused(self, pair, monkeypatch,
+                                                  operation, args):
+        server, client = pair
+        # Signed requests marshal even between collocated ORBs.
+        server.keyring = KeyRing()
+        server.keyring.add("alice", b"alice-key")
+        client.credentials = Credentials("alice", b"alice-key")
+        ref = server.activate(Calculator(), CALC_INTERFACE)
+        stub = client.stub(ref, CALC_INTERFACE)
+        handle = server.handle_request_bytes
+        monkeypatch.setattr(server, "handle_request_bytes",
+                            lambda payload: handle(payload) + JUNK)
+        with pytest.raises(MarshalError):
+            getattr(stub, operation)(*args)
 
 
 class TestServantValidation:

@@ -133,16 +133,12 @@ class TestDirectDispatch:
         with pytest.raises(TypeError):
             client.invoke(stub._ref, ECHO.operation("echo"), (1.0, 2.0))
 
-    def test_route_is_cached_until_domain_membership_changes(self):
+    def test_route_survives_domain_membership_changes(self):
         server, client, stub, _ = make_pair()
         stub.echo(1.0)
-        route = client._routes[stub.ref.endpoints]
-        assert route[0] is server
         stub.echo(1.0)
-        assert client._routes[stub.ref.endpoints] is route
         Orb("bystander", domain=client.domain)    # membership changed
         stub.echo(1.0)
-        assert client._routes[stub.ref.endpoints] is not route
         assert server.requests_handled == 3
 
 
@@ -179,7 +175,7 @@ class TestExceptionParity:
 
     def test_shutdown_peer_fails_with_communication_error(self):
         server, client, stub, _ = make_pair()
-        assert stub.echo(1.0) == 2.0       # the route is now cached
+        assert stub.echo(1.0) == 2.0       # the stub is now bound
         server.shutdown()
         with pytest.raises(CommunicationError):
             stub.echo(1.0)
@@ -405,9 +401,9 @@ def unbound_calls(monkeypatch):
     calls = []
     invoke = Orb.invoke
 
-    def counting(self, ref, operation, args, _header=None):
+    def counting(self, ref, operation, args):
         calls.append(operation.name)
-        return invoke(self, ref, operation, args, _header)
+        return invoke(self, ref, operation, args)
 
     monkeypatch.setattr(Orb, "invoke", counting)
     return calls
@@ -567,16 +563,23 @@ class TestBoundCalls:
         assert stub.echo(1.0) == 2.0
         assert binds == ["echo"]
 
-    def test_unbindable_until_the_servant_exists(self, unbound_calls):
+    def test_a_missing_servant_is_bound_to_its_refusal(self,
+                                                       unbound_calls):
         server, client, stub, _ = make_pair()
+        seen = []
+        server.add_server_interceptor(
+            lambda key, op, args: seen.append(key))
         late = client.stub(dataclasses.replace(stub.ref, key="late/echo"),
                            ECHO)
-        with pytest.raises(RemoteInvocationError):
+        with pytest.raises(RemoteInvocationError) as excinfo:
             late.echo(1.0)
-        assert unbound_calls == ["echo"]
+        assert excinfo.value.remote_type == "ObjectNotFound"
+        assert seen == []     # refused before any server instrument
+        assert unbound_calls == []
         server.activate(EchoServant(), ECHO, key="late/echo")
         assert late.echo(1.0) == 2.0
-        assert unbound_calls == ["echo"]        # now bound
+        assert seen == ["late/echo"]
+        assert unbound_calls == []
 
     def test_threads_calling_through_one_stub(self):
         server, client, stub, servant = make_pair()

@@ -123,6 +123,24 @@ class TestMalformedFrames:
         finally:
             server.shutdown()
 
+    def test_unknown_flag_byte_is_dropped_undispatched(self):
+        servant = Echo()
+        server, _ = make_server(servant)
+        enc = CdrEncoder()
+        enc.write_string("dropped")
+        try:
+            with raw_connect(server) as sock:
+                # A valid oneway request behind a flag that is neither
+                # oneway (0) nor two-way (1).
+                sock.sendall(frame(request_payload("test/echo", "note",
+                                                   enc.getvalue()), flag=7))
+                sock.sendall(echo_frame("hi"))
+                assert recv_reply(sock) == "hi"
+            assert servant.calls == ["hi"]
+            assert server._tcp.frames_rejected == 1
+        finally:
+            server.shutdown()
+
     def test_oversized_inbound_frame_drops_the_connection(self):
         server, _ = make_server()
         try:

@@ -14,7 +14,12 @@
   ``trace.jsonl`` written by the CI ``obs-smoke`` job's ``repro simulate
   --nodes 6 --jobs 2 --train-days 0 --horizon-days 0.5 --vacate ...``
   line (:data:`OBS_SMOKE_ARGS`), run with every instrument on, as CI
-  runs it.
+  runs it;
+* ``marshalled_sha256`` — the sha256 of every request and reply payload
+  that crosses :meth:`InProcTransport.invoke` in a short
+  ``Grid(auth_secret=...)`` run (:func:`marshalled_outputs`), where the
+  auth envelope makes every call marshal: the one pin on the CDR bytes
+  themselves.
 
 The test recomputes all of them in subprocesses, so the S0 modules
 (``workloads``, ``support``, ...) never land on this process's
@@ -101,6 +106,40 @@ def obs_smoke_outputs(env: dict) -> dict:
         }
 
 
+def marshalled_outputs() -> str:
+    """Two 4-node clusters under one parent, every component signing
+    its requests, three 2-task jobs on ``a``, 12 simulated hours: the
+    sha256 of each marshalled request and reply, in the order sent."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.apps.spec import ApplicationSpec
+    from repro.core.grid import Grid
+    from repro.orb.transport import InProcTransport
+    from repro.sim.usage import OFFICE_WORKER
+
+    digest = hashlib.sha256()
+    invoke = InProcTransport.invoke
+
+    def recording(self, address, payload, oneway):
+        digest.update(payload)
+        reply = invoke(self, address, payload, oneway)
+        if reply is not None:
+            digest.update(reply)
+        return reply
+
+    InProcTransport.invoke = recording
+    grid = Grid(seed=5, auth_secret=b"pin", lupa_enabled=False)
+    for cluster in ("a", "b"):
+        grid.add_cluster(cluster)
+        for i in range(4):
+            grid.add_node(cluster, f"{cluster}{i}", profile=OFFICE_WORKER)
+    grid.connect_clusters_to_parent()
+    for i in range(3):
+        grid.submit(ApplicationSpec(name=f"job{i}", tasks=2,
+                                    work_mips=2e6), "a")
+    grid.run_until(12 * 3600.0)
+    return digest.hexdigest()
+
+
 def compute_manifest() -> dict:
     """Every part, each in its own interpreter, S0 alongside the rest."""
     env = _environment()
@@ -113,6 +152,10 @@ def compute_manifest() -> dict:
         cwd=ROOT, env=env, capture_output=True, check=True,
     )
     obs_smoke = obs_smoke_outputs(env)
+    marshalled = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--marshalled"],
+        cwd=ROOT, env=env, capture_output=True, check=True, text=True,
+    )
     s0_stdout, _ = s0.communicate()
     assert s0.returncode == 0, f"S0 outputs exited {s0.returncode}"
     return {
@@ -120,6 +163,7 @@ def compute_manifest() -> dict:
         "simulate_stdout_sha256":
             hashlib.sha256(simulate.stdout).hexdigest(),
         "obs_smoke_sha256": obs_smoke,
+        "marshalled_sha256": marshalled.stdout.strip(),
     }
 
 
@@ -129,6 +173,7 @@ def test_every_deterministic_output_matches_the_manifest():
     assert actual["simulate_stdout_sha256"] \
         == expected["simulate_stdout_sha256"]
     assert actual["obs_smoke_sha256"] == expected["obs_smoke_sha256"]
+    assert actual["marshalled_sha256"] == expected["marshalled_sha256"]
     for workload, seeds in expected["s0"].items():
         for seed, outputs in seeds.items():
             assert actual["s0"][workload][seed] == outputs, (workload, seed)
@@ -138,6 +183,8 @@ def test_every_deterministic_output_matches_the_manifest():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--s0"]:
         print(json.dumps(s0_outputs()))
+    elif sys.argv[1:] == ["--marshalled"]:
+        print(marshalled_outputs())
     elif sys.argv[1:] == ["--write"]:
         MANIFEST_PATH.write_text(
             json.dumps(compute_manifest(), indent=2, sort_keys=True) + "\n"
