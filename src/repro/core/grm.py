@@ -90,8 +90,7 @@ class GrmStats:
     and the attribute API read the same numbers from one place.
     """
 
-    #: Every Information Update Protocol message, heartbeats included.
-    updates_received: int = 0
+    statuses_received: int = 0
     heartbeats_received: int = 0
     negotiation_rounds: int = 0
     reservations_refused: int = 0
@@ -104,9 +103,15 @@ class GrmStats:
     jobs_forwarded: int = 0
     nodes_declared_dead: int = 0
 
+    @property
+    def updates_received(self) -> int:
+        """Every Information Update Protocol message, heartbeats included."""
+        return self.statuses_received + self.heartbeats_received
+
     def to_metrics(self, registry, prefix: str = "grm") -> None:
-        """Publish every counter field as a pull-view on ``registry``."""
-        registry.bind(prefix, self, [f.name for f in fields(self)])
+        """Publish every counter, views included, on ``registry``."""
+        registry.bind(prefix, self,
+                      [f.name for f in fields(self)] + ["updates_received"])
 
 
 class Grm:
@@ -257,7 +262,6 @@ class Grm:
         if record is None:
             return self._drop_update(node)
         record.last_seen = self._loop.now
-        self.stats.updates_received += 1
         self.stats.heartbeats_received += 1
 
     def _drop_update(self, node: str) -> None:
@@ -281,7 +285,7 @@ class Grm:
             record.debits.clear()
         record.last_seen = self._loop.now
         self.trader.modify(record.offer_id, status)
-        self.stats.updates_received += 1
+        self.stats.statuses_received += 1
 
     def _check_liveness(self) -> None:
         """Scheduled staleness sweep: a node is dead when

@@ -155,9 +155,6 @@ class Lrm:
         self.checkpoints_skipped = 0
         self.refused_reservations = 0
         self.accepted_reservations = 0
-        #: Every Information Update Protocol message; the two below
-        #: split it.
-        self.updates_sent = 0
         self.updates_full = 0
         self.heartbeats_sent = 0
 
@@ -281,6 +278,11 @@ class Lrm:
     def ping(self) -> bool:
         return True
 
+    @property
+    def updates_sent(self) -> int:
+        """Every update message sent: ``updates_full + heartbeats_sent``."""
+        return self.updates_full + self.heartbeats_sent
+
     def _next_sharing_change(self) -> float:
         """The next blackout edge; crossing one dirties the status."""
         if self._loop.now >= self._sharing_change_at:
@@ -298,8 +300,8 @@ class Lrm:
         grm = self._grm
         if grm is None:
             return
-        self.updates_sent += 1
-        self._next_sharing_change()
+        if self._loop.now >= self._sharing_change_at:
+            self._next_sharing_change()
         self._sends_since_full += 1
         if self._status_dirty \
                 or self._sends_since_full >= self._full_refresh_every:
@@ -528,8 +530,10 @@ class Lrm:
 
     def _machine_changed(self) -> None:
         """``Machine.on_change``: the owner's load or the allocations moved."""
-        with self._settled:
-            self._status_dirty = True
+        self._status_dirty = True
+        if self._running:   # else no rate can have moved
+            with self._settled:
+                pass
 
     def _checkpoint(self, record: RunningTask, now: float) -> None:
         if record.progress_mips == record.checkpoint_progress:

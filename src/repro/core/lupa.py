@@ -55,8 +55,8 @@ class Lupa:
         self._seed = seed
 
         self._bin_seconds = SECONDS_PER_DAY / bins_per_day
-        self._day_sums = np.zeros(bins_per_day)
-        self._day_counts = np.zeros(bins_per_day, dtype=int)
+        self._day_sums = [0.0] * bins_per_day    # arrays only when read
+        self._day_counts = [0] * bins_per_day
         self._current_day = 0
         self._periods: list[np.ndarray] = []       # one vector per finished day
         self._period_dows: list[int] = []
@@ -88,16 +88,17 @@ class Lupa:
         self.samples_taken += 1
 
     def _finish_day(self) -> None:
-        if self._day_counts.sum() == 0:
+        counts = np.array(self._day_counts)
+        if counts.sum() == 0:
             return
         with np.errstate(invalid="ignore"):
             period = np.where(
-                self._day_counts > 0, self._day_sums / self._day_counts, 0.0
+                counts > 0, np.array(self._day_sums) / counts, 0.0
             )
         self._periods.append(period)
         self._period_dows.append(self._current_day % 7)
-        self._day_sums = np.zeros(self.bins_per_day)
-        self._day_counts = np.zeros(self.bins_per_day, dtype=int)
+        self._day_sums = [0.0] * self.bins_per_day
+        self._day_counts = [0] * self.bins_per_day
         if len(self._periods) >= self.min_history_days:
             self._learn()
 
@@ -163,13 +164,14 @@ class Lupa:
         """
         if self._weekly is None:
             return 0.0
-        filled = self._day_counts > 0
+        counts = np.array(self._day_counts)
+        filled = counts > 0
         if not filled.any():
             return 0.0
         dow = self._current_day % 7
         expected = float(self._weekly[dow][filled].mean())
         with np.errstate(invalid="ignore"):
-            observed_bins = self._day_sums[filled] / self._day_counts[filled]
+            observed_bins = np.array(self._day_sums)[filled] / counts[filled]
         observed = float(observed_bins.mean())
         if expected < 0.10:
             return 0.0   # an idle-anyway day carries no signal

@@ -7,7 +7,7 @@ between them are *collocated* and their calls are dispatched directly
 :class:`Stub` makes once per domain epoch: the servant's method with the
 instruments of both ORBs (tracer, interceptors, a :class:`WireMeter`)
 composed around :func:`_dispatch_direct`.  A plain call is one epoch
-compare, four counter bumps and the method.  Every other call goes
+compare, at most three counter bumps and the method.  Every other call goes
 through :meth:`Orb.invoke`, which always marshals.
 
 Request wire format (after the transport's framing)::
@@ -131,7 +131,6 @@ def _dispatch_direct(binding: tuple, oneway: bool, args: tuple):
     sent.requests_sent += 1
     if not oneway:
         sent.replies_received += 1
-    peer.requests_handled += 1
     received.requests_received += 1
     peer.current_principal = None
     try:
@@ -235,7 +234,6 @@ class Orb:
         self._servants: dict[str, tuple] = {}
         self._interfaces: dict[str, InterfaceDef] = {}
         self._key_counter = itertools.count()
-        self.requests_handled = 0
         self._client_interceptors: list = []
         self._server_interceptors: list = []
         #: Optional span tracer (see :mod:`repro.obs.trace`).
@@ -486,7 +484,6 @@ class Orb:
         verified (and stripped) first; with ``require_auth`` every
         unauthenticated request is rejected before dispatch.
         """
-        self.requests_handled += 1
         enc = CdrEncoder()
         try:
             self.current_principal = None
@@ -557,13 +554,14 @@ class Orb:
 
     # -- lifecycle / metrics ------------------------------------------------------
 
+    @property
+    def requests_handled(self) -> int:
+        """Requests dispatched here: what this ORB's transports received."""
+        return self.stats()["requests_received"]
+
     def inproc_stats(self):
         """The in-process transport's counters (server-side accounting)."""
         return self._inproc.stats
-
-    @property
-    def tcp_address(self) -> Optional[str]:
-        return self._tcp.address if self._tcp is not None else None
 
     def stats(self) -> dict:
         """Aggregated transport statistics for this ORB."""
@@ -571,7 +569,7 @@ class Orb:
         if self._tcp is not None:
             for key, value in self._tcp.stats.snapshot().items():
                 totals[key] += value
-        totals["requests_handled"] = self.requests_handled
+        totals["requests_handled"] = totals["requests_received"]
         return totals
 
     def to_metrics(self, registry, prefix: str = None) -> None:

@@ -187,7 +187,6 @@ class EventLoop:
         heap = self._heap
         cancelled = self._cancelled
         pop = heapq.heappop
-        push_task = self._push_task
         while heap:
             entry = heap[0]
             at = entry[0]
@@ -215,7 +214,12 @@ class EventLoop:
                         task._queued = False
                         task._callback()
                         if not task._stopped:
-                            push_task(at + task.interval, task)
+                            follows = at + task.interval
+                            if follows == self._tail_when:   # join, inline
+                                task._queued = True
+                                self._tail.append(task)
+                            else:
+                                self._push_task(follows, task)
                 except BaseException:
                     # A raising callback loses its own next occurrence,
                     # as it would alone; the members after it stay

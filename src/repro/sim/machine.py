@@ -101,8 +101,8 @@ class Machine:
         self._owner_mem_mb = 0.0
         self._owner_net_mbps = 0.0
         self._keyboard_active = False
-        self._disk_used_mb = 0.0
         self._allocations: dict[str, _GridAllocation] = {}
+        self._grid_cpu = self._grid_mem_mb = self._disk_used_mb = 0
         #: Called with no arguments after the owner's load or the grid's
         #: allocations actually change — the LRM's cue that task rates
         #: and the node's status may have moved.  One listener: a
@@ -174,12 +174,19 @@ class Machine:
     @property
     def grid_cpu(self) -> float:
         """Total CPU fraction currently allocated to grid tasks."""
-        return sum(a.cpu_fraction for a in self._allocations.values())
+        return self._grid_cpu
 
     @property
     def grid_mem_mb(self) -> float:
         """Total memory currently allocated to grid tasks."""
-        return sum(a.mem_mb for a in self._allocations.values())
+        return self._grid_mem_mb
+
+    def _resum(self) -> None:
+        """Re-sum the grid's totals: exactly a fresh sum, never a drift."""
+        allocations = self._allocations.values()
+        self._grid_cpu = sum(a.cpu_fraction for a in allocations)
+        self._grid_mem_mb = sum(a.mem_mb for a in allocations)
+        self._disk_used_mb = sum(a.disk_mb for a in allocations)
 
     @property
     def grid_task_ids(self) -> list[str]:
@@ -192,15 +199,15 @@ class Machine:
         owner load further reduces what is actually free.
         """
         free = max(0.0, 1.0 - self._owner_cpu)
-        headroom = max(0.0, cap - self.grid_cpu)
+        headroom = max(0.0, cap - self._grid_cpu)
         return min(free, headroom)
 
     def mem_available_for_grid(self, cap_mb: Optional[float] = None) -> float:
         """Memory the grid could still claim, under an optional byte cap."""
-        free = max(0.0, self.spec.ram_mb - self._owner_mem_mb - self.grid_mem_mb)
+        free = max(0.0, self.spec.ram_mb - self._owner_mem_mb - self._grid_mem_mb)
         if cap_mb is None:
             return free
-        headroom = max(0.0, cap_mb - self.grid_mem_mb)
+        headroom = max(0.0, cap_mb - self._grid_mem_mb)
         return min(free, headroom)
 
     def allocate(
@@ -231,7 +238,7 @@ class Machine:
                 f"{self.name}: need {disk_mb} MB disk, have {free_disk:.1f} MB"
             )
         self._allocations[task_id] = _GridAllocation(cpu_fraction, mem_mb, disk_mb)
-        self._disk_used_mb += disk_mb
+        self._resum()
         if self.on_change is not None:
             self.on_change()
 
@@ -240,13 +247,13 @@ class Machine:
         alloc = self._allocations.pop(task_id, None)
         if alloc is None:
             raise KeyError(f"no allocation for task {task_id!r} on {self.name}")
-        self._disk_used_mb -= alloc.disk_mb
+        self._resum()
         if self.on_change is not None:
             self.on_change()
 
     def _contention(self) -> tuple:
         """(owner_scale, grid_scale) under the current scheduling mode."""
-        grid_total = self.grid_cpu
+        grid_total = self._grid_cpu
         demand = self._owner_cpu + grid_total
         if self.scheduling == FAIR_SHARE:
             if demand <= 1.0:
@@ -275,7 +282,7 @@ class Machine:
         alloc = self._allocations.get(task_id)
         if alloc is None:
             raise KeyError(f"no allocation for task {task_id!r} on {self.name}")
-        grid_total = self.grid_cpu
+        grid_total = self._grid_cpu
         if grid_total <= 0:
             return 0.0
         _, grid_scale = self._contention()
@@ -287,15 +294,15 @@ class Machine:
     def sample(self, now: float) -> ResourceSample:
         """Take the usage snapshot the LRM periodically reports."""
         owner = self._owner_cpu
-        grid = min(self.grid_cpu, max(0.0, 1.0 - owner))
+        grid = min(self._grid_cpu, max(0.0, 1.0 - owner))
         return ResourceSample(
             time=now,
             cpu_total=min(1.0, owner + grid),
             cpu_owner=owner,
             cpu_grid=grid,
-            mem_used_mb=self._owner_mem_mb + self.grid_mem_mb,
+            mem_used_mb=self._owner_mem_mb + self._grid_mem_mb,
             mem_owner_mb=self._owner_mem_mb,
-            mem_grid_mb=self.grid_mem_mb,
+            mem_grid_mb=self._grid_mem_mb,
             disk_used_mb=self._disk_used_mb,
             net_owner_mbps=self._owner_net_mbps,
             keyboard_active=self._keyboard_active,

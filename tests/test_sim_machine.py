@@ -1,13 +1,21 @@
 """Unit tests for the machine hardware model."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.lrm import Lrm
+from repro.core.ncc import NodeControlCenter
+from repro.sim.events import EventLoop
 from repro.sim.machine import (
     InsufficientResources,
     Machine,
     MachineSpec,
     ResourceSample,
 )
+from repro.sim.usage import ALWAYS_IDLE
+from repro.sim.workstation import Workstation
 
 
 def make_machine(**kwargs):
@@ -95,6 +103,68 @@ class TestGridAllocation:
     def test_zero_cpu_allocation_rejected(self):
         with pytest.raises(ValueError):
             make_machine().allocate("t1", 0.0, 10.0)
+
+
+def fresh_totals(m):
+    """What summing the allocations now, in insertion order, gives."""
+    allocations = list(m._allocations.values())
+    return (sum(a.cpu_fraction for a in allocations),
+            sum(a.mem_mb for a in allocations),
+            sum(a.disk_mb for a in allocations))
+
+
+OPERATION = st.one_of(
+    st.tuples(st.just("allocate"), st.floats(0.001, 0.7),
+              st.floats(0.0, 150.0), st.floats(0.0, 600.0)),
+    st.tuples(st.just("release"), st.integers(0, 7)),
+)
+
+
+class TestExactTotals:
+    def test_disk_use_does_not_drift(self):
+        """A running ``+=`` / ``-=`` total read 0.20000000000000012 here,
+        and 1.1102230246251565e-16 once the machine was empty."""
+        m = make_machine()
+        for task_id, disk_mb in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            m.allocate(task_id, 0.1, 1.0, disk_mb=disk_mb)
+        m.release("a")
+        m.release("c")
+        assert m.disk_used_mb == 0.2
+        m.release("b")
+        assert m.disk_used_mb == 0
+
+    def test_an_emptied_node_reports_its_whole_disk_free(self):
+        loop = EventLoop()
+        ws = Workstation(loop, "n0", spec=MachineSpec(disk_mb=1.0),
+                         profile=ALWAYS_IDLE, rng=random.Random(1))
+        lrm = Lrm(loop, ws, NodeControlCenter(loop))
+        for task_id, disk_mb in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            ws.machine.allocate(task_id, 0.1, 1.0, disk_mb=disk_mb)
+        for task_id in ("a", "c", "b"):
+            ws.machine.release(task_id)
+        assert lrm.status()["disk_free_mb"] == ws.machine.spec.disk_mb
+
+    @settings(max_examples=200, deadline=None)
+    @given(operations=st.lists(OPERATION, max_size=40))
+    def test_every_read_equals_a_fresh_sum(self, operations):
+        m = make_machine(ram_mb=256.0, disk_mb=1000.0)
+        assert (m.grid_cpu, m.grid_mem_mb, m.disk_used_mb) == (0, 0, 0)
+        for n, operation in enumerate(operations):
+            if operation[0] == "allocate":
+                _, cpu, mem, disk = operation
+                before = fresh_totals(m)
+                try:
+                    m.allocate(f"t{n}", cpu, mem, disk_mb=disk)
+                except InsufficientResources:
+                    assert fresh_totals(m) == before   # refused: untouched
+            elif m._allocations:
+                held = list(m._allocations)
+                m.release(held[operation[1] % len(held)])
+            assert (m.grid_cpu, m.grid_mem_mb, m.disk_used_mb) \
+                == fresh_totals(m)
+        for task_id in list(m._allocations):
+            m.release(task_id)
+        assert (m.grid_cpu, m.grid_mem_mb, m.disk_used_mb) == (0, 0, 0)
 
 
 class TestAvailability:
