@@ -5,7 +5,9 @@ Three departmental clusters — a small maths lab, a big CS instructional
 lab, and a physics group with fast dedicated nodes — are joined under a
 parent GRM ("clusters are then arranged in a hierarchy", Section 4).
 Jobs the home cluster cannot place are forwarded: the parent sees only
-aggregated per-cluster summaries, never per-node status.
+aggregated per-cluster summaries, never per-node status.  A forwarded
+BSP gang is paced, and checkpointed, by the GRM of the cluster it lands
+in.
 
 Run:  python examples/campus_grid.py
 """
@@ -53,7 +55,8 @@ def main():
     gang_id = grid.submit(
         ApplicationSpec(
             name="big-gang", kind="bsp", tasks=8, program="stencil",
-            work_mips=2e6, metadata={"supersteps": 4},
+            work_mips=2e6, checkpoint_every_supersteps=1,
+            metadata={"supersteps": 4},
         ),
         cluster="maths",
     )
@@ -74,22 +77,21 @@ def main():
                           (gang_id, "big-gang x8"),
                           (fast_id, "needs-fast-cpu")):
         job = grid.job(job_id)
+        where = "stayed home"
         if job.forwarded_to:
-            remote = None
-            for handle in grid.clusters.values():
-                try:
-                    remote = handle.grm.job(job.forwarded_to)
-                    where = handle.name
-                    break
-                except KeyError:
-                    continue
-            nodes = sorted({t.node for t in remote.tasks if t.node})
-            print(f"  {label:<15} forwarded -> {where:<8} "
-                  f"state={remote.state.value:<10} nodes={nodes}")
-        else:
-            nodes = sorted({t.node for t in job.tasks if t.node})
-            print(f"  {label:<15} stayed home        "
-                  f"state={job.state.value:<10} nodes={nodes}")
+            job = grid.job(job.forwarded_to)
+            where = f"forwarded -> {job.job_id.rsplit('-job', 1)[0]}"
+        nodes = sorted({t.node for t in job.tasks if t.node})
+        print(f"  {label:<15} {where:<22}"
+              f"state={job.state.value:<10} nodes={nodes}")
+        # A BSP job is paced by the GRM it ran under, home or not.
+        coordinator = grid.coordinator(job.job_id)
+        if coordinator is not None:
+            status = coordinator.status()
+            print(f"  {'':<15} paced as {job.job_id}: superstep "
+                  f"{status['superstep'] + 1}/{status['supersteps']}, "
+                  f"{status['checkpoints_saved']} checkpoint(s), "
+                  f"{status['rollbacks']} rollback(s)")
 
     print(f"\nParent GRM: {parent.summaries_received} summaries received, "
           f"{parent.remote_submissions} wide-area placements.")

@@ -46,7 +46,7 @@ class ProgramRegistry:
         return sorted(self._programs)
 
 
-#: Process-wide default registry; a Grid can also carry its own.
+#: The process-wide registry every BSP coordinator reads.
 DEFAULT_REGISTRY = ProgramRegistry()
 
 

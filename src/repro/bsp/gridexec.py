@@ -1,8 +1,9 @@
 """Grid-side BSP execution: superstep pacing, communication cost,
 checkpoints, and rollback.
 
-The GRM gang-schedules a BSP job's processes; this coordinator then
-drives them superstep by superstep:
+The GRM that accepts a BSP job builds its coordinator and
+gang-schedules the job's processes; the coordinator then drives them
+superstep by superstep:
 
 * each process may compute only up to the current superstep barrier
   (a *work limit* on its LRM);
@@ -19,7 +20,7 @@ drives them superstep by superstep:
 from typing import Optional
 
 from repro.apps.job import Job, TaskState
-from repro.apps.registry import DEFAULT_REGISTRY, ProgramRegistry
+from repro.apps.registry import DEFAULT_REGISTRY
 from repro.checkpoint.recovery import RecoveryManager
 from repro.checkpoint.store import MemoryCheckpointStore
 from repro.orb.exceptions import OrbError
@@ -39,7 +40,6 @@ class BspGridCoordinator:
         grm,
         job: Job,
         checkpoint_store: Optional[MemoryCheckpointStore] = None,
-        registry: Optional[ProgramRegistry] = None,
     ):
         self._loop = loop
         self._grm = grm
@@ -63,15 +63,11 @@ class BspGridCoordinator:
         self._completed: set = set()
         self._advancing = False
         self._advance_event = None           # pending comm-delay event
-        self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.checkpoints_saved = 0
         self.rollbacks = 0
         self.comm_seconds_total = 0.0
         self.executed_results: Optional[list] = None
         self.executed_run = None
-        #: Optional event journal (superstep/rollback events), set by
-        #: the Grid.
-        self.journal = None
 
     # -- GRM callbacks ------------------------------------------------------------
 
@@ -103,7 +99,7 @@ class BspGridCoordinator:
             if self.checkpoint_every > 0 else 0
         rollback_superstep = min(rollback_superstep, self.current_superstep)
         target_progress = rollback_superstep * self.work_per_superstep
-        journal = self.journal
+        journal = self._grm.journal
         if journal is not None and journal.active:
             journal.record(
                 "checkpoint_restored", node=node,
@@ -157,16 +153,17 @@ class BspGridCoordinator:
         """Functional simulation: run the real BSP program for results.
 
         The grid execution modelled the *cost*; if the spec's program
-        name is registered, the actual computation now runs on the
-        executable BSP runtime and each process's return value lands on
-        its task, exactly like a sequential payload result.
+        name is in :data:`~repro.apps.registry.DEFAULT_REGISTRY`, the
+        actual computation now runs on the executable BSP runtime and
+        each process's return value lands on its task, exactly like a
+        sequential payload result.
         """
         name = self.job.spec.program
-        if name is None or name not in self.registry:
+        if name is None or name not in DEFAULT_REGISTRY:
             return
         from repro.bsp.runtime import BspError, run_bsp
 
-        fn, default_args = self.registry.get(name)
+        fn, default_args = DEFAULT_REGISTRY.get(name)
         args = tuple(self.job.spec.metadata.get("program_args", default_args))
         try:
             run = run_bsp(len(self.job.tasks), fn, *args)
@@ -322,7 +319,7 @@ class BspGridCoordinator:
         self._advance_event = None
         finished = self.current_superstep + 1
         self.current_superstep = finished
-        journal = self.journal
+        journal = self._grm.journal
         if journal is not None and journal.active:
             journal.record(
                 "bsp_superstep", job_id=self.job.job_id,
@@ -360,7 +357,7 @@ class BspGridCoordinator:
             except ValueError:
                 pass   # re-checkpoint after rollback to the same superstep
         self.checkpoints_saved += 1
-        journal = self.journal
+        journal = self._grm.journal
         if journal is not None and journal.active:
             journal.record(
                 "checkpoint_saved", job_id=self.job.job_id,

@@ -14,7 +14,7 @@ the same traffic in CDR bytes for experiments that report sizes.
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.apps.spec import ApplicationSpec, BSP
+from repro.apps.spec import ApplicationSpec
 from repro.checkpoint.store import MemoryCheckpointStore
 from repro.core.asct import Asct
 from repro.core.grm import Grm
@@ -102,7 +102,6 @@ class Grid:
         lupa_min_history_days: int = 7,
         lupa_upload_interval: float = DEFAULT_LUPA_UPLOAD_INTERVAL,
         holidays: Optional[set] = None,
-        programs=None,
         auth_secret: Optional[bytes] = None,
         full_refresh_every: int = 10,
         summary_interval: float = DEFAULT_SUMMARY_INTERVAL,
@@ -125,8 +124,6 @@ class Grid:
         #: per ``summary_interval``.
         self.full_refresh_every = full_refresh_every
         self.summary_interval = summary_interval
-        from repro.apps.registry import DEFAULT_REGISTRY
-        self.programs = programs if programs is not None else DEFAULT_REGISTRY
         # Optional cluster-membership authentication: with a secret set,
         # every grid component signs its requests and every component
         # refuses unsigned ones — a rogue ORB in the same process cannot
@@ -138,15 +135,16 @@ class Grid:
             self._keyring = KeyRing()
             self._keyring.add("integrade", auth_secret)
             self._credentials = Credentials("integrade", auth_secret)
-        self._coordinators: dict[str, object] = {}
-        self._job_cluster: dict[str, str] = {}
         #: Observability: None until enable_metrics()/enable_tracing()/
         #: enable_journal()/enable_wire_meter().
         self.metrics = None
         self.tracer = None
         self.journal = None
         self.wire_meter = None
+        #: Every ORB and LRM the grid ever made, departed nodes' too:
+        #: grid-wide totals never go backwards.
         self._orbs: list[Orb] = []
+        self._lrms: list[Lrm] = []
         #: ParentGrms built by connect_clusters_to_parent/build_hierarchy
         #: (for metrics/journal wiring), keyed by parent name.
         self._parents: dict[str, object] = {}
@@ -302,6 +300,7 @@ class Grid:
             update_interval=self.update_interval,
             full_refresh_every=self.full_refresh_every,
         )
+        self._lrms.append(lrm)
         lrm_ref = orb.activate(lrm, LRM_INTERFACE, key=f"{name}/lrm")
         grm_stub = orb.stub(handle.grm_ior, GRM_INTERFACE)
         lrm.attach_grm(grm_stub, lrm_ref.to_string())
@@ -506,34 +505,22 @@ class Grid:
         return asct
 
     def submit(self, spec: ApplicationSpec, cluster: Optional[str] = None) -> str:
-        """Submit an application; BSP jobs get a superstep coordinator."""
+        """Submit to a cluster's GRM, which paces a BSP job itself."""
         if cluster is None:
             cluster = next(iter(self.clusters))
-        handle = self._cluster(cluster)
-        job_id = handle.grm.submit(spec.to_dict())
-        self._job_cluster[job_id] = cluster
-        if spec.kind == BSP:
-            from repro.bsp.gridexec import BspGridCoordinator
-
-            coordinator = BspGridCoordinator(
-                self.loop, handle.grm, handle.grm.job(job_id),
-                checkpoint_store=handle.checkpoint_store,
-                registry=self.programs,
-            )
-            handle.grm.register_coordinator(job_id, coordinator)
-            self._coordinators[job_id] = coordinator
-            self._attach_coordinator(job_id, coordinator)
-        return job_id
+        return self._cluster(cluster).grm.submit(spec.to_dict())
 
     def coordinator(self, job_id: str):
-        return self._coordinators.get(job_id)
+        """A BSP job's coordinator, held by the GRM the job runs under."""
+        for handle in self.clusters.values():
+            coordinator = handle.grm.coordinators.get(job_id)
+            if coordinator is not None:
+                return coordinator
+        return None
 
     def job(self, job_id: str):
-        """The Job object for a submitted id (however it was submitted)."""
-        cluster = self._job_cluster.get(job_id)
-        if cluster is not None:
-            return self.clusters[cluster].grm.job(job_id)
-        for handle in self.clusters.values():   # ASCT-submitted jobs
+        """The Job object for an id, from whichever GRM holds it."""
+        for handle in self.clusters.values():
             try:
                 return handle.grm.job(job_id)
             except KeyError:
@@ -552,12 +539,19 @@ class Grid:
         self, job_id: str, max_seconds: float = 30 * SECONDS_PER_DAY,
         step: float = 300.0,
     ) -> bool:
-        """Advance simulated time until the job finishes (or give up)."""
+        """Advance simulated time until the job finishes (or give up).
+
+        A job the hierarchy forwarded finishes where it was forwarded
+        to: this waits on the end of the ``forwarded_to`` chain.
+        """
         job = self.job(job_id)
         deadline = self.loop.now + max_seconds
-        while not job.done and self.loop.now < deadline:
+        while True:
+            while job.forwarded_to:
+                job = self.job(job.forwarded_to)
+            if job.done or self.loop.now >= deadline:
+                return job.done
             self.loop.run_for(step)
-        return job.done
 
     # -- observability -----------------------------------------------------------------
 
@@ -610,8 +604,8 @@ class Grid:
     def enable_journal(self):
         """Turn on the structured event journal (idempotent).
 
-        Every GRM, LRM, reservation ledger, parent GRM and BSP
-        coordinator gets the same :class:`~repro.obs.EventJournal`; from
+        Every GRM (and so its BSP coordinators), LRM, reservation ledger
+        and parent GRM gets the same :class:`~repro.obs.EventJournal`; from
         then on node arrivals/deaths, task placements/evictions/
         completions, checkpoint saves/restores, reservation grants/
         violations, BSP supersteps, and dropped status updates are
@@ -647,8 +641,6 @@ class Grid:
                 self._attach_node(node)
         for parent in self._parents.values():
             self._attach_parent(parent)
-        for job_id, coordinator in self._coordinators.items():
-            self._attach_coordinator(job_id, coordinator)
 
     def _attach_grid(self) -> None:
         """Grid-wide views, including the instruments' own health."""
@@ -661,9 +653,7 @@ class Grid:
             registry.view(
                 f"lrm.total.{field_name}",
                 lambda f=field_name: sum(
-                    getattr(n.lrm, f)
-                    for h in self.clusters.values()
-                    for n in h.nodes.values()
+                    getattr(lrm, f) for lrm in self._lrms
                 ),
             )
         for instrument in (self.journal, self.tracer):
@@ -724,15 +714,6 @@ class Grid:
                         retroactive=True,
                     )
 
-    def _attach_coordinator(self, job_id: str, coordinator) -> None:
-        if self.metrics is not None:
-            self.metrics.view(
-                f"bsp.{job_id}.stragglers",
-                lambda: len(coordinator.recovery.stragglers()),
-            )
-        if self.journal is not None:
-            coordinator.journal = self.journal
-
     def health_report(self, rules=None, top: int = 5) -> dict:
         """Forensics + alert postmortem from the live journal/registry."""
         from repro.obs.health import grid_health_report
@@ -745,7 +726,8 @@ class Grid:
     # -- metrics -----------------------------------------------------------------------
 
     def protocol_stats(self) -> dict:
-        """Aggregated ORB traffic across every node and manager.
+        """Aggregated ORB traffic across every ORB the grid made: nodes
+        (departed ones too), managers, parents and ASCTs.
 
         ``bytes_*`` count bytes actually marshalled: 0 on a default grid
         (collocated calls dispatch directly), the enveloped CDR volume
@@ -756,11 +738,7 @@ class Grid:
             "requests_received": 0, "bytes_sent": 0, "bytes_received": 0,
             "requests_handled": 0,
         }
-        orbs = []
-        for handle in self.clusters.values():
-            orbs.append(handle.orb)
-            orbs.extend(n.orb for n in handle.nodes.values())
-        for orb in orbs:
+        for orb in self._orbs:
             for key, value in orb.stats().items():
                 totals[key] += value
         return totals

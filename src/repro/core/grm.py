@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.apps.job import Job, JobState, Task, TaskState
 from repro.apps.spec import ApplicationSpec, BSP
+from repro.bsp.gridexec import BspGridCoordinator
 from repro.checkpoint.store import MemoryCheckpointStore
 from repro.core.gupa import Gupa
 from repro.core.protocols import ASCT_INTERFACE, LRM_INTERFACE
@@ -141,6 +142,7 @@ class Grm:
         #: Optional observability hooks; None keeps the seed hot paths.
         self.tracer = None
         self.journal = None
+        self._metrics = None
         #: Status ingest and policy ranking; bind_metrics times them.
         self._timed_ingest = self._ingest
         self._timed_rank = self._rank
@@ -155,7 +157,8 @@ class Grm:
         self._jobs: dict[str, Job] = {}
         self._tasks: dict[str, tuple] = {}     # task_id -> (job, task)
         self._pending: deque = deque()
-        self._coordinators: dict[str, object] = {}   # job_id -> BSP coordinator
+        #: job_id -> the BSP coordinator of every BSP job this GRM runs.
+        self.coordinators: dict[str, BspGridCoordinator] = {}
         self._asct_stubs: dict[str, object] = {}     # job_id -> callback stub
         self._parent = None
         self._job_ids = itertools.count()
@@ -174,8 +177,12 @@ class Grm:
         :meth:`status_age_mean` as views, binds the trader's
         query accounting, and starts the status-ingest and policy-ranking
         latency histograms (each call goes through
-        :func:`~repro.obs.metrics.timed`).
+        :func:`~repro.obs.metrics.timed`).  Each BSP job's
+        ``bsp.<job>.stragglers`` view is published here or at submit.
         """
+        self._metrics = registry
+        for job_id, coordinator in self.coordinators.items():
+            self._view_stragglers(job_id, coordinator)
         prefix = prefix if prefix is not None else f"grm.{self.cluster}"
         self.stats.to_metrics(registry, prefix)
         registry.view(f"{prefix}.registered_nodes", lambda: len(self._nodes))
@@ -190,6 +197,12 @@ class Grm:
             f"{prefix}.ingest_latency_s", LATENCY_BOUNDS_S
         ), self._ingest)
 
+    def _view_stragglers(self, job_id: str, coordinator) -> None:
+        self._metrics.view(
+            f"bsp.{job_id}.stragglers",
+            lambda: len(coordinator.recovery.stragglers()),
+        )
+
     def status_age_mean(self) -> float:
         """Mean seconds since each rostered node's last accepted update:
         the freshness of this GRM's view.  Every node says something
@@ -201,10 +214,6 @@ class Grm:
     def set_parent(self, parent_stub) -> None:
         """Attach the parent GRM for wide-area forwarding."""
         self._parent = parent_stub
-
-    def register_coordinator(self, job_id: str, coordinator) -> None:
-        """Attach a gang/BSP coordinator for a job's pacing callbacks."""
-        self._coordinators[job_id] = coordinator
 
     # servant operation
     def register_asct(self, job_id: str, asct_ior: str) -> None:
@@ -350,6 +359,15 @@ class Grm:
             spec = ApplicationSpec.from_dict(spec)
         job_id = f"{self.cluster}-job{next(self._job_ids)}"
         job = Job(job_id, spec, self._loop.now)
+        if spec.kind == BSP:
+            # Every submission path (Grid, ASCT, parent GRM) lands here;
+            # a spec the coordinator refuses is never queued.
+            coordinator = BspGridCoordinator(
+                self._loop, self, job, checkpoint_store=self.store
+            )
+            self.coordinators[job_id] = coordinator
+            if self._metrics is not None:
+                self._view_stragglers(job_id, coordinator)
         self._jobs[job_id] = job
         for task in job.tasks:
             self._tasks[task.task_id] = (job, task)
@@ -364,8 +382,8 @@ class Grm:
             if context is not None:
                 self._job_trace_ctx[job_id] = context
         self._emit(job_id, "submitted", spec.name)
-        # Deferred so the caller can still attach a coordinator or ASCT
-        # before the first placement attempt runs.
+        # Deferred so the caller can still attach an ASCT before the
+        # first placement attempt runs.
         self._loop.schedule(0.0, self._schedule_pass)
         return job_id
 
@@ -456,7 +474,7 @@ class Grm:
                 job_id=job.job_id, task_id=task_id,
                 attempts=task.attempts,
             )
-        coordinator = self._coordinators.get(job.job_id)
+        coordinator = self.coordinators.get(job.job_id)
         if coordinator is not None:
             coordinator.member_completed(task_id)
         job.refresh_state(self._loop.now)
@@ -497,7 +515,7 @@ class Grm:
             to_progress_mips=min(resume_progress_mips, task.progress_mips)
         )
         task.node = None
-        coordinator = self._coordinators.get(job.job_id)
+        coordinator = self.coordinators.get(job.job_id)
         if coordinator is not None:
             coordinator.member_evicted(task_id, node)
         task.transition(TaskState.PENDING, self._loop.now, "requeued")
@@ -510,7 +528,7 @@ class Grm:
         if entry is None:
             return
         job, _task = entry
-        coordinator = self._coordinators.get(job.job_id)
+        coordinator = self.coordinators.get(job.job_id)
         if coordinator is not None:
             coordinator.member_reached_limit(task_id, node)
 
@@ -834,7 +852,7 @@ class Grm:
                 self.stats.gang_failures += 1
                 return False
         self.stats.gang_placements += 1
-        coordinator = self._coordinators.get(job.job_id)
+        coordinator = self.coordinators.get(job.job_id)
         if coordinator is not None:
             coordinator.members_started(
                 {task.task_id: record.node for record, task in reserved}
@@ -905,6 +923,8 @@ class Grm:
         job.set_state(JobState.CANCELLED, self._loop.now,
                       f"forwarded as {remote_id}")
         job.forwarded_to = remote_id
+        # The job is paced where it now runs, not here.
+        self.coordinators.pop(job.job_id, None)
         self.stats.jobs_forwarded += 1
         self._emit(job.job_id, "forwarded", remote_id)
         return True

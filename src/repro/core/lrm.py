@@ -36,6 +36,7 @@ from repro.checkpoint.store import MemoryCheckpointStore
 from repro.core.ncc import NodeControlCenter
 from repro.core.reservation import ReservationLedger
 from repro.security.sandbox import Sandbox, SandboxPolicy, SandboxViolation
+from repro.sim.clock import SECONDS_PER_DAY
 from repro.sim.events import EventLoop
 from repro.sim.workstation import Workstation
 
@@ -44,6 +45,10 @@ DEFAULT_UPDATE_INTERVAL = 60.0
 #: Every this-many sends is a status whether or not anything changed:
 #: the bound on how long a lost update can leave the GRM wrong.
 DEFAULT_FULL_REFRESH_EVERY = 10
+
+#: The longest lease a reservation may ask for: an unconfirmed lease
+#: holds owner resources until it lapses.
+MAX_LEASE_SECONDS = SECONDS_PER_DAY
 
 
 @dataclass
@@ -317,7 +322,18 @@ class Lrm:
 
     # servant operation
     def request_reservation(self, request: dict) -> dict:
-        """Direct negotiation step: confirm the GRM's hint, or refuse."""
+        """Direct negotiation step: confirm the GRM's hint, or refuse.
+
+        Values no honest GRM sends are refused before anything is
+        committed: a CPU share outside (0, 1], negative or non-finite
+        memory or disk, a lease outside (0, ``MAX_LEASE_SECONDS``].
+        Every comparison is false for NaN, so NaN is refused too.
+        """
+        if not (0.0 < request["cpu_fraction"] <= 1.0
+                and 0.0 <= request["mem_mb"] < inf
+                and 0.0 <= request["disk_mb"] < inf
+                and 0.0 < request["lease_seconds"] <= MAX_LEASE_SECONDS):
+            return self._refuse("request out of range")
         owner_present = self._workstation.owner_present
         ok, reason = self.ncc.admission_check(
             owner_present, request["cpu_fraction"]

@@ -486,7 +486,8 @@ def grid_health_report(
     if rules is None:
         rules = default_rules(
             clusters=sorted(grid.clusters),
-            bsp_jobs=sorted(grid._coordinators),
+            bsp_jobs=sorted(job_id for handle in grid.clusters.values()
+                            for job_id in handle.grm.coordinators),
             update_interval=grid.update_interval,
         )
     report = doctor_report(

@@ -27,7 +27,7 @@ from repro.orb.transport import TcpTransport
 
 BUDGET = [
     (Orb.__init__, 8),
-    (Grid.__init__, 12),
+    (Grid.__init__, 11),
     (Lrm.__init__, 7),
     (Lupa.__init__, 8),
     (Grm.__init__, 9),

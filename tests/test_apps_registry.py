@@ -62,9 +62,8 @@ class TestProgramRegistry:
 
 
 class TestFunctionalBspExecution:
-    def make_grid(self, registry):
-        grid = Grid(seed=3, policy="first_fit", lupa_enabled=False,
-                    programs=registry)
+    def make_grid(self):
+        grid = Grid(seed=3, policy="first_fit", lupa_enabled=False)
         grid.add_cluster("c0")
         for i in range(4):
             grid.add_node("c0", f"d{i}", dedicated=True)
@@ -79,39 +78,37 @@ class TestFunctionalBspExecution:
             work_mips=2e5, metadata=metadata,
         )
 
-    def test_registered_program_produces_real_results(self):
-        registry = ProgramRegistry()
-        registry.register("psum", psum, 1000)
-        grid = self.make_grid(registry)
+    def test_registered_program_produces_real_results(self, programs):
+        programs.register("psum", psum, 1000)
+        grid = self.make_grid()
         job_id = grid.submit(self.bsp_spec())
         assert grid.wait_for_job(job_id, max_seconds=SECONDS_PER_DAY)
         job = grid.job(job_id)
         assert job.tasks[0].result == sum(range(1000))
         assert grid.coordinator(job_id).executed_results[0] == sum(range(1000))
 
-    def test_program_args_metadata_overrides_defaults(self):
-        registry = ProgramRegistry()
-        registry.register("psum", psum, 1000)
-        grid = self.make_grid(registry)
+    def test_program_args_metadata_overrides_defaults(self, programs):
+        programs.register("psum", psum, 1000)
+        grid = self.make_grid()
         job_id = grid.submit(self.bsp_spec(program_args=[10]))
         assert grid.wait_for_job(job_id, max_seconds=SECONDS_PER_DAY)
         assert grid.job(job_id).tasks[0].result == sum(range(10))
 
-    def test_unregistered_program_is_cost_model_only(self):
-        grid = self.make_grid(ProgramRegistry())
+    def test_unregistered_program_is_cost_model_only(self, programs):
+        assert "psum" not in programs
+        grid = self.make_grid()
         job_id = grid.submit(self.bsp_spec())
         assert grid.wait_for_job(job_id, max_seconds=SECONDS_PER_DAY)
         job = grid.job(job_id)
         assert job.done
         assert all(t.result is None for t in job.tasks)
 
-    def test_crashing_program_reports_error(self):
+    def test_crashing_program_reports_error(self, programs):
         def boom(bsp):
             raise RuntimeError("bad math")
 
-        registry = ProgramRegistry()
-        registry.register("psum", boom)
-        grid = self.make_grid(registry)
+        programs.register("psum", boom)
+        grid = self.make_grid()
         job_id = grid.submit(self.bsp_spec())
         assert grid.wait_for_job(job_id, max_seconds=SECONDS_PER_DAY)
         job = grid.job(job_id)

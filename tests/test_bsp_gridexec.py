@@ -32,6 +32,8 @@ class FakePacedLrm:
 
 
 class FakeGrm:
+    journal = None
+
     def __init__(self, network=None):
         self.network = network
         self.lrms: dict[str, FakePacedLrm] = {}

@@ -179,18 +179,15 @@ class TestStencil:
 
 
 class TestGridRegistration:
-    def test_kernel_registrable_and_grid_executable(self):
+    def test_kernel_registrable_and_grid_executable(self, programs):
         from repro import ApplicationSpec, Grid
-        from repro.apps.registry import ProgramRegistry
         from repro.sim.clock import SECONDS_PER_DAY
 
         def program(bsp):
             return all_reduce(bsp, bsp.pid + 1)
 
-        registry = ProgramRegistry()
-        registry.register("allreduce", program)
-        grid = Grid(seed=2, policy="first_fit", lupa_enabled=False,
-                    programs=registry)
+        programs.register("allreduce", program)
+        grid = Grid(seed=2, policy="first_fit", lupa_enabled=False)
         grid.add_cluster("c0")
         for i in range(3):
             grid.add_node("c0", f"d{i}", dedicated=True)

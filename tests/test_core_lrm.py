@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.lrm import Lrm
+from repro.core.lrm import MAX_LEASE_SECONDS, Lrm
 from repro.core.ncc import (
     DEFAULT_POLICY,
     BlackoutWindow,
@@ -588,7 +588,7 @@ class TestExactExecution:
         loop, ws, lrm, grm = make_lrm(attach=False)
         ws.stop()
         assert loop.pending == 0
-        reserve(lrm, cpu=1.0, lease=1e9)
+        reserve(lrm, cpu=1.0, lease=MAX_LEASE_SECONDS)
         launch(lrm, work=50_000.0)
         assert loop.pending == 1             # the one wake-up
         loop.run_until(1e6)
@@ -604,7 +604,7 @@ class TestExactExecution:
         ws.stop()
         loop.run_until(1e9)
         assert loop.now + 1e-5 / 1000.0 == loop.now == 1e9
-        reserve(lrm, cpu=1.0, lease=1e9)
+        reserve(lrm, cpu=1.0, lease=MAX_LEASE_SECONDS)
         launch(lrm, work=1e6, initial=1e6 - 1e-5)
         fired = loop.events_fired
         loop.run_until(1e9)
@@ -651,7 +651,8 @@ class TestExactExecution:
         ws.stop()                    # scripted owner
         if policy == "thirty":
             fraction = min(fraction, 0.3)
-        assert reserve(lrm, cpu=fraction, lease=1e9)["accepted"]
+        assert reserve(lrm, cpu=fraction,
+                       lease=MAX_LEASE_SECONDS)["accepted"]
         launch(lrm, work=work, ckpt=checkpoint_s)
         limit = math.inf
         if first_limit is not None:
@@ -684,7 +685,8 @@ class TestExactExecution:
                 ws.machine.set_owner_load(x, 10.0, present)
             elif kind == "reserve":
                 name = f"x{len(extras)}"
-                if reserve(lrm, name, cpu=x, lease=1e9)["accepted"]:
+                if reserve(lrm, name, cpu=x,
+                           lease=MAX_LEASE_SECONDS)["accepted"]:
                     extras.append(name)
             elif kind == "cancel" and extras:
                 lrm.cancel_reservation(extras.pop())
