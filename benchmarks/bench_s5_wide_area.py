@@ -48,7 +48,7 @@ BASE_INTERVAL = 300.0
 CHURN_PERIOD = 20               # 5% of the clusters change per round
 SUBMITS_PER_ROUND = 64
 PLACEABLE_EVERY = 128           # 1/128 of submits can actually be hosted
-AGG_PROBES = 5000               # aggregate_summary() calls timed at the end
+AGG_PROBES = 5000               # cluster_summary() calls timed at the end
 
 
 class SummaryOnlyChildGrm:
@@ -171,7 +171,7 @@ def drive(parent, meter, uplink_stub, summaries, rounds=ROUNDS):
             uplink_msgs += 1
         # The parent-to-grandparent uplink reads the aggregate once per
         # interval.
-        parent.aggregate_summary()
+        parent.cluster_summary()
         uplink_bytes += meter.bytes - bytes_before
 
         # -- submit phase: wide-area placement cost at the servant --
@@ -206,7 +206,7 @@ def measure_wide_area(clusters, rounds=ROUNDS):
         assert parent.summaries_received == tallies["uplink_messages"]
         start = time.perf_counter()
         for _ in range(AGG_PROBES):
-            parent.aggregate_summary()
+            parent.cluster_summary()
         agg_elapsed = time.perf_counter() - start
         return {
             "clusters": clusters,

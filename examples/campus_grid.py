@@ -7,7 +7,8 @@ parent GRM ("clusters are then arranged in a hierarchy", Section 4).
 Jobs the home cluster cannot place are forwarded: the parent sees only
 aggregated per-cluster summaries, never per-node status.  A forwarded
 BSP gang is paced, and checkpointed, by the GRM of the cluster it lands
-in.
+in, and a user who submitted through an ASCT follows a forwarded job to
+where it runs.
 
 Run:  python examples/campus_grid.py
 """
@@ -61,13 +62,14 @@ def main():
         cluster="maths",
     )
 
-    # 3. A job needing >= 2000 MIPS nodes: only physics qualifies.
-    fast_id = grid.submit(
+    # 3. A job needing >= 2000 MIPS nodes: only physics qualifies.  The
+    #    user submits it through an ASCT at maths.
+    asct = grid.make_asct("maths")
+    fast_id = asct.submit(
         ApplicationSpec(
             name="needs-fast-cpu", work_mips=6e6,
             requirements=ResourceRequirements(min_mips=2000.0),
-        ),
-        cluster="maths",
+        )
     )
 
     grid.run_for(6 * SECONDS_PER_HOUR)
@@ -92,6 +94,13 @@ def main():
                   f"{status['superstep'] + 1}/{status['supersteps']}, "
                   f"{status['checkpoints_saved']} checkpoint(s), "
                   f"{status['rollbacks']} rollback(s)")
+
+    # The ASCT asks its home GRM, which answers from where the job runs.
+    status = asct.status(fast_id)
+    heard = ", ".join(f"{e.event} {e.job_id}" for e in asct.events)
+    print(f"\nASCT view of {fast_id}: {status['job_id']} is "
+          f"{status['state']} (progress {status['progress']:.0%}); "
+          f"heard: {heard}")
 
     print(f"\nParent GRM: {parent.summaries_received} summaries received, "
           f"{parent.remote_submissions} wide-area placements.")

@@ -401,7 +401,7 @@ class Grid:
 
         The servant is activated under both the ParentGrm interface (for
         children) and the GRM facade interface (so a higher-level parent
-        can treat it as a cluster).  Returns ``(parent, parent_ior,
+        can treat it as a cluster).  Returns ``(parent, orb, parent_ior,
         facade_ior)``.
         """
         if parent_name in self._parents:
@@ -423,24 +423,21 @@ class Grid:
         ).to_string()
         self._parents[parent_name] = parent
         self._attach_parent(parent)
-        return parent, parent_ior, facade_ior
+        return parent, orb, parent_ior, facade_ior
 
-    def _make_uplink(self, handle: ClusterHandle, parent_ior: str):
-        """Connect one cluster's GRM to a parent."""
-        stub = handle.orb.stub(parent_ior, PARENT_GRM_INTERFACE)
+    def _make_uplink(self, child, orb: Orb, child_ior: str, parent_ior: str):
+        """Join one child — a cluster's GRM or a sub-parent — to a parent."""
+        stub = orb.stub(parent_ior, PARENT_GRM_INTERFACE)
         return ClusterUplink(
-            self.loop, handle.grm, stub, handle.grm_ior,
-            interval=self.summary_interval,
+            self.loop, child, stub, child_ior, interval=self.summary_interval
         )
 
     def connect_clusters_to_parent(self, parent_name: str = "parent"):
         """Build a two-level hierarchy over all current clusters."""
-        parent, parent_ior, _facade = self._make_parent(parent_name)
-        uplinks = [
-            self._make_uplink(handle, parent_ior)
-            for handle in self.clusters.values()
-        ]
-        return parent, uplinks
+        parents, uplinks = self.build_hierarchy(
+            {parent_name: list(self.clusters)}
+        )
+        return parents[parent_name], uplinks
 
     def build_hierarchy(self, tree: dict):
         """Build an arbitrary-depth hierarchy from a nested description.
@@ -453,10 +450,11 @@ class Grid:
                 {"root": ["hq", {"campus": ["lab-a", "lab-b"]}]}
             )
 
-        Sub-parents join their parent through the GRM facade (they look
-        like one big cluster from above).  Returns ``(parents, uplinks)``
-        where ``parents`` maps each parent name to its
-        :class:`ParentGrm`.
+        Every child joins its parent through one :class:`ClusterUplink`;
+        a sub-parent offers its GRM facade, so from above it looks like
+        one big cluster.  Returns ``(parents, uplinks)`` where ``parents``
+        maps each parent name to its :class:`ParentGrm` and ``uplinks``
+        holds one uplink per edge, sub-parents' included.
         """
         if len(tree) != 1:
             raise ValueError(
@@ -466,7 +464,7 @@ class Grid:
         uplinks: list = []
 
         def build(name: str, children: list):
-            parent, parent_ior, facade_ior = self._make_parent(name)
+            parent, orb, parent_ior, facade_ior = self._make_parent(name)
             parents[name] = parent
             for child in children:
                 if isinstance(child, dict):
@@ -476,16 +474,18 @@ class Grid:
                             f"got {sorted(child)}"
                         )
                     (sub_name, sub_children), = child.items()
-                    sub, sub_facade_ior = build(sub_name, sub_children)
-                    stub = sub._orb.stub(parent_ior, PARENT_GRM_INTERFACE)
-                    sub.attach_parent(
-                        stub, sub_facade_ior, interval=self.summary_interval
+                    sub, sub_orb, sub_facade_ior = build(
+                        sub_name, sub_children
                     )
+                    uplinks.append(self._make_uplink(
+                        sub, sub_orb, sub_facade_ior, parent_ior
+                    ))
                 else:
-                    uplinks.append(
-                        self._make_uplink(self._cluster(child), parent_ior)
-                    )
-            return parent, facade_ior
+                    handle = self._cluster(child)
+                    uplinks.append(self._make_uplink(
+                        handle.grm, handle.orb, handle.grm_ior, parent_ior
+                    ))
+            return parent, orb, facade_ior
 
         (root_name, root_children), = tree.items()
         build(root_name, root_children)

@@ -389,6 +389,9 @@ class Grm:
 
     def job_status(self, job_id: str) -> dict:
         job = self._require_job(job_id)
+        if job.forwarded_to:
+            # The job answers from where it runs.
+            return self._parent.job_status(job.forwarded_to)
         return {
             "job_id": job.job_id,
             "name": job.spec.name,
@@ -412,6 +415,9 @@ class Grm:
 
     def cancel_job(self, job_id: str) -> None:
         job = self._require_job(job_id)
+        if job.forwarded_to:
+            self._parent.cancel_job(job.forwarded_to)
+            return
         if job.done:
             return
         for task in job.tasks:
@@ -924,8 +930,17 @@ class Grm:
                       f"forwarded as {remote_id}")
         job.forwarded_to = remote_id
         # The job is paced where it now runs, not here.
-        self.coordinators.pop(job.job_id, None)
+        if self.coordinators.pop(job.job_id, None) is not None \
+                and self._metrics is not None:
+            self._metrics.remove(f"bsp.{job.job_id}.stragglers")
         self.stats.jobs_forwarded += 1
+        asct = self._asct_stubs.get(job.job_id)
+        if asct is not None:
+            # Later events reach the ASCT under the id ``forwarded`` names.
+            try:
+                self._parent.register_asct(remote_id, asct.ref.to_string())
+            except OrbError:
+                pass
         self._emit(job.job_id, "forwarded", remote_id)
         return True
 

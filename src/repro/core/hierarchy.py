@@ -7,16 +7,17 @@ grid to encompass millions of machines" (Section 4).  A
 cluster could not, implementing the wide-area extension of the resource
 management protocols (Marques & Kon 2002).
 
-One rule per direction.  Upward, every child — a cluster through its
-:class:`ClusterUplink`, a sub-parent through :meth:`ParentGrm.attach_parent`
-— sends one full summary per ``summary_interval``; a parent demotes a
-child it has not heard from for ``stale_after`` (3.5 intervals) and
-revives it on its next summary, so placement never ranks, or dials, a
-dead cluster.  Downward, candidate selection walks an index of the live
-children ordered by spare CPU, maintained as summaries arrive: the walk
-stops at the first child that provably cannot host the job, so a submit
-costs O(answers + log C) and most-spare-CPU goes first, registration
-order breaking ties.
+One rule per direction.  Upward, every child — a cluster's GRM or a
+sub-parent — joins through a :class:`ClusterUplink` and sends one full
+summary per ``summary_interval``; a parent demotes a child it has not
+heard from for ``stale_after`` (3.5 intervals) and revives it on its next
+summary, so placement never ranks, or dials, a dead cluster.  Downward,
+candidate selection walks an index of the live children ordered by spare
+CPU, maintained as summaries arrive: the walk stops at the first child
+that provably cannot host the job, so a submit costs O(answers + log C)
+and most-spare-CPU goes first, registration order breaking ties.  Every
+job a parent places — in a child or through its own parent — is recorded
+once, so status, cancel and ASCT registration reach it where it runs.
 """
 
 import itertools
@@ -24,7 +25,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.grm import Grm
 from repro.core.protocols import GRM_INTERFACE
 from repro.orb.core import Orb
 from repro.orb.exceptions import OrbError
@@ -61,10 +61,11 @@ class NoCapacity(Exception):
 
 
 class HierarchyError(Exception):
-    """A wide-area operation failed because a child cluster is unreachable.
+    """A wide-area operation failed because the job's holder — a child
+    cluster, or ``"parent"`` for a job escalated upward — is unreachable.
 
     Wraps the underlying :class:`~repro.orb.exceptions.OrbError` with the
-    cluster the hierarchy was talking to, so callers (and postmortems)
+    holder the hierarchy was talking to, so callers (and postmortems)
     can name the dead cluster instead of staring at a bare ORB fault.
     """
 
@@ -102,7 +103,10 @@ class ParentGrm:
         self.name = name
         self._children: dict[str, ClusterRecord] = {}
         self._parent = None
-        self._delegated_jobs: dict[str, ClusterRecord] = {}
+        #: job_id -> (holder name, holder stub) for every job this node
+        #: placed: a child's GRM (or facade), or our own parent's stub
+        #: for an escalation.
+        self._delegated_jobs: dict[str, tuple] = {}
         self.summaries_received = 0
         self.summaries_dropped = 0
         self.remote_submissions = 0
@@ -110,11 +114,9 @@ class ParentGrm:
         self.upward_forwards = 0
         self.clusters_declared_stale = 0
         #: Placement accounting: children admitted to the candidate
-        #: list, children pruned before any remote round-trip, and
-        #: submissions escalated to our own parent.
+        #: list and children pruned before any remote round-trip.
         self.placements_admitted = 0
         self.placements_skipped_by_index = 0
-        self.placements_escalated = 0
         #: Optional observability hooks; None keeps the hot paths bare.
         self.journal = None
         #: Both submit paths; bind_metrics times them.
@@ -128,7 +130,6 @@ class ParentGrm:
         self._cluster_seq = itertools.count()
         self._stale_after = stale_after
         self._sweep_task = loop.every(stale_after, self._check_staleness)
-        self._uplink_task = None
 
     # -- wiring -----------------------------------------------------------------
 
@@ -148,8 +149,6 @@ class ParentGrm:
                       lambda: self.placements_admitted)
         registry.view(f"{prefix}.placement.skipped_by_index",
                       lambda: self.placements_skipped_by_index)
-        registry.view(f"{prefix}.placement.escalated",
-                      lambda: self.placements_escalated)
         registry.view(f"{prefix}.remote_submissions",
                       lambda: self.remote_submissions)
         registry.view(f"{prefix}.remote_rejections",
@@ -171,11 +170,13 @@ class ParentGrm:
         self._timed_submit = timed(hist, self._submit_impl)
         self._timed_submit_remote = timed(hist, self._submit_remote_impl)
 
+    def set_parent(self, parent_stub) -> None:
+        """Attach our own parent, for escalation (as ``Grm.set_parent``)."""
+        self._parent = parent_stub
+
     def stop(self) -> None:
-        """Stop the staleness sweep and the uplink to our own parent."""
+        """Stop the staleness sweep (an uplink stops on its own)."""
         self._sweep_task.stop()
-        if self._uplink_task is not None:
-            self._uplink_task.stop()
 
     # -- servant operations -----------------------------------------------------
 
@@ -254,12 +255,8 @@ class ParentGrm:
         if self.name in dict(spec.get("metadata", {})).get("visited", ()):
             self.remote_rejections += 1
             return ""
-        for record in self._candidates(spec, origin_cluster):
-            forwarded = self._tag(spec, origin_cluster)
-            try:
-                job_id = record.grm_stub.submit(forwarded)
-            except OrbError:
-                continue
+        job_id = self._place(spec, origin_cluster)
+        if job_id:
             self.remote_submissions += 1
             return job_id
         if self._parent is not None:
@@ -270,9 +267,23 @@ class ParentGrm:
                 job_id = ""
             if job_id:
                 self.upward_forwards += 1
-                self.placements_escalated += 1
+                self._delegated_jobs[job_id] = ("parent", self._parent)
                 return job_id
         self.remote_rejections += 1
+        return ""
+
+    def _place(self, spec: dict, origin_cluster: str) -> str:
+        """Hand the job to the first eligible child that accepts it and
+        record where it went; ``""`` when none does."""
+        for record in self._candidates(spec, origin_cluster):
+            try:
+                job_id = record.grm_stub.submit(
+                    self._tag(spec, origin_cluster)
+                )
+            except OrbError:
+                continue
+            self._delegated_jobs[job_id] = (record.cluster, record.grm_stub)
+            return job_id
         return ""
 
     def _tag(self, spec: dict, origin_cluster: str) -> dict:
@@ -295,40 +306,33 @@ class ParentGrm:
         return self._timed_submit(spec_dict)
 
     def _submit_impl(self, spec_dict: dict) -> str:
-        placed = self._tag(spec_dict, "")
-        for record in self._candidates(spec_dict, origin=""):
-            try:
-                job_id = record.grm_stub.submit(placed)
-            except OrbError:
-                continue
-            self._delegated_jobs[job_id] = record
-            return job_id
-        raise NoCapacity(
-            f"{self.name}: no child cluster can host "
-            f"{spec_dict.get('name')!r}"
-        )
+        job_id = self._place(spec_dict, "")
+        if not job_id:
+            raise NoCapacity(
+                f"{self.name}: no child cluster can host "
+                f"{spec_dict.get('name')!r}"
+            )
+        return job_id
 
     def job_status(self, job_id: str) -> dict:
-        record = self._delegated_jobs.get(job_id)
-        if record is None:
-            raise KeyError(f"unknown job {job_id!r}")
-        try:
-            return record.grm_stub.job_status(job_id)
-        except OrbError as exc:
-            raise HierarchyError(
-                record.cluster, "job_status", job_id, exc
-            ) from exc
+        return self._route("job_status", job_id)
 
     def cancel_job(self, job_id: str) -> None:
-        record = self._delegated_jobs.get(job_id)
-        if record is None:
+        self._route("cancel_job", job_id)
+
+    def register_asct(self, job_id: str, asct_ior: str) -> None:
+        self._route("register_asct", job_id, asct_ior)
+
+    def _route(self, operation: str, job_id: str, *args):
+        """Ask whoever holds a job this node placed."""
+        entry = self._delegated_jobs.get(job_id)
+        if entry is None:
             raise KeyError(f"unknown job {job_id!r}")
+        holder, stub = entry
         try:
-            record.grm_stub.cancel_job(job_id)
+            return getattr(stub, operation)(job_id, *args)
         except OrbError as exc:
-            raise HierarchyError(
-                record.cluster, "cancel_job", job_id, exc
-            ) from exc
+            raise HierarchyError(holder, operation, job_id, exc) from exc
 
     # GRM interface operations that have no meaning at an aggregation
     # node: per-node traffic never reaches a parent.
@@ -344,9 +348,6 @@ class ParentGrm:
     def heartbeat(self, node) -> None:
         pass
 
-    def register_asct(self, job_id, asct_ior) -> None:
-        pass
-
     def task_completed(self, node, task_id, result) -> None:
         pass
 
@@ -358,7 +359,7 @@ class ParentGrm:
 
     # -- aggregation --------------------------------------------------------------
 
-    def aggregate_summary(self) -> dict:
+    def cluster_summary(self) -> dict:
         """This subtree, summarised as if it were one big cluster."""
         children = [r for r in self._children.values() if r.alive]
         return {
@@ -381,22 +382,6 @@ class ParentGrm:
                 r.summary["pending_tasks"] for r in children
             ),
         }
-
-    def attach_parent(
-        self,
-        parent_stub,
-        own_grm_facade_ior: str,
-        interval: float = DEFAULT_SUMMARY_INTERVAL,
-    ) -> None:
-        """Join a higher-level ParentGrm as one of its 'clusters'."""
-        self._parent = parent_stub
-        parent_stub.register_cluster(
-            self.aggregate_summary(), own_grm_facade_ior
-        )
-        self._uplink_task = self._loop.every(
-            interval,
-            lambda: parent_stub.send_summary(self.aggregate_summary()),
-        )
 
     # -- liveness and the placement index ------------------------------------------
 
@@ -485,13 +470,15 @@ class ParentGrm:
 
 
 class ClusterUplink:
-    """The child side: registers its cluster with the parent, then sends
-    one full summary per ``interval``."""
+    """The child side of every edge: registers the child — a cluster's
+    :class:`~repro.core.grm.Grm` or a sub-:class:`ParentGrm`, anything
+    with ``cluster_summary()`` and ``set_parent()`` — with the parent,
+    then sends one full summary per ``interval``."""
 
     def __init__(
         self,
         loop: EventLoop,
-        grm: Grm,
+        grm,
         parent_stub,
         grm_ior: str,
         interval: float = DEFAULT_SUMMARY_INTERVAL,

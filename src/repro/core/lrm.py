@@ -386,7 +386,18 @@ class Lrm:
 
     # servant operation
     def start_task(self, launch: dict) -> bool:
-        """Execution step: convert a reservation into a running task."""
+        """Execution step: convert a reservation into a running task.
+
+        A launch no honest GRM sends is refused, and its reservation
+        lapses with its lease: work must be finite and positive, the
+        starting progress in [0, work], the checkpoint interval finite
+        and >= 0 (NaN fails every comparison, so it is refused too).
+        """
+        work = launch["work_mips"]
+        if not (0.0 < work < inf
+                and 0.0 <= launch["initial_progress_mips"] <= work
+                and 0.0 <= launch["checkpoint_interval_s"] < inf):
+            return False
         task_id = launch["task_id"]
         if not self.ledger.holds(task_id):
             return False

@@ -8,7 +8,7 @@ Three protocols from the paper live here as IDL interfaces:
   negotiation: request_reservation / start_task / stop_task),
 * the **inter-cluster protocol** (child GRM → parent GRM, one
   aggregated summary per interval, oneway; and wide-area submission,
-  after Marques & Kon 2002).
+  status, cancel and ASCT registration, after Marques & Kon 2002).
 """
 
 from repro.orb.cdr import (
@@ -269,6 +269,15 @@ PARENT_GRM_INTERFACE = InterfaceDef(
                 Parameter("origin_cluster", String),
             ),
             String,   # job id at the accepting cluster, or "" when rejected
+        ),
+        # A job this parent placed answers from where it runs: each call
+        # goes to whoever the parent handed the job to.
+        Operation("job_status", (Parameter("job_id", String),), VARIANT),
+        Operation("cancel_job", (Parameter("job_id", String),), Void),
+        Operation(
+            "register_asct",
+            (Parameter("job_id", String), Parameter("asct_ior", String)),
+            Void,
         ),
     ],
 )

@@ -28,11 +28,12 @@ from repro.orb.transport import TcpTransport
 BUDGET = [
     (Orb.__init__, 8),
     (Grid.__init__, 11),
+    (Grid.build_hierarchy, 1),
+    (Grid.connect_clusters_to_parent, 1),
     (Lrm.__init__, 7),
     (Lupa.__init__, 8),
     (Grm.__init__, 9),
     (ParentGrm.__init__, 4),
-    (ParentGrm.attach_parent, 3),
     (ClusterUplink.__init__, 5),
     (TradingService.modify, 2),
     (TcpTransport.__init__, 3),

@@ -45,14 +45,10 @@ def three_tier():
     root_ior = root_orb.activate(
         root, PARENT_GRM_INTERFACE, key="root/parent"
     ).to_string()
-    campus_a.attach_parent(
-        a_orb.stub(root_ior, PARENT_GRM_INTERFACE), a_facade,
-        interval=120.0,
-    )
-    campus_b.attach_parent(
-        b_orb.stub(root_ior, PARENT_GRM_INTERFACE), b_facade,
-        interval=120.0,
-    )
+    for campus, orb, facade in ((campus_a, a_orb, a_facade),
+                                (campus_b, b_orb, b_facade)):
+        stub = orb.stub(root_ior, PARENT_GRM_INTERFACE)
+        ClusterUplink(grid.loop, campus, stub, facade, interval=120.0)
     grid.run_for(300)
     return grid, root, campus_a, campus_b
 
@@ -66,7 +62,7 @@ class TestAggregation:
 
     def test_aggregate_summary_sums_children(self, three_tier):
         grid, root, campus_a, campus_b = three_tier
-        summary = campus_a.aggregate_summary()
+        summary = campus_a.cluster_summary()
         assert summary["cluster"] == "campus_a"
         assert summary["nodes"] == 4
         assert summary["sharing_nodes"] == 4

@@ -174,7 +174,7 @@ class TestAggregation:
                 loop.run_for(2 * stale_after + 1.0)
                 alive.clear()
             live = [held[c] for c in held if c in alive]
-            assert parent.aggregate_summary() == {
+            assert parent.cluster_summary() == {
                 "cluster": "parent",
                 "time": loop.now,
                 "nodes": sum(s["nodes"] for s in live),
@@ -193,7 +193,7 @@ class TestAggregation:
 
     def test_empty_parent_aggregates_to_zero(self):
         _, _, parent, _ = make_parent()
-        summary = parent.aggregate_summary()
+        summary = parent.cluster_summary()
         assert summary["nodes"] == 0
         assert summary["free_cpu_total"] == 0
         assert summary["max_node_mips"] == 0.0
@@ -343,7 +343,7 @@ class TestScaledHierarchy:
     def test_build_hierarchy_shape(self):
         grid, parents, uplinks = build_scaled_three_tier()
         assert sorted(parents) == ["campus_a", "campus_b", "root"]
-        assert len(uplinks) == 4
+        assert len(uplinks) == 6          # one per edge, sub-parents too
         assert parents["root"].clusters == ["campus_a", "campus_b"]
         assert parents["campus_a"].clusters == ["a1", "a2"]
         summary = parents["root"].summary_of("campus_b")
@@ -356,7 +356,6 @@ class TestScaledHierarchy:
         local = grid.job(job_id)
         assert local.forwarded_to
         assert parents["campus_a"].upward_forwards == 1
-        assert parents["campus_a"].placements_escalated == 1
         assert parents["root"].remote_submissions == 1
         found = None
         for cluster in ("b1", "b2"):
@@ -384,10 +383,11 @@ class TestScaledHierarchy:
         assert digest() == digest()
 
     def test_stopped_sub_parent_goes_silent_and_is_demoted(self):
-        grid, parents, _ = build_scaled_three_tier()
+        grid, parents, uplinks = build_scaled_three_tier()
         root, campus_a = parents["root"], parents["campus_a"]
         grid.run_until(600.0)
-        campus_a.stop()
+        # A sub-parent's edge is an uplink like any cluster's.
+        next(u for u in uplinks if u._grm is campus_a).stop()
         heard = root.summaries_received
         grid.run_until(1200.0)
         # Five intervals of 120 s: campus_b alone reported.
@@ -399,7 +399,60 @@ class TestScaledHierarchy:
         grid.run_until(1260.0)
         assert not root._children["campus_a"].alive
         assert root.clusters_declared_stale == 1
-        assert root.aggregate_summary()["nodes"] == 8     # campus_b's
+        assert root.cluster_summary()["nodes"] == 8     # campus_b's
+
+
+    def test_every_placement_lands_in_one_table(self):
+        """The facade's ``submit``, ``submit_remote`` and an escalation
+        each record where the job went, and the job answers from there."""
+        grid, parents, _ = build_scaled_three_tier()
+        root, campus_a, campus_b = (
+            parents["root"], parents["campus_a"], parents["campus_b"])
+        direct = campus_b.submit(
+            ApplicationSpec(name="direct", work_mips=2e5).to_dict())
+        remote = campus_a.submit_remote(
+            ApplicationSpec(name="remote", tasks=2, work_mips=2e5).to_dict(),
+            "a1")
+        escalated = grid.job(grid.submit(GANG_OF_THREE, cluster="a1"))
+        grid.run_for(60)
+        assert campus_b._delegated_jobs[direct][0] == direct.split("-")[0]
+        assert campus_a._delegated_jobs[remote][0] == "a2"
+        forwarded = escalated.forwarded_to
+        assert campus_a._delegated_jobs[forwarded][0] == "parent"
+        assert root._delegated_jobs[forwarded][0] == "campus_b"
+        assert forwarded in campus_b._delegated_jobs
+        grid.run_for(3 * SECONDS_PER_HOUR)
+        for parent, job_id in ((campus_b, direct), (campus_a, remote),
+                               (campus_a, forwarded), (root, forwarded)):
+            status = parent.job_status(job_id)
+            assert status["job_id"] == job_id
+            assert status["state"] == "completed"
+        assert grid.clusters["a1"].grm.job_status(escalated.job_id) == \
+            root.job_status(forwarded)
+
+    def test_a_sub_parent_uplink_stops_like_a_cluster_uplink(self):
+        grid, parents, uplinks = build_scaled_three_tier()
+        root, campus_a, campus_b = (
+            parents["root"], parents["campus_a"], parents["campus_b"])
+        grid.run_until(600.0)
+        # A parent's stop() ends its own sweep, not its edge upward.
+        campus_a.stop()
+        grid.run_until(1200.0)
+        assert root._children["campus_a"].last_seen == 1200.0
+        b1 = grid.clusters["b1"].grm
+        for uplink in uplinks:
+            if uplink._grm in (campus_a, b1):
+                uplink.stop()
+        # Both children fell silent at 1200 s; root and campus_b sweep
+        # every 420 s, and the sweep at 1680 s is the first past 1620 s.
+        grid.run_until(1679.0)
+        assert root._children["campus_a"].alive
+        assert campus_b._children["b1"].alive
+        grid.run_until(1680.0)
+        assert not root._children["campus_a"].alive
+        assert not campus_b._children["b1"].alive
+        assert root.clusters_declared_stale == 1
+        assert campus_b.clusters_declared_stale == 1
 
 
 class TestStaleClusters:
@@ -432,7 +485,7 @@ class TestStaleClusters:
         # Neither placement nor the aggregate offers the dead cluster.
         candidates = parent._candidates(spec_dict(), origin="")
         assert [r.cluster for r in candidates] == ["beta"]
-        assert parent.aggregate_summary()["nodes"] == 2
+        assert parent.cluster_summary()["nodes"] == 2
         # The cluster comes back: one summary revives it.
         parent.send_summary(
             grid.clusters["alpha"].grm.cluster_summary()
@@ -444,7 +497,7 @@ class TestStaleClusters:
         )
         candidates = parent._candidates(spec_dict(), origin="")
         assert sorted(r.cluster for r in candidates) == ["alpha", "beta"]
-        assert parent.aggregate_summary()["nodes"] == 4
+        assert parent.cluster_summary()["nodes"] == 4
 
     def test_doctor_names_the_dead_cluster(self):
         grid, parent = self.build()

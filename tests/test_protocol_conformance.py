@@ -143,7 +143,7 @@ class TestClusterSummaryConformance:
         grid.add_node("c0", "d0", dedicated=True)
         parent, _ = grid.connect_clusters_to_parent()
         grid.run_for(120)
-        aggregate = parent.aggregate_summary()
+        aggregate = parent.cluster_summary()
         assert roundtrip(CLUSTER_SUMMARY, aggregate) == \
             pytest.approx(aggregate)
         assert set(aggregate) == struct_fields(CLUSTER_SUMMARY)

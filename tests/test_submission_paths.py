@@ -2,9 +2,11 @@
 
 A user submits through the Grid facade or an ASCT, and the hierarchy
 forwards what a cluster cannot host; whichever way a BSP job arrives,
-the GRM that accepts it paces it.  The Grid keeps no job table of its
-own: it asks the GRMs, follows forwarding when it waits, and its totals
-count every component it ever built.
+the GRM that accepts it paces it.  A forwarded job answers from where
+it runs: the ASCT that submitted it reads its status, cancels it and
+hears its events there.  The Grid keeps no job table of its own: it
+asks the GRMs, follows forwarding when it waits, and its totals count
+every component it ever built.
 """
 
 import pytest
@@ -77,6 +79,8 @@ def test_a_forwarded_gang_is_coordinated_at_its_new_home():
     assert grid.clusters["big"].checkpoint_store.saves == 2 * 4
     assert grid.clusters["small"].checkpoint_store.saves == 0
     assert f"bsp.{remote_id}.stragglers" in grid.metrics.names()
+    # The origin's view went with the coordinator it read.
+    assert f"bsp.{job_id}.stragglers" not in grid.metrics.names()
     home = grid.coordinator(remote_id)
     assert home is grid.clusters["big"].grm.coordinators[remote_id]
     assert home.current_superstep == home.supersteps - 1
@@ -100,6 +104,63 @@ def test_wait_for_job_follows_forwarding_to_where_the_job_runs():
     assert submitted.job_id == job_id       # the job as submitted
     assert submitted.forwarded_to
     assert grid.job(submitted.forwarded_to).state is JobState.COMPLETED
+
+
+def asct_job_forwarded(tree=None):
+    """An ASCT on cluster ``empty`` submits a job only ``full`` (one
+    dedicated node) can run; returns it 60 sim-s later, forwarded."""
+    grid = Grid(seed=3, policy="first_fit", lupa_enabled=False)
+    grid.add_cluster("empty")
+    dedicated_cluster(grid, "full", 1)
+    if tree is None:
+        grid.connect_clusters_to_parent()
+    else:
+        grid.build_hierarchy(tree)
+    grid.run_for(600)
+    asct = grid.make_asct("empty")
+    job_id = asct.submit(ApplicationSpec(name="long", work_mips=3.6e6))
+    grid.run_for(60)
+    remote_id = grid.job(job_id).forwarded_to
+    assert remote_id.startswith("full-")
+    return grid, asct, job_id, remote_id
+
+
+THREE_TIER = {"root": [{"campus": ["empty"]}, "full"]}
+
+
+@pytest.mark.parametrize("tree", [None, THREE_TIER],
+                         ids=["forwarded", "escalated"])
+def test_an_asct_follows_its_forwarded_job(tree):
+    grid, asct, job_id, remote_id = asct_job_forwarded(tree)
+    home = grid.clusters["full"].grm
+    assert not asct.is_done(job_id)
+    status = asct.status(job_id)
+    assert status == home.job_status(remote_id)
+    assert status["state"] == "running"
+    grid.run_for(1800)
+    assert asct.progress(job_id) == home.job_status(remote_id)["progress"]
+
+    assert grid.wait_for_job(job_id, max_seconds=SECONDS_PER_DAY)
+    assert asct.is_done(job_id)
+    assert asct.status(job_id)["state"] == "completed"
+    assert [(e.job_id, e.event, e.detail) for e in asct.events] == [
+        (job_id, "forwarded", remote_id),
+        (remote_id, "completed", ""),
+    ]
+
+
+@pytest.mark.parametrize("tree", [None, THREE_TIER],
+                         ids=["forwarded", "escalated"])
+def test_an_asct_cancels_its_forwarded_job_where_it_runs(tree):
+    grid, asct, job_id, remote_id = asct_job_forwarded(tree)
+    asct.cancel(job_id)
+    assert grid.job(remote_id).state is JobState.CANCELLED
+    assert asct.status(job_id)["state"] == "cancelled"
+    grid.run_for(SECONDS_PER_DAY)
+    assert grid.job(remote_id).state is JobState.CANCELLED
+    assert grid.clusters["full"].nodes["full0"].lrm.running_tasks == []
+    assert (remote_id, "cancelled", "") in [
+        (e.job_id, e.event, e.detail) for e in asct.events]
 
 
 def test_grid_wide_totals_never_go_backwards():
