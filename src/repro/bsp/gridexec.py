@@ -12,16 +12,17 @@ superstep by superstep:
   releases the next superstep;
 * every ``checkpoint_every`` supersteps it saves portable per-member
   checkpoints into the cluster repository;
-* on eviction or node crash, all surviving members are rolled back to
-  the latest *globally consistent* checkpointed superstep and the lost
-  member is re-placed by the GRM, resuming from that same superstep.
+* on eviction, migration or node crash, all surviving members are
+  rolled back to the last checkpointed superstep and the lost member is
+  re-placed by the GRM, resuming from that same superstep.  Every
+  checkpoint saves every member still running at the same superstep,
+  so that one number is the job's globally consistent cut.
 """
 
 from typing import Optional
 
 from repro.apps.job import Job, TaskState
 from repro.apps.registry import DEFAULT_REGISTRY
-from repro.checkpoint.recovery import RecoveryManager
 from repro.checkpoint.store import MemoryCheckpointStore
 from repro.orb.exceptions import OrbError
 from repro.sim.events import EventLoop
@@ -54,20 +55,16 @@ class BspGridCoordinator:
         self.checkpoint_every = spec.checkpoint_every_supersteps
         self.work_per_superstep = spec.work_mips / self.supersteps
         self.store = checkpoint_store
-        self.recovery = RecoveryManager(
-            job.job_id, [t.task_id for t in job.tasks]
-        )
         self.current_superstep = 0           # the superstep now executing
+        self.checkpointed = 0                # the last superstep saved
         self._nodes: dict[str, str] = {}     # task_id -> node
         self._reached: set = set()
         self._completed: set = set()
-        self._advancing = False
         self._advance_event = None           # pending comm-delay event
         self.checkpoints_saved = 0
         self.rollbacks = 0
         self.comm_seconds_total = 0.0
         self.executed_results: Optional[list] = None
-        self.executed_run = None
 
     # -- GRM callbacks ------------------------------------------------------------
 
@@ -85,7 +82,7 @@ class BspGridCoordinator:
         self._maybe_finish_superstep()
 
     def member_evicted(self, task_id: str, node: str) -> None:
-        """A member was lost; roll everyone back to a consistent cut."""
+        """A member was lost; roll everyone back to the last checkpoint."""
         self._nodes.pop(task_id, None)
         self._reached.discard(task_id)
         self.rollbacks += 1
@@ -94,24 +91,20 @@ class BspGridCoordinator:
         if self._advance_event is not None:
             self._advance_event.cancel()
             self._advance_event = None
-        self._advancing = False
-        rollback_superstep = self.recovery.rollback_point() \
-            if self.checkpoint_every > 0 else 0
-        rollback_superstep = min(rollback_superstep, self.current_superstep)
-        target_progress = rollback_superstep * self.work_per_superstep
+        target_progress = self.checkpointed * self.work_per_superstep
         journal = self._grm.journal
         if journal is not None and journal.active:
             journal.record(
                 "checkpoint_restored", node=node,
                 job_id=self.job.job_id, task_id=task_id,
-                superstep=rollback_superstep,
+                superstep=self.checkpointed,
                 from_superstep=self.current_superstep,
                 survivors=len(self._nodes),
             )
-        self.current_superstep = rollback_superstep
+        self.current_superstep = self.checkpointed
         self._reached.clear()
         # Roll surviving members back and re-arm the barrier, accounting
-        # the progress they lose past the consistent cut as wasted work.
+        # the progress they lose past the checkpoint as wasted work.
         for member, member_node in list(self._nodes.items()):
             stub = self._grm.lrm_stub(member_node)
             if stub is None:
@@ -120,7 +113,7 @@ class BspGridCoordinator:
                 progress = stub.get_progress(member)
                 stub.rollback_task(member, target_progress)
                 stub.set_work_limit(
-                    member, self._limit_mips(rollback_superstep + 1)
+                    member, self._limit_mips(self.checkpointed + 1)
                 )
             except OrbError:
                 continue
@@ -131,15 +124,16 @@ class BspGridCoordinator:
                     target_progress, survivor.work_mips
                 )
         # The lost member restarts from the checkpointed superstep.  The
-        # GRM's eviction handling charged its full progress as wasted
-        # (the LRM had no local checkpoint); the part the cluster
-        # repository preserved was not actually lost — credit it back and
-        # restore it (a roll *forward* from zero is intentional: the
-        # state lives in the checkpoint repository, not on the dead node).
+        # GRM's eviction handling kept the progress its node vouched for
+        # (none after an owner eviction, all of it after a migration, the
+        # stored checkpoint after a crash) and charged the rest as wasted;
+        # settle the difference to the checkpoint (a roll *forward* is
+        # intentional: the state lives in the checkpoint repository, not
+        # on the node it left).
         entry = self._task(task_id)
         if entry is not None:
             entry.wasted_mips = max(
-                0.0, entry.wasted_mips - target_progress
+                0.0, entry.wasted_mips + entry.progress_mips - target_progress
             )
             entry.progress_mips = min(target_progress, entry.work_mips)
 
@@ -172,7 +166,6 @@ class BspGridCoordinator:
             for task in self.job.tasks:
                 task.result = {"__error__": str(exc)}
             return
-        self.executed_run = run
         self.executed_results = run.results
         for task, result in zip(self.job.tasks, run.results):
             task.result = result
@@ -211,13 +204,12 @@ class BspGridCoordinator:
 
     def _maybe_finish_superstep(self) -> None:
         active = self._active_members()
-        if not active or self._advancing:
+        if not active or self._advance_event is not None:
             return
         if not active <= (self._reached | self._completed):
             return
         if set(self._nodes) != active:
             return   # someone is being re-placed; wait for them
-        self._advancing = True
         comm_delay = self._communication_seconds()
         self.comm_seconds_total += comm_delay
         self._advance_event = self._loop.schedule(
@@ -326,7 +318,6 @@ class BspGridCoordinator:
                 superstep=finished, supersteps=self.supersteps,
                 members=len(self._nodes),
             )
-        self._advancing = False
         if (
             self.checkpoint_every > 0
             and finished % self.checkpoint_every == 0
@@ -339,12 +330,12 @@ class BspGridCoordinator:
 
     def _checkpoint(self, superstep: int) -> None:
         progress = superstep * self.work_per_superstep
-        for task_id in self.recovery.members:
-            if task_id in self._completed:
+        for task in self.job.tasks:
+            if task.task_id in self._completed:
                 continue
             if self.store is not None:
                 self.store.save(
-                    task_id,
+                    task.task_id,
                     {
                         "job_id": self.job.job_id,
                         "superstep": superstep,
@@ -352,17 +343,14 @@ class BspGridCoordinator:
                     },
                     self._loop.now,
                 )
-            try:
-                self.recovery.record_checkpoint(task_id, superstep)
-            except ValueError:
-                pass   # re-checkpoint after rollback to the same superstep
+        self.checkpointed = superstep
         self.checkpoints_saved += 1
         journal = self._grm.journal
         if journal is not None and journal.active:
             journal.record(
                 "checkpoint_saved", job_id=self.job.job_id,
                 superstep=superstep,
-                members=len(self.recovery.members) - len(self._completed),
+                members=len(self.job.tasks) - len(self._completed),
             )
 
     # -- monitoring --------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Portable checkpointing and rollback recovery.
+"""Portable checkpointing.
 
 Section 3 of the paper requires checkpoints that are "machine and
 operating system independent to permit migration of computation across
 grid nodes".  The serializer here produces a versioned, checksummed,
-architecture-neutral byte format; stores keep checkpoints either in
-memory (simulation) or on disk; and the recovery manager computes
-consistent rollback points for parallel applications.
+architecture-neutral byte format, and stores keep checkpoints either in
+memory (simulation) or on disk.  A BSP job's rollback point is the last
+superstep its coordinator checkpointed
+(:attr:`repro.bsp.gridexec.BspGridCoordinator.checkpointed`).
 """
 
 from repro.checkpoint.serializer import (
@@ -18,7 +19,6 @@ from repro.checkpoint.store import (
     FileCheckpointStore,
     MemoryCheckpointStore,
 )
-from repro.checkpoint.recovery import RecoveryManager
 
 __all__ = [
     "CheckpointCorrupted",
@@ -27,5 +27,4 @@ __all__ = [
     "CheckpointRecord",
     "MemoryCheckpointStore",
     "FileCheckpointStore",
-    "RecoveryManager",
 ]

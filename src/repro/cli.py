@@ -295,17 +295,13 @@ def cmd_doctor(args) -> int:
             snapshot = json.load(f)
         metrics = snapshot.get("metrics", snapshot)
         # Shape the stock rule set from the metric names themselves so
-        # offline reports cover the same clusters/jobs as live ones.
+        # offline reports cover the same clusters as live ones.
         from repro.obs import default_rules
         clusters = sorted({
             name.split(".", 2)[1] for name in metrics
             if name.startswith("grm.") and name.count(".") >= 2
         })
-        bsp_jobs = sorted({
-            name.split(".", 2)[1] for name in metrics
-            if name.startswith("bsp.") and name.endswith(".stragglers")
-        })
-        rules = default_rules(clusters=clusters, bsp_jobs=bsp_jobs)
+        rules = default_rules(clusters=clusters)
     report = doctor_report(events, metrics=metrics, rules=rules,
                            top=args.top)
     print(render_health_report(report))

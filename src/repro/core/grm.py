@@ -37,6 +37,11 @@ DEFAULT_MAX_NEGOTIATIONS = 8
 DEFAULT_STALE_FACTOR = 3.5
 
 
+def _is_gang(spec: ApplicationSpec) -> bool:
+    """A job whose tasks are placed together or not at all."""
+    return spec.kind == BSP or spec.topology is not None
+
+
 @dataclass
 class NodeRecord:
     """Everything the GRM tracks about one registered node.
@@ -142,7 +147,6 @@ class Grm:
         #: Optional observability hooks; None keeps the seed hot paths.
         self.tracer = None
         self.journal = None
-        self._metrics = None
         #: Status ingest and policy ranking; bind_metrics times them.
         self._timed_ingest = self._ingest
         self._timed_rank = self._rank
@@ -177,12 +181,8 @@ class Grm:
         :meth:`status_age_mean` as views, binds the trader's
         query accounting, and starts the status-ingest and policy-ranking
         latency histograms (each call goes through
-        :func:`~repro.obs.metrics.timed`).  Each BSP job's
-        ``bsp.<job>.stragglers`` view is published here or at submit.
+        :func:`~repro.obs.metrics.timed`).
         """
-        self._metrics = registry
-        for job_id, coordinator in self.coordinators.items():
-            self._view_stragglers(job_id, coordinator)
         prefix = prefix if prefix is not None else f"grm.{self.cluster}"
         self.stats.to_metrics(registry, prefix)
         registry.view(f"{prefix}.registered_nodes", lambda: len(self._nodes))
@@ -196,12 +196,6 @@ class Grm:
         self._timed_ingest = timed(registry.histogram(
             f"{prefix}.ingest_latency_s", LATENCY_BOUNDS_S
         ), self._ingest)
-
-    def _view_stragglers(self, job_id: str, coordinator) -> None:
-        self._metrics.view(
-            f"bsp.{job_id}.stragglers",
-            lambda: len(coordinator.recovery.stragglers()),
-        )
 
     def status_age_mean(self) -> float:
         """Mean seconds since each rostered node's last accepted update:
@@ -362,12 +356,9 @@ class Grm:
         if spec.kind == BSP:
             # Every submission path (Grid, ASCT, parent GRM) lands here;
             # a spec the coordinator refuses is never queued.
-            coordinator = BspGridCoordinator(
+            self.coordinators[job_id] = BspGridCoordinator(
                 self._loop, self, job, checkpoint_store=self.store
             )
-            self.coordinators[job_id] = coordinator
-            if self._metrics is not None:
-                self._view_stragglers(job_id, coordinator)
         self._jobs[job_id] = job
         for task in job.tasks:
             self._tasks[task.task_id] = (job, task)
@@ -392,11 +383,13 @@ class Grm:
         if job.forwarded_to:
             # The job answers from where it runs.
             return self._parent.job_status(job.forwarded_to)
+        progress = [self._progress_of(t) for t in job.tasks]
+        total = sum(t.work_mips for t in job.tasks)
         return {
             "job_id": job.job_id,
             "name": job.spec.name,
             "state": job.state.value,
-            "progress": job.progress_fraction(),
+            "progress": sum(progress) / total if total > 0 else 1.0,
             "submitted_at": job.submitted_at,
             "completed_at": job.completed_at,
             "tasks": [
@@ -404,14 +397,27 @@ class Grm:
                     "task_id": t.task_id,
                     "state": t.state.value,
                     "node": t.node,
-                    "progress_mips": t.progress_mips,
+                    "progress_mips": mips,
                     "attempts": t.attempts,
                     "evictions": t.evictions,
                     "result": t.result,
                 }
-                for t in job.tasks
+                for t, mips in zip(job.tasks, progress)
             ],
         }
+
+    def _progress_of(self, task: Task) -> float:
+        """A running task's progress as its LRM reports it now; the
+        GRM's own figure (last heard at a launch, eviction or rollback)
+        when the task is not running or its LRM cannot answer."""
+        if task.state is TaskState.RUNNING:
+            stub = self.lrm_stub(task.node)
+            if stub is not None:
+                try:
+                    return stub.get_progress(task.task_id)
+                except OrbError:
+                    pass
+        return task.progress_mips
 
     def cancel_job(self, job_id: str) -> None:
         job = self._require_job(job_id)
@@ -567,7 +573,7 @@ class Grm:
         return self._schedule_job_impl(job)
 
     def _schedule_job_impl(self, job: Job) -> bool:
-        if job.spec.kind == BSP or job.spec.topology is not None:
+        if _is_gang(job.spec):
             return self._schedule_gang(job)
         return self._schedule_independent(job)
 
@@ -800,14 +806,15 @@ class Grm:
         except OrbError:
             pass
 
-    def _schedule_gang(self, job: Job) -> bool:
-        """Reserve every pending task on a distinct node, or none at all."""
+    def _schedule_gang(self, job: Job, exclude: tuple = ()) -> bool:
+        """Reserve every pending task on a distinct node, or none at all;
+        never on a node in ``exclude``."""
         pending = [t for t in job.tasks if t.state is TaskState.PENDING]
         if not pending:
             return True
         busy_nodes = {
             t.node for t in job.tasks if t.node is not None and not t.done
-        }
+        }.union(exclude)
         offers = [
             o for o in self._offers_for(job.spec)
             if o["node"] not in busy_nodes
@@ -871,10 +878,13 @@ class Grm:
         The paper's checkpointing requirement exists "to permit migration
         of computation across grid nodes"; this is the control-plane
         operation: stop the task on its current node (capturing its exact
-        progress), then place it elsewhere resuming from that progress.
-        Returns True when the task ends up running on a new node; on
-        failure to re-place, the task is left PENDING for the normal
-        scheduling passes (no work is lost).
+        progress), evict it through :meth:`task_evicted` keeping all of
+        that progress, then place it again.  An independent task resumes
+        where it stopped; a gang member is re-placed with its gang, and
+        like any lost member costs the gang a rollback to the last
+        checkpointed superstep.  Returns True when the task ends up
+        running again; on failure to re-place, the task is left PENDING
+        for the normal scheduling passes.
         """
         entry = self._tasks.get(task_id)
         if entry is None:
@@ -887,23 +897,15 @@ class Grm:
         if stub is None:
             return False
         try:
-            progress = stub.stop_task(task_id)
+            progress = max(0.0, stub.stop_task(task_id))   # -1: not there
         except OrbError:
             return False
-        self._credit(old_node, task_id)
-        if progress >= 0:
-            if progress > task.progress_mips:
-                task.advance(progress - task.progress_mips)
-        task.transition(TaskState.EVICTED, self._loop.now,
-                        f"migrating off {old_node}")
-        task.rollback(to_progress_mips=min(task.progress_mips,
-                                           max(0.0, progress)))
-        task.node = None
-        task.transition(TaskState.PENDING, self._loop.now, "migration")
+        self.task_evicted(old_node, task_id, progress, progress)
         exclude = (old_node,) if exclude_current else ()
-        placed = self._place_task(job, task, self._view(job), exclude)
-        if not placed and job.job_id not in self._pending:
-            self._pending.append(job.job_id)
+        if _is_gang(job.spec):
+            placed = self._schedule_gang(job, exclude)
+        else:
+            placed = self._place_task(job, task, self._view(job), exclude)
         self._emit(job.job_id, "migrated" if placed else "migration_pending",
                    task_id)
         return placed
@@ -930,9 +932,7 @@ class Grm:
                       f"forwarded as {remote_id}")
         job.forwarded_to = remote_id
         # The job is paced where it now runs, not here.
-        if self.coordinators.pop(job.job_id, None) is not None \
-                and self._metrics is not None:
-            self._metrics.remove(f"bsp.{job.job_id}.stragglers")
+        self.coordinators.pop(job.job_id, None)
         self.stats.jobs_forwarded += 1
         asct = self._asct_stubs.get(job.job_id)
         if asct is not None:

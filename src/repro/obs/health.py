@@ -355,14 +355,13 @@ class AlertEvaluator:
 
 def default_rules(
     clusters: Iterable = (),
-    bsp_jobs: Iterable = (),
     update_interval: float = 60.0,
 ) -> list:
     """The stock rule set ``grid_health_report`` evaluates.
 
-    Parameterised on the grid's shape: one dead-node and one
-    status-staleness rule per cluster, one checkpoint-lag (straggler)
-    rule per BSP job, plus grid-wide journal/tracer loss detectors.
+    Parameterised on the grid's shape: one dead-node, one
+    status-staleness and one pending-jobs rule per cluster, plus
+    grid-wide journal/tracer loss detectors.
     """
     rules = []
     for cluster in clusters:
@@ -383,14 +382,6 @@ def default_rules(
             metric=f"grm.{cluster}.pending_jobs",
             op=">=", value=1, severity="info",
             description="jobs waiting for resources",
-        ))
-    for job_id in bsp_jobs:
-        rules.append(AlertRule(
-            name=f"checkpoint-lag.{job_id}", kind="threshold",
-            metric=f"bsp.{job_id}.stragglers",
-            op=">=", value=1, severity="warning",
-            description="members holding the consistent checkpoint "
-                        "cut back (RecoveryManager.stragglers)",
         ))
     rules.append(AlertRule(
         name="journal-loss", kind="threshold",
@@ -475,7 +466,7 @@ def grid_health_report(
 
     Uses the journal for forensics and the metrics registry (enabled on
     first use, like :meth:`Grid.metrics_snapshot`) for alert rules; the
-    stock rule set is shaped to the grid's clusters and BSP jobs.
+    stock rule set is shaped to the grid's clusters.
     """
     journal = getattr(grid, "journal", None)
     if journal is None:
@@ -486,8 +477,6 @@ def grid_health_report(
     if rules is None:
         rules = default_rules(
             clusters=sorted(grid.clusters),
-            bsp_jobs=sorted(job_id for handle in grid.clusters.values()
-                            for job_id in handle.grm.coordinators),
             update_interval=grid.update_interval,
         )
     report = doctor_report(

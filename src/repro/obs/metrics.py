@@ -233,11 +233,6 @@ class MetricsRegistry:
             raise ValueError(f"{name!r} is already a registered metric")
         self._views[name] = fn
 
-    def remove(self, name: str) -> None:
-        """Forget a metric or view; a name never registered is ignored."""
-        self._metrics.pop(name, None)
-        self._views.pop(name, None)
-
     def bind(self, prefix: str, obj, fields: Sequence[str]) -> None:
         """Publish existing attributes of ``obj`` as views, one per field."""
         for field in fields:

@@ -187,6 +187,7 @@ class TcpTransport:
         # to that peer.  The table is bounded by peers, not by calls.
         self._conn_locks: dict[str, threading.Lock] = {}
         self._server_conns: list[socket.socket] = []
+        self._server_threads: list[threading.Thread] = []
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"orb-tcp-{self.port}", daemon=True
         )
@@ -209,6 +210,7 @@ class TcpTransport:
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )
+            self._server_threads.append(thread)
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -238,9 +240,13 @@ class TcpTransport:
                             return
         finally:
             # Prune: a transport otherwise accumulates one dead socket
-            # per connection ever accepted, for its whole lifetime.
+            # and thread per connection ever accepted, for its lifetime.
             try:
                 self._server_conns.remove(conn)
+            except ValueError:
+                pass
+            try:
+                self._server_threads.remove(threading.current_thread())
             except ValueError:
                 pass
 
@@ -317,6 +323,13 @@ class TcpTransport:
             except OSError:
                 pass
         self._server_conns.clear()
+        # Each serving thread exits once its socket is shut down; join
+        # them so none outlives close() (a servant calling close() from
+        # its own serving thread cannot wait for itself).
+        current = threading.current_thread()
+        for thread in list(self._server_threads):
+            if thread is not current:
+                thread.join(timeout=5)
         with self._client_lock:
             for sock in self._client_socks.values():
                 try:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.clustering import kmeans
 from repro.apps.constraints import Constraint, Preference
+from repro.bsp.gridexec import BspGridCoordinator
 from repro.bsp.drma import Registers
 from repro.bsp.messages import MessageBuffers
 from repro.bsp.runtime import run_bsp
@@ -20,6 +21,7 @@ from repro.core.grm import Grm
 from repro.core.hierarchy import ClusterUplink, ParentGrm
 from repro.core.lrm import Lrm
 from repro.core.lupa import Lupa
+from repro.obs.health import default_rules
 from repro.orb.cdr import CdrDecoder
 from repro.orb.core import Orb
 from repro.orb.trading import TradingService
@@ -33,6 +35,9 @@ BUDGET = [
     (Lrm.__init__, 7),
     (Lupa.__init__, 8),
     (Grm.__init__, 9),
+    (Grm.migrate_task, 2),
+    (BspGridCoordinator.__init__, 4),
+    (default_rules, 2),
     (ParentGrm.__init__, 4),
     (ClusterUplink.__init__, 5),
     (TradingService.modify, 2),

@@ -135,14 +135,26 @@ class TestCheckpointing:
         record = store.load_latest(job.tasks[0].task_id)
         assert record.state()["superstep"] == 4
 
-    def test_recovery_manager_tracks_consistent_cut(self):
-        loop, grm, job, coordinator, _ = make_coordinator(
-            tasks=2, supersteps=6, checkpoint_every=2, work=600.0
+    def test_checkpointed_is_the_last_superstep_saved(self):
+        loop, grm, job, coordinator, store = make_coordinator(
+            tasks=2, supersteps=8, checkpoint_every=2, work=800.0
         )
         assignments = start_all(job, coordinator, grm)
-        for _ in range(2):
+        assert coordinator.checkpointed == 0
+        for _ in range(5):
             reach_barrier(loop, coordinator, assignments, grm)
-        assert coordinator.recovery.consistent_superstep() == 2
+        assert coordinator.checkpointed == 4
+        victim = job.tasks[0]
+        victim.transition(TaskState.EVICTED, loop.now)
+        victim.rollback()
+        victim.node = None
+        coordinator.member_evicted(victim.task_id, assignments[victim.task_id])
+        # The rollback lands on the cut and leaves it where it was: it
+        # is the superstep every member's stored checkpoint holds.
+        assert coordinator.current_superstep == coordinator.checkpointed == 4
+        for task in job.tasks:
+            record = store.load_latest(task.task_id)
+            assert record.state()["superstep"] == coordinator.checkpointed
 
 
 class TestRollback:
@@ -195,6 +207,23 @@ class TestRollback:
         # Superstep work is 100; rollback to 200 loses 100 of progress.
         assert survivor.wasted_mips == pytest.approx(100.0)
 
+    def test_lost_member_is_charged_only_what_it_lost_past_the_checkpoint(
+            self):
+        loop, grm, job, coordinator, assignments = self.run_to_superstep(
+            3, tasks=2, supersteps=8, checkpoint_every=2, work=800.0
+        )
+        # A crash: the GRM resumes the member from its stored checkpoint
+        # (superstep 2, 200 MI) and charges only what lies past it.
+        victim = job.tasks[0]
+        victim.advance(300.0)
+        victim.transition(TaskState.EVICTED, loop.now)
+        victim.rollback(to_progress_mips=200.0)
+        victim.node = None
+        coordinator.member_evicted(victim.task_id,
+                                   assignments[victim.task_id])
+        assert victim.progress_mips == pytest.approx(200.0)
+        assert victim.wasted_mips == pytest.approx(100.0)
+
     def test_eviction_during_comm_delay_cancels_the_barrier(self):
         # All members reach the barrier; while the communication delay
         # is in flight, one is evicted.  The pending advance must be
@@ -211,9 +240,9 @@ class TestRollback:
         for task_id, node in assignments.items():
             grm.lrms[node].progress[task_id] = grm.lrms[node].limits[task_id]
             coordinator.member_reached_limit(task_id, node)
-        assert coordinator._advancing
+        assert coordinator._advance_event is not None
         self.evict(loop, grm, job, coordinator, assignments)
-        assert not coordinator._advancing
+        assert coordinator._advance_event is None
         before = coordinator.current_superstep
         loop.run()   # the (cancelled) comm event must not fire
         assert coordinator.current_superstep == before

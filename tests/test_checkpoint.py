@@ -1,4 +1,4 @@
-"""Unit tests for portable checkpointing and rollback recovery."""
+"""Unit tests for portable checkpointing."""
 
 import shutil
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.apps.job import JobState
 from repro.apps.spec import ApplicationSpec
-from repro.checkpoint.recovery import RecoveryManager
 from repro.checkpoint.serializer import (
     CheckpointCorrupted,
     deserialize,
@@ -284,113 +283,3 @@ def test_grid_checkpoints_land_in_the_cluster_store():
     snap = grid.metrics.snapshot()["metrics"]
     assert snap["checkpoint.c0.saves"] == store.saves > 0
     assert "lrm.total.checkpoints_skipped" in snap
-
-
-class TestRecoveryManager:
-    def test_no_checkpoints_means_scratch(self):
-        recovery = RecoveryManager("j", ["a", "b"])
-        assert recovery.consistent_superstep() is None
-        assert recovery.rollback_point() == 0
-
-    def test_consistent_cut(self):
-        recovery = RecoveryManager("j", ["a", "b"])
-        recovery.record_checkpoint("a", 2)
-        recovery.record_checkpoint("b", 2)
-        recovery.record_checkpoint("a", 4)
-        # b never saved superstep 4: the cut stays at 2.
-        assert recovery.consistent_superstep() == 2
-        assert recovery.rollback_point() == 2
-
-    def test_cut_advances_when_all_catch_up(self):
-        recovery = RecoveryManager("j", ["a", "b"])
-        for superstep in (2, 4):
-            recovery.record_checkpoint("a", superstep)
-            recovery.record_checkpoint("b", superstep)
-        assert recovery.consistent_superstep() == 4
-
-    def test_one_empty_member_blocks(self):
-        recovery = RecoveryManager("j", ["a", "b"])
-        recovery.record_checkpoint("a", 2)
-        assert recovery.consistent_superstep() is None
-
-    def test_unknown_member(self):
-        recovery = RecoveryManager("j", ["a"])
-        with pytest.raises(KeyError):
-            recovery.record_checkpoint("ghost", 1)
-
-    def test_superstep_must_increase(self):
-        recovery = RecoveryManager("j", ["a"])
-        recovery.record_checkpoint("a", 3)
-        with pytest.raises(ValueError):
-            recovery.record_checkpoint("a", 3)
-
-    def test_prune(self):
-        recovery = RecoveryManager("j", ["a", "b"])
-        for superstep in (2, 4, 6):
-            recovery.record_checkpoint("a", superstep)
-            recovery.record_checkpoint("b", superstep)
-        recovery.prune_before(4)
-        assert recovery.consistent_superstep() == 6
-
-    def test_needs_members(self):
-        with pytest.raises(ValueError):
-            RecoveryManager("j", [])
-
-    def test_duplicate_record_rejected_without_corrupting_state(self):
-        recovery = RecoveryManager("j", ["a", "b"])
-        recovery.record_checkpoint("a", 2)
-        recovery.record_checkpoint("b", 2)
-        # A duplicate (re-delivered notification) is rejected...
-        with pytest.raises(ValueError):
-            recovery.record_checkpoint("a", 2)
-        # ...and the consistent cut is unaffected by the attempt.
-        assert recovery.consistent_superstep() == 2
-        recovery.record_checkpoint("a", 4)
-        recovery.record_checkpoint("b", 4)
-        assert recovery.consistent_superstep() == 4
-
-    def test_regressing_superstep_rejected(self):
-        recovery = RecoveryManager("j", ["a"])
-        recovery.record_checkpoint("a", 4)
-        with pytest.raises(ValueError):
-            recovery.record_checkpoint("a", 2)
-
-    def test_stragglers(self):
-        recovery = RecoveryManager("j", ["a", "b", "c"])
-        # Nobody has checkpointed: nobody is behind anybody.
-        assert recovery.stragglers() == []
-        recovery.record_checkpoint("a", 2)
-        recovery.record_checkpoint("b", 2)
-        # c never saved anything; it (alone) holds the cut back.
-        assert recovery.stragglers() == ["c"]
-        recovery.record_checkpoint("a", 4)
-        assert recovery.stragglers() == ["b", "c"]
-        recovery.record_checkpoint("b", 4)
-        recovery.record_checkpoint("c", 4)
-        assert recovery.stragglers() == []
-        assert recovery.consistent_superstep() == 4
-
-    def test_prune_around_consistent_cut(self):
-        recovery = RecoveryManager("j", ["a", "b"])
-        for superstep in (2, 4, 6):
-            recovery.record_checkpoint("a", superstep)
-        for superstep in (2, 4):
-            recovery.record_checkpoint("b", superstep)
-        cut = recovery.consistent_superstep()
-        assert cut == 4
-        # Pruning strictly below the cut must not move it...
-        recovery.prune_before(cut)
-        assert recovery.consistent_superstep() == 4
-        assert recovery.rollback_point() == 4
-        # ...while pruning past it drops the only common superstep: the
-        # job can then only restart from scratch.
-        recovery.prune_before(cut + 1)
-        assert recovery.consistent_superstep() is None
-        assert recovery.rollback_point() == 0
-
-    def test_rollback_point_counts_rollbacks(self):
-        recovery = RecoveryManager("j", ["a"])
-        recovery.record_checkpoint("a", 2)
-        assert recovery.rollback_point() == 2
-        assert recovery.rollback_point() == 2
-        assert recovery.rollbacks == 2

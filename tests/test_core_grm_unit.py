@@ -31,6 +31,7 @@ class ScriptedLrm:
         self.started = []
         self.cancelled = []
         self.stopped = []
+        self.progress = {}           # task_id -> MI get_progress reports
 
     def ping(self):
         return True
@@ -80,7 +81,9 @@ class ScriptedLrm:
         pass
 
     def get_progress(self, task_id):
-        return 0.0
+        if self.crash:
+            raise CommunicationError("node unreachable")
+        return self.progress.get(task_id, 0.0)
 
     def rollback_task(self, task_id, progress):
         pass
@@ -315,6 +318,29 @@ class TestMigration:
         loop, grm, _, _ = env
         with pytest.raises(KeyError):
             grm.migrate_task("ghost")
+
+
+class TestJobStatusProgress:
+    def test_a_running_task_reports_what_its_lrm_reports(self, env):
+        loop, grm, add_lrm, lrms = env
+        servant = add_lrm("n0")
+        job = submit_and_run(loop, grm)
+        task = job.tasks[0]
+        servant.progress[task.task_id] = 2.5e5
+        status = grm.job_status(job.job_id)
+        assert status["progress"] == 0.25
+        assert status["tasks"][0]["progress_mips"] == 2.5e5
+        assert task.progress_mips == 0.0        # the GRM stores nothing
+
+    def test_an_unreachable_lrm_leaves_the_grms_own_figure(self, env):
+        loop, grm, add_lrm, lrms = env
+        servant = add_lrm("n0")
+        job = submit_and_run(loop, grm)
+        servant.progress[job.tasks[0].task_id] = 2.5e5
+        servant.crash = True
+        status = grm.job_status(job.job_id)
+        assert status["progress"] == 0.0
+        assert status["tasks"][0]["progress_mips"] == 0.0
 
 
 class TestEvictionRequeueExclusion:

@@ -180,13 +180,64 @@ class TestAlertRules:
         assert flat == {"a": 1, "b.c": 2.5, "b.d.e": 3, "flag": 1.0}
 
     def test_default_rules_cover_grid_shape(self):
-        rules = default_rules(clusters=["c0"], bsp_jobs=["c0-job0"])
+        rules = default_rules(clusters=["c0"])
         names = {r.name for r in rules}
         assert "dead-nodes.c0" in names
         assert "status-staleness.c0" in names
-        assert "checkpoint-lag.c0-job0" in names
         assert "journal-loss" in names
         assert "trace-loss" in names
+
+    def test_every_stock_rule_reads_a_metric_the_grid_publishes(self):
+        from repro import ApplicationSpec
+        from repro.apps.spec import BSP
+        from repro.core.grid import Grid
+
+        grid = Grid(seed=1, lupa_enabled=False)
+        grid.add_cluster("c0")
+        grid.add_node("c0", "n0", dedicated=True)
+        grid.enable_metrics()
+        grid.enable_journal()
+        grid.enable_tracing()
+        grid.run_for(120)
+        job_id = grid.submit(ApplicationSpec(
+            name="gang", kind=BSP, tasks=1, program="gang", work_mips=4e6,
+            checkpoint_every_supersteps=1, metadata={"supersteps": 4},
+        ))
+        grid.run_for(1800)
+        assert grid.job(job_id).tasks[0].node == "n0"
+        assert grid.coordinator(job_id).checkpointed >= 1
+        rules = default_rules(clusters=sorted(grid.clusters),
+                              update_interval=grid.update_interval)
+        names = set(grid.metrics.names())
+        assert [r.metric for r in rules if r.metric not in names] == []
+
+    def test_every_rule_doctor_shapes_reads_a_metric_simulate_wrote(
+            self, tmp_path, monkeypatch):
+        import repro.obs
+        from repro.cli import main
+
+        metrics_path = str(tmp_path / "metrics.json")
+        journal_path = str(tmp_path / "journal.jsonl")
+        assert main([
+            "simulate", "--nodes", "3", "--jobs", "2",
+            "--train-days", "0", "--horizon-days", "1",
+            "--trace", str(tmp_path / "trace.json"),
+            "--journal", journal_path, "--metrics-json", metrics_path,
+        ]) == 0
+        shaped = []
+        real = repro.obs.doctor_report
+
+        def recording(events, metrics=None, rules=None, **kwargs):
+            shaped.extend(rules)
+            return real(events, metrics=metrics, rules=rules, **kwargs)
+
+        monkeypatch.setattr(repro.obs, "doctor_report", recording)
+        assert main(["doctor", journal_path,
+                     "--metrics", metrics_path]) == 0
+        names = set(json.load(open(metrics_path))["metrics"])
+        assert {r.name for r in shaped} >= {
+            "dead-nodes.sim", "journal-loss", "trace-loss"}
+        assert [r.metric for r in shaped if r.metric not in names] == []
 
 
 class TestDoctorReport:
@@ -374,7 +425,6 @@ class TestDoctorCli:
         with open(metrics_path, "w") as f:
             json.dump({"time": 500.0, "metrics": {
                 "grm.c0.nodes_declared_dead": 1,
-                "bsp.c0-job0.stragglers": 0,
             }}, f)
         report_path = str(tmp_path / "report.json")
         assert main(["doctor", journal_path, "--metrics", metrics_path,

@@ -95,51 +95,6 @@ def test_registry_view_and_metric_names_collide():
     assert registry.snapshot()["metrics"]["v"] == 2
 
 
-def test_registry_remove_forgets_a_metric_and_frees_its_name():
-    registry = MetricsRegistry()
-    registry.counter("c").inc(5)
-    registry.remove("c")
-    assert registry.names() == []
-    assert registry.get("c") is None
-    assert "c" not in registry.snapshot()["metrics"]
-    registry.view("c", lambda: 1)       # no longer a metric's name
-    assert registry.snapshot()["metrics"]["c"] == 1
-
-
-def test_registry_remove_forgets_a_view_and_stops_reading_it():
-    registry = MetricsRegistry()
-    reads = []
-    registry.view("v", lambda: reads.append(1) or len(reads))
-    registry.counter("kept")
-    registry.snapshot()
-    registry.remove("v")
-    snapshot = registry.snapshot()
-    assert len(reads) == 1
-    assert snapshot["metrics"] == {"kept": 0}
-    assert registry.names() == ["kept"]
-
-
-def test_registry_remove_ignores_a_name_never_registered():
-    registry = MetricsRegistry()
-    registry.gauge("g").set(2.0)
-    registry.remove("ghost")
-    assert registry.names() == ["g"]
-    assert registry.snapshot()["metrics"]["g"] == 2.0
-
-
-def test_registry_recreates_a_removed_metric_from_zero():
-    registry = MetricsRegistry()
-    old = registry.counter("c")
-    old.inc(7)
-    registry.remove("c")
-    new = registry.counter("c")
-    assert new is not old
-    assert new.value == 0
-    assert isinstance(registry.histogram("h"), Histogram)
-    registry.remove("h")
-    assert registry.gauge("h").value == 0.0   # the name's kind is free
-
-
 def test_snapshot_stamped_in_sim_time():
     loop = EventLoop()
     registry = MetricsRegistry(clock=loop)

@@ -95,7 +95,6 @@ def test_every_component_carries_every_instrument(before):
     (parent,) = grid._parents.values()
     assert parent.journal is journal
     assert grid.coordinator(job_id) is not None
-    assert f"bsp.{job_id}.stragglers" in names
     assert {"orb.totals", "lrm.total.completed_count",
             "eventloop.events_fired"} <= names
 

@@ -62,6 +62,21 @@ def test_a_gang_submitted_through_the_asct_is_paced_and_checkpointed(
     assert coordinator is grid.clusters["c0"].grm.coordinators[job_id]
 
 
+def test_an_asct_reads_a_running_jobs_progress_from_its_lrm():
+    grid = Grid(seed=1, policy="first_fit", lupa_enabled=False)
+    dedicated_cluster(grid, "c0", 1)
+    grid.run_for(120)
+    asct = grid.make_asct("c0")
+    job_id = asct.submit(ApplicationSpec(name="half", work_mips=3.6e6))
+    grid.run_for(1800)                  # 1,800 s at 1,000 MIPS
+    grm = grid.clusters["c0"].grm
+    assert grm.job_status(job_id)["tasks"][0]["progress_mips"] == 1.8e6
+    assert grm.job_status(job_id)["progress"] == 0.5
+    assert asct.progress(job_id) == 0.5
+    assert grid.wait_for_job(job_id, max_seconds=SECONDS_PER_DAY)
+    assert asct.progress(job_id) == 1.0
+
+
 def test_a_forwarded_gang_is_coordinated_at_its_new_home():
     grid = Grid(seed=2, policy="first_fit", lupa_enabled=False)
     dedicated_cluster(grid, "small", 2)
@@ -78,9 +93,6 @@ def test_a_forwarded_gang_is_coordinated_at_its_new_home():
     assert grid.job(remote_id).state is JobState.COMPLETED
     assert grid.clusters["big"].checkpoint_store.saves == 2 * 4
     assert grid.clusters["small"].checkpoint_store.saves == 0
-    assert f"bsp.{remote_id}.stragglers" in grid.metrics.names()
-    # The origin's view went with the coordinator it read.
-    assert f"bsp.{job_id}.stragglers" not in grid.metrics.names()
     home = grid.coordinator(remote_id)
     assert home is grid.clusters["big"].grm.coordinators[remote_id]
     assert home.current_superstep == home.supersteps - 1
