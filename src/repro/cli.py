@@ -98,8 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "rules against (from simulate --metrics-json)")
     doctor.add_argument("--json", default=None, metavar="PATH",
                         help="also write the full report as JSON")
-    doctor.add_argument("--top", type=int, default=5,
-                        help="alert firings to list (default 5)")
     return parser
 
 
@@ -289,21 +287,13 @@ def cmd_doctor(args) -> int:
     events = load_journal_jsonl(args.journal)
     validate_journal(events)
     metrics = None
-    rules = None
+    time = None
     if args.metrics:
         with open(args.metrics) as f:
             snapshot = json.load(f)
         metrics = snapshot.get("metrics", snapshot)
-        # Shape the stock rule set from the metric names themselves so
-        # offline reports cover the same clusters as live ones.
-        from repro.obs import default_rules
-        clusters = sorted({
-            name.split(".", 2)[1] for name in metrics
-            if name.startswith("grm.") and name.count(".") >= 2
-        })
-        rules = default_rules(clusters=clusters)
-    report = doctor_report(events, metrics=metrics, rules=rules,
-                           top=args.top)
+        time = snapshot.get("time")
+    report = doctor_report(events, metrics=metrics, time=time)
     print(render_health_report(report))
     if args.json:
         with open(args.json, "w") as f:

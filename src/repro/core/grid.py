@@ -714,10 +714,10 @@ class Grid:
                         retroactive=True,
                     )
 
-    def health_report(self, rules=None, top: int = 5) -> dict:
+    def health_report(self, rules=None) -> dict:
         """Forensics + alert postmortem from the live journal/registry."""
         from repro.obs.health import grid_health_report
-        return grid_health_report(self, rules=rules, top=top)
+        return grid_health_report(self, rules=rules)
 
     def metrics_snapshot(self) -> dict:
         """The registry snapshot; enables metrics on first use."""

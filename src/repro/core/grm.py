@@ -166,6 +166,7 @@ class Grm:
         self._asct_stubs: dict[str, object] = {}     # job_id -> callback stub
         self._parent = None
         self._job_ids = itertools.count()
+        self._update_interval_hint = update_interval_hint
         self._stale_after = update_interval_hint * DEFAULT_STALE_FACTOR
         self._schedule_task = loop.every(schedule_interval, self._schedule_pass)
         self._liveness_task = loop.every(
@@ -177,10 +178,11 @@ class Grm:
     def bind_metrics(self, registry, prefix: Optional[str] = None) -> None:
         """Publish this GRM's stats and trader on a metrics registry.
 
-        Registers :class:`GrmStats` fields, the roster size, backlog and
-        :meth:`status_age_mean` as views, binds the trader's
-        query accounting, and starts the status-ingest and policy-ranking
-        latency histograms (each call goes through
+        Registers :class:`GrmStats` fields, the roster size, backlog,
+        :meth:`status_age_mean` and the update interval this GRM was
+        built to expect (``update_interval_s``) as views, binds the
+        trader's query accounting, and starts the status-ingest and
+        policy-ranking latency histograms (each call goes through
         :func:`~repro.obs.metrics.timed`).
         """
         prefix = prefix if prefix is not None else f"grm.{self.cluster}"
@@ -188,6 +190,8 @@ class Grm:
         registry.view(f"{prefix}.registered_nodes", lambda: len(self._nodes))
         registry.view(f"{prefix}.pending_jobs", lambda: len(self._pending))
         registry.view(f"{prefix}.status_age_mean_s", self.status_age_mean)
+        registry.view(f"{prefix}.update_interval_s",
+                      lambda: self._update_interval_hint)
         self.trader.bind_metrics(registry, prefix=f"trader.{self.cluster}")
         from repro.obs.metrics import LATENCY_BOUNDS_S, timed
         self._timed_rank = timed(registry.histogram(
@@ -467,11 +471,11 @@ class Grm:
         self._credit(node, task_id)
         task.result = result
         if isinstance(result, dict) and "__error__" in result:
-            # The task's payload violated the provider's sandbox: the
-            # compute finished but the application failed.
+            # The task's payload violated the provider's sandbox or
+            # raised: the compute finished but the application failed.
             task.transition(
                 TaskState.FAILED, self._loop.now,
-                f"sandbox violation on {node}: {result['__error__']}"
+                f"payload failed on {node}: {result['__error__']}"
             )
             job.refresh_state(self._loop.now)
             self._emit(job.job_id, "task_failed", task_id)

@@ -381,7 +381,10 @@ class Lrm:
 
     # servant operation
     def cancel_reservation(self, task_id: str) -> None:
-        if self.ledger.holds(task_id):
+        """Give back a lease that was never confirmed; a running task's
+        allocation leaves only with the task."""
+        reservation = self.ledger.get(task_id)
+        if reservation is not None and not reservation.confirmed:
             self.ledger.release(task_id)
 
     # servant operation
@@ -446,6 +449,9 @@ class Lrm:
 
     # servant operation
     def rollback_task(self, task_id: str, to_progress: float) -> None:
+        """Move a task back to ``to_progress`` (>= 0; NaN is refused)."""
+        if not to_progress >= 0.0:
+            raise ValueError(f"cannot roll back to {to_progress!r}")
         with self._settled:
             record = self._require(task_id)
             record.progress_mips = min(record.progress_mips, to_progress)
@@ -597,22 +603,28 @@ class Lrm:
             self._grm.task_completed(self.node, task_id, result)
 
     def _run_payload(self, record: RunningTask):
-        """Execute the task's code in the owner-protecting sandbox."""
+        """Execute the task's code in the owner-protecting sandbox.
+
+        Code that breaks the sandbox, or fails on its own, and a task id
+        without a number to index by, yield an ``__error__`` result: the
+        task fails, the node carries on."""
         if not record.payload:
             return None
         sandbox = Sandbox(self.sandbox_policy)
-        inputs = {
-            "task_id": record.task_id,
-            "job_id": record.job_id,
-            "node": self.node,
-            "task_index": int(record.task_id.rsplit(".", 1)[-1])
-            if "." in record.task_id else 0,
-        }
         try:
+            inputs = {
+                "task_id": record.task_id,
+                "job_id": record.job_id,
+                "node": self.node,
+                "task_index": int(record.task_id.rsplit(".", 1)[-1])
+                if "." in record.task_id else 0,
+            }
             return sandbox.run(record.payload, inputs=inputs)
         except SandboxViolation as exc:
             self.sandbox_violations += 1
             return {"__error__": str(exc), "__audit__": sandbox.audit_log}
+        except Exception as exc:
+            return {"__error__": f"{type(exc).__name__}: {exc}"}
 
     def _evict(self, task_id: str, reason: str) -> None:
         record = self._running.pop(task_id, None)

@@ -1,15 +1,15 @@
 """Observability: metrics, span tracer, event journal, health plane.
 
-The always-on layer is the :class:`MetricsRegistry` — counters, gauges,
-and fixed-bucket histograms stamped in simulated time, plus pull-views
-over the components' existing cheap counters.  The opt-in layer is the
+The always-on layer is the :class:`MetricsRegistry` — pull-views over
+the components' existing cheap counters plus fixed-bucket latency
+histograms, stamped in simulated time.  The opt-in layer is the
 :class:`Tracer`, whose spans follow one submission across LRM, Trader,
 GRM, and reservation hops via ORB-propagated trace context, and export
 to JSONL or Chrome ``trace_event`` JSON.  The diagnosis layer is the
 :class:`EventJournal` — typed, causally-linked lifecycle events — with
-:func:`failure_chains` forensics, declarative :class:`AlertRule`
-evaluation, and the :func:`doctor_report` postmortem behind
-``cli doctor``.
+:func:`failure_chains` forensics, threshold :class:`AlertRule`
+evaluation, and the :func:`doctor_report` postmortem behind both
+``cli doctor`` and the live :func:`grid_health_report`.
 
 No layer draws randomness, schedules events, or changes the wire
 format when idle, so observability never perturbs a deterministic run.
@@ -25,13 +25,12 @@ from repro.obs.exporters import (
     validate_chrome_trace_file,
 )
 from repro.obs.health import (
-    AlertEvaluator,
-    AlertFiring,
     AlertRule,
     FailureChain,
     TaskRecovery,
     default_rules,
     doctor_report,
+    evaluate_rules,
     failure_chains,
     flatten_metrics,
     grid_health_report,
@@ -48,31 +47,23 @@ from repro.obs.journal import (
     validate_journal_file,
 )
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
     LATENCY_BOUNDS_S,
     MetricsRegistry,
-    SIM_SECONDS_BOUNDS,
 )
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
-    "AlertEvaluator",
-    "AlertFiring",
     "AlertRule",
-    "Counter",
     "EVENT_TYPES",
     "EventJournal",
     "FailureChain",
-    "Gauge",
     "Histogram",
     "JournalEvent",
     "JournalFormatError",
     "LATENCY_BOUNDS_S",
     "MetricsRegistry",
     "NULL_SPAN",
-    "SIM_SECONDS_BOUNDS",
     "Span",
     "TaskRecovery",
     "Tracer",
@@ -80,6 +71,7 @@ __all__ = [
     "chrome_trace_events",
     "default_rules",
     "doctor_report",
+    "evaluate_rules",
     "export_chrome_trace",
     "export_journal_jsonl",
     "export_jsonl",

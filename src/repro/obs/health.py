@@ -9,16 +9,16 @@ Two consumers sit on top of the :mod:`repro.obs.journal`:
   zero vs never recovered), and the sim-time cost attributed to the
   crash (per-task stall off the CPU plus the checkpointed work lost).
 
-* **Alerts** — :class:`AlertEvaluator` runs declarative
-  threshold/absence/rate rules over a metrics mapping (a live
+* **Alerts** — :func:`evaluate_rules` checks threshold rules
+  (:class:`AlertRule`) once against a metrics mapping (a live
   :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` or a JSON file
-  written by ``simulate --metrics-json``).  Rules are plain data
-  (:class:`AlertRule`), so rule sets ship as dicts/JSON.
+  written by ``simulate --metrics-json``); :func:`default_rules` shapes
+  the stock set from the metric names and values themselves.
 
-:func:`grid_health_report` combines both against a live grid;
-:func:`doctor_report` does the same offline from an exported journal
-(plus an optional metrics snapshot) — that is what ``cli doctor``
-renders as a postmortem.
+:func:`doctor_report` combines both from an exported journal (plus an
+optional metrics snapshot) — that is what ``cli doctor`` renders as a
+postmortem; :func:`grid_health_report` runs it against a live grid, so
+the two agree on the same run.
 """
 
 import operator
@@ -208,23 +208,14 @@ _OPS = {
 
 @dataclass(frozen=True)
 class AlertRule:
-    """One declarative rule over a metrics mapping.
-
-    ``kind`` is one of:
-
-    * ``threshold`` — fire when ``metric`` exists and
-      ``value_of(metric) <op> value``;
-    * ``absence`` — fire when ``metric`` is missing from the snapshot
-      (a component that should be reporting is not);
-    * ``rate`` — fire when the metric's per-second rate of change
-      between two successive ``evaluate`` calls satisfies ``op value``.
+    """One threshold rule: fire when ``metric`` is in the snapshot and
+    ``value_of(metric) <op> value``.
 
     ``metric`` may use dotted drill-down into structured values:
     ``grm.c0.rank_latency_s.p95`` reads the histogram snapshot's p95.
     """
 
     name: str
-    kind: str
     metric: str
     op: str = ">="
     value: float = 0.0
@@ -232,40 +223,8 @@ class AlertRule:
     description: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("threshold", "absence", "rate"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.op not in _OPS:
             raise ValueError(f"unknown comparison {self.op!r}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AlertRule":
-        return cls(**dict(data))
-
-
-@dataclass
-class AlertFiring:
-    """One rule firing at one evaluation time."""
-
-    rule: str
-    severity: str
-    metric: str
-    observed: Optional[float]
-    op: str
-    value: float
-    time: float
-    description: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "metric": self.metric,
-            "observed": self.observed,
-            "op": self.op,
-            "value": self.value,
-            "time": self.time,
-            "description": self.description,
-        }
 
 
 def flatten_metrics(metrics: Mapping) -> dict:
@@ -290,107 +249,69 @@ def flatten_metrics(metrics: Mapping) -> dict:
     return flat
 
 
-class AlertEvaluator:
-    """Evaluates a rule set against successive metric snapshots.
+def evaluate_rules(rules: Iterable, metrics: Mapping, time: float) -> list:
+    """The alert dicts of every rule that fires on ``metrics`` at ``time``."""
+    flat = flatten_metrics(metrics)
+    return [
+        {
+            "rule": rule.name,
+            "severity": rule.severity,
+            "metric": rule.metric,
+            "observed": flat[rule.metric],
+            "op": rule.op,
+            "value": rule.value,
+            "time": time,
+            "description": rule.description,
+        }
+        for rule in rules
+        if rule.metric in flat and _OPS[rule.op](flat[rule.metric], rule.value)
+    ]
 
-    Stateless per call except for ``rate`` rules (which need the
-    previous sample) and the cumulative per-rule firing counts backing
-    :meth:`top`.
+
+def default_rules(metrics: Mapping) -> list:
+    """The stock rule set, shaped from a metrics snapshot.
+
+    Every cluster with ``grm.<cluster>.*`` metrics gets a dead-node, a
+    status-staleness and a pending-jobs rule; the staleness threshold is
+    three of the update intervals its GRM publishes as
+    ``grm.<cluster>.update_interval_s`` (a snapshot without that view
+    gets no staleness rule for the cluster).  Grid-wide journal and
+    tracer loss detectors close the set.
     """
-
-    def __init__(self, rules: Iterable):
-        self.rules = [
-            r if isinstance(r, AlertRule) else AlertRule.from_dict(r)
-            for r in rules
-        ]
-        self.firings: list[AlertFiring] = []
-        self._fire_counts: dict[str, int] = {}
-        self._last_sample: dict[str, tuple] = {}   # rule -> (time, value)
-
-    def evaluate(self, metrics: Mapping, time: float = 0.0) -> list:
-        """Run every rule; returns (and remembers) this pass's firings."""
-        flat = flatten_metrics(metrics)
-        fired = []
-        for rule in self.rules:
-            observed = flat.get(rule.metric)
-            if rule.kind == "absence":
-                if observed is None:
-                    fired.append(self._fire(rule, None, time))
-                continue
-            if rule.kind == "threshold":
-                if observed is not None and \
-                        _OPS[rule.op](observed, rule.value):
-                    fired.append(self._fire(rule, observed, time))
-                continue
-            # rate: needs a previous sample with elapsed time
-            previous = self._last_sample.get(rule.name)
-            if observed is not None:
-                self._last_sample[rule.name] = (time, observed)
-            if previous is None or observed is None:
-                continue
-            prev_time, prev_value = previous
-            if time <= prev_time:
-                continue
-            rate = (observed - prev_value) / (time - prev_time)
-            if _OPS[rule.op](rate, rule.value):
-                fired.append(self._fire(rule, rate, time))
-        self.firings.extend(fired)
-        return fired
-
-    def _fire(self, rule: AlertRule, observed, time: float) -> AlertFiring:
-        self._fire_counts[rule.name] = self._fire_counts.get(rule.name, 0) + 1
-        return AlertFiring(
-            rule=rule.name, severity=rule.severity, metric=rule.metric,
-            observed=observed, op=rule.op, value=rule.value, time=time,
-            description=rule.description,
-        )
-
-    def top(self, n: int = 5) -> list:
-        """(rule name, firing count) pairs, most-fired first."""
-        ranked = sorted(
-            self._fire_counts.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        return ranked[:n]
-
-
-def default_rules(
-    clusters: Iterable = (),
-    update_interval: float = 60.0,
-) -> list:
-    """The stock rule set ``grid_health_report`` evaluates.
-
-    Parameterised on the grid's shape: one dead-node, one
-    status-staleness and one pending-jobs rule per cluster, plus
-    grid-wide journal/tracer loss detectors.
-    """
+    clusters = sorted({
+        name.split(".", 2)[1] for name in metrics
+        if name.startswith("grm.") and name.count(".") >= 2
+    })
     rules = []
     for cluster in clusters:
         rules.append(AlertRule(
-            name=f"dead-nodes.{cluster}", kind="threshold",
+            name=f"dead-nodes.{cluster}",
             metric=f"grm.{cluster}.nodes_declared_dead",
             op=">=", value=1, severity="critical",
             description="nodes declared dead by the liveness sweep",
         ))
+        interval = metrics.get(f"grm.{cluster}.update_interval_s")
+        if interval is not None:
+            rules.append(AlertRule(
+                name=f"status-staleness.{cluster}",
+                metric=f"grm.{cluster}.status_age_mean_s",
+                op=">", value=3.0 * interval, severity="warning",
+                description="GRM's node-status view is going stale",
+            ))
         rules.append(AlertRule(
-            name=f"status-staleness.{cluster}", kind="threshold",
-            metric=f"grm.{cluster}.status_age_mean_s",
-            op=">", value=3.0 * update_interval, severity="warning",
-            description="GRM's node-status view is going stale",
-        ))
-        rules.append(AlertRule(
-            name=f"pending-jobs.{cluster}", kind="threshold",
+            name=f"pending-jobs.{cluster}",
             metric=f"grm.{cluster}.pending_jobs",
             op=">=", value=1, severity="info",
             description="jobs waiting for resources",
         ))
     rules.append(AlertRule(
-        name="journal-loss", kind="threshold",
+        name="journal-loss",
         metric="obs.journal.dropped", op=">=", value=1,
         severity="warning",
         description="journal hit its bound; forensics tail is missing",
     ))
     rules.append(AlertRule(
-        name="trace-loss", kind="threshold",
+        name="trace-loss",
         metric="obs.trace.dropped_spans", op=">=", value=1,
         severity="warning",
         description="tracer hit max_spans; spans were dropped",
@@ -406,11 +327,12 @@ def doctor_report(
     metrics: Optional[Mapping] = None,
     rules: Optional[Iterable] = None,
     time: Optional[float] = None,
-    top: int = 5,
 ) -> dict:
     """Postmortem assembled from journal events alone (plus optional
-    metrics for alert evaluation).  This is the offline path behind
-    ``cli doctor``: no live grid required.
+    metrics for alert evaluation, by ``rules`` or else
+    :func:`default_rules` shaped from the metrics).  This is the one
+    report: ``cli doctor`` runs it offline on exported files and
+    :func:`grid_health_report` on the live grid.
     """
     events = _as_dicts(events)
     chains = failure_chains(events)
@@ -435,7 +357,7 @@ def doctor_report(
         for cluster, event in sorted(cluster_state.items())
         if event["type"] == "cluster_down"
     ]
-    report = {
+    return {
         "time": time,
         "events": len(events),
         "dead_nodes": [c.node for c in chains],
@@ -444,29 +366,20 @@ def doctor_report(
         "jobs_affected": sorted({
             job for c in chains for job in c.jobs_affected
         }),
-        "alerts": [],
-        "top_alerts": [],
+        "alerts": [] if metrics is None else evaluate_rules(
+            rules if rules is not None else default_rules(metrics),
+            metrics, time,
+        ),
     }
-    if metrics is not None:
-        evaluator = AlertEvaluator(
-            rules if rules is not None else default_rules()
-        )
-        fired = evaluator.evaluate(metrics, time=time)
-        report["alerts"] = [f.to_dict() for f in fired]
-        report["top_alerts"] = evaluator.top(top)
-    return report
 
 
-def grid_health_report(
-    grid,
-    rules: Optional[Iterable] = None,
-    top: int = 5,
-) -> dict:
+def grid_health_report(grid, rules: Optional[Iterable] = None) -> dict:
     """Live health report for a grid with the journal enabled.
 
-    Uses the journal for forensics and the metrics registry (enabled on
-    first use, like :meth:`Grid.metrics_snapshot`) for alert rules; the
-    stock rule set is shaped to the grid's clusters.
+    :func:`doctor_report` over the journal and a snapshot of the metrics
+    registry (enabled on first use, like :meth:`Grid.metrics_snapshot`),
+    stamped with the snapshot's time: the report ``cli doctor`` gives
+    for the same exported files.
     """
     journal = getattr(grid, "journal", None)
     if journal is None:
@@ -474,14 +387,9 @@ def grid_health_report(
             "grid has no journal; call grid.enable_journal() first"
         )
     snapshot = grid.metrics_snapshot()
-    if rules is None:
-        rules = default_rules(
-            clusters=sorted(grid.clusters),
-            update_interval=grid.update_interval,
-        )
     report = doctor_report(
         journal.events, metrics=snapshot["metrics"], rules=rules,
-        time=snapshot["time"], top=top,
+        time=snapshot["time"],
     )
     report["journal"] = {
         "recorded": journal.recorded,
@@ -492,7 +400,7 @@ def grid_health_report(
 
 
 def render_health_report(report: Mapping) -> str:
-    """Human-readable postmortem: dead nodes, recovery, top alerts."""
+    """Human-readable postmortem: dead nodes, recovery, alerts."""
     lines = [f"Grid health report at t={report.get('time', 0.0):.0f}s "
              f"({report.get('events', 0)} journal events)"]
     chains = report.get("chains", ())
@@ -533,18 +441,11 @@ def render_health_report(report: Mapping) -> str:
     if alerts:
         lines.append(f"  alerts firing ({len(alerts)}):")
         for alert in alerts:
-            observed = alert.get("observed")
-            shown = f"{observed:.4g}" if observed is not None else "absent"
             lines.append(
                 f"    [{alert['severity']}] {alert['rule']}: "
-                f"{alert['metric']} = {shown} "
+                f"{alert['metric']} = {alert['observed']:.4g} "
                 f"(rule: {alert['op']} {alert['value']:g})"
             )
     else:
         lines.append("  no alerts firing")
-    topn = report.get("top_alerts", ())
-    if topn:
-        lines.append("  top alert firings: " + ", ".join(
-            f"{name} x{count}" for name, count in topn
-        ))
     return "\n".join(lines)

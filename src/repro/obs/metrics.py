@@ -1,17 +1,15 @@
-"""Grid-wide metrics registry: counters, gauges, fixed-bucket histograms.
+"""Grid-wide metrics registry: pull-views and fixed-bucket histograms.
 
-The registry is the one place every component's accounting meets.  Two
-usage styles coexist:
+The registry is the one place every component's accounting meets:
 
-* **Push** — a component asks the registry for a :class:`Counter`,
-  :class:`Gauge`, or :class:`Histogram` once at wiring time and bumps it
-  on its own hot path (plain attribute arithmetic, no name lookup and no
-  string formatting per event).
-* **Pull (views)** — a component that already keeps its own cheap
-  integer counters (``GrmStats``, ``Lrm``'s ints, ``Orb.stats()``)
-  registers a *view*: a zero-argument callable the registry evaluates
-  only at :meth:`MetricsRegistry.snapshot` time.  The component's hot
-  path stays exactly as it was.
+* **Views** — a component that already keeps its own cheap integer
+  counters (``GrmStats``, ``Lrm``'s ints, ``Orb.stats()``) registers a
+  *view*: a zero-argument callable the registry evaluates only at
+  :meth:`MetricsRegistry.snapshot` time.  The component's hot path
+  stays exactly as it was.
+* **Histograms** — a component that times a call asks the registry for
+  a :class:`Histogram` once at wiring time and observes into it on its
+  own hot path (:func:`timed`).
 
 Snapshots are timestamped in **simulated time** when the registry is
 built with the :class:`~repro.sim.events.EventLoop` driving the
@@ -34,12 +32,6 @@ LATENCY_BOUNDS_S = (
     1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0,
 )
 
-#: Default bounds for simulated-time durations, in seconds
-#: (1 s .. 1 day).
-SIM_SECONDS_BOUNDS = (
-    1.0, 5.0, 15.0, 60.0, 300.0, 900.0, 3600.0, 4 * 3600.0, 86400.0,
-)
-
 
 def timed(hist: Optional["Histogram"], fn: Callable) -> Callable:
     """``fn``, with each call's wall time observed into ``hist``.
@@ -60,35 +52,6 @@ def timed(hist: Optional["Histogram"], fn: Callable) -> Callable:
             hist.observe(perf_counter() - started)
 
     return call
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A value that goes up and down (queue depth, live nodes, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -187,7 +150,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics plus pull-views, snapshotted in simulated time.
+    """Named histograms plus pull-views, snapshotted in simulated time.
 
     ``clock`` is anything with a ``now`` attribute (normally the
     experiment's :class:`~repro.sim.events.EventLoop`); without one,
@@ -196,36 +159,21 @@ class MetricsRegistry:
 
     def __init__(self, clock=None):
         self._clock = clock
-        self._metrics: dict[str, object] = {}
+        self._metrics: dict[str, Histogram] = {}
         self._views: dict[str, Callable[[], object]] = {}
 
     # -- creation (get-or-create, so wiring is idempotent) -------------------
 
-    def _named(self, name: str, factory, kind):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, kind):
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        if name in self._views:
-            raise ValueError(f"{name!r} is already registered as a view")
-        metric = factory(name)
-        self._metrics[name] = metric
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._named(name, Counter, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._named(name, Gauge, Gauge)
-
     def histogram(
         self, name: str, bounds: Sequence[float] = LATENCY_BOUNDS_S
     ) -> Histogram:
-        return self._named(name, lambda n: Histogram(n, bounds), Histogram)
+        existing = self._metrics.get(name)
+        if existing is not None:
+            return existing
+        if name in self._views:
+            raise ValueError(f"{name!r} is already registered as a view")
+        hist = self._metrics[name] = Histogram(name, bounds)
+        return hist
 
     def view(self, name: str, fn: Callable[[], object]) -> None:
         """Register (or replace) a pull-view evaluated at snapshot time."""
@@ -242,7 +190,7 @@ class MetricsRegistry:
     # -- access --------------------------------------------------------------
 
     def get(self, name: str):
-        """The metric object (or view callable) registered under a name."""
+        """The histogram (or view callable) registered under a name."""
         metric = self._metrics.get(name)
         if metric is not None:
             return metric
@@ -254,18 +202,15 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """All metric values as one plain dict, stamped with sim time.
 
-        Counters and gauges flatten to numbers, histograms to their
-        summary dicts, views to whatever their callable returns.
+        Histograms flatten to their summary dicts, views to whatever
+        their callable returns.
         """
         out: dict = {
             "time": self._clock.now if self._clock is not None else 0.0,
         }
-        metrics: dict = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
-                metrics[name] = metric.snapshot()
-            else:
-                metrics[name] = metric.value
+        metrics = {
+            name: hist.snapshot() for name, hist in self._metrics.items()
+        }
         for name, fn in self._views.items():
             metrics[name] = fn()
         out["metrics"] = dict(sorted(metrics.items()))

@@ -21,7 +21,7 @@ from repro.core.grm import Grm
 from repro.core.hierarchy import ClusterUplink, ParentGrm
 from repro.core.lrm import Lrm
 from repro.core.lupa import Lupa
-from repro.obs.health import default_rules
+from repro.obs.health import default_rules, doctor_report
 from repro.orb.cdr import CdrDecoder
 from repro.orb.core import Orb
 from repro.orb.trading import TradingService
@@ -37,7 +37,8 @@ BUDGET = [
     (Grm.__init__, 9),
     (Grm.migrate_task, 2),
     (BspGridCoordinator.__init__, 4),
-    (default_rules, 2),
+    (default_rules, 1),
+    (doctor_report, 4),
     (ParentGrm.__init__, 4),
     (ClusterUplink.__init__, 5),
     (TradingService.modify, 2),

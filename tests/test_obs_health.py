@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.obs.health import (
-    AlertEvaluator,
     AlertRule,
     default_rules,
     doctor_report,
+    evaluate_rules,
     failure_chains,
     flatten_metrics,
     grid_health_report,
@@ -104,73 +104,31 @@ class TestFailureChains:
 
 class TestAlertRules:
     def test_threshold_rule_fires_on_flat_and_nested_metrics(self):
-        evaluator = AlertEvaluator([
-            AlertRule(name="dead", kind="threshold",
+        fired = evaluate_rules([
+            AlertRule(name="dead",
                       metric="grm.c0.nodes_declared_dead", op=">=", value=1),
-            AlertRule(name="slow-rank", kind="threshold",
+            AlertRule(name="slow-rank",
                       metric="grm.c0.rank_latency_s.p95", op=">", value=0.5),
-        ])
-        fired = evaluator.evaluate({
+        ], {
             "grm.c0.nodes_declared_dead": 2,
             "grm.c0.rank_latency_s": {"p95": 0.9, "count": 10},
         }, time=5.0)
-        assert {f.rule for f in fired} == {"dead", "slow-rank"}
-        assert all(f.time == 5.0 for f in fired)
+        assert {a["rule"] for a in fired} == {"dead", "slow-rank"}
+        assert all(a["time"] == 5.0 for a in fired)
+        assert [a["observed"] for a in fired] == [2, 0.9]
 
     def test_threshold_rule_silent_below_and_when_missing(self):
-        evaluator = AlertEvaluator([
-            AlertRule(name="dead", kind="threshold",
+        rules = [
+            AlertRule(name="dead",
                       metric="grm.c0.nodes_declared_dead", op=">=", value=1),
-        ])
-        assert evaluator.evaluate({"grm.c0.nodes_declared_dead": 0}) == []
-        assert evaluator.evaluate({}) == []
+        ]
+        assert evaluate_rules(
+            rules, {"grm.c0.nodes_declared_dead": 0}, time=0.0) == []
+        assert evaluate_rules(rules, {}, time=0.0) == []
 
-    def test_absence_rule_fires_only_when_metric_missing(self):
-        evaluator = AlertEvaluator([
-            AlertRule(name="silent", kind="absence", metric="lrm.n0.ticks"),
-        ])
-        assert evaluator.evaluate({"lrm.n0.ticks": 4}) == []
-        fired = evaluator.evaluate({})
-        assert [f.rule for f in fired] == ["silent"]
-        assert fired[0].observed is None
-
-    def test_rate_rule_needs_two_samples_and_elapsed_time(self):
-        evaluator = AlertEvaluator([
-            AlertRule(name="eviction-storm", kind="rate",
-                      metric="lrm.total.evicted_count", op=">", value=0.1),
-        ])
-        assert evaluator.evaluate(
-            {"lrm.total.evicted_count": 0}, time=0.0) == []
-        fired = evaluator.evaluate(
-            {"lrm.total.evicted_count": 30}, time=60.0)
-        assert [f.rule for f in fired] == ["eviction-storm"]
-        assert fired[0].observed == pytest.approx(0.5)
-        # No time elapsed: no rate, no crash.
-        assert evaluator.evaluate(
-            {"lrm.total.evicted_count": 60}, time=60.0) == []
-
-    def test_top_counts_cumulative_firings(self):
-        evaluator = AlertEvaluator([
-            AlertRule(name="a", kind="threshold", metric="x",
-                      op=">=", value=1),
-            AlertRule(name="b", kind="threshold", metric="y",
-                      op=">=", value=1),
-        ])
-        evaluator.evaluate({"x": 1, "y": 1})
-        evaluator.evaluate({"x": 1, "y": 0})
-        assert evaluator.top(2) == [("a", 2), ("b", 1)]
-        assert evaluator.top(1) == [("a", 2)]
-
-    def test_rules_from_dicts_and_bad_rules_rejected(self):
-        evaluator = AlertEvaluator([
-            {"name": "d", "kind": "threshold", "metric": "m", "op": ">",
-             "value": 2.0, "severity": "critical"},
-        ])
-        assert evaluator.rules[0].severity == "critical"
+    def test_bad_comparison_rejected(self):
         with pytest.raises(ValueError):
-            AlertRule(name="x", kind="sideways", metric="m")
-        with pytest.raises(ValueError):
-            AlertRule(name="x", kind="threshold", metric="m", op="~=")
+            AlertRule(name="x", metric="m", op="~=")
 
     def test_flatten_skips_non_numeric_and_dots_into_dicts(self):
         flat = flatten_metrics({
@@ -180,19 +138,31 @@ class TestAlertRules:
         assert flat == {"a": 1, "b.c": 2.5, "b.d.e": 3, "flag": 1.0}
 
     def test_default_rules_cover_grid_shape(self):
-        rules = default_rules(clusters=["c0"])
-        names = {r.name for r in rules}
-        assert "dead-nodes.c0" in names
-        assert "status-staleness.c0" in names
-        assert "journal-loss" in names
-        assert "trace-loss" in names
+        rules = default_rules({
+            "grm.c0.nodes_declared_dead": 0,
+            "grm.c0.update_interval_s": 120.0,
+            "grm.c0.rank_latency_s": {"p95": 0.1},
+            "grm.c1.pending_jobs": 0,
+            "orb.totals": {"requests_sent": 3},
+        })
+        by_name = {r.name: r for r in rules}
+        assert set(by_name) == {
+            "dead-nodes.c0", "status-staleness.c0", "pending-jobs.c0",
+            "dead-nodes.c1", "pending-jobs.c1",
+            "journal-loss", "trace-loss",
+        }
+        # Three of the cluster's own update intervals; a cluster whose
+        # snapshot names no interval gets no staleness rule.
+        assert by_name["status-staleness.c0"].value == 360.0
+        assert by_name["status-staleness.c0"].metric \
+            == "grm.c0.status_age_mean_s"
 
     def test_every_stock_rule_reads_a_metric_the_grid_publishes(self):
         from repro import ApplicationSpec
         from repro.apps.spec import BSP
         from repro.core.grid import Grid
 
-        grid = Grid(seed=1, lupa_enabled=False)
+        grid = Grid(seed=1, lupa_enabled=False, update_interval=90.0)
         grid.add_cluster("c0")
         grid.add_node("c0", "n0", dedicated=True)
         grid.enable_metrics()
@@ -206,38 +176,33 @@ class TestAlertRules:
         grid.run_for(1800)
         assert grid.job(job_id).tasks[0].node == "n0"
         assert grid.coordinator(job_id).checkpointed >= 1
-        rules = default_rules(clusters=sorted(grid.clusters),
-                              update_interval=grid.update_interval)
+        rules = default_rules(grid.metrics_snapshot()["metrics"])
         names = set(grid.metrics.names())
         assert [r.metric for r in rules if r.metric not in names] == []
+        assert {r.name: r.value for r in rules}["status-staleness.c0"] \
+            == 3 * grid.update_interval
 
     def test_every_rule_doctor_shapes_reads_a_metric_simulate_wrote(
-            self, tmp_path, monkeypatch):
-        import repro.obs
+            self, tmp_path):
         from repro.cli import main
 
         metrics_path = str(tmp_path / "metrics.json")
-        journal_path = str(tmp_path / "journal.jsonl")
         assert main([
             "simulate", "--nodes", "3", "--jobs", "2",
             "--train-days", "0", "--horizon-days", "1",
             "--trace", str(tmp_path / "trace.json"),
-            "--journal", journal_path, "--metrics-json", metrics_path,
+            "--journal", str(tmp_path / "journal.jsonl"),
+            "--metrics-json", metrics_path,
         ]) == 0
-        shaped = []
-        real = repro.obs.doctor_report
-
-        def recording(events, metrics=None, rules=None, **kwargs):
-            shaped.extend(rules)
-            return real(events, metrics=metrics, rules=rules, **kwargs)
-
-        monkeypatch.setattr(repro.obs, "doctor_report", recording)
-        assert main(["doctor", journal_path,
-                     "--metrics", metrics_path]) == 0
-        names = set(json.load(open(metrics_path))["metrics"])
-        assert {r.name for r in shaped} >= {
-            "dead-nodes.sim", "journal-loss", "trace-loss"}
-        assert [r.metric for r in shaped if r.metric not in names] == []
+        metrics = json.load(open(metrics_path))["metrics"]
+        shaped = {r.name: r for r in default_rules(metrics)}
+        assert set(shaped) >= {
+            "dead-nodes.sim", "status-staleness.sim", "journal-loss",
+            "trace-loss"}
+        assert [r.metric for r in shaped.values()
+                if r.metric not in metrics] == []
+        # simulate's grid sends an update every 120 s.
+        assert shaped["status-staleness.sim"].value == 360.0
 
 
 class TestDoctorReport:
@@ -254,18 +219,32 @@ class TestDoctorReport:
         report = doctor_report(
             synthetic_crash_events(),
             metrics={"grm.c0.nodes_declared_dead": 1},
-            rules=[AlertRule(name="dead-nodes.c0", kind="threshold",
+            rules=[AlertRule(name="dead-nodes.c0",
                              metric="grm.c0.nodes_declared_dead",
                              op=">=", value=1, severity="critical")],
         )
-        assert [a["rule"] for a in report["alerts"]] == ["dead-nodes.c0"]
-        assert report["top_alerts"] == [("dead-nodes.c0", 1)]
+        assert report["alerts"] == [{
+            "rule": "dead-nodes.c0", "severity": "critical",
+            "metric": "grm.c0.nodes_declared_dead", "observed": 1,
+            "op": ">=", "value": 1, "time": 500.0, "description": "",
+        }]
+
+    def test_report_without_rules_shapes_the_stock_set_from_metrics(self):
+        metrics = {"grm.c0.nodes_declared_dead": 1,
+                   "grm.c0.status_age_mean_s": 200.0,
+                   "grm.c0.update_interval_s": 60.0}
+        report = doctor_report(synthetic_crash_events(), metrics=metrics,
+                               time=7.0)
+        assert report["alerts"] == evaluate_rules(
+            default_rules(metrics), metrics, time=7.0)
+        assert [a["rule"] for a in report["alerts"]] == [
+            "dead-nodes.c0", "status-staleness.c0"]
 
     def test_render_names_nodes_outcomes_and_alerts(self):
         report = doctor_report(
             synthetic_crash_events(),
             metrics={"grm.c0.nodes_declared_dead": 1},
-            rules=[AlertRule(name="dead-nodes.c0", kind="threshold",
+            rules=[AlertRule(name="dead-nodes.c0",
                              metric="grm.c0.nodes_declared_dead",
                              op=">=", value=1, severity="critical")],
         )
@@ -452,3 +431,47 @@ class TestDoctorCli:
         out = capsys.readouterr().out
         assert "Event journal" in out
         assert "Grid health report" in out
+
+    def test_offline_doctor_report_equals_the_live_one(self, tmp_path):
+        """The doctor, run on a grid's exported journal and metrics,
+        fires the alerts the live report fires: same rules, thresholds,
+        observed figures and time stamp."""
+        from repro import Grid
+        from repro.cli import main
+        from repro.obs import export_journal_jsonl, export_metrics_json
+
+        grid = Grid(seed=1, lupa_enabled=False, update_interval=120.0)
+        grid.add_cluster("c0")
+        for i in range(4):
+            grid.add_node("c0", f"n{i}", dedicated=True)
+        grid.enable_metrics()
+        grid.enable_journal()
+
+        def offline_and_live():
+            journal_path = str(tmp_path / "journal.jsonl")
+            metrics_path = str(tmp_path / "metrics.json")
+            report_path = str(tmp_path / "doctor.json")
+            export_journal_jsonl(grid.journal.events, journal_path)
+            export_metrics_json(grid.metrics, metrics_path)
+            assert main(["doctor", journal_path, "--metrics", metrics_path,
+                         "--json", report_path]) == 0
+            return json.loads(open(report_path).read()), grid.health_report()
+
+        grid.run_for(600.0)
+        for name in ("n0", "n1", "n2"):
+            grid.crash_node("c0", name)
+        grid.run_for(300.0)
+        # Three of four nodes silent for 300 s: the mean status age is
+        # past 3 x 60 s but short of 3 x the grid's own 120 s.
+        assert grid.metrics_snapshot()["metrics"][
+            "grm.c0.status_age_mean_s"] == 240.0
+        offline, live = offline_and_live()
+        assert offline["alerts"] == live["alerts"] == []
+        assert offline["time"] == live["time"] == 900.0
+        # Later the sweep declares them dead: both fire the same alert.
+        grid.run_for(600.0)
+        offline, live = offline_and_live()
+        assert [a["rule"] for a in live["alerts"]] == ["dead-nodes.c0"]
+        assert offline["alerts"] == live["alerts"]
+        assert offline["dead_nodes"] == live["dead_nodes"] != []
+        assert offline["chains"] == live["chains"]

@@ -4,27 +4,11 @@ import math
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.events import EventLoop
 
 
 # -- primitives ---------------------------------------------------------------
-
-
-def test_counter_and_gauge():
-    counter = Counter("c")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    gauge = Gauge("g")
-    gauge.set(2.5)
-    gauge.add(-1.0)
-    assert gauge.value == 1.5
 
 
 def test_histogram_exact_statistics():
@@ -76,20 +60,17 @@ def test_histogram_rejects_unsorted_bounds():
 
 def test_registry_get_or_create_is_idempotent():
     registry = MetricsRegistry()
-    assert registry.counter("a") is registry.counter("a")
     assert registry.histogram("h") is registry.histogram("h")
-    with pytest.raises(ValueError):
-        registry.gauge("a")   # name already taken by a counter
 
 
 def test_registry_view_and_metric_names_collide():
     registry = MetricsRegistry()
-    registry.counter("c")
+    registry.histogram("h")
     with pytest.raises(ValueError):
-        registry.view("c", lambda: 1)
+        registry.view("h", lambda: 1)
     registry.view("v", lambda: 1)
     with pytest.raises(ValueError):
-        registry.counter("v")
+        registry.histogram("v")
     # Re-registering a view replaces it (idempotent re-wiring).
     registry.view("v", lambda: 2)
     assert registry.snapshot()["metrics"]["v"] == 2
@@ -98,7 +79,7 @@ def test_registry_view_and_metric_names_collide():
 def test_snapshot_stamped_in_sim_time():
     loop = EventLoop()
     registry = MetricsRegistry(clock=loop)
-    registry.counter("c").inc(3)
+    registry.view("c", lambda: 3)
     loop.run_until(42.5)
     snap = registry.snapshot()
     assert snap["time"] == 42.5
@@ -281,7 +262,7 @@ def test_export_metrics_json_round_trip(tmp_path):
     from repro.obs.exporters import export_metrics_json
 
     registry = MetricsRegistry()
-    registry.counter("c").inc(2)
+    registry.view("c", lambda: 2)
     registry.histogram("h").observe(0.5)
     path = tmp_path / "metrics.json"
     snapshot = export_metrics_json(registry, str(path))

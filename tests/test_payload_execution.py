@@ -96,6 +96,26 @@ class TestSandboxEnforcement:
         lrm = grid.clusters["c0"].nodes["d0"].lrm
         assert lrm.sandbox_violations == 1
 
+    def test_payload_that_raises_fails_its_task_not_the_node(self):
+        grid = make_grid(1)
+        job_id = grid.submit(ApplicationSpec(
+            name="buggy", work_mips=1e5,
+            metadata={"payload": "result = 1 / 0"},
+        ))
+        grid.run_for(SECONDS_PER_HOUR)   # the event loop carries on
+        task = grid.job(job_id).tasks[0]
+        assert task.state is TaskState.FAILED
+        assert task.result["__error__"].startswith("ZeroDivisionError")
+        lrm = grid.clusters["c0"].nodes["d0"].lrm
+        assert lrm.sandbox_violations == 0
+        assert lrm.running_tasks == []
+        follow_up = grid.submit(ApplicationSpec(
+            name="after", work_mips=1e5,
+            metadata={"payload": "result = 6 * 7"},
+        ))
+        assert grid.wait_for_job(follow_up, max_seconds=SECONDS_PER_HOUR)
+        assert grid.job(follow_up).tasks[0].result == 42
+
     def test_runaway_payload_fails_the_task(self):
         from repro.core.lrm import Lrm  # noqa: F401 (documentation import)
         grid = make_grid(1)
