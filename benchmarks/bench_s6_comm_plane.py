@@ -10,6 +10,9 @@ benchmark times each on the clock, one row per plane:
   every dispatched call.
 * **CDR decode / encode** — chunk-shaped records (string + ulong +
   64 KiB octets) through :class:`CdrDecoder` / :class:`CdrEncoder`.
+* **CDR variant round-trip** — ``Grm.job_status`` replies for jobs of
+  1–8 tasks (the ``VARIANT`` dicts S0 ``tcp_rpc`` sends back 4,000
+  times), each encoded and decoded again.
 * **TCP oneway** — 20k oneway reports over one real loopback
   connection, timed until the server has dispatched the last one.
 * **TCP two-way** — 8 client threads sharing one connection, each
@@ -17,10 +20,10 @@ benchmark times each on the clock, one row per plane:
 
 Rows land in ``BENCH_S6.json`` with ``--bench-json``; the committed
 file is the CI baseline and ``perf_smoke.py`` re-runs the storm, CDR
-decode and both TCP rows against it.  The opt-in batch frames,
-zero-copy decoder, encoder pool and pipelined framing this file used to
-compare against are gone; the ledger in ``docs/performance.md`` §11
-keeps why.
+decode, variant round-trip and both TCP rows against it.  The opt-in
+batch frames, zero-copy decoder, encoder pool and pipelined framing this
+file used to compare against are gone; the ledger in
+``docs/performance.md`` §11 keeps why.
 """
 
 import hashlib
@@ -28,10 +31,15 @@ import threading
 import time
 
 from repro.analysis.metrics import Table
-from repro.orb.cdr import CdrDecoder, CdrEncoder, Double, String, ULong
+from repro.apps.spec import ApplicationSpec
+from repro.core.grm import Grm
+from repro.orb.cdr import (
+    VARIANT, CdrDecoder, CdrEncoder, Double, String, ULong,
+)
 from repro.orb.core import Orb
 from repro.orb.idl import InterfaceDef, Operation, Parameter
 from repro.orb.transport import InProcDomain
+from repro.sim.events import EventLoop
 
 from conftest import save_json, save_result
 
@@ -39,6 +47,8 @@ SENDERS = 10_000               # logical senders per storm round
 STORM_ROUNDS = 4
 CDR_RECORDS = 512
 CDR_CHUNK_BYTES = 64 * 1024
+VARIANT_TASKS = range(1, 9)    # one job_status reply per task count
+VARIANT_ROUNDS = 250
 TCP_THREADS = 8
 TCP_CALLS_PER_THREAD = 250
 TCP_ONEWAYS = 20_000
@@ -165,6 +175,52 @@ def measure_cdr() -> dict:
     }
 
 
+def job_status_replies() -> list:
+    """``Grm.job_status`` of one pending job per task count in
+    VARIANT_TASKS (the loop never runs, so no job is placed)."""
+    orb = Orb("s6-grm", domain=InProcDomain())
+    try:
+        grm = Grm(EventLoop(), orb, cluster="s6")
+        return [
+            grm.job_status(grm.submit(ApplicationSpec(
+                name=f"job-{tasks}", tasks=tasks, work_mips=1e6).to_dict()))
+            for tasks in VARIANT_TASKS
+        ]
+    finally:
+        orb.shutdown()
+
+
+def _variant_round_trips(replies: list) -> None:
+    for _ in range(VARIANT_ROUNDS):
+        for reply in replies:
+            enc = CdrEncoder()
+            VARIANT.encode(enc, reply)
+            VARIANT.decode(CdrDecoder(enc.getvalue()))
+
+
+def measure_variant() -> dict:
+    """Best-of ``VARIANT`` round trips (encode, then decode) per second."""
+    replies = job_status_replies()
+    sizes = []
+    for reply in replies:
+        enc = CdrEncoder()
+        VARIANT.encode(enc, reply)
+        sizes.append(len(enc))
+        assert VARIANT.decode(CdrDecoder(enc.getvalue())) == reply
+    elapsed = float("inf")
+    for _ in range(BEST_OF):
+        start = time.perf_counter()
+        _variant_round_trips(replies)
+        elapsed = min(elapsed, time.perf_counter() - start)
+    trips = VARIANT_ROUNDS * len(replies)
+    return {
+        "replies": len(replies),
+        "round_trips": trips,
+        "mean_reply_bytes": round(sum(sizes) / len(sizes), 1),
+        "round_trips_per_s": round(trips / elapsed, 1),
+    }
+
+
 # -- TCP ---------------------------------------------------------------------
 
 def _tcp_pair() -> tuple:
@@ -267,6 +323,7 @@ def measure_tcp_twoway() -> dict:
 def run_experiment():
     storm = measure_storm()
     cdr = measure_cdr()
+    variant = measure_variant()
     oneway = measure_tcp_oneway()
     twoway = measure_tcp_twoway()
     chunk_kib = CDR_CHUNK_BYTES // 1024
@@ -288,6 +345,11 @@ def run_experiment():
         f"{cdr['encode_records_per_s']:,.0f} rec/s",
     )
     table.add_row(
+        "CDR variant round-trip",
+        f"{variant['replies']} job_status replies, 1-8 tasks",
+        f"{variant['round_trips_per_s']:,.0f} replies/s",
+    )
+    table.add_row(
         "TCP oneway", f"{oneway['calls']:,} msgs, 1 connection",
         f"{oneway['calls_per_wall_s']:,.0f} msgs/s",
     )
@@ -296,11 +358,11 @@ def run_experiment():
         f"{twoway['calls']:,} calls, {TCP_THREADS} threads, 1 connection",
         f"{twoway['calls_per_wall_s']:,.0f} calls/s",
     )
-    return table, storm, cdr, oneway, twoway
+    return table, storm, cdr, variant, oneway, twoway
 
 
 def test_s6_comm_plane(benchmark):
-    table, storm, cdr, oneway, twoway = \
+    table, storm, cdr, variant, oneway, twoway = \
         benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     save_result("s6_comm_plane", table.render())
     save_json("S6", {
@@ -309,6 +371,7 @@ def test_s6_comm_plane(benchmark):
         "storm_rounds": STORM_ROUNDS,
         "storm": storm,
         "cdr": cdr,
+        "variant": variant,
         "tcp_oneway": oneway,
         "tcp_twoway": twoway,
     })

@@ -4,19 +4,20 @@ Remeasures the 32-node S1 simulator throughput (simulated hours per
 wall second), the 1000-offer trader query rate, the plain
 collocated two-way and oneway call rates (E11's bound stub), the 1024-node
 S2 pattern-aware ranking rate, the 10k-node S3 information-plane run,
-the 256-cluster S5 wide-area run, and the S6 oneway-storm / CDR / TCP
-communication-plane run (reusing the benchmark modules' own builders,
-so the measured workload cannot drift from what produced the
-baseline), then compares against the committed
+the 256-cluster S5 wide-area run, and the S6 oneway-storm / CDR /
+variant / TCP communication-plane run (reusing the benchmark modules'
+own set-up functions, so the measured workload cannot drift from what
+produced the baseline), then compares against the committed
 ``BENCH_S1.json`` / ``BENCH_E11.json`` / ``BENCH_S2.json`` /
 ``BENCH_S3.json`` / ``BENCH_S5.json`` / ``BENCH_S6.json``.  A drop of
 more than ``TOLERANCE`` fails the build.  Every row is wall-clock
 against its own baseline: S3 is the GRM's updates/s taking in
 statuses and heartbeats from 10k nodes, S5 the parent's wide-area
-submits/s over 256 clusters, S6 the collocated storm, CDR decode and
-the two TCP rows (oneway msgs/s, threaded two-way calls/s), each best
-of three.  The execution plane (checkpoint store, BSP comms) has no
-row here: S0 ``bsp_checkpoint`` measures it.
+submits/s over 256 clusters, S6 the collocated storm, CDR decode, the
+``job_status`` variant round-trip and the two TCP rows (oneway msgs/s,
+threaded two-way calls/s), each best of three.  The execution plane
+(checkpoint store, BSP comms) has no row here: S0 ``bsp_checkpoint``
+measures it.
 
 The 30 % margin absorbs runner-to-runner noise; the regressions this
 guards against — losing an index, falling off a compiled path, an
@@ -53,6 +54,7 @@ from bench_s6_comm_plane import (  # noqa: E402
     measure_storm,
     measure_tcp_oneway,
     measure_tcp_twoway,
+    measure_variant,
 )
 from bench_s2_scheduler_throughput import (  # noqa: E402
     _best_pass_s,
@@ -217,6 +219,11 @@ def main():
             "S6 CDR decode (64 KiB chunk records)",
             measure_cdr()["decode_records_per_s"],
             s6["cdr"]["decode_records_per_s"],
+        )
+        failures += not check(
+            "S6 CDR variant round-trip (job_status replies, 1-8 tasks)",
+            measure_variant()["round_trips_per_s"],
+            s6["variant"]["round_trips_per_s"],
         )
         # Wall-clock on a real socket; both are best-of-three inside.
         failures += not check(

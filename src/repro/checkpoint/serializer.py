@@ -39,9 +39,10 @@ def serialize(state: dict) -> bytes:
         VARIANT.encode(enc, state)
     except MarshalError as exc:
         raise TypeError(f"state is not checkpointable: {exc}") from exc
-    payload = enc.getvalue()
-    body = _HEADER.pack(MAGIC, VERSION, len(payload)) + payload
-    return body + _CRC.pack(zlib.crc32(body))
+    payload = enc.getbuffer()
+    header = _HEADER.pack(MAGIC, VERSION, len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    return b"".join((header, payload, _CRC.pack(crc)))
 
 
 def deserialize(data: bytes) -> dict:
@@ -68,11 +69,11 @@ def deserialize(data: bytes) -> dict:
             f"checkpoint is {len(data)} bytes but the declared payload "
             f"length {length} requires exactly {expected_size}"
         )
-    body = data[:-_CRC.size]
-    (expected_crc,) = _CRC.unpack_from(data, len(body))
-    if zlib.crc32(body) != expected_crc:
+    view = memoryview(data)
+    (expected_crc,) = _CRC.unpack_from(data, len(data) - _CRC.size)
+    if zlib.crc32(view[:-_CRC.size]) != expected_crc:
         raise CheckpointCorrupted("CRC mismatch")
-    dec = CdrDecoder(data[_HEADER.size:len(body)])
+    dec = CdrDecoder(view[_HEADER.size:-_CRC.size])
     try:
         state = VARIANT.decode(dec)
     except MarshalError as exc:

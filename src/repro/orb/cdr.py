@@ -15,6 +15,13 @@ One decoder: :class:`CdrDecoder` reads ``bytes`` / ``bytearray`` /
 ``memoryview`` buffers in place with ``unpack_from``, and octet
 sequences always come out as fresh ``bytes`` — the same type a
 collocated (unmarshalled) call hands the servant.
+
+The ``Variant`` is one encode function, dispatching on the exact type and
+packing each tag with its padding and value in one ``Struct`` call (other
+types — ``IntEnum``, ``bytearray`` — take the seed's ``isinstance`` chain to
+the same bytes), and one decode function, ``(data, pos) -> (value, end)``.
+Both refuse nesting past :data:`MAX_VARIANT_DEPTH`, and no string decodes
+unless it is UTF-8: hostile bytes raise :class:`MarshalError`, nothing else.
 """
 
 import struct as _struct
@@ -30,9 +37,43 @@ _S_ULONG = _struct.Struct("<I")
 _S_LONGLONG = _struct.Struct("<q")
 _S_DOUBLE = _struct.Struct("<d")
 
+_V_NONE, _V_BOOL, _V_LONGLONG, _V_DOUBLE, _V_STRING, _V_BYTES, _V_LIST, \
+    _V_DICT = range(8)
+# A tag octet, the padding it leaves before the aligned value, and the
+# value, in one pack; indexed by that padding.
+_TAG_ULONG = tuple(_struct.Struct(f"<B{n}xI").pack for n in range(4))
+_TAG_LONGLONG = tuple(_struct.Struct(f"<B{n}xq").pack for n in range(8))
+_TAG_DOUBLE = tuple(_struct.Struct(f"<B{n}xd").pack for n in range(8))
+_PAD_ULONG = tuple(_struct.Struct(f"<{n}xI").pack for n in range(4))
 _PAD = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00",
         b"\x00\x00\x00\x00", b"\x00\x00\x00\x00\x00",
         b"\x00\x00\x00\x00\x00\x00", b"\x00\x00\x00\x00\x00\x00\x00")
+
+
+def _underrun(size: int, pos: int, data) -> MarshalError:
+    return MarshalError(
+        f"buffer underrun: need {size} bytes at {pos}, have {len(data) - pos}")
+
+
+def _string_at(data, pos: int) -> tuple:
+    """``(string, end)`` of the CDR string aligned at or after ``pos``."""
+    pos += -pos & 3
+    if pos + 4 > len(data):
+        raise _underrun(4, pos, data)
+    (length,) = _S_ULONG.unpack_from(data, pos)
+    pos += 4
+    if length == 0:
+        raise MarshalError("string length must include the NUL terminator")
+    end = pos + length
+    if end > len(data):
+        raise MarshalError("buffer underrun reading string body")
+    if data[end - 1] != 0:
+        raise MarshalError("string is not NUL-terminated")
+    try:
+        # str(buf, "utf-8") decodes bytes and memoryview slices alike.
+        return str(data[pos:end - 1], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise MarshalError(f"string is not valid UTF-8: {exc}") from None
 
 
 class CdrEncoder:
@@ -90,14 +131,11 @@ class CdrEncoder:
     def write_string(self, value: str) -> None:
         if not isinstance(value, str):
             raise MarshalError(f"expected str, got {type(value).__name__}")
-        data = value.encode("utf-8")
+        data = value.encode()
         buf = self._buf
-        remainder = len(buf) % 4
-        if remainder:
-            buf.extend(_PAD[4 - remainder])
         # CDR counts the terminating NUL in the length prefix.
-        buf.extend(_S_ULONG.pack(len(data) + 1))
-        buf.extend(data)
+        buf += _PAD_ULONG[-len(buf) & 3](len(data) + 1)
+        buf += data
         buf.append(0)
 
     def write_octets(self, value: bytes) -> None:
@@ -110,6 +148,9 @@ class CdrEncoder:
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
+
+    def getbuffer(self) -> memoryview:
+        return memoryview(self._buf)
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -138,10 +179,7 @@ class CdrDecoder:
             pos += size - remainder
         end = pos + size
         if end > len(self._data):
-            raise MarshalError(
-                f"buffer underrun: need {size} bytes at {pos}, "
-                f"have {len(self._data) - pos}"
-            )
+            raise _underrun(size, pos, self._data)
         (value,) = packer.unpack_from(self._data, pos)
         self._pos = end
         return value
@@ -171,28 +209,8 @@ class CdrDecoder:
         return self._unpack(_S_DOUBLE, 8)
 
     def read_string(self) -> str:
-        data = self._data
-        pos = self._pos
-        remainder = pos % 4
-        if remainder:
-            pos += 4 - remainder
-        if pos + 4 > len(data):
-            raise MarshalError(
-                f"buffer underrun: need 4 bytes at {pos}, "
-                f"have {len(data) - pos}"
-            )
-        (length,) = _S_ULONG.unpack_from(data, pos)
-        pos += 4
-        if length == 0:
-            raise MarshalError("string length must include the NUL terminator")
-        end = pos + length
-        if end > len(data):
-            raise MarshalError("buffer underrun reading string body")
-        if data[end - 1] != 0:
-            raise MarshalError("string is not NUL-terminated")
-        self._pos = end
-        # str(buf, "utf-8") decodes bytes and memoryview slices alike.
-        return str(data[pos:end - 1], "utf-8")
+        value, self._pos = _string_at(self._data, self._pos)
+        return value
 
     def read_octets(self) -> bytes:
         length = self.read_ulong()
@@ -459,6 +477,119 @@ class Enum(IdlType):
         return self.members[index]
 
 
+#: The most lists and dicts a Variant value may sit inside: far above any
+#: interface's (two in a ``job_status`` reply), far below the recursion limit.
+MAX_VARIANT_DEPTH = 100
+
+_VARIANT_KINDS = frozenset(
+    (type(None), bool, int, float, str, bytes, list, tuple, dict))
+#: The seed's ``isinstance`` chain, in its order: ``(types, kind)``.
+_SEED_CHAIN = ((int, int), (float, float), (str, str),
+               ((bytes, bytearray, memoryview), bytes),
+               ((list, tuple), list), (dict, dict))
+
+
+def _variant_kind(value) -> tuple:
+    """``(kind, value as that kind writes it)`` for any other type."""
+    for types, kind in _SEED_CHAIN:
+        if isinstance(value, types):
+            return kind, kind(value) if kind in (float, bytes) else value
+    raise MarshalError(f"variant cannot carry {type(value).__name__} values")
+
+
+def _encode_variant(buf: bytearray, value, depth: int) -> None:
+    """Append ``value``'s tag and body to ``buf``; ``depth`` counts the
+    lists and dicts around it."""
+    if depth > MAX_VARIANT_DEPTH:
+        raise MarshalError(f"variant nests deeper than {MAX_VARIANT_DEPTH}")
+    kind = type(value)
+    if kind not in _VARIANT_KINDS:
+        kind, value = _variant_kind(value)
+    if kind is str:
+        data = value.encode()
+        buf += _TAG_ULONG[-(len(buf) + 1) & 3](_V_STRING, len(data) + 1)
+        buf += data
+        buf.append(0)
+    elif kind is dict:
+        buf += _TAG_ULONG[-(len(buf) + 1) & 3](_V_DICT, len(value))
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise MarshalError("variant dict keys must be strings")
+            data = key.encode()
+            buf += _PAD_ULONG[-len(buf) & 3](len(data) + 1)
+            buf += data
+            buf.append(0)
+            _encode_variant(buf, item, depth + 1)
+    elif kind is float:
+        buf += _TAG_DOUBLE[-(len(buf) + 1) & 7](_V_DOUBLE, value)
+    elif kind is int:
+        try:
+            buf += _TAG_LONGLONG[-(len(buf) + 1) & 7](_V_LONGLONG, value)
+        except _struct.error as exc:
+            raise MarshalError(
+                f"cannot pack {value!r} as '<q': {exc}") from exc
+    elif value is None:
+        buf.append(_V_NONE)
+    elif kind is list or kind is tuple:
+        buf += _TAG_ULONG[-(len(buf) + 1) & 3](_V_LIST, len(value))
+        for item in value:
+            _encode_variant(buf, item, depth + 1)
+    elif kind is bool:
+        buf += b"\x01\x01" if value else b"\x01\x00"
+    else:   # bytes
+        buf += _TAG_ULONG[-(len(buf) + 1) & 3](_V_BYTES, len(value))
+        buf += value
+
+
+def _decode_variant(data, pos: int, depth: int) -> tuple:
+    """``(value, end)`` of the Variant at ``pos``; ``depth`` counts the
+    lists and dicts around it."""
+    if depth > MAX_VARIANT_DEPTH:
+        raise MarshalError(f"variant nests deeper than {MAX_VARIANT_DEPTH}")
+    if pos >= len(data):
+        raise _underrun(1, pos, data)
+    tag = data[pos]
+    pos += 1
+    if tag == _V_STRING:
+        return _string_at(data, pos)
+    if tag == _V_NONE:
+        return None, pos
+    if tag == _V_DOUBLE or tag == _V_LONGLONG:
+        pos += -pos & 7
+        if pos + 8 > len(data):
+            raise _underrun(8, pos, data)
+        unpack = _S_DOUBLE if tag == _V_DOUBLE else _S_LONGLONG
+        return unpack.unpack_from(data, pos)[0], pos + 8
+    if tag == _V_BOOL:
+        if pos >= len(data):
+            raise _underrun(1, pos, data)
+        return data[pos] != 0, pos + 1
+    if tag > _V_DICT:
+        raise MarshalError(f"unknown variant tag {tag}")
+    pos += -pos & 3
+    if pos + 4 > len(data):
+        raise _underrun(4, pos, data)
+    (count,) = _S_ULONG.unpack_from(data, pos)
+    pos += 4
+    if tag == _V_BYTES:
+        end = pos + count
+        if end > len(data):
+            raise MarshalError("buffer underrun reading octet sequence")
+        return bytes(data[pos:end]), end
+    depth += 1
+    if tag == _V_LIST:
+        items = []
+        for _ in range(count):
+            item, pos = _decode_variant(data, pos, depth)
+            items.append(item)
+        return items, pos
+    fields = {}
+    for _ in range(count):
+        key, pos = _string_at(data, pos)
+        fields[key], pos = _decode_variant(data, pos, depth)
+    return fields, pos
+
+
 class Variant(IdlType):
     """A tagged dynamic value (the role CORBA's ``any`` plays).
 
@@ -468,65 +599,12 @@ class Variant(IdlType):
 
     name = "variant"
 
-    _NONE, _BOOL, _LONGLONG, _DOUBLE, _STRING, _BYTES, _LIST, _DICT = range(8)
-
     def encode(self, enc, value):
-        if value is None:
-            enc.write_octet(self._NONE)
-        elif isinstance(value, bool):
-            enc.write_octet(self._BOOL)
-            enc.write_boolean(value)
-        elif isinstance(value, int):
-            enc.write_octet(self._LONGLONG)
-            enc.write_longlong(value)
-        elif isinstance(value, float):
-            enc.write_octet(self._DOUBLE)
-            enc.write_double(value)
-        elif isinstance(value, str):
-            enc.write_octet(self._STRING)
-            enc.write_string(value)
-        elif isinstance(value, (bytes, bytearray, memoryview)):
-            enc.write_octet(self._BYTES)
-            enc.write_octets(bytes(value))
-        elif isinstance(value, (list, tuple)):
-            enc.write_octet(self._LIST)
-            enc.write_ulong(len(value))
-            for item in value:
-                self.encode(enc, item)
-        elif isinstance(value, dict):
-            enc.write_octet(self._DICT)
-            enc.write_ulong(len(value))
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise MarshalError("variant dict keys must be strings")
-                enc.write_string(key)
-                self.encode(enc, item)
-        else:
-            raise MarshalError(
-                f"variant cannot carry {type(value).__name__} values"
-            )
+        _encode_variant(enc._buf, value, 0)
 
     def decode(self, dec):
-        tag = dec.read_octet()
-        if tag == self._NONE:
-            return None
-        if tag == self._BOOL:
-            return dec.read_boolean()
-        if tag == self._LONGLONG:
-            return dec.read_longlong()
-        if tag == self._DOUBLE:
-            return dec.read_double()
-        if tag == self._STRING:
-            return dec.read_string()
-        if tag == self._BYTES:
-            return dec.read_octets()
-        if tag == self._LIST:
-            count = dec.read_ulong()
-            return [self.decode(dec) for _ in range(count)]
-        if tag == self._DICT:
-            count = dec.read_ulong()
-            return {dec.read_string(): self.decode(dec) for _ in range(count)}
-        raise MarshalError(f"unknown variant tag {tag}")
+        value, dec._pos = _decode_variant(dec._data, dec._pos, 0)
+        return value
 
 
 VARIANT = Variant()

@@ -116,6 +116,41 @@ class TestSerializer:
         assert "undecoded" in str(excinfo.value)
 
 
+    # -- hostile payloads, CRC-sealed: refused, never an escaped error -----
+
+    @staticmethod
+    def _sealed(payload):
+        import struct
+        import zlib
+        body = struct.pack("<4sHxxI", b"IGCP", 1, len(payload)) + payload
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    def test_nesting_past_the_bound_is_corrupted(self):
+        # {"xyz": [[[...5,000 lists...]]]}: once a RecursionError.
+        import struct
+        payload = (b"\x07\x00\x00\x00" + struct.pack("<II", 1, 4) + b"xyz\x00"
+                   + b"\x06\x00\x00\x00\x01\x00\x00\x00" * 5_000 + b"\x00")
+        with pytest.raises(CheckpointCorrupted, match="deeper than"):
+            deserialize(self._sealed(payload))
+
+    def test_a_key_that_is_not_utf8_is_corrupted(self):
+        # {b"\xff\xfe": None}: once a UnicodeDecodeError.
+        import struct
+        payload = b"\x07\x00\x00\x00" + struct.pack("<II", 1, 3) \
+            + b"\xff\xfe\x00\x00"
+        with pytest.raises(CheckpointCorrupted, match="UTF-8"):
+            deserialize(self._sealed(payload))
+
+    def test_a_deep_state_round_trips_below_the_bound(self):
+        state = {"x": [[[[{"y": [b"z"]}]]]]}
+        assert deserialize(serialize(state)) == state
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_any_buffer_type_deserializes(self, wrap):
+        state = {"blob": bytes(range(256)) * 4, "step": 3}
+        assert deserialize(wrap(serialize(state))) == state
+
+
 class TestMemoryStore:
     def test_save_and_load(self):
         store = MemoryCheckpointStore()

@@ -1,8 +1,14 @@
 """Unit tests for CDR marshalling."""
 
+import collections
+import enum
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.orb.cdr import (
+    MAX_VARIANT_DEPTH,
     Boolean,
     CdrDecoder,
     CdrEncoder,
@@ -22,6 +28,7 @@ from repro.orb.cdr import (
     VARIANT,
     Void,
 )
+from tests.oracles import cdr as oracle
 
 
 def roundtrip(idl_type, value):
@@ -239,3 +246,185 @@ class TestDecoderRobustness:
     def test_memoryview_underrun_still_raises(self):
         with pytest.raises(MarshalError):
             CdrDecoder(memoryview(b"\x01")).read_double()
+
+
+# -- the Variant codec against the seed's -------------------------------------
+
+class Colour(enum.IntEnum):
+    RED = 1
+    HUGE = 2**70
+
+
+class Tag(str):
+    pass
+
+
+class Mood(str, enum.Enum):
+    CALM = "calm"
+
+
+class Fraction(float):
+    pass
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+
+def encoded(encode, value):
+    """The bytes ``encode`` writes for ``value``, or what it raised."""
+    enc = CdrEncoder()
+    enc.write_octet(9)          # start off every alignment boundary
+    try:
+        encode(enc, value)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return enc.getvalue()
+
+
+def decoded(decode, data):
+    """``(repr(value), end)`` as ``decode`` reads ``data``, or the error."""
+    dec = CdrDecoder(data)
+    try:
+        value = decode(dec)
+    except (MarshalError, RecursionError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    return repr(value), len(data) - dec.remaining
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2**64, max_value=2**64),       # some out of range
+    st.floats(allow_nan=True), st.text(max_size=12), st.binary(max_size=12),
+    st.sampled_from([Colour.RED, Colour.HUGE, Mood.CALM, Tag("tag"),
+                     Fraction(0.5), object(), frozenset({1}), 1j]),
+    st.builds(bytearray, st.binary(max_size=4)),
+    st.builds(memoryview, st.binary(max_size=4)),
+    st.builds(lambda: memoryview(b"wide").cast("H")),   # 2 items, 4 bytes
+)
+_keys = st.one_of(st.text(max_size=8), st.sampled_from([Tag("k"), Mood.CALM]),
+                  st.integers(0, 3), st.none())
+variants = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.builds(Pair, inner, inner),
+    st.dictionaries(_keys, inner, max_size=4),
+    st.dictionaries(_keys, inner, max_size=4).map(collections.OrderedDict),
+), max_leaves=24)
+
+
+def _wire(value):
+    enc = CdrEncoder()
+    VARIANT.encode(enc, value)
+    return enc.getvalue()
+
+
+_valid = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**63, 2**63 - 1),
+              st.floats(), st.text(max_size=8), st.binary(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_wire(draw):
+    """A valid Variant's bytes, with bytes flipped, cut off or inserted."""
+    data = bytearray(_wire(draw(_valid)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["flip", "cut", "insert"]))
+        if kind == "flip" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "cut":
+            del data[at:]
+        else:
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+    return bytes(data)
+
+
+class TestVariantAgainstOracle:
+    """One encode and one decode function, held to the seed's method
+    bodies (``tests/oracles/cdr.py``): the same bytes or the same
+    ``MarshalError`` text, the same value and end position."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(variants)
+    def test_encode_writes_the_seeds_bytes_or_raises_its_error(self, value):
+        assert encoded(VARIANT.encode, value) == \
+            encoded(oracle.encode, value)
+
+    def _same_decode(self, data):
+        ours, seed = decoded(VARIANT.decode, data), \
+            decoded(oracle.decode, data)
+        if seed[0] in (RecursionError, UnicodeDecodeError):
+            assert ours[0] is MarshalError      # the oracle lets these out
+        else:
+            assert ours == seed
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_decode_as_the_seed_decodes_them(self, data):
+        self._same_decode(data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_wire())
+    def test_mutated_bytes_decode_as_the_seed_decodes_them(self, data):
+        self._same_decode(data)
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_every_buffer_type_decodes_alike(self, wrap):
+        value = {"blob": b"\x00\x01", "name": "n\u00e4me",
+                 "xs": [1, 2.5, None]}
+        dec = CdrDecoder(wrap(_wire(value)))
+        assert VARIANT.decode(dec) == value
+        assert dec.remaining == 0
+
+
+def _nested(depth):
+    value = None
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _deep_list_wire(depth):
+    # Each level: tag 6, three bytes of padding, count 1; then a None.
+    return b"\x06\x00\x00\x00\x01\x00\x00\x00" * depth + b"\x00"
+
+
+class TestVariantHostileInput:
+    """Whatever the bytes, decoding raises :class:`MarshalError` or
+    returns; nothing else escapes."""
+
+    def test_nesting_up_to_the_bound_round_trips(self):
+        value = _nested(MAX_VARIANT_DEPTH)
+        assert roundtrip(VARIANT, value) == value
+        assert VARIANT.decode(CdrDecoder(_deep_list_wire(MAX_VARIANT_DEPTH))) \
+            == value
+
+    def test_nesting_past_the_bound_is_refused_on_encode(self):
+        with pytest.raises(MarshalError, match="deeper than"):
+            VARIANT.encode(CdrEncoder(), _nested(MAX_VARIANT_DEPTH + 1))
+        loop = []
+        loop.append(loop)
+        with pytest.raises(MarshalError, match="deeper than"):
+            VARIANT.encode(CdrEncoder(), loop)
+
+    @pytest.mark.parametrize("depth", [MAX_VARIANT_DEPTH + 1, 5_000])
+    def test_nesting_past_the_bound_is_refused_on_decode(self, depth):
+        with pytest.raises(MarshalError, match="deeper than"):
+            VARIANT.decode(CdrDecoder(_deep_list_wire(depth)))
+
+    @pytest.mark.parametrize("wire", [
+        b"\x04\x00\x00\x00" + struct.pack("<I", 3) + b"\xff\xfe\x00",
+        b"\x07\x00\x00\x00" + struct.pack("<II", 1, 3) + b"\xff\xfe\x00\x00",
+    ], ids=["value", "key"])
+    def test_invalid_utf8_is_refused(self, wire):
+        with pytest.raises(MarshalError, match="UTF-8"):
+            VARIANT.decode(CdrDecoder(wire))
+
+    def test_invalid_utf8_string_is_refused(self):
+        with pytest.raises(MarshalError, match="UTF-8"):
+            CdrDecoder(struct.pack("<I", 3) + b"\xc3\x28\x00").read_string()

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.orb.cdr import CdrDecoder, Double, Long, Sequence, String, Void
+from repro.orb.cdr import (
+    VARIANT,
+    CdrDecoder,
+    Double,
+    Long,
+    Sequence,
+    String,
+    Void,
+)
 from repro.orb.core import Orb, _encode_request
 from repro.orb.exceptions import (
     BadOperation,
@@ -195,6 +203,66 @@ class TestTrailingBytes:
                             lambda payload: handle(payload) + JUNK)
         with pytest.raises(MarshalError):
             getattr(stub, operation)(*args)
+
+
+STATE_INTERFACE = InterfaceDef("test/State", [
+    Operation("state", (), VARIANT),
+])
+
+
+class _State:
+    def state(self):
+        return {"ok": True}
+
+
+#: Replies no honest ORB writes; each let a RecursionError or a
+#: UnicodeDecodeError out of ``Orb.invoke`` before decoding was bounded.
+HOSTILE_REPLIES = {
+    # status ok, then 5,000 nested lists (tag 6 at offset 1: pad 2)
+    "deep-variant": b"\x00\x06\x00\x00\x01\x00\x00\x00"
+                    + b"\x06\x00\x00\x00\x01\x00\x00\x00" * 4_999 + b"\x00",
+    # status ok, then {b"\xff\xfe": None}
+    "key-not-utf8": b"\x00\x07\x00\x00\x01\x00\x00\x00\x03\x00\x00\x00"
+                    b"\xff\xfe\x00\x00",
+    # an exception reply whose type name is not UTF-8
+    "exception-not-utf8": b"\x01\x00\x00\x00\x03\x00\x00\x00\xc3\x28\x00"
+                          b"\x00\x01\x00\x00\x00\x00",
+}
+
+
+class TestHostileReplies:
+    """A reply the client cannot decode raises :class:`MarshalError` —
+    an :class:`OrbError`, which every caller of a remote operation
+    handles — and nothing else."""
+
+    @pytest.mark.parametrize("reply", HOSTILE_REPLIES.values(),
+                             ids=HOSTILE_REPLIES.keys())
+    def test_an_undecodable_reply_raises_marshal_error(self, pair,
+                                                       monkeypatch, reply):
+        server, client = pair
+        ref = server.activate(_State(), STATE_INTERFACE)
+        operation = STATE_INTERFACE.operation("state")
+        assert client.invoke(ref, operation, ()) == {"ok": True}
+        monkeypatch.setattr(server, "handle_request_bytes",
+                            lambda payload: reply)
+        with pytest.raises(MarshalError):
+            client.invoke(ref, operation, ())
+
+    def test_the_grm_survives_an_lrm_that_answers_garbage(self, monkeypatch):
+        from repro.apps.spec import ApplicationSpec
+        from repro.core.grid import Grid
+
+        grid = Grid(seed=0, lupa_enabled=False, auth_secret=b"pin")
+        grid.add_cluster("c")
+        node = grid.add_node("c", "n0", dedicated=True)
+        grid.run_for(60)
+        monkeypatch.setattr(node.orb, "handle_request_bytes", lambda payload:
+                            HOSTILE_REPLIES["exception-not-utf8"])
+        job_id = grid.submit(ApplicationSpec(name="j", work_mips=1e3), "c")
+        grid.run_for(60)        # negotiation fails; the loop carries on
+        grm = grid.clusters["c"].grm
+        assert grm.job_status(job_id)["state"] == "pending"
+        assert grm.stats.negotiation_rounds > 0
 
 
 class TestServantValidation:
