@@ -2,8 +2,10 @@
 
 Remeasures the 32-node S1 simulator throughput (simulated hours per
 wall second), the 1000-offer trader query rate, the plain
-collocated two-way and oneway call rates (E11's bound stub), the 1024-node
-S2 pattern-aware ranking rate, the 10k-node S3 information-plane run,
+collocated two-way and oneway call rates (E11's bound stub), the S2
+pattern-aware ranking rate on both sides of the scoring paths' size
+cutover (1024 nodes with long spans: numpy; 48 nodes with one- or
+two-bin spans: the per-offer loop), the 10k-node S3 information-plane run,
 the 256-cluster S5 wide-area run, and the S6 oneway-storm / CDR /
 variant / TCP communication-plane run (reusing the benchmark modules'
 own set-up functions, so the measured workload cannot drift from what
@@ -57,6 +59,7 @@ from bench_s6_comm_plane import (  # noqa: E402
     measure_variant,
 )
 from bench_s2_scheduler_throughput import (  # noqa: E402
+    SHORT_SPAN,
     _best_pass_s,
     build_workload,
     make_ctx,
@@ -178,6 +181,22 @@ def main():
         pass_s = _best_pass_s(lambda: policy.order(offers, make_ctx(gupa)))
         failures += not check(
             "S2 pattern-aware ranking (1024 nodes)", 1024 / pass_s, baseline
+        )
+        # The other side of the size cutover: a submit_storm-shaped pool.
+        nodes = SHORT_SPAN["nodes"]
+        baseline = next(
+            row["offers_ranked_per_s"] for row in s2["rows"]
+            if row["nodes"] == nodes and row.get("spans") == "1-2 bins"
+        )
+        gupa, offers, _ = build_workload(
+            nodes, mips=SHORT_SPAN["mips"], cpu_free=SHORT_SPAN["cpu_free"]
+        )
+        pass_s = _best_pass_s(lambda: policy.order(offers, make_ctx(
+            gupa, now=SHORT_SPAN["now"], work=SHORT_SPAN["work"]
+        )))
+        failures += not check(
+            f"S2 pattern-aware ranking ({nodes} nodes, 1-2 bin spans)",
+            nodes / pass_s, baseline,
         )
 
     s3 = load_json("S3")

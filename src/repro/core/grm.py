@@ -599,14 +599,8 @@ class Grm:
         if tracer is not None and tracer.active:
             with tracer.span("trader.query", component=self.cluster,
                              constraint=constraint):
-                offers = self.trader.query(
-                    "node", constraint=constraint, copy_properties=False
-                )
-        else:
-            offers = self.trader.query(
-                "node", constraint=constraint, copy_properties=False
-            )
-        return [o["properties"] for o in offers]
+                return self.trader.query_properties("node", constraint)
+        return self.trader.query_properties("node", constraint)
 
     def _view(self, job: Job) -> CandidateView:
         """Query the Trader for ``job``; ranked on first use."""

@@ -7,19 +7,22 @@ the GRM, which can make better scheduling decisions due to the
 possibility of predicting a node's idle periods.")
 
 Profiles are validated and normalized at upload into (7, bins_per_day)
-float64 grids with the per-bin ``1 - busy`` idle factor precomputed, so
-a scheduling pass can score every candidate node in one vectorized call
-(:meth:`Gupa.idle_probabilities`); a one-node query
-(:meth:`Gupa.idle_probability`) is the same call with one node.  The
-batch multiplies the *exact same factor sequence* the seed's per-node,
+busy grids, with the per-bin ``1 - busy`` idle factors precomputed into
+a flat ``array('d')`` per node.  :meth:`Gupa.idle_probabilities` picks
+its path from the input's size, nodes x chunk columns: up to
+``SCALAR_MAX_CELLS`` a per-node Python loop (a GRM's pool of a few dozen
+offers over a bin or two costs less than numpy's per-call fixed cost),
+above it one numpy batch per bin width; a one-node query is the loop.
+Both multiply the *exact same factor sequence* the seed's per-node,
 bin-by-bin loop multiplies — whole bins as plain grid factors
 (``pow(x, 1.0) == x`` bit-exactly), fractional edge bins raised to their
-coverage weight scalar-side — left to right, so results are
-bit-identical to that loop, which the test tree keeps as its oracle
+coverage weight with ``math.pow`` — left to right from 1.0, so results
+are bit-identical to that loop, which the test tree keeps as its oracle
 over the uploaded pattern dicts.
 """
 
 import math
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -33,9 +36,14 @@ UNKNOWN = -1.0
 #: so left-to-right association is preserved exactly).
 _CHUNK_COLUMNS = 2048
 
+#: Largest input, in nodes x chunk columns, that the per-node loop
+#: scores; larger ones take the numpy batch.  Set from the measured
+#: crossover of whole ranking calls (docs/performance.md §5).
+SCALAR_MAX_CELLS = 192
+
 
 class _PatternGrid:
-    """One node's profile, normalized for vectorized scoring."""
+    """One node's profile, normalized for scoring."""
 
     __slots__ = ("bins_per_day", "bin_seconds", "busy", "idle")
 
@@ -43,7 +51,30 @@ class _PatternGrid:
         self.bins_per_day = bins_per_day
         self.bin_seconds = SECONDS_PER_DAY / bins_per_day
         self.busy = busy
-        self.idle = 1.0 - busy
+        self.idle = array("d", (1.0 - busy).tobytes())
+
+    def idle_through(self, start: float, duration: float) -> float:
+        """P(idle through the span): the seed's bin-by-bin loop.  Chunks
+        after the first start on bin boundaries: the next column."""
+        idle = self.idle
+        bin_seconds = self.bin_seconds
+        column = (int(start // SECONDS_PER_DAY) % 7 * self.bins_per_day
+                  + int((start % SECONDS_PER_DAY) // bin_seconds))
+        if duration <= 0:
+            return idle[column]
+        probability = 1.0
+        t = start
+        end = start + duration
+        while t < end:
+            bin_end = (t // bin_seconds + 1) * bin_seconds
+            stop = bin_end if bin_end < end else end
+            weight = (stop - t) / bin_seconds
+            factor = idle[column]
+            probability *= (
+                factor if weight == 1.0 else math.pow(factor, weight))
+            t = stop
+            column = (column + 1) % len(idle)
+        return probability
 
 
 class Gupa:
@@ -53,8 +84,9 @@ class Gupa:
         self._grids: dict[str, _PatternGrid] = {}
         # Per-bins_per_day stacked grids for batch scoring, rebuilt
         # lazily after upload/forget churn.  ``_width_counts`` tracks how
-        # many grids use each bin width, so the (overwhelmingly common)
-        # single-width case can skip per-node grouping entirely.
+        # many grids use each bin width: the batch makes one pass per
+        # width (one, unless LUPAs are configured differently), and the
+        # size test reads the finest.
         self._stacks: dict[int, tuple] = {}
         self._stacks_dirty = True
         self._width_counts: dict[int, int] = {}
@@ -155,62 +187,53 @@ class Gupa:
     def idle_probabilities(self, nodes, start: float, duration) -> np.ndarray:
         """P(node stays idle through the span) for many nodes at once.
 
-        ``duration`` is a scalar or a per-node array.  Returns a float64
-        array aligned with ``nodes``; entries for nodes without an
-        uploaded pattern are ``UNKNOWN``.
+        ``duration`` is a scalar or a per-node sequence.  Returns a
+        float64 array aligned with ``nodes``; entries for nodes without
+        an uploaded pattern are ``UNKNOWN``.  Inputs of at most
+        ``SCALAR_MAX_CELLS`` nodes x chunk columns take the per-node
+        loop, larger ones the numpy batch; both give the same bits.
         """
         nodes = list(nodes)
         n = len(nodes)
+        if isinstance(duration, np.ndarray) and n <= SCALAR_MAX_CELLS:
+            duration = duration.tolist()   # a float when 0-d
+        try:
+            durations = duration if len(duration) == n else None
+        except TypeError:   # a scalar
+            durations = [duration] * n
+        if durations is None:
+            raise ValueError(f"duration must be a scalar or shape ({n},)")
+        if not n or not self._grids:
+            return np.full(n, UNKNOWN)
+        if n <= SCALAR_MAX_CELLS:
+            bin_seconds = SECONDS_PER_DAY / max(self._width_counts)  # finest
+            first = start // bin_seconds
+            columns = (start + max(durations)) / bin_seconds - first
+            # The loop steps bin by bin: its bin numbers must be exact.
+            if (n * max(columns, 1.0) <= SCALAR_MAX_CELLS
+                    and abs(first) < 2.0 ** 52):
+                grids = map(self._grids.get, nodes)
+                return np.array([
+                    UNKNOWN if grid is None else grid.idle_through(start, d)
+                    for grid, d in zip(grids, durations)
+                ])
+        durations = np.asarray(durations, dtype=float)
         out = np.full(n, UNKNOWN)
-        if n == 0:
-            return out
-        durations = np.asarray(duration, dtype=float)
-        if durations.ndim == 0:
-            durations = np.full(n, float(durations))
-        elif durations.shape != (n,):
-            raise ValueError(
-                f"duration must be a scalar or shape ({n},), "
-                f"got {durations.shape}"
-            )
-        if not self._grids:
-            return out
-        if len(self._width_counts) == 1:
-            # Single bin width across every grid (the normal case: all
-            # LUPAs run the same configuration) — one index pass, no
-            # per-node grouping.
-            bins_per_day = next(iter(self._width_counts))
-            index = self._stack(bins_per_day)[0]
-            index_get = index.get
+        for bins_per_day in self._width_counts:   # one, unless mixed
+            index_get = self._stack(bins_per_day)[0].get
             rows = np.fromiter(
                 (index_get(node, -1) for node in nodes),
                 dtype=np.int64, count=n,
             )
-            if rows.min() >= 0:
-                idxs = np.arange(n)
-                known_rows = rows
-            else:
-                idxs = np.nonzero(rows >= 0)[0]
-                if not idxs.size:
-                    return out
-                known_rows = rows[idxs]
-            self._score_group(
-                known_rows, idxs, bins_per_day, start, durations, out
-            )
-            return out
-        groups: dict[int, list] = {}
-        for i, node in enumerate(nodes):
-            grid = self._grids.get(node)
-            if grid is not None:
-                groups.setdefault(grid.bins_per_day, []).append(i)
-        for bins_per_day, group in groups.items():
-            index = self._stack(bins_per_day)[0]
-            idxs = np.asarray(group)
-            rows = np.array([index[nodes[i]] for i in group])
-            self._score_group(rows, idxs, bins_per_day, start, durations, out)
+            idxs = np.nonzero(rows >= 0)[0]
+            if idxs.size:
+                self._score_group(
+                    rows[idxs], idxs, bins_per_day, start, durations, out
+                )
         return out
 
     def _stack(self, bins_per_day: int) -> tuple:
-        """(node -> row, busy stack, flat idle grid) for one bin width.
+        """(node -> row, flat idle grid) for one bin width.
 
         The idle factors are kept raveled (row-major, one 7*bins_per_day
         slab per node) so batch scoring can gather factors with a single
@@ -226,11 +249,10 @@ class Gupa:
                 if grid.bins_per_day == bins_per_day
             ]
             index = {node: row for row, (node, _) in enumerate(members)}
-            busy = np.stack([grid.busy for _, grid in members])
-            idle_flat = np.stack(
-                [grid.idle for _, grid in members]
-            ).reshape(len(members), -1).ravel()
-            cached = (index, busy, idle_flat)
+            idle_flat = np.concatenate(
+                [np.frombuffer(grid.idle) for _, grid in members]
+            )
+            cached = (index, idle_flat)
             self._stacks[bins_per_day] = cached
         return cached
 
@@ -238,7 +260,7 @@ class Gupa:
         self, rows, idxs, bins_per_day, start, durations, out
     ) -> None:
         """Score one same-bin-width group (stack rows ``rows``) into ``out``."""
-        _, busy_stack, idle_flat = self._stack(bins_per_day)
+        idle_flat = self._stack(bins_per_day)[1]
         bin_seconds = SECONDS_PER_DAY / bins_per_day
         group_durations = durations[idxs]
 
@@ -246,9 +268,10 @@ class Gupa:
         if nonpositive.any():
             dow = int(start // SECONDS_PER_DAY) % 7
             bin_index = int((start % SECONDS_PER_DAY) // bin_seconds)
-            out[idxs[nonpositive]] = (
-                1.0 - busy_stack[rows[nonpositive], dow, bin_index]
-            )
+            out[idxs[nonpositive]] = idle_flat[
+                rows[nonpositive] * (7 * bins_per_day)
+                + dow * bins_per_day + bin_index
+            ]
         positive = ~nonpositive
         if not positive.any():
             return

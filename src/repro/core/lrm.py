@@ -35,6 +35,8 @@ from typing import Optional
 from repro.checkpoint.store import MemoryCheckpointStore
 from repro.core.ncc import NodeControlCenter
 from repro.core.reservation import ReservationLedger
+from repro.orb.cdr import CdrEncoder, VARIANT
+from repro.orb.exceptions import MarshalError
 from repro.security.sandbox import Sandbox, SandboxPolicy, SandboxViolation
 from repro.sim.clock import SECONDS_PER_DAY
 from repro.sim.events import EventLoop
@@ -605,9 +607,11 @@ class Lrm:
     def _run_payload(self, record: RunningTask):
         """Execute the task's code in the owner-protecting sandbox.
 
-        Code that breaks the sandbox, or fails on its own, and a task id
-        without a number to index by, yield an ``__error__`` result: the
-        task fails, the node carries on."""
+        Code that breaks the sandbox, or fails on its own, a task id
+        without a number to index by, and a result the ORB's Variant
+        cannot carry, yield an ``__error__`` result: the task fails, the
+        node carries on — on a collocated grid and a marshalled one
+        alike."""
         if not record.payload:
             return None
         sandbox = Sandbox(self.sandbox_policy)
@@ -619,12 +623,17 @@ class Lrm:
                 "task_index": int(record.task_id.rsplit(".", 1)[-1])
                 if "." in record.task_id else 0,
             }
-            return sandbox.run(record.payload, inputs=inputs)
+            result = sandbox.run(record.payload, inputs=inputs)
         except SandboxViolation as exc:
             self.sandbox_violations += 1
-            return {"__error__": str(exc), "__audit__": sandbox.audit_log}
+            result = {"__error__": str(exc), "__audit__": sandbox.audit_log}
         except Exception as exc:
-            return {"__error__": f"{type(exc).__name__}: {exc}"}
+            result = {"__error__": f"{type(exc).__name__}: {exc}"}
+        try:
+            VARIANT.encode(CdrEncoder(), result)
+        except MarshalError as exc:
+            return {"__error__": f"result cannot cross the ORB: {exc}"}
+        return result
 
     def _evict(self, task_id: str, reason: str) -> None:
         record = self._running.pop(task_id, None)

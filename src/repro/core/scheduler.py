@@ -6,15 +6,17 @@ profile predicts a long idle span (Section 3: "the scheduler can place
 parallel applications on idle nodes with lower probability of becoming
 busy before the computation is completed").
 
-Pattern-aware ranking is array-native: the policy extracts per-offer
-numeric columns once per ordering, scores every candidate in one numpy
-pass through :meth:`Gupa.idle_probabilities`, and orders with a stable
-argsort on the negated scores, which reproduces
-``sorted(..., reverse=True)`` exactly, ties included (the seed per-offer
-ranking is the test tree's oracle for it).
+Pattern-aware ranking picks its path from the pool's size, as
+:meth:`Gupa.idle_probabilities` does: up to ``SCALAR_MAX_CELLS`` offers
+(a GRM's usual few dozen) are scored in one per-offer Python loop and
+ordered with ``sorted(..., reverse=True)``; a larger pool is scored in
+numpy columns and ordered with a stable argsort on the negated scores.
+Both reproduce the seed per-offer ranking's order exactly, ties included
+(the test tree's oracle), and rank NaN scores last.
 Fastest-first is a one-key sort and needs no arrays.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.spec import ApplicationSpec, VirtualTopologyRequest
-from repro.core.gupa import Gupa, UNKNOWN
+from repro.core.gupa import Gupa, SCALAR_MAX_CELLS, UNKNOWN
 from repro.sim.network import NetworkTopology
 
 
@@ -46,38 +48,25 @@ class ScheduleContext:
             return float("inf")
         return self.remaining_mips / rate
 
-    def arrays(self, offers: list) -> dict:
-        """Per-offer numeric columns for vectorized scoring."""
-        try:
-            # Direct subscripts: every GRM status offer carries these
-            # keys; the fallback keeps the seed's .get(..., 0.0) default
-            # for hand-built sparse offers.
-            mips_list = [o["mips"] for o in offers]
-            cpu_list = [o["cpu_free"] for o in offers]
-        except KeyError:
-            mips_list = [o.get("mips", 0.0) for o in offers]
-            cpu_list = [o.get("cpu_free", 0.0) for o in offers]
-        node_list = [o.get("node") for o in offers]
-        mips = np.array(mips_list, dtype=float)
-        cpu_free = np.array(cpu_list, dtype=float)
-        share = np.minimum(self.spec.requirements.cpu_fraction, cpu_free)
-        return {
-            "mips": mips,
-            "cpu_free": cpu_free,
-            "speed": mips * cpu_free,
-            "rate": mips * share,
-            "nodes": node_list,
-        }
 
+def _order_by_scores(offers: list, scores) -> list:
+    """Best-score-first with ties keeping input order, NaN scores last.
 
-def _order_by_scores(offers: list, scores: np.ndarray) -> list:
-    """Best-score-first with ties keeping input order.
-
-    ``np.argsort`` (stable) on the negated scores is exactly
+    ``np.argsort`` (stable) on an array's negated scores and ``sorted``
+    with ``reverse=True`` on a list both give exactly
     ``sorted(offers, key=score, reverse=True)``: descending by score,
     original order among equal scores.
     """
-    return [offers[i] for i in np.argsort(-scores, kind="stable")]
+    if isinstance(scores, np.ndarray):
+        ranked = np.argsort(-scores, kind="stable").tolist()
+        return [offers[i] for i in ranked]
+    key = scores.__getitem__
+    if sum(scores) != sum(scores):   # a NaN score: last, as in argsort
+        def key(i):
+            score = scores[i]
+            return (score == score, score if score == score else 0.0)
+    ranked = sorted(range(len(scores)), key=key, reverse=True)
+    return [offers[i] for i in ranked]
 
 
 class SchedulingPolicy:
@@ -140,35 +129,55 @@ class PatternAwarePolicy(SchedulingPolicy):
         self.unknown_probability = unknown_probability
 
     def order(self, offers: list, ctx: ScheduleContext) -> list:
-        if len(offers) <= 1:
+        n = len(offers)
+        if n <= 1:
             return list(offers)
-        arrays = ctx.arrays(offers)
-        speed = arrays["speed"]
+        if n > SCALAR_MAX_CELLS or ctx.gupa is None:
+            return self._order_batch(offers, ctx)
+        fraction = ctx.spec.requirements.cpu_fraction
+        remaining = ctx.remaining_mips
+        speeds, feasible, nodes, durations = [], [], [], []
+        for i, offer in enumerate(offers):
+            mips = offer.get("mips", 0.0)
+            cpu = offer.get("cpu_free", 0.0)
+            speeds.append(mips * cpu)
+            # As np.minimum: a NaN cpu_free is the share.
+            rate = mips * (fraction if cpu >= fraction else cpu)
+            if rate > 0.0:   # else an infinite duration: score 0
+                feasible.append(i)
+                nodes.append(offer.get("node"))
+                durations.append(remaining / rate)
+        p_idle = ctx.gupa.idle_probabilities(nodes, ctx.now, durations)
+        unknown = self.unknown_probability
+        scores = [0.0] * n
+        for i, p in zip(feasible, p_idle.tolist()):
+            scores[i] = speeds[i] * (unknown if p == UNKNOWN else p)
+        return _order_by_scores(offers, scores)
+
+    def _order_batch(self, offers: list, ctx: ScheduleContext) -> list:
+        try:   # every GRM status offer carries both keys
+            mips = [o["mips"] for o in offers]
+            cpu_free = [o["cpu_free"] for o in offers]
+        except KeyError:   # hand-built sparse offers: the seed's defaults
+            mips = [o.get("mips", 0.0) for o in offers]
+            cpu_free = [o.get("cpu_free", 0.0) for o in offers]
+        mips = np.array(mips, dtype=float)
+        cpu_free = np.array(cpu_free, dtype=float)
+        speed = mips * cpu_free
         if ctx.gupa is None:
             return _order_by_scores(offers, speed * self.unknown_probability)
-        rate = arrays["rate"]
+        rate = mips * np.minimum(ctx.spec.requirements.cpu_fraction, cpu_free)
         feasible = rate > 0.0   # rate <= 0 means infinite duration: score 0
-        if feasible.all():
-            durations = ctx.remaining_mips / rate
-            p_idle = ctx.gupa.idle_probabilities(
-                arrays["nodes"], ctx.now, durations
-            )
-            p_idle = np.where(
-                p_idle == UNKNOWN, self.unknown_probability, p_idle
-            )
-            return _order_by_scores(offers, speed * p_idle)
+        nodes = [o.get("node") for o in offers]
+        if not feasible.all():
+            nodes = list(itertools.compress(nodes, feasible))
+        p_idle = ctx.gupa.idle_probabilities(
+            nodes, ctx.now, ctx.remaining_mips / rate[feasible]
+        )
         scores = np.zeros(len(offers))
-        if feasible.any():
-            indices = np.nonzero(feasible)[0]
-            node_list = arrays["nodes"]
-            durations = ctx.remaining_mips / rate[indices]
-            p_idle = ctx.gupa.idle_probabilities(
-                [node_list[i] for i in indices], ctx.now, durations
-            )
-            p_idle = np.where(
-                p_idle == UNKNOWN, self.unknown_probability, p_idle
-            )
-            scores[indices] = speed[indices] * p_idle
+        scores[feasible] = speed[feasible] * np.where(
+            p_idle == UNKNOWN, self.unknown_probability, p_idle
+        )
         return _order_by_scores(offers, scores)
 
 

@@ -55,6 +55,10 @@ def _underrun(size: int, pos: int, data) -> MarshalError:
         f"buffer underrun: need {size} bytes at {pos}, have {len(data) - pos}")
 
 
+def _not_utf8(exc: UnicodeEncodeError) -> MarshalError:
+    return MarshalError(f"string is not UTF-8-encodable: {exc}")
+
+
 def _string_at(data, pos: int) -> tuple:
     """``(string, end)`` of the CDR string aligned at or after ``pos``."""
     pos += -pos & 3
@@ -131,7 +135,10 @@ class CdrEncoder:
     def write_string(self, value: str) -> None:
         if not isinstance(value, str):
             raise MarshalError(f"expected str, got {type(value).__name__}")
-        data = value.encode()
+        try:
+            data = value.encode()
+        except UnicodeEncodeError as exc:   # a lone surrogate
+            raise _not_utf8(exc) from None
         buf = self._buf
         # CDR counts the terminating NUL in the length prefix.
         buf += _PAD_ULONG[-len(buf) & 3](len(data) + 1)
@@ -600,7 +607,10 @@ class Variant(IdlType):
     name = "variant"
 
     def encode(self, enc, value):
-        _encode_variant(enc._buf, value, 0)
+        try:
+            _encode_variant(enc._buf, value, 0)
+        except UnicodeEncodeError as exc:   # a str value or dict key
+            raise _not_utf8(exc) from None
 
     def decode(self, dec):
         value, dec._pos = _decode_variant(dec._data, dec._pos, 0)

@@ -79,14 +79,12 @@ class Offer:
     ior: str
     properties: dict
 
-    def as_dict(self, copy_properties: bool = True) -> dict:
+    def as_dict(self) -> dict:
         return {
             "offer_id": self.offer_id,
             "service_type": self.service_type,
             "ior": self.ior,
-            "properties": (
-                dict(self.properties) if copy_properties else self.properties
-            ),
+            "properties": dict(self.properties),
         }
 
 
@@ -159,23 +157,36 @@ class TradingService:
         constraint: str = "",
         preference: str = "",
         max_offers: int = -1,
-        copy_properties: bool = True,
     ) -> list:
         """Matching offers as dicts, best-ranked first.
 
         ``max_offers`` < 0 means unlimited; ``max_offers == 0`` is an
         explicit "no offers" request and always returns ``[]`` (callers
         probing whether a match *exists* should pass 1).  Ties keep export
-        order so results are deterministic.  ``copy_properties=False``
-        returns property dicts aliasing the live offers — read-only use
-        only.  Malformed constraint or preference text raises
-        :class:`~repro.apps.constraints.ConstraintError` on every call.
+        order so results are deterministic.  Each dict carries a copy of
+        the offer's properties.  Malformed constraint or preference text
+        raises :class:`~repro.apps.constraints.ConstraintError` on every
+        call.
         """
         self.queries += 1
-        return self._timed_query(
-            service_type, constraint, preference, max_offers,
-            copy_properties,
-        )
+        return [
+            offer.as_dict() for offer in self._timed_query(
+                service_type, constraint, preference, max_offers
+            )
+        ]
+
+    def query_properties(
+        self, service_type: str, constraint: str = ""
+    ) -> list:
+        """The property dicts of the offers ``constraint`` matches, in
+        export order: the live dicts, for a collocated reader that only
+        reads them (the GRM).  Counted and timed as a :meth:`query`."""
+        self.queries += 1
+        return [
+            offer.properties for offer in self._timed_query(
+                service_type, constraint, "", -1
+            )
+        ]
 
     def _query(
         self,
@@ -183,7 +194,6 @@ class TradingService:
         constraint: str,
         preference: str,
         max_offers: int,
-        copy_properties: bool,
     ) -> list:
         # Parse both texts first: malformed input is refused even when
         # there is nothing to scan.
@@ -207,7 +217,7 @@ class TradingService:
                 matched.sort(key=lambda o: score(o.properties), reverse=True)
         if max_offers >= 0:
             matched = matched[:max_offers]
-        return [offer.as_dict(copy_properties) for offer in matched]
+        return matched
 
     @property
     def offer_count(self) -> int:

@@ -212,13 +212,13 @@ class TestOfferFiltering:
             add_lrm(name)
         grm.send_update(lrms["c"].status(net_free_mbps=900.0))
         queries = []
-        query = grm.trader.query
+        query = grm.trader.query_properties
 
-        def recording_query(service_type, constraint="", **kwargs):
+        def recording_query(service_type, constraint=""):
             queries.append(constraint)
-            return query(service_type, constraint=constraint, **kwargs)
+            return query(service_type, constraint)
 
-        monkeypatch.setattr(grm.trader, "query", recording_query)
+        monkeypatch.setattr(grm.trader, "query_properties", recording_query)
         extra = "net_free_mbps > 500"
         spec = ApplicationSpec(
             name="t", work_mips=1e6,

@@ -76,6 +76,10 @@ class TestPrimitives:
         with pytest.raises(MarshalError):
             roundtrip(String, 42)
 
+    def test_string_must_be_utf8_encodable(self):
+        with pytest.raises(MarshalError, match="not UTF-8-encodable"):
+            roundtrip(String, "a\ud800")
+
 
 class TestAlignment:
     def test_double_is_8_aligned(self):
@@ -181,6 +185,15 @@ class TestVariant:
     def test_non_string_dict_keys_rejected(self):
         with pytest.raises(MarshalError):
             roundtrip(VARIANT, {1: "x"})
+
+    @pytest.mark.parametrize("value", ["\udfff", {"\ud800": 1},
+                                       [{"k": ["ok", "\ud800"]}]],
+                             ids=["value", "key", "nested"])
+    def test_lone_surrogate_is_a_marshal_error_as_in_the_seed(self, value):
+        ours = encoded(VARIANT.encode, value)
+        assert ours[0] == "MarshalError"
+        assert "not UTF-8-encodable" in ours[1]
+        assert ours == encoded(oracle.encode, value)
 
 
 class TestDecoderRobustness:

@@ -152,3 +152,61 @@ class TestSandboxEnforcement:
         machine = grid.clusters["c0"].nodes["d0"].workstation.machine
         assert machine.grid_cpu == 0.0
         assert machine.grid_mem_mb == 0.0
+
+
+#: Payload results that a collocated grid used to hand over as Python
+#: objects and a marshalled grid could not send (``run_for`` raised and
+#: every cluster's event loop stopped).  Each now fails its task on both.
+UNSENDABLE_RESULTS = {
+    "lone_surrogate": "result = chr(0xd800)",
+    "int_beyond_64_bits": "result = 2 ** 70",
+    "list_150_deep": "result = []\nfor _ in range(150):\n    result = [result]",
+    "set": "result = {1, 2}",
+    "int_dict_key": "result = {1: 2}",
+}
+
+
+def make_wire_grid(auth_secret):
+    grid = Grid(seed=9, policy="first_fit", lupa_enabled=False,
+                auth_secret=auth_secret)
+    grid.add_cluster("c0")
+    grid.add_node("c0", "d0", dedicated=True)
+    grid.run_for(120)
+    return grid
+
+
+@pytest.mark.parametrize("auth_secret", [None, b"pin"],
+                         ids=["collocated", "marshalled"])
+class TestResultsCrossTheOrb:
+    @pytest.mark.parametrize("payload", list(UNSENDABLE_RESULTS.values()),
+                             ids=list(UNSENDABLE_RESULTS))
+    def test_unsendable_result_fails_the_task_not_the_grid(
+        self, auth_secret, payload
+    ):
+        grid = make_wire_grid(auth_secret)
+        job_id = grid.submit(ApplicationSpec(
+            name="odd", work_mips=1e4, metadata={"payload": payload},
+        ))
+        grid.run_for(SECONDS_PER_HOUR)   # never raises
+        task = grid.job(job_id).tasks[0]
+        assert task.state is TaskState.FAILED
+        assert task.result["__error__"].startswith(
+            "result cannot cross the ORB: ")
+        assert grid.clusters["c0"].nodes["d0"].lrm.running_tasks == []
+        follow_up = grid.submit(ApplicationSpec(
+            name="after", work_mips=1e4,
+            metadata={"payload": "result = 6 * 7"},
+        ))
+        assert grid.wait_for_job(follow_up, max_seconds=SECONDS_PER_HOUR)
+        assert grid.job(follow_up).tasks[0].result == 42
+
+    def test_nan_result_completes(self, auth_secret):
+        grid = make_wire_grid(auth_secret)
+        job_id = grid.submit(ApplicationSpec(
+            name="nan", work_mips=1e4,
+            metadata={"payload": "result = float('nan')"},
+        ))
+        grid.run_for(SECONDS_PER_HOUR)
+        task = grid.job(job_id).tasks[0]
+        assert task.state is TaskState.COMPLETED
+        assert task.result != task.result   # NaN, on both paths
