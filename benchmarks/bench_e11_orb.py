@@ -199,6 +199,45 @@ TRADER_CONSTRAINT = (
 )
 TRADER_PREFERENCE = "cpu_free * mips"
 
+#: The constraint ``Grm._offers_for`` builds for a default task (1 CPU,
+#: 16 MB): the Trader query every placement starts from
+#: (``tests/test_bench_imports.py`` checks a GRM still builds it).
+GRM_SCAN_CONSTRAINT = (
+    "sharing == true && cpu_free >= 1.0 && mem_free_mb >= 16.0"
+)
+GRM_SCAN_OFFERS = 128
+
+
+def build_status_pool(offers=GRM_SCAN_OFFERS):
+    """A trader holding ``offers`` node statuses shaped like an LRM's,
+    a third of them with a whole free CPU, and its offers in export
+    order."""
+    svc = TradingService()
+    exported = [
+        svc.offer(svc.export("node", f"ior:n{i:04}", {
+            **SAMPLE_STATUS,
+            "node": f"n{i:04}",
+            "cpu_free": (0.0, 0.5, 1.0)[i % 3],
+            "mem_free_mb": (8.0, 64.0, 180.0)[i // 3 % 3],
+            "sharing": i % 8 != 0,
+        }))
+        for i in range(offers)
+    ]
+    return svc, exported
+
+
+def measure_grm_scan(rounds=5, calls=2000):
+    """Best-of-``rounds`` ``query_properties`` calls/s for the GRM's
+    query over a 128-offer pool, its answer checked against the
+    linear oracle first."""
+    svc, offers = build_status_pool()
+    query = functools.partial(svc.query_properties, "node",
+                              GRM_SCAN_CONSTRAINT)
+    expected = [offer["properties"] for offer
+                in query_linear(offers, "node", GRM_SCAN_CONSTRAINT)]
+    assert expected and query() == expected
+    return _best_rate(query, rounds=rounds, calls=calls)
+
 
 def _best_rate(fn, rounds=5, calls=20):
     """Best-of-N calls/second for ``fn`` (rides out machine noise)."""
@@ -242,6 +281,12 @@ def test_e11_trader_query(benchmark):
     assert len(result) == 10
 
 
+def test_e11_trader_grm_scan(benchmark):
+    svc, _ = build_status_pool()
+    result = benchmark(svc.query_properties, "node", GRM_SCAN_CONSTRAINT)
+    assert len(result) == 24
+
+
 def test_e11_trader_query_linear_oracle(benchmark):
     _, offers = build_trader()
     result = benchmark(
@@ -252,9 +297,10 @@ def test_e11_trader_query_linear_oracle(benchmark):
 
 def test_e11_metrics_json(benchmark):
     """One self-contained pass producing every BENCH_E11.json metric:
-    wire sizes, marshalling bytes/s, plain collocated call rates, and
-    the Trader's compiled-scan query rate at 1000 offers next to the
-    interpreted linear oracle's.  The scan's rate keeps its historical
+    wire sizes, marshalling bytes/s, plain collocated call rates, the
+    Trader's compiled-scan query rate at 1000 offers next to the
+    interpreted linear oracle's, and the GRM's own query over 128 node
+    statuses (``trader_grm_scan_queries_per_s``).  The scan's rate keeps its historical
     key, ``trader_indexed_queries_per_s``: ``perf_smoke.py`` reads it
     from the committed BENCH_E11.json."""
     def measure():
@@ -279,10 +325,11 @@ def test_e11_metrics_json(benchmark):
         scan_qps = _best_rate(lambda: svc.query(*args))
         linear_qps = _best_rate(lambda: query_linear(offers, *args))
         return (sizes, msg_bytes, encodes_per_s, collocated, scan_qps,
-                linear_qps)
+                linear_qps, measure_grm_scan())
 
     (sizes, msg_bytes, enc_per_s, collocated, scan_qps,
-     linear_qps) = benchmark.pedantic(measure, rounds=1, iterations=1)
+     linear_qps, grm_scan_qps) = benchmark.pedantic(measure, rounds=1,
+                                                     iterations=1)
     save_json("E11", {
         "experiment": "e11_orb",
         "message_bytes": sizes,
@@ -293,6 +340,7 @@ def test_e11_metrics_json(benchmark):
         "trader_indexed_queries_per_s": round(scan_qps, 1),
         "trader_linear_queries_per_s": round(linear_qps, 1),
         "trader_speedup": round(scan_qps / linear_qps, 2),
+        "trader_grm_scan_queries_per_s": round(grm_scan_qps, 1),
     })
     assert scan_qps > linear_qps
 

@@ -1,7 +1,8 @@
 """CI perf smoke: remeasure the committed baselines, fail on a cliff.
 
 Remeasures the 32-node S1 simulator throughput (simulated hours per
-wall second), the 1000-offer trader query rate, the plain
+wall second), the 1000-offer trader query rate, the GRM's own Trader
+query over 128 node statuses (one compiled scan), the plain
 collocated two-way and oneway call rates (E11's bound stub), the S2
 pattern-aware ranking rate on both sides of the scoring paths' size
 cutover (1024 nodes with long spans: numpy; 48 nodes with one- or
@@ -41,6 +42,7 @@ from bench_e11_orb import (          # noqa: E402
     _best_rate,
     build_trader,
     measure_collocated,
+    measure_grm_scan,
 )
 from bench_s1_simulator_throughput import (  # noqa: E402
     build,
@@ -160,6 +162,10 @@ def main():
         qps = _best_rate(lambda: svc.query(*args))
         failures += not check(
             "E11 trader queries", qps, e11["trader_indexed_queries_per_s"]
+        )
+        failures += not check(
+            "E11 GRM scan queries (128 offers)", measure_grm_scan(),
+            e11["trader_grm_scan_queries_per_s"],
         )
         collocated = measure_collocated()
         for kind in ("twoway", "oneway"):

@@ -69,9 +69,11 @@ class ResourceRequirements:
                                  f"without '\"', got {value!r}")
         # Parse eagerly so syntax errors surface at submission time.
         # ``extra`` must parse on its own, so the parentheses it gets in
-        # :attr:`constraint` cannot change what the other terms mean.
+        # :attr:`constraint` cannot change what the other terms mean, and
+        # wrapped, since those parentheses nest it one level deeper.
         if self.extra:
             Constraint(self.extra)
+            Constraint(self.constraint)
 
     @cached_property
     def constraint(self) -> str:

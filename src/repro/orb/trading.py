@@ -8,7 +8,6 @@ and rank them with a preference expression, both in the language of
 language).
 """
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -91,10 +90,10 @@ class Offer:
 class TradingService:
     """An in-memory trader with constraint queries and preference ranking.
 
-    Offers are kept per service type in export order.  A query is one
-    pass of the constraint's compiled matcher over that type's offers,
-    then an optional preference ranking; the seed interpreter and sort
-    are the test tree's oracle for this method.
+    Offers are kept per service type in export order.  A query is the
+    constraint's compiled scan over that type's offers, then an optional
+    preference sort; the seed interpreter and sort are the test tree's
+    oracle for this method.
     """
 
     #: Always 0: no query is narrowed by an index.  Kept only because
@@ -196,25 +195,15 @@ class TradingService:
         max_offers: int,
     ) -> list:
         # Parse both texts first: malformed input is refused even when
-        # there is nothing to scan.
-        matches = Constraint(constraint)._match_fn
-        score = Preference(preference)._constraint._score_fn
+        # there is nothing to scan.  An empty preference ranks nothing.
+        scan = Constraint(constraint).scan
+        score = Preference(preference).score if preference.strip() else None
         if max_offers == 0:
             return []
-        pool = self._by_type.get(service_type, {})
-        matched = [o for o in pool.values() if matches(o.properties)]
-        if preference.strip():
-            if 0 <= max_offers < len(matched):
-                # Equivalent to the stable descending sort + slice below,
-                # in O(n log k) instead of O(n log n).  The index tiebreak
-                # makes tuple comparison total, so no key callback needed.
-                keyed = [
-                    (-score(o.properties), i) for i, o in enumerate(matched)
-                ]
-                top = heapq.nsmallest(max_offers, keyed)
-                matched = [matched[i] for _, i in top]
-            else:
-                matched.sort(key=lambda o: score(o.properties), reverse=True)
+        matched = scan(self._by_type.get(service_type, {}).values())
+        if score is not None:
+            # Stable: ties keep export order.
+            matched.sort(key=lambda o: score(o.properties), reverse=True)
         if max_offers >= 0:
             matched = matched[:max_offers]
         return matched

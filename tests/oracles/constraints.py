@@ -1,9 +1,9 @@
 """The seed constraint evaluator: walk the AST one node at a time.
 
-``Constraint`` compiles each expression to a Python function instead;
-``tests/test_property_based.py`` holds the compiled value, match and
-score to these, and ``tests/oracles/trading.py`` matches and ranks
-offers with them.
+``Constraint`` compiles each expression to one Python expression
+instead; ``tests/test_property_based.py`` holds the compiled value,
+match, score and scan to these, and ``tests/oracles/trading.py``
+matches and ranks offers with them.
 """
 
 from typing import Any, Mapping
@@ -31,12 +31,10 @@ def evaluate(node, props: Mapping[str, Any]) -> Any:
         return -value
     if kind == "not":
         return not _truthy(evaluate(node[1], props))
-    if kind == "and":
-        return _truthy(evaluate(node[1], props)) \
-            and _truthy(evaluate(node[2], props))
+    if kind == "and":       # one node per chain, terms left to right
+        return all(_truthy(evaluate(term, props)) for term in node[1:])
     if kind == "or":
-        return _truthy(evaluate(node[1], props)) \
-            or _truthy(evaluate(node[2], props))
+        return any(_truthy(evaluate(term, props)) for term in node[1:])
     if kind == "arith":
         op = node[1]
         lhs, rhs = evaluate(node[2], props), evaluate(node[3], props)
@@ -93,4 +91,7 @@ def score(text: str, props: Mapping[str, Any]) -> float:
         return float("-inf")
     if isinstance(result, bool):
         return 1.0 if result else 0.0
-    return float(result)
+    # NaN ranks with the undefined: below every defined score, so a
+    # heap top-k and a full sort agree and ties keep export order.
+    score = float(result)
+    return score if score == score else float("-inf")

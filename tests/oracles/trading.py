@@ -1,7 +1,7 @@
 """The seed Trader query: scan every offer, interpret, stable sort.
 
-``TradingService.query`` answers with one compiled-matcher pass over
-the service type's offers and a heap-based top-k;
+``TradingService.query`` answers with one compiled scan over the
+service type's offers and a sort on the compiled preference score;
 ``tests/test_trader_equivalence.py`` and ``benchmarks/bench_e11_orb.py``
 hold it to this.
 """

@@ -33,3 +33,28 @@ def test_bench_module_imports(path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert any(attr.startswith("test_") for attr in vars(module))
+
+
+def test_e11_grm_scan_text_is_what_a_grm_queries(monkeypatch):
+    """E11's ``trader_grm_scan_queries_per_s`` row times the query a GRM
+    sends for a default task; it must not drift from ``_offers_for``."""
+    from repro import ApplicationSpec, Grid
+
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    spec = importlib.util.spec_from_file_location(
+        "import_smoke_e11_text", os.path.join(BENCH_DIR, "bench_e11_orb.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    grid = Grid(seed=1, lupa_enabled=False)
+    grid.add_cluster("c0")
+    grid.add_node("c0", "n0", dedicated=True)
+    grid.run_for(60)
+    trader = grid.clusters["c0"].grm.trader
+    texts = []
+    query = trader.query_properties
+    monkeypatch.setattr(trader, "query_properties", lambda service, text: (
+        texts.append(text) or query(service, text)))
+    grid.submit(ApplicationSpec(name="t", work_mips=1e5))
+    grid.run_for(600)
+    assert texts and set(texts) == {bench.GRM_SCAN_CONSTRAINT}

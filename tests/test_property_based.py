@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.metrics import percentile
 from repro.apps.constraints import (
+    MAX_DEPTH,
     Constraint,
     ConstraintError,
     Preference,
@@ -149,16 +150,20 @@ class TestCheckpointProperties:
 # ---------------------------------------------------------------------------
 
 #: Operands of every type the language has: numbers, a string, booleans,
-#: and identifiers that are defined (as any of those) or missing.
-CONSTRAINT_LEAVES = ["a", "b", "s", "missing", "0", "1", "2.5", "'linux'",
-                     "true", "false"]
+#: and identifiers that are defined (as any of those, or as a list that
+#: no number orders against) or missing.
+CONSTRAINT_LEAVES = ["a", "b", "s", "t", "missing", "0", "1", "2.5",
+                     "'linux'", "true", "false"]
 CONSTRAINT_BINARY_OPS = ["+", "-", "*", "/", "==", "!=", "<", "<=", ">",
                          ">=", "&&", "||"]
+NAN = float("nan")
 CONSTRAINT_PROPS = [
     {},
-    {"a": 1.5, "b": 0.0, "s": "linux"},
-    {"a": True, "b": -2.5, "s": 1.0},
-    {"a": -0.0, "b": 1e308, "s": "x"},
+    {"a": 1.5, "b": 0.0, "s": "linux", "t": 1},
+    {"a": True, "b": -2.5, "s": 1.0, "t": "linux"},
+    {"a": -0.0, "b": 1e308, "s": "x", "t": [1, 2]},
+    {"a": NAN, "b": float("inf"), "s": "", "t": []},
+    {"a": 1, "b": False, "s": float("-inf")},
 ]
 
 constraint_texts = st.recursive(
@@ -169,25 +174,48 @@ constraint_texts = st.recursive(
         e.map(lambda t: f"!({t})"),
         e.map(lambda t: f"-({t})"),
     ),
-    max_leaves=6,
+    max_leaves=8,
 )
 constraint_props = st.fixed_dictionaries({}, optional={
-    "a": st.one_of(finite_floats, st.booleans()),
-    "b": st.sampled_from([0.0, 1.0, -2.5, 1e308]),
-    "s": st.sampled_from(["linux", "x", 1.0]),
+    "a": st.one_of(finite_floats, st.booleans(), st.integers(-3, 3),
+                   st.sampled_from([NAN, float("inf"), float("-inf")])),
+    "b": st.sampled_from([0.0, 1.0, -2.5, 1e308, 0, 1, True, False]),
+    "s": st.sampled_from(["linux", "x", "", 1.0]),
+    "t": st.sampled_from([[1, 2], [], "linux", 1, None]),
 })
 
 
+def outcome(fn):
+    """``repr`` of what ``fn()`` returns (so NaN, -0.0 and UNDEFINED
+    compare), or the type of what it raises."""
+    try:
+        return repr(fn())
+    except Exception as exc:          # noqa: BLE001 - compared, not hidden
+        return type(exc)
+
+
+class _Offer:
+    def __init__(self, properties):
+        self.properties = properties
+
+
 def assert_agrees_with_oracle(text, props):
-    """Value, match and score of the compiled expression are exactly the
-    seed interpreter's (``repr`` so NaN, -0.0 and UNDEFINED compare)."""
+    """Value, match, score and scan of the compiled expression are
+    exactly the seed interpreter's, and raise where it raises (an
+    unorderable comparison, arithmetic on a list)."""
     constraint = Constraint(text)
-    assert repr(constraint.value(props)) \
-        == repr(constraint_oracle.value(text, props)), (text, props)
-    assert constraint.matches(props) \
-        == constraint_oracle.matches(text, props), (text, props)
-    assert repr(Preference(text).score(props)) \
-        == repr(constraint_oracle.score(text, props)), (text, props)
+    assert outcome(lambda: constraint.value(props)) \
+        == outcome(lambda: constraint_oracle.value(text, props)), (text, props)
+    assert outcome(lambda: constraint.matches(props)) \
+        == outcome(lambda: constraint_oracle.matches(text, props)), \
+        (text, props)
+    assert outcome(lambda: Preference(text).score(props)) \
+        == outcome(lambda: constraint_oracle.score(text, props)), (text, props)
+    offers = [_Offer(props), _Offer({}), _Offer(props)]
+    assert outcome(lambda: constraint.scan(offers)) == outcome(lambda: [
+        offer for offer in offers
+        if constraint_oracle.matches(text, offer.properties)
+    ]), (text, props)
 
 
 class TestConstraintProperties:
@@ -195,14 +223,52 @@ class TestConstraintProperties:
         texts = [f"{x} {op} {y}" for x in CONSTRAINT_LEAVES
                  for op in CONSTRAINT_BINARY_OPS for y in CONSTRAINT_LEAVES]
         texts += [f"{op}{x}" for op in "!-" for x in CONSTRAINT_LEAVES]
+        # An operand that may raise (an unorderable comparison, negating
+        # a list) is evaluated even when the other one is UNDEFINED.
+        for raiser in ("(t < a)", "-t"):
+            texts += [f"{x} {op} {raiser}" for x in CONSTRAINT_LEAVES
+                      for op in CONSTRAINT_BINARY_OPS]
+            texts += [f"{raiser} {op} {x}" for x in CONSTRAINT_LEAVES
+                      for op in CONSTRAINT_BINARY_OPS]
         for text in texts:
             for props in CONSTRAINT_PROPS:
                 assert_agrees_with_oracle(text, props)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(constraint_texts, constraint_props)
     def test_nested_expressions_agree_with_oracle(self, text, props):
         assert_agrees_with_oracle(text, props)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(CONSTRAINT_LEAVES + ["-a", "a * b",
+                                                         "!(s == t)"]),
+                    min_size=2, max_size=MAX_DEPTH - 1),
+           st.sampled_from(["&&", "||"]), st.booleans(), constraint_props)
+    def test_flattened_chains_agree_with_oracle(self, terms, op, right,
+                                                props):
+        """A chain of one operator parses to one n-ary node and compiles
+        flat; right-nested, or mixed with the other operator, it keeps
+        its grouping."""
+        text = f" {op} ".join(terms) if not right else \
+            f" {op} (".join(terms) + ")" * (len(terms) - 1)
+        assert_agrees_with_oracle(text, props)
+        other = "||" if op == "&&" else "&&"
+        assert_agrees_with_oracle(f"({text}) {other} ({text})", props)
+
+    @pytest.mark.parametrize("depth", [1, 2, MAX_DEPTH // 2, MAX_DEPTH])
+    def test_every_shape_at_the_nesting_bound_agrees(self, depth):
+        shapes = [
+            "-" * depth + "a", "!" * depth + "t",
+            "(" * depth + "s" + ")" * depth,
+            " + ".join(["a"] * depth) + " >= b",
+            "a / (" * (depth - 1) + "b" + ")" * (depth - 1),
+            "(t < a) - (" * (depth - 1) + "a" + ")" * (depth - 1),
+            "(a != s) == (" * (depth - 1) + "b" + ")" * (depth - 1),
+            "s != (" * (depth - 1) + "t" + ")" * (depth - 1),
+        ]
+        for text in shapes:
+            for props in CONSTRAINT_PROPS:
+                assert_agrees_with_oracle(text, props)
 
     @given(finite_floats, finite_floats)
     def test_comparisons_match_python(self, a, b):

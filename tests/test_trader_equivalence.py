@@ -1,8 +1,9 @@
 """Equivalence suite: the Trader's compiled scan vs the linear oracle.
 
-:meth:`TradingService.query` answers with one pass of a compiled
-constraint matcher over the service type's offers in export order, and
-a heap-based top-k.  ``tests/oracles/trading.py::query_linear`` is the
+:meth:`TradingService.query` answers with the constraint's compiled
+scan, one comprehension over the service type's offers in export
+order, and a stable sort on the compiled preference score.
+``tests/oracles/trading.py::query_linear`` is the
 seed implementation — interpreted evaluator, full scan, stable sort.
 The two must return *identical offers in identical rank order* for
 every constraint, preference, and ``max_offers``; hypothesis drives
@@ -22,12 +23,17 @@ from tests.oracles.trading import query_linear
 # Finite value pools force the True/1/1.0 equality unification the
 # compiled matcher must mirror.  ``tags`` is sometimes unhashable (a
 # list) — such offers can never satisfy ``attr == literal`` and must be
-# skipped, not crash the scan.
+# skipped, not crash the scan; against a number it is unorderable, and
+# both paths must raise.  NaN and the infinities reach the arithmetic
+# and the preference scores (a NaN score ranks as undefined).  One NaN
+# object is shared, so answers that carry it compare equal.
+NAN = float("nan")
+INF = float("inf")
 ATTR_VALUES = {
-    "mips": [250, 500.0, 750.0, 1000.0, True],
+    "mips": [250, 500.0, 750.0, 1000.0, True, NAN, INF],
     "os": ["linux", "solaris", "irix", 5],
     "sharing": [True, False, 0, 1],
-    "cpu_free": [0.0, 0.25, 0.5, 1.0],
+    "cpu_free": [0.0, 0.25, 0.5, 1.0, -INF, NAN],
     "tags": [[1, 2], "x", 1],
 }
 
@@ -47,6 +53,21 @@ ATOMS = [
     "tags == 1",
     "missing == 1",
     "missing >= 2",
+    # Arithmetic, negation and division: the value paths the
+    # preferences alone used to reach.
+    "mips * cpu_free >= 250",
+    "mips + cpu_free > 500",
+    "mips - 2 * cpu_free <= 999",
+    "-mips < -600",
+    "-(cpu_free) == 0",
+    "mips / cpu_free >= 1000",
+    "1 / cpu_free > 1",
+    "(cpu_free < mips) + 1 == 2",
+    # Property against property.
+    "mips > cpu_free",
+    "mips == sharing",
+    "os != tags",
+    "tags < os",
 ]
 
 PREFERENCES = [
@@ -58,6 +79,8 @@ PREFERENCES = [
     "missing",               # UNDEFINED score -> ranked last
     "mips - cpu_free",
     "cpu_free > 0.2",        # boolean score
+    "-mips",
+    "mips * cpu_free - mips",   # inf - inf, NaN * x: NaN -> ranked last
 ]
 
 properties = st.fixed_dictionaries(
@@ -78,7 +101,7 @@ constraints = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(
     offers=st.lists(properties, max_size=12),
     constraint=constraints,
@@ -164,3 +187,23 @@ def test_index_survives_unhashable_and_missing_values():
     assert svc.query("node", "tags == 1") == []
     svc.withdraw(a)
     assert [o["offer_id"] for o in svc.query("node", "mips == 500")] == [b]
+
+
+@pytest.mark.parametrize("terms", [3, 990])
+def test_long_chain_query_equals_its_strongest_term(terms):
+    """A flat chain of any length compiles to one scan; its answer is the
+    answer of the one term that decides it."""
+    svc = TradingService()
+    offers = [svc.offer(svc.export("node", f"ior:{i}", {"mips": float(i)}))
+              for i in range(terms + 2)]
+    conj = " && ".join(f"mips >= {i}" for i in range(terms))
+    disj = " || ".join(f"mips == {i}" for i in range(terms))
+    for constraint, decider in ((conj, f"mips >= {terms - 1}"),
+                                (disj, f"mips < {terms}")):
+        for preference, k in (("", -1), ("mips", 3)):
+            args = ("node", constraint, preference, k)
+            assert svc.query(*args) == query_linear(
+                offers, "node", decider, preference, k)
+        assert svc.query_properties("node", constraint) == [
+            offer["properties"] for offer
+            in query_linear(offers, "node", decider)]
