@@ -18,7 +18,10 @@ Reported per row: pass latency (ms), offers ranked per second, and the
 product-over-oracle speedup; every row first checks its order against
 the oracle's.  The committed ``BENCH_S2.json`` is the baseline the CI
 perf smoke compares against (the 1024-node row, which must show >= 5x,
-and the short-span row).
+and the short-span row).  Its ``steady_state_probe`` key holds what the
+loop side of the cutover buys: the peak RSS and the time of ``import
+repro`` in a process whose grid run never loads numpy
+(``steady_state_probe.py``, best of five fresh processes).
 """
 
 import time
@@ -31,6 +34,7 @@ from repro.core.gupa import Gupa
 from repro.core.scheduler import PatternAwarePolicy, ScheduleContext
 
 from conftest import run_once, save_json, save_result
+from steady_state_probe import measure_probe
 from tests.oracles import scheduler as scheduler_oracle
 
 SIZES = (64, 256, 1024)
@@ -155,11 +159,17 @@ def run_experiment():
 def test_s2_scheduler_throughput(benchmark):
     table, rows = run_once(benchmark, run_experiment)
     save_result("s2_scheduler_throughput", table.render())
+    probe = measure_probe()
+    assert not probe["numpy_loaded"], "a grid's steady state loaded numpy"
     save_json("S2", {
         "experiment": "s2_scheduler_throughput",
         "bins_per_day": BINS_PER_DAY,
         "patternless_fraction": PATTERNLESS_FRACTION,
         "rows": rows,
+        "steady_state_probe": {
+            "import_rss_mb": probe["import_rss_mb"],
+            "import_s": probe["import_s"],
+        },
     })
     at_scale = next(
         r for r in rows

@@ -6,10 +6,12 @@ query over 128 node statuses (one compiled scan), the plain
 collocated two-way and oneway call rates (E11's bound stub), the S2
 pattern-aware ranking rate on both sides of the scoring paths' size
 cutover (1024 nodes with long spans: numpy; 48 nodes with one- or
-two-bin spans: the per-offer loop), the 10k-node S3 information-plane run,
-the 256-cluster S5 wide-area run, and the S6 oneway-storm / CDR /
-variant / TCP communication-plane run (reusing the benchmark modules'
-own set-up functions, so the measured workload cannot drift from what
+two-bin spans: the per-offer loop) and, next to them, the steady-state
+probe (``steady_state_probe.py``: a grid run that must not load numpy,
+and the RSS of ``import repro``; its time is printed), the 10k-node S3
+information-plane run, the 256-cluster S5 wide-area run, and the S6
+oneway-storm / CDR / variant / TCP communication-plane run (reusing the
+benchmark modules' own set-up functions, so the measured workload cannot drift from what
 produced the baseline), then compares against the committed
 ``BENCH_S1.json`` / ``BENCH_E11.json`` / ``BENCH_S2.json`` /
 ``BENCH_S3.json`` / ``BENCH_S5.json`` / ``BENCH_S6.json``.  A drop of
@@ -66,6 +68,7 @@ from bench_s2_scheduler_throughput import (  # noqa: E402
     build_workload,
     make_ctx,
 )
+from steady_state_probe import measure_probe  # noqa: E402
 from repro.core.scheduler import PatternAwarePolicy  # noqa: E402
 
 from conftest import load_json       # noqa: E402
@@ -133,6 +136,17 @@ def check(name, measured, baseline, unit="/s"):
     print(f"{name}: measured {measured:,.0f}{unit}, "
           f"baseline {baseline:,.0f}{unit}, "
           f"floor {floor:,.0f}{unit} -> {verdict}")
+    return ok
+
+
+def check_ceiling(name, measured, baseline, unit):
+    """``check`` for a cost: fail on a rise of more than ``TOLERANCE``."""
+    ceiling = baseline * (1.0 + TOLERANCE)
+    ok = measured <= ceiling
+    verdict = "ok" if ok else "REGRESSION"
+    print(f"{name}: measured {measured:,.3f}{unit}, "
+          f"baseline {baseline:,.3f}{unit}, "
+          f"ceiling {ceiling:,.3f}{unit} -> {verdict}")
     return ok
 
 
@@ -204,6 +218,24 @@ def main():
             f"S2 pattern-aware ranking ({nodes} nodes, 1-2 bin spans)",
             nodes / pass_s, baseline,
         )
+        # What the loop side buys: a steady state that never loads numpy.
+        probe = measure_probe()
+        loaded = probe["numpy_loaded"]
+        print(f"Steady-state probe: numpy "
+              f"{'loaded' if loaded else 'not loaded'} -> "
+              f"{'REGRESSION' if loaded else 'ok'}")
+        failures += loaded
+        baseline = s2["steady_state_probe"]
+        failures += not check_ceiling(
+            "Steady-state probe: import repro RSS", probe["import_rss_mb"],
+            baseline["import_rss_mb"], " MiB",
+        )
+        # Reported, not gated: a 0.1 s import swings ±40 % with the
+        # neighbours' load, and what would move it (numpy loading) fails
+        # the two gates above.
+        print(f"Steady-state probe: import repro time "
+              f"{probe['import_s']:.3f} s, baseline "
+              f"{baseline['import_s']:.3f} s (not gated)")
 
     s3 = load_json("S3")
     if s3 is None:

@@ -1,13 +1,9 @@
-"""Statistical analysis: clustering for usage patterns, and experiment metrics."""
+"""Statistical analysis: clustering for usage patterns, and experiment metrics.
 
-from repro.analysis.clustering import ClusteringResult, kmeans, silhouette_score
+``repro.analysis.clustering`` (k-means, on numpy) is imported by what
+clusters, not here, so that running a grid does not load numpy.
+"""
+
 from repro.analysis.metrics import Table, describe, percentile
 
-__all__ = [
-    "ClusteringResult",
-    "kmeans",
-    "silhouette_score",
-    "Table",
-    "describe",
-    "percentile",
-]
+__all__ = ["Table", "describe", "percentile"]

@@ -163,7 +163,8 @@ class Grm:
         self._pending: deque = deque()
         #: job_id -> the BSP coordinator of every BSP job this GRM runs.
         self.coordinators: dict[str, BspGridCoordinator] = {}
-        self._asct_stubs: dict[str, object] = {}     # job_id -> callback stub
+        self._asct_iors: dict[str, str] = {}         # job_id -> ASCT IOR
+        self._asct_stubs: dict[str, object] = {}     # ASCT IOR -> its stub
         self._parent = None
         self._job_ids = itertools.count()
         self._update_interval_hint = update_interval_hint
@@ -215,8 +216,10 @@ class Grm:
 
     # servant operation
     def register_asct(self, job_id: str, asct_ior: str) -> None:
-        """Attach the submitting ASCT for progress notifications."""
-        self._asct_stubs[job_id] = self._orb.stub(asct_ior, ASCT_INTERFACE)
+        """Attach the submitting ASCT (one stub for all its jobs)."""
+        if asct_ior not in self._asct_stubs:
+            self._asct_stubs[asct_ior] = self._orb.stub(asct_ior, ASCT_INTERFACE)
+        self._asct_iors[job_id] = asct_ior
 
     def lrm_stub(self, node: str):
         """The LRM stub for a registered node (for coordinators)."""
@@ -932,11 +935,11 @@ class Grm:
         # The job is paced where it now runs, not here.
         self.coordinators.pop(job.job_id, None)
         self.stats.jobs_forwarded += 1
-        asct = self._asct_stubs.get(job.job_id)
-        if asct is not None:
+        asct_ior = self._asct_iors.get(job.job_id)
+        if asct_ior is not None:
             # Later events reach the ASCT under the id ``forwarded`` names.
             try:
-                self._parent.register_asct(remote_id, asct.ref.to_string())
+                self._parent.register_asct(remote_id, asct_ior)
             except OrbError:
                 pass
         self._emit(job.job_id, "forwarded", remote_id)
@@ -945,10 +948,10 @@ class Grm:
     # -- notifications ---------------------------------------------------------------------
 
     def _emit(self, job_id: str, event: str, detail: str) -> None:
-        stub = self._asct_stubs.get(job_id)
-        if stub is not None:
+        asct_ior = self._asct_iors.get(job_id)
+        if asct_ior is not None:
             try:
-                stub.job_event(job_id, event, detail)
+                self._asct_stubs[asct_ior].job_event(job_id, event, detail)
             except OrbError:
                 pass
 

@@ -6,26 +6,27 @@ this task?"  (Paper, Section 4: "This information is made available to
 the GRM, which can make better scheduling decisions due to the
 possibility of predicting a node's idle periods.")
 
-Profiles are validated and normalized at upload into (7, bins_per_day)
-busy grids, with the per-bin ``1 - busy`` idle factors precomputed into
-a flat ``array('d')`` per node.  :meth:`Gupa.idle_probabilities` picks
-its path from the input's size, nodes x chunk columns: up to
-``SCALAR_MAX_CELLS`` a per-node Python loop (a GRM's pool of a few dozen
-offers over a bin or two costs less than numpy's per-call fixed cost),
-above it one numpy batch per bin width; a one-node query is the loop.
-Both multiply the *exact same factor sequence* the seed's per-node,
-bin-by-bin loop multiplies — whole bins as plain grid factors
-(``pow(x, 1.0) == x`` bit-exactly), fractional edge bins raised to their
-coverage weight with ``math.pow`` — left to right from 1.0, so results
-are bit-identical to that loop, which the test tree keeps as its oracle
-over the uploaded pattern dicts.
+Profiles are validated at upload and kept as a flat ``array('d')`` of
+busy values per node (row-major, 7 x bins_per_day); a bin's idle factor
+``1 - busy`` is taken where it is multiplied in.
+:meth:`Gupa.idle_probabilities` picks its path from the input's size,
+nodes x chunk columns: up to ``SCALAR_MAX_CELLS`` a per-node Python loop
+(a GRM's pool of a few dozen offers over a bin or two), above it one
+numpy batch per bin width, the only code here that imports numpy; a
+one-node query is the loop.  Both return an ``array('d')`` and multiply
+the *exact same factor sequence* the seed's per-node, bin-by-bin loop
+multiplies — whole bins as plain grid factors (``pow(x, 1.0) == x``
+bit-exactly), fractional edge bins raised to their coverage weight with
+``math.pow`` — left to right from 1.0, so results are bit-identical to
+that loop, which the test tree keeps as its oracle over the uploaded
+pattern dicts.
 """
 
 import math
+import operator
 from array import array
+from itertools import chain
 from typing import Optional
-
-import numpy as np
 
 from repro.sim.clock import SECONDS_PER_DAY
 
@@ -41,27 +42,27 @@ _CHUNK_COLUMNS = 2048
 #: crossover of whole ranking calls (docs/performance.md §5).
 SCALAR_MAX_CELLS = 192
 
+_NUMBER_TYPES = frozenset((int, float))
 
 class _PatternGrid:
     """One node's profile, normalized for scoring."""
 
-    __slots__ = ("bins_per_day", "bin_seconds", "busy", "idle")
+    __slots__ = ("bins_per_day", "bin_seconds", "busy")
 
-    def __init__(self, bins_per_day: int, busy: np.ndarray) -> None:
+    def __init__(self, bins_per_day: int, busy: array) -> None:
         self.bins_per_day = bins_per_day
         self.bin_seconds = SECONDS_PER_DAY / bins_per_day
         self.busy = busy
-        self.idle = array("d", (1.0 - busy).tobytes())
 
     def idle_through(self, start: float, duration: float) -> float:
         """P(idle through the span): the seed's bin-by-bin loop.  Chunks
         after the first start on bin boundaries: the next column."""
-        idle = self.idle
+        busy = self.busy
         bin_seconds = self.bin_seconds
         column = (int(start // SECONDS_PER_DAY) % 7 * self.bins_per_day
                   + int((start % SECONDS_PER_DAY) // bin_seconds))
         if duration <= 0:
-            return idle[column]
+            return 1.0 - busy[column]
         probability = 1.0
         t = start
         end = start + duration
@@ -69,11 +70,11 @@ class _PatternGrid:
             bin_end = (t // bin_seconds + 1) * bin_seconds
             stop = bin_end if bin_end < end else end
             weight = (stop - t) / bin_seconds
-            factor = idle[column]
+            factor = 1.0 - busy[column]
             probability *= (
                 factor if weight == 1.0 else math.pow(factor, weight))
             t = stop
-            column = (column + 1) % len(idle)
+            column = (column + 1) % len(busy)
         return probability
 
 
@@ -103,10 +104,11 @@ class Gupa:
         """Store (or refresh) a node's weekly profile.
 
         Reachable over the ORB, so everything is checked before anything
-        is stored: shape, bin width, and every busy value a probability
-        (finite, in [0, 1]) — one out-of-range value would turn the
-        node's idle probabilities into UNKNOWN, NaN or a domain error
-        inside the GRM's schedule pass.
+        is stored: shape, bin width, and every busy value an ``int`` or
+        ``float`` (not a ``bool``) that is a probability (finite, in
+        [0, 1]) — one out-of-range value would turn the node's idle
+        probabilities into UNKNOWN, NaN or a domain error inside the
+        GRM's schedule pass.
         """
         if pattern is None:
             return
@@ -116,13 +118,14 @@ class Gupa:
         if len(weekly) != 7:
             raise ValueError("weekly profile must have 7 rows")
         bins_per_day = pattern["bins_per_day"]
-        if isinstance(bins_per_day, bool) or not isinstance(
-            bins_per_day, (int, np.integer)
-        ):
+        try:
+            if isinstance(bins_per_day, bool):
+                raise TypeError
+            bins_per_day = operator.index(bins_per_day)
+        except TypeError:
             raise ValueError(
                 f"bins_per_day must be an integer, got {bins_per_day!r}"
-            )
-        bins_per_day = int(bins_per_day)
+            ) from None
         if bins_per_day <= 0 or SECONDS_PER_DAY % bins_per_day:
             raise ValueError(
                 f"bins_per_day must divide the {SECONDS_PER_DAY}-second "
@@ -133,9 +136,16 @@ class Gupa:
                 f"every weekly row must have bins_per_day={bins_per_day} "
                 "entries"
             )
-        busy = np.asarray(weekly, dtype=float)
-        # NaN fails both comparisons, so this also rejects non-finite values.
-        if not ((busy >= 0.0) & (busy <= 1.0)).all():
+        values = list(chain.from_iterable(weekly))
+        # C-level passes: the types (an int or float, never a bool), then
+        # the sum and the range.  A NaN fails min's or max's comparison
+        # only where it comes first; the sum is NaN wherever one is.
+        numbers = _NUMBER_TYPES.issuperset(map(type, values)) or all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in values)
+        total = sum(values) if numbers else math.nan
+        if not (total == total and 0.0 <= min(values)
+                and max(values) <= 1.0):
             raise ValueError(
                 f"busy values for node {node!r} must be finite "
                 "probabilities in [0, 1]"
@@ -143,7 +153,7 @@ class Gupa:
         previous = self._grids.get(node)
         if previous is not None:
             self._count_width(previous.bins_per_day, -1)
-        self._grids[node] = _PatternGrid(bins_per_day, busy)
+        self._grids[node] = _PatternGrid(bins_per_day, array("d", values))
         self._count_width(bins_per_day, +1)
         self._stacks_dirty = True
         self.uploads += 1
@@ -171,7 +181,7 @@ class Gupa:
             return UNKNOWN
         dow = int(when // SECONDS_PER_DAY) % 7
         bin_index = int((when % SECONDS_PER_DAY) // grid.bin_seconds)
-        return float(grid.busy[dow, bin_index])
+        return grid.busy[dow * grid.bins_per_day + bin_index]
 
     def idle_probability(self, node: str, start: float, duration: float) -> float:
         """P(node stays idle through the span), or UNKNOWN.
@@ -180,22 +190,23 @@ class Gupa:
         uploaded profile so the GRM never needs to call back to nodes.
         One node's entry of :meth:`idle_probabilities`.
         """
-        return float(self.idle_probabilities((node,), start, duration)[0])
+        return self.idle_probabilities((node,), start, duration)[0]
 
     # -- batch scoring -----------------------------------------------------------
 
-    def idle_probabilities(self, nodes, start: float, duration) -> np.ndarray:
+    def idle_probabilities(self, nodes, start: float, duration) -> array:
         """P(node stays idle through the span) for many nodes at once.
 
-        ``duration`` is a scalar or a per-node sequence.  Returns a
-        float64 array aligned with ``nodes``; entries for nodes without
-        an uploaded pattern are ``UNKNOWN``.  Inputs of at most
-        ``SCALAR_MAX_CELLS`` nodes x chunk columns take the per-node
-        loop, larger ones the numpy batch; both give the same bits.
+        ``duration`` is a scalar or a per-node sequence (a numpy array
+        too).  Returns a float64 ``array('d')`` aligned with ``nodes``;
+        entries for nodes without an uploaded pattern are ``UNKNOWN``.
+        Inputs of at most ``SCALAR_MAX_CELLS`` nodes x chunk columns take
+        the per-node loop, larger ones the numpy batch; both give the
+        same bits.
         """
         nodes = list(nodes)
         n = len(nodes)
-        if isinstance(duration, np.ndarray) and n <= SCALAR_MAX_CELLS:
+        if hasattr(duration, "tolist"):   # numpy or array('d')
             duration = duration.tolist()   # a float when 0-d
         try:
             durations = duration if len(duration) == n else None
@@ -204,7 +215,7 @@ class Gupa:
         if durations is None:
             raise ValueError(f"duration must be a scalar or shape ({n},)")
         if not n or not self._grids:
-            return np.full(n, UNKNOWN)
+            return array("d", [UNKNOWN]) * n
         if n <= SCALAR_MAX_CELLS:
             bin_seconds = SECONDS_PER_DAY / max(self._width_counts)  # finest
             first = start // bin_seconds
@@ -213,12 +224,14 @@ class Gupa:
             if (n * max(columns, 1.0) <= SCALAR_MAX_CELLS
                     and abs(first) < 2.0 ** 52):
                 grids = map(self._grids.get, nodes)
-                return np.array([
+                return array("d", [
                     UNKNOWN if grid is None else grid.idle_through(start, d)
                     for grid, d in zip(grids, durations)
                 ])
+        import numpy as np
         durations = np.asarray(durations, dtype=float)
-        out = np.full(n, UNKNOWN)
+        scores = array("d", [UNKNOWN]) * n
+        out = np.frombuffer(scores)   # a writable view
         for bins_per_day in self._width_counts:   # one, unless mixed
             index_get = self._stack(bins_per_day)[0].get
             rows = np.fromiter(
@@ -230,7 +243,7 @@ class Gupa:
                 self._score_group(
                     rows[idxs], idxs, bins_per_day, start, durations, out
                 )
-        return out
+        return scores
 
     def _stack(self, bins_per_day: int) -> tuple:
         """(node -> row, flat idle grid) for one bin width.
@@ -244,13 +257,14 @@ class Gupa:
             self._stacks_dirty = False
         cached = self._stacks.get(bins_per_day)
         if cached is None:
+            import numpy as np
             members = [
                 (node, grid) for node, grid in self._grids.items()
                 if grid.bins_per_day == bins_per_day
             ]
             index = {node: row for row, (node, _) in enumerate(members)}
-            idle_flat = np.concatenate(
-                [np.frombuffer(grid.idle) for _, grid in members]
+            idle_flat = 1.0 - np.concatenate(
+                [np.frombuffer(grid.busy) for _, grid in members]
             )
             cached = (index, idle_flat)
             self._stacks[bins_per_day] = cached
@@ -260,6 +274,7 @@ class Gupa:
         self, rows, idxs, bins_per_day, start, durations, out
     ) -> None:
         """Score one same-bin-width group (stack rows ``rows``) into ``out``."""
+        import numpy as np
         idle_flat = self._stack(bins_per_day)[1]
         bin_seconds = SECONDS_PER_DAY / bins_per_day
         group_durations = durations[idxs]

@@ -8,15 +8,15 @@ behavioral categories."  Here a *period* is one day, binned into
 periods yields the behavioural categories, and each weekday is mapped to
 its most frequent category, giving a weekly busy-probability profile.
 Every finished day re-clusters the whole history from scratch, so the
-profile is a pure function of the periods seen and the seed.
+profile is a pure function of the periods seen and the seed.  Sampling
+and closing a day need no numpy (a period is an ``array('d')``); only
+learning and judging a day against the learned profile import it.
 """
 
 import time
+from array import array
 from typing import Callable, Optional
 
-import numpy as np
-
-from repro.analysis.clustering import kmeans
 from repro.sim.clock import SECONDS_PER_DAY
 from repro.sim.events import EventLoop
 
@@ -55,12 +55,12 @@ class Lupa:
         self._seed = seed
 
         self._bin_seconds = SECONDS_PER_DAY / bins_per_day
-        self._day_sums = [0.0] * bins_per_day    # arrays only when read
+        self._day_sums = [0.0] * bins_per_day
         self._day_counts = [0] * bins_per_day
         self._current_day = 0
-        self._periods: list[np.ndarray] = []       # one vector per finished day
+        self._periods: list[array] = []       # one vector per finished day
         self._period_dows: list[int] = []
-        self._weekly: Optional[np.ndarray] = None  # shape (7, bins_per_day)
+        self._weekly = None   # once learned: numpy, shape (7, bins_per_day)
         self.samples_taken = 0
         self.full_relearns = 0
         self.learn_wall_s = 0.0
@@ -88,13 +88,12 @@ class Lupa:
         self.samples_taken += 1
 
     def _finish_day(self) -> None:
-        counts = np.array(self._day_counts)
-        if counts.sum() == 0:
+        if not any(self._day_counts):
             return
-        with np.errstate(invalid="ignore"):
-            period = np.where(
-                counts > 0, np.array(self._day_sums) / counts, 0.0
-            )
+        period = array("d", [
+            s / c if c else 0.0
+            for s, c in zip(self._day_sums, self._day_counts)
+        ])
         self._periods.append(period)
         self._period_dows.append(self._current_day % 7)
         self._day_sums = [0.0] * self.bins_per_day
@@ -105,6 +104,8 @@ class Lupa:
     # -- learning ----------------------------------------------------------------
 
     def _learn(self) -> None:
+        import numpy as np
+        from repro.analysis.clustering import kmeans
         started = time.perf_counter()
         data = np.array(self._periods)
         k = min(self.categories, len(self._periods))
@@ -164,6 +165,7 @@ class Lupa:
         """
         if self._weekly is None:
             return 0.0
+        import numpy as np
         counts = np.array(self._day_counts)
         filled = counts > 0
         if not filled.any():

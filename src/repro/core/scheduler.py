@@ -10,7 +10,8 @@ Pattern-aware ranking picks its path from the pool's size, as
 :meth:`Gupa.idle_probabilities` does: up to ``SCALAR_MAX_CELLS`` offers
 (a GRM's usual few dozen) are scored in one per-offer Python loop and
 ordered with ``sorted(..., reverse=True)``; a larger pool is scored in
-numpy columns and ordered with a stable argsort on the negated scores.
+numpy columns and ordered with a stable argsort on the negated scores
+(the only place this module imports numpy).
 Both reproduce the seed per-offer ranking's order exactly, ties included
 (the test tree's oracle), and rank NaN scores last.
 Fastest-first is a one-key sort and needs no arrays.
@@ -20,8 +21,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.apps.spec import ApplicationSpec, VirtualTopologyRequest
 from repro.core.gupa import Gupa, SCALAR_MAX_CELLS, UNKNOWN
@@ -52,13 +51,13 @@ class ScheduleContext:
 def _order_by_scores(offers: list, scores) -> list:
     """Best-score-first with ties keeping input order, NaN scores last.
 
-    ``np.argsort`` (stable) on an array's negated scores and ``sorted``
-    with ``reverse=True`` on a list both give exactly
+    ``sorted`` with ``reverse=True`` on a list and ``np.argsort``
+    (stable) on a numpy array's negated scores both give exactly
     ``sorted(offers, key=score, reverse=True)``: descending by score,
     original order among equal scores.
     """
-    if isinstance(scores, np.ndarray):
-        ranked = np.argsort(-scores, kind="stable").tolist()
+    if not isinstance(scores, list):   # a numpy array
+        ranked = (-scores).argsort(kind="stable").tolist()
         return [offers[i] for i in ranked]
     key = scores.__getitem__
     if sum(scores) != sum(scores):   # a NaN score: last, as in argsort
@@ -155,6 +154,7 @@ class PatternAwarePolicy(SchedulingPolicy):
         return _order_by_scores(offers, scores)
 
     def _order_batch(self, offers: list, ctx: ScheduleContext) -> list:
+        import numpy as np
         try:   # every GRM status offer carries both keys
             mips = [o["mips"] for o in offers]
             cpu_free = [o["cpu_free"] for o in offers]
@@ -171,9 +171,9 @@ class PatternAwarePolicy(SchedulingPolicy):
         nodes = [o.get("node") for o in offers]
         if not feasible.all():
             nodes = list(itertools.compress(nodes, feasible))
-        p_idle = ctx.gupa.idle_probabilities(
+        p_idle = np.frombuffer(ctx.gupa.idle_probabilities(
             nodes, ctx.now, ctx.remaining_mips / rate[feasible]
-        )
+        ))
         scores = np.zeros(len(offers))
         scores[feasible] = speed[feasible] * np.where(
             p_idle == UNKNOWN, self.unknown_probability, p_idle

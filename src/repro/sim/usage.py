@@ -7,10 +7,11 @@ plus a Markov session model (so presence has realistic dwell times instead
 of flickering every sample).
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from __future__ import annotations
 
-import numpy as np
+import functools
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 PresenceFn = Callable[[int, float], float]
 
@@ -79,11 +80,15 @@ class UsageProfile:
     holiday_factor: float = 0.05
 
     def mean_presence(self, day: int, hour: float, holiday: bool = False) -> float:
-        """Expected presence probability, optionally discounted for holidays."""
+        """Expected presence probability, optionally discounted for holidays.
+
+        Clamped to [0, 1] (NaN to 0.0) by comparisons: the same float as
+        ``min(1.0, max(0.0, p))``, without its two builtin calls.
+        """
         p = self.presence(day % 7, hour % 24.0)
         if holiday:
             p *= self.holiday_factor
-        return min(1.0, max(0.0, p))
+        return p if 0.0 < p < 1.0 else (1.0 if p >= 1.0 else 0.0)
 
     def transition_probs(self, mean: float, tick_minutes: float) -> Tuple[float, float]:
         """(p_on, p_off) per tick of a two-state Markov presence chain.
@@ -146,19 +151,45 @@ PROFILES = {
 }
 
 
-# -- vectorized weekly grids ---------------------------------------------------
+# -- weekly tables --------------------------------------------------------------
 #
-# Bulk consumers (multi-week LUPA trace generation, the workstation tick
-# cache) evaluate presence over a whole week of tick times at once instead
-# of calling ``mean_presence``/``transition_probs`` per tick.  The scalar
-# presence function is sampled once per grid cell; everything downstream
-# (holiday discount, clamping, Markov transition probabilities) is numpy
-# elementwise arithmetic in the same operation order as the scalar path,
-# so cached values are bit-identical to per-tick evaluation.
-
-_GRID_CACHE: dict = {}
+# One week of tick times per (profile, tick, holiday), built once with the
+# scalar methods, so every reader gets the bits of a per-tick call: the
+# workstation's transition cache reads plain lists, and only the bulk trace
+# generator wraps them in numpy (and imports it).
 
 
+@functools.lru_cache(maxsize=None)
+def _presence_table(profile, tick_seconds, holiday) -> list:
+    tick = float(tick_seconds)
+    return [
+        profile.mean_presence(int(t // SECONDS_PER_DAY) % 7,
+                              t % SECONDS_PER_DAY / SECONDS_PER_HOUR, holiday)
+        for t in (k * tick for k in range(int(SECONDS_PER_WEEK // tick)))
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def transition_pairs(
+    profile: UsageProfile,
+    tick_seconds: float = 300.0,
+    holiday: bool = False,
+) -> list:
+    """Weekly ``(p_on, p_off)`` pairs, one per tick offset into the week:
+    ``profile.transition_probs`` of each :func:`presence_grid` entry."""
+    tick_minutes = tick_seconds / 60.0
+    return [profile.transition_probs(mean, tick_minutes)
+            for mean in _presence_table(profile, tick_seconds, holiday)]
+
+
+def _read_only(table: list) -> np.ndarray:
+    import numpy as np
+    grid = np.array(table, dtype=np.float64)
+    grid.setflags(write=False)
+    return grid
+
+
+@functools.lru_cache(maxsize=None)
 def presence_grid(
     profile: UsageProfile,
     tick_seconds: float = 300.0,
@@ -169,69 +200,17 @@ def presence_grid(
     Entry ``k`` equals ``profile.mean_presence(day, hour, holiday)`` at
     week offset ``k * tick_seconds``.  Cached per (profile, tick, holiday).
     """
-    key = ("presence", profile, float(tick_seconds), bool(holiday))
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        n = int(SECONDS_PER_WEEK // tick_seconds)
-        times = np.arange(n) * float(tick_seconds)
-        days = (times // SECONDS_PER_DAY).astype(int) % 7
-        hours = (times % SECONDS_PER_DAY) / SECONDS_PER_HOUR
-        fn = profile.presence
-        raw = np.fromiter(
-            (fn(int(d), float(h)) for d, h in zip(days, hours)),
-            dtype=np.float64,
-            count=n,
-        )
-        if holiday:
-            raw = raw * profile.holiday_factor
-        grid = np.minimum(1.0, np.maximum(0.0, raw))
-        grid.setflags(write=False)
-        _GRID_CACHE[key] = grid
-    return grid
+    return _read_only(_presence_table(profile, tick_seconds, holiday))
 
 
+@functools.lru_cache(maxsize=None)
 def transition_grid(
     profile: UsageProfile,
     tick_seconds: float = 300.0,
     holiday: bool = False,
 ) -> np.ndarray:
-    """Weekly ``(p_on, p_off)`` transition grid, shape ``(n, 2)``.
-
-    Row ``k`` equals ``profile.transition_probs(mean_k, tick_minutes)``
-    for the corresponding :func:`presence_grid` entry.
-    """
-    key = ("transition", profile, float(tick_seconds), bool(holiday))
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        mean = presence_grid(profile, tick_seconds, holiday)
-        tick_minutes = tick_seconds / 60.0
-        p_off = min(1.0, tick_minutes / profile.mean_session_minutes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_on = np.minimum(1.0, p_off * mean / (1.0 - mean))
-        grid = np.empty((len(mean), 2))
-        grid[:, 0] = p_on
-        grid[:, 1] = p_off
-        grid[mean <= 0.0] = (0.0, 1.0)
-        grid[mean >= 1.0] = (1.0, 0.0)
-        grid.setflags(write=False)
-        _GRID_CACHE[key] = grid
-    return grid
-
-
-def transition_pairs(
-    profile: UsageProfile,
-    tick_seconds: float = 300.0,
-    holiday: bool = False,
-) -> list:
-    """:func:`transition_grid` as a list of float pairs (fast to index)."""
-    key = ("pairs", profile, float(tick_seconds), bool(holiday))
-    pairs = _GRID_CACHE.get(key)
-    if pairs is None:
-        pairs = [tuple(row) for row in transition_grid(
-            profile, tick_seconds, holiday
-        ).tolist()]
-        _GRID_CACHE[key] = pairs
-    return pairs
+    """:func:`transition_pairs` as a read-only array of shape ``(n, 2)``."""
+    return _read_only(transition_pairs(profile, tick_seconds, holiday))
 
 
 def generate_presence_trace(
@@ -251,6 +230,7 @@ def generate_presence_trace(
     presence-function calls.  Uses its own numpy RNG stream — this is the
     bulk offline generator, not the event-driven workstation model.
     """
+    import numpy as np
     if weeks <= 0:
         raise ValueError(f"weeks must be positive, got {weeks}")
     base = transition_grid(profile, tick_seconds, holiday=False)

@@ -214,6 +214,41 @@ class TestGupa:
         assert gupa.busy_probability("n0", monday_noon) == 1.0
         assert 0.0 <= gupa.idle_probability("n0", 0.0, 90000.5) <= 1.0
 
+    @pytest.mark.parametrize(
+        "bad", ["0.5", None, True, [0.5]],
+        ids=["str", "none", "bool", "list"],
+    )
+    def test_busy_values_must_be_numbers(self, bad):
+        gupa = Gupa()
+        gupa.upload_pattern("n0", self.make_pattern())
+        weekly = self.make_pattern()["weekly"]
+        weekly[2][7] = bad
+        with pytest.raises(ValueError, match=r"must be finite probabilities"):
+            gupa.upload_pattern("n0", {"bins_per_day": 24, "weekly": weekly})
+        assert gupa.uploads == 1
+        assert gupa.busy_probability("n0", 12 * SECONDS_PER_HOUR) == 1.0
+
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["str", "bool"])
+    def test_a_pattern_of_text_or_bools_is_not_stored(self, bad):
+        gupa = Gupa()
+        with pytest.raises(ValueError, match=r"must be finite probabilities"):
+            gupa.upload_pattern(
+                "n0", {"bins_per_day": 24, "weekly": [[bad] * 24] * 7})
+        assert not gupa.has_pattern("n0")
+        assert gupa.busy_probability("n0", 0.0) == UNKNOWN
+
+    def test_ints_and_float_subclasses_are_numbers(self):
+        np = pytest.importorskip("numpy")
+        gupa = Gupa()
+        weekly = [[0] * 12 + [1] * 12] * 6 + [np.full(24, 0.25)]
+        gupa.upload_pattern(
+            "n0", {"bins_per_day": np.int64(24), "weekly": weekly})
+        answers = [gupa.busy_probability("n0", t)
+                   for t in (0.0, 13 * SECONDS_PER_HOUR,
+                             6 * SECONDS_PER_DAY)]
+        assert answers == [0.0, 1.0, 0.25]
+        assert all(type(p) is float for p in answers)
+
     def test_row_length_mismatch_rejected(self):
         gupa = Gupa()
         weekly = [[0.0] * 24 for _ in range(7)]

@@ -9,6 +9,8 @@ spans (sub-bin, bin-aligned, multi-day, negative), and node churn
 through both paths and assert exact ``==`` equality.
 """
 
+from array import array
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -160,7 +162,7 @@ class TestBatchEquivalence:
 
     def test_empty_nodes(self):
         gupa = Gupa()
-        assert gupa.idle_probabilities([], 0.0, 100.0).shape == (0,)
+        assert gupa.idle_probabilities([], 0.0, 100.0) == array("d")
 
 
 def make_offer(node, mips, cpu_free):

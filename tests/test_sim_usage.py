@@ -9,6 +9,7 @@ from repro.sim.usage import (
     OFFICE_WORKER,
     PROFILES,
     STUDENT_LAB,
+    UsageProfile,
 )
 
 
@@ -98,6 +99,22 @@ def test_profile_registry():
 def test_presence_clamped():
     # Day and hour outside canonical ranges are wrapped, not errors.
     assert 0.0 <= OFFICE_WORKER.mean_presence(8, 25.0) <= 1.0
+
+
+@pytest.mark.parametrize("holiday", [False, True])
+def test_clamp_is_the_seeds_min_max(holiday):
+    """The comparison clamp returns the float the seed's
+    ``min(1.0, max(0.0, p))`` returns, for every raw presence."""
+    raws = [0, 1, 2, -1, True, False, 0.0, -0.0, 1.0, 0.5, 1e-300,
+            1.0000000000000002, 0.9999999999999999, -1e-300, 20.0,
+            float("inf"), float("-inf"), float("nan")]
+    for raw in raws:
+        profile = UsageProfile("raw", presence=lambda day, hour: raw,
+                               holiday_factor=0.5)
+        p = raw * 0.5 if holiday else raw
+        got = profile.mean_presence(3, 10.0, holiday=holiday)
+        seed = min(1.0, max(0.0, p))
+        assert (type(got), got.hex()) == (type(seed), float(seed).hex())
 
 
 class TestVectorizedGrids:
