@@ -7,11 +7,12 @@ collocated two-way and oneway call rates (E11's bound stub), the S2
 pattern-aware ranking rate on both sides of the scoring paths' size
 cutover (1024 nodes with long spans: numpy; 48 nodes with one- or
 two-bin spans: the per-offer loop) and, next to them, the steady-state
-probe (``steady_state_probe.py``: a grid run that must not load numpy,
-and the RSS of ``import repro``; its time is printed), the 10k-node S3
-information-plane run, the 256-cluster S5 wide-area run, and the S6
-oneway-storm / CDR / variant / TCP communication-plane run (reusing the
-benchmark modules' own set-up functions, so the measured workload cannot drift from what
+probe (``steady_state_probe.py``: a grid run that must load neither
+numpy nor ctypes, and the RSS of ``import repro``; its time is
+printed), the 10k-node S3 information-plane run, the 256-cluster S5
+wide-area run, and the S6 oneway-storm / CDR / variant / TCP
+communication-plane run (reusing the benchmark modules' own set-up
+functions, so the measured workload cannot drift from what
 produced the baseline), then compares against the committed
 ``BENCH_S1.json`` / ``BENCH_E11.json`` / ``BENCH_S2.json`` /
 ``BENCH_S3.json`` / ``BENCH_S5.json`` / ``BENCH_S6.json``.  A drop of
@@ -218,13 +219,15 @@ def main():
             f"S2 pattern-aware ranking ({nodes} nodes, 1-2 bin spans)",
             nodes / pass_s, baseline,
         )
-        # What the loop side buys: a steady state that never loads numpy.
+        # What the loop side buys: a steady state that never loads numpy,
+        # and whose small checkpoints never load the CRC kernel's ctypes.
         probe = measure_probe()
-        loaded = probe["numpy_loaded"]
-        print(f"Steady-state probe: numpy "
-              f"{'loaded' if loaded else 'not loaded'} -> "
-              f"{'REGRESSION' if loaded else 'ok'}")
-        failures += loaded
+        for module in ("numpy", "ctypes"):
+            loaded = probe[f"{module}_loaded"]
+            print(f"Steady-state probe: {module} "
+                  f"{'loaded' if loaded else 'not loaded'} -> "
+                  f"{'REGRESSION' if loaded else 'ok'}")
+            failures += loaded
         baseline = s2["steady_state_probe"]
         failures += not check_ceiling(
             "Steady-state probe: import repro RSS", probe["import_rss_mb"],
@@ -232,7 +235,7 @@ def main():
         )
         # Reported, not gated: a 0.1 s import swings ±40 % with the
         # neighbours' load, and what would move it (numpy loading) fails
-        # the two gates above.
+        # the gates above.
         print(f"Steady-state probe: import repro time "
               f"{probe['import_s']:.3f} s, baseline "
               f"{baseline['import_s']:.3f} s (not gated)")

@@ -14,12 +14,15 @@ peak RSS right after it, then drives every steady-state plane once:
 * one two-way call over a loopback TCP ORB connection;
 
 and prints one JSON object: ``import_s``, ``import_rss_mb``,
-``numpy_loaded`` (after all of the above) and the counters that show
-each plane ran.  :func:`measure_probe` runs it in fresh interpreters
-and keeps the best import numbers; ``perf_smoke.py`` fails if numpy
-loaded or the import's RSS rose against ``BENCH_S2.json``'s
-``steady_state_probe`` key, and ``tests/test_numpy_free_steady_state.py``
-holds ``numpy_loaded`` to False in the tier-1 suite.
+``numpy_loaded`` and ``ctypes_loaded`` (after all of the above) and the
+counters that show each plane ran.  ``ctypes`` loads only with the
+checkpoint CRC's kernel, for a buffer over the serializer's
+``KERNEL_MIN_BYTES``; a grid checkpoint is far smaller.
+:func:`measure_probe` runs it in fresh interpreters and keeps the best
+import numbers; ``perf_smoke.py`` fails if numpy or ctypes loaded or
+the import's RSS rose against ``BENCH_S2.json``'s ``steady_state_probe``
+key, and ``tests/test_numpy_free_steady_state.py`` holds both flags to
+False in the tier-1 suite.
 
 Run from the repo root:  PYTHONPATH=src python benchmarks/steady_state_probe.py
 """
@@ -157,6 +160,7 @@ def probe() -> dict:
         "import_s": import_s,
         "import_rss_mb": import_rss_mb,
         "numpy_loaded": "numpy" in sys.modules,
+        "ctypes_loaded": "ctypes" in sys.modules,
         "exercised": exercised,
     }
 
@@ -173,12 +177,13 @@ def run_probe() -> dict:
 
 def measure_probe(runs: int = 5) -> dict:
     """Best import time and RSS over ``runs`` fresh probes; numpy_loaded
-    if any probe loaded it."""
+    and ctypes_loaded if any probe loaded it."""
     probes = [run_probe() for _ in range(runs)]
     return {
         "import_s": min(p["import_s"] for p in probes),
         "import_rss_mb": min(p["import_rss_mb"] for p in probes),
         "numpy_loaded": any(p["numpy_loaded"] for p in probes),
+        "ctypes_loaded": any(p["ctypes_loaded"] for p in probes),
     }
 
 

@@ -11,6 +11,17 @@ Format::
 The payload reuses the ORB's :class:`~repro.orb.cdr.Variant` encoding, so
 any state expressible as nested dicts/lists/numbers/strings/bytes moves
 between nodes byte-identically regardless of host platform.
+
+The CRC is ``zlib.crc32``'s: same polynomial, same chaining.  Every CRC
+here goes through :func:`_crc32`, which hands a ``bytes`` or
+``bytearray`` buffer of at least ``KERNEL_MIN_BYTES`` to libdeflate's
+SIMD ``libdeflate_crc32`` through ``ctypes`` (5-7x faster than
+``zlib`` 1.2.13's table CRC on a 128 KiB state) and everything else to
+``zlib``: smaller buffers, other buffer types, a platform without the
+library, and a library that fails the known-answer check at load.  The
+library loads on the first buffer over the cutover, never at import, so
+a process whose checkpoints are all small never imports ``ctypes``.
+Either path gives the same CRC, so every envelope is the same bytes.
 """
 
 import struct
@@ -24,6 +35,72 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sHxxI")   # magic, version, pad, payload length
 _CRC = struct.Struct("<I")
+
+# The measured crossover (2-vCPU Xeon, best of 9): at 1 KiB of bytes
+# zlib takes 1.05 us and the kernel, with its ctypes call, 1.52 us; at
+# 2 KiB, 1.79 us against 1.60 us.  A bytearray's export adds ~0.8 us,
+# which a 4 KiB buffer repays (3.21 us against 2.61 us).
+KERNEL_MIN_BYTES = 2048
+_LIBDEFLATE = "libdeflate.so.0"
+_UNLOADED = object()
+_kernel = _UNLOADED   # _load_kernel()'s answer, once it has been asked
+
+
+def _open_library():
+    """``libdeflate_crc32(crc, buffer, length)`` through ctypes, or None."""
+    try:
+        import ctypes
+        fn = ctypes.CDLL(_LIBDEFLATE).libdeflate_crc32
+    except (ImportError, OSError, AttributeError):
+        return None
+    fn.argtypes = (ctypes.c_uint32, ctypes.c_void_p, ctypes.c_size_t)
+    fn.restype = ctypes.c_uint32
+    return fn
+
+
+def _load_kernel():
+    """The kernel as ``crc(buffer, length, value)``, or None when the
+    library is missing or disagrees with ``zlib`` on the known answer
+    or on a chained split."""
+    fn = _open_library()
+    if fn is None:
+        return None
+    # One fixed ctypes type for every buffer: ``c_char * len(buffer)``
+    # would create and cache a new array type per distinct length.
+    from ctypes import addressof, c_char
+
+    def crc(buffer, length, value):
+        if type(buffer) is bytes:
+            return fn(value, buffer, length)    # bytes pass their pointer
+        view = c_char.from_buffer(buffer)       # the bytearray, exported
+        try:
+            return fn(value, addressof(view), length)
+        finally:
+            del view                            # ... and released
+
+    head = b"123456789"
+    tail = bytearray(range(256)) * 12
+    if (crc(head, len(head), 0) != 0xCBF43926
+            or crc(tail, 3000, crc(head, len(head), 0))
+            != zlib.crc32(memoryview(tail)[:3000], zlib.crc32(head))):
+        return None
+    return crc
+
+
+def _crc32(buffer, length: int, value: int) -> int:
+    """``zlib.crc32(buffer[:length], value)``, without the slice.  The
+    kernel never reads past ``len(buffer)``: a longer ``length`` takes
+    zlib, whose slice stops at the end."""
+    global _kernel
+    if (KERNEL_MIN_BYTES <= length <= len(buffer)
+            and type(buffer) in (bytes, bytearray)):
+        if _kernel is _UNLOADED:
+            _kernel = _load_kernel()
+        if _kernel is not None:
+            return _kernel(buffer, length, value)
+    if length != len(buffer):
+        buffer = memoryview(buffer)[:length]
+    return zlib.crc32(buffer, value)
 
 
 class CheckpointCorrupted(Exception):
@@ -39,9 +116,9 @@ def serialize(state: dict) -> bytes:
         VARIANT.encode(enc, state)
     except MarshalError as exc:
         raise TypeError(f"state is not checkpointable: {exc}") from exc
-    payload = enc.getbuffer()
+    payload = enc._buf   # the encoder's own bytearray, uncopied
     header = _HEADER.pack(MAGIC, VERSION, len(payload))
-    crc = zlib.crc32(payload, zlib.crc32(header))
+    crc = _crc32(payload, len(payload), _crc32(header, _HEADER.size, 0))
     return b"".join((header, payload, _CRC.pack(crc)))
 
 
@@ -69,11 +146,11 @@ def deserialize(data: bytes) -> dict:
             f"checkpoint is {len(data)} bytes but the declared payload "
             f"length {length} requires exactly {expected_size}"
         )
-    view = memoryview(data)
-    (expected_crc,) = _CRC.unpack_from(data, len(data) - _CRC.size)
-    if zlib.crc32(view[:-_CRC.size]) != expected_crc:
+    body = len(data) - _CRC.size
+    (expected_crc,) = _CRC.unpack_from(data, body)
+    if _crc32(data, body, 0) != expected_crc:
         raise CheckpointCorrupted("CRC mismatch")
-    dec = CdrDecoder(view[_HEADER.size:-_CRC.size])
+    dec = CdrDecoder(memoryview(data)[_HEADER.size:body])
     try:
         state = VARIANT.decode(dec)
     except MarshalError as exc:

@@ -84,9 +84,10 @@ _SUFFIX = ".ckpt"
 class FileCheckpointStore:
     """Filesystem-backed repository: one file per task's latest checkpoint.
 
-    All writes go to a temporary file first and are moved into place
-    with an atomic rename, so a crash mid-save never leaves a torn
-    checkpoint behind — the previous record stays intact.
+    All writes go to a temporary file first, which is flushed to disk
+    and then moved into place with an atomic rename (and the directory
+    flushed after it, where the platform can), so a crash mid-save never
+    leaves a torn checkpoint behind — the previous record stays intact.
 
     A file is named by its task id percent-encoded with no safe
     characters: distinct ids get distinct files, no id can put ``/`` or
@@ -118,18 +119,32 @@ class FileCheckpointStore:
         tmp = path + ".tmp"
         with open(tmp, "wb") as f:
             f.write(envelope)
-        os.replace(tmp, path)    # atomic: a crash never leaves a torn file
+            f.flush()
+            os.fsync(f.fileno())    # the bytes are on disk before ...
+        os.replace(tmp, path)       # ... the atomic rename publishes them
+        self._sync_directory()      # ... and the rename is on disk too
         self.bytes_written += len(envelope)
         self.saves += 1
         return CheckpointRecord(task_id, sequence, now, data)
 
+    def _sync_directory(self) -> None:
+        if not hasattr(os, "O_DIRECTORY"):   # no directory handles here
+            return
+        fd = os.open(self.directory, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
     def load_latest(self, task_id: str) -> Optional[CheckpointRecord]:
         path = self._path(task_id)
-        if not os.path.exists(path):
-            return None
         started = perf_counter()
-        with open(path, "rb") as f:
-            envelope = deserialize(f.read())
+        try:    # no exists() first: a discard may come in between
+            with open(path, "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            return None
+        envelope = deserialize(data)
         # The directory is outside input: a file put under another
         # task's name must not resume that task.
         stored_id = envelope.get("task_id")
@@ -146,9 +161,10 @@ class FileCheckpointStore:
 
     def discard(self, task_id: str) -> None:
         self._sequences.pop(task_id, None)
-        path = self._path(task_id)
-        if os.path.exists(path):
-            os.remove(path)
+        try:
+            os.remove(self._path(task_id))
+        except FileNotFoundError:
+            pass
 
     @property
     def task_ids(self) -> list:

@@ -1,6 +1,8 @@
 """Unit tests for portable checkpointing."""
 
+import os
 import shutil
+import stat
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.checkpoint.serializer import (
     deserialize,
     serialize,
 )
+from repro.checkpoint import store as checkpoint_store
 from repro.checkpoint.store import FileCheckpointStore, MemoryCheckpointStore
 from repro.core.grid import Grid
 from repro.obs.metrics import MetricsRegistry
@@ -247,6 +250,52 @@ class TestFileStore:
             store.save("t1", {"p": i}, float(i))
         assert not [p for p in tmp_path.iterdir()
                     if p.name.endswith(".tmp")]
+
+    def test_save_fsyncs_the_file_before_the_rename_and_the_dir_after(
+            self, tmp_path, monkeypatch):
+        store = FileCheckpointStore(str(tmp_path))
+        store.save("t1", {"p": 0}, 0.0)
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            if kind == "file":   # what is on disk is the whole envelope
+                calls.append(("fsync", kind, os.fstat(fd).st_size))
+            else:
+                calls.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace",))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        before = store.bytes_written
+        store.save("t1", {"p": 1}, 1.0)
+        expected = [("fsync", "file", store.bytes_written - before),
+                    ("replace",)]
+        if hasattr(os, "O_DIRECTORY"):
+            expected.append(("fsync", "dir"))
+        assert calls == expected
+        assert store.load_latest("t1").state() == {"p": 1}
+
+    def test_a_file_removed_before_the_read_is_no_checkpoint(
+            self, tmp_path, monkeypatch):
+        store = FileCheckpointStore(str(tmp_path))
+        store.save("t1", {"p": 1}, 1.0)
+        other = FileCheckpointStore(str(tmp_path))
+
+        def open_after_a_discard(path, *args, **kwargs):
+            other.discard("t1")     # another store gets in first
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_store, "open", open_after_a_discard,
+                            raising=False)
+        assert store.load_latest("t1") is None
+        store.discard("t1")         # already gone: not an error
+        assert store.task_ids == []
 
     def test_ids_differing_only_in_unsafe_characters_do_not_collide(
             self, tmp_path):

@@ -4,10 +4,12 @@ This suite's own process has numpy loaded, so each check runs in a
 fresh interpreter.  ``benchmarks/steady_state_probe.py`` imports
 ``repro``, builds a ``Grid`` and drives GUPA uploads, LUPA across a day
 end, pattern-aware ranking, a checkpointed BSP gang, a parent-GRM
-forward and one TCP ORB call: numpy must not be in ``sys.modules``
-after it.  The converse: ranking more than ``SCALAR_MAX_CELLS`` cells
-and LUPA's first k-means pass (after ``min_history_days``) do import
-numpy, and still match ``tests/oracles`` bit for bit.
+forward and one TCP ORB call: neither numpy nor ctypes may be in
+``sys.modules`` after it.  The converse: ranking more than
+``SCALAR_MAX_CELLS`` cells and LUPA's first k-means pass (after
+``min_history_days``) do import numpy, and still match
+``tests/oracles`` bit for bit; one 128 KiB checkpoint loads the CRC
+kernel through ctypes where libdeflate is installed.
 """
 
 import importlib.util
@@ -38,6 +40,7 @@ def test_the_steady_state_runs_without_numpy():
     spec.loader.exec_module(probe)
     result = probe.run_probe()
     assert result["numpy_loaded"] is False
+    assert result["ctypes_loaded"] is False
     ran = result["exercised"]
     assert ran["gupa_uploads"] == 10
     assert ran["lupa_days"] >= 1
@@ -128,3 +131,28 @@ def test_the_first_lupa_learn_imports_numpy_and_matches_the_oracle():
         "unlearned": [6, False, False], "learned": [8, True, True],
         "pattern": True, "periods": True, "holiday": True,
     }
+
+
+def test_a_128_kib_checkpoint_loads_the_crc_kernel():
+    result = run_fresh("""
+        import json, sys, zlib
+        from repro.checkpoint import serializer
+        small = serializer.serialize({"progress_mips": 1.5})
+        before = ("ctypes" in sys.modules,
+                  serializer._kernel is serializer._UNLOADED)
+        envelope = serializer.serialize({"blob": bytes(range(256)) * 512})
+        print(json.dumps({
+            "before": before,
+            "after": "ctypes" in sys.modules,
+            "kernel": callable(serializer._kernel),
+            "library": serializer._open_library() is not None,
+            "crc": int.from_bytes(envelope[-4:], "little")
+                   == zlib.crc32(envelope[:-4]),
+        }))
+    """)
+    assert result["before"] == [False, True]
+    assert result["crc"] is True
+    # Where the library is installed, the kernel loaded with ctypes;
+    # where it is not, zlib answered and the kernel is None.
+    assert result["kernel"] is result["library"]
+    assert result["after"] is True

@@ -6,7 +6,11 @@ result rides back on the ``task_completed`` notification — Section 3's
 sandboxing requirement wired into the execution path.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ApplicationSpec, Grid, JobState, TaskState
 from repro.sim.clock import SECONDS_PER_HOUR
@@ -210,3 +214,112 @@ class TestResultsCrossTheOrb:
         task = grid.job(job_id).tasks[0]
         assert task.state is TaskState.COMPLETED
         assert task.result != task.result   # NaN, on both paths
+
+
+# -- the differential: any result, both grids, one outcome -------------------
+
+def to_source(value) -> str:
+    """A Python expression the sandbox evaluates back to ``value``."""
+    if isinstance(value, float):
+        return f"float({repr(value)!r})"      # covers nan, inf and -inf
+    if isinstance(value, tuple):
+        return "(" + "".join(to_source(v) + ", " for v in value) + ")"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(to_source, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{to_source(k)}: {to_source(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, (set, frozenset)):
+        inner = ", ".join(map(to_source, value))
+        return f"{{{inner}}}" if value else "set()"
+    return repr(value)                        # None, bool, int, str, bytes
+
+
+def as_marshalled(value):
+    """What the marshalled path hands back for a value it can carry."""
+    if isinstance(value, (tuple, list)):
+        return [as_marshalled(v) for v in value]
+    if isinstance(value, dict):
+        return {k: as_marshalled(v) for k, v in value.items()}
+    return value
+
+
+def same(a, b) -> bool:
+    """Equal, type for type; NaN equals NaN and the sign of zero counts."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or (
+            a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+TEXT = st.text(st.characters(exclude_categories=())         # any code point
+               | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+               max_size=6)                                   # lone surrogates
+INTS = st.integers() | st.sampled_from(
+    [2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1, 2 ** 70])  # 64-bit edges
+HASHABLE = (st.none() | st.booleans() | INTS | TEXT | st.binary(max_size=6)
+            | st.floats(allow_nan=False))
+LEAVES = (HASHABLE | st.floats()
+          | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+          | st.sets(HASHABLE, max_size=3))
+#: How deep the wrapping goes: MAX_VARIANT_DEPTH is 100.
+DEPTHS = st.sampled_from([0, 1, 99, 100, 101, 150]) | st.integers(0, 150)
+
+
+def _nest(children):
+    return (st.lists(children, max_size=3)
+            | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(TEXT, children, max_size=3)
+            | st.dictionaries(HASHABLE, children, max_size=2))
+
+
+WRAPPERS = {
+    "list": lambda v: [v], "tuple": lambda v: (v,),
+    "dict": lambda v: {"k": v}, "int_key": lambda v: {1: v},
+}
+
+
+@st.composite
+def results(draw):
+    """A leaf or a shallow mix, then wrapped up to 150 levels deep in
+    one kind of list, tuple or dict (``int_key``: a non-``str`` key)."""
+    value = draw(st.recursive(LEAVES, _nest, max_leaves=6))
+    wrap = WRAPPERS[draw(st.sampled_from(sorted(WRAPPERS)))]
+    for _ in range(draw(DEPTHS)):
+        value = wrap(value)
+    return value
+
+
+def run_result(auth_secret, value):
+    grid = make_wire_grid(auth_secret)
+    job_id = grid.submit(ApplicationSpec(
+        name="any", work_mips=1e4,
+        metadata={"payload": f"result = {to_source(value)}"},
+    ))
+    grid.run_for(SECONDS_PER_HOUR)   # never raises
+    task = grid.job(job_id).tasks[0]
+    return grid.job(job_id).state, task.state, task.result
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(value=results())
+def test_any_result_has_one_outcome_on_both_grids(value):
+    collocated = run_result(None, value)
+    marshalled = run_result(b"pin", value)
+    assert collocated[:2] == marshalled[:2]
+    job_state, task_state, result = marshalled
+    if task_state is TaskState.COMPLETED:
+        assert job_state is JobState.COMPLETED
+        assert same(as_marshalled(collocated[2]), result)
+        assert same(as_marshalled(value), result)
+    else:
+        assert (task_state, job_state) == (TaskState.FAILED, JobState.FAILED)
+        assert collocated[2] == result    # the same failure reason
+        assert result["__error__"].startswith(
+            "result cannot cross the ORB: ")
