@@ -17,21 +17,31 @@ benchmark times each on the clock, one row per plane:
   connection, timed until the server has dispatched the last one.
 * **TCP two-way** — 8 client threads sharing one connection, each
   call a full request/reply exchange under the per-peer lock.
+* **BSMP superstep** — 128 BSP processes each send 4 float-pair
+  messages to each of 8 peers, then the buffers are exchanged: the
+  execution plane's message rate (``send`` + ``exchange``, with the
+  accounting the barrier does), single-threaded, cyclic GC off, best
+  of 15.  The
+  **mixed** row sends what ``bsp.programs`` sends instead (halo tuples,
+  scalars, (pid, value) pairs, a dict), which the barrier sizes payload
+  by payload.
 
 Rows land in ``BENCH_S6.json`` with ``--bench-json``; the committed
 file is the CI baseline and ``perf_smoke.py`` re-runs the storm, CDR
-decode, variant round-trip and both TCP rows against it.  The opt-in
-batch frames, zero-copy decoder, encoder pool and pipelined framing this
-file used to compare against are gone; the ledger in
-``docs/performance.md`` §11 keeps why.
+decode, variant round-trip, both TCP rows and both BSMP rows against
+it.  The opt-in batch frames, zero-copy decoder, encoder pool and
+pipelined framing this file used to compare against are gone; the
+ledger in ``docs/performance.md`` §11 keeps why.
 """
 
+import gc
 import hashlib
 import threading
 import time
 
 from repro.analysis.metrics import Table
 from repro.apps.spec import ApplicationSpec
+from repro.bsp.messages import MessageBuffers
 from repro.core.grm import Grm
 from repro.orb.cdr import (
     VARIANT, CdrDecoder, CdrEncoder, Double, String, ULong,
@@ -53,6 +63,16 @@ TCP_THREADS = 8
 TCP_CALLS_PER_THREAD = 250
 TCP_ONEWAYS = 20_000
 TCP_DRAIN_TIMEOUT_S = 30.0
+BSMP_PROCS = 128
+BSMP_PEERS = 8
+BSMP_SUPERSTEPS = 32           # per timed run
+BSMP_BEST_OF = 15              # a run is 50-130 ms: best of 3 swung ~1.8x
+#: The 4 messages each process sends each peer per superstep, and their
+#: modelled bytes: S0's flat float pairs (sized in one bulk pass), and
+#: what ``bsp.programs`` sends (sized payload by payload): a halo tuple,
+#: a broadcast scalar, a gathered (pid, value) pair, a dict.
+BSMP_FLAT = ([0.5, 1.5], [2.5, 3.5], (4.5, 5.5), [6, 7.5]), 80
+BSMP_MIXED = (("from_left", 0.5), 1.5, (3, 2.5), {"v": [4, 5.5]}), 74
 BEST_OF = 3
 
 SINK_INTERFACE = InterfaceDef("BenchSink", [
@@ -318,6 +338,52 @@ def measure_tcp_twoway() -> dict:
     }
 
 
+# -- BSMP --------------------------------------------------------------------
+
+def _bsmp_run(payloads: tuple, size: int) -> float:
+    """Seconds for BSMP_SUPERSTEPS supersteps of sends and exchanges."""
+    peers = [[(pid + 1 + 16 * k) % BSMP_PROCS for k in range(BSMP_PEERS)]
+             for pid in range(BSMP_PROCS)]
+    buffers = MessageBuffers(BSMP_PROCS)
+    send, exchange = buffers.send, buffers.exchange
+    # The cyclic GC is off while timed, as in ``timeit``: its passes
+    # scale with whatever else is live and made this rate swing ~2x.
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(BSMP_SUPERSTEPS):
+            for pid, targets in enumerate(peers):
+                for peer in targets:
+                    for payload in payloads:
+                        send(pid, peer, payload)
+            exchange()
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
+    per_step = BSMP_PROCS * BSMP_PEERS * len(payloads)
+    assert sum(len(buffers.inbox(pid)) for pid in range(BSMP_PROCS)) \
+        == per_step
+    messages = per_step * BSMP_SUPERSTEPS
+    assert buffers.messages_sent == buffers.orb_calls == messages
+    assert buffers.bytes_estimate \
+        == BSMP_PROCS * BSMP_PEERS * BSMP_SUPERSTEPS * size
+    return elapsed
+
+
+def measure_bsmp(workload: tuple = BSMP_FLAT) -> dict:
+    """Best-of BSMP message rate: sends plus the barrier's exchange."""
+    elapsed = min(_bsmp_run(*workload) for _ in range(BSMP_BEST_OF))
+    messages = BSMP_PROCS * BSMP_PEERS * len(workload[0]) * BSMP_SUPERSTEPS
+    return {
+        "procs": BSMP_PROCS,
+        "supersteps": BSMP_SUPERSTEPS,
+        "messages": messages,
+        "messages_per_s": round(messages / elapsed, 1),
+        "wall_s": round(elapsed, 4),
+    }
+
+
 # -- harness -----------------------------------------------------------------
 
 def run_experiment():
@@ -326,6 +392,8 @@ def run_experiment():
     variant = measure_variant()
     oneway = measure_tcp_oneway()
     twoway = measure_tcp_twoway()
+    bsmp = measure_bsmp()
+    bsmp_mixed = measure_bsmp(BSMP_MIXED)
     chunk_kib = CDR_CHUNK_BYTES // 1024
     table = Table(
         ["plane", "work", "rate (wall)"],
@@ -358,11 +426,17 @@ def run_experiment():
         f"{twoway['calls']:,} calls, {TCP_THREADS} threads, 1 connection",
         f"{twoway['calls_per_wall_s']:,.0f} calls/s",
     )
-    return table, storm, cdr, variant, oneway, twoway
+    for name, row in (("BSMP superstep", bsmp),
+                      ("BSMP superstep, mixed", bsmp_mixed)):
+        table.add_row(
+            name, f"{BSMP_PROCS} procs x {BSMP_PEERS} peers x 4 msgs",
+            f"{row['messages_per_s']:,.0f} msgs/s",
+        )
+    return table, storm, cdr, variant, oneway, twoway, bsmp, bsmp_mixed
 
 
 def test_s6_comm_plane(benchmark):
-    table, storm, cdr, variant, oneway, twoway = \
+    table, storm, cdr, variant, oneway, twoway, bsmp, bsmp_mixed = \
         benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     save_result("s6_comm_plane", table.render())
     save_json("S6", {
@@ -374,6 +448,8 @@ def test_s6_comm_plane(benchmark):
         "variant": variant,
         "tcp_oneway": oneway,
         "tcp_twoway": twoway,
+        "bsmp": bsmp,
+        "bsmp_mixed": bsmp_mixed,
     })
     # Every call was dispatched (each measure function asserts its own
     # delivery counts); rates are gated against this file's committed
@@ -381,3 +457,5 @@ def test_s6_comm_plane(benchmark):
     assert storm["calls"] == SENDERS * STORM_ROUNDS
     assert oneway["calls"] == TCP_ONEWAYS
     assert twoway["calls"] == TCP_THREADS * TCP_CALLS_PER_THREAD
+    for row in (bsmp, bsmp_mixed):
+        assert row["messages"] == BSMP_PROCS * BSMP_PEERS * 4 * BSMP_SUPERSTEPS

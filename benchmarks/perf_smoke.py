@@ -10,7 +10,7 @@ two-bin spans: the per-offer loop) and, next to them, the steady-state
 probe (``steady_state_probe.py``: a grid run that must load neither
 numpy nor ctypes, and the RSS of ``import repro``; its time is
 printed), the 10k-node S3 information-plane run, the 256-cluster S5
-wide-area run, and the S6 oneway-storm / CDR / variant / TCP
+wide-area run, and the S6 oneway-storm / CDR / variant / TCP / BSMP
 communication-plane run (reusing the benchmark modules' own set-up
 functions, so the measured workload cannot drift from what
 produced the baseline), then compares against the committed
@@ -21,9 +21,13 @@ against its own baseline: S3 is the GRM's updates/s taking in
 statuses and heartbeats from 10k nodes, S5 the parent's wide-area
 submits/s over 256 clusters, S6 the collocated storm, CDR decode, the
 ``job_status`` variant round-trip and the two TCP rows (oneway msgs/s,
-threaded two-way calls/s), each best of three.  The execution plane
-(checkpoint store, BSP comms) has no row here: S0 ``bsp_checkpoint``
-measures it.
+threaded two-way calls/s), each best of three.  S6's two BSMP
+superstep rows (msgs/s through ``send`` and the barrier's
+``exchange``, single-threaded: float pairs, and the mixed payloads of
+``bsp.programs``) are printed next to their baselines, not gated:
+their spread on a shared 2-vCPU VM is wider than the margin.  The
+execution plane (checkpoint store, BSP comms) has no gated row here:
+S0 ``bsp_checkpoint`` measures it.
 
 The 30 % margin absorbs runner-to-runner noise; the regressions this
 guards against — losing an index, falling off a compiled path, an
@@ -57,6 +61,9 @@ from bench_s3_information_plane import (  # noqa: E402
 )
 from bench_s5_wide_area import measure_wide_area  # noqa: E402
 from bench_s6_comm_plane import (  # noqa: E402
+    BSMP_FLAT,
+    BSMP_MIXED,
+    measure_bsmp,
     measure_cdr,
     measure_storm,
     measure_tcp_oneway,
@@ -296,6 +303,15 @@ def main():
             measure_tcp_twoway()["calls_per_wall_s"],
             s6["tcp_twoway"]["calls_per_wall_s"],
         )
+        # Reported, not gated: even best of fifteen, one process in five
+        # lands in a slow phase of the shared host and reads 0.5-0.6x
+        # the median, so a 30 % floor would fail unchanged code.
+        for key, workload, label in (("bsmp", BSMP_FLAT, "float pairs"),
+                                     ("bsmp_mixed", BSMP_MIXED, "mixed")):
+            print(f"S6 BSMP superstep, {label} (128 procs x 8 peers x 4 "
+                  f"msgs): measured "
+                  f"{measure_bsmp(workload)['messages_per_s']:,.0f}/s, "
+                  f"baseline {s6[key]['messages_per_s']:,.0f}/s (not gated)")
 
     plain_rate, metered_rate = measure_metrics_overhead()
     ratio = metered_rate / plain_rate if plain_rate else 0.0

@@ -5,11 +5,12 @@ at superstep *s + 1*, after the global synchronisation.  Delivery order
 is deterministic: sorted by sender pid, then send order.
 
 One message is one ORB call, always: ``orb_calls`` and ``wire_bytes``
-model what the comm plane would put on the wire, one framed call per
-``send``; both are derived from the two counters ``send`` bumps.
+model it, one framed call per ``send``.  A ``send`` only queues: as in
+BSP's cost model, messages are counted and sized at the barrier.
 """
 
 from collections import defaultdict
+from itertools import chain
 from typing import Any
 
 #: Modelled fixed cost of one ORB invocation (request header, GIOP-style
@@ -30,8 +31,17 @@ class MessageBuffers:
         # outgoing[sender][dest] = [payload, ...], only for dests sent to
         self._outgoing = [defaultdict(list) for _ in range(nprocs)]
         self._inbox: list[list] = [[] for _ in range(nprocs)]
-        self.messages_sent = 0
-        self.bytes_estimate = 0
+        self._delivered = self._delivered_bytes = 0
+
+    @property
+    def messages_sent(self) -> int:
+        """Messages sent so far, delivered or still queued."""
+        return self._delivered + len(self._queued())
+
+    @property
+    def bytes_estimate(self) -> int:
+        """Modelled payload bytes of every message sent so far."""
+        return self._delivered_bytes + _bulk_size(self._queued())
 
     @property
     def orb_calls(self) -> int:
@@ -50,10 +60,6 @@ class MessageBuffers:
         if not 0 <= dest < self.nprocs:
             raise ValueError(f"destination pid {dest} out of range")
         self._outgoing[sender][dest].append(payload)
-        # Never read and write a counter across a call: threads switch there.
-        size = _payload_size(payload)
-        self.messages_sent += 1
-        self.bytes_estimate += size
 
     def inbox(self, pid: int) -> list:
         """Messages delivered to ``pid`` at the last synchronisation."""
@@ -61,12 +67,29 @@ class MessageBuffers:
 
     def exchange(self) -> None:
         """Deliver all queued messages (called at the barrier)."""
+        pending = self._queued()
+        # Sized first: a payload the sizer rejects leaves every one queued.
+        self._delivered_bytes += _bulk_size(pending)
+        self._delivered += len(pending)
         new_inbox: list[list] = [[] for _ in range(self.nprocs)]
         for outgoing in self._outgoing:
             for dest, queued in outgoing.items():
                 new_inbox[dest].extend(queued)
             outgoing.clear()
         self._inbox = new_inbox
+
+    def _queued(self) -> list:
+        """Payloads sent and not yet delivered."""
+        return [p for out in self._outgoing for q in out.values() for p in q]
+
+
+def _bulk_size(payloads: list) -> int:
+    """Summed ``_payload_size``; one pass when all are flat int/float lists."""
+    items = chain.from_iterable(payloads)       # each test stops at a miss
+    if ({list, tuple}.issuperset(map(type, payloads))
+            and {int, float}.issuperset(map(type, items))):
+        return 4 * len(payloads) + 8 * sum(map(len, payloads))
+    return sum(map(_payload_size, payloads))
 
 
 def _payload_size(payload: Any) -> int:

@@ -156,9 +156,6 @@ class CdrEncoder:
     def getvalue(self) -> bytes:
         return bytes(self._buf)
 
-    def getbuffer(self) -> memoryview:
-        return memoryview(self._buf)
-
     def __len__(self) -> int:
         return len(self._buf)
 

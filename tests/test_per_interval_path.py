@@ -91,6 +91,8 @@ class TestCounterViews:
         expected = json.loads(EXPECTED_PATH.read_text())
         assert {name: values.get(name, "missing") for name in expected} \
             == expected
+        # ...and publishes nothing the pin does not name.
+        assert sorted(set(values) - set(expected)) == []
         assert values["grm.c0.statuses_received"] \
             == expected["lrm.total.updates_full"]
 
