@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.metrics import Table
 from repro.core.protocols import (
     CLUSTER_SUMMARY,
+    JOB_STATUS,
     LRM_INTERFACE,
     NODE_STATUS,
     RESERVATION_REQUEST,
@@ -53,6 +54,18 @@ SAMPLE_SUMMARY = {
     "sharing_nodes": 73, "free_cpu_total": 61.5,
     "free_mem_total_mb": 11_000.0, "max_node_mips": 3000.0,
     "pending_tasks": 4,
+}
+
+#: A pending 8-task job as ``Grm.job_status`` reports it.
+SAMPLE_JOB_STATUS = {
+    "job_id": "c0-job7", "name": "job-8", "state": "pending",
+    "progress": 0.0, "submitted_at": 0.0, "completed_at": None,
+    "tasks": [
+        {"task_id": f"c0-job7.{i}", "state": "pending", "node": None,
+         "progress_mips": 0.0, "attempts": 0, "evictions": 0,
+         "result": None}
+        for i in range(8)
+    ],
 }
 
 
@@ -103,6 +116,7 @@ def message_size_table():
         ("ReservationRequest", RESERVATION_REQUEST, SAMPLE_RESERVATION),
         ("TaskLaunch", TASK_LAUNCH, SAMPLE_LAUNCH),
         ("ClusterSummary (hierarchy)", CLUSTER_SUMMARY, SAMPLE_SUMMARY),
+        ("JobStatus (8 tasks)", JOB_STATUS, SAMPLE_JOB_STATUS),
     ):
         enc = CdrEncoder()
         idl_type.encode(enc, sample)
@@ -114,8 +128,11 @@ def test_e11_message_sizes(benchmark):
     table = benchmark(message_size_table)
     save_result("e11_orb_message_sizes", table.render(), table=table)
     sizes = {row[0]: int(row[1]) for row in table.rows}
-    # All protocol messages fit comfortably in a single ethernet frame.
+    # The per-interval and negotiation messages fit comfortably in a
+    # single ethernet frame; so does a status reply for an 8-task job.
+    reply = sizes.pop("JobStatus (8 tasks)")
     assert all(size < 256 for size in sizes.values())
+    assert reply < 1500
 
 
 def test_e11_marshal_node_status(benchmark):

@@ -11,8 +11,10 @@ benchmark times each on the clock, one row per plane:
 * **CDR decode / encode** — chunk-shaped records (string + ulong +
   64 KiB octets) through :class:`CdrDecoder` / :class:`CdrEncoder`.
 * **CDR variant round-trip** — ``Grm.job_status`` replies for jobs of
-  1–8 tasks (the ``VARIANT`` dicts S0 ``tcp_rpc`` sends back 4,000
-  times), each encoded and decoded again.
+  1–8 tasks, each encoded and decoded again as a ``VARIANT`` (what the
+  reply was before it was declared in IDL).
+* **CDR JobStatus round-trip** — the same 8 replies as the typed
+  ``JOB_STATUS`` struct S0 ``tcp_rpc`` sends back 4,000 times.
 * **TCP oneway** — 20k oneway reports over one real loopback
   connection, timed until the server has dispatched the last one.
 * **TCP two-way** — 8 client threads sharing one connection, each
@@ -28,10 +30,10 @@ benchmark times each on the clock, one row per plane:
 
 Rows land in ``BENCH_S6.json`` with ``--bench-json``; the committed
 file is the CI baseline and ``perf_smoke.py`` re-runs the storm, CDR
-decode, variant round-trip, both TCP rows and both BSMP rows against
-it.  The opt-in batch frames, zero-copy decoder, encoder pool and
-pipelined framing this file used to compare against are gone; the
-ledger in ``docs/performance.md`` §11 keeps why.
+decode, variant and JobStatus round-trips, both TCP rows and both
+BSMP rows against it.  The opt-in batch frames, zero-copy decoder,
+encoder pool and pipelined framing this file used to compare against
+are gone; the ledger in ``docs/performance.md`` §11 keeps why.
 """
 
 import gc
@@ -43,6 +45,7 @@ from repro.analysis.metrics import Table
 from repro.apps.spec import ApplicationSpec
 from repro.bsp.messages import MessageBuffers
 from repro.core.grm import Grm
+from repro.core.protocols import JOB_STATUS
 from repro.orb.cdr import (
     VARIANT, CdrDecoder, CdrEncoder, Double, String, ULong,
 )
@@ -210,27 +213,28 @@ def job_status_replies() -> list:
         orb.shutdown()
 
 
-def _variant_round_trips(replies: list) -> None:
+def _round_trips(replies: list, idl_type) -> None:
     for _ in range(VARIANT_ROUNDS):
         for reply in replies:
             enc = CdrEncoder()
-            VARIANT.encode(enc, reply)
-            VARIANT.decode(CdrDecoder(enc.getvalue()))
+            idl_type.encode(enc, reply)
+            idl_type.decode(CdrDecoder(enc.getvalue()))
 
 
-def measure_variant() -> dict:
-    """Best-of ``VARIANT`` round trips (encode, then decode) per second."""
+def measure_round_trips(idl_type) -> dict:
+    """Best-of ``job_status`` round trips (encode, then decode) per
+    second, marshalled as ``idl_type``."""
     replies = job_status_replies()
     sizes = []
     for reply in replies:
         enc = CdrEncoder()
-        VARIANT.encode(enc, reply)
+        idl_type.encode(enc, reply)
         sizes.append(len(enc))
-        assert VARIANT.decode(CdrDecoder(enc.getvalue())) == reply
+        assert idl_type.decode(CdrDecoder(enc.getvalue())) == reply
     elapsed = float("inf")
     for _ in range(BEST_OF):
         start = time.perf_counter()
-        _variant_round_trips(replies)
+        _round_trips(replies, idl_type)
         elapsed = min(elapsed, time.perf_counter() - start)
     trips = VARIANT_ROUNDS * len(replies)
     return {
@@ -389,7 +393,8 @@ def measure_bsmp(workload: tuple = BSMP_FLAT) -> dict:
 def run_experiment():
     storm = measure_storm()
     cdr = measure_cdr()
-    variant = measure_variant()
+    variant = measure_round_trips(VARIANT)
+    job_status = measure_round_trips(JOB_STATUS)
     oneway = measure_tcp_oneway()
     twoway = measure_tcp_twoway()
     bsmp = measure_bsmp()
@@ -418,6 +423,11 @@ def run_experiment():
         f"{variant['round_trips_per_s']:,.0f} replies/s",
     )
     table.add_row(
+        "CDR JobStatus round-trip",
+        f"{job_status['replies']} job_status replies, 1-8 tasks",
+        f"{job_status['round_trips_per_s']:,.0f} replies/s",
+    )
+    table.add_row(
         "TCP oneway", f"{oneway['calls']:,} msgs, 1 connection",
         f"{oneway['calls_per_wall_s']:,.0f} msgs/s",
     )
@@ -432,12 +442,13 @@ def run_experiment():
             name, f"{BSMP_PROCS} procs x {BSMP_PEERS} peers x 4 msgs",
             f"{row['messages_per_s']:,.0f} msgs/s",
         )
-    return table, storm, cdr, variant, oneway, twoway, bsmp, bsmp_mixed
+    return (table, storm, cdr, variant, job_status, oneway, twoway, bsmp,
+            bsmp_mixed)
 
 
 def test_s6_comm_plane(benchmark):
-    table, storm, cdr, variant, oneway, twoway, bsmp, bsmp_mixed = \
-        benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    (table, storm, cdr, variant, job_status, oneway, twoway, bsmp,
+     bsmp_mixed) = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     save_result("s6_comm_plane", table.render())
     save_json("S6", {
         "experiment": "s6_comm_plane",
@@ -446,6 +457,7 @@ def test_s6_comm_plane(benchmark):
         "storm": storm,
         "cdr": cdr,
         "variant": variant,
+        "job_status": job_status,
         "tcp_oneway": oneway,
         "tcp_twoway": twoway,
         "bsmp": bsmp,

@@ -10,9 +10,9 @@ two-bin spans: the per-offer loop) and, next to them, the steady-state
 probe (``steady_state_probe.py``: a grid run that must load neither
 numpy nor ctypes, and the RSS of ``import repro``; its time is
 printed), the 10k-node S3 information-plane run, the 256-cluster S5
-wide-area run, and the S6 oneway-storm / CDR / variant / TCP / BSMP
-communication-plane run (reusing the benchmark modules' own set-up
-functions, so the measured workload cannot drift from what
+wide-area run, and the S6 oneway-storm / CDR / variant / JobStatus /
+TCP / BSMP communication-plane run (reusing the benchmark modules' own
+set-up functions, so the measured workload cannot drift from what
 produced the baseline), then compares against the committed
 ``BENCH_S1.json`` / ``BENCH_E11.json`` / ``BENCH_S2.json`` /
 ``BENCH_S3.json`` / ``BENCH_S5.json`` / ``BENCH_S6.json``.  A drop of
@@ -20,8 +20,9 @@ more than ``TOLERANCE`` fails the build.  Every row is wall-clock
 against its own baseline: S3 is the GRM's updates/s taking in
 statuses and heartbeats from 10k nodes, S5 the parent's wide-area
 submits/s over 256 clusters, S6 the collocated storm, CDR decode, the
-``job_status`` variant round-trip and the two TCP rows (oneway msgs/s,
-threaded two-way calls/s), each best of three.  S6's two BSMP
+``job_status`` round-trips as a variant and as the typed ``JobStatus``
+struct, and the two TCP rows (oneway msgs/s, threaded two-way
+calls/s), each best of three.  S6's two BSMP
 superstep rows (msgs/s through ``send`` and the barrier's
 ``exchange``, single-threaded: float pairs, and the mixed payloads of
 ``bsp.programs``) are printed next to their baselines, not gated:
@@ -68,7 +69,7 @@ from bench_s6_comm_plane import (  # noqa: E402
     measure_storm,
     measure_tcp_oneway,
     measure_tcp_twoway,
-    measure_variant,
+    measure_round_trips,
 )
 from bench_s2_scheduler_throughput import (  # noqa: E402
     SHORT_SPAN,
@@ -77,7 +78,9 @@ from bench_s2_scheduler_throughput import (  # noqa: E402
     make_ctx,
 )
 from steady_state_probe import measure_probe  # noqa: E402
+from repro.core.protocols import JOB_STATUS  # noqa: E402
 from repro.core.scheduler import PatternAwarePolicy  # noqa: E402
+from repro.orb.cdr import VARIANT  # noqa: E402
 
 from conftest import load_json       # noqa: E402
 
@@ -289,8 +292,13 @@ def main():
         )
         failures += not check(
             "S6 CDR variant round-trip (job_status replies, 1-8 tasks)",
-            measure_variant()["round_trips_per_s"],
+            measure_round_trips(VARIANT)["round_trips_per_s"],
             s6["variant"]["round_trips_per_s"],
+        )
+        failures += not check(
+            "S6 CDR JobStatus round-trip (job_status replies, 1-8 tasks)",
+            measure_round_trips(JOB_STATUS)["round_trips_per_s"],
+            s6["job_status"]["round_trips_per_s"],
         )
         # Wall-clock on a real socket; both are best-of-three inside.
         failures += not check(

@@ -88,9 +88,10 @@ class Registers:
         for writer in range(self.nprocs):
             for owner, name, value in self._pending_puts[writer]:
                 if name not in self._values[owner]:
-                    raise UnregisteredVariable(
-                        f"put to unregistered {name!r} on pid {owner}"
-                    )
+                    exc = UnregisteredVariable(
+                        f"put to unregistered {name!r} on pid {owner}")
+                    exc.pid = writer
+                    raise exc
                 self._values[owner][name] = value
                 self.puts_applied += 1
             self._pending_puts[writer] = []

@@ -69,7 +69,11 @@ class MessageBuffers:
         """Deliver all queued messages (called at the barrier)."""
         pending = self._queued()
         # Sized first: a payload the sizer rejects leaves every one queued.
-        self._delivered_bytes += _bulk_size(pending)
+        try:
+            self._delivered_bytes += _bulk_size(pending)
+        except Exception as exc:
+            exc.pid = self._unsizable_sender()
+            raise
         self._delivered += len(pending)
         new_inbox: list[list] = [[] for _ in range(self.nprocs)]
         for outgoing in self._outgoing:
@@ -77,6 +81,16 @@ class MessageBuffers:
                 new_inbox[dest].extend(queued)
             outgoing.clear()
         self._inbox = new_inbox
+
+    def _unsizable_sender(self) -> int:
+        """The first sender holding a payload the sizer rejects."""
+        for sender, outgoing in enumerate(self._outgoing):
+            try:
+                for queued in outgoing.values():
+                    sum(map(_payload_size, queued))
+            except Exception:
+                return sender
+        return -1
 
     def _queued(self) -> list:
         """Payloads sent and not yet delivered."""

@@ -92,9 +92,11 @@ def run_bsp(
             registers.synchronize()
             state.supersteps += 1
         except Exception as exc:   # e.g. a put to an unregistered variable
-            with state.lock:
-                state.errors.append((-1, exc))
-            raise
+            with state.lock:   # the sender or writer, where it is known
+                state.errors.append((getattr(exc, "pid", -1), exc))
+            # The process that ran this action sees a broken barrier, as
+            # every other one does: the failure is not its own.
+            raise threading.BrokenBarrierError from exc
 
     barrier = threading.Barrier(nprocs, action=on_barrier)
     results: list = [None] * nprocs
@@ -162,7 +164,7 @@ def run_bsp(
     if state.errors:
         details = "; ".join(
             f"pid {pid}: {type(exc).__name__}: {exc}"
-            for pid, exc in sorted(state.errors)
+            for pid, exc in sorted(state.errors, key=lambda error: error[0])
         )
         raise BspError(f"BSP run failed: {details}")
     return BspRun(

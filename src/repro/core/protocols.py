@@ -15,6 +15,7 @@ from repro.orb.cdr import (
     Boolean,
     Double,
     Long,
+    Sequence,
     String,
     Struct,
     Union,
@@ -103,6 +104,35 @@ CLUSTER_SUMMARY = Struct(
     ],
 )
 
+#: One task of a ``job_status`` reply.  ``node`` (``None`` until placed),
+#: and ``result`` (``None``, or whatever the payload returned) stay Variant.
+TASK_STATUS = Struct(
+    "TaskStatus",
+    [
+        ("task_id", String),
+        ("state", String),
+        ("node", VARIANT),
+        ("progress_mips", Double),
+        ("attempts", Long),
+        ("evictions", Long),
+        ("result", VARIANT),
+    ],
+)
+
+#: The ``job_status`` reply; ``completed_at`` is ``None`` until the job ends.
+JOB_STATUS = Struct(
+    "JobStatus",
+    [
+        ("job_id", String),
+        ("name", String),
+        ("state", String),
+        ("progress", Double),            # fraction of the job's work done
+        ("submitted_at", Double),
+        ("completed_at", VARIANT),
+        ("tasks", Sequence(TASK_STATUS)),
+    ],
+)
+
 # ---------------------------------------------------------------------------
 # Interfaces
 # ---------------------------------------------------------------------------
@@ -168,7 +198,7 @@ GRM_INTERFACE = InterfaceDef(
             (Parameter("job_id", String), Parameter("asct_ior", String)),
             Void,
         ),
-        Operation("job_status", (Parameter("job_id", String),), VARIANT),
+        Operation("job_status", (Parameter("job_id", String),), JOB_STATUS),
         Operation("cancel_job", (Parameter("job_id", String),), Void),
         Operation(
             "task_completed",
@@ -272,7 +302,7 @@ PARENT_GRM_INTERFACE = InterfaceDef(
         ),
         # A job this parent placed answers from where it runs: each call
         # goes to whoever the parent handed the job to.
-        Operation("job_status", (Parameter("job_id", String),), VARIANT),
+        Operation("job_status", (Parameter("job_id", String),), JOB_STATUS),
         Operation("cancel_job", (Parameter("job_id", String),), Void),
         Operation(
             "register_asct",

@@ -5,11 +5,16 @@ needs: aligned little-endian primitives, length-prefixed strings and
 sequences, structs, enums, and a tagged ``Variant`` (standing in for the
 CORBA ``any``) used by the Trading service's property lists.
 
-Types are objects with ``encode``/``decode`` methods, so an operation
-signature is simply a list of type objects and marshalling is table-driven.
-There is one codec per type: each primitive packs through a module-level
-precompiled :class:`struct.Struct`, and structs and sequences marshal
-their members one at a time.
+Types are objects, so an operation signature is simply a list of type
+objects and marshalling is table-driven.  Every type is one raw-buffer
+writer, ``write(buf, value)``, which appends to a ``bytearray``, and one
+reader, ``read(data, pos) -> (value, end)``; ``encode(enc, value)`` /
+``decode(dec)`` run them on a :class:`CdrEncoder`'s or
+:class:`CdrDecoder`'s buffer.  A primitive's writer puts the padding
+and the value in one pack of a precompiled :class:`struct.Struct`, and
+the encoder's and decoder's methods call the same functions: one body
+per primitive.  Structs, unions and sequences loop over their members'
+writers and readers.
 
 One decoder: :class:`CdrDecoder` reads ``bytes`` / ``bytearray`` /
 ``memoryview`` buffers in place with ``unpack_from``, and octet
@@ -25,14 +30,10 @@ unless it is UTF-8: hostile bytes raise :class:`MarshalError`, nothing else.
 """
 
 import struct as _struct
-from typing import Any, Sequence as _SequenceT
+from typing import Sequence as _SequenceT
 
 from repro.orb.exceptions import MarshalError
 
-_S_OCTET = _struct.Struct("<B")
-_S_SHORT = _struct.Struct("<h")
-_S_USHORT = _struct.Struct("<H")
-_S_LONG = _struct.Struct("<i")
 _S_ULONG = _struct.Struct("<I")
 _S_LONGLONG = _struct.Struct("<q")
 _S_DOUBLE = _struct.Struct("<d")
@@ -59,6 +60,65 @@ def _not_utf8(exc: UnicodeEncodeError) -> MarshalError:
     return MarshalError(f"string is not UTF-8-encodable: {exc}")
 
 
+def _fixed(code: str) -> tuple:
+    """``(write, read)`` of the aligned little-endian primitive ``code``."""
+    size = _struct.calcsize(code)
+    packs = tuple(_struct.Struct(f"<{n}x{code}").pack for n in range(size))
+    unpack_from = _struct.Struct("<" + code).unpack_from
+    mask = size - 1
+
+    def write(buf: bytearray, value) -> None:
+        try:
+            buf += packs[-len(buf) & mask](value)
+        except _struct.error as exc:
+            raise MarshalError(
+                f"cannot pack {value!r} as '<{code}': {exc}") from exc
+
+    def read(data, pos: int) -> tuple:
+        pos += -pos & mask
+        end = pos + size
+        if end > len(data):
+            raise _underrun(size, pos, data)
+        return unpack_from(data, pos)[0], end
+
+    return write, read
+
+
+_write_octet, _read_octet = _fixed("B")
+_write_short, _read_short = _fixed("h")
+_write_ushort, _read_ushort = _fixed("H")
+_write_long, _read_long = _fixed("i")
+_write_ulong, _read_ulong = _fixed("I")
+_write_longlong, _read_longlong = _fixed("q")
+_pack_double, _read_double = _fixed("d")
+
+
+def _write_boolean(buf: bytearray, value) -> None:
+    buf.append(1 if value else 0)
+
+
+def _read_boolean(data, pos: int) -> tuple:
+    value, end = _read_octet(data, pos)
+    return value != 0, end
+
+
+def _write_double(buf: bytearray, value) -> None:
+    _pack_double(buf, float(value))
+
+
+def _write_string(buf: bytearray, value) -> None:
+    if not isinstance(value, str):
+        raise MarshalError(f"expected str, got {type(value).__name__}")
+    try:
+        data = value.encode()
+    except UnicodeEncodeError as exc:   # a lone surrogate
+        raise _not_utf8(exc) from None
+    # CDR counts the terminating NUL in the length prefix.
+    buf += _PAD_ULONG[-len(buf) & 3](len(data) + 1)
+    buf += data
+    buf.append(0)
+
+
 def _string_at(data, pos: int) -> tuple:
     """``(string, end)`` of the CDR string aligned at or after ``pos``."""
     pos += -pos & 3
@@ -80,6 +140,32 @@ def _string_at(data, pos: int) -> tuple:
         raise MarshalError(f"string is not valid UTF-8: {exc}") from None
 
 
+def _write_octets(buf: bytearray, value) -> None:
+    if not isinstance(value, (bytes, bytearray, memoryview)):
+        raise MarshalError(f"expected bytes, got {type(value).__name__}")
+    # bytearray.extend consumes bytes/bytearray/memoryview directly,
+    # so no intermediate copy is made for buffer-backed values.
+    _write_ulong(buf, len(value))
+    buf.extend(value)
+
+
+def _read_octets(data, pos: int) -> tuple:
+    length, pos = _read_ulong(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise MarshalError("buffer underrun reading octet sequence")
+    return bytes(data[pos:end]), end
+
+
+def _write_void(buf: bytearray, value) -> None:
+    if value is not None:
+        raise MarshalError(f"void cannot carry {value!r}")
+
+
+def _read_void(data, pos: int) -> tuple:
+    return None, pos
+
+
 class CdrEncoder:
     """Append-only aligned binary writer."""
 
@@ -91,67 +177,35 @@ class CdrEncoder:
         if remainder:
             self._buf.extend(_PAD[boundary - remainder])
 
-    def _pack(self, packer: _struct.Struct, size: int, value) -> None:
-        buf = self._buf
-        remainder = len(buf) % size
-        if remainder:
-            buf.extend(_PAD[size - remainder])
-        try:
-            buf.extend(packer.pack(value))
-        except _struct.error as exc:
-            raise MarshalError(
-                f"cannot pack {value!r} as {packer.format!r}: {exc}"
-            ) from exc
-
     def write_octet(self, value: int) -> None:
-        try:
-            self._buf.extend(_S_OCTET.pack(value))
-        except _struct.error as exc:
-            raise MarshalError(
-                f"cannot pack {value!r} as '<B': {exc}"
-            ) from exc
+        _write_octet(self._buf, value)
 
     def write_boolean(self, value: bool) -> None:
-        self.write_octet(1 if value else 0)
+        _write_boolean(self._buf, value)
 
     def write_short(self, value: int) -> None:
-        self._pack(_S_SHORT, 2, value)
+        _write_short(self._buf, value)
 
     def write_ushort(self, value: int) -> None:
-        self._pack(_S_USHORT, 2, value)
+        _write_ushort(self._buf, value)
 
     def write_long(self, value: int) -> None:
-        self._pack(_S_LONG, 4, value)
+        _write_long(self._buf, value)
 
     def write_ulong(self, value: int) -> None:
-        self._pack(_S_ULONG, 4, value)
+        _write_ulong(self._buf, value)
 
     def write_longlong(self, value: int) -> None:
-        self._pack(_S_LONGLONG, 8, value)
+        _write_longlong(self._buf, value)
 
     def write_double(self, value: float) -> None:
-        self._pack(_S_DOUBLE, 8, float(value))
+        _write_double(self._buf, value)
 
     def write_string(self, value: str) -> None:
-        if not isinstance(value, str):
-            raise MarshalError(f"expected str, got {type(value).__name__}")
-        try:
-            data = value.encode()
-        except UnicodeEncodeError as exc:   # a lone surrogate
-            raise _not_utf8(exc) from None
-        buf = self._buf
-        # CDR counts the terminating NUL in the length prefix.
-        buf += _PAD_ULONG[-len(buf) & 3](len(data) + 1)
-        buf += data
-        buf.append(0)
+        _write_string(self._buf, value)
 
     def write_octets(self, value: bytes) -> None:
-        if not isinstance(value, (bytes, bytearray, memoryview)):
-            raise MarshalError(f"expected bytes, got {type(value).__name__}")
-        # bytearray.extend consumes bytes/bytearray/memoryview directly,
-        # so no intermediate copy is made for buffer-backed values.
-        self.write_ulong(len(value))
-        self._buf.extend(value)
+        _write_octets(self._buf, value)
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
@@ -176,54 +230,45 @@ class CdrDecoder:
         if remainder:
             self._pos += boundary - remainder
 
-    def _unpack(self, packer: _struct.Struct, size: int):
-        pos = self._pos
-        remainder = pos % size
-        if remainder:
-            pos += size - remainder
-        end = pos + size
-        if end > len(self._data):
-            raise _underrun(size, pos, self._data)
-        (value,) = packer.unpack_from(self._data, pos)
-        self._pos = end
+    def read_octet(self) -> int:
+        value, self._pos = _read_octet(self._data, self._pos)
         return value
 
-    def read_octet(self) -> int:
-        return self._unpack(_S_OCTET, 1)
-
     def read_boolean(self) -> bool:
-        return bool(self._unpack(_S_OCTET, 1))
+        value, self._pos = _read_boolean(self._data, self._pos)
+        return value
 
     def read_short(self) -> int:
-        return self._unpack(_S_SHORT, 2)
+        value, self._pos = _read_short(self._data, self._pos)
+        return value
 
     def read_ushort(self) -> int:
-        return self._unpack(_S_USHORT, 2)
+        value, self._pos = _read_ushort(self._data, self._pos)
+        return value
 
     def read_long(self) -> int:
-        return self._unpack(_S_LONG, 4)
+        value, self._pos = _read_long(self._data, self._pos)
+        return value
 
     def read_ulong(self) -> int:
-        return self._unpack(_S_ULONG, 4)
+        value, self._pos = _read_ulong(self._data, self._pos)
+        return value
 
     def read_longlong(self) -> int:
-        return self._unpack(_S_LONGLONG, 8)
+        value, self._pos = _read_longlong(self._data, self._pos)
+        return value
 
     def read_double(self) -> float:
-        return self._unpack(_S_DOUBLE, 8)
+        value, self._pos = _read_double(self._data, self._pos)
+        return value
 
     def read_string(self) -> str:
         value, self._pos = _string_at(self._data, self._pos)
         return value
 
     def read_octets(self) -> bytes:
-        length = self.read_ulong()
-        end = self._pos + length
-        if end > len(self._data):
-            raise MarshalError("buffer underrun reading octet sequence")
-        raw = self._data[self._pos:end]
-        self._pos = end
-        return bytes(raw)
+        value, self._pos = _read_octets(self._data, self._pos)
+        return value
 
     @property
     def remaining(self) -> int:
@@ -235,142 +280,51 @@ class CdrDecoder:
 # ---------------------------------------------------------------------------
 
 class IdlType:
-    """Base class; subclasses implement encode/decode for one IDL type."""
+    """Base class: one IDL type is one writer and one reader."""
 
     name = "idl"
 
-    def encode(self, enc: CdrEncoder, value) -> None:
+    def write(self, buf: bytearray, value) -> None:
+        """Append ``value``'s CDR bytes to ``buf``."""
         raise NotImplementedError
 
-    def decode(self, dec: CdrDecoder):
+    def read(self, data, pos: int) -> tuple:
+        """``(value, end)`` of the value at ``pos`` in ``data``."""
         raise NotImplementedError
+
+    def encode(self, enc: CdrEncoder, value) -> None:
+        self.write(enc._buf, value)
+
+    def decode(self, dec: CdrDecoder):
+        value, dec._pos = self.read(dec._data, dec._pos)
+        return value
 
     def __repr__(self):
         return self.name
 
 
-class _Void(IdlType):
-    name = "void"
+class _Primitive(IdlType):
+    """A primitive: its writer and reader are the functions that
+    :class:`CdrEncoder` and :class:`CdrDecoder` call."""
 
-    def encode(self, enc, value):
-        if value is not None:
-            raise MarshalError(f"void cannot carry {value!r}")
-
-    def decode(self, dec):
-        return None
-
-
-class _Boolean(IdlType):
-    name = "boolean"
-
-    def encode(self, enc, value):
-        enc.write_boolean(bool(value))
-
-    def decode(self, dec):
-        return dec.read_boolean()
+    def __init__(self, name: str, write, read):
+        self.name = name
+        self.write = write
+        self.read = read
 
 
-class _Octet(IdlType):
-    name = "octet"
+Void = _Primitive("void", _write_void, _read_void)
+Boolean = _Primitive("boolean", _write_boolean, _read_boolean)
+Octet = _Primitive("octet", _write_octet, _read_octet)
+Short = _Primitive("short", _write_short, _read_short)
+UShort = _Primitive("ushort", _write_ushort, _read_ushort)
+Long = _Primitive("long", _write_long, _read_long)
+ULong = _Primitive("ulong", _write_ulong, _read_ulong)
+LongLong = _Primitive("longlong", _write_longlong, _read_longlong)
+Double = _Primitive("double", _write_double, _read_double)
+String = _Primitive("string", _write_string, _string_at)
+Octets = _Primitive("octets", _write_octets, _read_octets)
 
-    def encode(self, enc, value):
-        enc.write_octet(value)
-
-    def decode(self, dec):
-        return dec.read_octet()
-
-
-class _Short(IdlType):
-    name = "short"
-
-    def encode(self, enc, value):
-        enc.write_short(value)
-
-    def decode(self, dec):
-        return dec.read_short()
-
-
-class _UShort(IdlType):
-    name = "ushort"
-
-    def encode(self, enc, value):
-        enc.write_ushort(value)
-
-    def decode(self, dec):
-        return dec.read_ushort()
-
-
-class _Long(IdlType):
-    name = "long"
-
-    def encode(self, enc, value):
-        enc.write_long(value)
-
-    def decode(self, dec):
-        return dec.read_long()
-
-
-class _ULong(IdlType):
-    name = "ulong"
-
-    def encode(self, enc, value):
-        enc.write_ulong(value)
-
-    def decode(self, dec):
-        return dec.read_ulong()
-
-
-class _LongLong(IdlType):
-    name = "longlong"
-
-    def encode(self, enc, value):
-        enc.write_longlong(value)
-
-    def decode(self, dec):
-        return dec.read_longlong()
-
-
-class _Double(IdlType):
-    name = "double"
-
-    def encode(self, enc, value):
-        enc.write_double(value)
-
-    def decode(self, dec):
-        return dec.read_double()
-
-
-class _String(IdlType):
-    name = "string"
-
-    def encode(self, enc, value):
-        enc.write_string(value)
-
-    def decode(self, dec):
-        return dec.read_string()
-
-
-class _Octets(IdlType):
-    name = "octets"
-
-    def encode(self, enc, value):
-        enc.write_octets(value)
-
-    def decode(self, dec):
-        return dec.read_octets()
-
-
-Void = _Void()
-Boolean = _Boolean()
-Octet = _Octet()
-Short = _Short()
-UShort = _UShort()
-Long = _Long()
-ULong = _ULong()
-LongLong = _LongLong()
-Double = _Double()
-String = _String()
-Octets = _Octets()
 
 class Sequence(IdlType):
     """A length-prefixed homogeneous sequence."""
@@ -379,18 +333,24 @@ class Sequence(IdlType):
         self.element = element
         self.name = f"sequence<{element.name}>"
 
-    def encode(self, enc, value):
+    def write(self, buf, value):
         if not isinstance(value, (list, tuple)):
             raise MarshalError(
                 f"expected list/tuple for {self.name}, got {type(value).__name__}"
             )
-        enc.write_ulong(len(value))
+        _write_ulong(buf, len(value))
+        write = self.element.write
         for item in value:
-            self.element.encode(enc, item)
+            write(buf, item)
 
-    def decode(self, dec):
-        count = dec.read_ulong()
-        return [self.element.decode(dec) for _ in range(count)]
+    def read(self, data, pos):
+        count, pos = _read_ulong(data, pos)
+        read = self.element.read
+        items = []
+        for _ in range(count):
+            item, pos = read(data, pos)
+            items.append(item)
+        return items, pos
 
 
 class Struct(IdlType):
@@ -403,21 +363,26 @@ class Struct(IdlType):
         field_names = [fname for fname, _ in self.fields]
         if len(set(field_names)) != len(field_names):
             raise ValueError(f"duplicate field in struct {name!r}")
+        self._writers = [(fname, ftype.write) for fname, ftype in self.fields]
+        self._readers = [(fname, ftype.read) for fname, ftype in self.fields]
 
-    def encode(self, enc, value):
+    def write(self, buf, value):
         if not isinstance(value, dict):
             raise MarshalError(
                 f"expected dict for struct {self.name}, got {type(value).__name__}"
             )
-        for fname, ftype in self.fields:
+        for fname, write in self._writers:
             if fname not in value:
                 raise MarshalError(
                     f"struct {self.name} missing field {fname!r}"
                 )
-            ftype.encode(enc, value[fname])
+            write(buf, value[fname])
 
-    def decode(self, dec):
-        return {fname: ftype.decode(dec) for fname, ftype in self.fields}
+    def read(self, data, pos):
+        value = {}
+        for fname, read in self._readers:
+            value[fname], pos = read(data, pos)
+        return value, pos
 
 
 class Union(IdlType):
@@ -439,7 +404,7 @@ class Union(IdlType):
             for label, fields in arms.items()
         }
 
-    def encode(self, enc, value):
+    def write(self, buf, value):
         dname, dtype = self.discriminator
         if not isinstance(value, dict) or dname not in value:
             raise MarshalError(f"union {self.name} needs field {dname!r}")
@@ -447,18 +412,17 @@ class Union(IdlType):
         arm = self.arms.get(label)
         if arm is None:
             raise MarshalError(f"union {self.name} has no arm {label!r}")
-        dtype.encode(enc, label)
-        arm.encode(enc, value)
+        dtype.write(buf, label)
+        arm.write(buf, value)
 
-    def decode(self, dec):
+    def read(self, data, pos):
         dname, dtype = self.discriminator
-        label = dtype.decode(dec)
+        label, pos = dtype.read(data, pos)
         arm = self.arms.get(label)
         if arm is None:
             raise MarshalError(f"union {self.name} has no arm {label!r}")
-        result = {dname: label}
-        result.update(arm.decode(dec))
-        return result
+        fields, pos = arm.read(data, pos)
+        return {dname: label, **fields}, pos
 
 
 class Enum(IdlType):
@@ -469,16 +433,16 @@ class Enum(IdlType):
         self.members = list(members)
         self._index = {m: i for i, m in enumerate(self.members)}
 
-    def encode(self, enc, value):
+    def write(self, buf, value):
         if value not in self._index:
             raise MarshalError(f"{value!r} is not a member of enum {self.name}")
-        enc.write_ulong(self._index[value])
+        _write_ulong(buf, self._index[value])
 
-    def decode(self, dec):
-        index = dec.read_ulong()
+    def read(self, data, pos):
+        index, pos = _read_ulong(data, pos)
         if index >= len(self.members):
             raise MarshalError(f"enum {self.name} has no member #{index}")
-        return self.members[index]
+        return self.members[index], pos
 
 
 #: The most lists and dicts a Variant value may sit inside: far above any
@@ -603,15 +567,14 @@ class Variant(IdlType):
 
     name = "variant"
 
-    def encode(self, enc, value):
+    def write(self, buf, value):
         try:
-            _encode_variant(enc._buf, value, 0)
+            _encode_variant(buf, value, 0)
         except UnicodeEncodeError as exc:   # a str value or dict key
             raise _not_utf8(exc) from None
 
-    def decode(self, dec):
-        value, dec._pos = _decode_variant(dec._data, dec._pos, 0)
-        return value
+    def read(self, data, pos):
+        return _decode_variant(data, pos, 0)
 
 
 VARIANT = Variant()

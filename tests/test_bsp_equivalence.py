@@ -142,18 +142,20 @@ def test_an_unsizable_payload_fails_the_barrier_and_delivers_nothing():
     buffers.exchange()
     buffers.send(0, 1, "ok")
     buffers.send(1, 0, "\ud800")          # a lone surrogate: no UTF-8
-    with pytest.raises(UnicodeEncodeError):
+    with pytest.raises(UnicodeEncodeError) as excinfo:
         buffers.exchange()
+    assert excinfo.value.pid == 1         # the sender, found on failure
     assert (buffers.inbox(0), buffers.inbox(1)) == ([], [[1.0, 2.0]])
     assert (buffers._delivered, buffers._delivered_bytes) == (1, 20)
     assert (buffers.messages_sent, buffers.orb_calls) == (3, 3)
     with pytest.raises(UnicodeEncodeError):
         buffers.wire_bytes
 
-    # Run under the engine, the failure is the barrier's (pid -1).
+    # Run under the engine, the failure names the process that sent it.
     def program(bsp):
         if bsp.pid == 1:
             bsp.send(0, "\ud800")
         bsp.sync()
-    with pytest.raises(BspError, match=r"pid -1: UnicodeEncodeError"):
+    with pytest.raises(BspError, match=r"^BSP run failed: pid 1: "
+                                       r"UnicodeEncodeError: [^;]*$"):
         run_bsp(2, program)

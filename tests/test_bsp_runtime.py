@@ -243,6 +243,32 @@ class TestRunBsp:
         assert "pid 1" in str(excinfo.value)
         assert "boom" in str(excinfo.value)
 
+    def test_a_barrier_failure_names_the_process_that_caused_it(self):
+        loop = []
+        loop.append(loop)
+
+        def unsizable(bsp):
+            bsp.send(0, [1.0] if bsp.pid != 2 else loop)
+            bsp.sync()
+
+        def stray_put(bsp):
+            bsp.register("x", 0)
+            bsp.sync()
+            if bsp.pid == 2:
+                bsp.put(0, "ghost", 1)
+            bsp.sync()
+
+        with pytest.raises(BspError) as excinfo:
+            run_bsp(3, unsizable)
+        assert str(excinfo.value).startswith(
+            "BSP run failed: pid 2: RecursionError: ")
+        assert ";" not in str(excinfo.value)    # reported once
+        with pytest.raises(BspError) as excinfo:
+            run_bsp(3, stray_put)
+        assert str(excinfo.value) == (
+            "BSP run failed: pid 2: UnregisteredVariable: "
+            "put to unregistered 'ghost' on pid 0")
+
     def test_deterministic_message_order(self):
         def program(bsp):
             if bsp.pid != 0:

@@ -25,9 +25,20 @@ from repro.orb.cdr import (
     Struct,
     ULong,
     UShort,
+    Union,
     VARIANT,
     Void,
 )
+from repro.core.protocols import (
+    CLUSTER_SUMMARY,
+    JOB_STATUS,
+    NODE_STATUS,
+    RESERVATION_REPLY,
+    RESERVATION_REQUEST,
+    TASK_LAUNCH,
+)
+from repro.orb.ior import _REF
+from repro.orb.trading import OFFER_STRUCT
 from tests.oracles import cdr as oracle
 
 
@@ -193,7 +204,7 @@ class TestVariant:
         ours = encoded(VARIANT.encode, value)
         assert ours[0] == "MarshalError"
         assert "not UTF-8-encodable" in ours[1]
-        assert ours == encoded(oracle.encode, value)
+        assert ours == encoded(oracle.encode, value, oracle.Encoder)
 
 
 class TestDecoderRobustness:
@@ -283,9 +294,9 @@ class Fraction(float):
 Pair = collections.namedtuple("Pair", "left right")
 
 
-def encoded(encode, value):
+def encoded(encode, value, encoder=CdrEncoder):
     """The bytes ``encode`` writes for ``value``, or what it raised."""
-    enc = CdrEncoder()
+    enc = encoder()
     enc.write_octet(9)          # start off every alignment boundary
     try:
         encode(enc, value)
@@ -294,9 +305,9 @@ def encoded(encode, value):
     return enc.getvalue()
 
 
-def decoded(decode, data):
+def decoded(decode, data, decoder=CdrDecoder):
     """``(repr(value), end)`` as ``decode`` reads ``data``, or the error."""
-    dec = CdrDecoder(data)
+    dec = decoder(data)
     try:
         value = decode(dec)
     except (MarshalError, RecursionError, UnicodeDecodeError) as exc:
@@ -325,9 +336,9 @@ variants = st.recursive(_leaves, lambda inner: st.one_of(
 ), max_leaves=24)
 
 
-def _wire(value):
+def _wire(value, idl_type=VARIANT):
     enc = CdrEncoder()
-    VARIANT.encode(enc, value)
+    idl_type.encode(enc, value)
     return enc.getvalue()
 
 
@@ -341,10 +352,37 @@ _valid = st.recursive(
 )
 
 
+_INT_RANGES = {"octet": (0, 2**8 - 1), "short": (-2**15, 2**15 - 1),
+               "ushort": (0, 2**16 - 1), "long": (-2**31, 2**31 - 1),
+               "ulong": (0, 2**32 - 1), "longlong": (-2**63, 2**63 - 1)}
+_SCALARS = {"boolean": st.booleans(), "double": st.floats(),
+            "string": st.text(max_size=8), "octets": st.binary(max_size=8)}
+
+
+def values_of(idl_type):
+    """The values ``idl_type`` carries, as a strategy."""
+    if isinstance(idl_type, Struct):
+        return st.fixed_dictionaries(
+            {fname: values_of(ftype) for fname, ftype in idl_type.fields})
+    if isinstance(idl_type, Union):
+        dname = idl_type.discriminator[0]
+        return st.one_of([
+            values_of(arm).map(lambda arm_value, label=label:
+                               {dname: label, **arm_value})
+            for label, arm in idl_type.arms.items()])
+    if isinstance(idl_type, Sequence):
+        return st.lists(values_of(idl_type.element), max_size=3)
+    if idl_type is VARIANT:
+        return _valid
+    if idl_type.name in _INT_RANGES:
+        return st.integers(*_INT_RANGES[idl_type.name])
+    return _SCALARS[idl_type.name]
+
+
 @st.composite
-def mutated_wire(draw):
-    """A valid Variant's bytes, with bytes flipped, cut off or inserted."""
-    data = bytearray(_wire(draw(_valid)))
+def mutated_wire(draw, idl_type=VARIANT):
+    """A valid value's bytes, with bytes flipped, cut off or inserted."""
+    data = bytearray(_wire(draw(values_of(idl_type)), idl_type))
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(data)))
         kind = draw(st.sampled_from(["flip", "cut", "insert"]))
@@ -366,11 +404,11 @@ class TestVariantAgainstOracle:
     @given(variants)
     def test_encode_writes_the_seeds_bytes_or_raises_its_error(self, value):
         assert encoded(VARIANT.encode, value) == \
-            encoded(oracle.encode, value)
+            encoded(oracle.encode, value, oracle.Encoder)
 
     def _same_decode(self, data):
         ours, seed = decoded(VARIANT.decode, data), \
-            decoded(oracle.decode, data)
+            decoded(oracle.decode, data, oracle.Decoder)
         if seed[0] in (RecursionError, UnicodeDecodeError):
             assert ours[0] is MarshalError      # the oracle lets these out
         else:
@@ -441,3 +479,146 @@ class TestVariantHostileInput:
     def test_invalid_utf8_string_is_refused(self):
         with pytest.raises(MarshalError, match="UTF-8"):
             CdrDecoder(struct.pack("<I", 3) + b"\xc3\x28\x00").read_string()
+
+
+# -- structs, unions and sequences against the seed's ------------------------
+
+#: Every struct, union and sequence ``src/`` declares.
+DECLARED = [NODE_STATUS, RESERVATION_REQUEST, RESERVATION_REPLY, TASK_LAUNCH,
+            CLUSTER_SUMMARY, JOB_STATUS, OFFER_STRUCT, _REF, Sequence(String)]
+_declared = pytest.mark.parametrize("idl_type", DECLARED,
+                                    ids=[t.name for t in DECLARED])
+
+#: Values no field of that type can carry (a Boolean takes anything).
+_BAD = {"string": [42, None, b"bytes", "lone \ud800"],
+        "double": ["x", None, [1.0]],
+        "long": [2**31, -2**31 - 1, 1.5, "7"],
+        "variant": [object(), {1: "int key"}, "\udfff", 2**64,
+                    [{"k": "\ud800"}]],
+        "boolean": [object()]}
+
+
+def _break_fields(draw, struct, value):
+    """``value`` with one field dropped or given a value it cannot carry."""
+    fname, ftype = draw(st.sampled_from(struct.fields))
+    if draw(st.booleans()):
+        del value[fname]
+    else:
+        value[fname] = draw(broken(ftype))
+    return value
+
+
+@st.composite
+def broken(draw, idl_type):
+    """A value of ``idl_type`` with one thing wrong somewhere in it."""
+    if isinstance(idl_type, Struct):
+        if draw(st.integers(0, 4)) == 0:
+            return list(draw(values_of(idl_type)).values())   # not a dict
+        return _break_fields(draw, idl_type, draw(values_of(idl_type)))
+    if isinstance(idl_type, Union):
+        dname = idl_type.discriminator[0]
+        label, arm = draw(st.sampled_from(list(idl_type.arms.items())))
+        value = {dname: label, **draw(values_of(arm))}
+        how = draw(st.sampled_from(["no discriminator", "no arm", "arm"]))
+        if how == "no discriminator":
+            del value[dname]
+        elif how == "no arm":
+            value[dname] = "maybe"
+        else:
+            value = {dname: label, **_break_fields(draw, arm, value)}
+        return value
+    if isinstance(idl_type, Sequence):
+        if draw(st.integers(0, 3)) == 0:
+            return "not a list"
+        items = draw(st.lists(values_of(idl_type.element), max_size=2))
+        items.insert(draw(st.integers(0, len(items))),
+                     draw(broken(idl_type.element)))
+        return items
+    return draw(st.sampled_from(_BAD[idl_type.name]))
+
+
+def _ours_and_seeds(idl_type, data):
+    return (decoded(idl_type.decode, data),
+            decoded(lambda dec: oracle.decode_as(idl_type, dec), data,
+                    oracle.Decoder))
+
+
+def _seed_encoded(idl_type, value):
+    return encoded(lambda enc, v: oracle.encode_as(idl_type, enc, v), value,
+                   oracle.Encoder)
+
+
+class TestStructsAgainstOracle:
+    """Structs, unions and sequences write and read through their
+    members' raw-buffer ``write`` / ``read``; the seed marshalled them
+    member by member through the encoder's and decoder's methods
+    (``tests/oracles/cdr.py``).  Same bytes, same value and end, same
+    ``MarshalError`` text — and hostile bytes raise nothing else."""
+
+    @_declared
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_values_encode_to_the_seeds_bytes_and_decode_to_its_value(
+            self, idl_type, data):
+        value = data.draw(values_of(idl_type))
+        assert encoded(idl_type.encode, value) == \
+            _seed_encoded(idl_type, value)
+        wire = _wire(value, idl_type)
+        ours, seed = _ours_and_seeds(idl_type, wire)
+        assert ours == seed
+        assert ours[1] == len(wire)
+
+    @_declared
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_broken_value_raises_the_seeds_error(self, idl_type, data):
+        value = data.draw(broken(idl_type))
+        assert encoded(idl_type.encode, value) == \
+            _seed_encoded(idl_type, value)
+
+    @_declared
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_hostile_bytes_raise_only_marshal_error(self, idl_type, data):
+        wire = data.draw(st.one_of(st.binary(max_size=96),
+                                   mutated_wire(idl_type)))
+        ours, seed = _ours_and_seeds(idl_type, wire)
+        assert ours[0] is not RecursionError
+        assert ours == seed
+
+    @pytest.mark.parametrize("idl_type,value,message", [
+        (NODE_STATUS, {"node": "n"}, "NodeStatus missing field 'time'"),
+        (JOB_STATUS, ["job"], "expected dict for struct JobStatus"),
+        (TASK_LAUNCH, dict.fromkeys(
+            [f for f, _ in TASK_LAUNCH.fields], 7), "expected str, got int"),
+        (CLUSTER_SUMMARY, {"cluster": "c", "time": 0.0, "nodes": 2**31},
+         "cannot pack 2147483648 as '<i'"),
+        (Sequence(String), ["ok", "\ud800"], "not UTF-8-encodable"),
+        (RESERVATION_REPLY, {"accepted": True}, "missing field 'reason'"),
+    ], ids=["missing field", "not a dict", "not a str", "int out of range",
+            "not UTF-8", "union arm"])
+    def test_each_kind_of_bad_value_is_a_marshal_error(
+            self, idl_type, value, message):
+        ours = encoded(idl_type.encode, value)
+        assert ours[0] == "MarshalError" and message in ours[1]
+        assert ours == _seed_encoded(idl_type, value)
+
+    def test_a_union_label_with_no_arm_is_refused_both_ways(self):
+        shape = Union("Shape", ("kind", Long),
+                      {0: [("r", Double)], 1: [("w", Double), ("h", Double)]})
+        ours = encoded(shape.encode, {"kind": 7, "r": 1.0})
+        assert ours == ("MarshalError", "union Shape has no arm 7")
+        assert ours == _seed_encoded(shape, {"kind": 7, "r": 1.0})
+        ours, seed = _ours_and_seeds(shape, struct.pack("<id", 7, 1.0))
+        assert ours == seed == (MarshalError, "union Shape has no arm 7")
+
+    def test_a_job_status_reply_is_a_fraction_of_its_variant(self):
+        reply = {"job_id": "c-job1", "name": "job", "state": "running",
+                 "progress": 0.25, "submitted_at": 60.0,
+                 "completed_at": None, "tasks": [
+                     {"task_id": f"c-job1.{i}", "state": "running",
+                      "node": f"n{i}", "progress_mips": 10.0, "attempts": 1,
+                      "evictions": 0, "result": None} for i in range(8)]}
+        typed, variant = _wire(reply, JOB_STATUS), _wire(reply)
+        assert JOB_STATUS.decode(CdrDecoder(typed)) == reply
+        assert len(typed) * 2 < len(variant)
