@@ -270,8 +270,8 @@ def _best_rate(fn, rounds=5, calls=20):
 
 def measure_collocated(rounds=5, calls=20_000):
     """Best-of-``rounds`` calls/s through a plain collocated stub — no
-    interceptor, tracer or envelope, so every call after the first is
-    bound to the servant method: two-way ``ping`` and oneway
+    interceptor or envelope, so every call after the first is bound to
+    the servant method: two-way ``ping`` and oneway
     ``cancel_reservation``."""
     domain = InProcDomain()
     server = Orb("colloc-server", domain=domain)

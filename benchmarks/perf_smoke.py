@@ -121,7 +121,7 @@ def measure_overhead(instrument, nodes=32, best_of=9):
 def measure_metrics_overhead():
     def instrument(grid):
         grid.enable_metrics()
-        assert grid.tracer is None, "tracing must stay opt-in"
+        assert grid.journal is None, "the journal must stay opt-in"
 
     plain, metered, grid = measure_overhead(instrument)
     # The registry really was live the whole time.

@@ -72,11 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="checkpoint interval in seconds (0 = off)")
     simulate.add_argument("--dashboard", action="store_true",
                           help="print utilisation sparklines for the run")
-    simulate.add_argument("--trace", default=None, metavar="PATH",
-                          help="record spans and write a Chrome "
-                               "trace_event JSON (open in about:tracing)")
-    simulate.add_argument("--trace-jsonl", default=None, metavar="PATH",
-                          help="record spans and write them as JSONL")
     simulate.add_argument("--metrics-json", default=None, metavar="PATH",
                           help="enable the metrics registry and write its "
                                "final snapshot as JSON")
@@ -179,9 +174,6 @@ def cmd_simulate(args) -> int:
         monitor = ClusterMonitor(grid.loop, grid.clusters["sim"].grm,
                                  period=1800.0)
 
-    tracer = None
-    if args.trace or args.trace_jsonl:
-        tracer = grid.enable_tracing()
     if args.metrics_json or args.health_report:
         grid.enable_metrics()
         if monitor is not None:
@@ -201,19 +193,13 @@ def cmd_simulate(args) -> int:
     work = args.work_hours * 3600.0 * 1000.0
     print(f"Submitting {args.jobs} jobs of {args.work_hours} idle-hours "
           "each (Monday 09:00)...")
-    def _submit(j: int) -> str:
-        spec = ApplicationSpec(
+    job_ids = [
+        grid.submit(ApplicationSpec(
             name=f"job{j}", work_mips=work,
             metadata={"checkpoint_interval_s": args.checkpoint_s},
-        )
-        if tracer is None:
-            return grid.submit(spec)
-        # Each submission roots its own trace; everything the job causes
-        # (schedule passes, trader queries, reservations) links under it.
-        with tracer.span("cli.submit", component="cli", job_name=spec.name):
-            return grid.submit(spec)
-
-    job_ids = [_submit(j) for j in range(args.jobs)]
+        ))
+        for j in range(args.jobs)
+    ]
     deadline = grid.loop.now + args.horizon_days * SECONDS_PER_DAY
     while grid.loop.now < deadline:
         grid.run_for(SECONDS_PER_HOUR)
@@ -246,14 +232,6 @@ def cmd_simulate(args) -> int:
             ("grid tasks running", "grid_tasks"),
         ):
             print(f"  {label:<20} |{monitor.sparkline(field_name, 60)}|")
-    if tracer is not None:
-        from repro.obs import export_chrome_trace, export_jsonl
-        if args.trace:
-            export_chrome_trace(tracer.finished, args.trace)
-            print(f"\nChrome trace ({len(tracer)} spans) -> {args.trace}")
-        if args.trace_jsonl:
-            export_jsonl(tracer.finished, args.trace_jsonl)
-            print(f"Span JSONL ({len(tracer)} spans) -> {args.trace_jsonl}")
     if args.metrics_json:
         from repro.obs import export_metrics_json
         export_metrics_json(grid.metrics, args.metrics_json)

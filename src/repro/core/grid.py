@@ -135,10 +135,9 @@ class Grid:
             self._keyring = KeyRing()
             self._keyring.add("integrade", auth_secret)
             self._credentials = Credentials("integrade", auth_secret)
-        #: Observability: None until enable_metrics()/enable_tracing()/
-        #: enable_journal()/enable_wire_meter().
+        #: Observability: None until enable_metrics()/enable_journal()/
+        #: enable_wire_meter().
         self.metrics = None
-        self.tracer = None
         self.journal = None
         self.wire_meter = None
         #: Every ORB and LRM the grid ever made, departed nodes' too:
@@ -570,24 +569,6 @@ class Grid:
             self._attach_all()
         return self.metrics
 
-    def enable_tracing(self):
-        """Turn on span tracing across every ORB and GRM (idempotent).
-
-        Returns the grid's :class:`~repro.obs.Tracer`.  While enabled,
-        each ORB invocation hands its ``(trace_id, span_id)`` to the
-        server (as an argument of the direct dispatch, or in a
-        request-header extension when the request marshals), so a
-        submission's spans connect across the ASCT, GRM, Trader, and
-        LRM hops — on the same code path an untraced run takes.  Turn
-        it back off with ``grid.tracer.disable()``.
-        """
-        if self.tracer is None:
-            from repro.obs.trace import Tracer
-            self.tracer = Tracer(clock=self.loop)
-            self._attach_all()
-        self.tracer.enable()
-        return self.tracer
-
     def enable_wire_meter(self):
         """Price every request the grid's ORBs send in CDR bytes (idempotent).
 
@@ -610,8 +591,8 @@ class Grid:
         completions, checkpoint saves/restores, reservation grants/
         violations, BSP supersteps, and dropped status updates are
         recorded with causal links, stamped in simulated time.  Like
-        metrics and tracing, the journal records — it never schedules
-        events or draws randomness, so an instrumented run replays the
+        metrics, the journal records — it never schedules events or
+        draws randomness, so an instrumented run replays the
         uninstrumented one exactly.  Nodes (and child clusters) already
         registered are journalled retroactively as ``node_up``
         (``cluster_up``) at the current sim time so forensics always has
@@ -656,16 +637,13 @@ class Grid:
                     getattr(lrm, f) for lrm in self._lrms
                 ),
             )
-        for instrument in (self.journal, self.tracer):
-            if instrument is not None:
-                instrument.to_metrics(registry)
+        if self.journal is not None:
+            self.journal.to_metrics(registry)
 
     def _attach_orb(self, orb: Orb) -> None:
         meter = self.wire_meter
         if meter is not None and meter not in orb._client_interceptors:
             orb.add_client_interceptor(meter)
-        if self.tracer is not None:
-            orb.set_tracer(self.tracer)
         if self.metrics is not None:
             orb.to_metrics(self.metrics)
 
@@ -676,8 +654,6 @@ class Grid:
             handle.checkpoint_store.to_metrics(
                 self.metrics, prefix=f"checkpoint.{handle.name}"
             )
-        if self.tracer is not None:
-            grm.tracer = self.tracer
         journal = self.journal
         if journal is not None and grm.journal is not journal:
             grm.journal = journal

@@ -144,13 +144,11 @@ class Grm:
         self.store = checkpoint_store
         self.trader = TradingService()
         self.stats = GrmStats()
-        #: Optional observability hooks; None keeps the seed hot paths.
-        self.tracer = None
+        #: Optional journal; None keeps the seed hot paths.
         self.journal = None
         #: Status ingest and policy ranking; bind_metrics times them.
         self._timed_ingest = self._ingest
         self._timed_rank = self._rank
-        self._job_trace_ctx: dict[str, tuple] = {}
         #: Seq of the in-flight node_down event while its evictions run,
         #: so they journal with a causal link back to the death.
         self._evict_cause = None
@@ -371,14 +369,6 @@ class Grm:
             self._tasks[task.task_id] = (job, task)
         self._pending.append(job_id)
         self.stats.jobs_submitted += 1
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            # The first placement attempt runs from a deferred event, not
-            # inside this call; remember the submission's span so the
-            # schedule pass can parent back to it (one connected trace).
-            context = tracer.context()
-            if context is not None:
-                self._job_trace_ctx[job_id] = context
         self._emit(job_id, "submitted", spec.name)
         # Deferred so the caller can still attach an ASCT before the
         # first placement attempt runs.
@@ -445,7 +435,6 @@ class Grm:
             if not task.done:
                 task.transition(TaskState.CANCELLED, self._loop.now, "cancel_job")
         job.set_state(JobState.CANCELLED, self._loop.now)
-        self._job_trace_ctx.pop(job_id, None)
         self._emit(job_id, "cancelled", "")
 
     def job(self, job_id: str) -> Job:
@@ -498,7 +487,6 @@ class Grm:
             coordinator.member_completed(task_id)
         job.refresh_state(self._loop.now)
         if job.state is JobState.COMPLETED:
-            self._job_trace_ctx.pop(job.job_id, None)
             self._emit(job.job_id, "completed", "")
 
     def task_evicted(
@@ -571,15 +559,6 @@ class Grm:
         self._pending = still_pending
 
     def _schedule_job(self, job: Job) -> bool:
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            with tracer.span("grm.schedule_job",
-                             parent=self._job_trace_ctx.get(job.job_id),
-                             component=self.cluster, job_id=job.job_id):
-                return self._schedule_job_impl(job)
-        return self._schedule_job_impl(job)
-
-    def _schedule_job_impl(self, job: Job) -> bool:
         if _is_gang(job.spec):
             return self._schedule_gang(job)
         return self._schedule_independent(job)
@@ -597,13 +576,7 @@ class Grm:
             parts.append(f"disk_free_mb >= {reqs.disk_mb}")
         if reqs.constraint:
             parts.append(reqs.constraint)
-        constraint = " && ".join(parts)
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            with tracer.span("trader.query", component=self.cluster,
-                             constraint=constraint):
-                return self.trader.query_properties("node", constraint)
-        return self.trader.query_properties("node", constraint)
+        return self.trader.query_properties("node", " && ".join(parts))
 
     def _view(self, job: Job) -> CandidateView:
         """Query the Trader for ``job``; ranked on first use."""

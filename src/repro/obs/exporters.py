@@ -1,155 +1,15 @@
-"""Trace and metrics exporters.
-
-Two span formats:
-
-* **JSONL** — one span per line, the raw model (trace/span/parent ids,
-  sim-time start/end, attrs).  Greppable, diffable, streamable.
-* **Chrome ``trace_event``** — the JSON object format understood by
-  ``chrome://tracing`` and Perfetto: complete (``"ph": "X"``) events
-  with microsecond timestamps.  Simulated seconds are mapped to
-  microseconds, so one sim-second reads as 1 µs-unit on the timeline;
-  the span's exact sim interval is also kept in ``args``.
-
-:func:`validate_chrome_trace` is the schema check CI runs against the
-CLI's exported trace; it raises :class:`TraceFormatError` with the
-first offending event.
-"""
+"""Metrics exporter, and the file helper the journal's exporter shares."""
 
 import json
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 PathOrFile = Union[str, IO]
-
-
-class TraceFormatError(ValueError):
-    """An exported trace does not conform to the trace_event schema."""
 
 
 def _open_for_write(target: PathOrFile):
     if isinstance(target, str):
         return open(target, "w"), True
     return target, False
-
-
-def export_jsonl(spans: Iterable, target: PathOrFile) -> int:
-    """Write spans one-JSON-object-per-line; returns the span count."""
-    f, owned = _open_for_write(target)
-    try:
-        count = 0
-        for span in spans:
-            f.write(json.dumps(span.to_dict(), sort_keys=True))
-            f.write("\n")
-            count += 1
-        return count
-    finally:
-        if owned:
-            f.close()
-
-
-def chrome_trace_events(spans: Iterable) -> list:
-    """Spans as a list of Chrome ``trace_event`` complete events.
-
-    ``pid`` groups by trace, ``tid`` by component (the ``component``
-    span attribute, falling back to the span name's first dotted part),
-    which renders each trace as a process with one row per component.
-    """
-    events = []
-    pids: dict[str, int] = {}
-    tids: dict[tuple, int] = {}
-    for span in spans:
-        pid = pids.setdefault(span.trace_id, len(pids) + 1)
-        component = span.attrs.get("component") or span.name.split(".")[0]
-        tid = tids.setdefault((span.trace_id, component), len(tids) + 1)
-        end = span.end if span.end is not None else span.start
-        args = {
-            "trace_id": span.trace_id,
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "sim_start_s": span.start,
-            "sim_end_s": end,
-        }
-        args.update(span.attrs)
-        events.append({
-            "name": span.name,
-            "cat": component,
-            "ph": "X",
-            "ts": span.start * 1e6,
-            "dur": (end - span.start) * 1e6,
-            "pid": pid,
-            "tid": tid,
-            "args": args,
-        })
-    return events
-
-
-def export_chrome_trace(spans: Iterable, target: PathOrFile) -> int:
-    """Write the Chrome JSON object format; returns the event count."""
-    events = chrome_trace_events(spans)
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"time_unit": "1 sim second = 1e6 ts units"},
-    }
-    f, owned = _open_for_write(target)
-    try:
-        json.dump(payload, f)
-    finally:
-        if owned:
-            f.close()
-    return len(events)
-
-
-_REQUIRED_EVENT_KEYS = ("name", "ph", "ts", "pid", "tid")
-
-
-def validate_chrome_trace(obj) -> int:
-    """Check an already-parsed trace object; returns the event count.
-
-    Accepts the JSON object format (``{"traceEvents": [...]}``) or the
-    bare JSON array format — the two layouts the Trace Event spec
-    defines.  Raises :class:`TraceFormatError` on the first violation.
-    """
-    if isinstance(obj, dict):
-        events = obj.get("traceEvents")
-        if not isinstance(events, list):
-            raise TraceFormatError(
-                "object format requires a 'traceEvents' list"
-            )
-    elif isinstance(obj, list):
-        events = obj
-    else:
-        raise TraceFormatError(
-            f"trace must be a JSON object or array, got {type(obj).__name__}"
-        )
-    for i, event in enumerate(events):
-        if not isinstance(event, dict):
-            raise TraceFormatError(f"event {i} is not an object")
-        for key in _REQUIRED_EVENT_KEYS:
-            if key not in event:
-                raise TraceFormatError(f"event {i} is missing {key!r}")
-        if not isinstance(event["name"], str):
-            raise TraceFormatError(f"event {i}: 'name' must be a string")
-        if not isinstance(event["ph"], str) or not event["ph"]:
-            raise TraceFormatError(f"event {i}: 'ph' must be a phase string")
-        if not isinstance(event["ts"], (int, float)):
-            raise TraceFormatError(f"event {i}: 'ts' must be a number")
-        if event["ph"] == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                raise TraceFormatError(
-                    f"event {i}: complete events need a non-negative 'dur'"
-                )
-    return len(events)
-
-
-def validate_chrome_trace_file(path: str) -> int:
-    """Parse and validate a trace file; returns the event count."""
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"not valid JSON: {exc}") from exc
-    return validate_chrome_trace(obj)
 
 
 def export_metrics_json(registry, target: PathOrFile) -> dict:

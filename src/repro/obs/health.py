@@ -275,8 +275,8 @@ def default_rules(metrics: Mapping) -> list:
     status-staleness and a pending-jobs rule; the staleness threshold is
     three of the update intervals its GRM publishes as
     ``grm.<cluster>.update_interval_s`` (a snapshot without that view
-    gets no staleness rule for the cluster).  Grid-wide journal and
-    tracer loss detectors close the set.
+    gets no staleness rule for the cluster).  A grid-wide journal-loss
+    detector closes the set.
     """
     clusters = sorted({
         name.split(".", 2)[1] for name in metrics
@@ -309,12 +309,6 @@ def default_rules(metrics: Mapping) -> list:
         metric="obs.journal.dropped", op=">=", value=1,
         severity="warning",
         description="journal hit its bound; forensics tail is missing",
-    ))
-    rules.append(AlertRule(
-        name="trace-loss",
-        metric="obs.trace.dropped_spans", op=">=", value=1,
-        severity="warning",
-        description="tracer hit max_spans; spans were dropped",
     ))
     return rules
 

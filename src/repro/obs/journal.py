@@ -1,18 +1,18 @@
 """Structured event journal: typed, causally linked grid lifecycle records.
 
-Metrics say *how much* and spans say *how long*; neither answers "node
-N died — which tasks were evicted, which checkpoints brought them back,
-and what did the crash cost?".  The journal records the grid's discrete
+Metrics say *how much*; they cannot answer "node N died — which tasks
+were evicted, which checkpoints brought them back, and what did the
+crash cost?".  The journal records the grid's discrete
 lifecycle transitions as typed events with **causal links**: an event
 may name the sequence number of the event that caused it (a
 ``task_evicted`` caused by a ``node_down``), so forensics can rebuild
 whole failure chains after the fact from the journal alone.
 
-Design rules, identical to the metrics/tracer layers:
+Design rules, identical to the metrics layer:
 
 * **Simulated time.**  Events are stamped from the experiment's
   :class:`~repro.sim.events.EventLoop`, so they line up with metric
-  snapshots and spans.
+  snapshots.
 * **Deterministic.**  Recording draws no randomness and schedules no
   events; sequence numbers come from a plain counter.  Enabling the
   journal can never perturb a run.

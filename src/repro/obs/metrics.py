@@ -13,7 +13,7 @@ The registry is the one place every component's accounting meets:
 
 Snapshots are timestamped in **simulated time** when the registry is
 built with the :class:`~repro.sim.events.EventLoop` driving the
-experiment, so metric dumps line up with traces and event logs.
+experiment, so metric dumps line up with the event journal.
 
 Nothing in this module touches the event loop, RNG streams, or wire
 format: enabling metrics can never perturb a deterministic run.

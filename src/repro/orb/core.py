@@ -5,10 +5,10 @@ envelope.  Two ORBs in the same :class:`InProcDomain` with no envelope
 between them are *collocated* and their calls are dispatched directly
 (arguments and results cross by reference) over the binding a
 :class:`Stub` makes once per domain epoch: the servant's method with the
-instruments of both ORBs (tracer, interceptors, a :class:`WireMeter`)
-composed around :func:`_dispatch_direct`.  A plain call is one epoch
-compare, at most three counter bumps and the method.  Every other call goes
-through :meth:`Orb.invoke`, which always marshals.
+interceptors of both ORBs (a :class:`WireMeter` is one) composed around
+:func:`_dispatch_direct`.  A plain call is one epoch compare, at most
+three counter bumps and the method.  Every other call goes through
+:meth:`Orb.invoke`, which always marshals.
 
 Request wire format (after the transport's framing)::
 
@@ -26,7 +26,6 @@ A request or reply with bytes after its last value is refused with a
 """
 
 import itertools
-from functools import partial
 from typing import Optional, Union
 
 from repro.security.auth import AuthenticationError, is_authenticated
@@ -52,23 +51,10 @@ from repro.orb.transport import (
 _STATUS_OK = 0
 _STATUS_EXCEPTION = 1
 
-#: Reserved object key announcing a trace-context header extension.  A
-#: traced request reads ``[_TRACE_KEY, trace_id, parent_span_id]`` before
-#: the normal ``[key, operation]`` header; servant keys never start with
-#: NUL, so untraced requests are byte-identical to the pre-tracing wire
-#: format and any ORB can parse (and skip) the extension.
-_TRACE_KEY = "\x00trace-ctx"
 
-
-def _encode_request(key: str, operation: Operation, args,
-                    trace_ctx=None) -> bytes:
-    """The CDR payload of one request, behind the trace-context
-    extension when ``trace_ctx`` is given."""
+def _encode_request(key: str, operation: Operation, args) -> bytes:
+    """The CDR payload of one request."""
     enc = CdrEncoder()
-    if trace_ctx is not None:
-        enc.write_string(_TRACE_KEY)
-        enc.write_string(trace_ctx[0])
-        enc.write_string(str(trace_ctx[1]))
     enc.write_string(key)
     enc.write_string(operation.name)
     for param, arg in zip(operation.params, args):
@@ -92,7 +78,7 @@ class WireMeter:
     meter and pays for the encoding itself.  The same instance works as
     a client interceptor (``(ref, operation, args)``) or a server
     interceptor (``(key, operation, args)``) and sums the length of the
-    untraced, un-enveloped request each call would put on a wire.
+    un-enveloped request each call would put on a wire.
     """
 
     def __init__(self):
@@ -236,8 +222,6 @@ class Orb:
         self._key_counter = itertools.count()
         self._client_interceptors: list = []
         self._server_interceptors: list = []
-        #: Optional span tracer (see :mod:`repro.obs.trace`).
-        self._tracer = None
         self._credentials = credentials
         self.keyring = keyring
         self._require_auth = require_auth
@@ -279,10 +263,16 @@ class Orb:
         interface: InterfaceDef,
         key: Optional[str] = None,
     ) -> ObjectRef:
-        """Register a servant and return its reference."""
+        """Register a servant and return its reference.
+
+        A key may not start with NUL: the wire format reserved that
+        prefix, and a request to such a key is answered ObjectNotFound.
+        """
         interface.validate_servant(servant)
         if key is None:
             key = f"{interface.name}/{next(self._key_counter)}"
+        elif key.startswith("\x00"):
+            raise ValueError(f"object key {key!r} starts with NUL")
         if key in self._servants:
             raise ValueError(f"object key {key!r} already active on {self.name}")
         self._servants[key] = (servant, interface)
@@ -341,18 +331,6 @@ class Orb:
         self._server_interceptors.append(interceptor)
         self.domain.invalidate()
 
-    def set_tracer(self, tracer) -> None:
-        """Attach (or detach, with None) a span tracer to this ORB.
-
-        With an active tracer, every invocation opens a client span and
-        hands its trace context to the server — in the request-header
-        extension when the request marshals, through the binding when it
-        is dispatched directly — and every dispatched request carrying
-        a context opens a server span parented to the caller's span.
-        """
-        self._tracer = tracer
-        self.domain.invalidate()
-
     def invoke(self, ref: ObjectRef, operation: Operation, args: tuple):
         """Marshal one request, send it and unmarshal its reply.
 
@@ -373,26 +351,15 @@ class Orb:
     def _client_side(self, ref: ObjectRef, operation: Operation, args: tuple,
                      send):
         """The caller's side of every request, on either path: the client
-        span, whose context ``send`` carries to the server, and the
-        client interceptors around ``send(ref, operation, args,
-        trace_ctx)``."""
-        tracer = self._tracer
-        if tracer is not None and tracer._active:
-            with tracer.span(f"{ref.interface}.{operation.name}",
-                             component=self.name, kind="client") as span:
-                for interceptor in self._client_interceptors:
-                    interceptor(ref, operation, args)
-                return send(ref, operation, args,
-                            (span.trace_id, span.span_id))
+        interceptors, then ``send(ref, operation, args)``."""
         for interceptor in self._client_interceptors:
             interceptor(ref, operation, args)
-        return send(ref, operation, args, None)
+        return send(ref, operation, args)
 
-    def _send(self, ref: ObjectRef, operation: Operation, args: tuple,
-              trace_ctx: Optional[tuple]):
+    def _send(self, ref: ObjectRef, operation: Operation, args: tuple):
         """Marshal, transmit and unmarshal the reply."""
         _peer, transport, address = self._route(ref)
-        payload = _encode_request(ref.key, operation, args, trace_ctx)
+        payload = _encode_request(ref.key, operation, args)
         if self._credentials is not None:
             payload = self._credentials.wrap(payload)
         reply = transport.invoke(address, payload, operation.oneway)
@@ -415,12 +382,11 @@ class Orb:
         A call binds when the route is collocated and no envelope is
         needed; else the stub takes :meth:`invoke` until the epoch moves.
         A servant or operation the peer lacks binds :func:`_raiser`,
-        outside the peer's server instruments, which never see a request
-        the wire path's lookup refuses.  The peer's server span and
-        interceptors wrap the method (:meth:`_serve`); this ORB's client
-        span and interceptors wrap :func:`_dispatch_direct`, outside its
-        counting and exception mapping.  Whether a tracer records is read
-        per call: ``enable()`` / ``disable()`` do not move the epoch.
+        outside the peer's server interceptors, which never see a request
+        the wire path's lookup refuses.  The peer's server interceptors
+        wrap the method (:meth:`_serve`); this ORB's client interceptors
+        wrap :func:`_dispatch_direct`, outside its counting and exception
+        mapping.
         """
         generation = self.domain.epoch
         try:
@@ -433,22 +399,16 @@ class Orb:
         try:
             method, served = peer._servant_method(ref.key, operation.name)
         except OrbError as exc:
-            serve, untraced = None, _raiser(exc)
+            method = _raiser(exc)
         else:
-            serve = peer._serve(ref.key, served, method)
-            untraced = partial(serve, None) if peer._server_interceptors \
-                else method
-        bound = (generation, _dispatch_direct, peer, untraced) + stats
-        if self._tracer is None and not self._client_interceptors:
+            if peer._server_interceptors:
+                method = peer._serve(ref.key, served, method)
+        bound = (generation, _dispatch_direct, peer, method) + stats
+        if not self._client_interceptors:
             return bound
-        traced = (generation, _dispatch_direct, peer, serve) + stats
-        server_traces = serve is not None and peer._tracer is not None
 
-        def send(ref, operation, args, trace_ctx):
-            if trace_ctx is None or not server_traces:
-                return _dispatch_direct(bound, operation.oneway, args)
-            return _dispatch_direct(traced, operation.oneway,
-                                    (trace_ctx, *args))
+        def send(ref, operation, args):
+            return _dispatch_direct(bound, operation.oneway, args)
 
         def dispatch(_binding, _oneway, args):
             return self._client_side(ref, operation, args, send)
@@ -496,20 +456,12 @@ class Orb:
                 )
             dec = CdrDecoder(payload)
             key = dec.read_string()
-            remote_parent = None
-            if key == _TRACE_KEY:
-                # Trace-context extension: consume it whether or not this
-                # ORB traces, so a traced client can talk to any server.
-                trace_id = dec.read_string()
-                remote_parent = (trace_id, int(dec.read_string()))
-                key = dec.read_string()
             op_name = dec.read_string()
             method, operation = self._servant_method(key, op_name)
             args = [p.idl_type.decode(dec) for p in operation.params]
             _expect_end(dec, "request")
-            if self._server_interceptors or remote_parent is not None:
-                method = partial(self._serve(key, operation, method),
-                                 remote_parent)
+            if self._server_interceptors:
+                method = self._serve(key, operation, method)
             result = method(*args)
             enc.write_octet(_STATUS_OK)
             operation.returns.encode(enc, result)
@@ -530,22 +482,12 @@ class Orb:
         return getattr(servant, operation.name), operation
 
     def _serve(self, key: str, operation: Operation, method):
-        """``serve(trace_parent, *args)``: ``method(*args)`` inside this
-        ORB's server interceptors, which see the argument list a decode
-        yields, and — for a request carrying ``trace_parent`` while this
-        ORB traces — a server span parented to the caller's span."""
-        interceptors, tracer = self._server_interceptors, self._tracer
+        """``serve(*args)``: ``method(*args)`` inside this ORB's server
+        interceptors, which see the argument list a decode yields."""
+        interceptors = self._server_interceptors
 
-        def serve(trace_parent, *args):
+        def serve(*args):
             args = list(args)
-            if (trace_parent is not None and tracer is not None
-                    and tracer._active):
-                with tracer.span(f"{key}.{operation.name}",
-                                 parent=trace_parent, component=self.name,
-                                 kind="server"):
-                    for interceptor in interceptors:
-                        interceptor(key, operation, args)
-                    return method(*args)
             for interceptor in interceptors:
                 interceptor(key, operation, args)
             return method(*args)

@@ -60,8 +60,7 @@ class InProcDomain:
         #: domain: ORBs drop their routes and stubs their bindings when
         #: it moves.  Membership changes move it, and so does every
         #: member ORB change a binding depends on (servants,
-        #: interceptors, tracer, credentials, ``require_auth``,
-        #: shutdown), so a departed peer is never dialled and a stale
+        #: interceptors, credentials, ``require_auth``, shutdown), so a departed peer is never dialled and a stale
         #: binding is never used.
         self.epoch = 0
 

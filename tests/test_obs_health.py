@@ -149,7 +149,7 @@ class TestAlertRules:
         assert set(by_name) == {
             "dead-nodes.c0", "status-staleness.c0", "pending-jobs.c0",
             "dead-nodes.c1", "pending-jobs.c1",
-            "journal-loss", "trace-loss",
+            "journal-loss",
         }
         # Three of the cluster's own update intervals; a cluster whose
         # snapshot names no interval gets no staleness rule.
@@ -167,7 +167,6 @@ class TestAlertRules:
         grid.add_node("c0", "n0", dedicated=True)
         grid.enable_metrics()
         grid.enable_journal()
-        grid.enable_tracing()
         grid.run_for(120)
         job_id = grid.submit(ApplicationSpec(
             name="gang", kind=BSP, tasks=1, program="gang", work_mips=4e6,
@@ -190,15 +189,13 @@ class TestAlertRules:
         assert main([
             "simulate", "--nodes", "3", "--jobs", "2",
             "--train-days", "0", "--horizon-days", "1",
-            "--trace", str(tmp_path / "trace.json"),
             "--journal", str(tmp_path / "journal.jsonl"),
             "--metrics-json", metrics_path,
         ]) == 0
         metrics = json.load(open(metrics_path))["metrics"]
         shaped = {r.name: r for r in default_rules(metrics)}
         assert set(shaped) >= {
-            "dead-nodes.sim", "status-staleness.sim", "journal-loss",
-            "trace-loss"}
+            "dead-nodes.sim", "status-staleness.sim", "journal-loss"}
         assert [r.metric for r in shaped.values()
                 if r.metric not in metrics] == []
         # simulate's grid sends an update every 120 s.

@@ -1,8 +1,8 @@
 """Every instrument reaches every component, whenever it is switched on.
 
-The grid attaches its four instruments (metrics registry, span tracer,
-event journal, wire meter) to each kind of component in one place, and
-both the creation sites and the ``enable_*`` methods go through it.  A
+The grid attaches its three instruments (metrics registry, event
+journal, wire meter) to each kind of component in one place, and both
+the creation sites and the ``enable_*`` methods go through it.  A
 grid instrumented before it is built must therefore end up wired —
 and journal — exactly like one instrumented after.
 """
@@ -18,7 +18,6 @@ NODES_PER_CLUSTER = 3
 
 def enable_all(grid: Grid) -> None:
     grid.enable_metrics()
-    grid.enable_tracing()
     grid.enable_journal()
     grid.enable_wire_meter()
 
@@ -72,18 +71,15 @@ def test_cluster_added_after_the_journal_is_journalled():
                          ids=["enabled-before-build", "enabled-after-build"])
 def test_every_component_carries_every_instrument(before):
     grid, job_id = instrumented_grid(before)
-    registry, tracer = grid.metrics, grid.tracer
-    journal, meter = grid.journal, grid.wire_meter
+    registry, journal, meter = grid.metrics, grid.journal, grid.wire_meter
     names = set(registry.names())
 
     assert len(grid._orbs) == 1 + 2 + 2 * NODES_PER_CLUSTER + 1
     for orb in grid._orbs:
-        assert orb._tracer is tracer
         assert orb._client_interceptors.count(meter) == 1
         assert f"orb.{orb.name}" in names
     for handle in grid.clusters.values():
         grm = handle.grm
-        assert grm.tracer is tracer
         assert grm.journal is journal
         assert f"checkpoint.{handle.name}.saves" in names
         for node in handle.nodes.values():
@@ -142,13 +138,12 @@ def test_before_and_after_build_wire_and_journal_the_same():
 def test_instruments_stay_opt_in():
     grid = Grid()
     build(grid)
-    assert (grid.metrics, grid.tracer, grid.journal, grid.wire_meter) \
-        == (None, None, None, None)
+    assert (grid.metrics, grid.journal, grid.wire_meter) == (None, None, None)
     for orb in grid._orbs:
-        assert orb._tracer is None and not orb._client_interceptors
+        assert not orb._client_interceptors
     for handle in grid.clusters.values():
         grm = handle.grm
-        assert grm.journal is None and grm.tracer is None
+        assert grm.journal is None
         # Untimed paths are the plain methods: no wrapper in the way.
         assert grm._timed_ingest == grm._ingest
         assert grm._timed_rank == grm._rank

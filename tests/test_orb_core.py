@@ -284,6 +284,20 @@ class TestServantValidation:
             orb.activate(Calculator(), CALC_INTERFACE, key="calc")
         orb.shutdown()
 
+    @pytest.mark.parametrize("key", ["\x00", "\x00batch", "\x00trace-ctx"])
+    def test_nul_prefixed_key_rejected(self, domain, key):
+        # Keys opening with NUL are reserved by the wire format: none is
+        # ever served, so a request naming one is an unknown object.
+        orb = Orb(domain=domain)
+        with pytest.raises(ValueError):
+            orb.activate(Calculator(), CALC_INTERFACE, key=key)
+        add = CALC_INTERFACE.operation("add")
+        dec = CdrDecoder(orb.handle_request_bytes(
+            _encode_request(key, add, (1.0, 2.0))))
+        assert dec.read_octet() == 1   # exception status
+        assert dec.read_string() == "ObjectNotFound"
+        orb.shutdown()
+
     def test_deactivate_unknown_key(self, domain):
         orb = Orb(domain=domain)
         with pytest.raises(ObjectNotFound):

@@ -4,8 +4,7 @@ Two ORBs in one ``InProcDomain`` with no auth envelope between them
 talk without CDR: the ORB picks the path from what it can observe, not
 from a flag.  Every *observable* behaviour of the marshalled path must
 survive: interceptor order, exception translation, oneway swallowing,
-message counts, trace-context semantics, auth gating, and failure
-modes.  The marshalled path — still taken by enveloped requests and
+message counts, auth gating, and failure modes.  The marshalled path — still taken by enveloped requests and
 over TCP — is the reference each class compares against.
 """
 
@@ -18,7 +17,6 @@ import pytest
 
 from repro.apps.spec import ApplicationSpec
 from repro.core.grid import Grid
-from repro.obs.trace import Tracer
 from repro.orb.cdr import CdrDecoder, Double, Void
 from repro.orb.core import Orb, _encode_request
 from repro.orb.exceptions import (
@@ -247,125 +245,37 @@ class TestInterceptors:
         assert direct_client.stats()["bytes_sent"] == 0
 
 
-def span_tree(tracer):
-    """``{(kind, name): (kind, name) of the parent}`` over finished spans."""
-    by_id = {s.span_id: s for s in tracer.finished}
-
-    def label(span):
-        return (span.attrs.get("kind", "local"), span.name)
-
-    return {
-        label(span): label(by_id[span.parent_id])
-        if span.parent_id in by_id else None
-        for span in tracer.finished
-    }
-
-
-class TestTraceContext:
-    def traced_call(self, enveloped):
-        server, client, stub, _ = make_pair(enveloped=enveloped)
-        tracer = Tracer()
-        client.set_tracer(tracer)
-        server.set_tracer(tracer)
-        with tracer.span("root"):
-            assert stub.echo(21.0) == 42.0
-        return server, client, tracer
-
-    def test_traced_calls_stay_on_the_direct_path(self):
-        server, client, tracer = self.traced_call(enveloped=False)
-        assert client.stats()["bytes_sent"] == 0
-        assert marshalled_bytes(server) == 0
-        assert client.stats()["requests_sent"] == 1
-        assert server.requests_handled == 1
-
-    def test_span_tree_matches_the_marshalled_path(self, unbound_calls):
-        _, _, direct = self.traced_call(enveloped=False)
-        assert unbound_calls == []
-        _, _, wire = self.traced_call(enveloped=True)
-        tree = span_tree(direct)
-        assert tree == span_tree(wire)
-        client_span = ("client", "test/Echo.echo")
-        assert tree[client_span] == ("local", "root")
-        (server_span,) = [k for k in tree if k[0] == "server"]
-        assert tree[server_span] == client_span
-
-    def test_untraced_server_records_no_server_span(self):
-        server, client, stub, _ = make_pair()
-        tracer = Tracer()
-        client.set_tracer(tracer)
-        assert stub.echo(1.0) == 2.0
-        assert [s.attrs["kind"] for s in tracer.finished] == ["client"]
-
-    def test_servant_error_is_recorded_on_both_spans(self):
-        server, client, stub, _ = make_pair()
-        tracer = Tracer()
-        client.set_tracer(tracer)
-        server.set_tracer(tracer)
-        with pytest.raises(RemoteInvocationError):
-            stub.boom(1.0)
-        errors = {s.attrs["kind"]: s.attrs.get("error")
-                  for s in tracer.finished}
-        assert errors == {"server": "ValueError",
-                          "client": "RemoteInvocationError"}
-
-
-def submission_trace(trace: bool):
-    """One ASCT submission on a 4-node grid; returns ``(grid, spans)``
-    where ``spans`` are the submission's trace (empty when untraced).
-    A traced grid also prices every request with the wire meter."""
+def submission(instrumented: bool):
+    """One ASCT submission on a 4-node grid, run to completion.  An
+    instrumented grid records metrics and the journal and prices every
+    request with the wire meter."""
     grid = Grid(seed=7, lupa_enabled=False)
     grid.add_cluster("c0")
     for i in range(4):
         grid.add_node("c0", f"n{i}")
     asct = grid.make_asct("c0")
-    spans = []
-    if trace:
-        tracer = grid.enable_tracing()
+    if instrumented:
+        grid.enable_metrics()
+        grid.enable_journal()
         grid.enable_wire_meter()
-        with tracer.span("asct.submit", component="asct") as root:
-            job_id = asct.submit(ApplicationSpec(name="e2e", tasks=2))
-    else:
-        job_id = asct.submit(ApplicationSpec(name="e2e", tasks=2))
+    job_id = asct.submit(ApplicationSpec(name="e2e", tasks=2))
     assert grid.wait_for_job(job_id, max_seconds=4 * 3600.0)
-    if trace:
-        spans = tracer.trace(root.trace_id)
-    return grid, spans
+    return grid, job_id
 
 
-class TestTracingDoesNotSwitchThePath:
-    def test_traced_and_untraced_grids_execute_the_same_requests(
-            self, unbound_calls):
-        untraced, _ = submission_trace(trace=False)
-        traced, spans = submission_trace(trace=True)
+class TestInstrumentsKeepThePath:
+    def test_instrumented_grid_runs_the_same_requests(self, unbound_calls):
+        plain, _ = submission(instrumented=False)
+        instrumented, job_id = submission(instrumented=True)
         assert unbound_calls == []      # every call was bound, both runs
-        assert traced.wire_meter.requests > 0
-        assert traced.protocol_stats() == untraced.protocol_stats()
-        assert traced.protocol_stats()["bytes_sent"] == 0
-        assert traced.loop.events_fired == untraced.loop.events_fired
-
-        # ... and the traced run still yields the connected tree
-        # asct.submit -> Grm.submit -> schedule -> trader -> Lrm.start_task.
-        by_id = {s.span_id: s for s in spans}
-        root = next(s for s in spans if s.name == "asct.submit")
-
-        def path_to_root(span):
-            names = [span.name]
-            while span.parent_id is not None:
-                span = by_id[span.parent_id]
-                names.append(span.name)
-            return names[::-1]
-
-        for span in spans:
-            assert path_to_root(span)[0] == root.name
-        start = next(s for s in spans
-                     if s.name == "integrade/Lrm.start_task")
-        assert path_to_root(start)[:3] == [
-            "asct.submit", "integrade/Grm.submit", "c0/grm.submit"]
-        assert "grm.schedule_job" in path_to_root(start)
-        names = {s.name for s in spans}
-        assert "trader.query" in names
-        assert "integrade/Lrm.request_reservation" in names
-        assert any(n.endswith("/lrm.start_task") for n in names)  # server
+        assert instrumented.wire_meter.requests > 0
+        assert instrumented.protocol_stats() == plain.protocol_stats()
+        assert instrumented.protocol_stats()["bytes_sent"] == 0
+        assert instrumented.loop.events_fired == plain.loop.events_fired
+        # ... and the journal tells what happened to the job.
+        journal = instrumented.journal
+        assert len(journal.select(type="task_scheduled", job_id=job_id)) == 2
+        assert len(journal.select(type="task_completed", job_id=job_id)) == 2
 
 
 class TestAuthGating:
@@ -481,28 +391,6 @@ class TestBoundCalls:
             lambda key, op, args: seen.append((op.name, type(args))))
         stub.fire(1.0)
         assert seen == [("fire", list)]
-
-    def test_client_tracer_set(self):
-        server, client, stub, _ = bound_pair()
-        tracer = Tracer()
-        client.set_tracer(tracer)
-        stub.echo(1.0)
-        assert [s.attrs["kind"] for s in tracer.finished] == ["client"]
-
-    def test_server_tracer_set(self):
-        server, client, stub, _ = bound_pair()
-        tracer = Tracer()
-        epoch = server.domain.epoch
-        server.set_tracer(tracer)
-        assert server.domain.epoch != epoch
-        # An untraced caller sends no context: still no span ...
-        assert stub.echo(1.0) == 2.0
-        assert tracer.finished == []
-        # ... until the caller traces too.
-        client.set_tracer(tracer)
-        stub.echo(1.0)
-        assert sorted(s.attrs["kind"] for s in tracer.finished) \
-            == ["client", "server"]
 
     def test_client_credentials_set(self):
         ring = KeyRing()

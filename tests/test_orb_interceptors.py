@@ -1,4 +1,4 @@
-"""Tests for ORB request interceptors (tracing/accounting hooks)."""
+"""Tests for ORB request interceptors (accounting and policy hooks)."""
 
 import pytest
 
@@ -185,22 +185,3 @@ def test_server_interceptor_veto_skips_servant(pair):
         stub.echo(5.0)
     assert calls == []
 
-
-def test_interceptor_order_identical_on_traced_path(pair):
-    # Switching the ORBs onto the traced invoke path must not change
-    # interceptor ordering or results.
-    from repro.obs.trace import Tracer
-
-    server, client = pair
-    ref = server.activate(EchoServant(), ECHO)
-    stub = client.stub(ref, ECHO)
-    tracer = Tracer()
-    client.set_tracer(tracer)
-    server.set_tracer(tracer)
-    order = []
-    client.add_client_interceptor(lambda *a: order.append("client"))
-    server.add_server_interceptor(lambda *a: order.append("server"))
-    assert stub.echo(6.0) == 6.0
-    assert order == ["client", "server"]
-    names = [span.name for span in tracer.finished]
-    assert names == [f"{ref.key}.echo", "test/Echo.echo"]

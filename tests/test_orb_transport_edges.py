@@ -184,14 +184,15 @@ class TestMalformedFrames:
 # -- hostile bytes -----------------------------------------------------------
 #
 # A hostile stream is a list of ``(kind, replies, bytes)`` pieces written
-# raw to one connection.  "request", "old-batch" and "zero" pieces are
+# raw to one connection.  "request", "old-batch", "trace-ctx" and "zero"
+# pieces are
 # complete frames the server must answer (or skip) and keep serving
-# after; the rest leave the connection for the server's close to resolve.
+# after; the rest leave the connection for the server's close to
+# resolve.
 
 _nul_keys = st.one_of(
-    st.sampled_from(["\x00batch", "\x00pipe"]),
-    st.text(max_size=12).map(lambda t: "\x00" + t)
-    .filter(lambda k: k != "\x00trace-ctx"),
+    st.sampled_from(["\x00batch", "\x00pipe", "\x00trace-ctx"]),
+    st.text(max_size=12).map(lambda t: "\x00" + t),
 )
 
 _nul_requests = st.builds(
@@ -222,13 +223,36 @@ _old_batches = st.builds(
     st.sampled_from([0, 1]),
 )
 
+
+def trace_ctx_payload(text):
+    """A ``"\\x00trace-ctx"`` payload wrapping a valid echo request, as a
+    traced client once sent it: a parser that still honoured the key
+    would dispatch the echo."""
+    enc = CdrEncoder()
+    enc.write_string("\x00trace-ctx")
+    enc.write_string("trace-1")     # trace id
+    enc.write_string("7")           # parent span id
+    enc.write_string("test/echo")
+    enc.write_string("echo")
+    enc.write_string(text)
+    return enc.getvalue()
+
+
+_trace_ctxs = st.builds(
+    lambda text, flag: ("trace-ctx", flag,
+                        frame(trace_ctx_payload(text), flag)),
+    st.text(max_size=8),
+    st.sampled_from([0, 1]),
+)
+
 _zero_frames = st.just(("zero", 0, struct.pack(">I", 0)))
 
 _raw = st.binary(min_size=1, max_size=200).map(lambda b: ("raw", 0, b))
 
 _truncated = st.builds(
     lambda piece, cut: ("truncated", 0, piece[2][:cut % len(piece[2])]),
-    st.one_of(_nul_requests, _old_batches), st.integers(min_value=0),
+    st.one_of(_nul_requests, _old_batches, _trace_ctxs),
+    st.integers(min_value=0),
 )
 
 _over_limit = st.builds(
@@ -238,12 +262,12 @@ _over_limit = st.builds(
 )
 
 _streams = st.lists(
-    st.one_of(_nul_requests, _old_batches, _zero_frames, _raw, _truncated,
-              _over_limit),
+    st.one_of(_nul_requests, _old_batches, _trace_ctxs, _zero_frames, _raw,
+              _truncated, _over_limit),
     min_size=1, max_size=5,
 )
 
-_COMPLETE_FRAMES = ("request", "old-batch", "zero")
+_COMPLETE_FRAMES = ("request", "old-batch", "trace-ctx", "zero")
 
 
 def exchange(server, data):
@@ -305,8 +329,8 @@ class TestHostileBytes:
                     # A named retired key is an unknown object like any
                     # other; an old batch body may not even parse that far.
                     assert exception_type(reply) in (
-                        ("ObjectNotFound",) if kind == "request"
-                        else ("ObjectNotFound", "MarshalError"))
+                        ("ObjectNotFound", "MarshalError")
+                        if kind == "old-batch" else ("ObjectNotFound",))
                 dec = CdrDecoder(replies[-1])
                 assert dec.read_octet() == 0
                 assert dec.read_string() == "same-connection"
@@ -334,7 +358,15 @@ class TestHostileBytes:
             assert exception_type(reply) == "ObjectNotFound"
             (reply,) = exchange(server, frame(old_batch_payload(["a", "b"])))
             assert exception_type(reply) == "ObjectNotFound"
-            assert servant.calls == []
+            # A traced request of old: refused, and the same connection
+            # serves the next frame.
+            refused, served = exchange(
+                server, frame(trace_ctx_payload("a")) + echo_frame("next"))
+            assert exception_type(refused) == "ObjectNotFound"
+            dec = CdrDecoder(served)
+            assert dec.read_octet() == 0
+            assert dec.read_string() == "next"
+            assert servant.calls == ["next"]
         finally:
             server.shutdown()
 

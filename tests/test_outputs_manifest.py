@@ -10,11 +10,11 @@
 * ``simulate_stdout_sha256`` — the sha256 of the stdout of
   ``repro simulate --nodes 24 --policy pattern_aware --seed 5
   --train-days 3 --vacate``;
-* ``obs_smoke_sha256`` — the sha256 of the ``journal.jsonl`` and
-  ``trace.jsonl`` written by the CI ``obs-smoke`` job's ``repro simulate
-  --nodes 6 --jobs 2 --train-days 0 --horizon-days 0.5 --vacate ...``
-  line (:data:`OBS_SMOKE_ARGS`), run with every instrument on, as CI
-  runs it;
+* ``obs_smoke_sha256`` — the sha256 of the ``journal.jsonl`` written
+  by the CI ``obs-smoke`` job's ``repro simulate --nodes 6 --jobs 2
+  --train-days 0 --horizon-days 0.5 --vacate ...`` line
+  (:data:`OBS_SMOKE_ARGS`), run with every instrument on, as CI runs
+  it;
 * ``marshalled_sha256`` — the sha256 of every request and reply payload
   that crosses :meth:`InProcTransport.invoke` in a short
   ``Grid(auth_secret=...)`` run (:func:`marshalled_outputs`), where the
@@ -50,12 +50,11 @@ SIMULATE_ARGS = ("simulate", "--nodes", "24", "--policy", "pattern_aware",
 #: ``.github/workflows/ci.yml``'s obs-smoke simulate line, verbatim.
 OBS_SMOKE_ARGS = ("simulate", "--nodes", "6", "--jobs", "2",
                   "--train-days", "0", "--horizon-days", "0.5", "--vacate",
-                  "--trace", "trace.json", "--trace-jsonl", "trace.jsonl",
                   "--journal", "journal.jsonl",
                   "--health-report", "health.json",
                   "--metrics-json", "metrics.json")
 #: The exports of that line whose bytes are pinned.
-OBS_SMOKE_PINNED = ("journal.jsonl", "trace.jsonl")
+OBS_SMOKE_PINNED = ("journal.jsonl",)
 #: Counters that are not a function of the seed: the bytes ``tcp_rpc``'s
 #: two client threads send vary between runs of one seed (493,254 or
 #: 492,402 on seed 7).  Every other counter repeats exactly.
